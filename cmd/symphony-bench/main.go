@@ -1,8 +1,9 @@
 // Command symphony-bench regenerates every figure and quantitative claim
 // of "Serve Programs, Not Prompts" (HOTOS '25) from this repository's
-// simulated reproduction. Each experiment prints the table(s) documented
-// in docs/EXPERIMENTS.md, which also maps experiment IDs to paper
-// artifacts and states each sweep's acceptance bar.
+// simulated reproduction. docs/EXPERIMENTS.md describes every experiment
+// — the paper artifact it reproduces, the table it prints, its
+// acceptance bar and the BENCH_<exp>.json schema — and docs/FLAGS.md
+// every flag.
 //
 // Usage:
 //
@@ -10,91 +11,10 @@
 //	symphony-bench -exp all -quick    # everything, reduced grids
 //	symphony-bench -exp scaling -gpus 1,2,4,8 -dispatch cache-affinity
 //
-// Experiments: fig3, toolcalls, constrained, speculative, multiround,
-// tot, editor, batching, overhead, scaling, pressure, migrate, slo,
-// specdec, restart, chaos, prefixcache, all. -list-exp prints the
-// experiment names one per line (and -list-dispatch the dispatcher
-// names) for shell completion and scripts.
-//
-// The scaling experiment sweeps the batch scheduler across simulated GPU
-// replica counts (-gpus, a comma-separated list) under a saturating
-// closed-loop load, routing pred calls with the -dispatch policy
-// (round-robin, least-loaded, or cache-affinity); it reports virtual
-// throughput, speedup over one replica, and per-replica utilization
-// balance.
-//
-// The pressure experiment drives GPU KV memory to 2–4x oversubscription
-// and sweeps the kernel memory daemon's eviction policies (-kv-policy, a
-// comma-separated list; -kv-high-water sets the reclaim trigger),
-// reporting throughput, offload/restore counts, and the restored-token
-// cost each policy pays for evicting files that were still needed.
-//
-// The migrate experiment runs a skewed shared-prefix workload (every
-// fork family homed to replica 0 under static hashing) and compares
-// cache-affinity against cache-affinity-migrate, whose kernel engine
-// moves stranded prefixes over a simulated replica interconnect
-// (-interconnect-gbps) when the home replica is overloaded past
-// -migrate-threshold; the bar is >=1.5x virtual throughput at 4
-// replicas with locked and in-flight files never migrated.
-//
-// The slo experiment mixes latency-sensitive interactive clients against
-// saturating batch clients and compares the fifo run-to-completion
-// baseline with the lanes priority policy (-priority-policy selects
-// policies elsewhere; the sweep runs both): per-lane p50/p99 queue delay,
-// preemption counts, and starvation. The bar is interactive p99 at least
-// 3x better than fifo at equal (±10%) aggregate token throughput with
-// zero starved batch calls.
-//
-// The slo experiment's heavy-prefill cells rerun the same population
-// with 4096-token batch prefills and add a fifo cell whose kernel slices
-// prefill to -prefill-chunk-sized pieces (Sarathi-style chunked prefill
-// with no priority policy at all), isolating what chunking alone buys.
-//
-// The specdec experiment serves a decode-heavy mixed load three ways —
-// the unchunked fifo executor, lanes with chunked prefill, and lanes
-// with executor-level speculative decoding (draft/verify inside each
-// GPU iteration, adaptive draft window) — and reports aggregate token
-// throughput, interactive p99 queue delay, and the speculation ledger
-// (rounds, drafted, accepted). The bar is >=1.5x throughput over the
-// unchunked executor with interactive p99 flat within ±10%.
-//
-// The restart experiment measures warm restarts from the durable disk
-// KV tier (internal/kvstore): a warm kernel checkpoints its named
-// prefixes and crashes, then a restarted kernel serves one request per
-// prefix either by re-importing the snapshot (-kv-disk-gb sizes the
-// tier) or by recomputing every prefix from tokens. The bar is disk
-// mean TTFT at least 2x better than recompute with zero ErrNoSpace.
-//
-// The prefixcache experiment drives a multi-tenant workload in which
-// every job within a tenant shares a long prompt preamble, and compares
-// three kernels: the radix prefix cache off, on (-prefix-cache;
-// -prefix-chunk overrides the indexing chunk), and on with cache-aware
-// in-lane ordering. It reports virtual throughput, the fraction of
-// prefill tokens served from cache instead of recomputed, and the
-// kernel's share/hit ledger. The bar is >=2x virtual throughput and
-// >=60% prefill tokens saved on the shared-heavy cell, with exact
-// ledgers.
-//
-// The chaos experiment runs one seeded skewed workload fault-free and
-// again under each internal/chaos fault plan (failing/stalling
-// interconnect transfers, disk sync errors, lying syncs, torn writes,
-// mid-publish power loss, replica executor crashes), then power-fails
-// and recovers. The bar under every plan: zero lost or duplicated jobs,
-// exact billing (no token charged twice), an exact scheduler ledger,
-// and a clean recovered snapshot.
-//
-// The seeded experiments (fig3, editor, scaling, pressure, migrate,
-// slo, specdec, restart, chaos, prefixcache) accept -seed to shift their
-// deterministic workload streams: two runs with the same -seed produce
-// byte-identical BENCH JSON, and -seed 0 (the default) keeps each
-// experiment's recorded-baseline streams.
-//
-// The scaling, pressure, migrate, slo, specdec, restart, chaos, and
-// prefixcache
-// experiments also write machine-readable BENCH_<exp>.json artifacts into -json-dir
-// (default "."; empty disables), seeding the perf trajectory the CI
-// bench gate (cmd/benchgate) judges regressions against; see the README
-// for the schema.
+// The experiments, which of them honour -seed and which write a
+// BENCH_<exp>.json artifact all come from the experiments.Sweeps
+// registry; -list-exp prints the names one per line (and -list-dispatch
+// the dispatcher names) for shell completion and scripts.
 package main
 
 import (
@@ -102,6 +22,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -111,16 +32,12 @@ import (
 	"repro/internal/sched"
 )
 
-// experimentNames lists the -exp values in presentation order; "all"
-// runs every one.
-var experimentNames = []string{
-	"fig3", "toolcalls", "constrained", "speculative", "multiround",
-	"tot", "editor", "batching", "overhead", "scaling", "pressure",
-	"migrate", "slo", "specdec", "restart", "chaos", "prefixcache",
-}
-
 func main() {
-	exp := flag.String("exp", "all", "experiment to run ("+strings.Join(experimentNames, "|")+"|all)")
+	all := experiments.SweepNames(nil)
+	seeded := strings.Join(experiments.SweepNames(func(s experiments.Sweep) bool { return s.Seeded }), ", ")
+	gated := strings.Join(experiments.SweepNames(func(s experiments.Sweep) bool { return s.Gated }), "/")
+
+	exp := flag.String("exp", "all", "experiment to run ("+strings.Join(all, "|")+"|all)")
 	quick := flag.Bool("quick", false, "use reduced grids for a fast pass")
 	gpus := flag.String("gpus", "", "comma-separated GPU replica counts for -exp scaling (default 1,2,4,8)")
 	dispatch := flag.String("dispatch", "",
@@ -136,9 +53,9 @@ func main() {
 	kvDiskGB := flag.Float64("kv-disk-gb", 0,
 		"durable disk KV tier size in GiB for -exp restart (0 = experiment default)")
 	jsonDir := flag.String("json-dir", ".",
-		"directory for BENCH_<exp>.json artifacts from -exp scaling/pressure/migrate/slo/specdec/restart/chaos/prefixcache (empty disables)")
+		"directory for BENCH_<exp>.json artifacts from -exp "+gated+" (empty disables)")
 	seed := flag.Int64("seed", 0,
-		"workload seed for the seeded experiments (fig3, editor, scaling, pressure, migrate, slo, specdec, restart, chaos, prefixcache); 0 keeps each experiment's recorded baseline")
+		"workload seed for the seeded experiments ("+seeded+"); 0 keeps each experiment's recorded baseline")
 	prefixCache := flag.Bool("prefix-cache", false,
 		"force the kernel radix prefix cache on in every -exp prefixcache cell (default: the sweep compares off/on/on+order)")
 	prefixChunk := flag.Int("prefix-chunk", 0,
@@ -150,7 +67,7 @@ func main() {
 	// The listing flags print machine-consumable name lists (the same
 	// lists the error paths below cite) and exit before any validation.
 	if *listExp {
-		fmt.Println(strings.Join(append(append([]string{}, experimentNames...), "all"), "\n"))
+		fmt.Println(strings.Join(append(all, "all"), "\n"))
 		os.Exit(0)
 	}
 	if *listDispatch {
@@ -160,9 +77,9 @@ func main() {
 
 	// Reject bad enumerated flag values up front, each with the list of
 	// valid names, instead of failing deep inside an experiment's setup.
-	if !validExperiment(*exp) {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q\nvalid experiments: %s, all\n",
-			*exp, strings.Join(experimentNames, ", "))
+	sweeps, ok := selectSweeps(*exp)
+	if !ok {
+		fmt.Fprintf(os.Stderr, "unknown experiment %q\nvalid experiments: %s, all\n", *exp, strings.Join(all, ", "))
 		os.Exit(2)
 	}
 	if _, err := sched.NewDispatcher(*dispatch); err != nil {
@@ -175,280 +92,53 @@ func main() {
 			os.Exit(2)
 		}
 	}
+	opts := experiments.Options{
+		Quick:            *quick,
+		Seed:             *seed,
+		Dispatch:         *dispatch,
+		KVPolicies:       splitList(*kvPolicy),
+		KVHighWater:      *kvHighWater,
+		InterconnectGbps: *interconnectGbps,
+		MigrateThreshold: *migrateThreshold,
+		KVDiskGB:         *kvDiskGB,
+		PrefixCache:      *prefixCache,
+		PrefixChunk:      *prefixChunk,
+	}
+	for _, s := range splitList(*gpus) {
+		n, err := strconv.Atoi(s)
+		if err != nil || n < 1 {
+			fmt.Fprintf(os.Stderr, "bad -gpus entry %q\n", s)
+			os.Exit(2)
+		}
+		opts.GPUs = append(opts.GPUs, n)
+	}
 
 	start := time.Now()
-	for _, e := range []struct {
-		name string
-		fn   func(bool)
-	}{
-		{"fig3", func(q bool) { runFig3(q, *seed) }},
-		{"toolcalls", runToolCalls},
-		{"constrained", runConstrained},
-		{"speculative", runSpeculative},
-		{"multiround", runMultiRound},
-		{"tot", runTree},
-		{"editor", func(q bool) { runEditor(q, *seed) }},
-		{"batching", runBatching},
-		{"overhead", runOverhead},
-		{"scaling", func(q bool) { runScaling(q, *gpus, *dispatch, *jsonDir, *seed) }},
-		{"pressure", func(q bool) { runPressure(q, *kvPolicy, *kvHighWater, *jsonDir, *seed) }},
-		{"migrate", func(q bool) { runMigrate(q, *interconnectGbps, *migrateThreshold, *jsonDir, *seed) }},
-		{"slo", func(q bool) { runSLO(q, *jsonDir, *seed) }},
-		{"specdec", func(q bool) { runSpecdec(q, *jsonDir, *seed) }},
-		{"restart", func(q bool) { runRestart(q, *kvDiskGB, *jsonDir, *seed) }},
-		{"chaos", func(q bool) { runChaos(q, *kvDiskGB, *interconnectGbps, *jsonDir, *seed) }},
-		{"prefixcache", func(q bool) { runPrefixCache(q, *prefixCache, *prefixChunk, *jsonDir, *seed) }},
-	} {
-		if *exp == e.name || *exp == "all" {
-			e.fn(*quick)
+	for _, s := range sweeps {
+		cfg, points, tables := s.Run(opts)
+		for _, t := range tables {
+			fmt.Println(t.String())
+		}
+		if s.Gated {
+			writeBench(*jsonDir, s.Name, cfg, points)
 		}
 	}
 	fmt.Printf("total wall time: %v\n", time.Since(start).Round(time.Millisecond))
 }
 
-// validExperiment reports whether name is a known -exp value.
-func validExperiment(name string) bool {
-	if name == "all" {
-		return true
+// selectSweeps resolves an -exp value to the registered sweeps it runs —
+// one by name, or every one for "all"; ok is false for a name the
+// registry does not have. Validation and dispatch both go through it, so
+// a name cannot be accepted and then run nothing.
+func selectSweeps(exp string) (sweeps []experiments.Sweep, ok bool) {
+	if exp == "all" {
+		return experiments.Sweeps, true
 	}
-	for _, n := range experimentNames {
-		if n == name {
-			return true
-		}
+	i := slices.IndexFunc(experiments.Sweeps, func(s experiments.Sweep) bool { return s.Name == exp })
+	if i < 0 {
+		return nil, false
 	}
-	return false
-}
-
-func runFig3(quick bool, seed int64) {
-	cfg := experiments.DefaultFig3()
-	if quick {
-		cfg = experiments.QuickFig3()
-	}
-	if seed != 0 {
-		cfg.Seed = seed
-	}
-	pts := experiments.RunFig3(cfg)
-	lat, thr := experiments.Fig3Tables(pts)
-	fmt.Println(lat.String())
-	fmt.Println(thr.String())
-}
-
-func runToolCalls(quick bool) {
-	cfg := experiments.DefaultToolCalls()
-	if quick {
-		cfg.Calls = []int{1, 4}
-	}
-	tab := experiments.ToolCallsTable(experiments.RunToolCalls(cfg))
-	fmt.Println(tab.String())
-}
-
-func runConstrained(quick bool) {
-	cfg := experiments.DefaultConstrained()
-	if quick {
-		cfg.Trials, cfg.Retries = 4, 8
-	}
-	tab := experiments.ConstrainedTable(experiments.RunConstrained(cfg))
-	fmt.Println(tab.String())
-}
-
-func runSpeculative(quick bool) {
-	cfg := experiments.DefaultSpeculative()
-	if quick {
-		cfg.Ks = []int{0, 4}
-	}
-	tab := experiments.SpeculativeTable(experiments.RunSpeculative(cfg))
-	fmt.Println(tab.String())
-}
-
-func runMultiRound(quick bool) {
-	cfg := experiments.DefaultMultiRound()
-	if quick {
-		cfg.Rounds = 4
-	}
-	tab := experiments.MultiRoundTable(experiments.RunMultiRound(cfg))
-	fmt.Println(tab.String())
-}
-
-func runTree(quick bool) {
-	cfg := experiments.DefaultTree()
-	if quick {
-		cfg.Branch, cfg.Depth = 2, 3
-	}
-	tab := experiments.TreeTable(experiments.RunTree(cfg))
-	fmt.Println(tab.String())
-}
-
-func runEditor(quick bool, seed int64) {
-	cfg := experiments.DefaultEditor()
-	if quick {
-		cfg.Keystrokes = 40
-	}
-	if seed != 0 {
-		cfg.Seed = seed
-	}
-	tab := experiments.EditorTable(experiments.RunEditor(cfg))
-	fmt.Println(tab.String())
-}
-
-func runBatching(quick bool) {
-	cfg := experiments.DefaultBatchPolicy()
-	if quick {
-		cfg.Duration = 8 * time.Second
-	}
-	tab := experiments.BatchPolicyTable(experiments.RunBatchPolicy(cfg))
-	fmt.Println(tab.String())
-}
-
-func runOverhead(quick bool) {
-	cfg := experiments.DefaultOverhead()
-	if quick {
-		cfg.Requests = 20
-	}
-	tab := experiments.OverheadTable(experiments.RunOverhead(cfg))
-	fmt.Println(tab.String())
-}
-
-func runScaling(quick bool, gpus, dispatch, jsonDir string, seed int64) {
-	cfg := experiments.DefaultScaling()
-	if quick {
-		cfg = experiments.QuickScaling()
-	}
-	if seed != 0 {
-		cfg.Seed = seed
-	}
-	if gpus != "" {
-		cfg.Replicas = nil
-		for _, s := range splitList(gpus) {
-			n, err := strconv.Atoi(s)
-			if err != nil || n < 1 {
-				fmt.Fprintf(os.Stderr, "bad -gpus entry %q\n", s)
-				os.Exit(2)
-			}
-			cfg.Replicas = append(cfg.Replicas, n)
-		}
-	}
-	if dispatch != "" {
-		cfg.Dispatcher = dispatch
-	}
-	pts := experiments.RunScaling(cfg)
-	tab := experiments.ScalingTable(pts)
-	fmt.Println(tab.String())
-	writeBench(jsonDir, "scaling", cfg, pts)
-}
-
-func runPressure(quick bool, kvPolicy string, kvHighWater float64, jsonDir string, seed int64) {
-	cfg := experiments.DefaultPressure()
-	if quick {
-		cfg = experiments.QuickPressure()
-	}
-	if seed != 0 {
-		cfg.Seed = seed
-	}
-	if policies := splitList(kvPolicy); len(policies) > 0 {
-		cfg.Policies = policies
-	}
-	cfg.HighWater = kvHighWater
-	pts := experiments.RunPressure(cfg)
-	tab := experiments.PressureTable(pts)
-	fmt.Println(tab.String())
-	writeBench(jsonDir, "pressure", cfg, pts)
-}
-
-func runMigrate(quick bool, gbps, threshold float64, jsonDir string, seed int64) {
-	cfg := experiments.DefaultMigrate()
-	if quick {
-		cfg = experiments.QuickMigrate()
-	}
-	if seed != 0 {
-		cfg.Seed = seed
-	}
-	cfg.InterconnectGbps = gbps
-	cfg.Threshold = threshold
-	pts := experiments.RunMigrate(cfg)
-	tab := experiments.MigrateTable(pts)
-	fmt.Println(tab.String())
-	writeBench(jsonDir, "migrate", cfg, pts)
-}
-
-func runSLO(quick bool, jsonDir string, seed int64) {
-	cfg := experiments.DefaultSLO()
-	if quick {
-		cfg = experiments.QuickSLO()
-	}
-	if seed != 0 {
-		cfg.Seed = seed
-	}
-	pts := experiments.RunSLO(cfg)
-	tab := experiments.SLOTable(pts)
-	fmt.Println(tab.String())
-	writeBench(jsonDir, "slo", cfg, pts)
-}
-
-func runSpecdec(quick bool, jsonDir string, seed int64) {
-	cfg := experiments.DefaultSpecdec()
-	if quick {
-		cfg = experiments.QuickSpecdec()
-	}
-	if seed != 0 {
-		cfg.Seed = seed
-	}
-	pts := experiments.RunSpecdec(cfg)
-	tab := experiments.SpecdecTable(pts)
-	fmt.Println(tab.String())
-	writeBench(jsonDir, "specdec", cfg, pts)
-}
-
-func runRestart(quick bool, diskGB float64, jsonDir string, seed int64) {
-	cfg := experiments.DefaultRestart()
-	if quick {
-		cfg = experiments.QuickRestart()
-	}
-	if seed != 0 {
-		cfg.Seed = seed
-	}
-	if diskGB > 0 {
-		cfg.DiskGB = diskGB
-	}
-	pts := experiments.RunRestart(cfg)
-	tab := experiments.RestartTable(pts)
-	fmt.Println(tab.String())
-	writeBench(jsonDir, "restart", cfg, pts)
-}
-
-func runChaos(quick bool, diskGB, gbps float64, jsonDir string, seed int64) {
-	cfg := experiments.DefaultChaos()
-	if quick {
-		cfg = experiments.QuickChaos()
-	}
-	if seed != 0 {
-		cfg.Seed = seed
-	}
-	if diskGB > 0 {
-		cfg.DiskGB = diskGB
-	}
-	cfg.InterconnectGbps = gbps
-	pts := experiments.RunChaos(cfg)
-	tab := experiments.ChaosTable(pts)
-	fmt.Println(tab.String())
-	writeBench(jsonDir, "chaos", cfg, pts)
-}
-
-func runPrefixCache(quick, forceOn bool, chunk int, jsonDir string, seed int64) {
-	cfg := experiments.DefaultPrefixCache()
-	if quick {
-		cfg = experiments.QuickPrefixCache()
-	}
-	if seed != 0 {
-		cfg.Seed = seed
-	}
-	cfg.ForceOn = forceOn
-	if chunk > 0 {
-		cfg.ChunkTokens = chunk
-	}
-	pts := experiments.RunPrefixCache(cfg)
-	tab := experiments.PrefixCacheTable(pts)
-	fmt.Println(tab.String())
-	writeBench(jsonDir, "prefixcache", cfg, pts)
+	return experiments.Sweeps[i : i+1], true
 }
 
 // splitList parses a comma-separated flag value, trimming blanks.

@@ -1,8 +1,9 @@
 // docs_check_test.go keeps the documentation honest: every relative
 // markdown link in README.md and docs/ must resolve to a file in the
-// repository, and docs/FLAGS.md must agree with the binaries' actual
-// flag sets in both directions — a flag documented but not defined is
-// as much a failure as a flag defined but not documented.
+// repository, docs/FLAGS.md must agree with the binaries' actual flag
+// sets, and docs/EXPERIMENTS.md with the experiments.Sweeps registry —
+// each in both directions: a name documented but not defined is as much
+// a failure as one defined but not documented.
 package bench
 
 import (
@@ -12,6 +13,8 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"repro/internal/experiments"
 )
 
 // docFiles returns README.md plus every markdown file under docs/.
@@ -160,6 +163,41 @@ func TestDocsFlagsMatchBinaries(t *testing.T) {
 		if !found {
 			t.Errorf("docs/FLAGS.md has a section %q that is not a cmd/ binary", section)
 		}
+	}
+}
+
+// TestDocsExperimentsMatchRegistry asserts docs/EXPERIMENTS.md and the
+// experiments.Sweeps registry agree: every registered sweep is
+// documented — as a table row whose first cell is `name`, or a
+// "### `name`" section — gated sweeps under "## Gated experiments" and
+// the rest outside it, and every documented -exp name is registered.
+func TestDocsExperimentsMatchRegistry(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("docs", "EXPERIMENTS.md"))
+	if err != nil {
+		t.Fatalf("reading docs/EXPERIMENTS.md: %v", err)
+	}
+	entryRE := regexp.MustCompile("^(?:\\| |### )`([a-z0-9]+)`(?: \\||$)")
+	documented := map[string]string{} // -exp name → the "## " section documenting it
+	var section string
+	for _, line := range strings.Split(string(data), "\n") {
+		if name, ok := strings.CutPrefix(line, "## "); ok {
+			section = strings.TrimSpace(name)
+		} else if m := entryRE.FindStringSubmatch(line); m != nil {
+			documented[m[1]] = section
+		}
+	}
+	for _, s := range experiments.Sweeps {
+		section, ok := documented[s.Name]
+		delete(documented, s.Name)
+		switch {
+		case !ok:
+			t.Errorf("-exp %s is registered but docs/EXPERIMENTS.md does not document it", s.Name)
+		case s.Gated != (section == "Gated experiments"):
+			t.Errorf("-exp %s (gated=%v) is documented under %q", s.Name, s.Gated, section)
+		}
+	}
+	for name, section := range documented {
+		t.Errorf("docs/EXPERIMENTS.md documents -exp %s under %q but it is not registered", name, section)
 	}
 }
 

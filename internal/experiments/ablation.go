@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/baseline"
 	"repro/internal/core"
-	"repro/internal/lip"
 	"repro/internal/metrics"
 	"repro/internal/model"
 	"repro/internal/sched"
@@ -54,11 +53,10 @@ func RunBatchPolicy(cfg BatchPolicyConfig) []BatchPolicyPoint {
 		f3.ParetoIndices = []float64{cfg.Pareto}
 		f3.Duration = cfg.Duration
 		cell := newFig3Cell(f3, cfg.Rate, cfg.Pareto)
-		k := core.New(cell.clk, core.Config{
-			Models:    map[string]*model.Model{"llama-13b": model.New(model.Llama13B())},
-			FS:        cell.fsConfig(model.A100Llama13B().KVBytesPerToken),
-			Policy:    pol,
-			Tokenizer: cell.tok,
+		k := newKernel(cell.clk, func(kc *core.Config) {
+			kc.FS = cell.fsConfig(model.A100Llama13B().KVBytesPerToken)
+			kc.Policy = pol
+			kc.Tokenizer = cell.tok
 		})
 		runSymphonyTrace(cell, k)
 		st := k.Stats().Sched
@@ -68,9 +66,7 @@ func RunBatchPolicy(cfg BatchPolicyConfig) []BatchPolicyPoint {
 			P99Latency:  cell.lat.Quantile(0.99),
 			AvgBatch:    st.AvgBatch,
 			Utilization: st.Utilization,
-		}
-		if cell.lastAt > 0 {
-			pt.Throughput = float64(cell.lat.Count()) / cell.lastAt.Seconds()
+			Throughput:  perSecond(cell.lat.Count(), cell.lastAt),
 		}
 		out = append(out, pt)
 	}
@@ -108,38 +104,26 @@ func runSymphonyTrace(c *fig3Cell, k *core.Kernel) {
 		capacity = 4096
 	}
 	gate := newAdmitGate(c.clk, capacity)
-	drive(c.clk, func() {
-		wg := c.clk.NewWaitGroup()
-		var prev time.Duration
-		for _, req := range c.trace {
-			req := req
-			c.clk.Sleep(req.Arrive - prev)
-			prev = req.Arrive
-			wg.Add(1)
-			c.clk.Go("client", func() {
-				defer wg.Done()
-				if err := c.link.OneWay(2048 + len(req.Query)); err != nil {
-					return
-				}
-				granted, err := gate.Acquire(c.footprint(req))
-				if err != nil {
-					c.failed.Inc()
-					return
-				}
-				defer gate.Release(granted)
-				p := k.Submit("rag", c.ragProgram(req))
-				err = p.Wait()
-				if err == nil {
-					err = c.link.OneWay(len(p.Output()))
-				}
-				if err != nil {
-					c.failed.Inc()
-					return
-				}
-				c.record(req.Arrive, req.MaxGen)
-			})
+	c.replay(func(_ int, req workload.RAGRequest) {
+		if err := c.link.OneWay(2048 + len(req.Query)); err != nil {
+			return
 		}
-		wg.Wait()
+		granted, err := gate.Acquire(c.footprint(req))
+		if err != nil {
+			c.failed.Inc()
+			return
+		}
+		defer gate.Release(granted)
+		p := k.Submit("rag", c.ragProgram(req))
+		err = p.Wait()
+		if err == nil {
+			err = c.link.OneWay(len(p.Output()))
+		}
+		if err != nil {
+			c.failed.Inc()
+			return
+		}
+		c.record(req.Arrive, req.MaxGen)
 	})
 }
 
@@ -201,64 +185,26 @@ func RunOverhead(cfg OverheadConfig) []OverheadPoint {
 	run := func(sys string) OverheadPoint {
 		clk := simclock.New()
 		tok := token.NewTokenizer(token.NewVocab())
-		lat := metrics.NewHistogram()
+		var complete func(i int) error
 		if sys == SystemSymphony {
-			k := core.New(clk, core.Config{
-				Models:    map[string]*model.Model{"llama-13b": model.New(model.Llama13B())},
-				Policy:    sched.DefaultPoisson(),
-				Tokenizer: tok,
-			})
-			drive(clk, func() {
-				wg := clk.NewWaitGroup()
-				var prev time.Duration
-				for i := range prompts {
-					i := i
-					clk.Sleep(arrivals[i] - prev)
-					prev = arrivals[i]
-					wg.Add(1)
-					clk.Go("client", func() {
-						defer wg.Done()
-						start := clk.Now()
-						prompt := prompts[i]
-						p := k.Submit("plain", func(ctx *core.Ctx) error {
-							f, err := ctx.KvAnon()
-							if err != nil {
-								return err
-							}
-							defer f.Remove()
-							s := lip.NewSession(ctx, f)
-							_, err = lip.Complete(s, prompt, cfg.GenTokens)
-							return err
-						})
-						if p.Wait() == nil {
-							lat.Add(clk.Now() - start)
-						}
-					})
-				}
-				wg.Wait()
-			})
+			k := newKernel(clk, func(kc *core.Config) { kc.Tokenizer = tok })
+			complete = func(i int) error {
+				return k.Submit("plain", completion(prompts[i], cfg.GenTokens)).Wait()
+			}
 		} else {
-			mdl := model.New(model.Llama13B())
-			srv := baseline.NewVLLM(clk, baseline.Config{Model: mdl, Policy: sched.DefaultPoisson()})
-			drive(clk, func() {
-				wg := clk.NewWaitGroup()
-				var prev time.Duration
-				for i := range prompts {
-					i := i
-					clk.Sleep(arrivals[i] - prev)
-					prev = arrivals[i]
-					wg.Add(1)
-					clk.Go("client", func() {
-						defer wg.Done()
-						start := clk.Now()
-						if _, err := srv.Complete(baseline.Request{Prompt: tok.Encode(prompts[i]), MaxTokens: cfg.GenTokens}); err == nil {
-							lat.Add(clk.Now() - start)
-						}
-					})
-				}
-				wg.Wait()
-			})
+			srv := newBaseline(clk, sys, nil)
+			complete = func(i int) error {
+				_, err := srv.Complete(baseline.Request{Prompt: tok.Encode(prompts[i]), MaxTokens: cfg.GenTokens})
+				return err
+			}
 		}
+		lat := metrics.NewHistogram()
+		openLoop(clk, len(arrivals), func(i int) time.Duration { return arrivals[i] }, func(i int) {
+			start := clk.Now()
+			if complete(i) == nil {
+				lat.Add(clk.Now() - start)
+			}
+		})
 		return OverheadPoint{System: sys, MeanLatency: lat.Mean()}
 	}
 	vllm := run(SystemVLLM)

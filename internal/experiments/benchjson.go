@@ -21,7 +21,7 @@ const BenchSchemaVersion = 1
 //
 // Points marshal their Go structs directly: time.Duration fields are
 // nanosecond integers. The per-experiment field meanings are documented
-// on the point structs (ScalingPoint, PressurePoint).
+// on the point structs (ScalingPoint, PressurePoint, …).
 type benchFile struct {
 	Experiment    string `json:"experiment"`
 	SchemaVersion int    `json:"schema_version"`
@@ -29,9 +29,9 @@ type benchFile struct {
 	Points        any    `json:"points"`
 }
 
-// WriteBenchJSON writes one experiment's machine-readable results to
-// path, seeding the perf trajectory a later run can be compared against.
-func WriteBenchJSON(path, experiment string, cfg, points any) error {
+// marshalBench lays out one experiment's artifact exactly as it lands on
+// disk, trailing newline included.
+func marshalBench(experiment string, cfg, points any) ([]byte, error) {
 	data, err := json.MarshalIndent(benchFile{
 		Experiment:    experiment,
 		SchemaVersion: BenchSchemaVersion,
@@ -39,7 +39,17 @@ func WriteBenchJSON(path, experiment string, cfg, points any) error {
 		Points:        points,
 	}, "", "  ")
 	if err != nil {
-		return fmt.Errorf("experiments: marshal %s bench: %w", experiment, err)
+		return nil, fmt.Errorf("experiments: marshal %s bench: %w", experiment, err)
 	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	return append(data, '\n'), nil
+}
+
+// WriteBenchJSON writes one experiment's machine-readable results to
+// path, seeding the perf trajectory a later run can be compared against.
+func WriteBenchJSON(path, experiment string, cfg, points any) error {
+	data, err := marshalBench(experiment, cfg, points)
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, data, 0o644)
 }

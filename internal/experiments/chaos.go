@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/core"
-	"repro/internal/kvd"
 	"repro/internal/kvfs"
 	"repro/internal/kvstore"
 	"repro/internal/metrics"
@@ -16,7 +15,6 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/sched"
 	"repro/internal/simclock"
-	"repro/internal/token"
 )
 
 // ChaosConfig parameterizes the fault-injection sweep: the same seeded
@@ -164,35 +162,27 @@ type ChaosPoint struct {
 	Throughput float64
 }
 
+// chaosConfig applies symphony-bench's options to the sweep: it shares
+// -kv-disk-gb with restart and -interconnect-gbps with migrate.
+func chaosConfig(o Options) ChaosConfig {
+	cfg := pick(o, DefaultChaos, QuickChaos)
+	o.seed(&cfg.Seed)
+	if o.KVDiskGB > 0 {
+		cfg.DiskGB = o.KVDiskGB
+	}
+	cfg.InterconnectGbps = o.InterconnectGbps
+	return cfg
+}
+
 // RunChaos sweeps the fault plans over the identical seeded workload.
 func RunChaos(cfg ChaosConfig) []ChaosPoint {
 	var out []ChaosPoint
 	for _, cell := range cfg.Cells {
 		out = append(out, runChaosCell(cfg, cell))
 	}
-	var base time.Duration
-	for _, p := range out {
-		if p.Mode == "none" {
-			base = p.P99
-			break
-		}
-	}
-	for i := range out {
-		if base > 0 && out[i].P99 > 0 {
-			out[i].P99Inflation = float64(out[i].P99) / float64(base)
-		} else {
-			out[i].P99Inflation = 1
-		}
-	}
+	normalize(out, func(_, q *ChaosPoint) bool { return q.Mode == "none" },
+		func(p, base *ChaosPoint) { p.P99Inflation = ratio(p.P99, base.P99) })
 	return out
-}
-
-// chaosFS sizes the KV file system so capacity is not the variable under
-// study (the faults are).
-func chaosFS() kvfs.Config {
-	fs := fig3FS(64<<30, model.A100Llama13B().KVBytesPerToken)
-	fs.HostBytes = 64 << 30
-	return fs
 }
 
 // armChaos installs one cell's fault plan. now is the virtual time the
@@ -256,91 +246,65 @@ func runChaosCell(cfg ChaosConfig, mode string) ChaosPoint {
 		panic(err)
 	}
 	diskBytes := int64(cfg.DiskGB * float64(1<<30))
+	base := seedBase(cfg.Seed)
 	clk := simclock.New()
-	inj := chaos.New(clk, int64(seedBase(cfg.Seed))+97)
+	inj := chaos.New(clk, int64(base)+97)
 	vfs := kvstore.NewSimFS(nil, model.Llama13B().Cost)
-	ffs := chaos.NewFaultFS(vfs, inj)
 	ic := netsim.InterconnectFromGbps(clk, cfg.InterconnectGbps)
 	hook := chaos.TransferFaultHook(inj, "")
 	ic.SetFault(func(pages int, bytes int64) netsim.TransferFault {
 		o := hook(pages, bytes)
 		return netsim.TransferFault{Stall: o.Stall, Err: o.Err}
 	})
-	k := core.New(clk, core.Config{
-		Models:       map[string]*model.Model{"llama-13b": model.New(model.Llama13B())},
-		FS:           chaosFS(),
-		Policy:       sched.DefaultPoisson(),
-		Replicas:     cfg.Replicas,
-		Dispatcher:   dispatcher,
-		Interconnect: ic,
-		KV:           kvd.Config{Policy: "lru"},
-		Disk:         core.DiskConfig{Bytes: diskBytes, FS: ffs},
-		CrashCheck:   inj.CrashCheck(),
-		Prefix:       core.PrefixConfig{Enabled: prefix, CacheAwareOrder: true},
+	durable := durableKernel(chaos.NewFaultFS(vfs, inj), diskBytes)
+	c := newCell(clk, func(kc *core.Config) {
+		durable(kc)
+		kc.Replicas = cfg.Replicas
+		kc.Dispatcher = dispatcher
+		kc.Interconnect = ic
+		kc.CrashCheck = inj.CrashCheck()
+		kc.Prefix = core.PrefixConfig{Enabled: prefix, CacheAwareOrder: true}
 	})
 
-	jobs := cfg.Families * cfg.ClientsPerFamily * cfg.RequestsPerClient
+	clients := cfg.Families * cfg.ClientsPerFamily
+	jobs := clients * cfg.RequestsPerClient
+	user := familyUser(cfg.ClientsPerFamily)
 	var (
 		mu           sync.Mutex
 		counts       = make([]int, jobs)
-		completed    int
 		lats         []time.Duration
 		clientsStart time.Duration
-		lastDone     time.Duration
-		checkpoints  int
-		commitErrors int
-		runErr       error
+		checkpoints  tally
 	)
-	noteErr := func(err error) {
-		mu.Lock()
-		if runErr == nil && err != nil {
-			runErr = err
-		}
-		mu.Unlock()
-	}
-	drive(clk, func() {
+	c.run(func() {
 		// Prologue (never faulted): seed every family's shared prefix —
 		// all homed to replica 0 under static hashing — and land one clean
 		// snapshot generation for recovery to fall back on.
-		seed := k.Submit("admin", func(ctx *core.Ctx) error {
-			for i := 0; i < cfg.Families; i++ {
-				first := skewedFirstToken(cfg.Replicas, 0, 1_000_000+i*10_000)
-				if err := seedFamily(ctx, fmt.Sprintf("fam-%d", i), first, cfg.PrefixTokens, seedBase(cfg.Seed)+1_000_000+i*10_000); err != nil {
-					return err
-				}
+		err := c.k.Submit("admin", func(ctx *core.Ctx) error {
+			return seedFamilies(ctx, cfg.Replicas, cfg.Families, cfg.PrefixTokens, base)
+		}).Wait()
+		if err == nil {
+			if _, err = c.k.CheckpointKV(); err != nil {
+				err = fmt.Errorf("clean checkpoint: %w", err)
 			}
-			return nil
-		})
-		if err := seed.Wait(); err != nil {
-			noteErr(err)
-			return
 		}
-		if _, err := k.CheckpointKV(); err != nil {
-			noteErr(fmt.Errorf("clean checkpoint: %w", err))
+		if err != nil {
+			c.procs.note(clk.Now(), err)
 			return
 		}
 
 		clientsStart = clk.Now()
 		armChaos(inj, mode, clientsStart)
 
-		wg := clk.NewWaitGroup()
 		// Background checkpointer: periodic best-effort snapshots of the
 		// named prefixes while the clients run. The disk fault plan makes
 		// these commits fail; that must never corrupt what is already
 		// durable.
-		wg.Add(1)
-		clk.Go("checkpointer", func() {
-			defer wg.Done()
+		c.spawn("checkpointer", func() {
 			for i := 0; i < cfg.Checkpoints; i++ {
 				clk.Sleep(cfg.CheckpointEvery)
-				_, cerr := k.CheckpointKV()
-				mu.Lock()
-				if cerr != nil {
-					commitErrors++
-				} else {
-					checkpoints++
-				}
-				mu.Unlock()
+				_, cerr := c.k.CheckpointKV()
+				checkpoints.note(clk.Now(), cerr)
 			}
 		})
 
@@ -348,113 +312,69 @@ func runChaosCell(cfg ChaosConfig, mode string) ChaosPoint {
 		// prefix, prefill a unique suffix, decode, drop the fork. Every
 		// (fam, client, request) triple is one job; its completion count
 		// feeds the lost/duplicated invariant.
-		for fam := 0; fam < cfg.Families; fam++ {
-			for c := 0; c < cfg.ClientsPerFamily; c++ {
-				fam, c := fam, c
-				wg.Add(1)
-				p := k.Submit(fmt.Sprintf("fam%d-c%d", fam, c), func(ctx *core.Ctx) error {
-					if err := ctx.Sleep(time.Duration(fam*cfg.ClientsPerFamily+c) * time.Millisecond); err != nil {
+		c.clients(population{
+			User:    user,
+			Clients: clients,
+			Spread:  time.Duration(clients) * time.Millisecond,
+			Program: func(ctx *core.Ctx, i int) error {
+				fam, cl := i/cfg.ClientsPerFamily, i%cfg.ClientsPerFamily
+				var parent *kvfs.File
+				if !prefix {
+					var err error
+					parent, err = ctx.KvOpen(fmt.Sprintf("fam-%d", fam), false)
+					if err != nil {
 						return err
 					}
-					var parent *kvfs.File
-					if !prefix {
-						var err error
-						parent, err = ctx.KvOpen(fmt.Sprintf("fam-%d", fam), false)
-						if err != nil {
-							return err
-						}
+				}
+				return closedLoop(ctx, cfg.RequestsPerClient, 0, func(r int) error {
+					reqStart := clk.Now()
+					seed := base + 2_000_000 + fam*100_000 + cl*10_000 + r*1_000
+					var err error
+					if prefix {
+						// Flat-prompt variant: the full family preamble plus the
+						// unique suffix lands in a fresh anonymous file, so the
+						// radix cache (seeded by the prologue) serves the
+						// preamble while the user is billed for every token.
+						first := skewedFirstToken(cfg.Replicas, 0, 1_000_000+fam*10_000)
+						prompt := append(familyTokens(first, cfg.PrefixTokens, base+1_000_000+fam*10_000),
+							synthTokens(cfg.SuffixTokens, seed)...)
+						err = promptRequest(ctx, prompt, cfg.DecodeTokens, seed+500, false)
+					} else {
+						err = forkRequest(ctx, parent, cfg.SuffixTokens, cfg.DecodeTokens, seed)
 					}
-					for r := 0; r < cfg.RequestsPerClient; r++ {
-						reqStart := ctx.Clock().Now()
-						seed := seedBase(cfg.Seed) + 2_000_000 + fam*100_000 + c*10_000 + r*1_000
-						var fork *kvfs.File
-						var err error
-						if prefix {
-							// Flat-prompt variant: the full family preamble plus the
-							// unique suffix lands in a fresh anonymous file, so the
-							// radix cache (seeded by the prologue) serves the
-							// preamble while the user is billed for every token.
-							fork, err = ctx.KvAnon()
-							if err != nil {
-								return err
-							}
-							toks := make([]token.ID, cfg.PrefixTokens+cfg.SuffixTokens)
-							pos := make([]int, len(toks))
-							toks[0] = skewedFirstToken(cfg.Replicas, 0, 1_000_000+fam*10_000)
-							fseed := seedBase(cfg.Seed) + 1_000_000 + fam*10_000
-							for i := 1; i < cfg.PrefixTokens; i++ {
-								toks[i] = token.ID(fseed + i)
-							}
-							for i := 0; i < cfg.SuffixTokens; i++ {
-								toks[cfg.PrefixTokens+i] = token.ID(seed + i)
-							}
-							for i := range pos {
-								pos[i] = i
-							}
-							if _, err := ctx.Pred(fork, toks, pos); err != nil {
-								fork.Remove()
-								return err
-							}
-						} else {
-							fork, err = ctx.KvFork(parent)
-							if err != nil {
-								return err
-							}
-							if err := migratePred(ctx, fork, cfg.SuffixTokens, seed); err != nil {
-								fork.Remove()
-								return err
-							}
-						}
-						for d := 0; d < cfg.DecodeTokens; d++ {
-							if err := migratePred(ctx, fork, 1, seed+500+d); err != nil {
-								fork.Remove()
-								return err
-							}
-						}
-						fork.Remove()
-						now := ctx.Clock().Now()
-						job := (fam*cfg.ClientsPerFamily+c)*cfg.RequestsPerClient + r
-						mu.Lock()
-						counts[job]++
-						completed++
-						lats = append(lats, now-reqStart)
-						if now > lastDone {
-							lastDone = now
-						}
-						mu.Unlock()
+					if err != nil {
+						return err
 					}
+					c.mark()
+					mu.Lock()
+					counts[i*cfg.RequestsPerClient+r]++
+					lats = append(lats, clk.Now()-reqStart)
+					mu.Unlock()
 					return nil
 				})
-				clk.Go("join-client", func() {
-					defer wg.Done()
-					noteErr(p.Wait())
-				})
-			}
-		}
-		wg.Wait()
+			},
+		})
 	})
-	if runErr != nil {
-		panic(fmt.Sprintf("experiments: chaos cell %s: %v", mode, runErr))
-	}
+	c.mustSucceed("chaos cell " + mode)
 
-	st := k.Stats()
+	st := c.k.Stats()
 	pt := ChaosPoint{
 		Mode:           mode,
 		Replicas:       cfg.Replicas,
 		Families:       cfg.Families,
 		Jobs:           jobs,
-		Completed:      completed,
+		Completed:      c.reqs.completed,
 		Faults:         inj.TotalFired(),
 		Crashes:        st.Sched.Crashes,
 		Requeued:       st.Sched.Requeued,
 		LostTokens:     st.Sched.LostTokens,
 		Migrations:     st.Migration.Migrations,
 		TransferAborts: st.Migration.TransferAborts,
-		Checkpoints:    checkpoints,
-		CommitErrors:   commitErrors,
+		Checkpoints:    checkpoints.completed,
+		CommitErrors:   checkpoints.failed(),
 		SpillRollbacks: st.KVD.SpillRollbacks,
 		HitTokens:      st.PrefixCache.HitTokens,
-		Makespan:       lastDone - clientsStart,
+		Makespan:       c.reqs.last - clientsStart,
 	}
 	for _, n := range counts {
 		if n == 0 {
@@ -470,25 +390,17 @@ func runChaosCell(cfg ChaosConfig, mode string) ChaosPoint {
 		// charged for it even when the cache serves it without executing.
 		pt.ExpectedTokens += int64(jobs * cfg.PrefixTokens)
 	}
-	pt.ChargedTokens = k.UserUsage("admin")
-	for fam := 0; fam < cfg.Families; fam++ {
-		for c := 0; c < cfg.ClientsPerFamily; c++ {
-			pt.ChargedTokens += k.UserUsage(fmt.Sprintf("fam%d-c%d", fam, c))
-		}
+	pt.ChargedTokens = c.k.UserUsage("admin")
+	for i := 0; i < clients; i++ {
+		pt.ChargedTokens += c.k.UserUsage(user(i))
 	}
 	pt.BillingExact = pt.ChargedTokens == pt.ExpectedTokens
 	pt.TokensExact = st.Sched.ExecutedTokens == st.Sched.Tokens+st.Sched.LostTokens
-	if pt.Makespan > 0 {
-		pt.Throughput = float64(completed) / pt.Makespan.Seconds()
-	}
+	pt.Throughput = perSecond(pt.Completed, pt.Makespan)
 	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
 	if n := len(lats); n > 0 {
 		pt.P50 = lats[n/2]
-		i99 := n * 99 / 100
-		if i99 >= n {
-			i99 = n - 1
-		}
-		pt.P99 = lats[i99]
+		pt.P99 = lats[min(n*99/100, n-1)]
 	}
 
 	// Epilogue: power-fail the machine and boot a fresh kernel over the
@@ -496,13 +408,7 @@ func runChaosCell(cfg ChaosConfig, mode string) ChaosPoint {
 	// stream, recovery must land a consistent snapshot generation.
 	vfs.Crash()
 	clk2 := simclock.New()
-	k2 := core.New(clk2, core.Config{
-		Models: map[string]*model.Model{"llama-13b": model.New(model.Llama13B())},
-		FS:     chaosFS(),
-		Policy: sched.DefaultPoisson(),
-		KV:     kvd.Config{Policy: "lru"},
-		Disk:   core.DiskConfig{Bytes: diskBytes, FS: vfs},
-	})
+	k2 := newKernel(clk2, durableKernel(vfs, diskBytes))
 	drive(clk2, func() {
 		files, tokens, rerr := k2.RecoverKV()
 		pt.RecoveredFiles, pt.RecoveredTokens = files, tokens

@@ -8,7 +8,6 @@ import (
 	"repro/internal/grammar"
 	"repro/internal/lip"
 	"repro/internal/metrics"
-	"repro/internal/model"
 	"repro/internal/sched"
 	"repro/internal/simclock"
 	"repro/internal/token"
@@ -48,12 +47,15 @@ type ConstrainedPoint struct {
 	AvgTime   time.Duration
 }
 
-// RunConstrained runs E3 for Symphony (grammar-masked decoding in a LIP)
-// and a retry-loop client against the same model.
+// RunConstrained runs E3 for Symphony (grammar-masked decoding in a LIP,
+// one generation per trial) and a retry-loop client against the same
+// model: sample, validate locally, retry. The retry client runs directly
+// against a kernel (network omitted; the retries dominate regardless)
+// with the server's fixed sampler.
 func RunConstrained(cfg ConstrainedConfig) []ConstrainedPoint {
 	return []ConstrainedPoint{
-		runConstrainedSymphony(cfg),
-		runConstrainedRetry(cfg, SystemVLLM),
+		runConstrainedCell(cfg, SystemSymphony, 1, true),
+		runConstrainedCell(cfg, SystemVLLM+"+retry", cfg.Retries, false),
 	}
 }
 
@@ -65,15 +67,17 @@ func constrainedLexicon(v *token.Vocab) *grammar.Lexicon {
 	return grammar.NewLexicon(v, words)
 }
 
-func runConstrainedSymphony(cfg ConstrainedConfig) ConstrainedPoint {
+// runConstrainedCell gives each trial up to attempts generations, masked
+// by the pattern's DFA or free-running, and counts the trials that end
+// with a match.
+func runConstrainedCell(cfg ConstrainedConfig, system string, attempts int, masked bool) ConstrainedPoint {
 	clk := simclock.New()
 	tok := token.NewTokenizer(token.NewVocab())
-	k := core.New(clk, core.Config{
-		Models:    map[string]*model.Model{"llama-13b": model.New(model.Llama13B())},
-		Policy:    sched.Immediate{},
-		Tokenizer: tok,
+	k := newKernel(clk, func(kc *core.Config) {
+		kc.Policy = sched.Immediate{}
+		kc.Tokenizer = tok
 	})
-	pt := ConstrainedPoint{System: SystemSymphony, Trials: cfg.Trials}
+	pt := ConstrainedPoint{System: system, Trials: cfg.Trials}
 	dfa, err := grammar.CompileRegex(cfg.Pattern)
 	if err != nil {
 		panic(err)
@@ -82,74 +86,9 @@ func runConstrainedSymphony(cfg ConstrainedConfig) ConstrainedPoint {
 	var totalTime time.Duration
 	drive(clk, func() {
 		for trial := 0; trial < cfg.Trials; trial++ {
-			trial := trial
-			start := clk.Now()
-			p := k.Submit("fmt", func(ctx *core.Ctx) error {
-				f, err := ctx.KvAnon()
-				if err != nil {
-					return err
-				}
-				defer f.Remove()
-				s := lip.NewSession(ctx, f)
-				if _, err := s.Prefill(fmt.Sprintf("extract the phone number %d:", trial)); err != nil {
-					return err
-				}
-				constraint, err := grammar.NewRegexConstraint(cfg.Pattern, constrainedLexicon(tok.Vocab()))
-				if err != nil {
-					return err
-				}
-				res, err := lip.Generate(s, lip.GenOptions{
-					MaxTokens:  cfg.MaxToks,
-					Sampler:    &lip.Sampler{Temperature: cfg.Temp, Seed: uint64(trial)},
-					Constraint: constraint,
-				})
-				if err != nil {
-					return err
-				}
-				ctx.EmitTokens(res.Tokens)
-				if !res.ConstraintDone {
-					return fmt.Errorf("constraint incomplete")
-				}
-				return nil
-			})
-			err := p.Wait()
-			totalTime += clk.Now() - start
-			out := p.Output()
-			totalToks += int64(len(tok.Encode(out)))
-			if err == nil && dfa.Match(out) {
-				pt.Successes++
-			}
-		}
-	})
-	pt.AvgToks = float64(totalToks) / float64(cfg.Trials)
-	pt.AvgTime = totalTime / time.Duration(cfg.Trials)
-	return pt
-}
-
-// runConstrainedRetry models the client-side workaround: sample, validate
-// locally, retry. It runs directly against a kernel (network omitted; the
-// retries dominate regardless) with the server's fixed sampler.
-func runConstrainedRetry(cfg ConstrainedConfig, name string) ConstrainedPoint {
-	clk := simclock.New()
-	tok := token.NewTokenizer(token.NewVocab())
-	k := core.New(clk, core.Config{
-		Models:    map[string]*model.Model{"llama-13b": model.New(model.Llama13B())},
-		Policy:    sched.Immediate{},
-		Tokenizer: tok,
-	})
-	pt := ConstrainedPoint{System: name + "+retry", Trials: cfg.Trials}
-	dfa, err := grammar.CompileRegex(cfg.Pattern)
-	if err != nil {
-		panic(err)
-	}
-	var totalToks int64
-	var totalTime time.Duration
-	drive(clk, func() {
-		for trial := 0; trial < cfg.Trials; trial++ {
-			trial := trial
 			start := clk.Now()
 			success := false
-			for attempt := 0; attempt < cfg.Retries && !success; attempt++ {
+			for attempt := 0; attempt < attempts && !success; attempt++ {
 				p := k.Submit("fmt", func(ctx *core.Ctx) error {
 					f, err := ctx.KvAnon()
 					if err != nil {
@@ -160,24 +99,31 @@ func runConstrainedRetry(cfg ConstrainedConfig, name string) ConstrainedPoint {
 					if _, err := s.Prefill(fmt.Sprintf("extract the phone number %d:", trial)); err != nil {
 						return err
 					}
-					res, err := lip.Generate(s, lip.GenOptions{
+					opts := lip.GenOptions{
 						MaxTokens: cfg.MaxToks,
 						Sampler:   &lip.Sampler{Temperature: cfg.Temp, Seed: uint64(trial*1000 + attempt)},
-					})
+					}
+					if masked {
+						opts.Sampler.Seed = uint64(trial)
+						opts.Constraint, err = grammar.NewRegexConstraint(cfg.Pattern, constrainedLexicon(tok.Vocab()))
+						if err != nil {
+							return err
+						}
+					}
+					res, err := lip.Generate(s, opts)
 					if err != nil {
 						return err
 					}
 					ctx.EmitTokens(res.Tokens)
+					if masked && !res.ConstraintDone {
+						return fmt.Errorf("constraint incomplete")
+					}
 					return nil
 				})
-				if p.Wait() != nil {
-					continue
-				}
+				err := p.Wait()
 				out := p.Output()
 				totalToks += int64(len(tok.Encode(out)))
-				if dfa.Match(out) {
-					success = true
-				}
+				success = err == nil && dfa.Match(out)
 			}
 			totalTime += clk.Now() - start
 			if success {

@@ -9,7 +9,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/lip"
 	"repro/internal/metrics"
-	"repro/internal/model"
 	"repro/internal/netsim"
 	"repro/internal/sched"
 	"repro/internal/simclock"
@@ -70,14 +69,13 @@ func runEditorCell(cfg EditorConfig, sys string) EditorPoint {
 	pt := EditorPoint{System: sys}
 
 	if sys == SystemSymphony {
-		k := core.New(clk, core.Config{
-			Models: map[string]*model.Model{"llama-13b": model.New(model.Llama13B())},
-			Policy: sched.Immediate{},
+		k := newKernel(clk, func(kc *core.Config) {
+			kc.Policy = sched.Immediate{}
 			// Executor policy held equal with the run-to-completion
 			// baselines: this experiment isolates incremental KV edits,
 			// not the scheduler (-exp slo studies that).
-			PriorityPolicy: sched.FIFO{},
-			Tokenizer:      tok,
+			kc.PriorityPolicy = sched.FIFO{}
+			kc.Tokenizer = tok
 		})
 		drive(clk, func() {
 			p := k.Submit("editor", func(ctx *core.Ctx) error {
@@ -142,14 +140,7 @@ func runEditorCell(cfg EditorConfig, sys string) EditorPoint {
 		return pt
 	}
 
-	mdl := model.New(model.Llama13B())
-	bcfg := baseline.Config{Model: mdl, Policy: sched.Immediate{}}
-	var srv baseline.Server
-	if sys == SystemVLLM {
-		srv = baseline.NewVLLM(clk, bcfg)
-	} else {
-		srv = baseline.NewTGI(clk, bcfg)
-	}
+	srv := newBaseline(clk, sys, func(bc *baseline.Config) { bc.Policy = sched.Immediate{} })
 	client := baseline.NewClient(link, srv, tok)
 	drive(clk, func() {
 		var sb strings.Builder

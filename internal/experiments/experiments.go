@@ -1,8 +1,8 @@
 // Package experiments contains the drivers that regenerate every figure
-// and quantitative claim of the paper (see DESIGN.md §4 for the index).
-// The same code backs cmd/symphony-bench and the testing.B benchmarks in
-// the repository root, so the numbers in EXPERIMENTS.md are reproducible
-// with either entry point.
+// and quantitative claim of the paper (docs/EXPERIMENTS.md is the index).
+// Sweeps registers each one; cmd/symphony-bench, the testing.B benchmarks
+// in the repository root, the oracle test and the docs check all iterate
+// that registry.
 package experiments
 
 import (
@@ -41,20 +41,6 @@ const (
 
 // AllSystems lists the systems in presentation order.
 var AllSystems = []string{SystemSymphony, SystemVLLM, SystemTGI}
-
-// drive runs fn as the root actor of clk and blocks until the simulation
-// quiesces, then shuts the clock down. It is the entry point every
-// experiment uses.
-func drive(clk *simclock.Clock, fn func()) {
-	done := make(chan struct{})
-	go func() {
-		clk.Go("experiment", fn)
-		clk.WaitQuiescent()
-		close(done)
-	}()
-	<-done
-	clk.Shutdown()
-}
 
 // admitGate is a FIFO counting semaphore over KV-token capacity: the RAG
 // application's own admission control. Without it, unbounded concurrent
@@ -114,14 +100,6 @@ func (g *admitGate) Release(n int) {
 		w.ev.Fire()
 	}
 	g.mu.Unlock()
-}
-
-// fig3FS sizes a KV file system for an experiment.
-func fig3FS(gpuBytes, bytesPerToken int64) kvfs.Config {
-	fs := kvfs.DefaultConfig()
-	fs.GPUBytes = gpuBytes
-	fs.BytesPerToken = bytesPerToken
-	return fs
 }
 
 // retryNoSpace retries op while it fails with KV-cache OOM, parking on

@@ -147,8 +147,15 @@ func (c *fig3Cell) record(arrive time.Duration, genTokens int) {
 	}
 }
 
+// replay plays the cell's trace open loop: each request is served by its
+// own client actor at its arrival time.
+func (c *fig3Cell) replay(serve func(i int, req workload.RAGRequest)) {
+	openLoop(c.clk, len(c.trace), func(i int) time.Duration { return c.trace[i].Arrive },
+		func(i int) { serve(i, c.trace[i]) })
+}
+
 func (c *fig3Cell) point(sys string, rate, pareto float64, hit float64, busy float64) Fig3Point {
-	pt := Fig3Point{
+	return Fig3Point{
 		System:      sys,
 		Rate:        rate,
 		Pareto:      pareto,
@@ -157,13 +164,10 @@ func (c *fig3Cell) point(sys string, rate, pareto float64, hit float64, busy flo
 		MeanLatency: c.lat.Mean(),
 		LatPerTok:   time.Duration(c.perTok.Mean()),
 		P99Latency:  c.lat.Quantile(0.99),
+		Throughput:  perSecond(c.lat.Count(), c.lastAt),
 		CacheHit:    hit,
 		GPUBusy:     busy,
 	}
-	if c.lastAt > 0 {
-		pt.Throughput = float64(c.lat.Count()) / c.lastAt.Seconds()
-	}
-	return pt
 }
 
 func runFig3Cell(cfg Fig3Config, sys string, rate, pareto float64) Fig3Point {
@@ -265,15 +269,13 @@ func (c *fig3Cell) ragProgram(req workload.RAGRequest) core.Program {
 }
 
 func (c *fig3Cell) runSymphony(rate, pareto float64) Fig3Point {
-	k := core.New(c.clk, core.Config{
-		Models: map[string]*model.Model{"llama-13b": model.New(model.Llama13B())},
-		FS:     c.fsConfig(model.A100Llama13B().KVBytesPerToken),
-		Policy: sched.DefaultPoisson(),
+	k := newKernel(c.clk, func(kc *core.Config) {
+		kc.FS = c.fsConfig(model.A100Llama13B().KVBytesPerToken)
 		// Executor policy held equal with the run-to-completion
 		// baselines: Figure 3 isolates program-level caching and
 		// batching, not the scheduler (-exp slo studies that).
-		PriorityPolicy: sched.FIFO{},
-		Tokenizer:      c.tok,
+		kc.PriorityPolicy = sched.FIFO{}
+		kc.Tokenizer = c.tok
 	})
 	runSymphonyTrace(c, k)
 	st := k.Stats()
@@ -296,14 +298,9 @@ func (c *fig3Cell) runSymphony(rate, pareto float64) Fig3Point {
 // --- baseline driver ---
 
 func (c *fig3Cell) runBaseline(sys string, rate, pareto float64) Fig3Point {
-	mdl := model.New(model.Llama13B())
-	bcfg := baseline.Config{Model: mdl, FS: c.fsConfig(mdl.Config().Cost.KVBytesPerToken), Policy: sched.DefaultPoisson()}
-	var srv baseline.Server
-	if sys == SystemVLLM {
-		srv = baseline.NewVLLM(c.clk, bcfg)
-	} else {
-		srv = baseline.NewTGI(c.clk, bcfg)
-	}
+	srv := newBaseline(c.clk, sys, func(bc *baseline.Config) {
+		bc.FS = c.fsConfig(bc.Model.Config().Cost.KVBytesPerToken)
+	})
 	client := baseline.NewClient(c.link, srv, c.tok)
 	// The client-side RAG application: fetch the document locally, ship
 	// document+question as the prompt (the paper's §2 workflow).
@@ -311,24 +308,12 @@ func (c *fig3Cell) runBaseline(sys string, rate, pareto float64) Fig3Point {
 	for i, req := range c.trace {
 		prompts[i] = c.tok.Encode(c.docs[req.Topic] + req.Query)
 	}
-	drive(c.clk, func() {
-		wg := c.clk.NewWaitGroup()
-		var prev time.Duration
-		for i, req := range c.trace {
-			i, req := i, req
-			c.clk.Sleep(req.Arrive - prev)
-			prev = req.Arrive
-			wg.Add(1)
-			c.clk.Go("client", func() {
-				defer wg.Done()
-				if _, err := client.CompleteTokens(prompts[i], req.MaxGen); err != nil {
-					c.failed.Inc()
-					return
-				}
-				c.record(req.Arrive, req.MaxGen)
-			})
+	c.replay(func(i int, req workload.RAGRequest) {
+		if _, err := client.CompleteTokens(prompts[i], req.MaxGen); err != nil {
+			c.failed.Inc()
+			return
 		}
-		wg.Wait()
+		c.record(req.Arrive, req.MaxGen)
 	})
 	st := srv.Stats()
 	return c.point(sys, rate, pareto, st.CacheHitRate, st.Sched.Utilization)

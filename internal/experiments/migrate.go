@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -121,26 +120,24 @@ type MigratePoint struct {
 	LockedFamilyMoved bool
 }
 
+// migrateConfig applies symphony-bench's options to the sweep:
+// -interconnect-gbps and -migrate-threshold are this sweep's flags.
+func migrateConfig(o Options) MigrateConfig {
+	cfg := pick(o, DefaultMigrate, QuickMigrate)
+	o.seed(&cfg.Seed)
+	cfg.InterconnectGbps = o.InterconnectGbps
+	cfg.Threshold = o.MigrateThreshold
+	return cfg
+}
+
 // RunMigrate sweeps the dispatchers over the skewed workload.
 func RunMigrate(cfg MigrateConfig) []MigratePoint {
 	var out []MigratePoint
 	for _, d := range cfg.Dispatchers {
 		out = append(out, runMigrateCell(cfg, d))
 	}
-	var base float64
-	for _, p := range out {
-		if p.Dispatcher == "cache-affinity" {
-			base = p.Throughput
-			break
-		}
-	}
-	for i := range out {
-		if base > 0 {
-			out[i].Speedup = out[i].Throughput / base
-		} else {
-			out[i].Speedup = 1
-		}
-	}
+	normalize(out, func(_, q *MigratePoint) bool { return q.Dispatcher == "cache-affinity" },
+		func(p, base *MigratePoint) { p.Speedup = ratio(p.Throughput, base.Throughput) })
 	return out
 }
 
@@ -162,36 +159,55 @@ func familyRoot(t token.ID) model.CtxHash {
 	return model.CtxHash(0).Extend(t, 0)
 }
 
-// migratePred appends n synthetic tokens to f through pred.
-func migratePred(ctx *core.Ctx, f *kvfs.File, n, seed int) error {
-	toks := make([]token.ID, n)
-	pos := make([]int, n)
-	base := f.Len()
-	for i := range toks {
-		toks[i] = token.ID(seed + i)
-		pos[i] = base + i
-	}
-	_, err := ctx.Pred(f, toks, pos)
-	return err
+// familyTokens is one shared-prefix family's token stream: the
+// skew-engineered first token, then a seeded run that differentiates the
+// families.
+func familyTokens(first token.ID, prefix, seed int) []token.ID {
+	toks := synthTokens(prefix, seed)
+	toks[0] = first
+	return toks
 }
 
-// seedFamily creates and prefills one shared-prefix family file. The
-// first token is the skew-engineered one; the rest differentiate the
-// families.
+// seedFamily creates and prefills one shared-prefix family file.
 func seedFamily(ctx *core.Ctx, path string, first token.ID, prefix, seed int) error {
 	f, err := ctx.KvCreate(path, kvfs.ModeShared)
 	if err != nil {
 		return err
 	}
-	toks := make([]token.ID, prefix)
-	pos := make([]int, prefix)
-	toks[0] = first
-	for i := 1; i < prefix; i++ {
-		toks[i] = token.ID(seed + i)
-		pos[i] = i
-	}
-	_, err = ctx.Pred(f, toks, pos)
+	_, err = ctx.Pred(f, familyTokens(first, prefix, seed), positions(prefix, 0))
 	return err
+}
+
+// seedFamilies prefills every family's shared prefix. All roots are
+// engineered to home to replica 0 under static hashing.
+func seedFamilies(ctx *core.Ctx, replicas, families, prefix, base int) error {
+	for i := 0; i < families; i++ {
+		first := skewedFirstToken(replicas, 0, 1_000_000+i*10_000)
+		if err := seedFamily(ctx, fmt.Sprintf("fam-%d", i), first, prefix, base+1_000_000+i*10_000); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// familyUser names the tenants of a client population laid out family
+// by family: client i is client i%perFamily of family i/perFamily.
+func familyUser(perFamily int) func(i int) string {
+	return func(i int) string { return fmt.Sprintf("fam%d-c%d", i/perFamily, i%perFamily) }
+}
+
+// forkRequest is one request of the skewed workload: fork the family
+// prefix, prefill a unique suffix, decode, and drop the fork.
+func forkRequest(ctx *core.Ctx, parent *kvfs.File, suffix, decode, seed int) error {
+	fork, err := ctx.KvFork(parent)
+	if err != nil {
+		return err
+	}
+	defer fork.Remove()
+	if err := synthPred(ctx, fork, suffix, seed, false); err != nil {
+		return err
+	}
+	return decodeSteps(ctx, fork, decode, seed+500)
 }
 
 // runMigrateCell measures one dispatcher on the skewed workload.
@@ -201,59 +217,37 @@ func runMigrateCell(cfg MigrateConfig, dispatch string) MigratePoint {
 		panic(err)
 	}
 	clk := simclock.New()
-	bpt := model.A100Llama13B().KVBytesPerToken
-	k := core.New(clk, core.Config{
-		Models: map[string]*model.Model{"llama-13b": model.New(model.Llama13B())},
-		// Capacity is not the variable under study: size the pool so the
-		// closed-loop population (and migration's transient double
-		// residency) never hits ErrNoSpace.
-		FS:               fig3FS(64<<30, bpt),
-		Policy:           sched.DefaultPoisson(),
-		Replicas:         cfg.Replicas,
-		Dispatcher:       dispatcher,
-		Interconnect:     netsim.InterconnectFromGbps(clk, cfg.InterconnectGbps),
-		MigrateThreshold: cfg.Threshold,
+	// Capacity is not the variable under study: the default pool holds
+	// the closed-loop population and migration's transient double
+	// residency without ErrNoSpace.
+	c := newCell(clk, func(kc *core.Config) {
+		kc.Replicas = cfg.Replicas
+		kc.Dispatcher = dispatcher
+		kc.Interconnect = netsim.InterconnectFromGbps(clk, cfg.InterconnectGbps)
+		kc.MigrateThreshold = cfg.Threshold
 	})
 
+	base := seedBase(cfg.Seed)
 	lockedFirst := skewedFirstToken(cfg.Replicas, 0, 7_000_000)
-	var (
-		mu           sync.Mutex
-		completed    int
-		clientsStart time.Duration
-		lastDone     time.Duration
-		runErr       error
-	)
-	noteErr := func(err error) {
-		mu.Lock()
-		if runErr == nil && err != nil {
-			runErr = err
-		}
-		mu.Unlock()
-	}
-	drive(clk, func() {
-		// Phase 1: seed every family's shared prefix. All roots are
-		// engineered to home to replica 0 under static hashing.
-		seed := k.Submit("admin", func(ctx *core.Ctx) error {
-			for i := 0; i < cfg.Families; i++ {
-				first := skewedFirstToken(cfg.Replicas, 0, 1_000_000+i*10_000)
-				if err := seedFamily(ctx, fmt.Sprintf("fam-%d", i), first, cfg.PrefixTokens, seedBase(cfg.Seed)+1_000_000+i*10_000); err != nil {
-					return err
-				}
+	var clientsStart time.Duration
+	c.run(func() {
+		// Phase 1: seed every family's shared prefix, and the holdout's.
+		err := c.k.Submit("admin", func(ctx *core.Ctx) error {
+			if err := seedFamilies(ctx, cfg.Replicas, cfg.Families, cfg.PrefixTokens, base); err != nil {
+				return err
 			}
-			return seedFamily(ctx, "fam-locked", lockedFirst, cfg.PrefixTokens, seedBase(cfg.Seed)+7_000_000)
-		})
-		if err := seed.Wait(); err != nil {
-			noteErr(err)
+			return seedFamily(ctx, "fam-locked", lockedFirst, cfg.PrefixTokens, base+7_000_000)
+		}).Wait()
+		if err != nil {
+			c.procs.note(clk.Now(), err)
 			return
 		}
 		clientsStart = clk.Now()
 
-		wg := clk.NewWaitGroup()
 		// The locked holdout: its owner locks the family file and keeps
 		// decoding on it directly for the whole run. The engine sees its
 		// (overloaded) home but must never move it.
-		wg.Add(1)
-		holdout := k.Submit("admin", func(ctx *core.Ctx) error {
+		c.submit("admin", core.SubmitOptions{}, func(ctx *core.Ctx) error {
 			f, err := ctx.KvOpen("fam-locked", true)
 			if err != nil {
 				return err
@@ -263,83 +257,46 @@ func runMigrateCell(cfg MigrateConfig, dispatch string) MigratePoint {
 			}
 			defer ctx.KvUnlock(f)
 			rounds := cfg.RequestsPerClient * cfg.DecodeTokens
-			for r := 0; r < rounds; r++ {
-				if err := migratePred(ctx, f, 1, 7_100_000+r); err != nil {
-					return err
-				}
-				if err := ctx.Sleep(5 * time.Millisecond); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-		clk.Go("join-holdout", func() {
-			defer wg.Done()
-			noteErr(holdout.Wait())
+			return closedLoop(ctx, rounds, 5*time.Millisecond, func(r int) error {
+				return synthPred(ctx, f, 1, 7_100_000+r, false)
+			})
 		})
 
 		// Phase 2: closed-loop clients fork their family's prefix,
 		// prefill a unique continuation, and decode.
-		for fam := 0; fam < cfg.Families; fam++ {
-			for c := 0; c < cfg.ClientsPerFamily; c++ {
-				fam, c := fam, c
-				wg.Add(1)
-				p := k.Submit(fmt.Sprintf("fam%d-c%d", fam, c), func(ctx *core.Ctx) error {
-					// Stagger starts so request waves do not phase-lock.
-					if err := ctx.Sleep(time.Duration(fam*cfg.ClientsPerFamily+c) * time.Millisecond); err != nil {
+		c.clients(population{
+			User:    familyUser(cfg.ClientsPerFamily),
+			Clients: cfg.Families * cfg.ClientsPerFamily,
+			// Stagger starts a millisecond apart so request waves do not
+			// phase-lock.
+			Spread: time.Duration(cfg.Families*cfg.ClientsPerFamily) * time.Millisecond,
+			Program: func(ctx *core.Ctx, i int) error {
+				fam, cl := i/cfg.ClientsPerFamily, i%cfg.ClientsPerFamily
+				parent, err := ctx.KvOpen(fmt.Sprintf("fam-%d", fam), false)
+				if err != nil {
+					return err
+				}
+				return closedLoop(ctx, cfg.RequestsPerClient, 0, func(r int) error {
+					seed := base + 2_000_000 + fam*100_000 + cl*10_000 + r*1_000
+					if err := forkRequest(ctx, parent, cfg.SuffixTokens, cfg.DecodeTokens, seed); err != nil {
 						return err
 					}
-					parent, err := ctx.KvOpen(fmt.Sprintf("fam-%d", fam), false)
-					if err != nil {
-						return err
-					}
-					for r := 0; r < cfg.RequestsPerClient; r++ {
-						fork, err := ctx.KvFork(parent)
-						if err != nil {
-							return err
-						}
-						seed := seedBase(cfg.Seed) + 2_000_000 + fam*100_000 + c*10_000 + r*1_000
-						if err := migratePred(ctx, fork, cfg.SuffixTokens, seed); err != nil {
-							fork.Remove()
-							return err
-						}
-						for d := 0; d < cfg.DecodeTokens; d++ {
-							if err := migratePred(ctx, fork, 1, seed+500+d); err != nil {
-								fork.Remove()
-								return err
-							}
-						}
-						fork.Remove()
-						now := ctx.Clock().Now()
-						mu.Lock()
-						completed++
-						if now > lastDone {
-							lastDone = now
-						}
-						mu.Unlock()
-					}
+					c.mark()
 					return nil
 				})
-				clk.Go("join-client", func() {
-					defer wg.Done()
-					noteErr(p.Wait())
-				})
-			}
-		}
-		wg.Wait()
+			},
+		})
 	})
-	if runErr != nil {
-		panic(fmt.Sprintf("experiments: migrate cell %s: %v", dispatch, runErr))
-	}
+	c.mustSucceed("migrate cell " + dispatch)
 
-	st := k.Stats()
+	st := c.k.Stats()
 	pt := MigratePoint{
 		Dispatcher:       dispatch,
 		Replicas:         cfg.Replicas,
 		Families:         cfg.Families,
 		Clients:          cfg.Families * cfg.ClientsPerFamily,
-		Completed:        completed,
-		Makespan:         lastDone - clientsStart,
+		Completed:        c.reqs.completed,
+		Makespan:         c.reqs.last - clientsStart,
 		UtilMean:         st.Sched.Utilization,
 		Migrations:       st.Migration.Migrations,
 		MigratedTokens:   st.Migration.MigratedTokens,
@@ -350,20 +307,11 @@ func runMigrateCell(cfg MigrateConfig, dispatch string) MigratePoint {
 		RefusedInFlight:  st.Migration.RefusedInFlight,
 		RefusedPressure:  st.Migration.RefusedPressure,
 	}
-	if home, ok := k.PrefixHome(familyRoot(lockedFirst)); ok && home != 0 {
+	if home, ok := c.k.PrefixHome(familyRoot(lockedFirst)); ok && home != 0 {
 		pt.LockedFamilyMoved = true
 	}
-	if pt.Makespan > 0 {
-		pt.Throughput = float64(completed) / pt.Makespan.Seconds()
-	}
-	for i, rs := range st.Sched.Replicas {
-		if i == 0 || rs.Utilization < pt.UtilMin {
-			pt.UtilMin = rs.Utilization
-		}
-		if rs.Utilization > pt.UtilMax {
-			pt.UtilMax = rs.Utilization
-		}
-	}
+	pt.Throughput = perSecond(pt.Completed, pt.Makespan)
+	pt.UtilMin, pt.UtilMax = utilSpread(st.Sched.Replicas)
 	return pt
 }
 

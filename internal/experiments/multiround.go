@@ -86,16 +86,14 @@ func runMultiRoundCell(cfg MultiRoundConfig, sys string) MultiRoundPoint {
 	}
 
 	if sys == SystemSymphony {
-		fsCfg := model.A100Llama13B()
-		k := core.New(clk, core.Config{
-			Models: map[string]*model.Model{"llama-13b": model.New(model.Llama13B())},
-			FS:     fig3FS(cfg.GPUBytes, fsCfg.KVBytesPerToken),
-			Policy: sched.Immediate{},
+		k := newKernel(clk, func(kc *core.Config) {
+			kc.FS = fig3FS(cfg.GPUBytes, model.A100Llama13B().KVBytesPerToken)
+			kc.Policy = sched.Immediate{}
 			// Executor policy held equal with the run-to-completion
 			// baselines: this experiment isolates cache retention, not
 			// the scheduler (-exp slo studies that).
-			PriorityPolicy: sched.FIFO{},
-			Tokenizer:      tok,
+			kc.PriorityPolicy = sched.FIFO{}
+			kc.Tokenizer = tok
 		})
 		drive(clk, func() {
 			p := k.Submit("chat", func(ctx *core.Ctx) error {
@@ -140,18 +138,10 @@ func runMultiRoundCell(cfg MultiRoundConfig, sys string) MultiRoundPoint {
 		return pt
 	}
 
-	mdl := model.New(model.Llama13B())
-	bcfg := baseline.Config{
-		Model:  mdl,
-		FS:     fig3FS(cfg.GPUBytes, mdl.Config().Cost.KVBytesPerToken),
-		Policy: sched.Immediate{},
-	}
-	var srv baseline.Server
-	if sys == SystemVLLM {
-		srv = baseline.NewVLLM(clk, bcfg)
-	} else {
-		srv = baseline.NewTGI(clk, bcfg)
-	}
+	srv := newBaseline(clk, sys, func(bc *baseline.Config) {
+		bc.FS = fig3FS(cfg.GPUBytes, bc.Model.Config().Cost.KVBytesPerToken)
+		bc.Policy = sched.Immediate{}
+	})
 	link := netsim.Default(clk)
 	client := baseline.NewClient(link, srv, tok)
 	drive(clk, func() {

@@ -1,0 +1,110 @@
+package experiments
+
+import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"testing"
+)
+
+// reduced binds a sweep's Run function to the reduced config its
+// determinism pin reruns.
+func reduced[C, P any](cfg C, run func(C) []P) func() (cfg, points any) {
+	return func() (any, any) { return cfg, run(cfg) }
+}
+
+// determinismPins lists, for every gated sweep, how many equal-seed runs
+// must marshal to identical bytes. The sweeps with a history of
+// scheduling nondeterminism (speculation windows, radix map iteration,
+// fault plans) run twenty times, the rest twice; rerun is the reduced
+// config the expensive ones repeat, nil to repeat the -quick run.
+var determinismPins = map[string]struct {
+	runs  int
+	rerun func() (cfg, points any)
+}{
+	"scaling": {2, reduced(func() ScalingConfig {
+		cfg := QuickScaling()
+		cfg.Replicas = []int{1, 2}
+		cfg.Clients = 24
+		cfg.Seed = 42
+		return cfg
+	}(), RunScaling)},
+	"pressure": {2, nil},
+	"migrate":  {2, nil},
+	"slo":      {2, nil},
+	"specdec": {20, reduced(func() SpecdecConfig {
+		cfg := QuickSpecdec()
+		cfg.InteractiveClients = 4
+		cfg.InteractiveRequests = 3
+		cfg.BatchClients = 3
+		cfg.BatchDecode = 128
+		cfg.Seed = 42
+		return cfg
+	}(), RunSpecdec)},
+	"restart": {2, nil},
+	"chaos":   {20, nil},
+	"prefixcache": {20, reduced(func() PrefixCacheConfig {
+		cfg := QuickPrefixCache()
+		cfg.Tenants = 3
+		cfg.JobsPerTenant = 4
+		cfg.Seed = 42
+		return cfg
+	}(), RunPrefixCache)},
+}
+
+// TestGatedSweepsReproduce is the oracle every refactor of this package
+// is judged by. For each gated sweep in the registry: (a) the -quick run,
+// marshalled through WriteBenchJSON's encoder, equals the checked-in
+// bench/baselines artifact byte for byte — field order, float formatting
+// and config block included; (b) equal seeds give equal bytes, with
+// nothing (wall clock, map order, goroutine scheduling) leaking into the
+// artifact run to run.
+func TestGatedSweepsReproduce(t *testing.T) {
+	marshal := func(t *testing.T, name string, run func() (cfg, points any)) []byte {
+		t.Helper()
+		cfg, points := run()
+		data, err := marshalBench(name, cfg, points)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	for _, s := range Sweeps {
+		if !s.Gated {
+			continue
+		}
+		t.Run(s.Name, func(t *testing.T) {
+			quick := func() (cfg, points any) {
+				cfg, points, _ = s.Run(Options{Quick: true})
+				return cfg, points
+			}
+			baseline := filepath.Join("..", "..", "bench", "baselines", "BENCH_"+s.Name+".json")
+			want, err := os.ReadFile(baseline)
+			if err != nil {
+				t.Fatal(err)
+			}
+			first := marshal(t, s.Name, quick)
+			if !bytes.Equal(first, want) {
+				t.Errorf("-quick run differs from %s:\n--- baseline ---\n%s\n--- run ---\n%s", baseline, want, first)
+			}
+
+			pin, ok := determinismPins[s.Name]
+			if !ok {
+				t.Fatal("gated sweep has no determinism pin")
+			}
+			if testing.Short() {
+				t.Skip("determinism reruns in -short mode")
+			}
+			rerun := quick
+			if pin.rerun != nil {
+				rerun = pin.rerun
+				first = marshal(t, s.Name, rerun)
+			}
+			for run := 1; run < pin.runs; run++ {
+				if next := marshal(t, s.Name, rerun); !bytes.Equal(first, next) {
+					t.Fatalf("run %d differs from run 0:\n--- run 0 ---\n%s\n--- run %d ---\n%s", run, first, run, next)
+				}
+			}
+		})
+	}
+}

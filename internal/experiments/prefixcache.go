@@ -2,13 +2,10 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/metrics"
-	"repro/internal/model"
-	"repro/internal/sched"
 	"repro/internal/simclock"
 	"repro/internal/token"
 )
@@ -108,6 +105,18 @@ type PrefixCachePoint struct {
 	Shares int64
 }
 
+// prefixCacheConfig applies symphony-bench's options to the sweep:
+// -prefix-cache and -prefix-chunk are this sweep's flags.
+func prefixCacheConfig(o Options) PrefixCacheConfig {
+	cfg := pick(o, DefaultPrefixCache, QuickPrefixCache)
+	o.seed(&cfg.Seed)
+	cfg.ForceOn = o.PrefixCache
+	if o.PrefixChunk > 0 {
+		cfg.ChunkTokens = o.PrefixChunk
+	}
+	return cfg
+}
+
 // RunPrefixCache sweeps the three cells over the shared-preamble
 // workload.
 func RunPrefixCache(cfg PrefixCacheConfig) []PrefixCachePoint {
@@ -115,131 +124,63 @@ func RunPrefixCache(cfg PrefixCacheConfig) []PrefixCachePoint {
 	for _, cell := range prefixCacheCells {
 		out = append(out, runPrefixCacheCell(cfg, cell))
 	}
-	var base float64
-	for _, p := range out {
-		if p.Cell == "off" {
-			base = p.Throughput
-			break
-		}
-	}
-	for i := range out {
-		if base > 0 {
-			out[i].Speedup = out[i].Throughput / base
-		} else {
-			out[i].Speedup = 1
-		}
-	}
+	normalize(out, func(_, q *PrefixCachePoint) bool { return q.Cell == "off" },
+		func(p, base *PrefixCachePoint) { p.Speedup = ratio(p.Throughput, base.Throughput) })
 	return out
 }
 
 // prefixPromptTokens builds tenant t's job-j prompt: the tenant's shared
 // preamble followed by the job's unique suffix.
 func prefixPromptTokens(cfg PrefixCacheConfig, base, t, j int) []token.ID {
-	toks := make([]token.ID, 0, cfg.PreambleTokens+cfg.SuffixTokens)
-	for i := 0; i < cfg.PreambleTokens; i++ {
-		toks = append(toks, token.ID(base+1_000_000+t*100_000+i))
-	}
-	for i := 0; i < cfg.SuffixTokens; i++ {
-		toks = append(toks, token.ID(base+5_000_000+t*100_000+j*1_000+i))
-	}
-	return toks
+	return append(synthTokens(cfg.PreambleTokens, base+1_000_000+t*100_000),
+		synthTokens(cfg.SuffixTokens, base+5_000_000+t*100_000+j*1_000)...)
 }
 
 // runPrefixCacheCell measures one kernel configuration on the workload.
 func runPrefixCacheCell(cfg PrefixCacheConfig, cell string) PrefixCachePoint {
 	enabled := cfg.ForceOn || cell != "off"
 	order := cell == "on+order"
-	clk := simclock.New()
-	bpt := model.A100Llama13B().KVBytesPerToken
-	k := core.New(clk, core.Config{
-		Models: map[string]*model.Model{"llama-13b": model.New(model.Llama13B())},
-		// Capacity is not the variable under study: size the pool so the
-		// closed-loop population never hits ErrNoSpace.
-		FS:     fig3FS(64<<30, bpt),
-		Policy: sched.DefaultPoisson(),
-		Prefix: core.PrefixConfig{
+	c := newCell(simclock.New(), func(kc *core.Config) {
+		kc.Prefix = core.PrefixConfig{
 			Enabled:         enabled,
 			ChunkTokens:     cfg.ChunkTokens,
 			CacheAwareOrder: order,
-		},
+		}
 	})
 
 	base := seedBase(cfg.Seed)
-	var (
-		mu        sync.Mutex
-		completed int
-		lastDone  time.Duration
-		runErr    error
-	)
-	noteErr := func(err error) {
-		mu.Lock()
-		if runErr == nil && err != nil {
-			runErr = err
-		}
-		mu.Unlock()
-	}
-	drive(clk, func() {
-		wg := clk.NewWaitGroup()
-		for t := 0; t < cfg.Tenants; t++ {
-			t := t
-			wg.Add(1)
-			p := k.Submit(fmt.Sprintf("tenant-%d", t), func(ctx *core.Ctx) error {
-				// Stagger starts so the first job of each tenant lands (and
-				// populates the cache) before its followers phase-lock.
-				if err := ctx.Sleep(time.Duration(t) * time.Millisecond); err != nil {
-					return err
-				}
-				for j := 0; j < cfg.JobsPerTenant; j++ {
-					f, err := ctx.KvAnon()
-					if err != nil {
+	c.run(func() {
+		c.clients(population{
+			User:    numbered("tenant-%d"),
+			Clients: cfg.Tenants,
+			// Stagger starts a millisecond apart so the first job of each
+			// tenant lands (and populates the cache) before its followers
+			// phase-lock.
+			Spread: time.Duration(cfg.Tenants) * time.Millisecond,
+			Program: func(ctx *core.Ctx, t int) error {
+				return closedLoop(ctx, cfg.JobsPerTenant, 0, func(j int) error {
+					prompt := prefixPromptTokens(cfg, base, t, j)
+					if err := promptRequest(ctx, prompt, cfg.DecodeTokens, base+9_000_000+t*100_000+j*1_000, false); err != nil {
 						return err
 					}
-					toks := prefixPromptTokens(cfg, base, t, j)
-					pos := make([]int, len(toks))
-					for i := range pos {
-						pos[i] = i
-					}
-					if _, err := ctx.Pred(f, toks, pos); err != nil {
-						f.Remove()
-						return err
-					}
-					for d := 0; d < cfg.DecodeTokens; d++ {
-						if err := migratePred(ctx, f, 1, base+9_000_000+t*100_000+j*1_000+d); err != nil {
-							f.Remove()
-							return err
-						}
-					}
-					f.Remove()
-					now := ctx.Clock().Now()
-					mu.Lock()
-					completed++
-					if now > lastDone {
-						lastDone = now
-					}
-					mu.Unlock()
-				}
-				return nil
-			})
-			clk.Go("join-tenant", func() {
-				defer wg.Done()
-				noteErr(p.Wait())
-			})
-		}
-		wg.Wait()
+					c.mark()
+					return nil
+				})
+			},
+		})
 	})
-	if runErr != nil {
-		panic(fmt.Sprintf("experiments: prefixcache cell %s: %v", cell, runErr))
-	}
+	c.mustSucceed("prefixcache cell " + cell)
 
-	st := k.Stats()
+	st := c.k.Stats()
 	pt := PrefixCachePoint{
 		Cell:         cell,
 		Enabled:      enabled,
 		CacheOrder:   order,
 		Tenants:      cfg.Tenants,
 		Jobs:         cfg.Tenants * cfg.JobsPerTenant,
-		Completed:    completed,
-		Makespan:     lastDone,
+		Completed:    c.reqs.completed,
+		Makespan:     c.reqs.last,
+		Throughput:   perSecond(c.reqs.completed, c.reqs.last),
 		PromptTokens: int64(cfg.Tenants*cfg.JobsPerTenant) * int64(cfg.PreambleTokens+cfg.SuffixTokens),
 		HitTokens:    st.PrefixCache.HitTokens,
 		SavedPrefill: st.PrefixCache.SavedPrefill,
@@ -249,9 +190,6 @@ func runPrefixCacheCell(cfg PrefixCacheConfig, cell string) PrefixCachePoint {
 		Insertions:   st.PrefixCache.Insertions,
 		Evictions:    st.PrefixCache.Evictions,
 		Shares:       st.FS.Shares,
-	}
-	if pt.Makespan > 0 {
-		pt.Throughput = float64(completed) / pt.Makespan.Seconds()
 	}
 	if pt.PromptTokens > 0 {
 		pt.SavedFrac = float64(pt.HitTokens) / float64(pt.PromptTokens)

@@ -1,10 +1,6 @@
 package experiments
 
-import (
-	"bytes"
-	"encoding/json"
-	"testing"
-)
+import "testing"
 
 // TestPrefixCacheSpeedupBar is the acceptance bar for the kernel radix
 // prefix cache: on the shared-preamble multi-tenant workload the cache
@@ -55,42 +51,6 @@ func TestPrefixCacheSpeedupBar(t *testing.T) {
 		}
 		if p.HitTokens <= 0 || p.HitTokens >= p.PromptTokens {
 			t.Errorf("%s hit tokens %d outside (0, %d)", p.Cell, p.HitTokens, p.PromptTokens)
-		}
-	}
-}
-
-// marshalPrefixCacheBench runs one prefixcache sweep and marshals it
-// exactly as WriteBenchJSON would lay it out on disk.
-func marshalPrefixCacheBench(t *testing.T, cfg PrefixCacheConfig) []byte {
-	t.Helper()
-	pts := RunPrefixCache(cfg)
-	data, err := json.MarshalIndent(benchFile{
-		Experiment:    "prefixcache",
-		SchemaVersion: BenchSchemaVersion,
-		Config:        cfg,
-		Points:        pts,
-	}, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	return data
-}
-
-// TestPrefixCacheSeededRunsByteIdentical is the bit-reproducibility bar
-// for the sweep: twenty identically-seeded runs must produce
-// byte-identical BENCH JSON — the radix tree's map iteration, eviction
-// sweeps, and share accounting must leak nothing run-to-run.
-func TestPrefixCacheSeededRunsByteIdentical(t *testing.T) {
-	cfg := QuickPrefixCache()
-	cfg.Tenants = 3
-	cfg.JobsPerTenant = 4
-	cfg.Seed = 42
-
-	first := marshalPrefixCacheBench(t, cfg)
-	for run := 1; run < 20; run++ {
-		if again := marshalPrefixCacheBench(t, cfg); !bytes.Equal(first, again) {
-			t.Fatalf("run %d differs from run 0:\n--- first ---\n%s\n--- run %d ---\n%s",
-				run, first, run, again)
 		}
 	}
 }

@@ -1,9 +1,7 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -11,9 +9,7 @@ import (
 	"repro/internal/kvfs"
 	"repro/internal/metrics"
 	"repro/internal/model"
-	"repro/internal/sched"
 	"repro/internal/simclock"
-	"repro/internal/token"
 )
 
 // PressureConfig parameterizes the memory-pressure sweep: a closed-loop
@@ -130,6 +126,18 @@ type PressurePoint struct {
 	GPUPageCap   int
 }
 
+// pressureConfig applies symphony-bench's options to the sweep:
+// -kv-policy and -kv-high-water are this sweep's flags.
+func pressureConfig(o Options) PressureConfig {
+	cfg := pick(o, DefaultPressure, QuickPressure)
+	o.seed(&cfg.Seed)
+	if len(o.KVPolicies) > 0 {
+		cfg.Policies = o.KVPolicies
+	}
+	cfg.HighWater = o.KVHighWater
+	return cfg
+}
+
 // RunPressure sweeps policies × oversubscription factors.
 func RunPressure(cfg PressureConfig) []PressurePoint {
 	var out []PressurePoint
@@ -141,33 +149,17 @@ func RunPressure(cfg PressureConfig) []PressurePoint {
 	return out
 }
 
-// pressurePred appends n synthetic tokens to f through the pred syscall.
-func pressurePred(ctx *core.Ctx, f *kvfs.File, n, seed int) error {
-	toks := make([]token.ID, n)
-	pos := make([]int, n)
-	base := f.Len()
-	for i := range toks {
-		toks[i] = token.ID(seed + i)
-		pos[i] = base + i
-	}
-	_, err := ctx.Pred(f, toks, pos)
-	return err
-}
-
 // runPressureCell measures one policy at one oversubscription factor.
 func runPressureCell(cfg PressureConfig, policy string, over float64) PressurePoint {
 	bpt := model.A100Llama13B().KVBytesPerToken
-	clk := simclock.New()
-	k := core.New(clk, core.Config{
-		Models: map[string]*model.Model{"llama-13b": model.New(model.Llama13B())},
-		FS: kvfs.Config{
+	c := newCell(simclock.New(), func(kc *core.Config) {
+		kc.FS = kvfs.Config{
 			PageTokens:    16,
 			GPUBytes:      int64(cfg.GPUTokens) * bpt,
 			HostBytes:     int64(cfg.GPUTokens) * bpt * 16,
 			BytesPerToken: bpt,
-		},
-		Policy: sched.DefaultPoisson(),
-		KV:     kvd.Config{Policy: policy, HighWater: cfg.HighWater},
+		}
+		kc.KV = kvd.Config{Policy: policy, HighWater: cfg.HighWater}
 	})
 
 	chunk := cfg.ConvTokens / cfg.Rounds
@@ -179,23 +171,14 @@ func runPressureCell(cfg PressureConfig, policy string, over float64) PressurePo
 		perRound := scratchBudget / (cfg.Clients * cfg.Rounds)
 		scratchFiles = (perRound + cfg.ScratchTokens - 1) / cfg.ScratchTokens
 	}
-	var (
-		mu        sync.Mutex
-		completed int
-		noSpace   int
-		otherErrs int
-		lastDone  time.Duration
-	)
-	drive(clk, func() {
-		wg := clk.NewWaitGroup()
-		for c := 0; c < cfg.Clients; c++ {
-			c := c
-			wg.Add(1)
-			p := k.Submit(fmt.Sprintf("tenant-%d", c), func(ctx *core.Ctx) error {
-				// Stagger arrivals so rounds do not phase-lock.
-				if err := ctx.Sleep(time.Duration(c) * cfg.Think / time.Duration(cfg.Clients)); err != nil {
-					return err
-				}
+	base := seedBase(cfg.Seed)
+	c.run(func() {
+		c.clients(population{
+			User:    numbered("tenant-%d"),
+			Clients: cfg.Clients,
+			// Stagger arrivals so rounds do not phase-lock.
+			Spread: cfg.Think,
+			Program: func(ctx *core.Ctx, i int) error {
 				conv, err := ctx.KvAnon()
 				if err != nil {
 					return err
@@ -207,10 +190,10 @@ func runPressureCell(cfg PressureConfig, policy string, over float64) PressurePo
 						s.Remove()
 					}
 				}()
-				for r := 0; r < cfg.Rounds; r++ {
+				return closedLoop(ctx, cfg.Rounds, cfg.Think, func(r int) error {
 					// Grow the conversation (restores transparently if
 					// the daemon evicted it during the think window).
-					if err := pressurePred(ctx, conv, chunk, seedBase(cfg.Seed)+c*100000+r*1000); err != nil {
+					if err := synthPred(ctx, conv, chunk, base+i*100000+r*1000, false); err != nil {
 						return err
 					}
 					// Fresh scratch the client will never touch again —
@@ -223,47 +206,26 @@ func runPressureCell(cfg PressureConfig, policy string, over float64) PressurePo
 							return err
 						}
 						scratches = append(scratches, scratch)
-						if err := pressurePred(ctx, scratch, cfg.ScratchTokens, seedBase(cfg.Seed)+900000+c*10000+r*100+s); err != nil {
+						if err := synthPred(ctx, scratch, cfg.ScratchTokens, base+900000+i*10000+r*100+s, false); err != nil {
 							return err
 						}
 					}
-					if err := ctx.Sleep(cfg.Think); err != nil {
-						return err
-					}
-				}
-				return nil
-			})
-			clk.Go("join", func() {
-				defer wg.Done()
-				err := p.Wait()
-				now := clk.Now()
-				mu.Lock()
-				defer mu.Unlock()
-				if now > lastDone {
-					lastDone = now
-				}
-				switch {
-				case err == nil:
-					completed++
-				case errors.Is(err, kvfs.ErrNoSpace):
-					noSpace++
-				default:
-					otherErrs++
-				}
-			})
-		}
-		wg.Wait()
+					return nil
+				})
+			},
+		})
 	})
 
-	st := k.Stats()
-	pt := PressurePoint{
+	st := c.k.Stats()
+	return PressurePoint{
 		Policy:           policy,
 		Oversub:          over,
 		Clients:          cfg.Clients,
-		Completed:        completed,
-		NoSpaceErrors:    noSpace,
-		OtherErrors:      otherErrs,
-		Makespan:         lastDone,
+		Completed:        c.procs.completed,
+		NoSpaceErrors:    c.procs.noSpace,
+		OtherErrors:      c.procs.otherErrs,
+		Makespan:         c.procs.last,
+		Throughput:       perSecond(st.PredTokens, c.procs.last),
 		PredTokens:       st.PredTokens,
 		Offloads:         st.KVD.Offloads,
 		OffloadedTokens:  st.KVD.OffloadedTokens,
@@ -277,10 +239,6 @@ func runPressureCell(cfg PressureConfig, policy string, over float64) PressurePo
 		GPUPeakPages:     st.FS.GPUPeakPages,
 		GPUPageCap:       st.FS.GPUPageCap,
 	}
-	if lastDone > 0 {
-		pt.Throughput = float64(st.PredTokens) / lastDone.Seconds()
-	}
-	return pt
 }
 
 // PressureTable renders the sweep.

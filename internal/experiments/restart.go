@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -12,9 +11,7 @@ import (
 	"repro/internal/kvstore"
 	"repro/internal/metrics"
 	"repro/internal/model"
-	"repro/internal/sched"
 	"repro/internal/simclock"
-	"repro/internal/token"
 )
 
 // RestartConfig parameterizes the warm-restart sweep: a warm kernel
@@ -116,64 +113,50 @@ type RestartPoint struct {
 	DiskPages int
 }
 
+// restartConfig applies symphony-bench's options to the sweep:
+// -kv-disk-gb is this sweep's flag.
+func restartConfig(o Options) RestartConfig {
+	cfg := pick(o, DefaultRestart, QuickRestart)
+	o.seed(&cfg.Seed)
+	if o.KVDiskGB > 0 {
+		cfg.DiskGB = o.KVDiskGB
+	}
+	return cfg
+}
+
 // RunRestart sweeps the restart modes over the same crash.
 func RunRestart(cfg RestartConfig) []RestartPoint {
 	var out []RestartPoint
 	for _, m := range cfg.Modes {
 		out = append(out, runRestartCell(cfg, m))
 	}
-	var base time.Duration
-	for _, p := range out {
-		if p.Mode == "recompute" {
-			base = p.TTFTMean
-			break
-		}
-	}
-	for i := range out {
-		if base > 0 && out[i].TTFTMean > 0 {
-			out[i].Speedup = float64(base) / float64(out[i].TTFTMean)
-		} else {
-			out[i].Speedup = 1
-		}
-	}
+	normalize(out, func(_, q *RestartPoint) bool { return q.Mode == "recompute" },
+		func(p, base *RestartPoint) { p.Speedup = ratio(base.TTFTMean, p.TTFTMean) })
 	return out
 }
 
-// restartFS sizes the KV file system so capacity is not the variable
-// under study: every family prefix fits on the GPU at once, with host
-// headroom, so the sweep's acceptance bar of zero ErrNoSpace holds.
-func restartFS() kvfs.Config {
-	fs := fig3FS(64<<30, model.A100Llama13B().KVBytesPerToken)
-	fs.HostBytes = 64 << 30
-	return fs
-}
-
-// newRestartKernel assembles one kernel incarnation over the shared
-// simulated disk; diskBytes zero disables the durable tier (the
-// recompute baseline's restarted kernel).
-func newRestartKernel(vfs kvstore.VFS, diskBytes int64) (*simclock.Clock, *core.Kernel) {
-	clk := simclock.New()
-	k := core.New(clk, core.Config{
-		Models: map[string]*model.Model{"llama-13b": model.New(model.Llama13B())},
-		FS:     restartFS(),
-		Policy: sched.DefaultPoisson(),
-		KV:     kvd.Config{Policy: "lru"},
-		Disk:   core.DiskConfig{Bytes: diskBytes, FS: vfs},
-	})
-	return clk, k
-}
-
-// restartPrefixTokens is the deterministic token stream of one family's
-// named prefix — the warm build and the recompute rebuild must replay
-// the same stream so both incarnations produce the same context.
-func restartPrefixTokens(cfg RestartConfig, fam int) ([]token.ID, []int) {
-	toks := make([]token.ID, cfg.PrefixTokens)
-	pos := make([]int, cfg.PrefixTokens)
-	for i := range toks {
-		toks[i] = token.ID(seedBase(cfg.Seed) + 1_000_000 + fam*100_000 + i)
-		pos[i] = i
+// durableKernel edits a kernel config for one incarnation over the
+// shared simulated disk vfs: host headroom on top of the default pool
+// (capacity stays out of the picture — every family prefix fits on the
+// GPU at once, so zero ErrNoSpace holds), the lru daemon, and a disk
+// tier of diskBytes (zero disables it).
+func durableKernel(vfs kvstore.VFS, diskBytes int64) func(*core.Config) {
+	return func(kc *core.Config) {
+		kc.FS.HostBytes = 64 << 30
+		kc.KV = kvd.Config{Policy: "lru"}
+		kc.Disk = core.DiskConfig{Bytes: diskBytes, FS: vfs}
 	}
-	return toks, pos
+}
+
+// restartPrefix creates and prefills one family's named prefix from its
+// deterministic token stream — the warm build and the recompute rebuild
+// replay the same stream so both incarnations produce the same context.
+func restartPrefix(ctx *core.Ctx, cfg RestartConfig, fam int) (*kvfs.File, error) {
+	f, err := ctx.KvCreate(fmt.Sprintf("fam-%d", fam), kvfs.ModeShared)
+	if err != nil {
+		return nil, err
+	}
+	return f, synthPred(ctx, f, cfg.PrefixTokens, seedBase(cfg.Seed)+1_000_000+fam*100_000, false)
 }
 
 // runRestartCell measures one restart mode: warm build + checkpoint +
@@ -185,26 +168,21 @@ func runRestartCell(cfg RestartConfig, mode string) RestartPoint {
 	// Phase 1 — the warm incarnation: build every family's named prefix
 	// and commit a snapshot. Identical in both modes; only the restarted
 	// kernel differs.
-	clk1, k1 := newRestartKernel(vfs, diskBytes)
+	warmClk := simclock.New()
+	warm := newKernel(warmClk, durableKernel(vfs, diskBytes))
 	var warmErr error
-	drive(clk1, func() {
-		warm := k1.Submit("admin", func(ctx *core.Ctx) error {
+	drive(warmClk, func() {
+		warmErr = warm.Submit("admin", func(ctx *core.Ctx) error {
 			for fam := 0; fam < cfg.Families; fam++ {
-				f, err := ctx.KvCreate(fmt.Sprintf("fam-%d", fam), kvfs.ModeShared)
-				if err != nil {
-					return err
-				}
-				toks, pos := restartPrefixTokens(cfg, fam)
-				if _, err := ctx.Pred(f, toks, pos); err != nil {
+				if _, err := restartPrefix(ctx, cfg, fam); err != nil {
 					return err
 				}
 			}
 			return nil
-		})
-		if warmErr = warm.Wait(); warmErr != nil {
-			return
+		}).Wait()
+		if warmErr == nil {
+			_, warmErr = warm.CheckpointKV()
 		}
-		_, warmErr = k1.CheckpointKV()
 	})
 	if warmErr != nil {
 		panic(fmt.Sprintf("experiments: restart warm phase (%s): %v", mode, warmErr))
@@ -215,34 +193,28 @@ func runRestartCell(cfg RestartConfig, mode string) RestartPoint {
 
 	// Phase 2 — the restarted incarnation. Its clock starts at zero: the
 	// restart epoch every TTFT is measured from.
-	restartDisk := diskBytes
 	if mode == "recompute" {
-		restartDisk = 0
+		diskBytes = 0
 	}
-	clk2, k2 := newRestartKernel(vfs, restartDisk)
+	c := newCell(simclock.New(), durableKernel(vfs, diskBytes))
 
 	var (
-		mu        sync.Mutex
-		completed int
-		noSpace   int
-		otherErrs int
-		lastDone  time.Duration
-		ttfts     []time.Duration
+		mu    sync.Mutex
+		ttfts []time.Duration
 	)
 	pt := RestartPoint{Mode: mode, Families: cfg.Families}
-	drive(clk2, func() {
+	c.run(func() {
 		if mode == "disk" {
-			files, tokens, err := k2.RecoverKV()
+			files, tokens, err := c.k.RecoverKV()
 			if err != nil {
 				panic(fmt.Sprintf("experiments: restart recover: %v", err))
 			}
 			pt.RecoveredFiles, pt.RecoveredTokens = files, tokens
 		}
-		wg := clk2.NewWaitGroup()
-		for fam := 0; fam < cfg.Families; fam++ {
-			fam := fam
-			wg.Add(1)
-			p := k2.Submit(fmt.Sprintf("fam%d", fam), func(ctx *core.Ctx) error {
+		c.clients(population{
+			User:    numbered("fam%d"),
+			Clients: cfg.Families,
+			Program: func(ctx *core.Ctx, fam int) error {
 				var parent *kvfs.File
 				var err error
 				if mode == "disk" {
@@ -250,21 +222,14 @@ func runRestartCell(cfg RestartConfig, mode string) RestartPoint {
 					// Forking promotes it from disk (an overlapping NVMe
 					// load) before the request's own prefill starts.
 					parent, err = ctx.KvOpen(fmt.Sprintf("fam-%d", fam), false)
-					if err != nil {
-						return err
-					}
 				} else {
 					// No durable tier: rebuild the prefix from tokens,
 					// paying full prefill compute before the request can
 					// start.
-					parent, err = ctx.KvCreate(fmt.Sprintf("fam-%d", fam), kvfs.ModeShared)
-					if err != nil {
-						return err
-					}
-					toks, pos := restartPrefixTokens(cfg, fam)
-					if _, err := ctx.Pred(parent, toks, pos); err != nil {
-						return err
-					}
+					parent, err = restartPrefix(ctx, cfg, fam)
+				}
+				if err != nil {
+					return err
 				}
 				fork, err := ctx.KvFork(parent)
 				if err != nil {
@@ -272,51 +237,28 @@ func runRestartCell(cfg RestartConfig, mode string) RestartPoint {
 				}
 				defer fork.Remove()
 				seed := seedBase(cfg.Seed) + 2_000_000 + fam*100_000
-				if err := pressurePred(ctx, fork, cfg.SuffixTokens, seed); err != nil {
+				if err := synthPred(ctx, fork, cfg.SuffixTokens, seed, false); err != nil {
 					return err
 				}
 				// First decode token done = first generated token: TTFT.
-				if err := pressurePred(ctx, fork, 1, seed+500); err != nil {
+				if err := synthPred(ctx, fork, 1, seed+500, false); err != nil {
 					return err
 				}
 				ttft := ctx.Clock().Now()
 				mu.Lock()
 				ttfts = append(ttfts, ttft)
 				mu.Unlock()
-				for d := 1; d < cfg.DecodeTokens; d++ {
-					if err := pressurePred(ctx, fork, 1, seed+500+d); err != nil {
-						return err
-					}
-				}
-				return nil
-			})
-			clk2.Go("join", func() {
-				defer wg.Done()
-				err := p.Wait()
-				now := clk2.Now()
-				mu.Lock()
-				defer mu.Unlock()
-				if now > lastDone {
-					lastDone = now
-				}
-				switch {
-				case err == nil:
-					completed++
-				case errors.Is(err, kvfs.ErrNoSpace):
-					noSpace++
-				default:
-					otherErrs++
-				}
-			})
-		}
-		wg.Wait()
+				return decodeSteps(ctx, fork, cfg.DecodeTokens-1, seed+501)
+			},
+		})
 	})
 
-	st := k2.Stats()
-	pt.Completed = completed
-	pt.NoSpaceErrors = noSpace
-	pt.OtherErrors = otherErrs
-	pt.Makespan = lastDone
+	st := c.k.Stats()
+	pt.Completed = c.procs.completed
+	pt.NoSpaceErrors = c.procs.noSpace
+	pt.OtherErrors = c.procs.otherErrs
+	pt.Makespan = c.procs.last
+	pt.Throughput = perSecond(pt.Completed, pt.Makespan)
 	pt.Spills = st.KVD.Spills
 	pt.DiskLoads = st.KVD.DiskLoads
 	pt.DiskLoadedTokens = st.KVD.DiskLoadedTokens
@@ -333,9 +275,6 @@ func runRestartCell(cfg RestartConfig, mode string) RestartPoint {
 	}
 	if len(ttfts) > 0 {
 		pt.TTFTMean = sum / time.Duration(len(ttfts))
-	}
-	if lastDone > 0 {
-		pt.Throughput = float64(completed) / lastDone.Seconds()
 	}
 	return pt
 }

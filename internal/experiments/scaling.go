@@ -2,13 +2,10 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/lip"
 	"repro/internal/metrics"
-	"repro/internal/model"
 	"repro/internal/sched"
 	"repro/internal/simclock"
 	"repro/internal/token"
@@ -80,6 +77,20 @@ type ScalingPoint struct {
 	UtilMax     float64 // most-loaded replica
 }
 
+// scalingConfig applies symphony-bench's options to the sweep: -gpus and
+// -dispatch are this sweep's flags.
+func scalingConfig(o Options) ScalingConfig {
+	cfg := pick(o, DefaultScaling, QuickScaling)
+	o.seed(&cfg.Seed)
+	if len(o.GPUs) > 0 {
+		cfg.Replicas = o.GPUs
+	}
+	if o.Dispatch != "" {
+		cfg.Dispatcher = o.Dispatch
+	}
+	return cfg
+}
+
 // RunScaling sweeps replica counts under saturating closed-loop load.
 func RunScaling(cfg ScalingConfig) []ScalingPoint {
 	var out []ScalingPoint
@@ -87,20 +98,8 @@ func RunScaling(cfg ScalingConfig) []ScalingPoint {
 		out = append(out, runScalingCell(cfg, n))
 	}
 	// Speedup is relative to the first 1-replica row, if the sweep has one.
-	var base float64
-	for _, p := range out {
-		if p.Replicas == 1 {
-			base = p.Throughput
-			break
-		}
-	}
-	for i := range out {
-		if base > 0 {
-			out[i].Speedup = out[i].Throughput / base
-		} else {
-			out[i].Speedup = 1
-		}
-	}
+	normalize(out, func(_, q *ScalingPoint) bool { return q.Replicas == 1 },
+		func(p, base *ScalingPoint) { p.Speedup = ratio(p.Throughput, base.Throughput) })
 	return out
 }
 
@@ -111,82 +110,43 @@ func runScalingCell(cfg ScalingConfig, replicas int) ScalingPoint {
 		panic(err)
 	}
 	clk := simclock.New()
-	tok := token.NewTokenizer(token.NewVocab())
-	k := core.New(clk, core.Config{
-		Models: map[string]*model.Model{"llama-13b": model.New(model.Llama13B())},
-		// One shared KV pool sized so the closed-loop population never
-		// hits ErrNoSpace: capacity is not the variable under study.
-		FS:         fig3FS(64<<30, model.A100Llama13B().KVBytesPerToken),
-		Policy:     sched.DefaultPoisson(),
-		Replicas:   replicas,
-		Dispatcher: dispatcher,
-		Tokenizer:  tok,
+	c := newCell(clk, func(kc *core.Config) {
+		kc.Replicas = replicas
+		kc.Dispatcher = dispatcher
+		kc.Tokenizer = token.NewTokenizer(token.NewVocab())
 	})
 
 	lat := metrics.NewHistogram()
-	var (
-		mu        sync.Mutex
-		completed int
-		lastDone  time.Duration
-	)
-	drive(clk, func() {
-		wg := clk.NewWaitGroup()
-		for c := 0; c < cfg.Clients; c++ {
-			c := c
-			wg.Add(1)
-			clk.Go(fmt.Sprintf("client-%d", c), func() {
-				defer wg.Done()
+	c.run(func() {
+		for i := 0; i < cfg.Clients; i++ {
+			c.spawn(fmt.Sprintf("client-%d", i), func() {
 				for r := 0; r < cfg.RequestsPerClient; r++ {
-					prompt := syntheticPrompt(cfg.PrefillTokens/2, seedBase(cfg.Seed)+1_000_000+c*1000+r)
+					prompt := syntheticPrompt(cfg.PrefillTokens/2, seedBase(cfg.Seed)+1_000_000+i*1000+r)
 					start := clk.Now()
-					p := k.Submit("scaling", func(ctx *core.Ctx) error {
-						f, err := ctx.KvAnon()
-						if err != nil {
-							return err
-						}
-						defer f.Remove()
-						s := lip.NewSession(ctx, f)
-						_, err = lip.Complete(s, prompt, cfg.DecodeTokens)
-						return err
-					})
-					if p.Wait() == nil {
-						now := clk.Now()
+					err := c.k.Submit("scaling", completion(prompt, cfg.DecodeTokens)).Wait()
+					now := clk.Now()
+					c.reqs.note(now, err)
+					if err == nil {
 						lat.Add(now - start)
-						mu.Lock()
-						completed++
-						if now > lastDone {
-							lastDone = now
-						}
-						mu.Unlock()
 					}
 				}
 			})
 		}
-		wg.Wait()
 	})
 
-	st := k.Stats().Sched
+	st := c.k.Stats().Sched
 	pt := ScalingPoint{
 		Replicas:    replicas,
 		Dispatcher:  st.Dispatcher,
-		Completed:   completed,
-		Makespan:    lastDone,
+		Completed:   c.reqs.completed,
+		Makespan:    c.reqs.last,
+		Throughput:  perSecond(c.reqs.completed, c.reqs.last),
 		MeanLatency: lat.Mean(),
 		P99Latency:  lat.Quantile(0.99),
 		AvgBatch:    st.AvgBatch,
 		UtilMean:    st.Utilization,
 	}
-	if lastDone > 0 {
-		pt.Throughput = float64(completed) / lastDone.Seconds()
-	}
-	for i, rs := range st.Replicas {
-		if i == 0 || rs.Utilization < pt.UtilMin {
-			pt.UtilMin = rs.Utilization
-		}
-		if rs.Utilization > pt.UtilMax {
-			pt.UtilMax = rs.Utilization
-		}
-	}
+	pt.UtilMin, pt.UtilMax = utilSpread(st.Replicas)
 	return pt
 }
 

@@ -1,45 +1,6 @@
 package experiments
 
-import (
-	"bytes"
-	"encoding/json"
-	"testing"
-)
-
-// marshalScalingBench runs one scaling sweep and marshals it exactly as
-// WriteBenchJSON would lay it out on disk.
-func marshalScalingBench(t *testing.T, cfg ScalingConfig) []byte {
-	t.Helper()
-	pts := RunScaling(cfg)
-	data, err := json.MarshalIndent(benchFile{
-		Experiment:    "scaling",
-		SchemaVersion: BenchSchemaVersion,
-		Config:        cfg,
-		Points:        pts,
-	}, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	return data
-}
-
-// TestScalingSeededRunsByteIdentical is the bit-reproducibility bar for
-// the -seed flag: two identically-seeded sweeps must produce
-// byte-identical BENCH JSON, with nothing — wall clock, map order,
-// global RNG state — leaking into the artifact.
-func TestScalingSeededRunsByteIdentical(t *testing.T) {
-	cfg := QuickScaling()
-	cfg.Replicas = []int{1, 2}
-	cfg.Clients = 24
-	cfg.RequestsPerClient = 2
-	cfg.Seed = 42
-
-	first := marshalScalingBench(t, cfg)
-	second := marshalScalingBench(t, cfg)
-	if !bytes.Equal(first, second) {
-		t.Fatalf("identically-seeded runs differ:\n--- first ---\n%s\n--- second ---\n%s", first, second)
-	}
-}
+import "testing"
 
 // TestSeedBaseBaseline pins the compatibility contract: seed 0 and seed
 // 1 select the recorded baseline streams (offset zero), so existing

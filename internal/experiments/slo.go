@@ -2,16 +2,12 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/kvfs"
 	"repro/internal/metrics"
-	"repro/internal/model"
 	"repro/internal/sched"
 	"repro/internal/simclock"
-	"repro/internal/token"
 )
 
 // SLOConfig parameterizes the priority-scheduling sweep: a mixed
@@ -146,6 +142,13 @@ type SLOPoint struct {
 	AvgBatch    float64
 }
 
+// sloConfig applies symphony-bench's options to the sweep.
+func sloConfig(o Options) SLOConfig {
+	cfg := pick(o, DefaultSLO, QuickSLO)
+	o.seed(&cfg.Seed)
+	return cfg
+}
+
 // RunSLO sweeps the priority policies over the mixed workload, then —
 // when HeavyPrefill is set — the heavy-prefill cells that isolate what
 // chunked prefill alone buys.
@@ -162,176 +165,49 @@ func RunSLO(cfg SLOConfig) []SLOPoint {
 		)
 	}
 	// Interactive p99 speedup is relative to the same mode's fifo row.
-	base := map[string]time.Duration{}
-	for _, p := range out {
-		if p.Policy == "fifo" {
-			if _, ok := base[p.Mode]; !ok {
-				base[p.Mode] = p.InteractiveP99
-			}
-		}
-	}
-	for i := range out {
-		out[i].InteractiveP99Speedup = 1
-		if b := base[out[i].Mode]; b > 0 && out[i].InteractiveP99 > 0 {
-			out[i].InteractiveP99Speedup = float64(b) / float64(out[i].InteractiveP99)
-		}
-	}
+	normalize(out, func(p, q *SLOPoint) bool { return q.Policy == "fifo" && q.Mode == p.Mode },
+		func(p, base *SLOPoint) { p.InteractiveP99Speedup = ratio(base.InteractiveP99, p.InteractiveP99) })
 	return out
-}
-
-// sloPred appends n synthetic tokens to f through the pred syscall.
-func sloPred(ctx *core.Ctx, f *kvfs.File, n, seed int) error {
-	toks := make([]token.ID, n)
-	pos := make([]int, n)
-	base := f.Len()
-	for i := range toks {
-		toks[i] = token.ID(seed + i)
-		pos[i] = base + i
-	}
-	_, err := ctx.Pred(f, toks, pos)
-	return err
-}
-
-// sloRequest runs one request: a prefill pred followed by decode
-// single-token preds, on a fresh file.
-func sloRequest(ctx *core.Ctx, prefill, decode, seed int) error {
-	f, err := ctx.KvAnon()
-	if err != nil {
-		return err
-	}
-	defer f.Remove()
-	if err := sloPred(ctx, f, prefill, seed); err != nil {
-		return err
-	}
-	for d := 0; d < decode; d++ {
-		if err := sloPred(ctx, f, 1, seed+prefill+d); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // runSLOCell measures one cell: a priority policy (labelled label) over
 // the mixed workload with the given batch prefill size and kernel
 // prefill chunk.
 func runSLOCell(cfg SLOConfig, mode, label, policy string, batchPrefill, chunk int) SLOPoint {
-	prioPolicy, err := sched.NewPriorityPolicy(policy)
-	if err != nil {
-		panic(err)
-	}
-	if lanes, ok := prioPolicy.(*sched.Lanes); ok {
-		lanes.SliceTokens = cfg.Quantum
-		lanes.MaxStepTokens = cfg.StepTokens
-		lanes.AgeAfter = cfg.AgeAfter
-	}
-	clk := simclock.New()
-	k := core.New(clk, core.Config{
-		Models: map[string]*model.Model{"llama-13b": model.New(model.Llama13B())},
-		// KV capacity is not the variable under study: size the pool so
-		// the whole population fits.
-		FS:             fig3FS(64<<30, model.A100Llama13B().KVBytesPerToken),
-		Policy:         sched.DefaultPoisson(),
-		PriorityPolicy: prioPolicy,
-		PrefillChunk:   chunk,
-		Replicas:       cfg.GPUs,
-		Dispatcher:     sched.LeastLoaded{},
+	c := newCell(simclock.New(), func(kc *core.Config) {
+		kc.PriorityPolicy = lanePolicy(policy, cfg.Quantum, cfg.StepTokens, cfg.AgeAfter)
+		kc.PrefillChunk = chunk
+		kc.Replicas = cfg.GPUs
+		kc.Dispatcher = sched.LeastLoaded{}
+	})
+	c.run(func() {
+		c.mixedLoad(
+			clientClass{cfg.InteractiveClients, cfg.InteractiveRequests, cfg.InteractivePrefill, cfg.InteractiveDecode},
+			clientClass{cfg.BatchClients, cfg.BatchRequests, batchPrefill, cfg.BatchDecode},
+			cfg.Think, seedBase(cfg.Seed), false)
 	})
 
-	var (
-		mu        sync.Mutex
-		completed int
-		errors    int
-		lastDone  time.Duration
-	)
-	join := func(wg *simclock.WaitGroup, p *core.Process) {
-		clk.Go("join", func() {
-			defer wg.Done()
-			err := p.Wait()
-			now := clk.Now()
-			mu.Lock()
-			defer mu.Unlock()
-			if now > lastDone {
-				lastDone = now
-			}
-			if err == nil {
-				completed++
-			} else {
-				errors++
-			}
-		})
+	st := c.k.Stats()
+	inter, batch := laneStats(st.Sched, "interactive"), laneStats(st.Sched, "batch")
+	return SLOPoint{
+		Mode:           mode,
+		Policy:         label,
+		GPUs:           cfg.GPUs,
+		Chunk:          chunk,
+		Completed:      c.procs.completed,
+		Errors:         c.procs.failed(),
+		Makespan:       c.procs.last,
+		Throughput:     perSecond(st.PredTokens, c.procs.last),
+		PredTokens:     st.PredTokens,
+		InteractiveP50: inter.DelayP50,
+		InteractiveP99: inter.DelayP99,
+		BatchP50:       batch.DelayP50,
+		BatchP99:       batch.DelayP99,
+		BatchMax:       batch.DelayMax,
+		Preemptions:    st.Sched.Preemptions,
+		Starved:        c.k.Scheduler().LaneDelay(sched.Batch).CountAbove(cfg.StarveAfter),
+		AvgBatch:       st.Sched.AvgBatch,
 	}
-	drive(clk, func() {
-		wg := clk.NewWaitGroup()
-		for c := 0; c < cfg.InteractiveClients; c++ {
-			c := c
-			wg.Add(1)
-			p := k.SubmitWith("interactive", func(ctx *core.Ctx) error {
-				// Stagger arrivals so requests do not phase-lock.
-				if err := ctx.Sleep(time.Duration(c) * cfg.Think / time.Duration(cfg.InteractiveClients)); err != nil {
-					return err
-				}
-				for r := 0; r < cfg.InteractiveRequests; r++ {
-					if err := sloRequest(ctx, cfg.InteractivePrefill, cfg.InteractiveDecode, seedBase(cfg.Seed)+c*100000+r*1000); err != nil {
-						return err
-					}
-					if err := ctx.Sleep(cfg.Think); err != nil {
-						return err
-					}
-				}
-				return nil
-			}, core.SubmitOptions{Priority: sched.Interactive})
-			join(wg, p)
-		}
-		for c := 0; c < cfg.BatchClients; c++ {
-			c := c
-			wg.Add(1)
-			p := k.SubmitWith("batch", func(ctx *core.Ctx) error {
-				// De-phase the monster prefills a little, as real batch
-				// arrivals would be.
-				if err := ctx.Sleep(time.Duration(c) * 5 * time.Millisecond); err != nil {
-					return err
-				}
-				for r := 0; r < cfg.BatchRequests; r++ {
-					if err := sloRequest(ctx, batchPrefill, cfg.BatchDecode, seedBase(cfg.Seed)+5000000+c*200000+r*2000); err != nil {
-						return err
-					}
-				}
-				return nil
-			}, core.SubmitOptions{Priority: sched.Batch})
-			join(wg, p)
-		}
-		wg.Wait()
-	})
-
-	st := k.Stats()
-	pt := SLOPoint{
-		Mode:        mode,
-		Policy:      label,
-		GPUs:        cfg.GPUs,
-		Chunk:       chunk,
-		Completed:   completed,
-		Errors:      errors,
-		Makespan:    lastDone,
-		PredTokens:  st.PredTokens,
-		Preemptions: st.Sched.Preemptions,
-		AvgBatch:    st.Sched.AvgBatch,
-	}
-	for _, l := range st.Sched.Lanes {
-		switch l.Lane {
-		case "interactive":
-			pt.InteractiveP50 = l.DelayP50
-			pt.InteractiveP99 = l.DelayP99
-		case "batch":
-			pt.BatchP50 = l.DelayP50
-			pt.BatchP99 = l.DelayP99
-			pt.BatchMax = l.DelayMax
-		}
-	}
-	pt.Starved = k.Scheduler().LaneDelay(sched.Batch).CountAbove(cfg.StarveAfter)
-	if lastDone > 0 {
-		pt.Throughput = float64(st.PredTokens) / lastDone.Seconds()
-	}
-	return pt
 }
 
 // SLOTable renders the sweep.

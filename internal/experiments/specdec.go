@@ -2,16 +2,13 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/kvfs"
 	"repro/internal/metrics"
 	"repro/internal/model"
 	"repro/internal/sched"
 	"repro/internal/simclock"
-	"repro/internal/token"
 )
 
 // SpecdecConfig parameterizes the executor-level speculative-decoding
@@ -123,6 +120,13 @@ type SpecdecPoint struct {
 	AvgBatch     float64
 }
 
+// specdecConfig applies symphony-bench's options to the sweep.
+func specdecConfig(o Options) SpecdecConfig {
+	cfg := pick(o, DefaultSpecdec, QuickSpecdec)
+	o.seed(&cfg.Seed)
+	return cfg
+}
+
 // RunSpecdec sweeps the three executor configurations over the
 // decode-heavy workload.
 func RunSpecdec(cfg SpecdecConfig) []SpecdecPoint {
@@ -131,180 +135,64 @@ func RunSpecdec(cfg SpecdecConfig) []SpecdecPoint {
 		runSpecdecCell(cfg, "lanes", false),
 		runSpecdecCell(cfg, "lanes+spec", true),
 	}
-	base := pts[0].Throughput
-	for i := range pts {
-		pts[i].ThroughputSpeedup = 1
-		if base > 0 {
-			pts[i].ThroughputSpeedup = pts[i].Throughput / base
-		}
-	}
+	normalize(pts, func(_, q *SpecdecPoint) bool { return q.Policy == "fifo" },
+		func(p, base *SpecdecPoint) { p.ThroughputSpeedup = ratio(p.Throughput, base.Throughput) })
 	return pts
-}
-
-// specdecDecode appends n synthetic tokens to f as one decode run: a
-// single PredDecode call the executor advances one token — or one
-// verified draft window — per iteration.
-func specdecDecode(ctx *core.Ctx, f *kvfs.File, n, seed int) error {
-	if n <= 0 {
-		return nil
-	}
-	toks := make([]token.ID, n)
-	pos := make([]int, n)
-	base := f.Len()
-	for i := range toks {
-		toks[i] = token.ID(seed + i)
-		pos[i] = base + i
-	}
-	_, err := ctx.PredDecode(f, toks, pos)
-	return err
-}
-
-// specdecRequest runs one request on a fresh file: a prefill pred
-// followed by a decode run.
-func specdecRequest(ctx *core.Ctx, prefill, decode, seed int) error {
-	f, err := ctx.KvAnon()
-	if err != nil {
-		return err
-	}
-	defer f.Remove()
-	if err := sloPred(ctx, f, prefill, seed); err != nil {
-		return err
-	}
-	return specdecDecode(ctx, f, decode, seed+prefill)
 }
 
 // runSpecdecCell measures one executor configuration.
 func runSpecdecCell(cfg SpecdecConfig, cell string, spec bool) SpecdecPoint {
-	policy := "lanes"
-	chunk := cfg.PrefillChunk
+	policy, chunk := "lanes", cfg.PrefillChunk
 	if cell == "fifo" {
 		policy, chunk = "fifo", 0
 	}
-	prioPolicy, err := sched.NewPriorityPolicy(policy)
-	if err != nil {
-		panic(err)
-	}
-	if lanes, ok := prioPolicy.(*sched.Lanes); ok {
-		lanes.SliceTokens = cfg.Quantum
-		lanes.MaxStepTokens = cfg.StepTokens
-		lanes.AgeAfter = cfg.AgeAfter
-	}
-	var specCfg *core.SpecConfig
-	if spec {
-		specCfg = &core.SpecConfig{
-			Draft:     "draft",
-			Window:    cfg.Window,
-			MinWindow: cfg.MinWindow,
-			MaxWindow: cfg.MaxWindow,
+	c := newCell(simclock.New(), func(kc *core.Config) {
+		target := kc.Models["llama-13b"]
+		kc.Models["draft"] = model.New(model.AlignedDraft(target, 0.85))
+		kc.DefaultModel = "llama-13b"
+		kc.PriorityPolicy = lanePolicy(policy, cfg.Quantum, cfg.StepTokens, cfg.AgeAfter)
+		kc.PrefillChunk = chunk
+		if spec {
+			kc.Spec = &core.SpecConfig{
+				Draft:     "draft",
+				Window:    cfg.Window,
+				MinWindow: cfg.MinWindow,
+				MaxWindow: cfg.MaxWindow,
+			}
 		}
-	}
-	clk := simclock.New()
-	target := model.New(model.Llama13B())
-	k := core.New(clk, core.Config{
-		Models: map[string]*model.Model{
-			"llama-13b": target,
-			"draft":     model.New(model.AlignedDraft(target, 0.85)),
-		},
-		DefaultModel: "llama-13b",
-		// KV capacity is not the variable under study: size the pool so
-		// the whole population fits.
-		FS:             fig3FS(64<<30, model.A100Llama13B().KVBytesPerToken),
-		Policy:         sched.DefaultPoisson(),
-		PriorityPolicy: prioPolicy,
-		PrefillChunk:   chunk,
-		Spec:           specCfg,
-		Replicas:       cfg.GPUs,
-		Dispatcher:     sched.LeastLoaded{},
+		kc.Replicas = cfg.GPUs
+		kc.Dispatcher = sched.LeastLoaded{}
+	})
+	// Each request decodes as a single PredDecode run, which the
+	// executor advances one token — or one verified draft window — per
+	// iteration.
+	c.run(func() {
+		c.mixedLoad(
+			clientClass{cfg.InteractiveClients, cfg.InteractiveRequests, cfg.InteractivePrefill, cfg.InteractiveDecode},
+			clientClass{cfg.BatchClients, cfg.BatchRequests, cfg.BatchPrefill, cfg.BatchDecode},
+			cfg.Think, seedBase(cfg.Seed), true)
 	})
 
-	var (
-		mu        sync.Mutex
-		completed int
-		errors    int
-		lastDone  time.Duration
-	)
-	join := func(wg *simclock.WaitGroup, p *core.Process) {
-		clk.Go("join", func() {
-			defer wg.Done()
-			err := p.Wait()
-			now := clk.Now()
-			mu.Lock()
-			defer mu.Unlock()
-			if now > lastDone {
-				lastDone = now
-			}
-			if err == nil {
-				completed++
-			} else {
-				errors++
-			}
-		})
-	}
-	drive(clk, func() {
-		wg := clk.NewWaitGroup()
-		for c := 0; c < cfg.InteractiveClients; c++ {
-			c := c
-			wg.Add(1)
-			p := k.SubmitWith("interactive", func(ctx *core.Ctx) error {
-				if err := ctx.Sleep(time.Duration(c) * cfg.Think / time.Duration(cfg.InteractiveClients)); err != nil {
-					return err
-				}
-				for r := 0; r < cfg.InteractiveRequests; r++ {
-					if err := specdecRequest(ctx, cfg.InteractivePrefill, cfg.InteractiveDecode, seedBase(cfg.Seed)+c*100000+r*1000); err != nil {
-						return err
-					}
-					if err := ctx.Sleep(cfg.Think); err != nil {
-						return err
-					}
-				}
-				return nil
-			}, core.SubmitOptions{Priority: sched.Interactive})
-			join(wg, p)
-		}
-		for c := 0; c < cfg.BatchClients; c++ {
-			c := c
-			wg.Add(1)
-			p := k.SubmitWith("batch", func(ctx *core.Ctx) error {
-				if err := ctx.Sleep(time.Duration(c) * 5 * time.Millisecond); err != nil {
-					return err
-				}
-				for r := 0; r < cfg.BatchRequests; r++ {
-					if err := specdecRequest(ctx, cfg.BatchPrefill, cfg.BatchDecode, seedBase(cfg.Seed)+5000000+c*200000+r*2000); err != nil {
-						return err
-					}
-				}
-				return nil
-			}, core.SubmitOptions{Priority: sched.Batch})
-			join(wg, p)
-		}
-		wg.Wait()
-	})
-
-	st := k.Stats()
+	st := c.k.Stats()
+	inter := laneStats(st.Sched, "interactive")
 	pt := SpecdecPoint{
-		Policy:       cell,
-		GPUs:         cfg.GPUs,
-		Completed:    completed,
-		Errors:       errors,
-		Makespan:     lastDone,
-		PredTokens:   st.PredTokens,
-		SpecRounds:   st.Sched.SpecRounds,
-		SpecDrafted:  st.Sched.SpecDrafted,
-		SpecAccepted: st.Sched.SpecAccepted,
-		Preemptions:  st.Sched.Preemptions,
-		AvgBatch:     st.Sched.AvgBatch,
-	}
-	for _, l := range st.Sched.Lanes {
-		if l.Lane == "interactive" {
-			pt.InteractiveP50 = l.DelayP50
-			pt.InteractiveP99 = l.DelayP99
-		}
+		Policy:         cell,
+		GPUs:           cfg.GPUs,
+		Completed:      c.procs.completed,
+		Errors:         c.procs.failed(),
+		Makespan:       c.procs.last,
+		Throughput:     perSecond(st.PredTokens, c.procs.last),
+		PredTokens:     st.PredTokens,
+		InteractiveP50: inter.DelayP50,
+		InteractiveP99: inter.DelayP99,
+		SpecRounds:     st.Sched.SpecRounds,
+		SpecDrafted:    st.Sched.SpecDrafted,
+		SpecAccepted:   st.Sched.SpecAccepted,
+		Preemptions:    st.Sched.Preemptions,
+		AvgBatch:       st.Sched.AvgBatch,
 	}
 	if pt.SpecDrafted > 0 {
 		pt.AcceptRate = float64(pt.SpecAccepted) / float64(pt.SpecDrafted)
-	}
-	if lastDone > 0 {
-		pt.Throughput = float64(st.PredTokens) / lastDone.Seconds()
 	}
 	return pt
 }

@@ -1,10 +1,6 @@
 package experiments
 
-import (
-	"bytes"
-	"encoding/json"
-	"testing"
-)
+import "testing"
 
 // TestSpecdecAcceptance runs the quick speculative-decoding sweep and
 // enforces the acceptance bar: the spec cell must deliver at least 1.5x
@@ -60,40 +56,5 @@ func TestSpecdecAcceptance(t *testing.T) {
 	}
 	if fifo.SpecRounds != 0 || lanes.SpecRounds != 0 {
 		t.Fatalf("non-spec cells recorded speculative rounds: fifo %d, lanes %d", fifo.SpecRounds, lanes.SpecRounds)
-	}
-}
-
-// TestSpecdecSeededRunsByteIdentical is the bit-reproducibility bar for
-// the speculative executor: twenty identically-seeded sweeps must
-// marshal to byte-identical BENCH JSON — adaptive windows, draft-cost
-// accounting, and acceptance bitmaps included.
-func TestSpecdecSeededRunsByteIdentical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("20-run determinism sweep in -short mode")
-	}
-	cfg := QuickSpecdec()
-	cfg.InteractiveClients = 4
-	cfg.InteractiveRequests = 3
-	cfg.BatchClients = 3
-	cfg.BatchDecode = 128
-	cfg.Seed = 42
-	marshal := func() []byte {
-		pts := RunSpecdec(cfg)
-		data, err := json.MarshalIndent(benchFile{
-			Experiment:    "specdec",
-			SchemaVersion: BenchSchemaVersion,
-			Config:        cfg,
-			Points:        pts,
-		}, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return data
-	}
-	first := marshal()
-	for run := 1; run < 20; run++ {
-		if next := marshal(); !bytes.Equal(first, next) {
-			t.Fatalf("run %d differs from run 0:\n--- run 0 ---\n%s\n--- run %d ---\n%s", run, first, run, next)
-		}
 	}
 }

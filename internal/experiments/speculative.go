@@ -46,32 +46,21 @@ type SpeculativePoint struct {
 // baseline, and reports decode throughput and acceptance.
 func RunSpeculative(cfg SpeculativeConfig) []SpeculativePoint {
 	var out []SpeculativePoint
-	var base time.Duration
 	for _, k := range cfg.Ks {
-		p := runSpeculativeCell(cfg, k)
-		if k == 0 {
-			base = p.Time
-		}
-		if base > 0 && p.Time > 0 {
-			p.Speedup = float64(base) / float64(p.Time)
-		}
-		out = append(out, p)
+		out = append(out, runSpeculativeCell(cfg, k))
 	}
+	normalize(out, func(_, q *SpeculativePoint) bool { return q.K == 0 },
+		func(p, base *SpeculativePoint) { p.Speedup = ratio(base.Time, p.Time) })
 	return out
 }
 
 func runSpeculativeCell(cfg SpeculativeConfig, k int) SpeculativePoint {
 	clk := simclock.New()
-	tok := token.NewTokenizer(token.NewVocab())
-	target := model.New(model.Llama13B())
-	kern := core.New(clk, core.Config{
-		Models: map[string]*model.Model{
-			"llama-13b": target,
-			"draft":     model.New(model.AlignedDraft(target, cfg.Agreement)),
-		},
-		DefaultModel: "llama-13b",
-		Policy:       sched.Immediate{},
-		Tokenizer:    tok,
+	kern := newKernel(clk, func(kc *core.Config) {
+		kc.Models["draft"] = model.New(model.AlignedDraft(kc.Models["llama-13b"], cfg.Agreement))
+		kc.DefaultModel = "llama-13b"
+		kc.Policy = sched.Immediate{}
+		kc.Tokenizer = token.NewTokenizer(token.NewVocab())
 	})
 	pt := SpeculativePoint{K: k}
 	prompt := "speculative decoding benchmark prompt with some context"
@@ -121,9 +110,7 @@ func runSpeculativeCell(cfg SpeculativeConfig, k int) SpeculativePoint {
 		}
 		pt.Time = clk.Now() - start
 	})
-	if pt.Time > 0 {
-		pt.TokPerSec = float64(cfg.GenTokens) / pt.Time.Seconds()
-	}
+	pt.TokPerSec = perSecond(cfg.GenTokens, pt.Time)
 	return pt
 }
 

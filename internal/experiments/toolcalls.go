@@ -8,7 +8,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/lip"
 	"repro/internal/metrics"
-	"repro/internal/model"
 	"repro/internal/netsim"
 	"repro/internal/sched"
 	"repro/internal/simclock"
@@ -86,14 +85,13 @@ func runToolCallsCell(cfg ToolCallsConfig, sys string, calls int) ToolCallsPoint
 	pt := ToolCallsPoint{System: sys, Calls: calls}
 
 	if sys == SystemSymphony {
-		k := core.New(clk, core.Config{
-			Models: map[string]*model.Model{"llama-13b": model.New(model.Llama13B())},
-			Policy: sched.Immediate{},
+		k := newKernel(clk, func(kc *core.Config) {
+			kc.Policy = sched.Immediate{}
 			// Executor policy held equal with the run-to-completion
 			// baselines: this experiment isolates tool-wait offload, not
 			// the scheduler (-exp slo studies that).
-			PriorityPolicy: sched.FIFO{},
-			Tokenizer:      tok,
+			kc.PriorityPolicy = sched.FIFO{}
+			kc.Tokenizer = tok
 		})
 		k.RegisterTool("api", core.Tool{
 			Latency: cfg.ToolLatency,
@@ -140,14 +138,7 @@ func runToolCallsCell(cfg ToolCallsConfig, sys string, calls int) ToolCallsPoint
 	}
 
 	// Prompt-serving agent: the client interprets tool calls.
-	mdl := model.New(model.Llama13B())
-	bcfg := baseline.Config{Model: mdl, Policy: sched.Immediate{}}
-	var srv baseline.Server
-	if sys == SystemVLLM {
-		srv = baseline.NewVLLM(clk, bcfg)
-	} else {
-		srv = baseline.NewTGI(clk, bcfg)
-	}
+	srv := newBaseline(clk, sys, func(bc *baseline.Config) { bc.Policy = sched.Immediate{} })
 	client := baseline.NewClient(link, srv, tok)
 	drive(clk, func() {
 		start := clk.Now()

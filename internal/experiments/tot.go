@@ -8,9 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/lip"
 	"repro/internal/metrics"
-	"repro/internal/model"
 	"repro/internal/netsim"
-	"repro/internal/sched"
 	"repro/internal/simclock"
 	"repro/internal/token"
 )
@@ -67,11 +65,7 @@ func runTreeCell(cfg TreeConfig, sys string) TreePoint {
 	pt := TreePoint{System: sys, Nodes: treeNodes(cfg)}
 
 	if sys == SystemSymphony {
-		k := core.New(clk, core.Config{
-			Models:    map[string]*model.Model{"llama-13b": model.New(model.Llama13B())},
-			Policy:    sched.DefaultPoisson(),
-			Tokenizer: tok,
-		})
+		k := newKernel(clk, func(kc *core.Config) { kc.Tokenizer = tok })
 		drive(clk, func() {
 			start := clk.Now()
 			link.OneWay(2048 + len(rootPrompt))
@@ -95,14 +89,7 @@ func runTreeCell(cfg TreeConfig, sys string) TreePoint {
 		return pt
 	}
 
-	mdl := model.New(model.Llama13B())
-	bcfg := baseline.Config{Model: mdl, Policy: sched.DefaultPoisson()}
-	var srv baseline.Server
-	if sys == SystemVLLM {
-		srv = baseline.NewVLLM(clk, bcfg)
-	} else {
-		srv = baseline.NewTGI(clk, bcfg)
-	}
+	srv := newBaseline(clk, sys, nil)
 	client := baseline.NewClient(link, srv, tok)
 	drive(clk, func() {
 		start := clk.Now()

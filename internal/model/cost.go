@@ -4,7 +4,7 @@ import "time"
 
 // CostModel captures the GPU-side timing and memory behaviour of a served
 // model. The defaults are calibrated to public Llama-13B / A100-80GB
-// figures; see DESIGN.md §2 for the calibration rationale. The model is
+// figures. The model is
 //
 //	stepTime(batch) = KernelOverhead
 //	                + Σ_calls (PerSequence + PerToken · newTokens(call))

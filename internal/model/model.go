@@ -1,7 +1,7 @@
 // Package model implements the simulated large language model that stands
 // in for the paper's Llama-13B-on-A100 substrate.
 //
-// The substitution (documented in DESIGN.md §2) keeps two properties the
+// The substitution keeps two properties the
 // serving-system experiments depend on and discards the rest:
 //
 //  1. Causality/determinism. The next-token distribution is a pure function
