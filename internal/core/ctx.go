@@ -494,9 +494,13 @@ func (c *Ctx) pred(modelName string, f *kvfs.File, toks []token.ID, positions []
 	if attached > 0 {
 		// Cache-aware scheduling: the matched length lets same-lane
 		// executors clear the shortest remaining prefill first, and the
-		// deepest matched node's hash — not just the root — steers the
-		// cache-affinity dispatchers and the migration engine's prefix
-		// index to that node's home replica.
+		// deepest matched node's hash replaces the file root as the
+		// affinity key. The cache-affinity dispatchers hash that key
+		// statically (key % replicas; the migration engine's prefix index
+		// homes a new key the same way), so every hit on one node lands
+		// on one replica — which need not be the replica that computed
+		// the prefix. The node's recorded home is read only by crash
+		// invalidation.
 		call.PrefixHit = attached
 		call.Affinity = uint64(pnode.tail)
 	}
@@ -538,27 +542,19 @@ func (c *Ctx) pred(modelName string, f *kvfs.File, toks []token.ID, positions []
 			if f.GPUResident() {
 				return 0
 			}
-			// Like ensureResident, charge whatever actually moved even if
-			// the restore then failed for the rest: those pages are on the
-			// GPU now and no later path would bill them. Tokens still on
-			// the host are the next pred's problem (ensureResident).
-			n, _ := f.Restore()
-			var d time.Duration
-			if n > 0 {
-				d = cost.TransferTime(n)
-				k.restoreTime.Add(int64(d))
-				k.kvd.NoteRestore(f, n, d)
-			}
+			// The same promote-and-bill path as ensureResident, with the two
+			// things a replica actor cannot do taken out: no reclaim wait
+			// (nothing here may block) and no recompute (the call's batch
+			// entry is already sized). Whatever actually moved is charged
+			// even if the GPU filled before the rest did — those pages are
+			// resident now and no later path would bill them; what stays
+			// behind is the next pred's problem.
+			_, d, _ := k.promote(f, kvfs.Host, cost, false, runOnce)
 			if !f.GPUResident() {
 				// The daemon spilled part of the file down to disk while
-				// this call sat preempted: load it back at NVMe+PCIe cost.
-				// No recompute option here — the call's batch entry is
-				// already sized.
-				if moved, _ := f.PromoteDisk(); moved > 0 {
-					ld := cost.DiskReadTime(cost.KVBytes(moved)) + cost.TransferTime(moved)
-					k.kvd.NoteDiskLoad(f, moved, ld)
-					d += ld
-				}
+				// this call sat preempted.
+				_, ld, _ := k.promote(f, kvfs.Disk, cost, false, runOnce)
+				d += ld
 			}
 			return d
 		}
@@ -661,73 +657,92 @@ func (c *Ctx) maybePark() {
 	}
 }
 
+// promote is the one place KV pages climb back to the GPU, and the one
+// place the climb is priced and ledgered. It runs one leg — f's host
+// pages, or its disk pages — through try, which may attempt the move
+// more than once (partial progress accumulates), and returns the tokens
+// moved and the virtual time they cost: PCIe for host pages, credited to
+// the daemon's restore ledger; NVMe read plus PCIe for disk pages, unless
+// recompute is set, in which case the move is free here because the
+// caller folds the tokens into its own prefill. Who waits for the bill is
+// the caller's business: ensureResident sleeps it on the calling thread,
+// the scheduler's resume hook adds it to the resuming step.
+func (k *Kernel) promote(f *kvfs.File, from kvfs.Tier, cost model.CostModel, recompute bool, try func(op func() error) error) (moved int, bill time.Duration, err error) {
+	move := f.Restore
+	if from == kvfs.Disk {
+		move = f.PromoteDisk
+	}
+	err = try(func() error {
+		n, err := move()
+		moved += n
+		return err
+	})
+	switch {
+	case moved == 0:
+	case from == kvfs.Host:
+		bill = cost.TransferTime(moved)
+		k.restoreTime.Add(int64(bill))
+		k.kvd.NoteRestore(f, moved, bill)
+	case recompute:
+		k.kvd.NoteDiskRecompute(f, moved)
+	default:
+		bill = cost.DiskLoadTime(moved)
+		k.kvd.NoteDiskLoad(f, moved, bill)
+	}
+	return moved, bill, err
+}
+
+// runOnce is promote's try for callers that may not wait for space.
+func runOnce(op func() error) error { return op() }
+
 // ensureResident brings f fully back to the GPU tier if a tool wait,
-// the memory daemon, or a restart left pages elsewhere. Host pages are
-// restored at PCIe cost, charged to the calling thread and credited to
-// the daemon's restore ledger. Disk pages are promoted either by loading
-// their tensors from the snapshot store (NVMe read + PCIe, slept here)
-// or — when allowRecompute is set and prefill is estimated cheaper — by
-// recomputing them inside the caller's own pred: the returned extra is
-// the token count the caller must add to its batch call so the GPU step
-// pays the prefill.
+// the memory daemon, or a restart left pages elsewhere: promote's host
+// leg and then its disk leg, each retried through withReclaim while the
+// GPU is full, each slept on the calling thread and traced. Disk pages
+// are loaded from the snapshot store or — when allowRecompute is set and
+// prefill is estimated cheaper, the same migrate-vs-recompute economics
+// as the cross-replica engine (migrate.go) one level down — recomputed
+// inside the caller's own pred: the returned extra is the token count
+// the caller must add to its batch call so the GPU step pays the prefill.
+// The durable copy stays behind either way; only the billing differs.
 func (c *Ctx) ensureResident(f *kvfs.File, cost model.CostModel, allowRecompute bool) (extra int, err error) {
 	k := c.p.k
 	if f.GPUResident() {
 		return 0, nil
 	}
-	rstart := k.clk.Now()
 	_, host, disk := f.ResidentTokens()
-	restored := 0
-	rerr := k.withReclaim(host, func() error {
-		n, err := f.Restore()
-		restored += n
-		return err
-	})
-	if restored > 0 {
-		d := cost.TransferTime(restored)
-		k.restoreTime.Add(int64(d))
-		k.kvd.NoteRestore(f, restored, d)
-		if err := k.clk.Sleep(d); err != nil {
+	leg := func(from kvfs.Tier, need int, recompute bool) (int, error) {
+		start := k.clk.Now()
+		moved, bill, err := k.promote(f, from, cost, recompute, func(op func() error) error {
+			return k.withReclaim(need, op)
+		})
+		if moved == 0 {
 			return 0, err
 		}
-		k.tracer.Span(trace.Event{
-			At: rstart, Dur: k.clk.Now() - rstart, PID: c.p.pid, TID: c.tid,
-			Kind: trace.KindRestore, Detail: fmt.Sprintf("%d tokens", restored),
-		})
-	}
-	if rerr != nil || disk == 0 {
-		return 0, rerr
-	}
-
-	// Disk pages: the same migrate-vs-recompute economics as the
-	// cross-replica engine (migrate.go), one level down. The durable copy
-	// stays behind either way; only the billing differs.
-	dstart := k.clk.Now()
-	loadCost := cost.DiskReadTime(cost.KVBytes(disk)) + cost.TransferTime(disk)
-	recompute := allowRecompute && time.Duration(disk)*cost.PerToken < loadCost
-	promoted := 0
-	perr := k.withReclaim(disk, func() error {
-		n, err := f.PromoteDisk()
-		promoted += n
-		return err
-	})
-	if promoted > 0 {
-		if recompute {
-			k.kvd.NoteDiskRecompute(f, promoted)
-			extra = promoted
-		} else {
-			d := cost.DiskReadTime(cost.KVBytes(promoted)) + cost.TransferTime(promoted)
-			k.kvd.NoteDiskLoad(f, promoted, d)
-			if err := k.clk.Sleep(d); err != nil {
-				return 0, err
+		detail := fmt.Sprintf("%d tokens", moved)
+		if from == kvfs.Disk {
+			detail = fmt.Sprintf("%d tokens (disk, recompute=%t)", moved, recompute)
+		}
+		if !recompute {
+			if serr := k.clk.Sleep(bill); serr != nil {
+				return 0, serr
 			}
 		}
 		k.tracer.Span(trace.Event{
-			At: dstart, Dur: k.clk.Now() - dstart, PID: c.p.pid, TID: c.tid,
-			Kind: trace.KindRestore, Detail: fmt.Sprintf("%d tokens (disk, recompute=%t)", promoted, recompute),
+			At: start, Dur: k.clk.Now() - start, PID: c.p.pid, TID: c.tid,
+			Kind: trace.KindRestore, Detail: detail,
 		})
+		return moved, err
 	}
-	return extra, perr
+	if _, err := leg(kvfs.Host, host, false); err != nil || disk == 0 {
+		return 0, err
+	}
+	recompute := allowRecompute && time.Duration(disk)*cost.PerToken < cost.DiskLoadTime(disk)
+	moved, err := leg(kvfs.Disk, disk, recompute)
+	if recompute {
+		extra = moved
+	}
+	return extra, err
 }
 
 // --- threads (§4.3) ---
@@ -777,9 +792,11 @@ func (c *Ctx) Call(tool string, args string) (string, error) {
 	}
 	k.toolCalls.Inc()
 
-	if t.Latency >= k.offloadThreshold {
+	if t.Latency >= offloadThreshold {
 		// Offload is asynchronous DMA overlapped with the wait; only the
-		// restore on the next Pred costs the thread time.
+		// restore on the next Pred costs the thread time. This is a direct
+		// File.Offload, outside the daemon's ledger, on purpose: it must
+		// work with the daemon off.
 		for _, f := range c.tracked {
 			if !f.Removed() {
 				f.Offload() // best effort; host pressure just keeps pages on GPU

@@ -57,6 +57,10 @@ var (
 	ErrQuota = fmt.Errorf("%w (user quota)", ErrBudget)
 )
 
+// offloadThreshold is the minimum tool latency for which the kernel
+// bothers offloading a waiting thread's KV pages.
+const offloadThreshold = 50 * time.Millisecond
+
 // Tool is an external interaction registered with the kernel and executed
 // server-side on behalf of LIPs (§2.2: weather APIs, code snippets, ...).
 type Tool struct {
@@ -122,9 +126,6 @@ type Config struct {
 	// DefaultMigrateThreshold). Ignored without a migration-aware
 	// dispatcher.
 	MigrateThreshold float64
-	// OffloadThreshold is the minimum tool latency for which the kernel
-	// bothers offloading a waiting thread's KV pages (default 50ms).
-	OffloadThreshold time.Duration
 	// Tokenizer, when non-nil, is shared with other systems so that token
 	// IDs agree across a comparative experiment. Nil creates a fresh one.
 	Tokenizer *token.Tokenizer
@@ -167,11 +168,10 @@ type SpecConfig struct {
 type DiskConfig struct {
 	// Bytes bounds the disk tier; 0 disables it entirely.
 	Bytes int64
-	// HighWater / LowWater are the *host*-tier usage fractions that
-	// start and stop host→disk spilling (defaults 0.85 / 0.60; see
-	// kvd.Config).
+	// HighWater is the *host*-tier usage fraction that starts host→disk
+	// spilling (default 0.85); where it stops is kvd.Config.DiskLowWater
+	// (default 0.60).
 	HighWater float64
-	LowWater  float64
 	// FS is the backing virtual file system. Nil means a fresh
 	// kvstore.SimFS billed by the default model's cost model; restart
 	// experiments pass one in so durable state carries across kernels
@@ -192,8 +192,6 @@ type Kernel struct {
 	pcache *prefixCache   // nil without the radix prefix cache
 	spec   *SpecConfig    // nil without speculative decoding
 	tok    *token.Tokenizer
-
-	offloadThreshold time.Duration
 
 	tracer *trace.Tracer
 
@@ -249,15 +247,10 @@ func New(clk *simclock.Clock, cfg Config) *Kernel {
 	if cfg.Disk.Bytes > 0 {
 		fsCfg.DiskBytes = cfg.Disk.Bytes
 		cfg.KV.DiskHighWater = cfg.Disk.HighWater
-		cfg.KV.DiskLowWater = cfg.Disk.LowWater
 	}
 	costs := make(map[string]model.CostModel, len(cfg.Models))
 	for name, m := range cfg.Models {
 		costs[name] = m.Config().Cost
-	}
-	thr := cfg.OffloadThreshold
-	if thr == 0 {
-		thr = 50 * time.Millisecond
 	}
 	tok := cfg.Tokenizer
 	if tok == nil {
@@ -301,19 +294,18 @@ func New(clk *simclock.Clock, cfg Config) *Kernel {
 		schedCfg.AdmitHighWater = daemon.Config().AdmitHighWater
 	}
 	k := &Kernel{
-		clk:              clk,
-		models:           cfg.Models,
-		defMod:           def,
-		fs:               fs,
-		kvd:              daemon,
-		spec:             spec,
-		tok:              tok,
-		offloadThreshold: thr,
-		tracer:           cfg.Tracer,
-		tools:            make(map[string]Tool),
-		procs:            make(map[int]*Process),
-		quotas:           cfg.UserQuotas,
-		userUsage:        make(map[string]int64),
+		clk:       clk,
+		models:    cfg.Models,
+		defMod:    def,
+		fs:        fs,
+		kvd:       daemon,
+		spec:      spec,
+		tok:       tok,
+		tracer:    cfg.Tracer,
+		tools:     make(map[string]Tool),
+		procs:     make(map[int]*Process),
+		quotas:    cfg.UserQuotas,
+		userUsage: make(map[string]int64),
 	}
 	schedCfg.CrashCheck = cfg.CrashCheck
 	if cfg.CrashCheck != nil {

@@ -358,18 +358,9 @@ type migrator struct {
 	// every family onto the momentarily-idlest replica.
 	pendingMove map[int]int
 
-	migrations       int64
-	migratedTokens   int64
-	migratedPages    int64
-	migrateTime      time.Duration
-	coldStarts       int64
-	recomputedTok    int64
-	refusedLocked    int64
-	refusedInFlight  int64
-	refusedPressure  int64
-	abortedTransfers int64
-	replicaCrashes   int64
-	invalidatedRoots int64
+	// st holds the counters stats reports, bumped in place under mu; the
+	// configuration echo and the Roots gauge are filled in at snapshot.
+	st MigrationStats
 }
 
 func newMigrator(k *Kernel, ic *netsim.Interconnect, threshold float64) *migrator {
@@ -492,8 +483,8 @@ func (m *migrator) route(c *Ctx, f *kvfs.File, call *sched.Call, cost model.Cost
 		call.Tokens += prefixTokens
 		m.idx.setHome(root, minID, m.k.clk.Now())
 		m.mu.Lock()
-		m.coldStarts++
-		m.recomputedTok += int64(prefixTokens)
+		m.st.ColdStarts++
+		m.st.RecomputedTokens += int64(prefixTokens)
 		m.mu.Unlock()
 		c.p.publish(ProcEvent{Kind: EventKVMigrate, Phase: "recompute",
 			Text: fmt.Sprintf("%d tokens recomputed, replica %d -> %d", prefixTokens, home, minID)})
@@ -509,7 +500,7 @@ func (m *migrator) transfer(c *Ctx, f *kvfs.File, root model.CtxHash, span kvfs.
 	k := m.k
 	if err := k.fs.ReserveMigration(span.Pages); err != nil {
 		m.mu.Lock()
-		m.refusedPressure++
+		m.st.RefusedPressure++
 		m.mu.Unlock()
 		return false
 	}
@@ -544,7 +535,7 @@ func (m *migrator) transfer(c *Ctx, f *kvfs.File, root model.CtxHash, span kvfs.
 		// and the prefix index are all unchanged.
 		release()
 		m.mu.Lock()
-		m.abortedTransfers++
+		m.st.TransferAborts++
 		m.mu.Unlock()
 		c.p.publish(ProcEvent{Kind: EventKVMigrate, Phase: "abort",
 			Text: fmt.Sprintf("%d tokens (%d pages), replica %d -> %d: %v",
@@ -556,10 +547,10 @@ func (m *migrator) transfer(c *Ctx, f *kvfs.File, root model.CtxHash, span kvfs.
 	m.idx.setHome(root, to, k.clk.Now())
 	k.kvd.NoteMigrate(f, span.Tokens, d)
 	m.mu.Lock()
-	m.migrations++
-	m.migratedTokens += int64(span.Tokens)
-	m.migratedPages += int64(span.Pages)
-	m.migrateTime += d
+	m.st.Migrations++
+	m.st.MigratedTokens += int64(span.Tokens)
+	m.st.MigratedPages += int64(span.Pages)
+	m.st.MigrateTime += d
 	m.mu.Unlock()
 	k.tracer.Span(trace.Event{
 		At: start, Dur: d, PID: c.p.pid, TID: c.tid,
@@ -582,11 +573,11 @@ func (m *migrator) noteRefusal(in migrateDecision) {
 	defer m.mu.Unlock()
 	switch {
 	case in.Locked:
-		m.refusedLocked++
+		m.st.RefusedLocked++
 	case in.InFlight:
-		m.refusedInFlight++
+		m.st.RefusedInFlight++
 	case in.PressureHigh:
-		m.refusedPressure++
+		m.st.RefusedPressure++
 	}
 }
 
@@ -599,8 +590,8 @@ func (m *migrator) noteRefusal(in migrateDecision) {
 func (m *migrator) noteReplicaCrash(id int) {
 	dropped := m.idx.invalidateHome(id)
 	m.mu.Lock()
-	m.replicaCrashes++
-	m.invalidatedRoots += int64(dropped)
+	m.st.ReplicaCrashes++
+	m.st.InvalidatedRoots += int64(dropped)
 	m.mu.Unlock()
 }
 
@@ -622,24 +613,10 @@ func (m *migrator) stats() MigrationStats {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return MigrationStats{
-		Enabled:          true,
-		Threshold:        m.threshold,
-		InterconnectGbps: m.ic.Gbps(),
-		Roots:            m.idx.size(),
-		Migrations:       m.migrations,
-		MigratedTokens:   m.migratedTokens,
-		MigratedPages:    m.migratedPages,
-		MigrateTime:      m.migrateTime,
-		ColdStarts:       m.coldStarts,
-		RecomputedTokens: m.recomputedTok,
-		RefusedLocked:    m.refusedLocked,
-		RefusedInFlight:  m.refusedInFlight,
-		RefusedPressure:  m.refusedPressure,
-		TransferAborts:   m.abortedTransfers,
-		ReplicaCrashes:   m.replicaCrashes,
-		InvalidatedRoots: m.invalidatedRoots,
-	}
+	st := m.st
+	st.Enabled, st.Threshold, st.InterconnectGbps = true, m.threshold, m.ic.Gbps()
+	st.Roots = m.idx.size()
+	return st
 }
 
 // PrefixHome reports which replica the kernel's global prefix index

@@ -125,13 +125,10 @@ type prefixCache struct {
 	seq    int64
 	useSeq int64
 
-	lookups       int64
-	hits          int64
-	hitTokens     int64
-	saved         time.Duration
-	insertions    int64
-	evictions     int64
-	invalidations int64
+	// st holds the counters stats reports, bumped in place under mu; the
+	// configuration echo, Nodes and the token attribution are filled in
+	// at snapshot.
+	st PrefixCacheStats
 }
 
 // newPrefixCache assembles a cache for k, normalizing the chunk size to a
@@ -169,7 +166,7 @@ func (pc *prefixCache) match(toks []token.ID) (*prefixNode, int) {
 	}
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
-	pc.lookups++
+	pc.st.Lookups++
 	var best *prefixNode
 	h := model.CtxHash(0)
 	prev := 0
@@ -210,9 +207,9 @@ func (pc *prefixCache) noteAttach(tokens int, saved time.Duration) {
 		return
 	}
 	pc.mu.Lock()
-	pc.hits++
-	pc.hitTokens += int64(tokens)
-	pc.saved += saved
+	pc.st.Hits++
+	pc.st.HitTokens += int64(tokens)
+	pc.st.SavedPrefill += saved
 	pc.mu.Unlock()
 }
 
@@ -260,7 +257,7 @@ func (pc *prefixCache) insert(f *kvfs.File, toks []token.ID, home int) {
 		if p, ok := pc.nodes[parent]; ok {
 			p.children++
 		}
-		pc.insertions++
+		pc.st.Insertions++
 		created = append(created, nf)
 		parent = h
 	}
@@ -314,7 +311,7 @@ func (pc *prefixCache) evictOverCapLocked() []*kvfs.File {
 				p.children--
 			}
 			victims = append(victims, n.file)
-			pc.evictions++
+			pc.st.Evictions++
 		}
 		if len(pc.nodes) == before {
 			break
@@ -347,7 +344,7 @@ func (pc *prefixCache) invalidateHome(replica int) {
 			p.children--
 		}
 		victims = append(victims, n.file)
-		pc.invalidations++
+		pc.st.Invalidations++
 	}
 	for changed := true; changed; {
 		changed = false
@@ -364,7 +361,7 @@ func (pc *prefixCache) invalidateHome(replica int) {
 		for _, n := range orphans {
 			delete(pc.nodes, n.tail)
 			victims = append(victims, n.file)
-			pc.invalidations++
+			pc.st.Invalidations++
 			changed = true
 		}
 	}
@@ -381,18 +378,8 @@ func (pc *prefixCache) stats() PrefixCacheStats {
 		return PrefixCacheStats{}
 	}
 	pc.mu.Lock()
-	st := PrefixCacheStats{
-		Enabled:       true,
-		ChunkTokens:   pc.chunk,
-		Nodes:         len(pc.nodes),
-		Lookups:       pc.lookups,
-		Hits:          pc.hits,
-		HitTokens:     pc.hitTokens,
-		SavedPrefill:  pc.saved,
-		Insertions:    pc.insertions,
-		Evictions:     pc.evictions,
-		Invalidations: pc.invalidations,
-	}
+	st := pc.st
+	st.Enabled, st.ChunkTokens, st.Nodes = true, pc.chunk, len(pc.nodes)
 	snap := make([]*prefixNode, 0, len(pc.nodes))
 	for _, n := range pc.nodes {
 		snap = append(snap, n)

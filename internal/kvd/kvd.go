@@ -207,27 +207,10 @@ type Daemon struct {
 	pidLast map[int]time.Duration // latest access per live process
 	sinceGC int                   // Tracks since the last entry sweep
 
-	reclaims        int64
-	offloads        int64
-	offloadedTokens int64
-	restores        int64
-	restoredTokens  int64
-	restoredCost    time.Duration
-	swapRestores    int64
-	swapRestoredTok int64
-	swapRestoredC   time.Duration
-	preemptions     int64
-	migrations      int64
-	migratedTokens  int64
-	migratedCost    time.Duration
-	spills          int64
-	spilledTokens   int64
-	spillRollbacks  int64
-	diskLoads       int64
-	diskLoadedTok   int64
-	diskLoadCost    time.Duration
-	diskRecomputes  int64
-	diskRecompTok   int64
+	// st holds the counters Stats reports, bumped in place under mu; the
+	// configuration echo and the Pressure and Tracked gauges are filled in
+	// at snapshot.
+	st Stats
 }
 
 // New assembles a daemon over fs, costing restores and recomputes with
@@ -286,6 +269,15 @@ func (d *Daemon) AttachDisk(dt *kvfs.DiskTier) {
 	dt.SetSpillRollback(d.rollbackSpill)
 }
 
+// notify delivers one daemon event to a tracked file's owner (fn is the
+// entry's callback, nil for ownerless files). It must be called without
+// d.mu held: the callback publishes to the process's subscribers.
+func (d *Daemon) notify(fn Notify, phase string, tokens int) {
+	if fn != nil {
+		fn(Event{Phase: phase, Tokens: tokens, Policy: d.policy.Name()})
+	}
+}
+
 // rollbackSpill is the disk tier's commit-failure hook: tokens of f's
 // pages moved back host-ward because the snapshot generation that would
 // have made them durable never landed. The spill ledger reverses and the
@@ -295,28 +287,14 @@ func (d *Daemon) rollbackSpill(f *kvfs.File, tokens int) {
 		return
 	}
 	d.mu.Lock()
-	d.spillRollbacks++
-	d.spilledTokens -= int64(tokens)
-	var notify Notify
+	d.st.SpillRollbacks++
+	d.st.SpilledTokens -= int64(tokens)
+	var fn Notify
 	if e, ok := d.entries[f]; ok {
-		notify = e.notify
+		fn = e.notify
 	}
-	pol := d.policy.Name()
 	d.mu.Unlock()
-	if notify != nil {
-		notify(Event{Phase: "spill-rollback", Tokens: tokens, Policy: pol})
-	}
-}
-
-// DiskLoadCost estimates the virtual time to re-prefill tokens of KV
-// from the snapshot store: an NVMe read of the tensor bytes plus the
-// PCIe transfer onto the GPU. The kernel weighs it against recompute
-// when a pred touches a disk-resident file.
-func (d *Daemon) DiskLoadCost(tokens int) time.Duration {
-	if d == nil {
-		return 0
-	}
-	return d.cost.DiskReadTime(d.cost.KVBytes(tokens)) + d.cost.TransferTime(tokens)
+	d.notify(fn, "spill-rollback", tokens)
 }
 
 // NoteDiskLoad attributes a disk→GPU re-prefill performed by the kernel
@@ -326,19 +304,16 @@ func (d *Daemon) NoteDiskLoad(f *kvfs.File, tokens int, cost time.Duration) {
 		return
 	}
 	d.mu.Lock()
-	d.diskLoads++
-	d.diskLoadedTok += int64(tokens)
-	d.diskLoadCost += cost
-	var notify Notify
+	d.st.DiskLoads++
+	d.st.DiskLoadedTokens += int64(tokens)
+	d.st.DiskLoadCost += cost
+	var fn Notify
 	if e, ok := d.entries[f]; ok {
 		e.offloadReason = ""
-		notify = e.notify
+		fn = e.notify
 	}
-	pol := d.policy.Name()
 	d.mu.Unlock()
-	if notify != nil {
-		notify(Event{Phase: "load", Tokens: tokens, Policy: pol})
-	}
+	d.notify(fn, "load", tokens)
 }
 
 // NoteDiskRecompute records that the kernel chose to recompute a
@@ -349,8 +324,8 @@ func (d *Daemon) NoteDiskRecompute(f *kvfs.File, tokens int) {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.diskRecomputes++
-	d.diskRecompTok += int64(tokens)
+	d.st.DiskRecomputes++
+	d.st.DiskRecomputedTokens += int64(tokens)
 	if e, ok := d.entries[f]; ok {
 		e.offloadReason = ""
 	}
@@ -483,9 +458,9 @@ func (d *Daemon) NoteMigrate(f *kvfs.File, tokens int, cost time.Duration) {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.migrations++
-	d.migratedTokens += int64(tokens)
-	d.migratedCost += cost
+	d.st.Migrations++
+	d.st.MigratedTokens += int64(tokens)
+	d.st.MigratedCost += cost
 	if e, ok := d.entries[f]; ok {
 		// A migrated file arrives hot on its new replica.
 		e.lastAccess = d.clk.Now()
@@ -501,26 +476,23 @@ func (d *Daemon) NoteRestore(f *kvfs.File, tokens int, cost time.Duration) {
 	}
 	d.mu.Lock()
 	e, ok := d.entries[f]
-	var notify Notify
+	var fn Notify
 	if ok && e.offloadReason != "" {
 		switch e.offloadReason {
 		case "swap":
-			d.swapRestores++
-			d.swapRestoredTok += int64(tokens)
-			d.swapRestoredC += cost
+			d.st.SwapRestores++
+			d.st.SwapRestoredTokens += int64(tokens)
+			d.st.SwapRestoredCost += cost
 		default:
-			d.restores++
-			d.restoredTokens += int64(tokens)
-			d.restoredCost += cost
+			d.st.Restores++
+			d.st.RestoredTokens += int64(tokens)
+			d.st.RestoredCost += cost
 		}
 		e.offloadReason = ""
-		notify = e.notify
+		fn = e.notify
 	}
-	pol := d.policy.Name()
 	d.mu.Unlock()
-	if notify != nil {
-		notify(Event{Phase: "restore", Tokens: tokens, Policy: pol})
-	}
+	d.notify(fn, "restore", tokens)
 }
 
 // Pressure reports the instantaneous GPU page usage fraction.
@@ -548,9 +520,7 @@ func (d *Daemon) MaybeReclaim() int {
 		return 0
 	}
 	target := st.GPUPages - int(d.cfg.LowWater*float64(st.GPUPageCap))
-	freed := d.reclaim(target * st.PageTokens)
-	d.maybeSpillHost()
-	return freed
+	return d.reclaim(target * st.PageTokens)
 }
 
 // Reclaim frees at least needTokens of GPU KV space if it can, on top of
@@ -566,61 +536,107 @@ func (d *Daemon) Reclaim(needTokens int) int {
 			needTokens = over * st.PageTokens
 		}
 	}
-	freed := d.reclaim(needTokens)
+	return d.reclaim(needTokens)
+}
+
+// reclaim runs the GPU rung for needTokens and then lets demotion cascade
+// one level down: GPU→host offloads are what grow the host tier, so the
+// host watermark is checked right after them.
+func (d *Daemon) reclaim(needTokens int) int {
+	freed := d.demote(policyOffload, needTokens)
 	d.maybeSpillHost()
 	return freed
 }
 
-// reclaim offloads candidates in policy order until freed >= needTokens
-// or candidates run out, then fires the owner notifications.
-func (d *Daemon) reclaim(needTokens int) int {
+// rung is one step down the tier ladder. The tier a step starts from
+// decides everything mechanical about it — which of a file's tokens
+// count, what bringing them back would cost, which KVFS move runs and
+// which ledger records it (see candidatesLocked and demoteFileLocked); a
+// rung value adds how the step is reported.
+type rung struct {
+	from kvfs.Tier
+	// phase is the Event.Phase the file's owner hears.
+	phase string
+	// reason is the offloadReason stamped on a file leaving the GPU, so
+	// its eventual restore is attributed to the decision that caused it.
+	reason string
+}
+
+var (
+	policyOffload = rung{from: kvfs.GPU, phase: "offload", reason: "policy"}
+	swapOffload   = rung{from: kvfs.GPU, phase: "offload", reason: "swap"}
+	spillToDisk   = rung{from: kvfs.Host, phase: "spill"}
+)
+
+// demote moves candidates one rung down in policy order until freed >=
+// needTokens or candidates run out, then fires the owner notifications.
+// Every move is metadata-only (PCIe time is charged at restore, the
+// store write at the next commit), so it is safe on any allocation path.
+func (d *Daemon) demote(r rung, needTokens int) int {
 	if needTokens <= 0 {
 		return 0
 	}
+	type moved struct {
+		fn     Notify
+		tokens int
+	}
+	var fired []moved
 	now := d.clk.Now()
 	d.mu.Lock()
-	cands, ents := d.candidatesLocked()
-	order := d.policy.Rank(now, cands)
+	cands := d.candidatesLocked(r)
 	freed := 0
-	pol := d.policy.Name()
-	var fired []func()
-	for _, i := range order {
+	for _, i := range d.policy.Rank(now, cands) {
 		if freed >= needTokens {
 			break
 		}
-		e := ents[i]
-		n, _ := e.f.Offload()
+		e := d.entries[cands[i].File]
+		n := d.demoteFileLocked(r, e)
 		if n == 0 {
-			continue
+			continue // nothing demotable, or the tier below is full: try the next one
 		}
 		freed += n
-		e.offloadReason = "policy"
-		d.offloads++
-		d.offloadedTokens += int64(n)
-		if e.notify != nil {
-			notify, tokens := e.notify, n
-			fired = append(fired, func() { notify(Event{Phase: "offload", Tokens: tokens, Policy: pol}) })
-		}
+		fired = append(fired, moved{e.notify, n})
 	}
-	if freed > 0 {
-		d.reclaims++
+	if r.from == kvfs.GPU && freed > 0 {
+		d.st.Reclaims++
 	}
 	d.mu.Unlock()
-	for _, fn := range fired {
-		fn()
+	for _, m := range fired {
+		d.notify(m.fn, r.phase, m.tokens)
 	}
 	return freed
 }
 
-// candidatesLocked snapshots the offloadable files: tracked, not
-// removed, not advisory-locked, not pinned, with GPU-resident tokens to
-// move. It also garbage-collects entries for removed files. The snapshot
-// is sorted by tracking seq so the policy ranks an identical slice on
-// every run regardless of map iteration order (rankBy is stable, so the
-// input order is the tie-break of last resort). Caller holds d.mu.
-func (d *Daemon) candidatesLocked() ([]FileInfo, []*entry) {
+// demoteFileLocked moves one file's pages a rung down and records the
+// move — the one place the offload and spill ledgers are bumped. A GPU
+// offload that stops part-way on a full host tier still counts for what
+// it moved; a spill the disk tier refuses moves nothing. Returns the
+// tokens moved. Caller holds d.mu (and, for a spill, has checked d.disk).
+func (d *Daemon) demoteFileLocked(r rung, e *entry) (n int) {
+	if r.from == kvfs.GPU {
+		if n, _ = e.f.Offload(); n > 0 {
+			d.st.Offloads++
+			d.st.OffloadedTokens += int64(n)
+			e.offloadReason = r.reason
+		}
+	} else if n, _ = d.disk.Spill(e.f); n > 0 {
+		d.st.Spills++
+		d.st.SpilledTokens += int64(n)
+	}
+	return n
+}
+
+// candidatesLocked snapshots the files rung r may demote: tracked, not
+// removed, not advisory-locked, not pinned, with tokens on the rung's
+// tier. Tokens counts that tier only, and RestoreCost describes the way
+// back from the tier below — PCIe from host, NVMe read plus PCIe from
+// disk — so cost-aware policies weigh the deeper demotion correctly. It
+// also garbage-collects entries for removed files. The snapshot is sorted
+// by tracking seq so the policy ranks an identical slice on every run
+// regardless of map iteration order (rankBy is stable, so the input order
+// is the tie-break of last resort). Caller holds d.mu.
+func (d *Daemon) candidatesLocked(r rung) []FileInfo {
 	var infos []FileInfo
-	var ents []*entry
 	for f, e := range d.entries {
 		if f.Removed() {
 			delete(d.entries, f)
@@ -629,8 +645,12 @@ func (d *Daemon) candidatesLocked() ([]FileInfo, []*entry) {
 		if e.pins > 0 || f.LockedBy() != "" {
 			continue
 		}
-		gpu, _, _ := f.ResidentTokens()
-		if gpu == 0 {
+		tokens, host, _ := f.ResidentTokens()
+		restore := d.cost.TransferTime(tokens)
+		if r.from == kvfs.Host {
+			tokens, restore = host, d.cost.DiskLoadTime(host)
+		}
+		if tokens == 0 {
 			continue
 		}
 		infos = append(infos, FileInfo{
@@ -639,123 +659,33 @@ func (d *Daemon) candidatesLocked() ([]FileInfo, []*entry) {
 			PID:           e.pid,
 			LastAccess:    e.lastAccess,
 			Accesses:      e.accesses,
-			Tokens:        gpu,
-			RestoreCost:   d.cost.TransferTime(gpu),
+			Tokens:        tokens,
+			RestoreCost:   restore,
 			RecomputeCost: d.cost.KernelOverhead + d.cost.PerSequence + time.Duration(f.Len())*d.cost.PerToken,
 		})
-		ents = append(ents, e)
 	}
-	// seq is unique per entry, so sorting the parallel slices
-	// independently keeps infos[i] and ents[i] paired.
 	sort.Slice(infos, func(i, j int) bool { return infos[i].Seq < infos[j].Seq })
-	sort.Slice(ents, func(i, j int) bool { return ents[i].seq < ents[j].seq })
-	return infos, ents
+	return infos
 }
 
 // maybeSpillHost checks the host-tier watermark and, when crossed and a
 // disk tier is attached, spills cold host-resident files down to disk
-// until host usage falls to DiskLowWater. GPU→host offloads are what
-// grow the host tier, so reclaim and preemption paths call this right
-// after them: demotion cascades one level at a time, cost-aware because
-// the same policy that picked the coldest GPU files picks the coldest
-// host files.
-func (d *Daemon) maybeSpillHost() int {
-	if d == nil {
-		return 0
-	}
+// until host usage falls to DiskLowWater. Demotion cascades one level at
+// a time, cost-aware because the same policy that picked the coldest GPU
+// files picks the coldest host files.
+func (d *Daemon) maybeSpillHost() {
 	d.mu.Lock()
 	dt := d.disk
 	d.mu.Unlock()
 	if dt == nil {
-		return 0
+		return
 	}
 	st := d.fs.Stats()
 	if st.HostPageCap <= 0 || float64(st.HostPages) < d.cfg.DiskHighWater*float64(st.HostPageCap) {
-		return 0
+		return
 	}
 	target := st.HostPages - int(d.cfg.DiskLowWater*float64(st.HostPageCap))
-	return d.spill(target * st.PageTokens)
-}
-
-// spill demotes host-resident candidates in policy order until freed >=
-// needTokens or candidates run out, then fires the owner notifications.
-// Spilling is metadata-only (the store write is billed at the next
-// commit), so it is safe on any allocation path.
-func (d *Daemon) spill(needTokens int) int {
-	if needTokens <= 0 {
-		return 0
-	}
-	now := d.clk.Now()
-	d.mu.Lock()
-	if d.disk == nil {
-		d.mu.Unlock()
-		return 0
-	}
-	cands, ents := d.spillCandidatesLocked()
-	order := d.policy.Rank(now, cands)
-	freed := 0
-	pol := d.policy.Name()
-	var fired []func()
-	for _, i := range order {
-		if freed >= needTokens {
-			break
-		}
-		e := ents[i]
-		n, err := d.disk.Spill(e.f)
-		if err != nil || n == 0 {
-			continue // ErrNoDisk or nothing demotable: try the next one
-		}
-		freed += n
-		d.spills++
-		d.spilledTokens += int64(n)
-		if e.notify != nil {
-			notify, tokens := e.notify, n
-			fired = append(fired, func() { notify(Event{Phase: "spill", Tokens: tokens, Policy: pol}) })
-		}
-	}
-	d.mu.Unlock()
-	for _, fn := range fired {
-		fn()
-	}
-	return freed
-}
-
-// spillCandidatesLocked snapshots the host-resident files eligible for
-// demotion to disk, seq-sorted like candidatesLocked. Tokens counts the
-// host tier only, and the cost estimates describe the disk round trip —
-// what it would take to bring the file back (NVMe read + PCIe) versus
-// recomputing it — so cost-aware policies weigh the deeper demotion
-// correctly. Caller holds d.mu.
-func (d *Daemon) spillCandidatesLocked() ([]FileInfo, []*entry) {
-	var infos []FileInfo
-	var ents []*entry
-	for f, e := range d.entries {
-		if f.Removed() {
-			delete(d.entries, f)
-			continue
-		}
-		if e.pins > 0 || f.LockedBy() != "" {
-			continue
-		}
-		_, host, _ := f.ResidentTokens()
-		if host == 0 {
-			continue
-		}
-		infos = append(infos, FileInfo{
-			File:          f,
-			Seq:           e.seq,
-			PID:           e.pid,
-			LastAccess:    e.lastAccess,
-			Accesses:      e.accesses,
-			Tokens:        host,
-			RestoreCost:   d.cost.DiskReadTime(d.cost.KVBytes(host)) + d.cost.TransferTime(host),
-			RecomputeCost: d.cost.KernelOverhead + d.cost.PerSequence + time.Duration(f.Len())*d.cost.PerToken,
-		})
-		ents = append(ents, e)
-	}
-	sort.Slice(infos, func(i, j int) bool { return infos[i].Seq < infos[j].Seq })
-	sort.Slice(ents, func(i, j int) bool { return ents[i].seq < ents[j].seq })
-	return infos, ents
+	d.demote(spillToDisk, target*st.PageTokens)
 }
 
 // Preempt offloads f immediately on behalf of its own stalled pred
@@ -773,21 +703,14 @@ func (d *Daemon) Preempt(f *kvfs.File) int {
 		d.mu.Unlock()
 		return 0
 	}
-	n, _ := f.Offload()
-	var notify Notify
+	n := d.demoteFileLocked(swapOffload, e)
 	if n > 0 {
-		e.offloadReason = "swap"
-		d.offloads++
-		d.offloadedTokens += int64(n)
-		d.preemptions++
-		notify = e.notify
+		d.st.Preemptions++
 	}
-	pol := d.policy.Name()
+	fn := e.notify
 	d.mu.Unlock()
-	if notify != nil {
-		notify(Event{Phase: "offload", Tokens: n, Policy: pol})
-	}
 	if n > 0 {
+		d.notify(fn, swapOffload.phase, n)
 		d.maybeSpillHost()
 	}
 	return n
@@ -834,7 +757,7 @@ func (d *Daemon) NotePark(pid int) {
 		return
 	}
 	d.mu.Lock()
-	d.preemptions++
+	d.st.Preemptions++
 	var cands []*entry
 	for _, e := range d.entries {
 		if e.pid == pid && e.notify != nil {
@@ -842,15 +765,12 @@ func (d *Daemon) NotePark(pid int) {
 		}
 	}
 	sort.Slice(cands, func(i, j int) bool { return cands[i].seq < cands[j].seq })
-	var notify Notify
+	var fn Notify
 	if len(cands) > 0 {
-		notify = cands[0].notify
+		fn = cands[0].notify
 	}
-	pol := d.policy.Name()
 	d.mu.Unlock()
-	if notify != nil {
-		notify(Event{Phase: "park", Policy: pol})
-	}
+	d.notify(fn, "park", 0)
 }
 
 // gcPidsLocked drops processes whose tracked files are all gone. Caller
@@ -882,32 +802,8 @@ func (d *Daemon) Stats() Stats {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.gcPidsLocked() // Tracked counts live files, not removed ones
-	return Stats{
-		Policy:               d.policy.Name(),
-		HighWater:            d.cfg.HighWater,
-		LowWater:             d.cfg.LowWater,
-		Pressure:             pressure,
-		Tracked:              len(d.entries),
-		Reclaims:             d.reclaims,
-		Offloads:             d.offloads,
-		OffloadedTokens:      d.offloadedTokens,
-		Restores:             d.restores,
-		RestoredTokens:       d.restoredTokens,
-		RestoredCost:         d.restoredCost,
-		SwapRestores:         d.swapRestores,
-		SwapRestoredTokens:   d.swapRestoredTok,
-		SwapRestoredCost:     d.swapRestoredC,
-		Preemptions:          d.preemptions,
-		Migrations:           d.migrations,
-		MigratedTokens:       d.migratedTokens,
-		MigratedCost:         d.migratedCost,
-		Spills:               d.spills,
-		SpilledTokens:        d.spilledTokens,
-		SpillRollbacks:       d.spillRollbacks,
-		DiskLoads:            d.diskLoads,
-		DiskLoadedTokens:     d.diskLoadedTok,
-		DiskLoadCost:         d.diskLoadCost,
-		DiskRecomputes:       d.diskRecomputes,
-		DiskRecomputedTokens: d.diskRecompTok,
-	}
+	st := d.st
+	st.Policy, st.HighWater, st.LowWater = d.policy.Name(), d.cfg.HighWater, d.cfg.LowWater
+	st.Pressure, st.Tracked = pressure, len(d.entries)
+	return st
 }

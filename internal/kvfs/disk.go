@@ -2,6 +2,7 @@ package kvfs
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 
@@ -148,7 +149,7 @@ func (dt *DiskTier) Spill(f *File) (tokens int, err error) {
 	if err := dt.Put(f); err != nil {
 		return 0, err
 	}
-	tokens = f.DemoteHostPages()
+	tokens, _ = f.movePages(Host, Disk, math.MaxInt) // a removed file demotes nothing
 	if tokens > 0 {
 		dt.mu.Lock()
 		if _, ok := dt.pending[f]; !ok {
@@ -232,10 +233,12 @@ func (dt *DiskTier) Commit() error {
 	dt.pendingOrder = nil
 	hook := dt.rollback
 	dt.mu.Unlock()
-	// Undemote outside dt.mu: UndemoteHostPages takes the FS lock and the
-	// hook takes the daemon's (lock order there is daemon→tier).
+	// Undemote outside dt.mu: movePages takes the FS lock and the hook
+	// takes the daemon's (lock order there is daemon→tier).
 	for i, f := range victims {
-		got := f.UndemoteHostPages(want[i])
+		// As far as host space allows: a full host pool stops the walk and
+		// the remainder stays on the Disk tier, pending a commit retry.
+		got, _ := f.movePages(Disk, Host, want[i])
 		if got > 0 && hook != nil {
 			hook(f, got)
 		}
@@ -313,22 +316,12 @@ func (dt *DiskTier) Import(e kvstore.SnapshotEntry) (*File, error) {
 func (fs *FS) reserveDisk(n int) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	for i := 0; i < n; i++ {
-		if err := fs.reserveLocked(Disk); err != nil {
-			for j := 0; j < i; j++ {
-				fs.releaseLocked(Disk)
-			}
-			return err
-		}
-	}
-	return nil
+	return fs.reserveNLocked(Disk, n)
 }
 
 // releaseDisk returns n disk pages.
 func (fs *FS) releaseDisk(n int) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	for i := 0; i < n; i++ {
-		fs.releaseLocked(Disk)
-	}
+	fs.releaseNLocked(Disk, n)
 }

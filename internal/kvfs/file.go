@@ -2,6 +2,7 @@ package kvfs
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/model"
 	"repro/internal/token"
@@ -181,14 +182,8 @@ func (f *File) Append(toks []token.ID, positions []int) ([]model.CtxHash, error)
 	if cow {
 		need++
 	}
-	reserved := 0
-	for ; reserved < need; reserved++ {
-		if err := fs.reserveLocked(GPU); err != nil {
-			for i := 0; i < reserved; i++ {
-				fs.releaseLocked(GPU)
-			}
-			return nil, err
-		}
+	if err := fs.reserveNLocked(GPU, need); err != nil {
+		return nil, err
 	}
 
 	if cow {
@@ -196,7 +191,7 @@ func (f *File) Append(toks []token.ID, positions []int) ([]model.CtxHash, error)
 		cp := &page{entries: append([]Entry(nil), old.entries[:idx]...), ref: 1, tier: GPU}
 		old.ref--
 		f.pages[len(f.pages)-1] = cp
-		fs.cowCopies++
+		fs.st.COWCopies++
 	}
 
 	tails := make([]model.CtxHash, len(toks))
@@ -239,7 +234,7 @@ func (f *File) Fork(owner string) (*File, error) {
 	child.length = f.length
 	child.tail = f.tail
 	child.approx = f.approx
-	fs.forks++
+	fs.st.Forks++
 	return child, nil
 }
 
@@ -283,7 +278,7 @@ func (f *File) AdoptPrefix(src *File, tokens int) error {
 	f.length = tokens
 	f.tail = src.entryAtLocked(tokens - 1).KV
 	f.approx = false
-	fs.shares++
+	fs.st.Shares++
 	return nil
 }
 
@@ -400,13 +395,8 @@ func (fs *FS) Merge(owner string, files ...*File) (*File, error) {
 func (fs *FS) buildFileLocked(owner string, entries []Entry) (*File, error) {
 	p := fs.cfg.PageTokens
 	need := (len(entries) + p - 1) / p
-	for i := 0; i < need; i++ {
-		if err := fs.reserveLocked(GPU); err != nil {
-			for j := 0; j < i; j++ {
-				fs.releaseLocked(GPU)
-			}
-			return nil, err
-		}
+	if err := fs.reserveNLocked(GPU, need); err != nil {
+		return nil, err
 	}
 	child := fs.newFileLocked(owner, ModePrivate)
 	var tail model.CtxHash
@@ -449,7 +439,7 @@ func (f *File) Remove() error {
 		delete(fs.byPath, f.path)
 		f.path = ""
 	}
-	fs.files--
+	fs.st.Files--
 	return nil
 }
 
@@ -527,31 +517,62 @@ func (f *File) ResidentTokens() (gpu, host, disk int) {
 	return gpu, host, disk
 }
 
-// Offload migrates the file's exclusively owned GPU pages to host memory,
-// returning the number of tokens moved (the caller charges PCIe transfer
-// time for them). Pages shared with other files stay put: another program
-// may be using them.
-func (f *File) Offload() (tokens int, err error) {
+// movePages is the one walker behind every tier transition: it moves up
+// to maxTokens of the file's pages on tier from to tier to, in file order,
+// and returns the tokens moved. The rules follow from the tier pair. Only
+// exclusively owned pages leave the GPU or change tier below it (a shared
+// page may be in use by another program, and shared pages are always
+// GPU-resident). The destination is reserved and the source released,
+// except on the Disk side: the file's snapshot-store record owns the disk
+// reservation for every page of the file (see DiskTier), so a page moving
+// to Disk reserves nothing and a page leaving Disk keeps its durable copy
+// behind. A full destination stops the walk with its error and leaves the
+// file partially moved; the caller may retry after freeing memory.
+func (f *File) movePages(from, to Tier, maxTokens int) (tokens int, err error) {
 	fs := f.fs
-	defer fs.maybeNotify()
+	if from == GPU {
+		defer fs.maybeNotify()
+	}
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	if f.removed {
 		return 0, ErrRemoved
 	}
+	offGPU := 0 // what one moved page adds to f.offGPU
+	switch GPU {
+	case from:
+		offGPU = 1
+	case to:
+		offGPU = -1
+	}
 	for _, pg := range f.pages {
-		if pg.tier != GPU || pg.ref > 1 {
+		if tokens >= maxTokens {
+			break
+		}
+		if pg.tier != from || (to != GPU && pg.ref > 1) {
 			continue
 		}
-		if err := fs.reserveLocked(Host); err != nil {
-			return tokens, err
+		if to != Disk {
+			if err := fs.reserveLocked(to); err != nil {
+				return tokens, err
+			}
 		}
-		fs.releaseLocked(GPU)
-		pg.tier = Host
-		f.offGPU++
+		if from != Disk {
+			fs.releaseLocked(from)
+		}
+		pg.tier = to
+		f.offGPU += offGPU
 		tokens += len(pg.entries)
 	}
 	return tokens, nil
+}
+
+// Offload migrates the file's exclusively owned GPU pages to host memory,
+// returning the number of tokens moved (the caller charges PCIe transfer
+// time for them). Pages shared with other files stay put: another program
+// may be using them.
+func (f *File) Offload() (tokens int, err error) {
+	return f.movePages(GPU, Host, math.MaxInt)
 }
 
 // Restore migrates the file's host pages back to the GPU, returning the
@@ -560,78 +581,7 @@ func (f *File) Offload() (tokens int, err error) {
 // are not touched: they come back through PromoteDisk, whose cost (NVMe
 // read plus PCIe) is billed separately.
 func (f *File) Restore() (tokens int, err error) {
-	fs := f.fs
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if f.removed {
-		return 0, ErrRemoved
-	}
-	for _, pg := range f.pages {
-		if pg.tier != Host {
-			continue
-		}
-		if err := fs.reserveLocked(GPU); err != nil {
-			return tokens, err
-		}
-		fs.releaseLocked(Host)
-		pg.tier = GPU
-		f.offGPU--
-		tokens += len(pg.entries)
-	}
-	return tokens, nil
-}
-
-// DemoteHostPages moves the file's exclusively owned host pages to the
-// disk tier, returning the tokens moved. The host reservation is
-// released; the disk footprint is NOT reserved here — the caller
-// (DiskTier.Spill) has already written the file to the snapshot store,
-// whose record owns the disk reservation for every page of the file.
-func (f *File) DemoteHostPages() (tokens int) {
-	fs := f.fs
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if f.removed {
-		return 0
-	}
-	for _, pg := range f.pages {
-		if pg.tier != Host || pg.ref > 1 {
-			continue
-		}
-		fs.releaseLocked(Host)
-		pg.tier = Disk
-		tokens += len(pg.entries)
-	}
-	return tokens
-}
-
-// UndemoteHostPages is DemoteHostPages' inverse, used to roll back a
-// spill whose snapshot commit failed: up to maxTokens of the file's
-// disk-tier pages move back to host memory, re-reserving host space
-// (stopping early if the host pool is full — the remainder stays on the
-// Disk tier for a commit retry to make durable). The store record and
-// its disk reservation are untouched; offGPU does not change (Host and
-// Disk pages both count against it). Returns the tokens moved.
-func (f *File) UndemoteHostPages(maxTokens int) (tokens int) {
-	fs := f.fs
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if f.removed {
-		return 0
-	}
-	for _, pg := range f.pages {
-		if tokens >= maxTokens {
-			break
-		}
-		if pg.tier != Disk || pg.ref > 1 {
-			continue
-		}
-		if err := fs.reserveLocked(Host); err != nil {
-			break
-		}
-		pg.tier = Host
-		tokens += len(pg.entries)
-	}
-	return tokens
+	return f.movePages(Host, GPU, math.MaxInt)
 }
 
 // PromoteDisk moves the file's disk-tier pages to the GPU, returning the
@@ -641,22 +591,5 @@ func (f *File) UndemoteHostPages(maxTokens int) (tokens int) {
 // the move: NVMe read plus PCIe for a data load, or batch prefill tokens
 // when recomputing is cheaper (see core's restore-vs-recompute choice).
 func (f *File) PromoteDisk() (tokens int, err error) {
-	fs := f.fs
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if f.removed {
-		return 0, ErrRemoved
-	}
-	for _, pg := range f.pages {
-		if pg.tier != Disk {
-			continue
-		}
-		if err := fs.reserveLocked(GPU); err != nil {
-			return tokens, err
-		}
-		pg.tier = GPU
-		f.offGPU--
-		tokens += len(pg.entries)
-	}
-	return tokens, nil
+	return f.movePages(Disk, GPU, math.MaxInt)
 }

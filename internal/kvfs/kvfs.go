@@ -159,6 +159,13 @@ type Stats struct {
 // pages.
 func (s Stats) GPUTokens() int { return s.GPUPages * s.PageTokens }
 
+// tierUse is one tier's page accounting: pages in use, capacity, and the
+// high-water mark of pages.
+type tierUse struct{ pages, cap, peak int }
+
+// errFull is the error a full tier refuses a reservation with.
+var errFull = [...]error{GPU: ErrNoSpace, Host: ErrNoHost, Disk: ErrNoDisk}
+
 type page struct {
 	entries []Entry
 	ref     int
@@ -171,22 +178,13 @@ type FS struct {
 	mu  sync.Mutex
 	cfg Config
 
-	gpuPages  int
-	hostPages int
-	diskPages int
-	gpuCap    int
-	hostCap   int
-	diskCap   int
-	gpuPeak   int
-	diskPeak  int
+	// use is the page accounting of each tier, indexed by Tier.
+	use [3]tierUse
 
 	byPath map[string]*File
-	files  int
-
-	forks     int64
-	cowCopies int64
-	shares    int64
-	oomErrors int64
+	// st holds the counters Stats reports; the page size and the per-tier
+	// page fields are filled in at snapshot.
+	st Stats
 
 	// onRelease is invoked (outside fs.mu, debounced per operation) after
 	// an operation frees GPU pages. The Symphony kernel uses it to wake
@@ -229,9 +227,9 @@ func NewFS(cfg Config) *FS {
 		cfg:    cfg,
 		byPath: make(map[string]*File),
 	}
-	fs.gpuCap = int(cfg.GPUBytes / pageBytes)
-	fs.hostCap = int(cfg.HostBytes / pageBytes)
-	fs.diskCap = int(cfg.DiskBytes / pageBytes)
+	fs.use[GPU].cap = int(cfg.GPUBytes / pageBytes)
+	fs.use[Host].cap = int(cfg.HostBytes / pageBytes)
+	fs.use[Disk].cap = int(cfg.DiskBytes / pageBytes)
 	return fs
 }
 
@@ -242,71 +240,57 @@ func (fs *FS) Config() Config { return fs.cfg }
 func (fs *FS) Stats() Stats {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	return Stats{
-		GPUPages:      fs.gpuPages,
-		HostPages:     fs.hostPages,
-		GPUPageCap:    fs.gpuCap,
-		HostPageCap:   fs.hostCap,
-		GPUPeakPages:  fs.gpuPeak,
-		DiskPages:     fs.diskPages,
-		DiskPageCap:   fs.diskCap,
-		DiskPeakPages: fs.diskPeak,
-		Files:         fs.files,
-		Forks:         fs.forks,
-		COWCopies:     fs.cowCopies,
-		Shares:        fs.shares,
-		OOMErrors:     fs.oomErrors,
-		PageTokens:    fs.cfg.PageTokens,
-	}
+	st := fs.st
+	st.PageTokens = fs.cfg.PageTokens
+	gpu, host, disk := fs.use[GPU], fs.use[Host], fs.use[Disk]
+	st.GPUPages, st.GPUPageCap, st.GPUPeakPages = gpu.pages, gpu.cap, gpu.peak
+	st.HostPages, st.HostPageCap = host.pages, host.cap
+	st.DiskPages, st.DiskPageCap, st.DiskPeakPages = disk.pages, disk.cap, disk.peak
+	return st
 }
 
 // GPUFreeTokens reports how many more tokens fit on the GPU tier.
 func (fs *FS) GPUFreeTokens() int {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	return (fs.gpuCap - fs.gpuPages) * fs.cfg.PageTokens
+	return (fs.use[GPU].cap - fs.use[GPU].pages) * fs.cfg.PageTokens
 }
 
 // reserveLocked accounts for one new page in tier.
 func (fs *FS) reserveLocked(t Tier) error {
-	switch t {
-	case GPU:
-		if fs.gpuPages >= fs.gpuCap {
-			fs.oomErrors++
-			return ErrNoSpace
-		}
-		fs.gpuPages++
-		if fs.gpuPages > fs.gpuPeak {
-			fs.gpuPeak = fs.gpuPages
-		}
-	case Host:
-		if fs.hostPages >= fs.hostCap {
-			fs.oomErrors++
-			return ErrNoHost
-		}
-		fs.hostPages++
-	case Disk:
-		if fs.diskPages >= fs.diskCap {
-			fs.oomErrors++
-			return ErrNoDisk
-		}
-		fs.diskPages++
-		if fs.diskPages > fs.diskPeak {
-			fs.diskPeak = fs.diskPages
-		}
+	u := &fs.use[t]
+	if u.pages >= u.cap {
+		fs.st.OOMErrors++
+		return errFull[t]
+	}
+	u.pages++
+	if u.pages > u.peak {
+		u.peak = u.pages
 	}
 	return nil
 }
 
 func (fs *FS) releaseLocked(t Tier) {
-	switch t {
-	case GPU:
-		fs.gpuPages--
+	fs.use[t].pages--
+	if t == GPU {
 		fs.releaseDirty = true
-	case Host:
-		fs.hostPages--
-	case Disk:
-		fs.diskPages--
+	}
+}
+
+// reserveNLocked accounts for n new pages in tier, all or nothing.
+func (fs *FS) reserveNLocked(t Tier, n int) error {
+	for i := 0; i < n; i++ {
+		if err := fs.reserveLocked(t); err != nil {
+			fs.releaseNLocked(t, i)
+			return err
+		}
+	}
+	return nil
+}
+
+func (fs *FS) releaseNLocked(t Tier, n int) {
+	for i := 0; i < n; i++ {
+		fs.releaseLocked(t)
 	}
 }
 
@@ -335,7 +319,7 @@ func (fs *FS) CreateAnon(owner string) *File {
 }
 
 func (fs *FS) newFileLocked(owner string, mode Mode) *File {
-	fs.files++
+	fs.st.Files++
 	return &File{fs: fs, owner: owner, mode: mode}
 }
 

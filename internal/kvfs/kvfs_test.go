@@ -689,19 +689,45 @@ func TestAppendChunkingProperty(t *testing.T) {
 	}
 }
 
-// Property: content and context survive arbitrary offload/restore cycles
-// interleaved with forks and truncates, and tier accounting stays exact.
+// Property: every tier transition conserves pages exactly. After any
+// sequence of offload / restore / spill / spill-rollback / disk-promote
+// ops interleaved with forks, appends and truncates — on tiers tight
+// enough that the walks also stop part-way on a full destination — the
+// pages counted by walking the live files equal the GPU and host ledgers,
+// GPUResident agrees with the walk, and the base file restores bit for
+// bit.
 func TestTierMigrationProperty(t *testing.T) {
+	conserved := func(fs *FS, live []*File) bool {
+		var pages [3]int
+		seen := make(map[*page]bool)
+		for _, f := range live {
+			resident := true
+			for _, pg := range f.pages {
+				resident = resident && pg.tier == GPU
+				if !seen[pg] {
+					seen[pg] = true
+					pages[pg.tier]++
+				}
+			}
+			if f.GPUResident() != resident {
+				return false
+			}
+		}
+		st := fs.Stats()
+		return st.GPUPages == pages[GPU] && st.HostPages == pages[Host]
+	}
 	f := func(ops []uint8) bool {
-		fs := tinyFS(4, 10000, 10000)
+		fs, dt := diskFS(4, 7, 3, 1000)
 		base := fs.CreateAnon("u")
 		toks, pos := seq(20, 0)
 		base.Append(toks, pos)
 		want := base.Tail()
-		live := []*File{base}
+		// The second file grows by appends, so the GPU tier can fill while
+		// base's pages sit below it.
+		live := []*File{base, fs.CreateAnon("u")}
 		for _, op := range ops {
-			target := live[int(op)%len(live)]
-			switch op % 4 {
+			target := live[int(op>>3)%len(live)]
+			switch op % 8 {
 			case 0:
 				target.Offload()
 			case 1:
@@ -714,22 +740,40 @@ func TestTierMigrationProperty(t *testing.T) {
 				if target != base && target.Len() > 1 {
 					target.Truncate(target.Len() - 1)
 				}
+			case 4:
+				if target != base {
+					toks, pos := seq(3, target.Len())
+					target.Append(toks, pos)
+				}
+			case 5:
+				dt.Spill(target)
+			case 6:
+				// What a failed Commit does to a pending spill, bounded the
+				// same way.
+				target.movePages(Disk, Host, 4*(1+int(op>>6)))
+			case 7:
+				target.PromoteDisk()
 			}
-			st := fs.Stats()
-			if st.GPUPages < 0 || st.HostPages < 0 || st.GPUPages > st.GPUPageCap {
+			if !conserved(fs, live) {
 				return false
 			}
 		}
+		for _, f := range live[1:] {
+			f.Remove()
+		}
 		if _, err := base.Restore(); err != nil {
+			return false
+		}
+		if _, err := base.PromoteDisk(); err != nil {
 			return false
 		}
 		if base.Tail() != want || base.Len() != 20 {
 			return false
 		}
-		gpu, host, _ := base.ResidentTokens()
-		return gpu == 20 && host == 0
+		gpu, host, disk := base.ResidentTokens()
+		return gpu == 20 && host == 0 && disk == 0 && conserved(fs, live[:1])
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
 }

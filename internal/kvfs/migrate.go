@@ -56,15 +56,7 @@ func (f *File) ExportPages() (PageSpan, error) {
 func (fs *FS) ReserveMigration(pages int) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	for i := 0; i < pages; i++ {
-		if err := fs.reserveLocked(GPU); err != nil {
-			for j := 0; j < i; j++ {
-				fs.releaseLocked(GPU)
-			}
-			return err
-		}
-	}
-	return nil
+	return fs.reserveNLocked(GPU, pages)
 }
 
 // ReleaseMigration releases one side of a migration's double residency:
@@ -74,7 +66,5 @@ func (fs *FS) ReleaseMigration(pages int) {
 	defer fs.maybeNotify()
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	for i := 0; i < pages; i++ {
-		fs.releaseLocked(GPU)
-	}
+	fs.releaseNLocked(GPU, pages)
 }

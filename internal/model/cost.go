@@ -109,6 +109,13 @@ func (c CostModel) DiskReadTime(bytes int64) time.Duration {
 	return c.DiskLatency + time.Duration(float64(bytes)/float64(c.DiskReadBytesPerSec)*float64(time.Second))
 }
 
+// DiskLoadTime returns the virtual time to bring n KV tokens from the
+// disk tier back to the GPU: an NVMe read of the tensor bytes plus the
+// PCIe transfer onto the device.
+func (c CostModel) DiskLoadTime(tokens int) time.Duration {
+	return c.DiskReadTime(c.KVBytes(tokens)) + c.TransferTime(tokens)
+}
+
 // DiskWriteTime is DiskReadTime for the write direction.
 func (c CostModel) DiskWriteTime(bytes int64) time.Duration {
 	if c.DiskWriteBytesPerSec <= 0 {

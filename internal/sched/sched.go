@@ -350,22 +350,13 @@ type replica struct {
 	lastArr      time.Duration
 	haveArr      bool
 	ewmaGap      float64 // seconds, over arrivals dispatched here
-	calls        int64
-	tokens       int64
-	execTokens   int64
-	batches      int64
-	steps        int64
-	preemptions  int64
-	crashes      int64
-	requeued     int64
-	lostTokens   int64
-	specRounds   int64
-	specDrafted  int64
-	specAccepted int64
-	batchW       metrics.Welford
-	tokensW      metrics.Welford
-	busy         time.Duration
-	delayHist    *metrics.Histogram
+	// st holds the counters Stats reports, bumped in place under mu; the
+	// ID, averages, utilization and delay quantiles are filled in at
+	// snapshot.
+	st        ReplicaStats
+	batchW    metrics.Welford
+	tokensW   metrics.Welford
+	delayHist *metrics.Histogram
 }
 
 // New starts a scheduler and its replica actors on clk.
@@ -435,10 +426,6 @@ func (s *Scheduler) PriorityPolicy() string { return s.prio.Name() }
 // chunked prefill is disabled.
 func (s *Scheduler) PrefillChunk() int { return s.prefillChunk }
 
-// CacheAwareOrder reports whether in-lane iteration ordering favors
-// calls with longer cached-prefix hits.
-func (s *Scheduler) CacheAwareOrder() bool { return s.cacheOrder }
-
 // QueueDelay exposes the aggregate histogram of time calls spent queued
 // before their first token executed, across all replicas and lanes.
 func (s *Scheduler) QueueDelay() *metrics.Histogram { return s.delayHist }
@@ -490,24 +477,8 @@ func (s *Scheduler) Stats() Stats {
 		// Read the clock while holding r.mu: busy is frozen, so it cannot
 		// run ahead of now and utilization stays <= 1.
 		rNow := s.clk.Now()
-		rs := ReplicaStats{
-			ID:           r.id,
-			Calls:        r.calls,
-			Tokens:       r.tokens,
-			ExecTokens:   r.execTokens,
-			Batches:      r.batches,
-			Steps:        r.steps,
-			AvgBatch:     r.batchW.Mean(),
-			AvgTokens:    r.tokensW.Mean(),
-			Preemptions:  r.preemptions,
-			Crashes:      r.crashes,
-			Requeued:     r.requeued,
-			SpecRounds:   r.specRounds,
-			SpecDrafted:  r.specDrafted,
-			SpecAccepted: r.specAccepted,
-			LostTokens:   r.lostTokens,
-			GPUBusy:      r.busy,
-		}
+		rs := r.st
+		rs.ID, rs.AvgBatch, rs.AvgTokens = r.id, r.batchW.Mean(), r.tokensW.Mean()
 		batchSum += r.batchW.Sum()
 		batchN += float64(r.batchW.N())
 		tokSum += r.tokensW.Sum()
@@ -578,8 +549,8 @@ func (s *Scheduler) SubmitCall(meta Call) error {
 	}
 	r.lastArr = now
 	r.haveArr = true
-	r.calls++
-	r.tokens += int64(meta.Tokens)
+	r.st.Calls++
+	r.st.Tokens += int64(meta.Tokens)
 	r.queuedTokens += meta.Tokens
 	r.mu.Unlock()
 
@@ -755,8 +726,8 @@ func (r *replica) crash() {
 
 	var lost int64
 	r.mu.Lock()
-	r.crashes++
-	r.requeued += int64(len(victims) + len(queued))
+	r.st.Crashes++
+	r.st.Requeued += int64(len(victims) + len(queued))
 	for _, c := range victims {
 		lost += int64(c.tokens - c.remaining)
 		r.inflight -= c.remaining
@@ -764,7 +735,7 @@ func (r *replica) crash() {
 	for _, c := range queued {
 		r.queuedTokens -= c.tokens
 	}
-	r.lostTokens += lost
+	r.st.LostTokens += lost
 	// The executor restarts cold: its arrival-rate estimate dies with it.
 	r.haveArr = false
 	r.ewmaGap = 0
@@ -971,7 +942,7 @@ func (r *replica) iterate() error {
 		}
 		c.scheduled = false
 		r.mu.Lock()
-		r.preemptions++
+		r.st.Preemptions++
 		r.mu.Unlock()
 		s.mu.Lock()
 		s.lanePreempts[c.prio.laneIndex()]++
@@ -1003,18 +974,18 @@ func (r *replica) iterate() error {
 	err := s.clk.Sleep(d)
 	r.mu.Lock()
 	if err == nil {
-		r.busy += d
-		r.batches++
-		r.steps++
-		r.execTokens += int64(stepProgress)
+		r.st.GPUBusy += d
+		r.st.Batches++
+		r.st.Steps++
+		r.st.ExecTokens += int64(stepProgress)
 		r.batchW.Add(float64(len(selected)))
 		r.tokensW.Add(float64(stepCompute))
 		r.inflight -= stepProgress
 		for i := range selected {
 			if specDraft[i] > 0 {
-				r.specRounds++
-				r.specDrafted += int64(specDraft[i])
-				r.specAccepted += int64(progress[i] - 1)
+				r.st.SpecRounds++
+				r.st.SpecDrafted += int64(specDraft[i])
+				r.st.SpecAccepted += int64(progress[i] - 1)
 			}
 		}
 	}

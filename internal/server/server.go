@@ -237,6 +237,10 @@ func (s *Server) stats(w http.ResponseWriter, r *http.Request) {
 		"dispatcher":      st.Sched.Dispatcher,
 		"priority_policy": st.Sched.PriorityPolicy,
 		"preemptions":     st.Sched.Preemptions,
+		"executed_tokens": st.Sched.ExecutedTokens,
+		"lost_tokens":     st.Sched.LostTokens,
+		"crashes":         st.Sched.Crashes,
+		"requeued":        st.Sched.Requeued,
 		"prefill_chunk":   s.k.Scheduler().PrefillChunk(),
 		"spec":            spec,
 		"lanes":           lanes,
@@ -257,6 +261,7 @@ func (s *Server) stats(w http.ResponseWriter, r *http.Request) {
 			"swap_restores":      st.KVD.SwapRestores,
 			"swap_restored_cost": st.KVD.SwapRestoredCost.String(),
 			"preemptions":        st.KVD.Preemptions,
+			"spill_rollbacks":    st.KVD.SpillRollbacks,
 		},
 		"disk": map[string]any{
 			"enabled":           st.FS.DiskPageCap > 0,
@@ -285,6 +290,9 @@ func (s *Server) stats(w http.ResponseWriter, r *http.Request) {
 			"refused_locked":    st.Migration.RefusedLocked,
 			"refused_inflight":  st.Migration.RefusedInFlight,
 			"refused_pressure":  st.Migration.RefusedPressure,
+			"transfer_aborts":   st.Migration.TransferAborts,
+			"replica_crashes":   st.Migration.ReplicaCrashes,
+			"invalidated_roots": st.Migration.InvalidatedRoots,
 		},
 		"prefix_cache": map[string]any{
 			"enabled":          st.PrefixCache.Enabled,

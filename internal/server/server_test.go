@@ -59,6 +59,11 @@ func TestHealthAndStats(t *testing.T) {
 	}
 	resp.Body.Close()
 
+	// One synchronous completion, so the stats below describe a drained run.
+	if resp, out := post(t, ts, "/v1/completions", `{"prompt":"hello symphony","max_tokens":8}`); resp.StatusCode != http.StatusOK {
+		t.Fatalf("completion: status %d: %+v", resp.StatusCode, out)
+	}
+
 	resp, err = http.Get(ts.URL + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
@@ -79,6 +84,7 @@ func TestHealthAndStats(t *testing.T) {
 	if !ok || len(replicas) != 2 {
 		t.Fatalf("replicas rollup missing: %v", st["replicas"])
 	}
+	var replicaTokens float64
 	for i, r := range replicas {
 		m, ok := r.(map[string]any)
 		if !ok {
@@ -89,6 +95,27 @@ func TestHealthAndStats(t *testing.T) {
 				t.Fatalf("replica %d missing %q: %v", i, field, m)
 			}
 		}
+		replicaTokens += m["tokens"].(float64)
+	}
+
+	// The ledger's conservation terms are published, and they conserve:
+	// every submitted token was executed once, plus whatever crashes threw
+	// away and re-executed.
+	for _, path := range []string{
+		"executed_tokens", "lost_tokens", "crashes", "requeued", "kvd.spill_rollbacks",
+		"migration.transfer_aborts", "migration.replica_crashes", "migration.invalidated_roots",
+	} {
+		var v any = st
+		for _, key := range strings.Split(path, ".") {
+			v = v.(map[string]any)[key]
+		}
+		if _, ok := v.(float64); !ok {
+			t.Fatalf("stats missing %s: %v", path, st)
+		}
+	}
+	executed, lost := st["executed_tokens"].(float64), st["lost_tokens"].(float64)
+	if executed == 0 || executed != replicaTokens+lost {
+		t.Fatalf("executed_tokens = %v, want replicas' tokens %v + lost_tokens %v", executed, replicaTokens, lost)
 	}
 }
 
