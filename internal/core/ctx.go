@@ -471,38 +471,22 @@ func (c *Ctx) pred(modelName string, f *kvfs.File, toks []token.ID, positions []
 	}
 
 	pstart := k.clk.Now()
-	// The affinity key is the file's root KV hash: forks of one
-	// conversation share it, so cache-aware dispatch keeps them on the
-	// replica already holding their prefix. The process's priority lane
-	// rides on every call so urgency expressed at submission reaches the
-	// GPU iteration loop.
+	// The affinity key is the file's root KV hash, the one key of a prompt
+	// family: forks of one conversation share it, and so does a prefill
+	// that attached a cached prefix (AdoptPrefix shared the node's first
+	// page), each of its decode steps, and the radix nodes themselves — so
+	// cache-aware dispatch keeps all of them on the replica the prefix
+	// directory homes the family at. The process's priority lane rides on
+	// every call so urgency expressed at submission reaches the GPU
+	// iteration loop, and the matched prefix length lets same-lane executors
+	// clear the shortest remaining prefill first (cache-aware order).
 	call := sched.Call{
-		Model:    resolvedName(k, modelName),
-		Tokens:   len(toks) - attached + extra,
-		Affinity: uint64(f.Root()),
-		Priority: c.p.prio,
-		Decode:   decode,
-	}
-	// placed learns the replica the scheduler routed the call to, so the
-	// prefix cache can home the prompt's tree path there for crash
-	// invalidation. The callback runs on the submitting actor before the
-	// call is enqueued, strictly before SubmitCall returns.
-	placed := -1
-	if cacheable {
-		call.Placed = func(r int) { placed = r }
-	}
-	if attached > 0 {
-		// Cache-aware scheduling: the matched length lets same-lane
-		// executors clear the shortest remaining prefill first, and the
-		// deepest matched node's hash replaces the file root as the
-		// affinity key. The cache-affinity dispatchers hash that key
-		// statically (key % replicas; the migration engine's prefix index
-		// homes a new key the same way), so every hit on one node lands
-		// on one replica — which need not be the replica that computed
-		// the prefix. The node's recorded home is read only by crash
-		// invalidation.
-		call.PrefixHit = attached
-		call.Affinity = uint64(pnode.tail)
+		Model:     resolvedName(k, modelName),
+		Tokens:    len(toks) - attached + extra,
+		Affinity:  uint64(f.Root()),
+		Priority:  c.p.prio,
+		PrefixHit: attached,
+		Decode:    decode,
 	}
 	if decode && k.spec != nil && call.Model == k.defMod && len(toks) > 1 {
 		// Precompute the acceptance bitmap from the deterministic model
@@ -561,10 +545,10 @@ func (c *Ctx) pred(modelName string, f *kvfs.File, toks []token.ID, positions []
 	}
 	if k.mig != nil {
 		// Migration-aware dispatch: the engine pins the call to the
-		// family's current home, moving the prefix first (interconnect
-		// copy or destination recompute, charged here) when the home is
-		// overloaded. beginPred/endPred mark the file in flight so no
-		// concurrent call migrates it from under this one.
+		// family's current home in the prefix directory, moving the prefix
+		// first (interconnect copy or destination recompute, charged here)
+		// when the home is overloaded. beginPred/endPred mark the file in
+		// flight so no concurrent call migrates it from under this one.
 		k.mig.beginPred(f)
 		defer k.mig.endPred(f)
 		k.mig.route(c, f, &call, m.Config().Cost)
@@ -582,9 +566,8 @@ func (c *Ctx) pred(modelName string, f *kvfs.File, toks []token.ID, positions []
 
 	if cacheable {
 		// Commit the freshly committed prompt's chunk boundaries into the
-		// radix tree while f is still pinned and GPU-resident, homing the
-		// path on the replica that ran the call.
-		k.pcache.insert(f, toks, placed)
+		// radix tree while f is still pinned and GPU-resident.
+		k.pcache.insert(f, toks)
 	}
 
 	// The attached prefix's per-token context hashes equal what appending

@@ -140,8 +140,8 @@ type Config struct {
 	// CrashCheck, when non-nil, lets a fault injector crash-restart GPU
 	// replicas at iteration boundaries (see sched.Config.CrashCheck and
 	// internal/chaos). The kernel hooks the crash to also invalidate the
-	// dead replica's prefix-index entries so the migration engine stops
-	// routing to state that no longer exists.
+	// dead replica's prefix-directory entries, so neither the migration
+	// engine nor the prefix cache keeps serving state that no longer exists.
 	CrashCheck func(replica int) bool
 }
 
@@ -188,6 +188,7 @@ type Kernel struct {
 	sch    *sched.Scheduler
 	kvd    *kvd.Daemon
 	disk   *kvfs.DiskTier // nil without a disk tier
+	dir    *prefixIndex   // the one prefix→home directory (migrate.go)
 	mig    *migrator      // nil without a migration-aware dispatcher
 	pcache *prefixCache   // nil without the radix prefix cache
 	spec   *SpecConfig    // nil without speculative decoding
@@ -286,6 +287,7 @@ func New(clk *simclock.Clock, cfg Config) *Kernel {
 		Replicas:        cfg.Replicas,
 		Dispatcher:      cfg.Dispatcher,
 		CacheAwareOrder: cfg.Prefix.Enabled && cfg.Prefix.CacheAwareOrder,
+		CrashCheck:      cfg.CrashCheck,
 	}
 	if daemon.Enabled() {
 		// The admission gate defers new pred submissions while the KV
@@ -301,30 +303,24 @@ func New(clk *simclock.Clock, cfg Config) *Kernel {
 		kvd:       daemon,
 		spec:      spec,
 		tok:       tok,
+		dir:       newPrefixIndex(max(cfg.Replicas, 1)),
 		tracer:    cfg.Tracer,
 		tools:     make(map[string]Tool),
 		procs:     make(map[int]*Process),
 		quotas:    cfg.UserQuotas,
 		userUsage: make(map[string]int64),
 	}
-	schedCfg.CrashCheck = cfg.CrashCheck
-	if cfg.CrashCheck != nil {
-		// Replica actors start inside sched.New, before the migrator and
-		// prefix cache are assembled below, so the crash hook reads them
-		// under k.mu rather than capturing them.
-		schedCfg.OnCrash = func(id int) {
-			k.mu.Lock()
-			mig := k.mig
-			pc := k.pcache
-			k.mu.Unlock()
-			if mig != nil {
-				mig.noteReplicaCrash(id)
-			}
-			// A crashed replica's cached prefixes died with it: drop their
-			// tree entries like the migration engine's prefix-index homes.
-			pc.invalidateHome(id)
+	// What the crash hook reads — directory, migrator, prefix cache — is
+	// assembled before sched.New starts the replica actors that may call it.
+	k.pcache = newPrefixCache(k, cfg.Prefix)
+	if _, ok := cfg.Dispatcher.(*sched.CacheAffinityMigrate); ok {
+		ic := cfg.Interconnect
+		if ic == nil {
+			ic = netsim.DefaultInterconnect(clk)
 		}
+		k.mig = newMigrator(k, ic, cfg.MigrateThreshold)
 	}
+	schedCfg.OnCrash = k.replicaCrashed
 	k.sch = sched.New(clk, schedCfg)
 	k.spaceEv = clk.NewEvent()
 	k.fs.SetReleaseHook(k.kvReleased)
@@ -339,24 +335,6 @@ func New(clk *simclock.Clock, cfg Config) *Kernel {
 		}
 		k.disk = kvfs.NewDiskTier(fs, kvstore.NewStore(vfs))
 		daemon.AttachDisk(k.disk)
-	}
-	if _, ok := cfg.Dispatcher.(*sched.CacheAffinityMigrate); ok {
-		ic := cfg.Interconnect
-		if ic == nil {
-			ic = netsim.DefaultInterconnect(clk)
-		}
-		mig := newMigrator(k, ic, cfg.MigrateThreshold)
-		// Written under k.mu: the crash hook above may already be racing to
-		// read it from a replica actor.
-		k.mu.Lock()
-		k.mig = mig
-		k.mu.Unlock()
-	}
-	if pc := newPrefixCache(k, cfg.Prefix); pc != nil {
-		// Same k.mu discipline as the migrator: the crash hook may race.
-		k.mu.Lock()
-		k.pcache = pc
-		k.mu.Unlock()
 	}
 	return k
 }

@@ -23,11 +23,13 @@ import (
 // un-strands those prefixes the way an OS migrates pages between NUMA
 // nodes:
 //
-//   - a global prefix index maps each root KV hash (the affinity key) to
-//     the replica currently holding the family's prefix pages, updated as
-//     files are appended to, forked, truncated, and removed;
-//   - every affinity-carrying pred is routed to the index's current home
-//     (sched.Call.Routed), so homes are dynamic rather than hash-static;
+//   - the kernel's prefix directory (prefixIndex, below) maps each root KV
+//     hash (the affinity key) to the replica currently holding the
+//     family's prefix pages, updated as files are appended to, forked,
+//     truncated, and removed;
+//   - every affinity-carrying pred is routed to the directory's current
+//     home (sched.Call.Routed), so homes are dynamic rather than
+//     hash-static;
 //   - when the home is overloaded past the configured imbalance
 //     threshold, the engine either copies the file's KV pages to the
 //     least-loaded replica over the netsim.Interconnect — charging
@@ -72,8 +74,8 @@ type migrateDecision struct {
 	HomeLoad int
 	MinLoad  int
 	MeanLoad float64
-	// RootsAtHome is how many distinct prefix families the index homes at
-	// the home replica.
+	// RootsAtHome is how many distinct prefix families the directory homes
+	// at the home replica.
 	RootsAtHome int
 	// Threshold is the configured imbalance factor.
 	Threshold float64
@@ -148,7 +150,8 @@ type MigrationStats struct {
 	Enabled          bool
 	Threshold        float64
 	InterconnectGbps float64
-	// Roots is the number of live prefix families in the global index.
+	// Roots is the number of live prefix families in the kernel's prefix
+	// directory: every family with a request file or a cached radix node.
 	Roots int
 	// Migrations / MigratedTokens / MigratedPages / MigrateTime count
 	// page-copy moves and the fabric time they charged.
@@ -167,17 +170,17 @@ type MigrationStats struct {
 	RefusedPressure int64
 	// TransferAborts counts migrations rolled back because the
 	// interconnect transfer failed: the destination reservation was
-	// released, the family stayed home, and the index was left unchanged.
+	// released, the family stayed home, and the directory was left unchanged.
 	TransferAborts int64
 	// ReplicaCrashes / InvalidatedRoots count crash-restart notifications
 	// from the scheduler and the prefix families they evicted from the
-	// index (their pages died with the replica; the next pred re-seeds
-	// them wherever it lands).
+	// directory (their pages died with the replica; the next pred re-seeds
+	// them at their hash home).
 	ReplicaCrashes   int64
 	InvalidatedRoots int64
 }
 
-// rootInfo is one prefix family's index entry.
+// rootInfo is one prefix family's directory entry.
 type rootInfo struct {
 	home     int
 	files    int
@@ -185,7 +188,7 @@ type rootInfo struct {
 	moved    bool
 }
 
-// fileRec is the index's per-file record: the family root plus a
+// fileRec is the directory's per-file record: the family root plus a
 // registration seq, so sweeps over the files map can process entries in
 // a deterministic order.
 type fileRec struct {
@@ -193,11 +196,19 @@ type fileRec struct {
 	seq  int64
 }
 
-// prefixIndex is the kernel-level global prefix index: which replica
-// holds each root KV hash's prefix pages. It is maintained lazily from
-// the pred path (append), fork (children share the parent's root),
-// truncate (a root change re-registers the file), and remove (swept).
+// prefixIndex is the kernel's one prefix→home directory: which replica
+// holds each root KV hash's prefix pages. Every kernel has one; the
+// migration engine registers request files in it from the pred path
+// (append), fork (children share the parent's root), truncate (a root
+// change re-registers the file), and remove (swept), and the radix prefix
+// cache registers its node files the same way, so a family lives — and a
+// migrated home is remembered — until its last request file and its last
+// cached node are gone.
 type prefixIndex struct {
+	// views has one (zero) entry per replica: all hashHome has to show the
+	// static dispatcher.
+	views []sched.ReplicaView
+
 	mu      sync.Mutex
 	roots   map[model.CtxHash]*rootInfo
 	files   map[*kvfs.File]fileRec
@@ -205,22 +216,31 @@ type prefixIndex struct {
 	// perHome counts live families per home replica, so the hot pred
 	// path reads the home's family count in O(1) instead of scanning
 	// every root.
-	perHome map[int]int
+	perHome []int
 	sinceGC int
 }
 
-func newPrefixIndex() *prefixIndex {
+func newPrefixIndex(replicas int) *prefixIndex {
 	return &prefixIndex{
+		views:   make([]sched.ReplicaView, replicas),
 		roots:   make(map[model.CtxHash]*rootInfo),
 		files:   make(map[*kvfs.File]fileRec),
-		perHome: make(map[int]int),
+		perHome: make([]int, replicas),
 	}
 }
 
+// hashHome is where a family lives until the engine moves it — and, under
+// dispatchers that ignore affinity, for good: the replica static
+// cache-affinity dispatch pins the key to (for a keyed call that Pick
+// reads nothing of the views but their number).
+func (x *prefixIndex) hashHome(root model.CtxHash) int {
+	return (&sched.CacheAffinity{}).Pick(sched.Call{Affinity: uint64(root)}, x.views)
+}
+
 // observe registers (or re-registers, after truncate changed the root) f
-// under root, homing new roots at def, and reports the family's current
-// home plus how many families share that home replica.
-func (x *prefixIndex) observe(f *kvfs.File, root model.CtxHash, def int) (home, rootsAtHome int) {
+// under root, homing a new family at its hash home, and reports the
+// family's entry plus how many families share its home replica.
+func (x *prefixIndex) observe(f *kvfs.File, root model.CtxHash) (fam rootInfo, rootsAtHome int) {
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	if x.sinceGC++; x.sinceGC >= 64 {
@@ -228,21 +248,21 @@ func (x *prefixIndex) observe(f *kvfs.File, root model.CtxHash, def int) (home, 
 		x.gcLocked()
 	}
 	if prev, ok := x.files[f]; ok && prev.root != root {
-		x.dropFileLocked(f, prev.root)
+		x.dropFileLocked(f)
 	}
 	if _, ok := x.files[f]; !ok {
 		x.fileSeq++
 		x.files[f] = fileRec{root: root, seq: x.fileSeq}
 		ri, ok := x.roots[root]
 		if !ok {
-			ri = &rootInfo{home: def}
+			ri = &rootInfo{home: x.hashHome(root)}
 			x.roots[root] = ri
-			x.perHome[def]++
+			x.perHome[ri.home]++
 		}
 		ri.files++
 	}
-	ri := x.roots[root]
-	return ri.home, x.perHome[ri.home]
+	fam = *x.roots[root]
+	return fam, x.perHome[fam.home]
 }
 
 // setHome records a completed move of root's family to replica to.
@@ -250,27 +270,12 @@ func (x *prefixIndex) setHome(root model.CtxHash, to int, now time.Duration) {
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	if ri, ok := x.roots[root]; ok {
-		x.dropHomeLocked(ri.home)
+		x.perHome[ri.home]--
 		x.perHome[to]++
 		ri.home = to
 		ri.lastMove = now
 		ri.moved = true
 	}
-}
-
-func (x *prefixIndex) dropHomeLocked(home int) {
-	if x.perHome[home]--; x.perHome[home] <= 0 {
-		delete(x.perHome, home)
-	}
-}
-
-// cooling reports whether root's family moved less than migrateCooldown
-// of virtual time ago.
-func (x *prefixIndex) cooling(root model.CtxHash, now time.Duration) bool {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	ri, ok := x.roots[root]
-	return ok && ri.moved && now-ri.lastMove < migrateCooldown
 }
 
 // home reports the family's current home replica.
@@ -293,54 +298,58 @@ func (x *prefixIndex) size() int {
 }
 
 // gcLocked drops entries for removed files; a root with no remaining
-// files leaves the index (its pages are gone, there is nothing to home).
-// Victims are dropped in registration order: the per-drop bookkeeping is
-// commutative today, but sweeping a sorted snapshot keeps the index
-// byte-for-byte reproducible even if dropFileLocked ever grows
-// order-sensitive side effects (e.g. re-homing on the spot).
+// files leaves the directory (its pages are gone, there is nothing to
+// home).
 func (x *prefixIndex) gcLocked() {
+	x.dropFilesLocked(func(f *kvfs.File, _ fileRec) bool { return f.Removed() })
+}
+
+// dropFilesLocked drops every file record victim selects, in registration
+// order: the per-drop bookkeeping is commutative today, but sweeping a
+// sorted snapshot keeps the directory byte-for-byte reproducible even if
+// dropFileLocked ever grows order-sensitive side effects (e.g. re-homing
+// on the spot).
+func (x *prefixIndex) dropFilesLocked(victim func(*kvfs.File, fileRec) bool) {
 	var victims []*kvfs.File
-	for f := range x.files {
-		if f.Removed() {
+	for f, rec := range x.files {
+		if victim(f, rec) {
 			victims = append(victims, f)
 		}
 	}
 	sort.Slice(victims, func(i, j int) bool { return x.files[victims[i]].seq < x.files[victims[j]].seq })
 	for _, f := range victims {
-		x.dropFileLocked(f, x.files[f].root)
+		x.dropFileLocked(f)
 	}
 }
 
-func (x *prefixIndex) dropFileLocked(f *kvfs.File, root model.CtxHash) {
+func (x *prefixIndex) dropFileLocked(f *kvfs.File) {
+	root := x.files[f].root
 	delete(x.files, f)
 	if ri, ok := x.roots[root]; ok {
 		if ri.files--; ri.files <= 0 {
 			delete(x.roots, root)
-			x.dropHomeLocked(ri.home)
+			x.perHome[ri.home]--
 		}
 	}
 }
 
-// invalidateHome evicts every family homed at the given replica,
-// dropping both the root entries and their file records (a dangling file
-// record whose root is gone would wedge observe). Returns the number of
-// families evicted. Used when a replica crash-restarts: its KV pages are
-// gone, so the index must stop routing affinity there.
-func (x *prefixIndex) invalidateHome(home int) int {
+// invalidateHome evicts every family homed at the given replica, dropping
+// both the root entries and their file records (a dangling file record
+// whose root is gone would wedge observe), and returns the evicted roots.
+// Used when a replica crash-restarts: its KV pages are gone, so the
+// directory must stop routing affinity there and the prefix cache must
+// forget the families' nodes.
+func (x *prefixIndex) invalidateHome(home int) map[model.CtxHash]bool {
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	var victims []*kvfs.File
-	for f, rec := range x.files {
-		if ri, ok := x.roots[rec.root]; ok && ri.home == home {
-			victims = append(victims, f)
+	dropped := make(map[model.CtxHash]bool)
+	for root, ri := range x.roots {
+		if ri.home == home {
+			dropped[root] = true
 		}
 	}
-	sort.Slice(victims, func(i, j int) bool { return x.files[victims[i]].seq < x.files[victims[j]].seq })
-	before := len(x.roots)
-	for _, f := range victims {
-		x.dropFileLocked(f, x.files[f].root)
-	}
-	return before - len(x.roots)
+	x.dropFilesLocked(func(_ *kvfs.File, rec fileRec) bool { return dropped[rec.root] })
+	return dropped
 }
 
 // migrator is the migration engine instance hanging off a kernel.
@@ -348,7 +357,6 @@ type migrator struct {
 	k         *Kernel
 	ic        *netsim.Interconnect
 	threshold float64
-	idx       *prefixIndex
 
 	mu       sync.Mutex
 	inflight map[*kvfs.File]int
@@ -371,7 +379,6 @@ func newMigrator(k *Kernel, ic *netsim.Interconnect, threshold float64) *migrato
 		k:           k,
 		ic:          ic,
 		threshold:   threshold,
-		idx:         newPrefixIndex(),
 		inflight:    make(map[*kvfs.File]int),
 		pendingMove: make(map[int]int),
 	}
@@ -418,7 +425,8 @@ func (m *migrator) route(c *Ctx, f *kvfs.File, call *sched.Call, cost model.Cost
 	if n < 2 {
 		return
 	}
-	home, rootsAtHome := m.idx.observe(f, root, int(uint64(root)%uint64(n)))
+	fam, rootsAtHome := m.k.dir.observe(f, root)
+	home := fam.home
 	call.Routed, call.Target = true, home
 
 	// Load picture: pending tokens per replica (scheduler view plus KV
@@ -456,7 +464,7 @@ func (m *migrator) route(c *Ctx, f *kvfs.File, call *sched.Call, cost model.Cost
 		Locked:        f.LockedBy() != "",
 		InFlight:      m.otherInFlight(f),
 		PressureHigh:  m.pressureHigh(),
-		Cooldown:      m.idx.cooling(root, m.k.clk.Now()),
+		Cooldown:      fam.moved && m.k.clk.Now()-fam.lastMove < migrateCooldown,
 		TransferCost:  m.ic.PageTransferTime(span.Pages, m.k.fs.PageBytes()),
 		RecomputeCost: time.Duration(prefixTokens) * cost.PerToken,
 		GapBenefit:    time.Duration(loads[home]-loads[minID]) * cost.PerToken,
@@ -481,7 +489,7 @@ func (m *migrator) route(c *Ctx, f *kvfs.File, call *sched.Call, cost model.Cost
 		// this call's own batch — the tokens ride along and the batch
 		// pays their prefill compute there.
 		call.Tokens += prefixTokens
-		m.idx.setHome(root, minID, m.k.clk.Now())
+		m.k.dir.setHome(root, minID, m.k.clk.Now())
 		m.mu.Lock()
 		m.st.ColdStarts++
 		m.st.RecomputedTokens += int64(prefixTokens)
@@ -531,8 +539,8 @@ func (m *migrator) transfer(c *Ctx, f *kvfs.File, root model.CtxHash, span kvfs.
 	start := k.clk.Now()
 	if err := m.ic.TransferPages(span.Pages, k.fs.PageBytes()); err != nil {
 		// Abort: the pages never reached the destination. Drop the
-		// reserved destination copy; the source copy, the family's home,
-		// and the prefix index are all unchanged.
+		// reserved destination copy; the source copy and the family's home
+		// in the directory are unchanged.
 		release()
 		m.mu.Lock()
 		m.st.TransferAborts++
@@ -544,7 +552,7 @@ func (m *migrator) transfer(c *Ctx, f *kvfs.File, root model.CtxHash, span kvfs.
 	}
 	release() // landed: the source copy is freed
 	d := k.clk.Now() - start
-	m.idx.setHome(root, to, k.clk.Now())
+	m.k.dir.setHome(root, to, k.clk.Now())
 	k.kvd.NoteMigrate(f, span.Tokens, d)
 	m.mu.Lock()
 	m.st.Migrations++
@@ -581,18 +589,22 @@ func (m *migrator) noteRefusal(in migrateDecision) {
 	}
 }
 
-// noteReplicaCrash is the kernel's OnCrash hook body: a replica
-// crash-restarted, so every prefix family the index homed there is gone
-// from GPU memory. Evicting the entries makes the next affinity pred
-// re-seed the family wherever it is dispatched instead of routing to
-// pages that no longer exist. Runs on the crashing replica's actor,
-// after its calls were requeued.
-func (m *migrator) noteReplicaCrash(id int) {
-	dropped := m.idx.invalidateHome(id)
-	m.mu.Lock()
-	m.st.ReplicaCrashes++
-	m.st.InvalidatedRoots += int64(dropped)
-	m.mu.Unlock()
+// replicaCrashed is the scheduler's OnCrash hook: a replica
+// crash-restarted, so every prefix family the directory homed there is
+// gone from GPU memory. Evicting the entries makes the family's next pred
+// re-seed it at its hash home (key % replicas, wherever the engine had
+// moved it) instead of routing to pages that no longer exist, and the
+// prefix cache forgets the same families' nodes. Runs on the crashing
+// replica's actor, after its calls were requeued.
+func (k *Kernel) replicaCrashed(id int) {
+	dropped := k.dir.invalidateHome(id)
+	if m := k.mig; m != nil {
+		m.mu.Lock()
+		m.st.ReplicaCrashes++
+		m.st.InvalidatedRoots += int64(len(dropped))
+		m.mu.Unlock()
+	}
+	k.pcache.dropFamilies(dropped)
 }
 
 // pressureHigh reports whether the KV daemon is at or above its
@@ -615,16 +627,14 @@ func (m *migrator) stats() MigrationStats {
 	defer m.mu.Unlock()
 	st := m.st
 	st.Enabled, st.Threshold, st.InterconnectGbps = true, m.threshold, m.ic.Gbps()
-	st.Roots = m.idx.size()
+	st.Roots = m.k.dir.size()
 	return st
 }
 
-// PrefixHome reports which replica the kernel's global prefix index
-// currently homes the given root KV hash at; ok is false when the kernel
-// has no migration engine or the family is unknown.
+// PrefixHome reports which replica the kernel's prefix directory
+// currently homes the given root KV hash at; ok is false when the
+// directory holds no file of the family — no request file the migration
+// engine routed and no cached radix node.
 func (k *Kernel) PrefixHome(root model.CtxHash) (replica int, ok bool) {
-	if k.mig == nil {
-		return 0, false
-	}
-	return k.mig.idx.home(root)
+	return k.dir.home(root)
 }

@@ -24,9 +24,12 @@
 //
 // Eviction and invalidation. A MaxNodes cap evicts idle leaves in
 // least-recent-use order (shared interior pages survive removal via
-// refcounts). A node is never removed while a reader holds it mid-attach.
-// When a GPU replica crash-restarts, nodes homed on it are invalidated
-// exactly like the migration engine's prefix-index homes.
+// refcounts); a node is never evicted while a reader holds it mid-attach.
+// The tree holds content only. Where a prefix lives is the kernel's prefix
+// directory's business (migrate.go): each node file is registered there
+// under its prompt family's root, like the family's request files, and
+// when a GPU replica crash-restarts the directory names the families it
+// dropped and the tree forgets their nodes.
 package core
 
 import (
@@ -97,15 +100,17 @@ type prefixNode struct {
 	depth  int
 	parent model.CtxHash // zero at depth == chunk
 	file   *kvfs.File
-	// home is the replica the prefix was last placed on (sched routing
-	// callback); a crash of that replica invalidates the node.
-	home int
+	// root is the node's prompt family: the root KV hash of every file
+	// holding this prefix, the affinity key of every pred on them, and the
+	// key the node file is registered under in the prefix directory.
+	root model.CtxHash
 	// seq orders nodes by insertion for deterministic sweeps; lastUse is
 	// a logical-use counter for LRU eviction.
 	seq     int64
 	lastUse int64
 	// readers counts in-flight preds between match and attach completion;
-	// a node with readers is never evicted or invalidated.
+	// a node with readers is never evicted, and one a crash dropped from
+	// the tree meanwhile keeps its file until the last reader releases it.
 	readers int
 	// children counts direct extensions; only childless nodes (leaves)
 	// are cap-evictable.
@@ -188,7 +193,9 @@ func (pc *prefixCache) match(toks []token.ID) (*prefixNode, int) {
 	return best, best.depth
 }
 
-// release drops a reader hold acquired by match.
+// release drops a reader hold acquired by match. The last reader of a
+// node that left the tree meanwhile (its family's home crashed; eviction
+// never takes a held node) removes the node's file.
 func (pc *prefixCache) release(n *prefixNode) {
 	if pc == nil || n == nil {
 		return
@@ -197,7 +204,11 @@ func (pc *prefixCache) release(n *prefixNode) {
 	if n.readers > 0 {
 		n.readers--
 	}
+	last := n.readers == 0 && pc.nodes[n.tail] != n
 	pc.mu.Unlock()
+	if last {
+		n.file.Remove()
+	}
 }
 
 // noteAttach records one successful prefix attachment in the hit ledger:
@@ -215,16 +226,16 @@ func (pc *prefixCache) noteAttach(tokens int, saved time.Duration) {
 
 // insert commits every chunk boundary of the just-prefilled prompt into
 // the tree, adopting the prefix pages from f (which the caller still
-// holds pinned and GPU-resident), and stamps the whole path's home to the
-// replica the call was placed on. Over the cap it evicts idle leaves in
-// LRU order. Best effort: an adoption failure (OOM racing this insert)
-// stops at the boundary reached.
-func (pc *prefixCache) insert(f *kvfs.File, toks []token.ID, home int) {
+// holds pinned and GPU-resident) and registering each new node file with
+// the prefix directory under f's family. Over the cap it evicts idle
+// leaves in LRU order. Best effort: an adoption failure (OOM racing this
+// insert) stops at the boundary reached.
+func (pc *prefixCache) insert(f *kvfs.File, toks []token.ID) {
 	if pc == nil {
 		return
 	}
+	root := f.Root()
 	var created []*kvfs.File
-	var evicted []*kvfs.File
 	var failed *kvfs.File
 	pc.mu.Lock()
 	h := model.CtxHash(0)
@@ -233,8 +244,7 @@ func (pc *prefixCache) insert(f *kvfs.File, toks []token.ID, home int) {
 	for b := pc.chunk; b <= len(toks); b += pc.chunk {
 		h = model.HashContext(h, toks[prev:b], prev)
 		prev = b
-		if n, ok := pc.nodes[h]; ok {
-			n.home = home
+		if _, ok := pc.nodes[h]; ok {
 			parent = h
 			continue
 		}
@@ -250,7 +260,7 @@ func (pc *prefixCache) insert(f *kvfs.File, toks []token.ID, home int) {
 			depth:   b,
 			parent:  parent,
 			file:    nf,
-			home:    home,
+			root:    root,
 			seq:     pc.seq,
 			lastUse: pc.useSeq,
 		}
@@ -261,10 +271,10 @@ func (pc *prefixCache) insert(f *kvfs.File, toks []token.ID, home int) {
 		created = append(created, nf)
 		parent = h
 	}
-	evicted = pc.evictOverCapLocked()
+	evicted := pc.evictOverCapLocked()
 	pc.mu.Unlock()
-	// File removal and daemon tracking run outside pc.mu: Remove may fire
-	// the KVFS release hook, and neither needs the tree lock.
+	// File removal and registration run outside pc.mu: Remove may fire the
+	// KVFS release hook, and none of it needs the tree lock.
 	if failed != nil {
 		failed.Remove()
 	}
@@ -272,9 +282,12 @@ func (pc *prefixCache) insert(f *kvfs.File, toks []token.ID, home int) {
 		vf.Remove()
 	}
 	for _, nf := range created {
-		// Tracked as ownerless (pid 0): the lru/lfu/cost-aware policies
-		// may offload or spill a leaf's exclusive tail pages like any cold
-		// file, while shared interior pages stay GPU-pinned by refcount.
+		// Registered in the prefix directory under f's family, like a
+		// request file, and tracked by the memory daemon as ownerless
+		// (pid 0): the lru/lfu/cost-aware policies may offload or spill a
+		// leaf's exclusive tail pages like any cold file, while shared
+		// interior pages stay GPU-pinned by refcount.
+		pc.k.dir.observe(nf, root)
 		pc.k.kvd.Track(nf, 0, nil)
 	}
 }
@@ -320,53 +333,34 @@ func (pc *prefixCache) evictOverCapLocked() []*kvfs.File {
 	return victims
 }
 
-// invalidateHome drops every idle node homed on a crashed replica, then
-// cascades away nodes whose parent chain broke (a dangling child is
-// unreachable: the match walk stops at the first missing boundary).
-// Reader-held nodes survive — their files are mid-attach — and are swept
-// by a later invalidation or cap eviction once unreachable.
-func (pc *prefixCache) invalidateHome(replica int) {
-	if pc == nil {
+// dropFamilies forgets every node of the prompt families the prefix
+// directory just dropped (their home replica crash-restarted). A family is
+// whole subtrees — a child extends its parent's tokens, so it has the
+// parent's root — and no node is left dangling below a missing parent.
+// Idle nodes' files are removed here; a reader-held node's is mid-attach
+// and goes at release.
+func (pc *prefixCache) dropFamilies(roots map[model.CtxHash]bool) {
+	if pc == nil || len(roots) == 0 {
 		return
 	}
-	var victims []*kvfs.File
 	pc.mu.Lock()
-	var marked []*prefixNode
+	var victims []*prefixNode
 	for _, n := range pc.nodes {
-		if n.home == replica && n.readers == 0 {
-			marked = append(marked, n)
+		if roots[n.root] {
+			victims = append(victims, n)
 		}
 	}
-	sort.Slice(marked, func(i, j int) bool { return marked[i].seq < marked[j].seq })
-	for _, n := range marked {
+	sort.Slice(victims, func(i, j int) bool { return victims[i].seq < victims[j].seq })
+	var idle []*kvfs.File
+	for _, n := range victims {
 		delete(pc.nodes, n.tail)
-		if p, ok := pc.nodes[n.parent]; ok {
-			p.children--
-		}
-		victims = append(victims, n.file)
 		pc.st.Invalidations++
-	}
-	for changed := true; changed; {
-		changed = false
-		var orphans []*prefixNode
-		for _, n := range pc.nodes {
-			if n.depth <= pc.chunk || n.readers > 0 {
-				continue
-			}
-			if _, ok := pc.nodes[n.parent]; !ok {
-				orphans = append(orphans, n)
-			}
-		}
-		sort.Slice(orphans, func(i, j int) bool { return orphans[i].seq < orphans[j].seq })
-		for _, n := range orphans {
-			delete(pc.nodes, n.tail)
-			victims = append(victims, n.file)
-			pc.st.Invalidations++
-			changed = true
+		if n.readers == 0 {
+			idle = append(idle, n.file)
 		}
 	}
 	pc.mu.Unlock()
-	for _, f := range victims {
+	for _, f := range idle {
 		f.Remove()
 	}
 }

@@ -49,9 +49,12 @@ func TestPredCarriesProcessPriority(t *testing.T) {
 }
 
 // TestPreemptedPredDoesNotPinKV checks scheduler/memory-daemon coherence:
-// while a batch process's long pred sits preempted by interactive load,
-// its KV file must be evictable (not pinned), and the call must still
-// complete with its file usable afterwards.
+// a batch process's long pred that sits preempted by interactive load
+// must still complete, with every submitted token executed. That its KV
+// file is unpinned (evictable) meanwhile is a state only a bystander actor
+// can see — it lasts while an interactive step runs — and is asserted by
+// TestPreemptedPredResumeBillsPromotion's "never found preempted" check,
+// whose watcher must find the file submitted, unfinished and unpinned.
 func TestPreemptedPredDoesNotPinKV(t *testing.T) {
 	clk := simclock.New()
 	bpt := model.A100Llama13B().KVBytesPerToken
@@ -69,15 +72,12 @@ func TestPreemptedPredDoesNotPinKV(t *testing.T) {
 		// preempted for as long as interactive calls keep arriving.
 		PriorityPolicy: &sched.Lanes{SliceTokens: 16, MaxStepTokens: 16, AgeAfter: -1},
 	})
-	pinnedWhilePreempted := -1
 	drive(t, clk, func() {
-		var batchFile *kvfs.File
 		batch := k.SubmitWith("batch", func(ctx *Ctx) error {
 			f, err := ctx.KvAnon()
 			if err != nil {
 				return err
 			}
-			batchFile = f
 			defer f.Remove()
 			toks := make([]token.ID, 96)
 			pos := make([]int, len(toks))
@@ -104,9 +104,6 @@ func TestPreemptedPredDoesNotPinKV(t *testing.T) {
 				if _, err := ctx.Pred(f, []token.ID{token.ID(500 + i)}, []int{f.Len()}); err != nil {
 					return err
 				}
-				if i == 6 && batchFile != nil {
-					pinnedWhilePreempted = k.KVD().Pins(batchFile)
-				}
 			}
 			return nil
 		}, SubmitOptions{Priority: sched.Interactive})
@@ -121,9 +118,6 @@ func TestPreemptedPredDoesNotPinKV(t *testing.T) {
 	st := k.Stats().Sched
 	if st.Preemptions == 0 {
 		t.Fatal("batch pred was never preempted")
-	}
-	if pinnedWhilePreempted != 0 {
-		t.Fatalf("preempted call's KV file pin count = %d, want 0 (evictable)", pinnedWhilePreempted)
 	}
 	if st.ExecutedTokens != st.Tokens {
 		t.Fatalf("executed %d of %d submitted tokens", st.ExecutedTokens, st.Tokens)

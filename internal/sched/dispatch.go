@@ -8,10 +8,11 @@ import (
 )
 
 // Call is the dispatcher-visible description of one pred call: which model
-// it runs, how many new tokens it carries, and an optional affinity key
-// (Symphony passes the hash of the process's root KV file, so forks of one
-// conversation share a key and keep hitting the replica that already holds
-// their prefix).
+// it runs, how many new tokens it carries, and an optional affinity key.
+// Symphony passes the root KV hash of the call's file — one key per prompt
+// family: forks of one conversation, a prefill that attached a cached
+// prefix and every decode step after it all carry the same key, so they
+// keep hitting the replica that holds their prefix.
 type Call struct {
 	Model    string
 	Tokens   int
@@ -21,7 +22,7 @@ type Call struct {
 	Priority Priority
 	// Routed, when true, pins the call to replica Target, bypassing the
 	// dispatcher. The kernel's KV migration engine sets it after deciding
-	// placement from its global prefix index and the live load views;
+	// placement from the kernel's prefix directory and the live load views;
 	// ordinary callers leave it false.
 	Routed bool
 	Target int
@@ -32,12 +33,6 @@ type Call struct {
 	// within a lane, see Config.CacheAwareOrder); dispatchers may use it
 	// as a locality signal.
 	PrefixHit int
-	// Placed, when non-nil, is invoked once with the replica ID the call
-	// was routed to, before it is enqueued there. The kernel's prefix
-	// cache uses it to learn a cached prefix's home replica so a later
-	// replica crash can invalidate exactly the entries that died with it.
-	// It runs on the submitting actor and must not block.
-	Placed func(replica int)
 	// Decode marks the call as an autoregressive decode run: its tokens
 	// depend on each other, so the executor advances it one token per
 	// iteration (sequential physics) instead of slicing it like a
@@ -146,11 +141,12 @@ func (LeastLoaded) Pick(_ Call, views []ReplicaView) int {
 	return views[best].ID
 }
 
-// CacheAffinity pins calls carrying an affinity key (the hash of the
-// process's root KV file) to the key's home replica, so forked
-// conversations keep hitting the replica that holds their shared prefix
-// KV pages. Calls without a key fall back to the Fallback dispatcher
-// (least-loaded when nil).
+// CacheAffinity pins calls carrying an affinity key (the root KV hash of
+// the call's file) to the key's hash home, key % replicas, so a prompt
+// family keeps hitting the replica that holds its shared prefix KV pages.
+// This Pick is the one statement of that rule: the kernel's prefix
+// directory asks it where a family it has not moved lives. Calls without
+// a key fall back to the Fallback dispatcher (least-loaded when nil).
 type CacheAffinity struct {
 	Fallback Dispatcher
 }
@@ -174,26 +170,19 @@ func (d *CacheAffinity) Pick(c Call, views []ReplicaView) int {
 // the same routing contract as CacheAffinity — affinity keys pin to a
 // home replica, keyless calls fall back — but the home is dynamic. On a
 // kernel, the migration engine (internal/core) owns placement: it tracks
-// homes in its global prefix index, moves a hot prefix's KV pages to a
-// colder replica over the interconnect when the home is overloaded, and
-// pins each call to the index's current home via Call.Routed/Target, so
-// Pick only ever sees the calls the engine chose not to route (keyless
-// ones, and affinity calls before the engine first observed their root).
-// Standalone — on a scheduler without a kernel — it degrades to exactly
+// homes in the kernel's prefix directory, moves a hot prefix's KV pages to
+// a colder replica over the interconnect when the home is overloaded, and
+// pins each call to the directory's current home via Call.Routed/Target,
+// so the embedded CacheAffinity's Pick only ever sees the calls the engine
+// chose not to route (keyless ones, and everything on a single replica).
+// Standalone — on a scheduler without a kernel — it is exactly
 // CacheAffinity's static hashing.
 type CacheAffinityMigrate struct {
-	Fallback Dispatcher
+	CacheAffinity
 }
 
 // Name implements Dispatcher.
 func (*CacheAffinityMigrate) Name() string { return "cache-affinity-migrate" }
-
-// Pick implements Dispatcher by delegating to CacheAffinity's static
-// hashing — the standalone degradation the type comment describes.
-func (d *CacheAffinityMigrate) Pick(c Call, views []ReplicaView) int {
-	ca := CacheAffinity{Fallback: d.Fallback}
-	return ca.Pick(c, views)
-}
 
 // dispatcherFactories maps policy names (as accepted by the -dispatch
 // flags) to constructors. Stateful dispatchers need a fresh value per

@@ -633,22 +633,14 @@ func (s *Scheduler) views(now time.Duration) []ReplicaView {
 // Out-of-range answers are clamped.
 func (s *Scheduler) route(meta Call, now time.Duration) *replica {
 	if len(s.replicas) == 1 {
-		if meta.Placed != nil {
-			meta.Placed(0)
-		}
 		return s.replicas[0]
 	}
-	idx := 0
-	if meta.Routed {
-		idx = meta.Target
-	} else {
+	idx := meta.Target
+	if !meta.Routed {
 		idx = s.dispatcher.Pick(meta, s.views(now))
 	}
 	if idx < 0 || idx >= len(s.replicas) {
 		idx = ((idx % len(s.replicas)) + len(s.replicas)) % len(s.replicas)
-	}
-	if meta.Placed != nil {
-		meta.Placed(idx)
 	}
 	return s.replicas[idx]
 }
