@@ -1,13 +1,15 @@
 // Package bench holds the repository-level benchmark harness: one
 // testing.B benchmark per registered experiment (see
-// docs/EXPERIMENTS.md), plus micro-benchmarks for the substrates.
+// docs/EXPERIMENTS.md), plus micro-benchmarks for the substrates. The
+// per-layer benchmarks of the pred path live with their layers
+// (internal/core, internal/model).
 //
 // Every number here is wall clock: an experiment benchmark times one
 // complete simulated -quick run, so ns/op is what the simulator costs on
 // the host. The virtual-time results the paper's claims rest on are the
 // tables and BENCH_*.json artifacts symphony-bench writes. Run with:
 //
-//	go test -run '^$' -bench . -benchtime 1x .
+//	go test -run '^$' -bench . -benchtime 1x . ./internal/core ./internal/model
 package bench
 
 import (
@@ -16,7 +18,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/grammar"
 	"repro/internal/kvfs"
-	"repro/internal/model"
 	"repro/internal/token"
 )
 
@@ -88,15 +89,6 @@ func BenchmarkKVFSFork(b *testing.B) {
 			c.Remove()
 		}
 	})
-}
-
-// BenchmarkModelDist measures next-token distribution synthesis.
-func BenchmarkModelDist(b *testing.B) {
-	m := model.New(model.Llama13B())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = m.Next(model.CtxHash(i))
-	}
 }
 
 // BenchmarkRegexCompile measures DFA construction for a typical pattern.

@@ -572,12 +572,14 @@ func (c *Ctx) pred(modelName string, f *kvfs.File, toks []token.ID, positions []
 
 	// The attached prefix's per-token context hashes equal what appending
 	// those tokens would have produced (AdoptPrefix shares exact KV), so
-	// the caller still receives one distribution per submitted token.
+	// the caller still receives one distribution per submitted token —
+	// built for the positions this call executed, unbuilt (model.Defer) for
+	// the attached ones, which the GPU never computed.
 	dists := make([]model.Dist, len(toks))
 	h := model.CtxHash(0)
 	for i := 0; i < attached; i++ {
 		h = h.Extend(toks[i], i)
-		dists[i] = m.Next(h)
+		dists[i] = m.Defer(h)
 	}
 	for i, th := range tails {
 		dists[attached+i] = m.Next(th)

@@ -18,11 +18,21 @@ type TokenProb struct {
 // the simulated model materializes only the top-K candidates and exposes a
 // queryable tail approximation for everything else. Probabilities over the
 // candidates sum to 1-TailMass.
+//
+// A Dist from Model.Defer is unbuilt: it holds only the context hash and the
+// model's configuration, and every reader of its candidates builds them
+// through makeDist first, so it answers exactly as Model.Next's would.
+// Methods have value receivers and nothing is cached, so an unbuilt Dist
+// rebuilds on every read — right for values nobody reads (the kernel's pred
+// hands them out for positions a prefix-cache hit attached), wrong for one
+// read in a loop: lip.Session keeps the last position's, always executed
+// and so always from Next.
 type Dist struct {
 	h     uint64
 	vocab int
 	cands []TokenProb // sorted by descending probability
 	tail  float64     // mass reserved for non-candidate tokens
+	cfg   *Config     // non-nil while unbuilt: cands is makeDist(h, *cfg)'s
 }
 
 // TailMass is the probability mass a Dist reserves for tokens outside its
@@ -69,6 +79,14 @@ func makeDist(h uint64, cfg Config) Dist {
 	return d
 }
 
+// built returns d with its candidates materialized.
+func (d Dist) built() Dist {
+	if d.cfg != nil {
+		return makeDist(d.h, *d.cfg)
+	}
+	return d
+}
+
 // NewDist builds a distribution from explicit candidates, for user
 // policies (watermarks, cascades) that rewrite model output. Candidate
 // probabilities are rescaled to sum to 1-TailMass, preserving the original
@@ -95,10 +113,11 @@ func NewDist(vocabSize int, cands []TokenProb) Dist {
 
 // Candidates returns the explicit candidates in descending probability
 // order. The slice is shared; callers must not mutate it.
-func (d Dist) Candidates() []TokenProb { return d.cands }
+func (d Dist) Candidates() []TokenProb { return d.built().cands }
 
 // Greedy returns the most probable token.
 func (d Dist) Greedy() token.ID {
+	d = d.built()
 	if len(d.cands) == 0 {
 		return token.EOS
 	}
@@ -112,6 +131,7 @@ func (d Dist) VocabSize() int { return d.vocab }
 // probability when tok is a candidate, otherwise a deterministic share of
 // the tail mass.
 func (d Dist) ProbOf(tok token.ID) float64 {
+	d = d.built()
 	for _, c := range d.cands {
 		if c.Token == tok {
 			return c.Prob
@@ -129,6 +149,7 @@ func (d Dist) ProbOf(tok token.ID) float64 {
 // Entropy returns the Shannon entropy (nats) over the candidate set,
 // ignoring the tail.
 func (d Dist) Entropy() float64 {
+	d = d.built()
 	var e float64
 	for _, c := range d.cands {
 		if c.Prob > 0 {
@@ -141,6 +162,7 @@ func (d Dist) Entropy() float64 {
 // SampleAt inverts the candidate CDF at u in [0,1). Tail mass maps to the
 // least probable candidate, so SampleAt always returns a candidate.
 func (d Dist) SampleAt(u float64) token.ID {
+	d = d.built()
 	if len(d.cands) == 0 {
 		return token.EOS
 	}
@@ -160,6 +182,7 @@ func (d Dist) SampleAt(u float64) token.ID {
 // grammar can always make progress even when the model's top-K disagrees
 // with it. Mask returns the zero Dist if allowed is empty.
 func (d Dist) Mask(allowed []token.ID) Dist {
+	d = d.built()
 	out := Dist{h: d.h, vocab: d.vocab}
 	var sum float64
 	for _, tok := range allowed {
@@ -189,6 +212,7 @@ func (d Dist) Mask(allowed []token.ID) Dist {
 // raised to 1/temp and renormalized. temp <= 0 returns a one-hot greedy
 // distribution; temp == 1 returns d unchanged.
 func (d Dist) Temperature(temp float64) Dist {
+	d = d.built()
 	if temp == 1 {
 		return d
 	}

@@ -137,17 +137,36 @@ func (m *Model) Next(h CtxHash) Dist {
 	return makeDist(uint64(h)^m.cfg.Seed, m.cfg)
 }
 
+// Defer returns Next(h) unbuilt (see Dist): equal to it under every Dist
+// method, at none of its cost until something reads it.
+func (m *Model) Defer(h CtxHash) Dist {
+	x := uint64(h) ^ m.cfg.Seed
+	if t := m.cfg.AlignTarget; t != nil {
+		if m.agrees(h, m.cfg.AlignProb) {
+			return t.Defer(h)
+		}
+		x ^= 0xdeadbeef
+	}
+	return Dist{h: x, vocab: m.cfg.VocabSize, cfg: &m.cfg}
+}
+
 // NextAgreeing returns a distribution that equals target.Next(h) with
 // probability agreement (deterministically per context) and an unrelated
 // distribution otherwise. It models a draft model that frequently predicts
 // the same tokens as the target — the regime in which speculative decoding
 // pays off — without simulating real logits.
 func (m *Model) NextAgreeing(h CtxHash, target *Model, agreement float64) Dist {
-	coin := float64(splitmix64(uint64(h)^m.cfg.Seed^0xa9fee3) % 1e6)
-	if coin < agreement*1e6 {
+	if m.agrees(h, agreement) {
 		return target.Next(h)
 	}
 	return makeDist(uint64(h)^m.cfg.Seed^0xdeadbeef, m.cfg)
+}
+
+// agrees is the per-context coin an aligned draft flips: true on the given
+// fraction of contexts, deterministically.
+func (m *Model) agrees(h CtxHash, agreement float64) bool {
+	coin := float64(splitmix64(uint64(h)^m.cfg.Seed^0xa9fee3) % 1e6)
+	return coin < agreement*1e6
 }
 
 // splitmix64 is the SplitMix64 mixing function: a fast, well-distributed
