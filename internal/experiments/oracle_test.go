@@ -2,10 +2,21 @@ package experiments
 
 import (
 	"bytes"
+	"flag"
 	"os"
 	"path/filepath"
 	"testing"
 )
+
+// update makes TestGatedSweepsReproduce rewrite the baselines it would
+// otherwise compare against. It is the one refresh path: a change that
+// moves gated bytes on purpose regenerates them with
+//
+//	go test ./internal/experiments -run TestGatedSweepsReproduce -update
+//
+// and commits the moved files on their own, the moved fields in the
+// message.
+var update = flag.Bool("update", false, "rewrite bench/baselines/BENCH_<name>.json from the -quick run instead of comparing")
 
 // reduced binds a sweep's Run function to the reduced config its
 // determinism pin reruns.
@@ -58,7 +69,8 @@ var determinismPins = map[string]struct {
 // bench/baselines artifact byte for byte — field order, float formatting
 // and config block included; (b) equal seeds give equal bytes, with
 // nothing (wall clock, map order, goroutine scheduling) leaking into the
-// artifact run to run.
+// artifact run to run. With -update, (a) rewrites a differing baseline
+// instead of failing; (b) runs either way.
 func TestGatedSweepsReproduce(t *testing.T) {
 	marshal := func(t *testing.T, name string, run func() (cfg, points any)) []byte {
 		t.Helper()
@@ -80,11 +92,18 @@ func TestGatedSweepsReproduce(t *testing.T) {
 			}
 			baseline := filepath.Join("..", "..", "bench", "baselines", "BENCH_"+s.Name+".json")
 			want, err := os.ReadFile(baseline)
-			if err != nil {
+			if err != nil && !*update {
 				t.Fatal(err)
 			}
 			first := marshal(t, s.Name, quick)
-			if !bytes.Equal(first, want) {
+			switch {
+			case bytes.Equal(first, want):
+			case *update:
+				if err := os.WriteFile(baseline, first, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				t.Logf("rewrote %s", baseline)
+			default:
 				t.Errorf("-quick run differs from %s:\n--- baseline ---\n%s\n--- run ---\n%s", baseline, want, first)
 			}
 

@@ -21,6 +21,11 @@
 // next iteration boundary, and a pluggable PriorityPolicy (see
 // priority.go) orders every iteration — strict interactive/normal/batch
 // lanes with aging by default, or the FIFO run-to-completion baseline. A
+// boundary is ordered retire → the woken threads run → drain → crash
+// check → pack: the thread scheduler gets its turn before the batch
+// scheduler's, so a thread whose call the step just retired resubmits in
+// time for the very next iteration and a per-token pred loop decodes at
+// one step per token (see replica.loop for the order and its limit). A
 // low-priority call that is mid-flight can be preempted at an iteration
 // boundary when higher-lane work fills the step budget; its Call.OnPreempt
 // hook lets the kernel release the call's KV pin so preempted state is
@@ -668,10 +673,25 @@ func (r *replica) admit(c *call) {
 }
 
 // loop is the replica actor: admit arrivals, run one iteration, repeat.
-// While calls are in flight the loop never blocks — new arrivals join the
-// active set at every iteration boundary (continuous batching). When the
-// active set drains, the actor parks on its queue and, on the next
-// arrival, may hold the idle batching window for company.
+// While calls are in flight the loop never waits for work — new arrivals
+// join the active set at every iteration boundary (continuous batching).
+// When the active set drains, the actor parks on its queue and, on the
+// next arrival, may hold the idle batching window for company.
+//
+// A boundary is ordered: retire → the woken threads run → drain → crash
+// check → pack. iterate ends by firing the finished calls' events, which
+// only schedules their threads; the zero-length sleep ahead of Drain
+// yields the current virtual instant to them, so each runs up to its next
+// clock block — in a per-token decode loop, its next SubmitCall — and is
+// admitted into the very next iteration. These are §4.4's two levels
+// taking turns: the thread scheduler must get its turn before the batch
+// scheduler cuts the batch, or every one-token pred beside a
+// multi-iteration call (a sliced prefill, a decode run) misses the
+// iteration it should have joined and a decode loop advances every other
+// step. The yield is one turn, not a fixpoint: a thread that blocks on the
+// clock between its wake and its next SubmitCall (the Admit gate's slice,
+// an ensureResident bill, even a zero-latency tool) is still parked when
+// the batch is cut and rejoins one boundary later.
 func (r *replica) loop() {
 	for {
 		if len(r.active) == 0 {
@@ -685,6 +705,9 @@ func (r *replica) loop() {
 				}
 			}
 			r.admit(first)
+		}
+		if err := r.s.clk.Sleep(0); err != nil {
+			return
 		}
 		for _, c := range r.queue.Drain() {
 			r.admit(c)
