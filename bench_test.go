@@ -2,14 +2,14 @@
 // testing.B benchmark per registered experiment (see
 // docs/EXPERIMENTS.md), plus micro-benchmarks for the substrates. The
 // per-layer benchmarks of the pred path live with their layers
-// (internal/core, internal/model).
+// (internal/core, internal/model, internal/sched).
 //
 // Every number here is wall clock: an experiment benchmark times one
 // complete simulated -quick run, so ns/op is what the simulator costs on
 // the host. The virtual-time results the paper's claims rest on are the
 // tables and BENCH_*.json artifacts symphony-bench writes. Run with:
 //
-//	go test -run '^$' -bench . -benchtime 1x . ./internal/core ./internal/model
+//	go test -run '^$' -bench . -benchtime 1x . ./internal/core ./internal/model ./internal/sched
 package bench
 
 import (

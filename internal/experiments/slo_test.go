@@ -29,7 +29,7 @@ func TestSLOAcceptance(t *testing.T) {
 		}
 	}
 	// The headline: iteration-level lanes vs run-to-completion fifo. The
-	// quick sweep measures ~5.8x; 3x is the acceptance bar.
+	// quick sweep measures ~7.0x; 3x is the acceptance bar.
 	if lanes.InteractiveP99*3 > fifo.InteractiveP99 {
 		t.Fatalf("interactive p99 %v under lanes vs %v under fifo: improvement below 3x",
 			lanes.InteractiveP99, fifo.InteractiveP99)
@@ -66,7 +66,7 @@ func TestSLOAcceptance(t *testing.T) {
 		}
 	}
 	// Slicing the monolithic HeavyPrefill step to HeavyChunk must cut
-	// interactive p99 at least 1.5x (the quick sweep measures ~2.7x)
+	// interactive p99 at least 1.5x (the quick sweep measures ~4.3x)
 	// while aggregate throughput stays flat within ±10%.
 	if hChunk.InteractiveP99*3 > hFifo.InteractiveP99*2 {
 		t.Fatalf("heavy interactive p99 %v chunked vs %v unchunked: improvement below 1.5x",

@@ -83,7 +83,7 @@ func TestDecodeLoopRidesEveryIteration(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			clk := simclock.New()
-			s := specSched(clk, DefaultLanes(), 0)
+			s := newSched(clk, Immediate{})
 			var stamps []time.Duration
 			run(t, clk, func() {
 				wg := clk.NewWaitGroup()
@@ -152,9 +152,11 @@ func TestBoundaryYieldIsPerReplica(t *testing.T) {
 // and allocs/op per step of a replica that carries a sliced prefill and
 // 1, 8 or 32 threads each resubmitting a one-token call the moment the
 // last one retires. It is the tracked instrument for what the iteration
-// boundary costs the simulator (calls/step says how many of the callers
-// rode each step). Run with -cpu 1: the simulation runs one actor at a
-// time and a second processor only adds cross-core wakes.
+// boundary costs the simulator. calls/step says how many calls rode each
+// step and ns/call divides the same wall time by calls executed: a loop
+// that lets more callers ride costs more per step and no more per call.
+// Run with -cpu 1: the simulation runs one actor at a time and a second
+// processor only adds cross-core wakes.
 func BenchmarkStepLoop(b *testing.B) {
 	for _, callers := range []int{1, 8, 32} {
 		b.Run(fmt.Sprintf("callers=%d", callers), func(b *testing.B) {
@@ -184,6 +186,7 @@ func BenchmarkStepLoop(b *testing.B) {
 			st := s.Stats()
 			clk.Shutdown()
 			b.ReportMetric(st.AvgBatch, "calls/step")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(st.Calls), "ns/call")
 		})
 	}
 }
