@@ -29,7 +29,6 @@ import (
 	"repro/internal/lip"
 	"repro/internal/lipscript"
 	"repro/internal/model"
-	"repro/internal/sched"
 	"repro/internal/simclock"
 	"repro/internal/token"
 	"repro/internal/trace"
@@ -76,7 +75,6 @@ func main() {
 			"draft-1b":  model.New(model.AlignedDraft(target, 0.85)),
 		},
 		DefaultModel: "llama-13b",
-		Policy:       sched.Immediate{},
 		Tracer:       tracer,
 	})
 	kernel.RegisterTool("search", core.Tool{

@@ -194,7 +194,6 @@ func main() {
 			"draft-1b":  model.New(model.AlignedDraft(target, 0.85)),
 		},
 		DefaultModel:     "llama-13b",
-		Policy:           sched.DefaultPoisson(),
 		PriorityPolicy:   priority,
 		PrefillChunk:     *prefillChunk,
 		Spec:             specCfg,

@@ -16,7 +16,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/lip"
 	"repro/internal/model"
-	"repro/internal/sched"
 	"repro/internal/simclock"
 )
 
@@ -24,8 +23,6 @@ func main() {
 	clk := simclock.New()
 	kernel := core.New(clk, core.Config{
 		Models: map[string]*model.Model{"llama-13b": model.New(model.Llama13B())},
-		// Single-tenant interactive sessions want no idle batching window.
-		Policy: sched.Immediate{},
 	})
 	// Server-side tools: a weather API and a calculator, each with real
 	// external latency that the kernel overlaps with KV offload.

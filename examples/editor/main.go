@@ -16,7 +16,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/lip"
 	"repro/internal/model"
-	"repro/internal/sched"
 	"repro/internal/simclock"
 	"repro/internal/workload"
 )
@@ -25,8 +24,6 @@ func main() {
 	clk := simclock.New()
 	kernel := core.New(clk, core.Config{
 		Models: map[string]*model.Model{"llama-13b": model.New(model.Llama13B())},
-		// Single-tenant interactive sessions want no idle batching window.
-		Policy: sched.Immediate{},
 	})
 	trace := workload.EditorTrace(12, 3)
 

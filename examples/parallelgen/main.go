@@ -22,7 +22,6 @@ import (
 	"repro/internal/kvfs"
 	"repro/internal/lip"
 	"repro/internal/model"
-	"repro/internal/sched"
 	"repro/internal/simclock"
 )
 
@@ -32,8 +31,6 @@ func main() {
 	clk := simclock.New()
 	kernel := core.New(clk, core.Config{
 		Models: map[string]*model.Model{"llama-13b": model.New(model.Llama13B())},
-		// Single-tenant interactive sessions want no idle batching window.
-		Policy: sched.Immediate{},
 	})
 
 	clk.Go("client", func() {

@@ -19,7 +19,6 @@ import (
 	"repro/internal/kvfs"
 	"repro/internal/lip"
 	"repro/internal/model"
-	"repro/internal/sched"
 	"repro/internal/simclock"
 	"repro/internal/workload"
 )
@@ -28,8 +27,6 @@ func main() {
 	clk := simclock.New()
 	kernel := core.New(clk, core.Config{
 		Models: map[string]*model.Model{"llama-13b": model.New(model.Llama13B())},
-		// Single-tenant interactive sessions want no idle batching window.
-		Policy: sched.Immediate{},
 	})
 	corpus := workload.NewCorpus(2, 3000) // topic 0 is popular, topic 1 is not
 

@@ -16,7 +16,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/lip"
 	"repro/internal/model"
-	"repro/internal/sched"
 	"repro/internal/simclock"
 )
 
@@ -29,7 +28,6 @@ func main() {
 			"draft-1b":  model.New(model.AlignedDraft(target, 0.85)),
 		},
 		DefaultModel: "llama-13b",
-		Policy:       sched.Immediate{},
 	})
 	const prompt = "Speculative decoding drafts cheap tokens and verifies them in one pass. "
 	const genTokens = 96

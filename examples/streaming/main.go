@@ -15,7 +15,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/lip"
 	"repro/internal/model"
-	"repro/internal/sched"
 	"repro/internal/simclock"
 	"repro/internal/token"
 )
@@ -24,7 +23,6 @@ func main() {
 	clk := simclock.New()
 	kernel := core.New(clk, core.Config{
 		Models: map[string]*model.Model{"llama-13b": model.New(model.Llama13B())},
-		Policy: sched.Immediate{},
 	})
 
 	const (

@@ -9,7 +9,6 @@ import (
 	"repro/internal/kvfs"
 	"repro/internal/model"
 	"repro/internal/netsim"
-	"repro/internal/sched"
 	"repro/internal/simclock"
 	"repro/internal/token"
 )
@@ -69,7 +68,7 @@ func prompt(v *token.Vocab, words int, seed int64) []token.ID {
 func TestTGIMatchesGroundTruth(t *testing.T) {
 	clk := simclock.New()
 	m := model.New(model.Llama13B())
-	srv := NewTGI(clk, Config{Model: m, FS: smallFS(100_000), Policy: sched.Immediate{}})
+	srv := NewTGI(clk, Config{Model: m, FS: smallFS(100_000)})
 	v := token.NewVocab()
 	p := prompt(v, 50, 1)
 	var got Response
@@ -105,7 +104,7 @@ func TestTGIMatchesGroundTruth(t *testing.T) {
 func TestVLLMPrefixCacheHit(t *testing.T) {
 	clk := simclock.New()
 	m := model.New(model.Llama13B())
-	srv := NewVLLM(clk, Config{Model: m, FS: smallFS(100_000), Policy: sched.Immediate{}})
+	srv := NewVLLM(clk, Config{Model: m, FS: smallFS(100_000)})
 	v := token.NewVocab()
 	doc := prompt(v, 160, 7) // 10 blocks
 	q1 := append(append([]token.ID(nil), doc...), prompt(v, 8, 100)...)
@@ -160,7 +159,7 @@ func TestVLLMCacheOutputsEqualTGI(t *testing.T) {
 		clk := simclock.New()
 		m := model.New(model.Llama13B())
 		// Tight memory: ~2.5 documents' worth, forcing eviction.
-		srv := mk(clk, Config{Model: m, FS: smallFS(400), Policy: sched.Immediate{}})
+		srv := mk(clk, Config{Model: m, FS: smallFS(400)})
 		out := make([][]token.ID, len(reqs))
 		drive(t, clk, func() {
 			for i, r := range reqs {
@@ -191,7 +190,7 @@ func TestVLLMCacheOutputsEqualTGI(t *testing.T) {
 func TestVLLMEvictionUnderPressure(t *testing.T) {
 	clk := simclock.New()
 	m := model.New(model.Llama13B())
-	srv := NewVLLM(clk, Config{Model: m, FS: smallFS(300), Policy: sched.Immediate{}})
+	srv := NewVLLM(clk, Config{Model: m, FS: smallFS(300)})
 	v := token.NewVocab()
 	drive(t, clk, func() {
 		for i := 0; i < 8; i++ {
@@ -215,7 +214,7 @@ func TestAdmissionSerializesOversizedLoad(t *testing.T) {
 	clk := simclock.New()
 	m := model.New(model.Llama13B())
 	// Capacity fits one request (64+16=80 tokens) but not two.
-	srv := NewTGI(clk, Config{Model: m, FS: smallFS(128), Policy: sched.Immediate{}})
+	srv := NewTGI(clk, Config{Model: m, FS: smallFS(128)})
 	v := token.NewVocab()
 	var ok int
 	drive(t, clk, func() {
@@ -282,7 +281,7 @@ func TestVLLMLRUKeepsHotPrefix(t *testing.T) {
 	// that every other request touches.
 	clk := simclock.New()
 	m := model.New(model.Llama13B())
-	srv := NewVLLM(clk, Config{Model: m, FS: smallFS(360), Policy: sched.Immediate{}})
+	srv := NewVLLM(clk, Config{Model: m, FS: smallFS(360)})
 	v := token.NewVocab()
 	hot := prompt(v, 128, 1)
 	var hotHits, coldHits int
@@ -315,7 +314,7 @@ func TestVLLMDeepestPrefixWins(t *testing.T) {
 	// must reuse the deeper prefix.
 	clk := simclock.New()
 	m := model.New(model.Llama13B())
-	srv := NewVLLM(clk, Config{Model: m, FS: smallFS(100_000), Policy: sched.Immediate{}})
+	srv := NewVLLM(clk, Config{Model: m, FS: smallFS(100_000)})
 	v := token.NewVocab()
 	base := prompt(v, 64, 5) // 4 blocks
 	short := append(append([]token.ID(nil), base[:32]...), prompt(v, 16, 6)...)
@@ -336,7 +335,7 @@ func TestVLLMDeepestPrefixWins(t *testing.T) {
 func TestClientChargesNetwork(t *testing.T) {
 	clk := simclock.New()
 	m := model.New(model.Llama13B())
-	srv := NewTGI(clk, Config{Model: m, FS: smallFS(100_000), Policy: sched.Immediate{}})
+	srv := NewTGI(clk, Config{Model: m, FS: smallFS(100_000)})
 	vocab := token.NewVocab()
 	tk := token.NewTokenizer(vocab)
 	link := netsim.New(clk, 40*time.Millisecond, 0)
@@ -364,8 +363,8 @@ func TestClientChargesNetwork(t *testing.T) {
 func TestEmptyPromptRejected(t *testing.T) {
 	clk := simclock.New()
 	m := model.New(model.Llama13B())
-	tgi := NewTGI(clk, Config{Model: m, FS: smallFS(1000), Policy: sched.Immediate{}})
-	vllm := NewVLLM(clk, Config{Model: m, FS: smallFS(1000), Policy: sched.Immediate{}})
+	tgi := NewTGI(clk, Config{Model: m, FS: smallFS(1000)})
+	vllm := NewVLLM(clk, Config{Model: m, FS: smallFS(1000)})
 	drive(t, clk, func() {
 		if _, err := tgi.Complete(Request{MaxTokens: 4}); err == nil {
 			t.Error("TGI accepted empty prompt")

@@ -61,8 +61,6 @@ type Stats struct {
 type Config struct {
 	Model *model.Model
 	FS    kvfs.Config
-	// Policy is the batch scheduler policy; nil means DefaultPoisson.
-	Policy sched.Policy
 }
 
 // engine is the machinery shared by both baselines.
@@ -97,7 +95,6 @@ func newEngine(clk *simclock.Clock, cfg Config) *engine {
 		fs:  fs,
 		sch: sched.New(clk, sched.Config{
 			Models: map[string]model.CostModel{name: cfg.Model.Config().Cost},
-			Policy: cfg.Policy,
 			// The baselines model run-to-completion servers: no
 			// iteration-level slicing, no priority lanes.
 			PriorityPolicy: sched.FIFO{},

@@ -17,7 +17,6 @@ func TestCacheAffinityAcrossForks(t *testing.T) {
 	clk := simclock.New()
 	k := New(clk, Config{
 		Models:     map[string]*model.Model{"llama-13b": model.New(model.Llama13B())},
-		Policy:     sched.Immediate{},
 		Replicas:   4,
 		Dispatcher: &sched.CacheAffinity{},
 	})

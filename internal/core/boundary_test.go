@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -15,18 +16,18 @@ import (
 
 // decodeBesidePrefill runs the paper's Figure 2 loop — a sampled
 // lip.Generate, one one-token pred per token, each token published as it
-// is committed — beside a 2,048-token prefill on one replica with
-// PrefillChunk 512 under the default lanes (the 128-token quantum is the
-// tighter bound, so the prefill is 16 iterations). between, when non-nil,
-// runs in the decoder thread after each token is committed and before the
-// pred that extends the context with it. It returns the decoder's event
-// stream, the instant the prefill finished and the drained kernel stats.
-func decodeBesidePrefill(t *testing.T, between func(ctx *core.Ctx)) ([]core.ProcEvent, time.Duration, core.Stats) {
+// is committed — beside a prefill of prefillTokens (2,048 in the tests
+// that want company, 0 for none) on one replica with PrefillChunk 512
+// under the default lanes (the 128-token quantum is the tighter bound, so
+// 2,048 tokens are 16 iterations). between, when non-nil, runs in the
+// decoder thread after each token is committed and before the pred that
+// extends the context with it. It returns the decoder's event stream, the
+// instant the prefill finished and the drained kernel stats.
+func decodeBesidePrefill(t *testing.T, prefillTokens int, between func(ctx *core.Ctx)) ([]core.ProcEvent, time.Duration, core.Stats) {
 	t.Helper()
 	clk := simclock.New()
 	k := core.New(clk, core.Config{
 		Models:         map[string]*model.Model{"llama-13b": model.New(model.Llama13B())},
-		Policy:         sched.Immediate{},
 		PriorityPolicy: sched.DefaultLanes(),
 		PrefillChunk:   512,
 	})
@@ -58,7 +59,7 @@ func decodeBesidePrefill(t *testing.T, between func(ctx *core.Ctx)) ([]core.Proc
 		if err != nil {
 			return err
 		}
-		toks := make([]token.ID, 2048)
+		toks := make([]token.ID, prefillTokens)
 		pos := make([]int, len(toks))
 		for i := range toks {
 			toks[i], pos[i] = token.ID(100+i%50), i
@@ -72,7 +73,9 @@ func decodeBesidePrefill(t *testing.T, between func(ctx *core.Ctx)) ([]core.Proc
 	go func() {
 		clk.Go("driver", func() {
 			decoder = k.Submit("alice", decode)
-			prefiller = k.Submit("bob", prefill)
+			if prefillTokens > 0 {
+				prefiller = k.Submit("bob", prefill)
+			}
 		})
 		clk.WaitQuiescent()
 		close(done)
@@ -84,6 +87,9 @@ func decodeBesidePrefill(t *testing.T, between func(ctx *core.Ctx)) ([]core.Proc
 	}
 	defer clk.Shutdown()
 	for _, p := range []*core.Process{decoder, prefiller} {
+		if p == nil {
+			continue
+		}
 		if err := p.Err(); err != nil {
 			t.Fatalf("pid %d: %v", p.PID(), err)
 		}
@@ -134,7 +140,7 @@ func iteration(n int) time.Duration {
 // the step woke samples, publishes and resubmits before the next batch is
 // cut — equal seeds give equal event streams, and the token ledger closes.
 func TestGenerateDecodesOneTokenPerIteration(t *testing.T) {
-	events, prefillDone, st := decodeBesidePrefill(t, nil)
+	events, prefillDone, st := decodeBesidePrefill(t, 2048, nil)
 	gaps := tokenGapsBefore(events, prefillDone)
 	if len(gaps) < 12 {
 		t.Fatalf("%d token gaps while the prefill was in flight, want at least 12", len(gaps))
@@ -144,7 +150,32 @@ func TestGenerateDecodesOneTokenPerIteration(t *testing.T) {
 			t.Errorf("token %d came %v after token %d, want one iteration (%v)", i+1, gap, i, iteration(1))
 		}
 	}
-	if again, _, _ := decodeBesidePrefill(t, nil); !reflect.DeepEqual(events, again) {
+	if again, _, _ := decodeBesidePrefill(t, 2048, nil); !reflect.DeepEqual(events, again) {
+		t.Errorf("equal seeds, different event streams:\n%+v\n%+v", events, again)
+	}
+	if s := st.Sched; s.ExecutedTokens != s.Tokens+s.LostTokens {
+		t.Errorf("executed %d tokens, submitted %d, lost %d", s.ExecutedTokens, s.Tokens, s.LostTokens)
+	}
+}
+
+// TestGenerateAloneDecodesOneTokenPerStep is the same loop with the GPU to
+// itself, the case in which every step drains the batch: the next token's
+// pred arrives at the instant the last step retired and is stepped at that
+// instant, so each token comes one solo decode step (20.58 ms) after the
+// last, equal seeds give equal event streams, and the token ledger closes.
+func TestGenerateAloneDecodesOneTokenPerStep(t *testing.T) {
+	events, _, st := decodeBesidePrefill(t, 0, nil)
+	gaps := tokenGapsBefore(events, math.MaxInt64)
+	if len(gaps) < 12 {
+		t.Fatalf("%d token gaps, want at least 12", len(gaps))
+	}
+	step := model.A100Llama13B().StepTime([]model.BatchCall{{NewTokens: 1}})
+	for i, gap := range gaps {
+		if gap != step {
+			t.Errorf("token %d came %v after token %d, want one decode step (%v)", i+1, gap, i, step)
+		}
+	}
+	if again, _, _ := decodeBesidePrefill(t, 0, nil); !reflect.DeepEqual(events, again) {
 		t.Errorf("equal seeds, different event streams:\n%+v\n%+v", events, again)
 	}
 	if s := st.Sched; s.ExecutedTokens != s.Tokens+s.LostTokens {
@@ -161,7 +192,7 @@ func TestGenerateDecodesOneTokenPerIteration(t *testing.T) {
 // later: two iterations per token, the first carrying the prefill slice
 // alone. Widening or narrowing the yield moves these figures.
 func TestClockBlockBetweenPredsRejoinsOneBoundaryLater(t *testing.T) {
-	events, prefillDone, st := decodeBesidePrefill(t, func(ctx *core.Ctx) {
+	events, prefillDone, st := decodeBesidePrefill(t, 2048, func(ctx *core.Ctx) {
 		if _, err := ctx.Call("noop", ""); err != nil {
 			t.Errorf("noop tool: %v", err)
 		}

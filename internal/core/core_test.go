@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/kvfs"
 	"repro/internal/model"
-	"repro/internal/sched"
 	"repro/internal/simclock"
 	"repro/internal/token"
 )
@@ -22,7 +21,6 @@ func newKernel() (*simclock.Clock, *Kernel) {
 			"draft":     model.New(model.DraftLlama1B()),
 		},
 		DefaultModel: "llama-13b",
-		Policy:       sched.Immediate{},
 	})
 	return clk, k
 }

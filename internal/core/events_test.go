@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/model"
-	"repro/internal/sched"
 	"repro/internal/simclock"
 )
 
@@ -15,7 +14,6 @@ func eventsKernel(t *testing.T) (*simclock.Clock, *Kernel) {
 	clk := simclock.New()
 	k := New(clk, Config{
 		Models: map[string]*model.Model{"m": model.New(model.Llama13B())},
-		Policy: sched.Immediate{},
 	})
 	return clk, k
 }

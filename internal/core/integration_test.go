@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/kvfs"
 	"repro/internal/model"
-	"repro/internal/sched"
 	"repro/internal/simclock"
 	"repro/internal/token"
 	"repro/internal/trace"
@@ -121,7 +120,6 @@ func TestMultiTenantMixedWorkload(t *testing.T) {
 	clk := simclock.New()
 	k := New(clk, Config{
 		Models: map[string]*model.Model{"llama-13b": model.New(model.Llama13B())},
-		Policy: sched.DefaultPoisson(),
 	})
 	k.RegisterTool("db", Tool{Latency: 80 * time.Millisecond, Fn: func(a string) (string, error) {
 		return "rows for " + a, nil
@@ -286,7 +284,6 @@ func TestTracerRecordsKernelSpans(t *testing.T) {
 	tr := trace.New()
 	k := New(clk, Config{
 		Models: map[string]*model.Model{"llama-13b": model.New(model.Llama13B())},
-		Policy: sched.Immediate{},
 		Tracer: tr,
 	})
 	k.RegisterTool("slow", Tool{Latency: 200 * time.Millisecond})
@@ -329,7 +326,6 @@ func TestUserQuotaSpansProcesses(t *testing.T) {
 	clk := simclock.New()
 	k := New(clk, Config{
 		Models:     map[string]*model.Model{"llama-13b": model.New(model.Llama13B())},
-		Policy:     sched.Immediate{},
 		UserQuotas: map[string]int64{"bob": 10},
 	})
 	job := func(ctx *Ctx) error {
@@ -370,7 +366,6 @@ func TestKvWaitSpaceWakesOnFree(t *testing.T) {
 		FS: kvfs.Config{
 			PageTokens: 16, GPUBytes: 64, HostBytes: 640, BytesPerToken: 1,
 		},
-		Policy: sched.Immediate{},
 	})
 	var waited time.Duration
 	drive(t, clk, func() {

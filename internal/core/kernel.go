@@ -87,7 +87,10 @@ type Config struct {
 	// Disk configures the durable disk KV tier (internal/kvstore). The
 	// zero value disables it, leaving the two-tier GPU/host hierarchy.
 	Disk DiskConfig
-	// Policy is the batch scheduler policy; nil means sched.DefaultPoisson.
+	// Policy is ignored — New does not read it: the executor has no idle
+	// batching window to configure (see package sched). The field stays
+	// because the frozen benchmark/kernel.go sets it; the next benchmark PR
+	// drops those three lines, then this field and sched.Policy go.
 	Policy sched.Policy
 	// PriorityPolicy orders each GPU iteration of the batch scheduler and
 	// sets the per-call step quantum; nil means sched.DefaultLanes
@@ -281,7 +284,6 @@ func New(clk *simclock.Clock, cfg Config) *Kernel {
 	}
 	schedCfg := sched.Config{
 		Models:          costs,
-		Policy:          cfg.Policy,
 		PriorityPolicy:  cfg.PriorityPolicy,
 		PrefillChunk:    cfg.PrefillChunk,
 		Replicas:        cfg.Replicas,

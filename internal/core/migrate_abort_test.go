@@ -50,7 +50,6 @@ func TestMigrationTransferAbortReleasesReservation(t *testing.T) {
 	})
 	k := New(clk, Config{
 		Models:       map[string]*model.Model{"llama-13b": model.New(model.Llama13B())},
-		Policy:       sched.DefaultPoisson(),
 		Replicas:     replicas,
 		Dispatcher:   dispatcher,
 		Interconnect: ic,

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/model"
-	"repro/internal/sched"
 	"repro/internal/simclock"
 	"repro/internal/token"
 )
@@ -36,7 +35,6 @@ func newDistKernel(prefix bool) (*simclock.Clock, *Kernel) {
 	clk := simclock.New()
 	return clk, New(clk, Config{
 		Models: map[string]*model.Model{"llama-13b": model.New(model.Llama13B())},
-		Policy: sched.Immediate{},
 		Prefix: PrefixConfig{Enabled: prefix, MaxNodes: 256},
 	})
 }

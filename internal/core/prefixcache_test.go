@@ -33,7 +33,6 @@ func newPrefixKernelN(replicas, chunk, maxNodes int) (*simclock.Clock, *Kernel) 
 		Models:       map[string]*model.Model{"llama-13b": model.New(model.Llama13B())},
 		DefaultModel: "llama-13b",
 		FS:           fs,
-		Policy:       sched.Immediate{},
 		Replicas:     replicas,
 		Prefix:       PrefixConfig{Enabled: true, ChunkTokens: chunk, MaxNodes: maxNodes},
 	})
@@ -304,7 +303,6 @@ func newRoutedPrefixKernel(t *testing.T, clk *simclock.Clock, dispatch string) (
 	inj := chaos.New(clk, 1)
 	return New(clk, Config{
 		Models:     map[string]*model.Model{"llama-13b": model.New(model.Llama13B())},
-		Policy:     sched.DefaultPoisson(),
 		Replicas:   2,
 		Dispatcher: dispatcher,
 		CrashCheck: inj.CrashCheck(),
@@ -459,7 +457,6 @@ func TestPrefixCacheSurvivesMemoryPressure(t *testing.T) {
 		Models:       map[string]*model.Model{"llama-13b": model.New(model.Llama13B())},
 		DefaultModel: "llama-13b",
 		FS:           fs,
-		Policy:       sched.DefaultPoisson(),
 		KV:           kvd.Config{Policy: "lru"},
 		Prefix:       PrefixConfig{Enabled: true},
 	})

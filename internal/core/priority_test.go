@@ -66,8 +66,7 @@ func TestPreemptedPredDoesNotPinKV(t *testing.T) {
 			HostBytes:     8192 * bpt * 16,
 			BytesPerToken: bpt,
 		},
-		Policy: sched.Immediate{},
-		KV:     kvd.Config{Policy: "lru"},
+		KV: kvd.Config{Policy: "lru"},
 		// A tight step budget without aging keeps the batch pred
 		// preempted for as long as interactive calls keep arriving.
 		PriorityPolicy: &sched.Lanes{SliceTokens: 16, MaxStepTokens: 16, AgeAfter: -1},
@@ -144,7 +143,6 @@ func TestPreemptedPredResumeBillsPromotion(t *testing.T) {
 				HostBytes:     8192 * cost.KVBytesPerToken,
 				BytesPerToken: cost.KVBytesPerToken,
 			},
-			Policy:         sched.Immediate{},
 			KV:             kvd.Config{Policy: "lru"},
 			PriorityPolicy: &sched.Lanes{SliceTokens: 16, MaxStepTokens: 16, AgeAfter: -1},
 		}

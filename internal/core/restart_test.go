@@ -7,7 +7,6 @@ import (
 	"repro/internal/kvfs"
 	"repro/internal/kvstore"
 	"repro/internal/model"
-	"repro/internal/sched"
 	"repro/internal/simclock"
 	"repro/internal/token"
 )
@@ -19,7 +18,6 @@ func newDiskKernel(vfs kvstore.VFS) (*simclock.Clock, *Kernel) {
 		Models: map[string]*model.Model{"llama-13b": model.New(model.Llama13B())},
 		KV:     kvd.Config{Policy: "lru"},
 		Disk:   DiskConfig{Bytes: 1 << 30, FS: vfs},
-		Policy: sched.Immediate{},
 	})
 	return clk, k
 }

@@ -1,77 +1,16 @@
 package experiments
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/model"
-	"repro/internal/sched"
 	"repro/internal/simclock"
 	"repro/internal/token"
 	"repro/internal/workload"
 )
-
-// BatchPolicyConfig parameterizes ablation A1 (§4.4): the Figure-3
-// workload on Symphony under the three batching policies — immediate
-// dispatch, a fixed window, and the Poisson-adaptive window.
-type BatchPolicyConfig struct {
-	Rate     float64
-	Pareto   float64
-	Duration time.Duration
-	Fixed    time.Duration // the FixedWindow setting
-}
-
-// DefaultBatchPolicy returns the A1 configuration.
-func DefaultBatchPolicy() BatchPolicyConfig {
-	return BatchPolicyConfig{Rate: 8, Pareto: 0.6, Duration: 20 * time.Second, Fixed: 15 * time.Millisecond}
-}
-
-// BatchPolicyPoint is one policy's measurement.
-type BatchPolicyPoint struct {
-	Policy      string
-	LatPerTok   time.Duration
-	P99Latency  time.Duration
-	AvgBatch    float64
-	Utilization float64
-	Throughput  float64
-}
-
-// RunBatchPolicy runs A1.
-func RunBatchPolicy(cfg BatchPolicyConfig) []BatchPolicyPoint {
-	policies := []sched.Policy{
-		sched.Immediate{},
-		sched.FixedWindow{D: cfg.Fixed},
-		sched.DefaultPoisson(),
-	}
-	var out []BatchPolicyPoint
-	for _, pol := range policies {
-		f3 := DefaultFig3()
-		f3.Rates = []float64{cfg.Rate}
-		f3.ParetoIndices = []float64{cfg.Pareto}
-		f3.Duration = cfg.Duration
-		cell := newFig3Cell(f3, cfg.Rate, cfg.Pareto)
-		k := newKernel(cell.clk, func(kc *core.Config) {
-			kc.FS = cell.fsConfig(model.A100Llama13B().KVBytesPerToken)
-			kc.Policy = pol
-			kc.Tokenizer = cell.tok
-		})
-		runSymphonyTrace(cell, k)
-		st := k.Stats().Sched
-		pt := BatchPolicyPoint{
-			Policy:      pol.Name(),
-			LatPerTok:   time.Duration(cell.perTok.Mean()),
-			P99Latency:  cell.lat.Quantile(0.99),
-			AvgBatch:    st.AvgBatch,
-			Utilization: st.Utilization,
-			Throughput:  perSecond(cell.lat.Count(), cell.lastAt),
-		}
-		out = append(out, pt)
-	}
-	return out
-}
 
 // footprint estimates a request's peak KV demand in tokens: popular
 // topics run on a copy-on-write fork of the pinned document (only the
@@ -87,7 +26,7 @@ func (c *fig3Cell) footprint(req workload.RAGRequest) int {
 }
 
 // runSymphonyTrace replays the cell's RAG trace against an already-built
-// kernel (shared by the Fig3 driver and A1). The application's own
+// kernel. The application's own
 // admission gate (see admitGate) reserves each request's KV footprint
 // before its program is submitted; the pinned documents and some builder
 // headroom are carved out of the gate's capacity up front. Without this,
@@ -125,19 +64,6 @@ func runSymphonyTrace(c *fig3Cell, k *core.Kernel) {
 		}
 		c.record(req.Arrive, req.MaxGen)
 	})
-}
-
-// BatchPolicyTable renders A1.
-func BatchPolicyTable(points []BatchPolicyPoint) metrics.Table {
-	t := metrics.Table{
-		Title:   "A1 (§4.4): batch scheduler policy ablation (Fig-3 workload, Symphony)",
-		Headers: []string{"policy", "lat/token", "p99-req", "avg-batch", "gpu-busy", "req/s"},
-	}
-	for _, p := range points {
-		t.AddRow(p.Policy, p.LatPerTok, p.P99Latency, p.AvgBatch,
-			fmt.Sprintf("%.2f", p.Utilization), fmt.Sprintf("%.2f", p.Throughput))
-	}
-	return t
 }
 
 // OverheadConfig parameterizes ablation A2 (§6 "performance overhead"):

@@ -8,7 +8,6 @@ import (
 	"repro/internal/grammar"
 	"repro/internal/lip"
 	"repro/internal/metrics"
-	"repro/internal/sched"
 	"repro/internal/simclock"
 	"repro/internal/token"
 )
@@ -74,7 +73,6 @@ func runConstrainedCell(cfg ConstrainedConfig, system string, attempts int, mask
 	clk := simclock.New()
 	tok := token.NewTokenizer(token.NewVocab())
 	k := newKernel(clk, func(kc *core.Config) {
-		kc.Policy = sched.Immediate{}
 		kc.Tokenizer = tok
 	})
 	pt := ConstrainedPoint{System: system, Trials: cfg.Trials}

@@ -70,7 +70,6 @@ func runEditorCell(cfg EditorConfig, sys string) EditorPoint {
 
 	if sys == SystemSymphony {
 		k := newKernel(clk, func(kc *core.Config) {
-			kc.Policy = sched.Immediate{}
 			// Executor policy held equal with the run-to-completion
 			// baselines: this experiment isolates incremental KV edits,
 			// not the scheduler (-exp slo studies that).
@@ -140,7 +139,7 @@ func runEditorCell(cfg EditorConfig, sys string) EditorPoint {
 		return pt
 	}
 
-	srv := newBaseline(clk, sys, func(bc *baseline.Config) { bc.Policy = sched.Immediate{} })
+	srv := newBaseline(clk, sys, nil)
 	client := baseline.NewClient(link, srv, tok)
 	drive(clk, func() {
 		var sb strings.Builder

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"testing"
-	"time"
 )
 
 func TestToolCallsScalesWithRoundTrips(t *testing.T) {
@@ -144,26 +143,6 @@ func TestEditorIncrementalBeatsRecompute(t *testing.T) {
 		t.Errorf("incremental editor pushed %d tokens vs tgi %d", sym.GPUTokens, tgi.GPUTokens)
 	}
 	tab := EditorTable(pts)
-	t.Logf("\n%s", tab.String())
-}
-
-func TestBatchPolicyAblation(t *testing.T) {
-	cfg := DefaultBatchPolicy()
-	cfg.Duration = 8 * time.Second
-	pts := RunBatchPolicy(cfg)
-	if len(pts) != 3 {
-		t.Fatalf("points = %d", len(pts))
-	}
-	for _, p := range pts {
-		if p.LatPerTok <= 0 || p.Throughput <= 0 {
-			t.Errorf("degenerate point %+v", p)
-		}
-	}
-	// The fixed window must gather bigger batches than immediate dispatch.
-	if pts[1].AvgBatch <= pts[0].AvgBatch {
-		t.Errorf("fixed window avg batch %.2f <= immediate %.2f", pts[1].AvgBatch, pts[0].AvgBatch)
-	}
-	tab := BatchPolicyTable(pts)
 	t.Logf("\n%s", tab.String())
 }
 

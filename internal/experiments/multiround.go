@@ -88,7 +88,6 @@ func runMultiRoundCell(cfg MultiRoundConfig, sys string) MultiRoundPoint {
 	if sys == SystemSymphony {
 		k := newKernel(clk, func(kc *core.Config) {
 			kc.FS = fig3FS(cfg.GPUBytes, model.A100Llama13B().KVBytesPerToken)
-			kc.Policy = sched.Immediate{}
 			// Executor policy held equal with the run-to-completion
 			// baselines: this experiment isolates cache retention, not
 			// the scheduler (-exp slo studies that).
@@ -140,7 +139,6 @@ func runMultiRoundCell(cfg MultiRoundConfig, sys string) MultiRoundPoint {
 
 	srv := newBaseline(clk, sys, func(bc *baseline.Config) {
 		bc.FS = fig3FS(cfg.GPUBytes, bc.Model.Config().Cost.KVBytesPerToken)
-		bc.Policy = sched.Immediate{}
 	})
 	link := netsim.Default(clk)
 	client := baseline.NewClient(link, srv, tok)

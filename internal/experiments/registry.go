@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"time"
-
 	"repro/internal/metrics"
 )
 
@@ -118,13 +116,6 @@ var Sweeps = []Sweep{
 		o.seed(&cfg.Seed)
 		return cfg
 	}, RunEditor, EditorTable)},
-	{Name: "batching", Run: runner(func(o Options) BatchPolicyConfig {
-		cfg := DefaultBatchPolicy()
-		if o.Quick {
-			cfg.Duration = 8 * time.Second
-		}
-		return cfg
-	}, RunBatchPolicy, BatchPolicyTable)},
 	{Name: "overhead", Run: runner(func(o Options) OverheadConfig {
 		cfg := DefaultOverhead()
 		if o.Quick {

@@ -46,14 +46,13 @@ func fig3FS(gpuBytes, bytesPerToken int64) kvfs.Config {
 }
 
 // newKernel builds a kernel on clk from the defaults every sweep shares —
-// the llama-13b model, a 64 GiB KV pool (so capacity is not the variable
-// under study unless edit makes it one) and the Poisson batch window —
-// after edit has changed what the cell varies.
+// the llama-13b model and a 64 GiB KV pool (so capacity is not the
+// variable under study unless edit makes it one) — after edit has changed
+// what the cell varies.
 func newKernel(clk *simclock.Clock, edit func(*core.Config)) *core.Kernel {
 	cfg := core.Config{
 		Models: map[string]*model.Model{"llama-13b": model.New(model.Llama13B())},
 		FS:     fig3FS(64<<30, model.A100Llama13B().KVBytesPerToken),
-		Policy: sched.DefaultPoisson(),
 	}
 	if edit != nil {
 		edit(&cfg)
@@ -62,10 +61,10 @@ func newKernel(clk *simclock.Clock, edit func(*core.Config)) *core.Kernel {
 }
 
 // newBaseline builds the named prompt-serving baseline (SystemVLLM or
-// SystemTGI) over the same model and batch window as newKernel; its KV
-// pool stays the engine default unless edit sizes it.
+// SystemTGI) over the same model as newKernel; its KV pool stays the
+// engine default unless edit sizes it.
 func newBaseline(clk *simclock.Clock, sys string, edit func(*baseline.Config)) baseline.Server {
-	cfg := baseline.Config{Model: model.New(model.Llama13B()), Policy: sched.DefaultPoisson()}
+	cfg := baseline.Config{Model: model.New(model.Llama13B())}
 	if edit != nil {
 		edit(&cfg)
 	}

@@ -8,7 +8,6 @@ import (
 	"repro/internal/lip"
 	"repro/internal/metrics"
 	"repro/internal/model"
-	"repro/internal/sched"
 	"repro/internal/simclock"
 	"repro/internal/token"
 )
@@ -59,7 +58,6 @@ func runSpeculativeCell(cfg SpeculativeConfig, k int) SpeculativePoint {
 	kern := newKernel(clk, func(kc *core.Config) {
 		kc.Models["draft"] = model.New(model.AlignedDraft(kc.Models["llama-13b"], cfg.Agreement))
 		kc.DefaultModel = "llama-13b"
-		kc.Policy = sched.Immediate{}
 		kc.Tokenizer = token.NewTokenizer(token.NewVocab())
 	})
 	pt := SpeculativePoint{K: k}

@@ -86,7 +86,6 @@ func runToolCallsCell(cfg ToolCallsConfig, sys string, calls int) ToolCallsPoint
 
 	if sys == SystemSymphony {
 		k := newKernel(clk, func(kc *core.Config) {
-			kc.Policy = sched.Immediate{}
 			// Executor policy held equal with the run-to-completion
 			// baselines: this experiment isolates tool-wait offload, not
 			// the scheduler (-exp slo studies that).
@@ -138,7 +137,7 @@ func runToolCallsCell(cfg ToolCallsConfig, sys string, calls int) ToolCallsPoint
 	}
 
 	// Prompt-serving agent: the client interprets tool calls.
-	srv := newBaseline(clk, sys, func(bc *baseline.Config) { bc.Policy = sched.Immediate{} })
+	srv := newBaseline(clk, sys, nil)
 	client := baseline.NewClient(link, srv, tok)
 	drive(clk, func() {
 		start := clk.Now()

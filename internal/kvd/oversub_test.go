@@ -10,7 +10,6 @@ import (
 	"repro/internal/kvd"
 	"repro/internal/kvfs"
 	"repro/internal/model"
-	"repro/internal/sched"
 	"repro/internal/simclock"
 	"repro/internal/token"
 )
@@ -58,8 +57,7 @@ func TestOversubscriptionSurvival(t *testing.T) {
 					HostBytes:     gpuTokens * bpt * 16,
 					BytesPerToken: bpt,
 				},
-				Policy: sched.Immediate{},
-				KV:     kvd.Config{Policy: policy},
+				KV: kvd.Config{Policy: policy},
 			})
 
 			var (

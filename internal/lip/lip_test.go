@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/model"
-	"repro/internal/sched"
 	"repro/internal/simclock"
 	"repro/internal/token"
 )
@@ -24,7 +23,6 @@ func harness(t *testing.T, body core.Program) *core.Kernel {
 			"draft":     model.New(model.AlignedDraft(target, 0.85)),
 		},
 		DefaultModel: "llama-13b",
-		Policy:       sched.Immediate{},
 	})
 	done := make(chan error, 1)
 	go func() {

@@ -9,7 +9,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/lip"
 	"repro/internal/model"
-	"repro/internal/sched"
 	"repro/internal/simclock"
 )
 
@@ -17,7 +16,6 @@ func newKernel() (*simclock.Clock, *core.Kernel) {
 	clk := simclock.New()
 	k := core.New(clk, core.Config{
 		Models: map[string]*model.Model{"llama-13b": model.New(model.Llama13B())},
-		Policy: sched.Immediate{},
 	})
 	k.RegisterTool("weather", core.Tool{
 		Latency: 60 * time.Millisecond,

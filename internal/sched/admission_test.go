@@ -15,7 +15,6 @@ func TestAdmitGateDefersUnderPressure(t *testing.T) {
 	pressure.Store(1.0)
 	s := New(clk, Config{
 		Models:         map[string]model.CostModel{target: model.A100Llama13B()},
-		Policy:         Immediate{},
 		Pressure:       func() float64 { return pressure.Load().(float64) },
 		AdmitHighWater: 0.9,
 		AdmitMaxWait:   50 * time.Millisecond,
@@ -65,7 +64,6 @@ func TestAdmitGateBoundedWait(t *testing.T) {
 	clk := simclock.New()
 	s := New(clk, Config{
 		Models:       map[string]model.CostModel{target: model.A100Llama13B()},
-		Policy:       Immediate{},
 		Pressure:     func() float64 { return 1.0 },
 		AdmitMaxWait: 8 * time.Millisecond,
 	})
@@ -87,7 +85,7 @@ func TestAdmitGateBoundedWait(t *testing.T) {
 
 func TestAdmitGateFreeWithoutPressureSource(t *testing.T) {
 	clk := simclock.New()
-	s := newSched(clk, Immediate{})
+	s := newSched(clk)
 	run(t, clk, func() {
 		before := clk.Now()
 		if err := s.Admit(); err != nil {

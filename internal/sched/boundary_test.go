@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"math"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -83,7 +84,7 @@ func TestDecodeLoopRidesEveryIteration(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			clk := simclock.New()
-			s := newSched(clk, Immediate{})
+			s := newSched(clk)
 			var stamps []time.Duration
 			run(t, clk, func() {
 				wg := clk.NewWaitGroup()
@@ -107,6 +108,74 @@ func TestDecodeLoopRidesEveryIteration(t *testing.T) {
 	}
 }
 
+// TestDrainedBatchDecodesOneStepPerToken is the same hand-off with nothing
+// long beside it: one caller, or four in lock-step, whose active set
+// drains at every step. The batch retires and resubmits at one virtual
+// instant and the replica cuts the next step at that instant — a drained
+// boundary is ordered like any other and holds nothing back for company —
+// so a token costs one GPU step (20.58 ms alone, 22.32 ms for four) and
+// six rounds are six steps however many callers ride them.
+func TestDrainedBatchDecodesOneStepPerToken(t *testing.T) {
+	const n = 6
+	for _, callers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("callers=%d", callers), func(t *testing.T) {
+			clk := simclock.New()
+			s := newSched(clk)
+			stamps := make([][]time.Duration, callers)
+			run(t, clk, func() {
+				wg := clk.NewWaitGroup()
+				clk.Sleep(5 * time.Millisecond)
+				for i := range stamps {
+					decodeLoop(clk, s, wg, n, &stamps[i])
+				}
+				wg.Wait()
+			})
+			batch := make([]model.BatchCall, callers)
+			for i := range batch {
+				batch[i].NewTokens = 1
+			}
+			step := model.A100Llama13B().StepTime(batch)
+			for i := range stamps {
+				checkOneStepPerToken(t, fmt.Sprintf("caller %d", i), stamps[i], n, step)
+			}
+			if st := s.Stats(); st.Steps != n || st.ExecutedTokens != st.Tokens {
+				t.Fatalf("steps = %d, executed = %d of %d tokens; want %d steps and every token executed once",
+					st.Steps, st.ExecutedTokens, st.Tokens, n)
+			}
+		})
+	}
+}
+
+// TestArrivalAtIdleGPUStartsAtOnce pins when a call starts. One that finds
+// the replica idle is stepped at the instant it arrives and completes one
+// solo step later; one that arrives 5 ms into that step joins at the
+// boundary that ends it and completes one step after the boundary. Late
+// company costs the latecomer at most a step and the first arrival
+// nothing.
+func TestArrivalAtIdleGPUStartsAtOnce(t *testing.T) {
+	clk := simclock.New()
+	s := newSched(clk)
+	var done [2]time.Duration
+	run(t, clk, func() {
+		wg := clk.NewWaitGroup()
+		for i := range done {
+			wg.Add(1)
+			clk.Go("caller", func() {
+				defer wg.Done()
+				submit(s, target, 1)
+				done[i] = clk.Now()
+			})
+			clk.Sleep(5 * time.Millisecond)
+		}
+		wg.Wait()
+	})
+	step := model.A100Llama13B().StepTime([]model.BatchCall{{NewTokens: 1}})
+	if done[0] != step || done[1] != 2*step {
+		t.Fatalf("calls completed at %v and %v, want %v (its own step) and %v (one step after the boundary it joined)",
+			done[0], done[1], step, 2*step)
+	}
+}
+
 // TestBoundaryYieldIsPerReplica runs two replicas out of phase under
 // round-robin: each carries one sliced prefill (the second starts 10 ms
 // late) and the two decoders' calls alternate, so decoder i's loop lands
@@ -116,7 +185,7 @@ func TestDecodeLoopRidesEveryIteration(t *testing.T) {
 // runs a step it would not have run alone.
 func TestBoundaryYieldIsPerReplica(t *testing.T) {
 	clk := simclock.New()
-	s := newMulti(clk, 2, NewRoundRobin(), Immediate{})
+	s := newMulti(clk, 2, NewRoundRobin())
 	const n = 10
 	var stamps [2][]time.Duration
 	run(t, clk, func() {
@@ -149,44 +218,57 @@ func TestBoundaryYieldIsPerReplica(t *testing.T) {
 }
 
 // BenchmarkStepLoop is the host-clock price of one GPU iteration: ns/op
-// and allocs/op per step of a replica that carries a sliced prefill and
-// 1, 8 or 32 threads each resubmitting a one-token call the moment the
-// last one retires. It is the tracked instrument for what the iteration
-// boundary costs the simulator. calls/step says how many calls rode each
-// step and ns/call divides the same wall time by calls executed: a loop
-// that lets more callers ride costs more per step and no more per call.
-// Run with -cpu 1: the simulation runs one actor at a time and a second
-// processor only adds cross-core wakes.
+// and allocs/op per step of a replica that carries 1, 8 or 32 threads
+// each resubmitting a one-token call the moment the last one retires —
+// beside a sliced prefill, and (drained) alone in lock-step, where every
+// step empties the active set and the actor parks on its queue between
+// steps. It is the tracked instrument for what the iteration boundary
+// costs the simulator. calls/step says how many calls rode each step and
+// ns/call divides the same wall time by calls executed: a loop that lets
+// more callers ride costs more per step and no more per call. Run with
+// -cpu 1: the simulation runs one actor at a time and a second processor
+// only adds cross-core wakes.
 func BenchmarkStepLoop(b *testing.B) {
-	for _, callers := range []int{1, 8, 32} {
-		b.Run(fmt.Sprintf("callers=%d", callers), func(b *testing.B) {
-			clk := simclock.New()
-			s := newSched(clk, Immediate{})
-			var stop atomic.Bool
-			b.ReportAllocs()
-			b.ResetTimer()
-			clk.Go("root", func() {
-				// One 128-token slice per iteration: b.N iterations.
-				clk.Go("prefill", func() {
-					submit(s, target, b.N*DefaultQuantum)
-					stop.Store(true)
-				})
-				for i := 0; i < callers; i++ {
-					clk.Go("caller", func() {
-						for !stop.Load() {
-							if submit(s, target, 1) != nil {
-								return
+	for _, drained := range []bool{false, true} {
+		for _, callers := range []int{1, 8, 32} {
+			name := fmt.Sprintf("callers=%d", callers)
+			if drained {
+				name = "drained/" + name
+			}
+			b.Run(name, func(b *testing.B) {
+				clk := simclock.New()
+				s := newSched(clk)
+				var stop atomic.Bool
+				b.ReportAllocs()
+				b.ResetTimer()
+				clk.Go("root", func() {
+					// b.N iterations either way: one 128-token slice of the
+					// prefill each, or b.N lock-step rounds.
+					rounds := b.N
+					if !drained {
+						rounds = math.MaxInt
+						clk.Go("prefill", func() {
+							submit(s, target, b.N*DefaultQuantum)
+							stop.Store(true)
+						})
+					}
+					for i := 0; i < callers; i++ {
+						clk.Go("caller", func() {
+							for r := 0; r < rounds && !stop.Load(); r++ {
+								if submit(s, target, 1) != nil {
+									return
+								}
 							}
-						}
-					})
-				}
+						})
+					}
+				})
+				clk.WaitQuiescent()
+				b.StopTimer()
+				st := s.Stats()
+				clk.Shutdown()
+				b.ReportMetric(st.AvgBatch, "calls/step")
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(st.Calls), "ns/call")
 			})
-			clk.WaitQuiescent()
-			b.StopTimer()
-			st := s.Stats()
-			clk.Shutdown()
-			b.ReportMetric(st.AvgBatch, "calls/step")
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(st.Calls), "ns/call")
-		})
+		}
 	}
 }

@@ -23,7 +23,6 @@ func TestReplicaCrashRequeuesInFlight(t *testing.T) {
 	armed := true
 	s := New(clk, Config{
 		Models:   map[string]model.CostModel{target: model.A100Llama13B()},
-		Policy:   DefaultPoisson(),
 		Replicas: 4,
 		CrashCheck: func(replica int) bool {
 			// Replica 0 dies at its first iteration boundary after 2ms of
@@ -105,7 +104,6 @@ func TestReplicaCrashOnSingleReplica(t *testing.T) {
 	var mu sync.Mutex
 	s := New(clk, Config{
 		Models: map[string]model.CostModel{target: model.A100Llama13B()},
-		Policy: DefaultPoisson(),
 		CrashCheck: func(replica int) bool {
 			mu.Lock()
 			defer mu.Unlock()

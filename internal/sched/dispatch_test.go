@@ -8,13 +8,12 @@ import (
 	"repro/internal/simclock"
 )
 
-func newMulti(clk *simclock.Clock, replicas int, d Dispatcher, p Policy) *Scheduler {
+func newMulti(clk *simclock.Clock, replicas int, d Dispatcher) *Scheduler {
 	return New(clk, Config{
 		Models: map[string]model.CostModel{
 			target:  model.A100Llama13B(),
 			"draft": model.A100Llama1B(),
 		},
-		Policy:     p,
 		Replicas:   replicas,
 		Dispatcher: d,
 	})
@@ -22,7 +21,7 @@ func newMulti(clk *simclock.Clock, replicas int, d Dispatcher, p Policy) *Schedu
 
 func TestRoundRobinFairness(t *testing.T) {
 	clk := simclock.New()
-	s := newMulti(clk, 4, NewRoundRobin(), Immediate{})
+	s := newMulti(clk, 4, NewRoundRobin())
 	const n = 16
 	run(t, clk, func() {
 		for i := 0; i < n; i++ {
@@ -47,7 +46,7 @@ func TestRoundRobinFairness(t *testing.T) {
 
 func TestLeastLoadedAvoidsBusyReplica(t *testing.T) {
 	clk := simclock.New()
-	s := newMulti(clk, 2, LeastLoaded{}, Immediate{})
+	s := newMulti(clk, 2, LeastLoaded{})
 	run(t, clk, func() {
 		wg := clk.NewWaitGroup()
 		// A huge prefill lands on replica 0 (all idle, lowest ID wins)
@@ -101,7 +100,7 @@ func TestLeastLoadedPrefersShorterQueue(t *testing.T) {
 
 func TestCacheAffinityStickiness(t *testing.T) {
 	clk := simclock.New()
-	s := newMulti(clk, 4, &CacheAffinity{}, Immediate{})
+	s := newMulti(clk, 4, &CacheAffinity{})
 	const key = 7 // home replica: 7 % 4 == 3
 	run(t, clk, func() {
 		// The same conversation (one affinity key) submits from several
@@ -136,7 +135,7 @@ func TestCacheAffinityFallback(t *testing.T) {
 	// Calls without a key fall back to least-loaded: with replica 0 busy,
 	// a keyless call must avoid it.
 	clk := simclock.New()
-	s := newMulti(clk, 2, &CacheAffinity{}, Immediate{})
+	s := newMulti(clk, 2, &CacheAffinity{})
 	run(t, clk, func() {
 		wg := clk.NewWaitGroup()
 		wg.Add(1)
@@ -160,7 +159,7 @@ func TestCacheAffinityFallback(t *testing.T) {
 
 func TestReplicaStatsAggregation(t *testing.T) {
 	clk := simclock.New()
-	s := newMulti(clk, 3, NewRoundRobin(), Immediate{})
+	s := newMulti(clk, 3, NewRoundRobin())
 	const n = 9
 	run(t, clk, func() {
 		for i := 0; i < n; i++ {
@@ -309,7 +308,7 @@ func TestDispatcherTieBreaks(t *testing.T) {
 // land on its hash-determined home and execute exactly once.
 func TestCacheAffinityUnseenKeyEndToEnd(t *testing.T) {
 	clk := simclock.New()
-	s := newMulti(clk, 4, &CacheAffinity{}, Immediate{})
+	s := newMulti(clk, 4, &CacheAffinity{})
 	const key = 0x9e3779b9 // never submitted before
 	run(t, clk, func() {
 		if err := s.SubmitCall(Call{Model: target, Tokens: 4, Affinity: key}); err != nil {
@@ -336,7 +335,7 @@ func (misroute) Pick(Call, []ReplicaView) int { return 99 }
 
 func TestDispatcherClamping(t *testing.T) {
 	clk := simclock.New()
-	s := newMulti(clk, 2, misroute{}, Immediate{})
+	s := newMulti(clk, 2, misroute{})
 	run(t, clk, func() {
 		if err := submit(s, target, 1); err != nil {
 			t.Errorf("Submit: %v", err)

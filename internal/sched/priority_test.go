@@ -86,7 +86,6 @@ func TestInteractiveJumpsBatchQueue(t *testing.T) {
 	clk := simclock.New()
 	s := New(clk, Config{
 		Models:         map[string]model.CostModel{target: model.A100Llama13B()},
-		Policy:         FixedWindow{D: 5 * time.Millisecond},
 		PriorityPolicy: &Lanes{SliceTokens: 64, MaxStepTokens: 64},
 	})
 	var batchDone, interDone time.Duration
@@ -129,7 +128,6 @@ func TestStarvationFreedomUnderInteractiveSaturation(t *testing.T) {
 	const ageAfter = 50 * time.Millisecond
 	s := New(clk, Config{
 		Models: map[string]model.CostModel{target: model.A100Llama13B()},
-		Policy: Immediate{},
 		// Step budget of 32 tokens: two 16-token interactive calls fill
 		// it, so the batch call only ever runs on the strength of aging.
 		PriorityPolicy: &Lanes{SliceTokens: 16, MaxStepTokens: 32, AgeAfter: ageAfter},
@@ -209,7 +207,6 @@ func TestPreemptionAtIterationBoundary(t *testing.T) {
 	clk := simclock.New()
 	s := New(clk, Config{
 		Models: map[string]model.CostModel{target: model.A100Llama13B()},
-		Policy: Immediate{},
 		// No aging: interactive work always wins the 8-token budget, so
 		// the batch call is preempted for as long as the burst lasts.
 		PriorityPolicy: &Lanes{SliceTokens: 8, MaxStepTokens: 8, AgeAfter: -1},
@@ -280,7 +277,6 @@ func TestFIFOPolicyIgnoresPriority(t *testing.T) {
 	clk := simclock.New()
 	s := New(clk, Config{
 		Models:         map[string]model.CostModel{target: model.A100Llama13B()},
-		Policy:         Immediate{},
 		PriorityPolicy: FIFO{},
 	})
 	cost := model.A100Llama13B()

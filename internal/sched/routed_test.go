@@ -14,7 +14,6 @@ func TestRoutedCallsBypassDispatcher(t *testing.T) {
 	clk := simclock.New()
 	s := New(clk, Config{
 		Models:     map[string]model.CostModel{target: model.A100Llama13B()},
-		Policy:     Immediate{},
 		Replicas:   4,
 		Dispatcher: NewRoundRobin(),
 	})
@@ -42,7 +41,6 @@ func TestRoutedTargetClamped(t *testing.T) {
 	clk := simclock.New()
 	s := New(clk, Config{
 		Models:   map[string]model.CostModel{target: model.A100Llama13B()},
-		Policy:   Immediate{},
 		Replicas: 2,
 	})
 	run(t, clk, func() {

@@ -8,12 +8,15 @@
 //
 // The inference scheduler aggregates concurrent pred calls into batched
 // GPU steps. Because the simulated GPU (like a real one) charges a large
-// fixed kernel overhead per step, batching multiplies throughput; because
-// calls wait for the batch to be cut, batching too eagerly adds latency.
-// When the GPU is idle, the scheduler may hold the first arrival for a
-// policy-chosen window; while the GPU is busy executing a step, arrivals
-// accumulate naturally. The Poisson-adaptive policy sizes the idle window
-// from the observed syscall arrival rate, as the paper sketches.
+// fixed kernel overhead per step, batching multiplies throughput. A batch
+// is whatever is queued when an iteration boundary comes: while the GPU
+// is busy executing a step, arrivals accumulate naturally and join at the
+// next boundary, at most one step later, and an arrival that finds the
+// GPU idle starts at once. There is no idle batching window: §4.4's sketch
+// holds the first arrival for company because it assumes a batch that
+// late arrivals cannot join, and under iteration-level execution they can,
+// so a hold only spends the one resource an idle GPU has to spare
+// (docs/EXPERIMENTS.md, "Why there is no idle batching window").
 //
 // Execution is iteration-level (Orca-style continuous batching): each
 // submitted call is a resumable unit that executes up to a step quantum
@@ -83,87 +86,22 @@ type call struct {
 	lastRun   time.Duration
 }
 
-// Estimate summarizes scheduler state for a batching policy.
-type Estimate struct {
-	// RatePerSec is the EWMA-estimated arrival rate of calls dispatched
-	// to this replica; zero when unknown. Each replica tracks its own
-	// rate, so skewed dispatchers (cache-affinity pinning a hot
-	// conversation) size their hot replica's window from its real load.
-	RatePerSec float64
-	// Queued is the number of calls already waiting (including the first
-	// call of the prospective batch).
-	Queued int
-}
+// Policy is ignored: it once chose an idle batching window, and there is
+// none (see the package comment). The name survives only because the frozen
+// benchmark/kernel.go writes `Policy: sched.DefaultPoisson()` into
+// core.Config; the next benchmark PR drops those three lines, then this
+// type, DefaultPoisson and core.Config.Policy go.
+type Policy struct{}
 
-// Policy decides how long to hold the first call of a batch while the GPU
-// is idle, waiting for more calls to amortize the kernel overhead.
-type Policy interface {
-	Name() string
-	Window(e Estimate) time.Duration
-}
-
-// Immediate dispatches as soon as the GPU is free: no idle batching
-// window. This is the latency-greedy ablation baseline.
-type Immediate struct{}
-
-// Name implements Policy.
-func (Immediate) Name() string { return "immediate" }
-
-// Window implements Policy.
-func (Immediate) Window(Estimate) time.Duration { return 0 }
-
-// FixedWindow always holds the first call for a constant window.
-type FixedWindow struct{ D time.Duration }
-
-// Name implements Policy.
-func (p FixedWindow) Name() string { return fmt.Sprintf("fixed(%v)", p.D) }
-
-// Window implements Policy.
-func (p FixedWindow) Window(Estimate) time.Duration { return p.D }
-
-// Poisson adapts the window to the arrival rate: it waits roughly long
-// enough for TargetBatch calls to accumulate under the current Poisson
-// arrival estimate, never longer than MaxWait. With a high arrival rate
-// the window shrinks toward zero (the queue fills during GPU busy time
-// anyway); with a trickle of arrivals it stops waiting for peers that are
-// not coming.
-type Poisson struct {
-	TargetBatch int
-	MaxWait     time.Duration
-}
-
-// DefaultPoisson returns the policy configuration used by the Symphony
-// experiments.
-func DefaultPoisson() Poisson {
-	return Poisson{TargetBatch: 8, MaxWait: 20 * time.Millisecond}
-}
-
-// Name implements Policy.
-func (p Poisson) Name() string { return fmt.Sprintf("poisson(%d,%v)", p.TargetBatch, p.MaxWait) }
-
-// Window implements Policy.
-func (p Poisson) Window(e Estimate) time.Duration {
-	if e.Queued >= p.TargetBatch {
-		return 0
-	}
-	if e.RatePerSec <= 0 {
-		return 0
-	}
-	need := p.TargetBatch - e.Queued
-	w := time.Duration(float64(need) / e.RatePerSec * float64(time.Second))
-	if w > p.MaxWait {
-		w = p.MaxWait
-	}
-	return w
-}
+// DefaultPoisson returns the ignored Policy; see Policy for why it exists
+// and when it goes.
+func DefaultPoisson() Policy { return Policy{} }
 
 // Config configures a Scheduler.
 type Config struct {
 	// Models maps model name to its cost model. Every SubmitCall must
 	// name a registered model.
 	Models map[string]model.CostModel
-	// Policy is the idle batching policy; nil means DefaultPoisson.
-	Policy Policy
 	// PriorityPolicy orders each GPU iteration and sets the step quantum;
 	// nil means DefaultLanes (strict lanes with aging). See
 	// NewPriorityPolicy for selection by name.
@@ -314,7 +252,6 @@ type Stats struct {
 type Scheduler struct {
 	clk          *simclock.Clock
 	models       map[string]model.CostModel
-	policy       Policy
 	prio         PriorityPolicy
 	prefillChunk int
 	cacheOrder   bool
@@ -352,9 +289,6 @@ type replica struct {
 	queuedTokens int           // tokens of calls waiting in queue
 	inflight     int           // remaining tokens of admitted calls
 	busyUntil    time.Duration // end of the current GPU step, 0 when idle
-	lastArr      time.Duration
-	haveArr      bool
-	ewmaGap      float64 // seconds, over arrivals dispatched here
 	// st holds the counters Stats reports, bumped in place under mu; the
 	// ID, averages, utilization and delay quantiles are filled in at
 	// snapshot.
@@ -366,9 +300,6 @@ type replica struct {
 
 // New starts a scheduler and its replica actors on clk.
 func New(clk *simclock.Clock, cfg Config) *Scheduler {
-	if cfg.Policy == nil {
-		cfg.Policy = DefaultPoisson()
-	}
 	if cfg.PriorityPolicy == nil {
 		cfg.PriorityPolicy = DefaultLanes()
 	}
@@ -390,7 +321,6 @@ func New(clk *simclock.Clock, cfg Config) *Scheduler {
 	s := &Scheduler{
 		clk:          clk,
 		models:       cfg.Models,
-		policy:       cfg.Policy,
 		prio:         cfg.PriorityPolicy,
 		prefillChunk: cfg.PrefillChunk,
 		cacheOrder:   cfg.CacheAwareOrder,
@@ -547,13 +477,6 @@ func (s *Scheduler) SubmitCall(meta Call) error {
 
 	r := s.route(meta, now)
 	r.mu.Lock()
-	if r.haveArr {
-		gap := (now - r.lastArr).Seconds()
-		const alpha = 0.2
-		r.ewmaGap = alpha*gap + (1-alpha)*r.ewmaGap
-	}
-	r.lastArr = now
-	r.haveArr = true
 	r.st.Calls++
 	r.st.Tokens += int64(meta.Tokens)
 	r.queuedTokens += meta.Tokens
@@ -650,19 +573,6 @@ func (s *Scheduler) route(meta Call, now time.Duration) *replica {
 	return s.replicas[idx]
 }
 
-// estimate builds the policy input for one replica: its own queue depth
-// and its own arrival-rate EWMA, so the batching window reflects the
-// load the dispatcher actually sends here.
-func (r *replica) estimate(queued int) Estimate {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	e := Estimate{Queued: queued}
-	if r.ewmaGap > 0 {
-		e.RatePerSec = 1 / r.ewmaGap
-	}
-	return e
-}
-
 // admit moves a queued call into the active set.
 func (r *replica) admit(c *call) {
 	r.active = append(r.active, c)
@@ -675,8 +585,8 @@ func (r *replica) admit(c *call) {
 // loop is the replica actor: admit arrivals, run one iteration, repeat.
 // While calls are in flight the loop never waits for work — new arrivals
 // join the active set at every iteration boundary (continuous batching).
-// When the active set drains, the actor parks on its queue and, on the
-// next arrival, may hold the idle batching window for company.
+// When the active set drains, the actor parks on its queue and the next
+// arrival crosses the same boundary as any other: it starts at once.
 //
 // A boundary is ordered: retire → the woken threads run → drain → crash
 // check → pack. iterate ends by firing the finished calls' events, which
@@ -698,11 +608,6 @@ func (r *replica) loop() {
 			first, err := r.queue.Get()
 			if err != nil {
 				return
-			}
-			if w := r.s.policy.Window(r.estimate(1 + r.queue.Len())); w > 0 {
-				if err := r.s.clk.Sleep(w); err != nil {
-					return
-				}
 			}
 			r.admit(first)
 		}
@@ -751,9 +656,6 @@ func (r *replica) crash() {
 		r.queuedTokens -= c.tokens
 	}
 	r.st.LostTokens += lost
-	// The executor restarts cold: its arrival-rate estimate dies with it.
-	r.haveArr = false
-	r.ewmaGap = 0
 	r.mu.Unlock()
 
 	// Release KV pins before the kernel invalidates residency. Only calls

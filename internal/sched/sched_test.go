@@ -16,13 +16,12 @@ func submit(s *Scheduler, model string, tokens int) error {
 	return s.SubmitCall(Call{Model: model, Tokens: tokens})
 }
 
-func newSched(clk *simclock.Clock, p Policy) *Scheduler {
+func newSched(clk *simclock.Clock) *Scheduler {
 	return New(clk, Config{
 		Models: map[string]model.CostModel{
 			target:  model.A100Llama13B(),
 			"draft": model.A100Llama1B(),
 		},
-		Policy: p,
 	})
 }
 
@@ -44,7 +43,7 @@ func run(t *testing.T, clk *simclock.Clock, fn func()) {
 
 func TestSingleCallCost(t *testing.T) {
 	clk := simclock.New()
-	s := newSched(clk, Immediate{})
+	s := newSched(clk)
 	cost := model.A100Llama13B()
 	var elapsed time.Duration
 	run(t, clk, func() {
@@ -66,7 +65,7 @@ func TestSingleCallCost(t *testing.T) {
 
 func TestConcurrentCallsBatch(t *testing.T) {
 	clk := simclock.New()
-	s := newSched(clk, Immediate{})
+	s := newSched(clk)
 	cost := model.A100Llama13B()
 	single := cost.StepTime([]model.BatchCall{{NewTokens: 1}})
 	const n = 16
@@ -83,9 +82,8 @@ func TestConcurrentCallsBatch(t *testing.T) {
 		wg.Wait()
 		end = clk.Now()
 	})
-	// All 16 arrive at t=0. Immediate policy cuts the first alone, then
-	// the remaining 15 accumulate during its step and form one batch:
-	// total well under 16 sequential steps.
+	// All 16 arrive at t=0 and share GPU steps: total well under 16
+	// sequential steps.
 	if end >= time.Duration(n)*single {
 		t.Fatalf("no batching: %v >= %v", end, time.Duration(n)*single)
 	}
@@ -104,7 +102,7 @@ func TestIterationLevelSharingDuringLongPrefill(t *testing.T) {
 	// must let decodes arriving mid-prefill join the running batch at the
 	// next iteration boundary and finish long before the prefill does.
 	clk := simclock.New()
-	s := newSched(clk, Immediate{})
+	s := newSched(clk)
 	var prefillDone, lastDecode int64
 	run(t, clk, func() {
 		wg := clk.NewWaitGroup()
@@ -137,99 +135,12 @@ func TestIterationLevelSharingDuringLongPrefill(t *testing.T) {
 	}
 }
 
-func TestPoissonPolicyWaitsAtLowQueueDepth(t *testing.T) {
-	p := Poisson{TargetBatch: 8, MaxWait: 20 * time.Millisecond}
-	// Rate 1000/s, 1 queued: window to gather 7 more ≈ 7ms.
-	w := p.Window(Estimate{RatePerSec: 1000, Queued: 1})
-	if w != 7*time.Millisecond {
-		t.Fatalf("window = %v, want 7ms", w)
-	}
-	// Queue already full: no wait.
-	if p.Window(Estimate{RatePerSec: 1000, Queued: 8}) != 0 {
-		t.Fatal("full queue should not wait")
-	}
-	// Unknown rate: no wait.
-	if p.Window(Estimate{Queued: 1}) != 0 {
-		t.Fatal("unknown rate should not wait")
-	}
-	// Slow arrivals: capped at MaxWait.
-	if p.Window(Estimate{RatePerSec: 1, Queued: 1}) != 20*time.Millisecond {
-		t.Fatal("window not capped")
-	}
-}
-
-func TestPoissonBatchesTrickleArrivals(t *testing.T) {
-	// Calls arriving 2ms apart: Poisson policy should hold the batch open
-	// and gather several, where Immediate would execute the first alone.
-	gather := func(p Policy) float64 {
-		clk := simclock.New()
-		s := newSched(clk, p)
-		run(t, clk, func() {
-			// Prime the rate estimator with a couple of warmup calls.
-			for i := 0; i < 3; i++ {
-				submit(s, target, 1)
-				clk.Sleep(2 * time.Millisecond)
-			}
-			wg := clk.NewWaitGroup()
-			for i := 0; i < 8; i++ {
-				wg.Add(1)
-				clk.Go("caller", func() {
-					defer wg.Done()
-					submit(s, target, 1)
-				})
-				clk.Sleep(2 * time.Millisecond)
-			}
-			wg.Wait()
-		})
-		return s.Stats().AvgBatch
-	}
-	poisson := gather(Poisson{TargetBatch: 8, MaxWait: 30 * time.Millisecond})
-	immediate := gather(Immediate{})
-	if poisson <= immediate {
-		t.Fatalf("poisson avg batch %v <= immediate %v", poisson, immediate)
-	}
-}
-
-func TestFixedWindowGathers(t *testing.T) {
-	// Two calls 5ms apart under a 10ms window form one batch; under
-	// Immediate they form two.
-	count := func(p Policy) int64 {
-		clk := simclock.New()
-		s := newSched(clk, p)
-		run(t, clk, func() {
-			wg := clk.NewWaitGroup()
-			for i := 0; i < 2; i++ {
-				wg.Add(1)
-				clk.Go("c", func() { defer wg.Done(); submit(s, target, 1) })
-				clk.Sleep(5 * time.Millisecond)
-			}
-			wg.Wait()
-		})
-		return s.Stats().Batches
-	}
-	if got := count(FixedWindow{D: 10 * time.Millisecond}); got != 1 {
-		t.Fatalf("fixed-window batches = %d, want 1", got)
-	}
-	if got := count(Immediate{}); got != 2 {
-		t.Fatalf("immediate batches = %d, want 2", got)
-	}
-}
-
-func TestPolicyNames(t *testing.T) {
-	for _, p := range []Policy{Immediate{}, FixedWindow{D: time.Millisecond}, DefaultPoisson()} {
-		if p.Name() == "" {
-			t.Errorf("%T has empty name", p)
-		}
-	}
-}
-
 func TestMaxBatchTokensSplitsSteps(t *testing.T) {
 	clk := simclock.New()
 	cm := model.A100Llama13B()
 	cm.MaxBatchTokens = 100
 	s := New(clk, Config{
 		Models: map[string]model.CostModel{target: cm},
-		Policy: FixedWindow{D: 10 * time.Millisecond},
 	})
 	run(t, clk, func() {
 		wg := clk.NewWaitGroup()
@@ -255,7 +166,7 @@ func TestOversizedCallStillRuns(t *testing.T) {
 	clk := simclock.New()
 	cm := model.A100Llama13B()
 	cm.MaxBatchTokens = 100
-	s := New(clk, Config{Models: map[string]model.CostModel{target: cm}, Policy: Immediate{}})
+	s := New(clk, Config{Models: map[string]model.CostModel{target: cm}})
 	run(t, clk, func() {
 		if err := submit(s, target, 500); err != nil {
 			t.Errorf("oversized call: %v", err)
@@ -271,7 +182,7 @@ func TestOversizedCallStillRuns(t *testing.T) {
 
 func TestMultiModelGrouping(t *testing.T) {
 	clk := simclock.New()
-	s := newSched(clk, FixedWindow{D: 5 * time.Millisecond})
+	s := newSched(clk)
 	run(t, clk, func() {
 		wg := clk.NewWaitGroup()
 		for i := 0; i < 3; i++ {
@@ -290,7 +201,7 @@ func TestMultiModelGrouping(t *testing.T) {
 
 func TestUnknownModelRejected(t *testing.T) {
 	clk := simclock.New()
-	s := newSched(clk, Immediate{})
+	s := newSched(clk)
 	run(t, clk, func() {
 		if err := submit(s, "gpt-7", 1); err == nil {
 			t.Error("unknown model accepted")
@@ -303,7 +214,7 @@ func TestUnknownModelRejected(t *testing.T) {
 
 func TestUtilizationAndQueueDelay(t *testing.T) {
 	clk := simclock.New()
-	s := newSched(clk, Immediate{})
+	s := newSched(clk)
 	run(t, clk, func() {
 		wg := clk.NewWaitGroup()
 		for i := 0; i < 4; i++ {
@@ -330,7 +241,7 @@ func TestUtilizationAndQueueDelay(t *testing.T) {
 
 func TestSchedulerShutdown(t *testing.T) {
 	clk := simclock.New()
-	s := newSched(clk, Immediate{})
+	s := newSched(clk)
 	errCh := make(chan error, 1)
 	clk.Go("caller", func() {
 		// Block the GPU then shut down mid-flight.

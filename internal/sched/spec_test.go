@@ -21,7 +21,6 @@ func specSched(clk *simclock.Clock, prio PriorityPolicy, chunk int) *Scheduler {
 			target:     model.A100Llama13B(),
 			draftModel: model.A100Llama1B(),
 		},
-		Policy:         Immediate{},
 		PriorityPolicy: prio,
 		PrefillChunk:   chunk,
 	})
@@ -192,7 +191,6 @@ func TestSpecPreemptionLedger(t *testing.T) {
 			target:     model.A100Llama13B(),
 			draftModel: model.A100Llama1B(),
 		},
-		Policy: Immediate{},
 		// An 8-token step budget: the interactive burst fills it, so the
 		// spec call is descheduled for the duration of the burst.
 		PriorityPolicy: &Lanes{SliceTokens: 8, MaxStepTokens: 8, AgeAfter: -1},
@@ -260,7 +258,6 @@ func TestSpecCrashLedger(t *testing.T) {
 			target:     model.A100Llama13B(),
 			draftModel: model.A100Llama1B(),
 		},
-		Policy:         Immediate{},
 		PriorityPolicy: DefaultLanes(),
 		CrashCheck: func(int) bool {
 			mu.Lock()

@@ -22,7 +22,6 @@ func newServer(t *testing.T) (*Server, *simclock.Clock) {
 	clk := simclock.NewRealtime(10000)
 	k := core.New(clk, core.Config{
 		Models:     map[string]*model.Model{"llama-13b": model.New(model.Llama13B())},
-		Policy:     sched.Immediate{},
 		Replicas:   2,
 		Dispatcher: sched.LeastLoaded{},
 	})

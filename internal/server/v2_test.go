@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/model"
-	"repro/internal/sched"
 	"repro/internal/simclock"
 )
 
@@ -41,7 +40,6 @@ func newServerWith(t *testing.T, speedup float64, o Options) (*Server, *simclock
 	clk := simclock.NewRealtime(speedup)
 	k := core.New(clk, core.Config{
 		Models: map[string]*model.Model{"llama-13b": model.New(model.Llama13B())},
-		Policy: sched.Immediate{},
 	})
 	return NewWith(clk, k, o), clk
 }
@@ -270,6 +268,39 @@ func TestV2EventsOrderingReplay(t *testing.T) {
 		}
 	}
 	t.Fatalf("no events after resume")
+}
+
+// TestV2SampledGenerateStreamsOneTokenPerStep reads the executor's
+// hand-off off the socket: a sampled generate is one one-token pred per
+// token, alone on the daemon's GPU every step drains the batch, and the
+// token frames' at_ns (virtual publish time, whatever the speedup) come
+// one solo decode step apart.
+func TestV2SampledGenerateStreamsOneTokenPerStep(t *testing.T) {
+	srv, clk := newServerWith(t, 10000, Options{})
+	defer clk.Shutdown()
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	sub := submitV2(t, ts, "alice", `{"steps":[
+		{"op":"anon","s":"a"},
+		{"op":"prefill","s":"a","text":"hello symphony "},
+		{"op":"generate","s":"a","max_tokens":24,"temperature":0.4,"seed":2}
+	]}`)
+	waitTerminal(t, ts, sub.JobID)
+	step := model.A100Llama13B().StepTime([]model.BatchCall{{NewTokens: 1}})
+	tokens, last := 0, time.Duration(0)
+	for _, ev := range streamEvents(t, context.Background(), ts, sub.JobID, nil) {
+		if ev.Kind != core.EventToken {
+			continue
+		}
+		if tokens > 0 && ev.At-last != step {
+			t.Errorf("token %d came %v after token %d, want one decode step (%v)", tokens, ev.At-last, tokens-1, step)
+		}
+		tokens, last = tokens+1, ev.At
+	}
+	if tokens < 12 {
+		t.Fatalf("%d token events, want at least 12", tokens)
+	}
 }
 
 // sseFrame is one raw SSE frame: the optional id and event-name lines

@@ -2,7 +2,7 @@
 // cooperating goroutines ("actors") share.
 //
 // Symphony is a serving system whose interesting behaviour is temporal:
-// batching windows, queueing delay, network round trips, GPU kernel time.
+// batching, queueing delay, network round trips, GPU kernel time.
 // Running those against the wall clock would make experiments slow and
 // non-deterministic, so every timed operation in this repository goes
 // through a Clock instead. Actors are ordinary goroutines registered with
