@@ -26,12 +26,11 @@ func (c *fig3Cell) footprint(req workload.RAGRequest) int {
 }
 
 // runSymphonyTrace replays the cell's RAG trace against an already-built
-// kernel. The application's own
-// admission gate (see admitGate) reserves each request's KV footprint
-// before its program is submitted; the pinned documents and some builder
-// headroom are carved out of the gate's capacity up front. Without this,
-// unbounded in-flight programs can exhaust KV memory mid-decode and
-// deadlock waiting on each other's pages.
+// kernel. The application's own admission gate (see admitGate) reserves
+// each request's KV footprint before its program is submitted; the pinned
+// documents and some builder headroom are carved out of the gate's
+// capacity up front. Without this, unbounded in-flight programs can
+// exhaust KV memory mid-decode and deadlock waiting on each other's pages.
 func runSymphonyTrace(c *fig3Cell, k *core.Kernel) {
 	gpuTokens := int(c.cfg.GPUBytes / model.A100Llama13B().KVBytesPerToken)
 	pinned := 0

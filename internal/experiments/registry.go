@@ -1,8 +1,6 @@
 package experiments
 
-import (
-	"repro/internal/metrics"
-)
+import "repro/internal/metrics"
 
 // Options carries symphony-bench's flag values to the sweeps. Quick and
 // Seed apply to every sweep that honours them; each remaining field is
