@@ -53,20 +53,23 @@
 // GPU KV memory is managed by the kernel memory daemon: -kv-policy
 // selects the eviction policy (lru, lfu, cost-aware, or none to disable)
 // and -kv-high-water the usage fraction that triggers reclaim. Under
-// pressure the daemon offloads cold KV files to host memory, restores
-// them transparently on access, and cooperatively preempts the
-// longest-idle process instead of failing allocations; daemon counters
-// appear under "kvd" in /v1/stats and offload/restore/park events stream
-// to the affected job as kv_pressure events on the v2 SSE surface.
+// pressure the daemon offloads cold KV files to host memory and restores
+// them transparently on access, and a pred that still cannot allocate
+// swaps out its own file and retries instead of failing; daemon counters
+// appear under "kvd" in /v1/stats and offload/restore events stream to
+// the affected job as kv_pressure events on the v2 SSE surface.
 //
-// A durable disk KV tier sits below host memory when -kv-disk-gb is
-// set: the daemon spills cold host files to an FMC1-style snapshot
-// store once host usage crosses -kv-disk-high-water, named prefixes are
-// committed every -kv-checkpoint of virtual time, and a restarted
-// daemon re-imports them lazily (warm restart: the first pred on a
-// recovered prefix pays an NVMe load or a recompute, whichever the cost
-// model says is cheaper). Disk counters appear under "disk" in
-// /v1/stats; spill/load actions stream as kv_pressure events.
+// A disk KV tier sits below host memory when -kv-disk-gb is set, the
+// daemon's third demotion level: it spills cold host files to an
+// FMC1-style snapshot store once host usage crosses -kv-disk-high-water,
+// named prefixes are committed every -kv-checkpoint of virtual time, and
+// the first pred on a spilled file pays an NVMe load or a recompute,
+// whichever the cost model says is cheaper. The store lives on an
+// in-process simulated disk that is new at every boot, so nothing
+// outlives the process: warm restart is a property of the kernel, shown
+// by symphony-bench -exp restart, which hands one disk across kernels.
+// Disk counters appear under "disk" in /v1/stats; spill/load actions
+// stream as kv_pressure events.
 //
 //	symphonyd -addr :8080 -speedup 1 -gpus 4 -dispatch cache-affinity -kv-policy cost-aware
 //	curl -s -X POST localhost:8080/v2/programs -d @examples/wire/stream.json
@@ -108,7 +111,7 @@ func main() {
 	kvHighWater := flag.Float64("kv-high-water", 0.90,
 		"GPU KV usage fraction that triggers daemon reclaim")
 	kvDiskGB := flag.Float64("kv-disk-gb", 0,
-		"durable disk KV tier size in GiB (0 disables; enables warm restarts)")
+		"disk KV tier size in GiB, the memory daemon's third demotion level (0 disables)")
 	kvDiskHighWater := flag.Float64("kv-disk-high-water", 0.85,
 		"host KV usage fraction that triggers spilling cold files to disk")
 	kvCheckpoint := flag.Duration("kv-checkpoint", time.Minute,
@@ -212,21 +215,11 @@ func main() {
 			CacheAwareOrder: true,
 		},
 	})
-	if kernel.DiskTier() != nil {
-		// Warm restart: re-import whatever the previous incarnation
-		// committed, then keep the snapshot store fresh with periodic
-		// commits. Runs as a clock actor because snapshot I/O bills
-		// virtual disk time.
-		interval := *kvCheckpoint
+	if interval := *kvCheckpoint; kernel.DiskTier() != nil && interval > 0 {
+		// Keep the snapshot store fresh with periodic commits. Runs as a
+		// clock actor because snapshot I/O bills virtual disk time.
 		clk.Go("kv-checkpoint", func() {
-			files, tokens, err := kernel.RecoverKV()
-			if err != nil {
-				log.Printf("kv recover: %v", err)
-			}
-			if files > 0 {
-				log.Printf("kv recover: %d prefixes (%d tokens) re-imported from disk", files, tokens)
-			}
-			for interval > 0 {
+			for {
 				if err := clk.Sleep(interval); err != nil {
 					return
 				}

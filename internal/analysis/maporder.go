@@ -12,7 +12,7 @@ import (
 // min/max into an outer variable. Go randomizes map iteration per run,
 // so such loops make eviction rankings, placement decisions, and
 // rendered output differ between identically-seeded simulations — the
-// exact reproducibility the benchmarks and the CI bench gate depend on.
+// exact reproducibility the benchmarks and the baseline oracle depend on.
 //
 // The accepted idioms are mechanical: collect-then-sort (append inside
 // the loop, a sort.*/slices.* call on the same slice later in the

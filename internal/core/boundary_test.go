@@ -187,10 +187,10 @@ func TestGenerateAloneDecodesOneTokenPerStep(t *testing.T) {
 // boundary's one yield does not cover. The replica gives the threads it
 // woke one turn at the current instant; a thread that blocks on the clock
 // during that turn, before its next SubmitCall — here a zero-latency
-// tool, equally the admission gate's 500 µs slice or an ensureResident
-// bill — is still parked when the batch is cut and rejoins one boundary
-// later: two iterations per token, the first carrying the prefill slice
-// alone. Widening or narrowing the yield moves these figures.
+// tool, equally an ensureResident bill — is still parked when the batch
+// is cut and rejoins one boundary later: two iterations per token, the
+// first carrying the prefill slice alone. Widening or narrowing the yield
+// moves these figures.
 func TestClockBlockBetweenPredsRejoinsOneBoundaryLater(t *testing.T) {
 	events, prefillDone, st := decodeBesidePrefill(t, 2048, func(ctx *core.Ctx) {
 		if _, err := ctx.Call("noop", ""); err != nil {

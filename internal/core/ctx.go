@@ -90,18 +90,11 @@ func (c *Ctx) track(f *kvfs.File) *kvfs.File {
 	if k := c.p.k; k.kvd.Enabled() {
 		p := c.p
 		k.kvd.Track(f, p.pid, func(ev kvd.Event) {
-			p.publish(ProcEvent{Kind: EventKVPressure, Phase: ev.Phase, Text: kvdDetail(ev)})
+			p.publish(ProcEvent{Kind: EventKVPressure, Phase: ev.Phase,
+				Text: fmt.Sprintf("%d tokens, policy %s", ev.Tokens, ev.Policy)})
 		})
 	}
 	return f
-}
-
-// kvdDetail renders a daemon event for the process event stream.
-func kvdDetail(ev kvd.Event) string {
-	if ev.Tokens > 0 {
-		return fmt.Sprintf("%d tokens, policy %s", ev.Tokens, ev.Policy)
-	}
-	return "policy " + ev.Policy
 }
 
 // KvCreate makes a new named KV file owned by the calling user.
@@ -342,16 +335,14 @@ func (c *Ctx) pred(modelName string, f *kvfs.File, toks []token.ID, positions []
 		return nil, err
 	}
 
-	// Cooperative preemption: under sustained GPU memory pressure the
-	// longest-idle process yields briefly before allocating, instead of
-	// the kernel failing anyone's allocation. The scheduler's admission
-	// gate then defers this call ahead of its KV allocation while
-	// pressure sits above the admission watermark, giving the memory
-	// daemon room to reclaim before fresh pages are taken.
-	c.maybePark()
-	if err := k.sch.Admit(); err != nil {
-		return nil, err
-	}
+	// A full GPU tier is met in three places, all after this Touch and
+	// under the file's pin, so a call that is making room is never itself
+	// the coldest candidate: kvd.MaybeReclaim offloads cold files at the
+	// watermark, withReclaim evicts on an allocation that still fails,
+	// and self-preemption breaks the standoff of calls that each pin what
+	// the others need. Nothing waits ahead of the allocation — the daemon
+	// runs inline on allocation paths, so a wait would buy it no time and
+	// only age this file into the next victim.
 	k.kvd.Touch(f)
 
 	// extra counts disk-resident prefix tokens ensureResident chose to
@@ -450,7 +441,7 @@ func (c *Ctx) pred(modelName string, f *kvfs.File, toks []token.ID, positions []
 		}
 		wait += time.Duration(c.p.pid%5) * 200 * time.Microsecond
 		if _, werr := k.spaceEvent().WaitFor(wait); werr != nil {
-			return nil, err
+			return nil, werr
 		}
 		err = predAlloc()
 	}
@@ -606,41 +597,12 @@ func resolvedName(k *Kernel, name string) string {
 	return name
 }
 
-// parkSlice and maxPark bound one cooperative-preemption episode: the
-// parked thread re-checks pressure every slice and never yields longer
-// than maxPark in total, so preemption sheds load without starving.
 // selfPreemptRetries bounds how often one pred call will swap itself out
 // and retry before surfacing ErrNoSpace. The budget is generous on
 // purpose: competitors hold GPU pages only for finite work, so a stalled
 // call that keeps yielding eventually wins unless memory is truly
 // exhausted by locked files for the whole span.
-const (
-	parkSlice          = time.Millisecond
-	maxPark            = 10 * time.Millisecond
-	selfPreemptRetries = 1024
-)
-
-// maybePark yields the calling thread while the KV memory daemon judges
-// its process the best one to preempt (longest idle under high
-// pressure). Each slice it nudges the daemon to reclaim and then waits
-// for freed space; it returns as soon as pressure subsides, the verdict
-// moves to a colder process, or the bound elapses.
-func (c *Ctx) maybePark() {
-	k := c.p.k
-	if !k.kvd.ShouldPark(c.p.pid) {
-		return
-	}
-	k.kvd.NotePark(c.p.pid)
-	for waited := time.Duration(0); waited < maxPark; waited += parkSlice {
-		k.kvd.MaybeReclaim()
-		if _, err := k.spaceEvent().WaitFor(parkSlice); err != nil {
-			return
-		}
-		if c.p.CancelRequested() || !k.kvd.ShouldPark(c.p.pid) {
-			return
-		}
-	}
-}
+const selfPreemptRetries = 1024
 
 // promote is the one place KV pages climb back to the GPU, and the one
 // place the climb is priced and ledgered. It runs one leg — f's host

@@ -32,8 +32,8 @@ const (
 	EventStatement EventKind = "statement"
 	// EventKVPressure reports a KV memory daemon action touching this
 	// process under GPU memory pressure: Phase is "offload" (KV pages
-	// migrated to host), "restore" (brought back on access), or "park"
-	// (the process was cooperatively preempted); Text carries detail.
+	// migrated to host) or "restore" (brought back on access), and with a
+	// disk tier the further phases of kvd.Event; Text carries detail.
 	EventKVPressure EventKind = "kv_pressure"
 	// EventKVMigrate reports the kernel migration engine moving this
 	// process's prefix family between GPU replicas: Phase is "migrate"

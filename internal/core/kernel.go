@@ -291,12 +291,6 @@ func New(clk *simclock.Clock, cfg Config) *Kernel {
 		CacheAwareOrder: cfg.Prefix.Enabled && cfg.Prefix.CacheAwareOrder,
 		CrashCheck:      cfg.CrashCheck,
 	}
-	if daemon.Enabled() {
-		// The admission gate defers new pred submissions while the KV
-		// daemon reports pressure above its admission watermark.
-		schedCfg.Pressure = daemon.Pressure
-		schedCfg.AdmitHighWater = daemon.Config().AdmitHighWater
-	}
 	k := &Kernel{
 		clk:       clk,
 		models:    cfg.Models,
@@ -483,7 +477,7 @@ func (k *Kernel) withReclaim(need int, op func() error) error {
 			// Nothing evictable right now (all pinned, locked, or
 			// shared): wait for someone to free pages, then retry.
 			if _, werr := k.spaceEvent().WaitFor(reclaimWait); werr != nil {
-				return err
+				return werr
 			}
 		}
 		err = op()

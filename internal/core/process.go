@@ -119,8 +119,8 @@ func (p *Process) finish(err error) {
 	delete(k.procs, p.pid)
 	k.mu.Unlock()
 	// Detach from the KV memory daemon: drop the notify closures that
-	// retain this Process and take the pid out of park bookkeeping;
-	// leaked files stay tracked as orphaned eviction candidates.
+	// retain this Process; leaked files stay tracked as orphaned eviction
+	// candidates.
 	k.kvd.ReleaseProcess(p.pid)
 	p.mu.Lock()
 	if p.err == nil {

@@ -157,7 +157,7 @@ type ChaosPoint struct {
 	P99          time.Duration
 	P99Inflation float64
 	// Makespan covers the client phase; Throughput is virtual requests
-	// per second over it — the benchgate figure of merit.
+	// per second over it.
 	Makespan   time.Duration
 	Throughput float64
 }

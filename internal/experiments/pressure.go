@@ -117,10 +117,8 @@ type PressurePoint struct {
 	RestoredCost     time.Duration
 	SwapRestores     int64
 	SwapRestoredCost time.Duration
-	// Preemptions counts cooperative parks and self-preemption swaps;
-	// AdmitDeferred counts pred calls the scheduler's pressure gate held.
-	Preemptions   int64
-	AdmitDeferred int64
+	// Preemptions counts self-preemption swaps.
+	Preemptions int64
 	// GPUPeakPages sanity-checks that the GPU tier never overcommitted.
 	GPUPeakPages int
 	GPUPageCap   int
@@ -235,7 +233,6 @@ func runPressureCell(cfg PressureConfig, policy string, over float64) PressurePo
 		SwapRestores:     st.KVD.SwapRestores,
 		SwapRestoredCost: st.KVD.SwapRestoredCost,
 		Preemptions:      st.KVD.Preemptions,
-		AdmitDeferred:    st.Sched.AdmitDeferred,
 		GPUPeakPages:     st.FS.GPUPeakPages,
 		GPUPageCap:       st.FS.GPUPageCap,
 	}
@@ -246,7 +243,7 @@ func PressureTable(points []PressurePoint) metrics.Table {
 	t := metrics.Table{
 		Title: "P1 (§4.2–4.3): kernel KV daemon under GPU memory oversubscription",
 		Headers: []string{"policy", "oversub", "done", "nospace", "tok/s",
-			"offloads", "off-tok", "restores", "rst-tok", "rst-cost", "swap-cost", "preempt", "admit-defer"},
+			"offloads", "off-tok", "restores", "rst-tok", "rst-cost", "swap-cost", "preempt"},
 	}
 	for _, p := range points {
 		t.AddRow(p.Policy, fmt.Sprintf("%.1fx", p.Oversub),
@@ -254,7 +251,7 @@ func PressureTable(points []PressurePoint) metrics.Table {
 			fmt.Sprintf("%.0f", p.Throughput),
 			p.Offloads, p.OffloadedTokens, p.Restores, p.RestoredTokens,
 			p.RestoredCost.Round(time.Microsecond),
-			p.SwapRestoredCost.Round(time.Microsecond), p.Preemptions, p.AdmitDeferred)
+			p.SwapRestoredCost.Round(time.Microsecond), p.Preemptions)
 	}
 	return t
 }

@@ -96,7 +96,7 @@ type RestartPoint struct {
 	TTFTMean time.Duration
 	TTFTMax  time.Duration
 	// Makespan covers boot to last request done; Throughput is virtual
-	// requests per second over it — the benchgate figure of merit.
+	// requests per second over it.
 	Makespan   time.Duration
 	Throughput float64
 	// Speedup is the TTFT advantage vs the recompute row (1 when absent).

@@ -106,8 +106,7 @@ func QuickSLO() SLOConfig {
 
 // SLOPoint is one cell's measurement. Mode is "mixed" for the standard
 // sweep and "heavy" for the HeavyPrefill cells; Policy is the cell label
-// ("fifo", "fifo+chunk", "lanes") — together they are the point's
-// benchgate identity.
+// ("fifo", "fifo+chunk", "lanes") — together they identify the cell.
 type SLOPoint struct {
 	Mode   string
 	Policy string

@@ -91,7 +91,7 @@ func QuickSpecdec() SpecdecConfig {
 }
 
 // SpecdecPoint is one cell's measurement. Policy ("fifo", "lanes",
-// "lanes+spec") is the point's benchgate identity.
+// "lanes+spec") identifies the cell.
 type SpecdecPoint struct {
 	Policy string
 	GPUs   int

@@ -58,25 +58,3 @@ func TestReclaimDecisionsDeterministic(t *testing.T) {
 		}
 	}
 }
-
-// TestNoteParkNotifyDeterministic pins NotePark's choice of notify
-// channel: with several tracked files for one process, the
-// lowest-registration-seq file's callback must fire on every run.
-func TestNoteParkNotifyDeterministic(t *testing.T) {
-	for run := 0; run < 20; run++ {
-		clk := simclock.New()
-		fs := newFS(256)
-		d := newDaemon(t, clk, fs, kvd.Config{Policy: "lru"})
-		var fired []int
-		for i := 0; i < 6; i++ {
-			i := i
-			f := fs.CreateAnon("u")
-			fill(t, f, 16)
-			d.Track(f, 7, func(kvd.Event) { fired = append(fired, i) })
-		}
-		d.NotePark(7)
-		if len(fired) != 1 || fired[0] != 0 {
-			t.Fatalf("run %d: notified files %v, want exactly the first-tracked file", run, fired)
-		}
-	}
-}

@@ -16,10 +16,9 @@
 //   - offloaded files are restored transparently by the next pred on them
 //     (the kernel already pays the PCIe time there), and the daemon keeps
 //     the restore ledger the pressure experiments report;
-//   - under sustained pressure it cooperatively preempts the longest-idle
-//     process: that process's next pred parks briefly (instead of the
-//     kernel failing anyone's allocation), shedding demand while hot
-//     processes keep the GPU busy.
+//   - a pred that still cannot allocate because every resident file is
+//     pinned by a concurrent pred swaps out its own file (Preempt) and
+//     retries, which is what breaks the hold-and-wait.
 //
 // The daemon runs inline on kernel allocation paths rather than as a
 // polling actor: a periodic timer would keep the virtual clock from ever
@@ -51,11 +50,6 @@ type Config struct {
 	// LowWater is the usage fraction reclaim drives down to (default
 	// HighWater − 0.15).
 	LowWater float64
-	// AdmitHighWater is the usage fraction above which the batch
-	// scheduler's admission gate defers each pred ahead of its KV
-	// allocation (default 0.95). The gate itself lives in internal/sched
-	// (Scheduler.Admit); the kernel wires it to Daemon.Pressure.
-	AdmitHighWater float64
 	// DiskHighWater is the *host* page usage fraction that triggers
 	// spilling cold host-resident files down to the disk tier (default
 	// 0.85). Spilling needs a disk tier: it is inert until AttachDisk.
@@ -79,9 +73,6 @@ func (c Config) withDefaults() Config {
 			c.LowWater = 0
 		}
 	}
-	if c.AdmitHighWater <= 0 || c.AdmitHighWater > 1 {
-		c.AdmitHighWater = 0.95
-	}
 	if c.DiskHighWater <= 0 || c.DiskHighWater > 1 {
 		c.DiskHighWater = 0.85
 	}
@@ -100,9 +91,9 @@ func (c Config) withDefaults() Config {
 type Event struct {
 	// Phase is "offload", "restore", "spill" (host→disk demotion),
 	// "spill-rollback" (a spill undone because its snapshot commit
-	// failed), "load" (disk→GPU re-prefill), or "park".
+	// failed), or "load" (disk→GPU re-prefill).
 	Phase string
-	// Tokens is the number of KV tokens moved (zero for park).
+	// Tokens is the number of KV tokens moved.
 	Tokens int
 	// Policy is the active eviction policy name.
 	Policy string
@@ -142,9 +133,8 @@ type Stats struct {
 	SwapRestores       int64
 	SwapRestoredTokens int64
 	SwapRestoredCost   time.Duration
-	// Preemptions counts cooperative preemption episodes: parks of the
-	// longest-idle process plus self-preemptions (a stalled pred swapping
-	// out its own residency to break an allocation standoff).
+	// Preemptions counts self-preemption swaps: a stalled pred swapping
+	// out its own residency to break an allocation standoff.
 	Preemptions int64
 	// Migrations / MigratedTokens / MigratedCost are the cross-replica
 	// ledger: files the kernel's migration engine copied between replicas
@@ -204,8 +194,7 @@ type Daemon struct {
 	disk    *kvfs.DiskTier // nil until AttachDisk
 	seq     int64
 	entries map[*kvfs.File]*entry
-	pidLast map[int]time.Duration // latest access per live process
-	sinceGC int                   // Tracks since the last entry sweep
+	sinceGC int // Tracks since the last entry sweep
 
 	// st holds the counters Stats reports, bumped in place under mu; the
 	// configuration echo and the Pressure and Tracked gauges are filled in
@@ -231,7 +220,6 @@ func New(clk *simclock.Clock, fs *kvfs.FS, cost model.CostModel, cfg Config) (*D
 		policy:  pol,
 		cfg:     cfg.withDefaults(),
 		entries: make(map[*kvfs.File]*entry),
-		pidLast: make(map[int]time.Duration),
 	}, nil
 }
 
@@ -344,18 +332,15 @@ func (d *Daemon) Track(f *kvfs.File, pid int, notify Notify) {
 	if _, ok := d.entries[f]; ok {
 		return
 	}
-	// Amortized sweep: reclaim and park paths only garbage-collect under
+	// Amortized sweep: the reclaim path only garbage-collects under
 	// pressure, so a server that never crosses the high-water mark must
 	// still shed entries (and their notify closures) for removed files.
 	if d.sinceGC++; d.sinceGC >= 64 {
 		d.sinceGC = 0
-		d.gcPidsLocked()
+		d.sweepRemovedLocked()
 	}
 	d.seq++
 	d.entries[f] = &entry{f: f, seq: d.seq, pid: pid, notify: notify, lastAccess: now, accesses: 1}
-	if last, ok := d.pidLast[pid]; !ok || now > last {
-		d.pidLast[pid] = now
-	}
 }
 
 // Touch records an access to a tracked file (pred, fork source, …),
@@ -367,26 +352,16 @@ func (d *Daemon) Touch(f *kvfs.File) {
 	now := d.clk.Now()
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	e, ok := d.entries[f]
-	if !ok {
-		return
-	}
-	e.lastAccess = now
-	e.accesses++
-	if e.pid == 0 {
-		return // orphan of a finished process: no park bookkeeping
-	}
-	if last, ok := d.pidLast[e.pid]; !ok || now > last {
-		d.pidLast[e.pid] = now
+	if e, ok := d.entries[f]; ok {
+		e.lastAccess = now
+		e.accesses++
 	}
 }
 
 // ReleaseProcess detaches a finished process from the daemon: its
-// entries drop their notify closures (releasing the Process and its
-// event ring) and leave the cooperative-park bookkeeping, so one dead
-// process can neither be retained in memory nor shield every live
-// process from parking. Files the process leaked (never Removed) stay
-// tracked as orphans — cold garbage the eviction policies reap first.
+// entries drop their notify closures, releasing the Process and its
+// event ring. Files the process leaked (never Removed) stay tracked as
+// orphans — cold garbage the eviction policies reap first.
 func (d *Daemon) ReleaseProcess(pid int) {
 	if d == nil {
 		return
@@ -404,7 +379,6 @@ func (d *Daemon) ReleaseProcess(pid int) {
 		e.pid = 0
 		e.notify = nil
 	}
-	delete(d.pidLast, pid)
 }
 
 // Pin marks a file in-flight (a pred is using it); pinned files are
@@ -716,79 +690,12 @@ func (d *Daemon) Preempt(f *kvfs.File) int {
 	return n
 }
 
-// ShouldPark reports whether the calling process should cooperatively
-// yield before its next pred: GPU pressure is at or above the high-water
-// mark and pid is the longest-idle of the (at least two) live tracked
-// processes. Parking the coldest process sheds demand under pressure
-// without failing anyone — its pred proceeds after a bounded wait and
-// transparently restores whatever was offloaded meanwhile.
-func (d *Daemon) ShouldPark(pid int) bool {
-	if d == nil {
-		return false
-	}
-	if d.Pressure() < d.cfg.HighWater {
-		return false
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.gcPidsLocked()
-	if len(d.pidLast) < 2 {
-		return false
-	}
-	mine, ok := d.pidLast[pid]
-	if !ok {
-		return false
-	}
-	for other, last := range d.pidLast {
-		if other == pid {
-			continue
-		}
-		if last < mine || (last == mine && other < pid) {
-			return false // someone colder exists
-		}
-	}
-	return true
-}
-
-// NotePark counts one cooperative preemption episode and notifies the
-// parked process's subscribers through any tracked file of that process.
-func (d *Daemon) NotePark(pid int) {
-	if d == nil {
-		return
-	}
-	d.mu.Lock()
-	d.st.Preemptions++
-	var cands []*entry
-	for _, e := range d.entries {
-		if e.pid == pid && e.notify != nil {
-			cands = append(cands, e)
-		}
-	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].seq < cands[j].seq })
-	var fn Notify
-	if len(cands) > 0 {
-		fn = cands[0].notify
-	}
-	d.mu.Unlock()
-	d.notify(fn, "park", 0)
-}
-
-// gcPidsLocked drops processes whose tracked files are all gone. Caller
-// holds d.mu.
-func (d *Daemon) gcPidsLocked() {
-	live := make(map[int]bool, len(d.pidLast))
-	for f, e := range d.entries {
+// sweepRemovedLocked drops the entries of removed files. Caller holds
+// d.mu.
+func (d *Daemon) sweepRemovedLocked() {
+	for f := range d.entries {
 		if f.Removed() {
 			delete(d.entries, f)
-			continue
-		}
-		if e.pid != 0 {
-			live[e.pid] = true
-		}
-	}
-	for pid := range d.pidLast {
-		if !live[pid] {
-			delete(d.pidLast, pid)
 		}
 	}
 }
@@ -801,7 +708,7 @@ func (d *Daemon) Stats() Stats {
 	pressure := d.Pressure()
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.gcPidsLocked() // Tracked counts live files, not removed ones
+	d.sweepRemovedLocked() // Tracked counts live files, not removed ones
 	st := d.st
 	st.Policy, st.HighWater, st.LowWater = d.policy.Name(), d.cfg.HighWater, d.cfg.LowWater
 	st.Pressure, st.Tracked = pressure, len(d.entries)

@@ -60,7 +60,7 @@ func TestDisabledConfig(t *testing.T) {
 	}
 	// The nil daemon is a safe no-op everywhere.
 	var nd *kvd.Daemon
-	if nd.Enabled() || nd.Pressure() != 0 || nd.Reclaim(100) != 0 || nd.ShouldPark(1) {
+	if nd.Enabled() || nd.Pressure() != 0 || nd.Reclaim(100) != 0 {
 		t.Fatal("nil daemon not inert")
 	}
 	nd.Touch(nil)
@@ -283,12 +283,6 @@ func TestReleaseProcessOrphansFilesAndFreesPark(t *testing.T) {
 	d.Track(live, 2, nil)
 
 	d.ReleaseProcess(1)
-	// The dead pid's frozen lastAccess must not shield live processes
-	// from parking decisions: with one live process nobody parks, and
-	// the dead pid itself never parks.
-	if d.ShouldPark(1) || d.ShouldPark(2) {
-		t.Fatal("dead pid still participates in park bookkeeping")
-	}
 	// The leaked file stays tracked as an orphaned eviction candidate
 	// (reaped without notifying anyone); the removed one is dropped.
 	if st := d.Stats(); st.Tracked != 2 {
@@ -307,8 +301,8 @@ func TestReleaseProcessOrphansFilesAndFreesPark(t *testing.T) {
 
 func TestTrackedEntriesGCWithoutPressure(t *testing.T) {
 	// Files created and removed while GPU usage never crosses the
-	// high-water mark must not accumulate in the daemon: the reclaim and
-	// park paths (which also sweep) only run under pressure.
+	// high-water mark must not accumulate in the daemon: the reclaim
+	// path (which also sweeps) only runs under pressure.
 	clk := simclock.New()
 	fs := newFS(16 << 10)
 	d := newDaemon(t, clk, fs, kvd.Config{Policy: "lru", HighWater: 0.99})
@@ -322,62 +316,5 @@ func TestTrackedEntriesGCWithoutPressure(t *testing.T) {
 	}
 	if st := d.Stats(); st.Tracked != 0 {
 		t.Fatalf("tracked = %d after all files removed, want 0", st.Tracked)
-	}
-}
-
-// advance runs the clock forward by d of virtual time.
-func advance(t *testing.T, clk *simclock.Clock, d time.Duration) {
-	t.Helper()
-	done := make(chan struct{})
-	go func() {
-		clk.Go("advance", func() { clk.Sleep(d) })
-		clk.WaitQuiescent()
-		close(done)
-	}()
-	<-done
-}
-
-func TestShouldParkLongestIdleUnderPressure(t *testing.T) {
-	clk := simclock.New()
-	fs := newFS(128)
-	d := newDaemon(t, clk, fs, kvd.Config{Policy: "lru", HighWater: 0.5, LowWater: 0.25})
-
-	fa := fs.CreateAnon("a")
-	fill(t, fa, 32)
-	d.Track(fa, 1, nil)
-	fb := fs.CreateAnon("b")
-	fill(t, fb, 32)
-	d.Track(fb, 2, nil)
-
-	// No pressure (64/128 = 0.5 is the high water; drop below it first):
-	// nobody parks. pid 2 touches later, so pid 1 is the longest idle.
-	if _, err := fa.Offload(); err != nil {
-		t.Fatal(err)
-	}
-	advance(t, clk, 10*time.Millisecond)
-	d.Touch(fb)
-	if d.ShouldPark(1) || d.ShouldPark(2) {
-		t.Fatal("park without pressure")
-	}
-	// Pressure at high water: only the longest-idle process parks.
-	if n, err := fa.Restore(); err != nil || n != 32 {
-		t.Fatalf("restore: %d, %v", n, err)
-	}
-	if !d.ShouldPark(1) {
-		t.Fatal("longest-idle process not parked under pressure")
-	}
-	if d.ShouldPark(2) {
-		t.Fatal("hot process parked")
-	}
-	d.NotePark(1)
-	if st := d.Stats(); st.Preemptions != 1 {
-		t.Fatalf("preemptions = %d", st.Preemptions)
-	}
-	// A single live process never parks (there is no one to yield to).
-	if err := fb.Remove(); err != nil {
-		t.Fatal(err)
-	}
-	if d.ShouldPark(1) {
-		t.Fatal("sole process parked")
 	}
 }

@@ -9,103 +9,6 @@ import (
 	"repro/internal/token"
 )
 
-func TestWatermarkDetectable(t *testing.T) {
-	w := Watermark{Key: 0xfeedface, Gamma: 0.5, Delta: 3.0}
-	var marked, plain []token.ID
-	harness(t, func(ctx *core.Ctx) error {
-		kv, _ := ctx.KvAnon()
-		s := NewSession(ctx, kv)
-		if _, err := s.Prefill("a watermarked passage about systems"); err != nil {
-			return err
-		}
-		res, err := Generate(s, GenOptions{
-			MaxTokens: 120,
-			Sampler:   &Sampler{Temperature: 1, Seed: 3},
-			Transform: w.Transform(),
-		})
-		if err != nil {
-			return err
-		}
-		marked = res.Tokens
-		return nil
-	})
-	harness(t, func(ctx *core.Ctx) error {
-		kv, _ := ctx.KvAnon()
-		s := NewSession(ctx, kv)
-		if _, err := s.Prefill("a watermarked passage about systems"); err != nil {
-			return err
-		}
-		res, err := Generate(s, GenOptions{
-			MaxTokens: 120,
-			Sampler:   &Sampler{Temperature: 1, Seed: 3},
-		})
-		if err != nil {
-			return err
-		}
-		plain = res.Tokens
-		return nil
-	})
-	zMarked, fracMarked := w.Detect(marked)
-	zPlain, _ := w.Detect(plain)
-	if zMarked < 4 {
-		t.Errorf("watermark not detectable: z=%.2f frac=%.2f over %d tokens", zMarked, fracMarked, len(marked))
-	}
-	if zPlain > 3 {
-		t.Errorf("false positive on unwatermarked text: z=%.2f", zPlain)
-	}
-	// A detector with the wrong key must see nothing.
-	wrong := Watermark{Key: 0x1234, Gamma: 0.5, Delta: 3.0}
-	if z, _ := wrong.Detect(marked); z > 3 {
-		t.Errorf("wrong key detected watermark: z=%.2f", z)
-	}
-}
-
-func TestWatermarkTransformIsProperDistribution(t *testing.T) {
-	w := Watermark{Key: 9, Gamma: 0.25, Delta: 2}
-	m := model.New(model.Llama13B())
-	tr := w.Transform()
-	d := tr(m.Next(77), 5)
-	var sum float64
-	prev := 2.0
-	for _, c := range d.Candidates() {
-		if c.Prob > prev {
-			t.Fatal("transformed candidates unsorted")
-		}
-		prev = c.Prob
-		sum += c.Prob
-	}
-	if sum <= 0.9 || sum > 1.0 {
-		t.Fatalf("transformed mass = %v", sum)
-	}
-}
-
-func TestWatermarkComposesWithConstraint(t *testing.T) {
-	// Transform runs before the grammar mask; the constraint's guarantee
-	// must survive any policy rewrite.
-	w := Watermark{Key: 0xabc, Gamma: 0.5, Delta: 4}
-	harness(t, func(ctx *core.Ctx) error {
-		kv, _ := ctx.KvAnon()
-		s := NewSession(ctx, kv)
-		if _, err := s.Prefill("pick one:"); err != nil {
-			return err
-		}
-		script := ctx.Tokenize("alpha beta")
-		res, err := Generate(s, GenOptions{
-			MaxTokens:  10,
-			Sampler:    &Sampler{Temperature: 1, Seed: 2},
-			Transform:  w.Transform(),
-			Constraint: &fixedConstraint{script: script},
-		})
-		if err != nil {
-			return err
-		}
-		if got := ctx.Detokenize(res.Tokens); got != "alpha beta" {
-			t.Errorf("constraint violated under watermark: %q", got)
-		}
-		return nil
-	})
-}
-
 func TestSuppressEOSTransform(t *testing.T) {
 	m := model.New(model.Llama13B())
 	// Find a context whose distribution contains EOS.
@@ -225,52 +128,4 @@ func TestStreamingGenerateConstantMemory(t *testing.T) {
 	if got := k.Stats().FS.GPUPages; got != 0 {
 		t.Fatalf("streaming leaked %d pages", got)
 	}
-}
-
-func TestSelfConsistencyMajority(t *testing.T) {
-	harness(t, func(ctx *core.Ctx) error {
-		kv, _ := ctx.KvAnon()
-		s := NewSession(ctx, kv)
-		if _, err := s.Prefill("What is the answer? Think step by step."); err != nil {
-			return err
-		}
-		res, err := SelfConsistency(s, 7, GenOptions{
-			MaxTokens: 12,
-			Sampler:   &Sampler{Temperature: 1, Seed: 5},
-		}, func(text string) string {
-			// Degenerate extraction: bucket by first byte, guaranteeing
-			// collisions so a majority exists.
-			if text == "" {
-				return ""
-			}
-			return text[:1]
-		})
-		if err != nil {
-			return err
-		}
-		if res.Branches != 7 {
-			t.Errorf("branches = %d", res.Branches)
-		}
-		if res.Votes[res.Answer] == 0 {
-			t.Error("winner has no votes")
-		}
-		for a, v := range res.Votes {
-			if v > res.Votes[res.Answer] {
-				t.Errorf("answer %q (%d) outvotes winner %q (%d)", a, v, res.Answer, res.Votes[res.Answer])
-			}
-		}
-		return nil
-	})
-}
-
-func TestSelfConsistencyValidation(t *testing.T) {
-	harness(t, func(ctx *core.Ctx) error {
-		kv, _ := ctx.KvAnon()
-		s := NewSession(ctx, kv)
-		s.Prefill("x")
-		if _, err := SelfConsistency(s, 0, GenOptions{MaxTokens: 4}, nil); err == nil {
-			t.Error("zero branches accepted")
-		}
-		return nil
-	})
 }

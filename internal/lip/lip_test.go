@@ -411,67 +411,3 @@ func TestSpeculativeMatchesGreedyDecode(t *testing.T) {
 		t.Fatalf("acceptance rate = %.2f, want >= 0.35 with 0.85-aligned draft", ar)
 	}
 }
-
-func TestBeamSearchReturnsBestScore(t *testing.T) {
-	harness(t, func(ctx *core.Ctx) error {
-		kv, _ := ctx.KvAnon()
-		s := NewSession(ctx, kv)
-		if _, err := s.Prefill("beam search prompt"); err != nil {
-			return err
-		}
-		toks, score, err := BeamSearch(s, 3, 6)
-		if err != nil {
-			return err
-		}
-		if len(toks) == 0 || len(toks) > 6 {
-			t.Errorf("beam output %d tokens", len(toks))
-		}
-		if score > 0 {
-			t.Errorf("log score positive: %v", score)
-		}
-		// Beam must score at least as well as pure greedy.
-		g, err := s.Fork()
-		if err != nil {
-			return err
-		}
-		defer g.Close()
-		var greedyScore float64
-		res, err := Generate(g, GenOptions{
-			MaxTokens: 6,
-			Stream:    func(tok token.ID) {},
-		})
-		if err != nil {
-			return err
-		}
-		cur := s.last
-		gs, _ := s.Fork()
-		defer gs.Close()
-		for _, tok := range res.Tokens {
-			greedyScore += LogProb(cur, tok)
-			var e error
-			cur, e = gs.Step(tok)
-			if e != nil {
-				return e
-			}
-		}
-		if len(res.Tokens) == 6 && len(toks) == 6 && score < greedyScore-1e-9 {
-			t.Errorf("beam (%.4f) worse than greedy (%.4f)", score, greedyScore)
-		}
-		return nil
-	})
-}
-
-func TestBeamSearchNoPageLeak(t *testing.T) {
-	k := harness(t, func(ctx *core.Ctx) error {
-		kv, _ := ctx.KvAnon()
-		s := NewSession(ctx, kv)
-		s.Prefill("leak check")
-		if _, _, err := BeamSearch(s, 4, 5); err != nil {
-			return err
-		}
-		return s.Close()
-	})
-	if got := k.Stats().FS.GPUPages; got != 0 {
-		t.Fatalf("beam search leaked %d pages", got)
-	}
-}

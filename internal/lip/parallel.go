@@ -2,7 +2,6 @@ package lip
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/core"
@@ -105,114 +104,4 @@ func Best(branches []Branch) (Branch, error) {
 		return Branch{}, fmt.Errorf("lip: no successful branch")
 	}
 	return branches[best], nil
-}
-
-// beam is one live hypothesis during beam search.
-type beam struct {
-	s     *Session
-	toks  []token.ID
-	score float64
-	done  bool
-}
-
-// BeamSearch decodes width hypotheses breadth-first for up to maxTokens
-// steps, keeping the globally best-scoring beams at each step. It leans on
-// KvFork for cheap hypothesis branching — each expansion forks the parent
-// beam's KV file instead of recomputing the prefix.
-func BeamSearch(base *Session, width, maxTokens int) ([]token.ID, float64, error) {
-	if width <= 0 || maxTokens <= 0 {
-		return nil, 0, fmt.Errorf("lip: width and maxTokens must be positive")
-	}
-	if !base.ready {
-		return nil, 0, ErrNoDist
-	}
-	root, err := base.Fork()
-	if err != nil {
-		return nil, 0, err
-	}
-	beams := []*beam{{s: root}}
-	defer func() {
-		for _, b := range beams {
-			if b.s != nil {
-				b.s.Close()
-			}
-		}
-	}()
-
-	for step := 0; step < maxTokens; step++ {
-		type cand struct {
-			parent *beam
-			tok    token.ID
-			score  float64
-			eos    bool
-		}
-		var cands []cand
-		live := 0
-		for _, b := range beams {
-			if b.done {
-				cands = append(cands, cand{parent: b, score: b.score, eos: true})
-				continue
-			}
-			live++
-			top := b.s.last.Candidates()
-			n := width
-			if n > len(top) {
-				n = len(top)
-			}
-			for _, tp := range top[:n] {
-				c := cand{parent: b, tok: tp.Token, score: b.score + LogProb(b.s.last, tp.Token)}
-				c.eos = tp.Token == token.EOS
-				cands = append(cands, c)
-			}
-		}
-		if live == 0 {
-			break
-		}
-		sort.SliceStable(cands, func(i, j int) bool { return cands[i].score > cands[j].score })
-		if len(cands) > width {
-			cands = cands[:width]
-		}
-
-		var next []*beam
-		used := make(map[*beam]bool)
-		for _, c := range cands {
-			if c.eos {
-				// Finished hypotheses drop their KV: nothing more to decode.
-				next = append(next, &beam{toks: c.parent.toks, score: c.score, done: true})
-				continue
-			}
-			// The first candidate extending a parent adopts its session;
-			// siblings fork it copy-on-write.
-			var s *Session
-			if !used[c.parent] && c.parent.s != nil {
-				used[c.parent] = true
-				s = c.parent.s
-			} else {
-				s, err = c.parent.s.Fork()
-				if err != nil {
-					return nil, 0, err
-				}
-			}
-			if _, err := s.Step(c.tok); err != nil {
-				return nil, 0, err
-			}
-			nb := &beam{s: s, toks: append(append([]token.ID(nil), c.parent.toks...), c.tok), score: c.score}
-			next = append(next, nb)
-		}
-		// Close sessions no surviving beam adopted.
-		for _, b := range beams {
-			if b.s != nil && !used[b] {
-				b.s.Close()
-			}
-		}
-		beams = next
-	}
-
-	best := beams[0]
-	for _, b := range beams[1:] {
-		if b.score > best.score {
-			best = b
-		}
-	}
-	return best.toks, best.score, nil
 }

@@ -5,10 +5,10 @@
 // Where core provides pred, KV files, threads, and tools, lip provides
 // what Figure 2 of the paper writes by hand: tokenization-aware sessions,
 // samplers, the autoregressive generation loop (optionally under a
-// grammar constraint), speculative decoding, shared-prefix parallel
-// generation, and beam search. Everything here is expressible by any user
-// against the public syscall surface — that inversion of control is the
-// paper's point.
+// grammar constraint), speculative decoding, and shared-prefix parallel
+// generation. Everything here is expressible by any user against the
+// public syscall surface — that inversion of control is the paper's
+// point.
 package lip
 
 import (

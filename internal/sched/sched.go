@@ -119,19 +119,6 @@ type Config struct {
 	Replicas int
 	// Dispatcher routes calls across replicas; nil means round-robin.
 	Dispatcher Dispatcher
-	// Pressure, when non-nil, reports GPU KV memory usage as a fraction
-	// of capacity (the kernel wires it to the KV daemon). It enables the
-	// Admit gate: while pressure is at or above AdmitHighWater, Admit
-	// parks new pred admissions for up to AdmitMaxWait. The kernel calls
-	// Admit before a pred's KV allocation, so the memory daemon can
-	// reclaim ahead of fresh allocations instead of failing them.
-	Pressure func() float64
-	// AdmitHighWater is the pressure fraction that closes the admission
-	// gate (default 0.95 when Pressure is set).
-	AdmitHighWater float64
-	// AdmitMaxWait bounds how long one call may be deferred at admission
-	// (default 10ms); the gate sheds load, it must never starve a call.
-	AdmitMaxWait time.Duration
 	// CacheAwareOrder, when true, refines each iteration's in-lane
 	// ordering SGLang-style: calls whose KV prefix was served by the
 	// kernel's radix prefix cache (Call.PrefixHit) rank ahead of
@@ -237,13 +224,15 @@ type Stats struct {
 	SpecRounds   int64
 	SpecDrafted  int64
 	SpecAccepted int64
-	// AdmitDeferred counts calls the pressure-aware admission gate held
-	// back at least once; AdmitWait is the total virtual time spent
-	// parked at admission.
+	// AdmitDeferred is always zero: no call is deferred ahead of its KV
+	// allocation (core.Ctx.pred says why). The frozen benchmark/report.go
+	// reads the field; the next benchmark PR drops it.
 	AdmitDeferred int64
-	AdmitWait     time.Duration
-	Lanes         []LaneStats
-	Replicas      []ReplicaStats
+	// AdmitWait is always zero, for the same reason; the next benchmark
+	// PR drops it with AdmitDeferred.
+	AdmitWait time.Duration
+	Lanes     []LaneStats
+	Replicas  []ReplicaStats
 }
 
 // Scheduler is the batch inference scheduler plus the simulated GPU
@@ -260,19 +249,14 @@ type Scheduler struct {
 	delayHist    *metrics.Histogram // aggregate queue delay across replicas
 	laneDelay    [NumLanes]*metrics.Histogram
 
-	pressure     func() float64
-	admitHW      float64
-	admitMaxWait time.Duration
-	crashCheck   func(int) bool
-	onCrash      func(int)
+	crashCheck func(int) bool
+	onCrash    func(int)
 
-	mu            sync.Mutex
-	calls         int64
-	tokens        int64
-	laneCalls     [NumLanes]int64
-	lanePreempts  [NumLanes]int64
-	admitDeferred int64
-	admitWait     time.Duration
+	mu           sync.Mutex
+	calls        int64
+	tokens       int64
+	laneCalls    [NumLanes]int64
+	lanePreempts [NumLanes]int64
 }
 
 // replica is one simulated GPU executor with its own iteration loop.
@@ -309,12 +293,6 @@ func New(clk *simclock.Clock, cfg Config) *Scheduler {
 	if cfg.Dispatcher == nil {
 		cfg.Dispatcher = NewRoundRobin()
 	}
-	if cfg.AdmitHighWater <= 0 || cfg.AdmitHighWater > 1 {
-		cfg.AdmitHighWater = 0.95
-	}
-	if cfg.AdmitMaxWait <= 0 {
-		cfg.AdmitMaxWait = 10 * time.Millisecond
-	}
 	if cfg.PrefillChunk < 0 {
 		cfg.PrefillChunk = 0
 	}
@@ -326,9 +304,6 @@ func New(clk *simclock.Clock, cfg Config) *Scheduler {
 		cacheOrder:   cfg.CacheAwareOrder,
 		dispatcher:   cfg.Dispatcher,
 		delayHist:    metrics.NewHistogram(),
-		pressure:     cfg.Pressure,
-		admitHW:      cfg.AdmitHighWater,
-		admitMaxWait: cfg.AdmitMaxWait,
 		crashCheck:   cfg.CrashCheck,
 		onCrash:      cfg.OnCrash,
 	}
@@ -385,8 +360,6 @@ func (s *Scheduler) Stats() Stats {
 		Tokens:         s.tokens,
 		Dispatcher:     s.dispatcher.Name(),
 		PriorityPolicy: s.prio.Name(),
-		AdmitDeferred:  s.admitDeferred,
-		AdmitWait:      s.admitWait,
 	}
 	laneCalls := s.laneCalls
 	lanePre := s.lanePreempts
@@ -499,39 +472,6 @@ func (s *Scheduler) SubmitCall(meta Call) error {
 	return c.done.Wait()
 }
 
-// admitSlice is how often a call parked at the admission gate re-checks
-// pressure.
-const admitSlice = 500 * time.Microsecond
-
-// Admit is the pressure-aware admission gate: while GPU KV pressure is
-// at or above the high-water mark, new pred admissions park (bounded by
-// AdmitMaxWait) so the memory daemon reclaims ahead of fresh demand.
-// The kernel calls it BEFORE a pred's KV allocation — gating after the
-// pages are taken would only delay their release. With no pressure
-// source configured it is free. Must be called from a clock actor.
-func (s *Scheduler) Admit() error {
-	if s.pressure == nil || s.pressure() < s.admitHW {
-		return nil
-	}
-	s.mu.Lock()
-	s.admitDeferred++
-	s.mu.Unlock()
-	var waited time.Duration
-	for waited < s.admitMaxWait {
-		if err := s.clk.Sleep(admitSlice); err != nil {
-			return err
-		}
-		waited += admitSlice
-		if s.pressure() < s.admitHW {
-			break
-		}
-	}
-	s.mu.Lock()
-	s.admitWait += waited
-	s.mu.Unlock()
-	return nil
-}
-
 // Views snapshots every replica's load at the current virtual time, in
 // replica-ID order — the same view slice dispatchers Pick from. The
 // kernel's migration engine reads it to judge home-replica overload.
@@ -599,9 +539,9 @@ func (r *replica) admit(c *call) {
 // multi-iteration call (a sliced prefill, a decode run) misses the
 // iteration it should have joined and a decode loop advances every other
 // step. The yield is one turn, not a fixpoint: a thread that blocks on the
-// clock between its wake and its next SubmitCall (the Admit gate's slice,
-// an ensureResident bill, even a zero-latency tool) is still parked when
-// the batch is cut and rejoins one boundary later.
+// clock between its wake and its next SubmitCall (an ensureResident bill,
+// even a zero-latency tool) is still parked when the batch is cut and
+// rejoins one boundary later.
 func (r *replica) loop() {
 	for {
 		if len(r.active) == 0 {
