@@ -12,9 +12,10 @@ import (
 	"repro/internal/token"
 )
 
-// newTightKernel builds a kernel whose GPU tier holds gpuTokens of KV
-// (16-token pages, a roomy host tier) under an lru memory daemon.
-func newTightKernel(gpuTokens int64) (*simclock.Clock, *Kernel) {
+// newTightKernel builds a kernel whose GPU tier holds 128 tokens of KV
+// (eight 16-token pages, a roomy host tier) under an lru memory daemon.
+func newTightKernel() (*simclock.Clock, *Kernel) {
+	const gpuTokens = 128
 	clk := simclock.New()
 	bpt := model.A100Llama13B().KVBytesPerToken
 	k := New(clk, Config{
@@ -52,7 +53,7 @@ func prefillAnon(ctx *Ctx, n int) (*kvfs.File, error) {
 // exactly the GPU step of its tokens — no wait ahead of the allocation,
 // no failed allocation, no self-preemption.
 func TestPredUnderPressureDoesNotWaitAheadOfAllocation(t *testing.T) {
-	clk, k := newTightKernel(128)
+	clk, k := newTightKernel()
 	const n = 16
 	var took time.Duration
 	drive(t, clk, func() {
@@ -97,7 +98,7 @@ func TestPredUnderPressureDoesNotWaitAheadOfAllocation(t *testing.T) {
 // simclock.ErrShutdown, not as the allocation error the wait followed
 // (the server answers that one 422, the program's fault).
 func TestShutdownDuringSpaceWaitIsNotErrNoSpace(t *testing.T) {
-	clk, k := newTightKernel(128)
+	clk, k := newTightKernel()
 	ready := clk.NewEvent()
 	var predErr error
 	done := make(chan struct{})
