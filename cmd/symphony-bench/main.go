@@ -11,9 +11,9 @@
 //	symphony-bench -exp all -quick    # everything, reduced grids
 //	symphony-bench -exp scaling -gpus 1,2,4,8 -dispatch cache-affinity
 //
-// The experiments, which of them honour -seed and which write a
-// BENCH_<exp>.json artifact all come from the experiments.Sweeps
-// registry; -list-exp prints the names one per line (and -list-dispatch
+// The experiments and which of them honour -seed come from the
+// experiments.Sweeps registry, and every one writes a BENCH_<exp>.json
+// artifact; -list-exp prints the names one per line (and -list-dispatch
 // the dispatcher names) for shell completion and scripts.
 package main
 
@@ -35,7 +35,6 @@ import (
 func main() {
 	all := experiments.SweepNames(nil)
 	seeded := strings.Join(experiments.SweepNames(func(s experiments.Sweep) bool { return s.Seeded }), ", ")
-	gated := strings.Join(experiments.SweepNames(func(s experiments.Sweep) bool { return s.Gated }), "/")
 
 	exp := flag.String("exp", "all", "experiment to run ("+strings.Join(all, "|")+"|all)")
 	quick := flag.Bool("quick", false, "use reduced grids for a fast pass")
@@ -53,7 +52,7 @@ func main() {
 	kvDiskGB := flag.Float64("kv-disk-gb", 0,
 		"durable disk KV tier size in GiB for -exp restart (0 = experiment default)")
 	jsonDir := flag.String("json-dir", ".",
-		"directory for BENCH_<exp>.json artifacts from -exp "+gated+" (empty disables)")
+		"directory for the BENCH_<exp>.json artifact every experiment writes (empty disables)")
 	seed := flag.Int64("seed", 0,
 		"workload seed for the seeded experiments ("+seeded+"); 0 keeps each experiment's recorded baseline")
 	prefixCache := flag.Bool("prefix-cache", false,
@@ -119,9 +118,7 @@ func main() {
 		for _, t := range tables {
 			fmt.Println(t.String())
 		}
-		if s.Gated {
-			writeBench(*jsonDir, s.Name, cfg, points)
-		}
+		writeBench(*jsonDir, s.Name, cfg, points)
 	}
 	fmt.Printf("total wall time: %v\n", time.Since(start).Round(time.Millisecond))
 }

@@ -6,13 +6,14 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 )
 
-// update makes TestGatedSweepsReproduce rewrite the baselines it would
+// update makes TestSweepsReproduce rewrite the baselines it would
 // otherwise compare against. It is the one refresh path: a change that
-// moves gated bytes on purpose regenerates them with
+// moves a sweep's bytes on purpose regenerates them with
 //
-//	go test ./internal/experiments -run TestGatedSweepsReproduce -update
+//	go test ./internal/experiments -run TestSweepsReproduce -update
 //
 // and commits the moved files on their own, the moved fields in the
 // message.
@@ -24,15 +25,35 @@ func reduced[C, P any](cfg C, run func(C) []P) func() (cfg, points any) {
 	return func() (any, any) { return cfg, run(cfg) }
 }
 
-// determinismPins lists, for every gated sweep, how many equal-seed runs
-// must marshal to identical bytes. The sweeps with a history of
-// scheduling nondeterminism (speculation windows, radix map iteration,
-// fault plans) run twenty times, the rest twice; rerun is the reduced
-// config the expensive ones repeat, nil to repeat the -quick run.
+// determinismPins lists, for every sweep, how many equal-seed runs must
+// marshal to identical bytes. The sweeps with a history of scheduling
+// nondeterminism (speculation windows, radix map iteration, fault plans)
+// run twenty times, the rest twice; rerun is the reduced config the
+// expensive ones repeat, nil to repeat the -quick run.
 var determinismPins = map[string]struct {
 	runs  int
 	rerun func() (cfg, points any)
 }{
+	"fig3": {2, reduced(func() Fig3Config {
+		cfg := QuickFig3()
+		cfg.Rates = []float64{4}
+		cfg.ParetoIndices = []float64{0.6}
+		cfg.Duration = 5 * time.Second
+		cfg.Seed = 42
+		return cfg
+	}(), RunFig3)},
+	"toolcalls":   {2, nil},
+	"constrained": {2, nil},
+	"speculative": {2, nil},
+	"multiround": {2, reduced(func() MultiRoundConfig {
+		cfg := DefaultMultiRound()
+		cfg.Rounds = 2
+		cfg.PressurePrompts = 2
+		return cfg
+	}(), RunMultiRound)},
+	"tot":      {2, nil},
+	"editor":   {2, nil},
+	"overhead": {2, nil},
 	"scaling": {2, reduced(func() ScalingConfig {
 		cfg := QuickScaling()
 		cfg.Replicas = []int{1, 2}
@@ -63,15 +84,15 @@ var determinismPins = map[string]struct {
 	}(), RunPrefixCache)},
 }
 
-// TestGatedSweepsReproduce is the oracle every refactor of this package
-// is judged by. For each gated sweep in the registry: (a) the -quick run,
+// TestSweepsReproduce is the oracle every refactor of this package
+// is judged by. For each sweep in the registry: (a) the -quick run,
 // marshalled through WriteBenchJSON's encoder, equals the checked-in
 // bench/baselines artifact byte for byte — field order, float formatting
 // and config block included; (b) equal seeds give equal bytes, with
 // nothing (wall clock, map order, goroutine scheduling) leaking into the
 // artifact run to run. With -update, (a) rewrites a differing baseline
 // instead of failing; (b) runs either way.
-func TestGatedSweepsReproduce(t *testing.T) {
+func TestSweepsReproduce(t *testing.T) {
 	marshal := func(t *testing.T, name string, run func() (cfg, points any)) []byte {
 		t.Helper()
 		cfg, points := run()
@@ -82,9 +103,6 @@ func TestGatedSweepsReproduce(t *testing.T) {
 		return data
 	}
 	for _, s := range Sweeps {
-		if !s.Gated {
-			continue
-		}
 		t.Run(s.Name, func(t *testing.T) {
 			quick := func() (cfg, points any) {
 				cfg, points, _ = s.Run(Options{Quick: true})
@@ -109,7 +127,7 @@ func TestGatedSweepsReproduce(t *testing.T) {
 
 			pin, ok := determinismPins[s.Name]
 			if !ok {
-				t.Fatal("gated sweep has no determinism pin")
+				t.Fatal("sweep has no determinism pin")
 			}
 			if testing.Short() {
 				t.Skip("determinism reruns in -short mode")
@@ -125,5 +143,40 @@ func TestGatedSweepsReproduce(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestBaselinesMatchRegistry holds bench/baselines and determinismPins to
+// the registry in both directions, as the docs checks hold FLAGS.md and
+// EXPERIMENTS.md: every sweep has a baseline file and a pin, and a
+// baseline or pin whose sweep is gone fails rather than lingering.
+func TestBaselinesMatchRegistry(t *testing.T) {
+	dir := filepath.Join("..", "..", "bench", "baselines")
+	files, err := filepath.Glob(filepath.Join(dir, "BENCH_*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	orphans := map[string]bool{}
+	for _, f := range files {
+		orphans[filepath.Base(f)] = true
+	}
+	pins := len(determinismPins)
+	for _, s := range Sweeps {
+		file := "BENCH_" + s.Name + ".json"
+		if !orphans[file] {
+			t.Errorf("-exp %s has no %s", s.Name, filepath.Join(dir, file))
+		}
+		delete(orphans, file)
+		if _, ok := determinismPins[s.Name]; ok {
+			pins--
+		} else {
+			t.Errorf("-exp %s has no determinism pin", s.Name)
+		}
+	}
+	for file := range orphans {
+		t.Errorf("%s belongs to no registered sweep", filepath.Join(dir, file))
+	}
+	if pins != 0 {
+		t.Errorf("%d determinism pins name no registered sweep", pins)
 	}
 }

@@ -45,11 +45,9 @@ type Sweep struct {
 	Name string
 	// Seeded sweeps shift their workload streams with Options.Seed.
 	Seeded bool
-	// Gated sweeps write BENCH_<Name>.json and are held to the
-	// checked-in bench/baselines by the oracle test and the CI gate.
-	Gated bool
 	// Run executes the sweep and returns the config it ran with, its
-	// points (what BENCH JSON records) and its rendered tables.
+	// points (what BENCH_<Name>.json records, held to the checked-in
+	// bench/baselines by the oracle test) and its rendered tables.
 	Run func(Options) (cfg, points any, tables []metrics.Table)
 }
 
@@ -121,14 +119,14 @@ var Sweeps = []Sweep{
 		}
 		return cfg
 	}, RunOverhead, OverheadTable)},
-	{Name: "scaling", Seeded: true, Gated: true, Run: runner(scalingConfig, RunScaling, ScalingTable)},
-	{Name: "pressure", Seeded: true, Gated: true, Run: runner(pressureConfig, RunPressure, PressureTable)},
-	{Name: "migrate", Seeded: true, Gated: true, Run: runner(migrateConfig, RunMigrate, MigrateTable)},
-	{Name: "slo", Seeded: true, Gated: true, Run: runner(sloConfig, RunSLO, SLOTable)},
-	{Name: "specdec", Seeded: true, Gated: true, Run: runner(specdecConfig, RunSpecdec, SpecdecTable)},
-	{Name: "restart", Seeded: true, Gated: true, Run: runner(restartConfig, RunRestart, RestartTable)},
-	{Name: "chaos", Seeded: true, Gated: true, Run: runner(chaosConfig, RunChaos, ChaosTable)},
-	{Name: "prefixcache", Seeded: true, Gated: true, Run: runner(prefixCacheConfig, RunPrefixCache, PrefixCacheTable)},
+	{Name: "scaling", Seeded: true, Run: runner(scalingConfig, RunScaling, ScalingTable)},
+	{Name: "pressure", Seeded: true, Run: runner(pressureConfig, RunPressure, PressureTable)},
+	{Name: "migrate", Seeded: true, Run: runner(migrateConfig, RunMigrate, MigrateTable)},
+	{Name: "slo", Seeded: true, Run: runner(sloConfig, RunSLO, SLOTable)},
+	{Name: "specdec", Seeded: true, Run: runner(specdecConfig, RunSpecdec, SpecdecTable)},
+	{Name: "restart", Seeded: true, Run: runner(restartConfig, RunRestart, RestartTable)},
+	{Name: "chaos", Seeded: true, Run: runner(chaosConfig, RunChaos, ChaosTable)},
+	{Name: "prefixcache", Seeded: true, Run: runner(prefixCacheConfig, RunPrefixCache, PrefixCacheTable)},
 }
 
 // SweepNames returns the names of the registered sweeps keep accepts
