@@ -56,7 +56,7 @@ func main() {
 	seed := flag.Int64("seed", 0,
 		"workload seed for the seeded experiments ("+seeded+"); 0 keeps each experiment's recorded baseline")
 	prefixCache := flag.Bool("prefix-cache", false,
-		"force the kernel radix prefix cache on in every -exp prefixcache cell (default: the sweep compares off/on/on+order)")
+		"force the kernel radix prefix cache on in every -exp prefixcache cell (default: the sweep compares off and on)")
 	prefixChunk := flag.Int("prefix-chunk", 0,
 		"token chunk size for prefix-cache radix indexing in -exp prefixcache (0 = experiment default)")
 	listExp := flag.Bool("list-exp", false, "print the valid -exp names, one per line, and exit")

@@ -128,7 +128,7 @@ func main() {
 		fmt.Sprintf("initial draft window for -spec-decode (adapted between %d and %d from the observed acceptance rate)",
 			sched.DefaultSpecMinWindow, sched.DefaultSpecMaxWindow))
 	prefixCache := flag.Bool("prefix-cache", false,
-		"enable the kernel radix prefix cache: cross-job KV deduplication of shared prompt prefixes with cache-aware call ordering")
+		"enable the kernel radix prefix cache: cross-job KV deduplication of shared prompt prefixes by copy-on-write share")
 	prefixChunk := flag.Int("prefix-chunk", core.DefaultPrefixChunk,
 		"radix chunk size in tokens for -prefix-cache (rounded up to a KV page multiple)")
 	defaultPriority := flag.String("default-priority", "normal",
@@ -210,9 +210,8 @@ func main() {
 			HighWater: *kvDiskHighWater,
 		},
 		Prefix: core.PrefixConfig{
-			Enabled:         *prefixCache,
-			ChunkTokens:     *prefixChunk,
-			CacheAwareOrder: true,
+			Enabled:     *prefixCache,
+			ChunkTokens: *prefixChunk,
 		},
 	})
 	if interval := *kvCheckpoint; kernel.DiskTier() != nil && interval > 0 {

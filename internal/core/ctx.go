@@ -469,15 +469,13 @@ func (c *Ctx) pred(modelName string, f *kvfs.File, toks []token.ID, positions []
 	// cache-aware dispatch keeps all of them on the replica the prefix
 	// directory homes the family at. The process's priority lane rides on
 	// every call so urgency expressed at submission reaches the GPU
-	// iteration loop, and the matched prefix length lets same-lane executors
-	// clear the shortest remaining prefill first (cache-aware order).
+	// iteration loop.
 	call := sched.Call{
-		Model:     resolvedName(k, modelName),
-		Tokens:    len(toks) - attached + extra,
-		Affinity:  uint64(f.Root()),
-		Priority:  c.p.prio,
-		PrefixHit: attached,
-		Decode:    decode,
+		Model:    resolvedName(k, modelName),
+		Tokens:   len(toks) - attached + extra,
+		Affinity: uint64(f.Root()),
+		Priority: c.p.prio,
+		Decode:   decode,
 	}
 	if decode && k.spec != nil && call.Model == k.defMod && len(toks) > 1 {
 		// Precompute the acceptance bitmap from the deterministic model

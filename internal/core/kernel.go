@@ -283,13 +283,12 @@ func New(clk *simclock.Clock, cfg Config) *Kernel {
 		spec = &s
 	}
 	schedCfg := sched.Config{
-		Models:          costs,
-		PriorityPolicy:  cfg.PriorityPolicy,
-		PrefillChunk:    cfg.PrefillChunk,
-		Replicas:        cfg.Replicas,
-		Dispatcher:      cfg.Dispatcher,
-		CacheAwareOrder: cfg.Prefix.Enabled && cfg.Prefix.CacheAwareOrder,
-		CrashCheck:      cfg.CrashCheck,
+		Models:         costs,
+		PriorityPolicy: cfg.PriorityPolicy,
+		PrefillChunk:   cfg.PrefillChunk,
+		Replicas:       cfg.Replicas,
+		Dispatcher:     cfg.Dispatcher,
+		CrashCheck:     cfg.CrashCheck,
 	}
 	k := &Kernel{
 		clk:       clk,

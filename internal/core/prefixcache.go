@@ -60,8 +60,10 @@ type PrefixConfig struct {
 	// MaxNodes caps the tree; idle leaves are evicted in LRU order above
 	// it. Default DefaultPrefixMaxNodes.
 	MaxNodes int
-	// CacheAwareOrder additionally orders same-lane waiting calls by
-	// matched-prefix length, longest first (sched.Config.CacheAwareOrder).
+	// CacheAwareOrder is ignored — New does not read it: in-lane order is
+	// FIFO (see sched.replica.iterate). The field stays because the frozen
+	// benchmark/kernel.go sets it; the next benchmark PR drops those two
+	// reads, then this field goes.
 	CacheAwareOrder bool
 }
 

@@ -263,7 +263,7 @@ func runChaosCell(cfg ChaosConfig, mode string) ChaosPoint {
 		kc.Dispatcher = dispatcher
 		kc.Interconnect = ic
 		kc.CrashCheck = inj.CrashCheck()
-		kc.Prefix = core.PrefixConfig{Enabled: prefix, CacheAwareOrder: true}
+		kc.Prefix = core.PrefixConfig{Enabled: prefix}
 	})
 
 	clients := cfg.Families * cfg.ClientsPerFamily

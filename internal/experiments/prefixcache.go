@@ -34,7 +34,7 @@ type PrefixCacheConfig struct {
 	// the core default.
 	ChunkTokens int
 	// ForceOn runs every cell with the cache enabled (the -prefix-cache
-	// flag), turning the sweep into an on/on/on+order sanity run.
+	// flag), turning the sweep into an on/on sanity run.
 	ForceOn bool
 	// Seed offsets the deterministic workload streams (see seedBase); 0
 	// and 1 both select the recorded baseline.
@@ -68,19 +68,17 @@ func QuickPrefixCache() PrefixCacheConfig {
 }
 
 // prefixCacheCells names the sweep's kernel configurations in
-// presentation order: cache off, cache on, and cache on with
-// cache-aware in-lane ordering (longest cached prefix first).
-var prefixCacheCells = []string{"off", "on", "on+order"}
+// presentation order: cache off, cache on.
+var prefixCacheCells = []string{"off", "on"}
 
 // PrefixCachePoint is one cell's measurement on the shared-preamble
 // workload.
 type PrefixCachePoint struct {
-	Cell       string
-	Enabled    bool
-	CacheOrder bool
-	Tenants    int
-	Jobs       int
-	Completed  int
+	Cell      string
+	Enabled   bool
+	Tenants   int
+	Jobs      int
+	Completed int
 	// Makespan covers the client phase; Throughput is virtual jobs per
 	// second over it.
 	Makespan   time.Duration
@@ -117,7 +115,7 @@ func prefixCacheConfig(o Options) PrefixCacheConfig {
 	return cfg
 }
 
-// RunPrefixCache sweeps the three cells over the shared-preamble
+// RunPrefixCache sweeps the two cells over the shared-preamble
 // workload.
 func RunPrefixCache(cfg PrefixCacheConfig) []PrefixCachePoint {
 	var out []PrefixCachePoint
@@ -139,13 +137,8 @@ func prefixPromptTokens(cfg PrefixCacheConfig, base, t, j int) []token.ID {
 // runPrefixCacheCell measures one kernel configuration on the workload.
 func runPrefixCacheCell(cfg PrefixCacheConfig, cell string) PrefixCachePoint {
 	enabled := cfg.ForceOn || cell != "off"
-	order := cell == "on+order"
 	c := newCell(simclock.New(), func(kc *core.Config) {
-		kc.Prefix = core.PrefixConfig{
-			Enabled:         enabled,
-			ChunkTokens:     cfg.ChunkTokens,
-			CacheAwareOrder: order,
-		}
+		kc.Prefix = core.PrefixConfig{Enabled: enabled, ChunkTokens: cfg.ChunkTokens}
 	})
 
 	base := seedBase(cfg.Seed)
@@ -175,7 +168,6 @@ func runPrefixCacheCell(cfg PrefixCacheConfig, cell string) PrefixCachePoint {
 	pt := PrefixCachePoint{
 		Cell:         cell,
 		Enabled:      enabled,
-		CacheOrder:   order,
 		Tenants:      cfg.Tenants,
 		Jobs:         cfg.Tenants * cfg.JobsPerTenant,
 		Completed:    c.reqs.completed,

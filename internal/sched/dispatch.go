@@ -26,13 +26,6 @@ type Call struct {
 	// ordinary callers leave it false.
 	Routed bool
 	Target int
-	// PrefixHit is the token length of the KV prefix the kernel's radix
-	// prefix cache attached to this call before submission: tokens the GPU
-	// will NOT prefill because they were computed by an earlier job. The
-	// executor uses it for cache-aware ordering (longest match first
-	// within a lane, see Config.CacheAwareOrder); dispatchers may use it
-	// as a locality signal.
-	PrefixHit int
 	// Decode marks the call as an autoregressive decode run: its tokens
 	// depend on each other, so the executor advances it one token per
 	// iteration (sequential physics) instead of slicing it like a

@@ -62,10 +62,6 @@ type call struct {
 	remaining int
 	prio      Priority
 	queuedAt  time.Duration
-	// prefixHit is the cached-prefix token length the kernel attached to
-	// this call (Call.PrefixHit); cache-aware ordering ranks it within a
-	// lane so the shortest remaining prefill work runs first.
-	prefixHit int
 	onPreempt func(bool) time.Duration
 	done      *simclock.Event
 
@@ -119,14 +115,6 @@ type Config struct {
 	Replicas int
 	// Dispatcher routes calls across replicas; nil means round-robin.
 	Dispatcher Dispatcher
-	// CacheAwareOrder, when true, refines each iteration's in-lane
-	// ordering SGLang-style: calls whose KV prefix was served by the
-	// kernel's radix prefix cache (Call.PrefixHit) rank ahead of
-	// same-lane peers, longest match first, so the cheapest remaining
-	// prefill work clears the queue before cold prompts. Ties (equal
-	// hits, and all calls when the cache is off) keep FIFO order, so with
-	// no hits the executor behaves exactly as before.
-	CacheAwareOrder bool
 	// CrashCheck, when non-nil, is consulted by each replica at every
 	// iteration boundary; returning true crash-restarts that executor: it
 	// loses all in-flight progress, its admitted and queued calls are
@@ -243,7 +231,6 @@ type Scheduler struct {
 	models       map[string]model.CostModel
 	prio         PriorityPolicy
 	prefillChunk int
-	cacheOrder   bool
 	dispatcher   Dispatcher
 	replicas     []*replica
 	delayHist    *metrics.Histogram // aggregate queue delay across replicas
@@ -301,7 +288,6 @@ func New(clk *simclock.Clock, cfg Config) *Scheduler {
 		models:       cfg.Models,
 		prio:         cfg.PriorityPolicy,
 		prefillChunk: cfg.PrefillChunk,
-		cacheOrder:   cfg.CacheAwareOrder,
 		dispatcher:   cfg.Dispatcher,
 		delayHist:    metrics.NewHistogram(),
 		crashCheck:   cfg.CrashCheck,
@@ -462,7 +448,6 @@ func (s *Scheduler) SubmitCall(meta Call) error {
 		prio:      prio,
 		queuedAt:  now,
 		lastRun:   now,
-		prefixHit: meta.PrefixHit,
 		onPreempt: meta.OnPreempt,
 		done:      s.clk.NewEvent(),
 		decode:    meta.Decode,
@@ -655,11 +640,6 @@ func (r *replica) iterate() error {
 	sort.SliceStable(ranked, func(i, j int) bool {
 		if lanes[ranked[i]] != lanes[ranked[j]] {
 			return lanes[ranked[i]] < lanes[ranked[j]]
-		}
-		if s.cacheOrder && ranked[i].prefixHit != ranked[j].prefixHit {
-			// Cache-aware in-lane order: the call with the longer cached
-			// prefix carries less remaining prefill and clears first.
-			return ranked[i].prefixHit > ranked[j].prefixHit
 		}
 		return ranked[i].queuedAt < ranked[j].queuedAt
 	})
