@@ -36,19 +36,18 @@
 // chunked prefill, effective even under fifo; 0 disables), and
 // -spec-decode runs greedy decode runs as draft/verify rounds against
 // the built-in draft-1b model inside each iteration — the draft
-// proposes -spec-window tokens (adaptively resized from the observed
-// acceptance rate), the target verifies them in one batched step, and
-// the accepted prefix plus one correction token retire together.
+// proposes -spec-window tokens a round (a constant), the target verifies
+// them in one batched step, and the accepted prefix plus one correction
+// token retire together.
 // -spec-decode requires an iteration-level -priority-policy; the
 // speculation ledger is reported by /v1/stats under "spec".
 //
 // A kernel radix prefix cache (-prefix-cache) deduplicates KV across
 // jobs: every committed prefill leaves its -prefix-chunk-aligned
 // prefixes in a radix tree, and a later prompt that extends a cached
-// prefix attaches it copy-on-write and prefills only the uncached tail,
-// with same-lane waiting calls ordered longest-match-first. The hit
-// ledger is reported by /v1/stats under "prefix_cache"; each attach
-// streams to the affected job as a kv_share event.
+// prefix attaches it copy-on-write and prefills only the uncached tail.
+// The hit ledger is reported by /v1/stats under "prefix_cache"; each
+// attach streams to the affected job as a kv_share event.
 //
 // GPU KV memory is managed by the kernel memory daemon: -kv-policy
 // selects the eviction policy (lru, lfu, cost-aware, or none to disable)
@@ -125,8 +124,7 @@ func main() {
 	specDecode := flag.Bool("spec-decode", false,
 		"speculatively decode generation runs on the draft-1b model inside each GPU iteration (requires an iteration-level -priority-policy)")
 	specWindow := flag.Int("spec-window", sched.DefaultSpecWindow,
-		fmt.Sprintf("initial draft window for -spec-decode (adapted between %d and %d from the observed acceptance rate)",
-			sched.DefaultSpecMinWindow, sched.DefaultSpecMaxWindow))
+		fmt.Sprintf("draft window for -spec-decode: tokens drafted per round, a constant between 1 and %d", sched.DefaultSpecMaxWindow))
 	prefixCache := flag.Bool("prefix-cache", false,
 		"enable the kernel radix prefix cache: cross-job KV deduplication of shared prompt prefixes by copy-on-write share")
 	prefixChunk := flag.Int("prefix-chunk", core.DefaultPrefixChunk,
@@ -163,9 +161,8 @@ func main() {
 		log.Fatalf("-spec-decode requires an iteration-level priority policy (have %q; run-to-completion policies never reach a draft/verify boundary)\nvalid policies: %s",
 			*prioPolicy, strings.Join(iterationPolicies(), ", "))
 	}
-	if *specWindow < sched.DefaultSpecMinWindow || *specWindow > sched.DefaultSpecMaxWindow {
-		log.Fatalf("-spec-window must be between %d and %d (got %d)",
-			sched.DefaultSpecMinWindow, sched.DefaultSpecMaxWindow, *specWindow)
+	if *specWindow < 1 || *specWindow > sched.DefaultSpecMaxWindow {
+		log.Fatalf("-spec-window must be between 1 and %d (got %d)", sched.DefaultSpecMaxWindow, *specWindow)
 	}
 	if _, err := sched.ParsePriority(*defaultPriority); err != nil {
 		log.Fatalf("-default-priority: %v", err)

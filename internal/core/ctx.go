@@ -491,11 +491,9 @@ func (c *Ctx) pred(modelName string, f *kvfs.File, toks []token.ID, positions []
 			h = tails[i]
 		}
 		call.Spec = &sched.SpecCall{
-			Draft:     k.spec.Draft,
-			Window:    k.spec.Window,
-			MinWindow: k.spec.MinWindow,
-			MaxWindow: k.spec.MaxWindow,
-			Accept:    accept,
+			Draft:  k.spec.Draft,
+			Window: k.spec.Window,
+			Accept: accept,
 		}
 	}
 	if k.kvd.Enabled() {

@@ -157,11 +157,9 @@ type SpecConfig struct {
 	// Draft names the registered model that proposes tokens. It must be
 	// a different (cheaper) model than the default one.
 	Draft string
-	// Window, MinWindow, and MaxWindow seed and bound the adaptive draft
-	// window; zero values take the sched defaults (4, 1, 8).
-	Window    int
-	MinWindow int
-	MaxWindow int
+	// Window is the constant draft window (sched.SpecCall.Window); zero
+	// takes sched.DefaultSpecWindow.
+	Window int
 }
 
 // DiskConfig configures the kernel's durable disk KV tier: a snapshot

@@ -50,11 +50,9 @@ type SpecdecConfig struct {
 	AgeAfter   time.Duration
 	// PrefillChunk is the kernel prefill chunk of the non-fifo cells.
 	PrefillChunk int
-	// Draft window bounds for the spec cell; zero values take the
-	// sched.DefaultSpec* defaults.
-	Window    int
-	MinWindow int
-	MaxWindow int
+	// Window is the spec cell's draft window; zero takes
+	// sched.DefaultSpecWindow.
+	Window int
 	// Seed offsets the deterministic workload streams (see seedBase).
 	Seed int64
 }
@@ -153,12 +151,7 @@ func runSpecdecCell(cfg SpecdecConfig, cell string, spec bool) SpecdecPoint {
 		kc.PriorityPolicy = lanePolicy(policy, cfg.Quantum, cfg.StepTokens, cfg.AgeAfter)
 		kc.PrefillChunk = chunk
 		if spec {
-			kc.Spec = &core.SpecConfig{
-				Draft:     "draft",
-				Window:    cfg.Window,
-				MinWindow: cfg.MinWindow,
-				MaxWindow: cfg.MaxWindow,
-			}
+			kc.Spec = &core.SpecConfig{Draft: "draft", Window: cfg.Window}
 		}
 		kc.Replicas = cfg.GPUs
 		kc.Dispatcher = sched.LeastLoaded{}

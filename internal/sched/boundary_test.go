@@ -67,13 +67,13 @@ func TestDecodeLoopRidesEveryIteration(t *testing.T) {
 			steps: 24,
 		},
 		{
-			// A fully accepted draft window pinned at 4: every round pays
+			// A fully accepted draft window of 4: every round pays
 			// four serialized draft passes, computes 4 positions and
 			// retires 5, so 101 tokens are 20 rounds and the closing
 			// verify step.
 			name: "spec decode run",
 			long: Call{Model: target, Tokens: 101, Decode: true, Spec: &SpecCall{
-				Draft: draftModel, Window: window, MinWindow: window, MaxWindow: window,
+				Draft: draftModel, Window: window,
 				Accept: bitmap(100, func(int) bool { return true }),
 			}},
 			step: window*(draft.KernelOverhead+draft.PerSequence+draft.PerToken) +

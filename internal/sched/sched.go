@@ -594,11 +594,6 @@ func (r *replica) crash() {
 		}
 		c.scheduled = false
 		c.remaining = c.tokens
-		if c.spec != nil {
-			// The re-executed incarnation re-learns its acceptance rate
-			// from scratch, exactly like the first one did.
-			c.spec.reset()
-		}
 	}
 	if s.onCrash != nil {
 		s.onCrash(r.id)
@@ -838,12 +833,6 @@ func (r *replica) iterate() error {
 	finished := make([]*call, 0, len(selected))
 	for i, c := range selected {
 		c.remaining -= progress[i]
-		if specDraft[i] > 0 {
-			// Fold the round's acceptance into the adaptive window:
-			// consistent acceptance widens speculation, wasted drafts
-			// shrink it toward plain decode.
-			c.spec.observe(specDraft[i], progress[i]-1)
-		}
 	}
 	for _, c := range r.active {
 		if c.remaining <= 0 {

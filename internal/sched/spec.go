@@ -22,15 +22,12 @@ type SpecCall struct {
 	// executor charges for draft passes. It must be a different (cheaper)
 	// model than the call's own.
 	Draft string
-	// Window is the initial draft window: how many tokens the draft
-	// model proposes per iteration. The executor adapts it between
-	// MinWindow and MaxWindow from the observed acceptance rate —
-	// shrinking when speculation is being wasted, growing when the draft
-	// is consistently right. Zero values default to DefaultSpecWindow
-	// and [DefaultSpecMinWindow, DefaultSpecMaxWindow].
-	Window    int
-	MinWindow int
-	MaxWindow int
+	// Window is the draft window: how many tokens the draft model
+	// proposes per iteration, cut only by the run's end. It is a
+	// constant for the call's life (docs/EXPERIMENTS.md, "Why the draft
+	// window is a constant"). Zero means DefaultSpecWindow; otherwise it
+	// must lie in [1, DefaultSpecMaxWindow].
+	Window int
 	// Accept[i] reports whether the draft's greedy proposal for the
 	// call's i-th decode position matches the target's. A spec round
 	// starting at position p accepts the leading run of true values in
@@ -40,72 +37,21 @@ type SpecCall struct {
 	Accept []bool
 }
 
-// Default draft-window bounds: a 4-token window is the classic
-// sweet spot for ~0.8 acceptance, and the adaptation range keeps the
-// draft from either degenerating to plain decode or speculating past
-// what one iteration can verify.
+// DefaultSpecWindow is the classic sweet spot for ~0.8 per-token draft
+// agreement; DefaultSpecMaxWindow is the largest window a call may ask
+// for, which keeps a draft from speculating past what one iteration can
+// usefully verify.
 const (
 	DefaultSpecWindow    = 4
-	DefaultSpecMinWindow = 1
 	DefaultSpecMaxWindow = 8
 )
 
 // specState is the executor-side speculation state of one call. It is
 // touched only by the owning replica actor.
 type specState struct {
-	draft      string
-	window     int // current adaptive draft window
-	initWindow int // reset target after a crash-restart
-	minWindow  int
-	maxWindow  int
-	accept     []bool
-	// ewma is the acceptance-rate estimate driving window adaptation;
-	// ewmaInit records whether a round has seeded it yet.
-	ewma     float64
-	ewmaInit bool
-}
-
-// Window-adaptation constants: the EWMA reacts fast (alpha 0.5 — a
-// couple of bad rounds matter more than ancient history), the window
-// grows additively while the draft is consistently accepted and halves
-// when speculation is mostly wasted.
-const (
-	specEWMAAlpha  = 0.5
-	specGrowAbove  = 0.8
-	specShrinkWhen = 0.5
-)
-
-// observe folds one spec round's acceptance into the adaptive window.
-func (sp *specState) observe(drafted, accepted int) {
-	if drafted <= 0 {
-		return
-	}
-	rate := float64(accepted) / float64(drafted)
-	if !sp.ewmaInit {
-		sp.ewma = rate
-		sp.ewmaInit = true
-	} else {
-		sp.ewma = specEWMAAlpha*rate + (1-specEWMAAlpha)*sp.ewma
-	}
-	switch {
-	case sp.ewma >= specGrowAbove && sp.window < sp.maxWindow:
-		sp.window++
-	case sp.ewma < specShrinkWhen && sp.window > sp.minWindow:
-		sp.window = sp.window / 2
-		if sp.window < sp.minWindow {
-			sp.window = sp.minWindow
-		}
-	}
-}
-
-// reset returns speculation to its submission state after a
-// crash-restart discards the call's progress: the re-executed call
-// re-learns its acceptance rate exactly as the first incarnation did, so
-// requeued work stays deterministic.
-func (sp *specState) reset() {
-	sp.window = sp.initWindow
-	sp.ewma = 0
-	sp.ewmaInit = false
+	draft  string
+	window int
+	accept []bool
 }
 
 // newSpecState validates a submitted SpecCall against the call that
@@ -124,28 +70,15 @@ func (s *Scheduler) newSpecState(meta Call) (*specState, error) {
 	if sp.Draft == meta.Model {
 		return nil, fmt.Errorf("sched: draft model %q is the target model (speculation needs a cheaper draft)", sp.Draft)
 	}
-	w, minW, maxW := sp.Window, sp.MinWindow, sp.MaxWindow
+	w := sp.Window
 	if w == 0 {
 		w = DefaultSpecWindow
 	}
-	if minW == 0 {
-		minW = DefaultSpecMinWindow
-	}
-	if maxW == 0 {
-		maxW = DefaultSpecMaxWindow
-	}
-	if w < 1 || minW < 1 || minW > w || w > maxW {
-		return nil, fmt.Errorf("sched: invalid draft window %d (need MinWindow <= Window <= MaxWindow, all >= 1; have min %d, max %d)", w, minW, maxW)
+	if w < 1 || w > DefaultSpecMaxWindow {
+		return nil, fmt.Errorf("sched: invalid draft window %d (need 1 <= Window <= %d)", w, DefaultSpecMaxWindow)
 	}
 	if len(sp.Accept) < meta.Tokens-1 {
 		return nil, fmt.Errorf("sched: acceptance bitmap covers %d positions, need %d (Tokens-1)", len(sp.Accept), meta.Tokens-1)
 	}
-	return &specState{
-		draft:      sp.Draft,
-		window:     w,
-		initWindow: w,
-		minWindow:  minW,
-		maxWindow:  maxW,
-		accept:     sp.Accept,
-	}, nil
+	return &specState{draft: sp.Draft, window: w, accept: sp.Accept}, nil
 }

@@ -74,7 +74,7 @@ func TestSpecFullAcceptance(t *testing.T) {
 		err := s.SubmitCall(Call{
 			Model: target, Tokens: tokens, Decode: true,
 			Spec: &SpecCall{
-				Draft: draftModel, Window: 4, MinWindow: 4, MaxWindow: 4,
+				Draft: draftModel, Window: 4,
 				Accept: bitmap(tokens-1, func(int) bool { return true }),
 			},
 		})
@@ -100,8 +100,7 @@ func TestSpecFullAcceptance(t *testing.T) {
 // TestSpecZeroAcceptance is the 0%-acceptance edge: every draft is
 // wrong, so each round retires exactly one token (the verify pass's
 // correction) — never zero, so the run still terminates in N iterations
-// — and the adaptive window collapses to MinWindow so the draft model
-// stops burning time on hopeless speculation.
+// — while the draft keeps proposing its full window.
 func TestSpecZeroAcceptance(t *testing.T) {
 	clk := simclock.New()
 	s := specSched(clk, DefaultLanes(), 0)
@@ -110,7 +109,7 @@ func TestSpecZeroAcceptance(t *testing.T) {
 		err := s.SubmitCall(Call{
 			Model: target, Tokens: tokens, Decode: true,
 			Spec: &SpecCall{
-				Draft: draftModel, Window: 4, MinWindow: 1, MaxWindow: 8,
+				Draft: draftModel, Window: 4,
 				Accept: bitmap(tokens-1, func(int) bool { return false }),
 			},
 		})
@@ -126,21 +125,21 @@ func TestSpecZeroAcceptance(t *testing.T) {
 	if st.SpecAccepted != 0 {
 		t.Fatalf("accepted = %d, want 0", st.SpecAccepted)
 	}
-	// The window halves under rejection: rounds draft 4, 2, then 1 for
-	// the remaining 7 spec rounds (9 spec rounds total, then the final
-	// plain step). Total drafted pins the shrink trajectory.
-	if st.SpecRounds != tokens-1 || st.SpecDrafted != 4+2+7 {
+	// The window is only ever cut by the run's end: six rounds draft 4
+	// (10 down to 5 tokens left), then 3, 2, 1 (9 spec rounds total, then
+	// the final plain step).
+	if st.SpecRounds != tokens-1 || st.SpecDrafted != 4*6+3+2+1 {
 		t.Fatalf("spec rounds = %d drafted = %d, want %d/%d",
-			st.SpecRounds, st.SpecDrafted, tokens-1, 4+2+7)
+			st.SpecRounds, st.SpecDrafted, tokens-1, 4*6+3+2+1)
 	}
 }
 
-// TestSpecWindowOscillation drives acceptance in alternating bursts —
-// long all-accepted stretches then all-rejected ones — and checks the
-// window adapts both ways: speedup over plain decode while the draft is
-// hot, bounded waste while it is cold, exact accounting throughout, and
-// a byte-identical repeat run (window adaptation is deterministic).
-func TestSpecWindowOscillation(t *testing.T) {
+// TestSpecOscillatingAcceptance drives acceptance in alternating bursts —
+// long all-accepted stretches then all-rejected ones — and checks both
+// regimes: speedup over plain decode while the draft is hot, one token a
+// round while it is cold, exact accounting throughout, and a
+// byte-identical repeat run.
+func TestSpecOscillatingAcceptance(t *testing.T) {
 	const tokens = 256
 	accept := bitmap(tokens-1, func(i int) bool { return i/32%2 == 0 })
 	runOnce := func() Stats {
@@ -297,7 +296,8 @@ func TestSpecCrashLedger(t *testing.T) {
 
 // TestSpecValidation exercises every up-front rejection of a malformed
 // speculative call: fifo policy, missing Decode, unknown or self draft
-// model, inverted window bounds, and a short acceptance bitmap.
+// model, a draft window outside [1, DefaultSpecMaxWindow] (0 is the
+// default, so -1 stands in below 1), and a short acceptance bitmap.
 func TestSpecValidation(t *testing.T) {
 	ok := &SpecCall{Draft: draftModel, Accept: bitmap(7, func(int) bool { return true })}
 	cases := []struct {
@@ -320,9 +320,13 @@ func TestSpecValidation(t *testing.T) {
 			Call{Model: target, Tokens: 8, Decode: true,
 				Spec: &SpecCall{Draft: target, Accept: ok.Accept}},
 			"is the target model"},
-		{"inverted windows", nil,
+		{"window under 1", nil,
 			Call{Model: target, Tokens: 8, Decode: true,
-				Spec: &SpecCall{Draft: draftModel, Window: 4, MinWindow: 6, MaxWindow: 8, Accept: ok.Accept}},
+				Spec: &SpecCall{Draft: draftModel, Window: -1, Accept: ok.Accept}},
+			"invalid draft window"},
+		{"window over the bound", nil,
+			Call{Model: target, Tokens: 8, Decode: true,
+				Spec: &SpecCall{Draft: draftModel, Window: DefaultSpecMaxWindow + 1, Accept: ok.Accept}},
 			"invalid draft window"},
 		{"short bitmap", nil,
 			Call{Model: target, Tokens: 64, Decode: true,
