@@ -46,11 +46,11 @@ func main() {
 	kvHighWater := flag.Float64("kv-high-water", 0,
 		"GPU usage fraction that triggers KV reclaim for -exp pressure (default 0.90)")
 	interconnectGbps := flag.Float64("interconnect-gbps", 0,
-		"replica interconnect bandwidth in Gbit/s for -exp migrate (0 = netsim default)")
+		"replica interconnect bandwidth in Gbit/s for -exp migrate and -exp chaos (0 = netsim default)")
 	migrateThreshold := flag.Float64("migrate-threshold", 0,
 		"home-overload factor for -exp migrate (0 = core default)")
 	kvDiskGB := flag.Float64("kv-disk-gb", 0,
-		"durable disk KV tier size in GiB for -exp restart (0 = experiment default)")
+		"durable disk KV tier size in GiB for -exp restart and -exp chaos (0 = experiment default)")
 	jsonDir := flag.String("json-dir", ".",
 		"directory for the BENCH_<exp>.json artifact every experiment writes (empty disables)")
 	seed := flag.Int64("seed", 0,

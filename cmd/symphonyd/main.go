@@ -61,8 +61,7 @@
 // A disk KV tier sits below host memory when -kv-disk-gb is set, the
 // daemon's third demotion level: it spills cold host files to an
 // FMC1-style snapshot store once host usage crosses -kv-disk-high-water,
-// named prefixes are committed every -kv-checkpoint of virtual time, and
-// the first pred on a spilled file pays an NVMe load or a recompute,
+// and the first pred on a spilled file pays an NVMe load or a recompute,
 // whichever the cost model says is cheaper. The store lives on an
 // in-process simulated disk that is new at every boot, so nothing
 // outlives the process: warm restart is a property of the kernel, shown
@@ -113,8 +112,6 @@ func main() {
 		"disk KV tier size in GiB, the memory daemon's third demotion level (0 disables)")
 	kvDiskHighWater := flag.Float64("kv-disk-high-water", 0.85,
 		"host KV usage fraction that triggers spilling cold files to disk")
-	kvCheckpoint := flag.Duration("kv-checkpoint", time.Minute,
-		"interval between KV snapshot commits when the disk tier is enabled (0 disables)")
 	prioPolicy := flag.String("priority-policy", "lanes",
 		"GPU iteration ordering policy ("+strings.Join(sched.PriorityPolicyNames(), "|")+")")
 	stepQuantum := flag.Int("step-quantum", sched.DefaultQuantum,
@@ -211,20 +208,6 @@ func main() {
 			ChunkTokens: *prefixChunk,
 		},
 	})
-	if interval := *kvCheckpoint; kernel.DiskTier() != nil && interval > 0 {
-		// Keep the snapshot store fresh with periodic commits. Runs as a
-		// clock actor because snapshot I/O bills virtual disk time.
-		clk.Go("kv-checkpoint", func() {
-			for {
-				if err := clk.Sleep(interval); err != nil {
-					return
-				}
-				if _, err := kernel.CheckpointKV(); err != nil {
-					log.Printf("kv checkpoint: %v", err)
-				}
-			}
-		})
-	}
 	kernel.RegisterTool("search", core.Tool{
 		Latency: 150 * time.Millisecond,
 		Fn:      func(args string) (string, error) { return "results for " + args, nil },
