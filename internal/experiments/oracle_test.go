@@ -160,23 +160,24 @@ func TestBaselinesMatchRegistry(t *testing.T) {
 	for _, f := range files {
 		orphans[filepath.Base(f)] = true
 	}
-	pins := len(determinismPins)
+	registered := map[string]bool{}
 	for _, s := range Sweeps {
+		registered[s.Name] = true
 		file := "BENCH_" + s.Name + ".json"
 		if !orphans[file] {
 			t.Errorf("-exp %s has no %s", s.Name, filepath.Join(dir, file))
 		}
 		delete(orphans, file)
-		if _, ok := determinismPins[s.Name]; ok {
-			pins--
-		} else {
+		if _, ok := determinismPins[s.Name]; !ok {
 			t.Errorf("-exp %s has no determinism pin", s.Name)
 		}
 	}
 	for file := range orphans {
 		t.Errorf("%s belongs to no registered sweep", filepath.Join(dir, file))
 	}
-	if pins != 0 {
-		t.Errorf("%d determinism pins name no registered sweep", pins)
+	for name := range determinismPins {
+		if !registered[name] {
+			t.Errorf("determinism pin %q names no registered sweep", name)
+		}
 	}
 }
