@@ -1,6 +1,8 @@
 package model
 
 import (
+	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/token"
@@ -58,8 +60,8 @@ func requireSameCands(t *testing.T, h CtxHash, what string, got, want []TokenPro
 	if len(got) != len(want) {
 		t.Fatalf("h=%#x: %s has %d candidates, want %d", h, what, len(got), len(want))
 	}
-	for i := range want {
-		if got[i] != want[i] {
+	for i := range want { // by bits, so a NaN equals itself
+		if got[i].Token != want[i].Token || math.Float64bits(got[i].Prob) != math.Float64bits(want[i].Prob) {
 			t.Fatalf("h=%#x: %s[%d] = %v, want %v", h, what, i, got[i], want[i])
 		}
 	}
@@ -118,5 +120,32 @@ func BenchmarkDefer(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		sinkDist = m.Defer(CtxHash(splitmix64(uint64(i))))
+	}
+}
+
+// BenchmarkTemperature is what lip.Sampler.Sample adds to Next for every
+// token it draws at a temperature other than 0 and 1: a Pow per candidate,
+// and an order that one pass confirms.
+func BenchmarkTemperature(b *testing.B) {
+	d := testModel().Next(1)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sinkDist = d.Temperature(0.7)
+	}
+}
+
+// BenchmarkMask is one constrained-decoding step of lip.Generate: sixteen
+// allowed tokens, half of them candidates, listed by token id as a grammar
+// would — not in candidate order, so this one pays for the sort.
+func BenchmarkMask(b *testing.B) {
+	d := testModel().Next(1)
+	allowed := make([]token.ID, 0, 16)
+	for i, c := range d.Candidates()[:8] {
+		allowed = append(allowed, c.Token, token.ID(1000+i))
+	}
+	slices.Sort(allowed)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sinkDist = d.Mask(allowed)
 	}
 }

@@ -30,7 +30,7 @@ type TokenProb struct {
 type Dist struct {
 	h     uint64
 	vocab int
-	cands []TokenProb // sorted by descending probability
+	cands []TokenProb // in candidate order (see before)
 	tail  float64     // mass reserved for non-candidate tokens
 	cfg   *Config     // non-nil while unbuilt: cands is makeDist(h, *cfg)'s
 }
@@ -38,6 +38,30 @@ type Dist struct {
 // TailMass is the probability mass a Dist reserves for tokens outside its
 // explicit candidate set.
 const TailMass = 0.02
+
+// before is the candidate order: descending probability, equal
+// probabilities by ascending token.
+func before(a, b TokenProb) bool {
+	if a.Prob != b.Prob {
+		return a.Prob > b.Prob
+	}
+	return a.Token < b.Token
+}
+
+// order puts c in candidate order. Every producer here emits candidates
+// already in that order or nearly always so (a geometric decay, a monotone
+// map of an ordered slice), so one linear pass comes first, and it accepts
+// only a slice whose every element is before its successor or identical to
+// it. No NaN passes that, so an accepted slice has exactly one sorted
+// arrangement, the one it is in; anything else gets the sort.
+func order(c []TokenProb) {
+	for i := 1; i < len(c); i++ {
+		if !before(c[i-1], c[i]) && c[i-1] != c[i] {
+			sort.Slice(c, func(i, j int) bool { return before(c[i], c[j]) })
+			return
+		}
+	}
+}
 
 func makeDist(h uint64, cfg Config) Dist {
 	k := cfg.TopK
@@ -67,15 +91,16 @@ func makeDist(h uint64, cfg Config) Dist {
 	for i := range d.cands {
 		d.cands[i].Prob *= scale
 	}
+	order(d.cands) // a no-op unless weights underflowed into ties
 	if eos > 0 {
-		d.cands = append(d.cands, TokenProb{Token: token.EOS, Prob: eos})
+		// EOS is special, so no candidate ties with it on both fields and its
+		// place among the ordered candidates is unique.
+		e := TokenProb{Token: token.EOS, Prob: eos}
+		at := sort.Search(len(d.cands), func(i int) bool { return before(e, d.cands[i]) })
+		d.cands = append(d.cands, e)
+		copy(d.cands[at+1:], d.cands[at:])
+		d.cands[at] = e
 	}
-	sort.Slice(d.cands, func(i, j int) bool {
-		if d.cands[i].Prob != d.cands[j].Prob {
-			return d.cands[i].Prob > d.cands[j].Prob
-		}
-		return d.cands[i].Token < d.cands[j].Token
-	})
 	return d
 }
 
@@ -92,7 +117,7 @@ func (d Dist) built() Dist {
 // probabilities are rescaled to sum to 1-TailMass, preserving the original
 // contract that non-candidate tokens keep a small queryable tail, so a
 // rewritten distribution still composes with Mask-based constraints. The
-// candidates must be sorted by descending probability.
+// candidates may come in any order.
 func NewDist(vocabSize int, cands []TokenProb) Dist {
 	d := Dist{vocab: vocabSize, tail: TailMass}
 	var sum float64
@@ -108,6 +133,7 @@ func NewDist(vocabSize int, cands []TokenProb) Dist {
 	for i, c := range cands {
 		d.cands[i] = TokenProb{Token: c.Token, Prob: c.Prob * scale}
 	}
+	order(d.cands)
 	return d
 }
 
@@ -199,12 +225,7 @@ func (d Dist) Mask(allowed []token.ID) Dist {
 	for i := range out.cands {
 		out.cands[i].Prob /= sum
 	}
-	sort.Slice(out.cands, func(i, j int) bool {
-		if out.cands[i].Prob != out.cands[j].Prob {
-			return out.cands[i].Prob > out.cands[j].Prob
-		}
-		return out.cands[i].Token < out.cands[j].Token
-	})
+	order(out.cands)
 	return out
 }
 
@@ -233,12 +254,7 @@ func (d Dist) Temperature(temp float64) Dist {
 	for i := range out.cands {
 		out.cands[i].Prob /= sum
 	}
-	sort.Slice(out.cands, func(i, j int) bool {
-		if out.cands[i].Prob != out.cands[j].Prob {
-			return out.cands[i].Prob > out.cands[j].Prob
-		}
-		return out.cands[i].Token < out.cands[j].Token
-	})
+	order(out.cands)
 	return out
 }
 
