@@ -106,7 +106,9 @@ func newEngine(clk *simclock.Clock, cfg Config) *engine {
 }
 
 // pred mirrors the Symphony kernel's pred path for the baselines: append
-// tokens to a KV file, charge one batched GPU step, return distributions.
+// tokens to a KV file, charge one batched GPU step, return unbuilt
+// distributions (model.Defer). The server-fixed loop reads nothing of them
+// but Greedy, which answers those without building.
 func (e *engine) pred(f *kvfs.File, toks []token.ID, positions []int) ([]model.Dist, error) {
 	tails, err := f.Append(toks, positions)
 	if err != nil {
@@ -117,7 +119,7 @@ func (e *engine) pred(f *kvfs.File, toks []token.ID, positions []int) ([]model.D
 	}
 	dists := make([]model.Dist, len(tails))
 	for i, h := range tails {
-		dists[i] = e.mdl.Next(h)
+		dists[i] = e.mdl.Defer(h)
 	}
 	return dists, nil
 }

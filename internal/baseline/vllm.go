@@ -207,7 +207,7 @@ func (s *VLLM) Complete(req Request) (Response, error) {
 	} else {
 		// Whole prompt cached: the next-token distribution is a pure
 		// function of the cached context; no GPU work needed.
-		last = s.e.mdl.Next(f.Tail())
+		last = s.e.mdl.Defer(f.Tail())
 	}
 	s.insert(f, bounds)
 

@@ -480,14 +480,16 @@ func (c *Ctx) pred(modelName string, f *kvfs.File, toks []token.ID, positions []
 	if decode && k.spec != nil && call.Model == k.defMod && len(toks) > 1 {
 		// Precompute the acceptance bitmap from the deterministic model
 		// pair: position i is accepted iff the draft's greedy proposal
-		// from the context ahead of it matches the target's. The executor
-		// consults it round by round; no randomness at execution time, so
-		// identically-seeded runs speculate identically.
+		// from the context ahead of it matches the target's. Both sides are
+		// read through unbuilt distributions, which answer Greedy without
+		// building. The executor consults the bitmap round by round; no
+		// randomness at execution time, so identically-seeded runs
+		// speculate identically.
 		draft := k.models[k.spec.Draft]
 		accept := make([]bool, len(toks)-1)
 		h := preTail
 		for i := range accept {
-			accept[i] = draft.Next(h).Greedy() == m.Next(h).Greedy()
+			accept[i] = draft.Defer(h).Greedy() == m.Defer(h).Greedy()
 			h = tails[i]
 		}
 		call.Spec = &sched.SpecCall{

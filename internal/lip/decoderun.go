@@ -60,13 +60,14 @@ func GenerateDecode(s *Session, opts DecodeOptions) (GenResult, error) {
 
 	// Walk the greedy chain before spending any GPU time. Extend mirrors
 	// what kvfs.Append will do at commit, so position i's hash here equals
-	// the context hash PredDecode's verifier sees ahead of token i.
+	// the context hash PredDecode's verifier sees ahead of token i. Only
+	// the argmax is read, so each position's distribution stays unbuilt.
 	var res GenResult
 	h := s.kv.Tail()
 	pos := s.kv.Len()
 	nCommit := 0 // a Stop-terminated run leaves its final token uncommitted
 	for len(res.Tokens) < opts.MaxTokens {
-		tok := m.Next(h).Greedy()
+		tok := m.Defer(h).Greedy()
 		if tok == token.EOS {
 			res.HitEOS = true
 			break

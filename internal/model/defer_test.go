@@ -13,7 +13,14 @@ import (
 // target's distribution on the agreeing side of its coin and its own on the
 // other), the unaligned draft, a vocabulary barely larger than TopK with a
 // heavy EOS (the splitmix sequence repeats ids, and EOS often sorts first),
-// and a model that never emits EOS.
+// a model that never emits EOS, and the shapes where Greedy's closed form is
+// at its edge or steps aside: an EOS bias of 1-TailMass (0.98), under which
+// the candidates' mass falls as low as a 1,024th of 0.98 but stays positive;
+// one of 1.0, under which the EOS mass reaches 1-TailMass on 20 of every
+// 1,024 contexts, scale goes negative and the candidates reverse, so Greedy
+// builds (EOS leads there either way, so only the branch count shows the
+// fallback ran); one candidate; and 2,000 candidates, whose weights
+// underflow into runs of equal zeros.
 func deferConfigs() []Config {
 	small := Llama13B()
 	small.Name, small.VocabSize, small.TopK, small.EOSBias = "vocab70-eos0.9", 70, 64, 0.9
@@ -21,7 +28,15 @@ func deferConfigs() []Config {
 	noEOS.Name, noEOS.EOSBias = "no-eos", 0
 	aligned := AlignedDraft(New(Llama13B()), 0.85)
 	aligned.Name = "aligned-draft"
-	return []Config{Llama13B(), aligned, DraftLlama1B(), small, noEOS}
+	edge := Llama13B()
+	edge.Name, edge.EOSBias = "eos0.98", 1-TailMass
+	over := Llama13B()
+	over.Name, over.EOSBias = "eos1.0", 1
+	one := Llama13B()
+	one.Name, one.TopK = "top1", 1
+	wide := Llama13B()
+	wide.Name, wide.TopK = "top2000", 2_000
+	return []Config{Llama13B(), aligned, DraftLlama1B(), small, noEOS, edge, over, one, wide}
 }
 
 // requireSameDist fails unless every reader of got answers exactly — no
@@ -68,7 +83,9 @@ func requireSameCands(t *testing.T, h CtxHash, what string, got, want []TokenPro
 }
 
 // TestDeferEqualsNext holds Defer to its contract: an unbuilt distribution
-// is indistinguishable from the eager one under every reader.
+// is indistinguishable from the eager one under every reader, Greedy's
+// closed form included. TopK 2000 gets a tenth of the contexts: every reader
+// there rebuilds 2,000 candidates.
 func TestDeferEqualsNext(t *testing.T) {
 	contexts := 8_000
 	if testing.Short() {
@@ -79,27 +96,75 @@ func TestDeferEqualsNext(t *testing.T) {
 		t.Run(cfg.Name, func(t *testing.T) {
 			t.Parallel()
 			m := New(cfg)
-			eosFirst, agreed := 0, 0
-			for i := 0; i < contexts; i++ {
+			n := contexts
+			if cfg.TopK > 1_000 {
+				n /= 10
+			}
+			eosFirst, agreed, fellBack, eosWon := 0, 0, 0, 0
+			for i := 0; i < n; i++ {
 				h := CtxHash(splitmix64(uint64(i)))
 				want := m.Next(h)
-				requireSameDist(t, h, m.Defer(h), want)
+				got := m.Defer(h)
+				requireSameDist(t, h, got, want)
 				if want.Greedy() == token.EOS {
 					eosFirst++
 				}
 				if cfg.AlignTarget != nil && m.agrees(h, cfg.AlignProb) {
 					agreed++
 				}
+				switch tok, ok := greedy(got.h, got.cfg); {
+				case !ok:
+					fellBack++
+				case tok == token.EOS:
+					eosWon++
+				}
 			}
-			// Both shapes of each config that has two were seen.
-			if cfg.EOSBias >= 0.9 && (eosFirst == 0 || eosFirst == contexts) {
-				t.Fatalf("EOS sorted first on %d of %d contexts; want both orderings", eosFirst, contexts)
+			// Both shapes of each config that has two were seen, and each
+			// branch of the closed form was reached where it can be.
+			if cfg.EOSBias >= 0.9 && (eosFirst == 0 || eosFirst == n) {
+				t.Fatalf("EOS sorted first on %d of %d contexts; want both orderings", eosFirst, n)
 			}
-			if cfg.AlignTarget != nil && (agreed == 0 || agreed == contexts) {
-				t.Fatalf("draft agreed on %d of %d contexts; want both sides of the coin", agreed, contexts)
+			if cfg.AlignTarget != nil && (agreed == 0 || agreed == n) {
+				t.Fatalf("draft agreed on %d of %d contexts; want both sides of the coin", agreed, n)
+			}
+			if cfg.EOSBias >= 0.9 && eosWon == 0 {
+				t.Fatalf("the closed form put EOS first on none of %d contexts", n)
+			}
+			if cfg.EOSBias >= 1 && fellBack == 0 {
+				t.Fatalf("Greedy built on none of %d contexts, want the fallback where scale <= 0", n)
+			}
+			if cfg.EOSBias < 1 && fellBack != 0 {
+				t.Fatalf("Greedy built on %d of %d contexts, want the closed form throughout", fellBack, n)
 			}
 		})
 	}
+}
+
+// FuzzGreedyDefer holds Greedy's closed form to the built distribution over
+// shapes nobody listed: any context, an EOS bias in [0, 1.2], a TopK in
+// [1, 4096] and a vocabulary at least TopK+8, on the model and on an aligned
+// draft of it.
+func FuzzGreedyDefer(f *testing.F) {
+	f.Add(uint64(1), 0.05, uint16(63), uint16(32704))
+	f.Add(uint64(7), 0.98, uint16(0), uint16(0))
+	f.Add(uint64(512), 1.0, uint16(1999), uint16(100))
+	f.Add(uint64(9), 1.2, uint16(4095), uint16(8))
+	f.Fuzz(func(t *testing.T, h uint64, eosBias float64, topK, extra uint16) {
+		if !(eosBias >= 0 && eosBias <= 1.2) {
+			t.Skip()
+		}
+		cfg := Llama13B()
+		cfg.EOSBias, cfg.TopK = eosBias, 1+int(topK)%4096
+		cfg.VocabSize = cfg.TopK + 8 + int(extra)
+		target := New(cfg)
+		draft := AlignedDraft(target, 0.85)
+		draft.EOSBias, draft.TopK, draft.VocabSize = cfg.EOSBias, cfg.TopK, cfg.VocabSize
+		for _, m := range []*Model{target, New(draft)} {
+			if got, want := m.Defer(CtxHash(h)).Greedy(), m.Next(CtxHash(h)).Greedy(); got != want {
+				t.Fatalf("%s h=%#x: Defer(h).Greedy() = %d, Next(h).Greedy() = %d", m.Name(), h, got, want)
+			}
+		}
+	})
 }
 
 var sinkDist Dist
@@ -120,6 +185,19 @@ func BenchmarkDefer(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		sinkDist = m.Defer(CtxHash(splitmix64(uint64(i))))
+	}
+}
+
+var sinkToken token.ID
+
+// BenchmarkGreedyDefer is what each position of the speculation bitmap, of
+// lip.GenerateDecode's chain walk and of the baselines' server-fixed loop
+// pays: an argmax read off an unbuilt distribution.
+func BenchmarkGreedyDefer(b *testing.B) {
+	m := testModel()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sinkToken = m.Defer(CtxHash(splitmix64(uint64(i)))).Greedy()
 	}
 }
 

@@ -20,13 +20,16 @@ type TokenProb struct {
 // candidates sum to 1-TailMass.
 //
 // A Dist from Model.Defer is unbuilt: it holds only the context hash and the
-// model's configuration, and every reader of its candidates builds them
-// through makeDist first, so it answers exactly as Model.Next's would.
-// Methods have value receivers and nothing is cached, so an unbuilt Dist
-// rebuilds on every read — right for values nobody reads (the kernel's pred
-// hands them out for positions a prefix-cache hit attached), wrong for one
-// read in a loop: lip.Session keeps the last position's, always executed
-// and so always from Next.
+// model's configuration, and answers exactly as Model.Next's would. Greedy
+// answers in closed form from mass and draw, building only where that form
+// does not hold; every other reader builds the candidates through makeDist
+// first. Methods have value receivers and nothing is cached, so an unbuilt
+// Dist rebuilds on every such read — right for values nobody reads (the
+// kernel's pred hands them out for positions a prefix-cache hit attached)
+// or reads only through Greedy (the speculation bitmap, lip.GenerateDecode's
+// chain walk, the baselines' server-fixed loop), wrong for any other read
+// in a loop: lip.Session keeps the last position's, always executed and so
+// always from Next.
 type Dist struct {
 	h     uint64
 	vocab int
@@ -63,33 +66,46 @@ func order(c []TokenProb) {
 	}
 }
 
+// mass is the arithmetic of makeDist's weights for context h. Candidate j
+// (in draw order, duplicates and special ids skipped) gets probability
+// w_j*scale, where w_0 = 1 and w_{j+1} = w_j*ratio; EOS gets eos. The
+// weights depend on h alone, not on which ids fill them.
+func mass(h uint64, cfg *Config) (ratio, scale, eos float64) {
+	// Geometric decay with a context-dependent ratio in [0.55, 0.95] gives
+	// distributions of varying entropy.
+	ratio = 0.55 + 0.40*float64(splitmix64(h^1)%1024)/1024.0
+	w := 1.0
+	var sum float64
+	for j := 0; j < cfg.TopK; j++ {
+		sum += w
+		w *= ratio
+	}
+	// Context-dependent EOS mass makes sampled generations terminate.
+	eos = cfg.EOSBias * float64(splitmix64(h^0xe05)%1024) / 1024.0
+	return ratio, (1 - TailMass - eos) / sum, eos
+}
+
+// draw is the i-th id of context h's candidate sequence.
+func draw(h uint64, i, vocab int) token.ID {
+	return token.ID(splitmix64(h^uint64(2+i)) % uint64(vocab))
+}
+
 func makeDist(h uint64, cfg Config) Dist {
 	k := cfg.TopK
 	d := Dist{h: h, vocab: cfg.VocabSize, tail: TailMass}
 	d.cands = make([]TokenProb, 0, k+1)
 
-	// Geometric decay with a context-dependent ratio in [0.55, 0.95] gives
-	// distributions of varying entropy.
-	ratio := 0.55 + 0.40*float64(splitmix64(h^1)%1024)/1024.0
+	ratio, scale, eos := mass(h, &cfg)
 	seen := make(map[token.ID]bool, k)
 	w := 1.0
-	var sum float64
 	for i := 0; len(d.cands) < k; i++ {
-		id := token.ID(splitmix64(h^uint64(2+i)) % uint64(cfg.VocabSize))
+		id := draw(h, i, cfg.VocabSize)
 		if token.IsSpecial(id) || seen[id] {
 			continue
 		}
 		seen[id] = true
-		d.cands = append(d.cands, TokenProb{Token: id, Prob: w})
-		sum += w
+		d.cands = append(d.cands, TokenProb{Token: id, Prob: w * scale})
 		w *= ratio
-	}
-
-	// Context-dependent EOS mass makes sampled generations terminate.
-	eos := cfg.EOSBias * float64(splitmix64(h^0xe05)%1024) / 1024.0
-	scale := (1 - TailMass - eos) / sum
-	for i := range d.cands {
-		d.cands[i].Prob *= scale
 	}
 	order(d.cands) // a no-op unless weights underflowed into ties
 	if eos > 0 {
@@ -141,13 +157,42 @@ func NewDist(vocabSize int, cands []TokenProb) Dist {
 // order. The slice is shared; callers must not mutate it.
 func (d Dist) Candidates() []TokenProb { return d.built().cands }
 
-// Greedy returns the most probable token.
+// Greedy returns the most probable token. An unbuilt Dist answers without
+// building wherever greedy can.
 func (d Dist) Greedy() token.ID {
+	if d.cfg != nil {
+		if tok, ok := greedy(d.h, d.cfg); ok {
+			return tok
+		}
+	}
 	d = d.built()
 	if len(d.cands) == 0 {
 		return token.EOS
 	}
 	return d.cands[0].Token
+}
+
+// greedy is makeDist(h, cfg).Greedy() in closed form. The first non-special
+// id drawn is the first candidate, at weight 1 and so probability scale;
+// when ratio*scale < scale, every later candidate's w_j*scale <= ratio*scale
+// is strictly below it, so it leads unless EOS sorts before it. Where that
+// premise fails (scale <= 0 or not finite, or a product rounding up to
+// scale) ok is false and the caller builds.
+func greedy(h uint64, cfg *Config) (tok token.ID, ok bool) {
+	ratio, scale, eos := mass(h, cfg)
+	if !(ratio*scale < scale) {
+		return 0, false
+	}
+	top := TokenProb{Prob: scale}
+	for i := 0; ; i++ {
+		if top.Token = draw(h, i, cfg.VocabSize); !token.IsSpecial(top.Token) {
+			break
+		}
+	}
+	if e := (TokenProb{Token: token.EOS, Prob: eos}); eos > 0 && before(e, top) {
+		return token.EOS, true
+	}
+	return top.Token, true
 }
 
 // VocabSize returns the vocabulary bound of the emitting model.
