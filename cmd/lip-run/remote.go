@@ -24,7 +24,6 @@ type remoteJob struct {
 	JobID       string `json:"job_id"`
 	PID         int    `json:"pid"`
 	Status      string `json:"status"`
-	Output      string `json:"output"`
 	PredTokens  int64  `json:"pred_tokens"`
 	VirtualTime string `json:"virtual_time"`
 	Error       string `json:"error"`
@@ -34,7 +33,6 @@ type remoteJob struct {
 
 // remoteEvent mirrors core.ProcEvent on the wire.
 type remoteEvent struct {
-	Seq    int64  `json:"seq"`
 	Kind   string `json:"kind"`
 	Text   string `json:"text"`
 	Op     string `json:"op"`
@@ -45,11 +43,7 @@ type remoteEvent struct {
 	Final  bool   `json:"final"`
 }
 
-func runRemote(base, user, scriptPath string, cancelAfter time.Duration) error {
-	data, err := os.ReadFile(scriptPath)
-	if err != nil {
-		return fmt.Errorf("script: %w", err)
-	}
+func runRemote(base, user string, data []byte, cancelAfter time.Duration) error {
 	base = strings.TrimRight(base, "/")
 
 	req, err := http.NewRequest(http.MethodPost, base+"/v2/programs", strings.NewReader(string(data)))

@@ -87,6 +87,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/kvd"
+	"repro/internal/lipscript"
 	"repro/internal/model"
 	"repro/internal/netsim"
 	"repro/internal/sched"
@@ -208,14 +209,7 @@ func main() {
 			ChunkTokens: *prefixChunk,
 		},
 	})
-	kernel.RegisterTool("search", core.Tool{
-		Latency: 150 * time.Millisecond,
-		Fn:      func(args string) (string, error) { return "results for " + args, nil },
-	})
-	kernel.RegisterTool("weather", core.Tool{
-		Latency: 100 * time.Millisecond,
-		Fn:      func(args string) (string, error) { return fmt.Sprintf("weather(%s)=fair", args), nil },
-	})
+	lipscript.RegisterTools(kernel)
 
 	srv := server.NewWith(clk, kernel, server.Options{
 		MaxJobsPerUser:  *maxJobs,

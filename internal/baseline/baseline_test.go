@@ -2,7 +2,6 @@ package baseline
 
 import (
 	"math/rand"
-	"sync"
 	"testing"
 	"time"
 
@@ -237,42 +236,11 @@ func TestAdmissionSerializesOversizedLoad(t *testing.T) {
 	}
 }
 
-func TestTokenGateFIFOAndTooBig(t *testing.T) {
-	clk := simclock.New()
-	g := newTokenGate(clk, 10)
-	if err := g.Acquire(11); err != errGateTooBig {
-		t.Fatalf("oversized acquire: %v", err)
-	}
-	var mu sync.Mutex
-	var order []int
-	drive(t, clk, func() {
-		g.Acquire(10) // hold all capacity
-		wg := clk.NewWaitGroup()
-		for i := 0; i < 3; i++ {
-			i := i
-			wg.Add(1)
-			clk.Go("w", func() {
-				defer wg.Done()
-				if err := g.Acquire(4); err != nil {
-					t.Errorf("acquire: %v", err)
-					return
-				}
-				mu.Lock()
-				order = append(order, i)
-				mu.Unlock()
-			})
-			clk.Sleep(time.Microsecond) // fix arrival order
-		}
-		// Release capacity for exactly one waiter at a time, so admissions
-		// are observed strictly in FIFO order.
-		for i := 0; i < 3; i++ {
-			g.Release(4)
-			clk.Sleep(time.Millisecond)
-		}
-		wg.Wait()
-	})
-	if len(order) != 3 || order[0] != 0 || order[1] != 1 || order[2] != 2 {
-		t.Fatalf("admission order = %v", order)
+func TestOversizedRequestRefused(t *testing.T) {
+	// 120 prompt + 16 decode tokens exceed the whole 128-token GPU tier.
+	srv := NewTGI(simclock.New(), Config{Model: model.New(model.Llama13B()), FS: smallFS(128)})
+	if _, err := srv.Complete(Request{Prompt: prompt(token.NewVocab(), 120, 1), MaxTokens: 16}); err != errGateTooBig {
+		t.Fatalf("oversized request: %v", err)
 	}
 }
 

@@ -13,7 +13,6 @@ package baseline
 
 import (
 	"errors"
-	"sync"
 
 	"repro/internal/kvfs"
 	"repro/internal/metrics"
@@ -65,11 +64,14 @@ type Config struct {
 
 // engine is the machinery shared by both baselines.
 type engine struct {
-	clk  *simclock.Clock
-	mdl  *model.Model
-	fs   *kvfs.FS
-	sch  *sched.Scheduler
-	gate *tokenGate
+	clk *simclock.Clock
+	mdl *model.Model
+	fs  *kvfs.FS
+	sch *sched.Scheduler
+	// gate queues new requests until their KV tokens fit in GPU memory,
+	// as real serving systems do; gateCap is its size.
+	gate    *simclock.Semaphore
+	gateCap int
 
 	requests     metrics.Counter
 	promptTokens metrics.Counter
@@ -100,9 +102,20 @@ func newEngine(clk *simclock.Clock, cfg Config) *engine {
 			PriorityPolicy: sched.FIFO{},
 		}),
 	}
-	cap := fs.Stats().GPUPageCap * fs.Config().PageTokens
-	e.gate = newTokenGate(clk, cap)
+	e.gateCap = fs.Stats().GPUPageCap * fs.Config().PageTokens
+	e.gate = clk.NewSemaphore(e.gateCap)
 	return e
+}
+
+var errGateTooBig = errors.New("baseline: request exceeds total KV capacity")
+
+// admit reserves n tokens of KV capacity, queueing behind earlier
+// requests. A request larger than the whole GPU tier is refused.
+func (e *engine) admit(n int) error {
+	if n > e.gateCap {
+		return errGateTooBig
+	}
+	return e.gate.Acquire(n)
 }
 
 // pred mirrors the Symphony kernel's pred path for the baselines: append
@@ -172,60 +185,4 @@ func positions(base, n int) []int {
 		out[i] = base + i
 	}
 	return out
-}
-
-// tokenGate is a FIFO counting semaphore over KV token capacity: admission
-// control so concurrent requests never exceed GPU memory, which real
-// serving systems implement by queueing new requests.
-type tokenGate struct {
-	clk *simclock.Clock
-	cap int
-
-	mu      sync.Mutex
-	free    int
-	waiters []*gateWaiter
-}
-
-type gateWaiter struct {
-	n  int
-	ev *simclock.Event
-}
-
-func newTokenGate(clk *simclock.Clock, cap int) *tokenGate {
-	return &tokenGate{clk: clk, cap: cap, free: cap}
-}
-
-var errGateTooBig = errors.New("baseline: request exceeds total KV capacity")
-
-// Acquire blocks until n tokens of capacity are available. Requests are
-// admitted strictly in arrival order; capacity is transferred to a waiter
-// by the releasing goroutine before its event fires.
-func (g *tokenGate) Acquire(n int) error {
-	if n > g.cap {
-		return errGateTooBig
-	}
-	g.mu.Lock()
-	if len(g.waiters) == 0 && g.free >= n {
-		g.free -= n
-		g.mu.Unlock()
-		return nil
-	}
-	w := &gateWaiter{n: n, ev: g.clk.NewEvent()}
-	g.waiters = append(g.waiters, w)
-	g.mu.Unlock()
-	return w.ev.Wait()
-}
-
-// Release returns n tokens of capacity and admits waiting requests in
-// order.
-func (g *tokenGate) Release(n int) {
-	g.mu.Lock()
-	g.free += n
-	for len(g.waiters) > 0 && g.waiters[0].n <= g.free {
-		w := g.waiters[0]
-		g.waiters = g.waiters[1:]
-		g.free -= w.n
-		w.ev.Fire()
-	}
-	g.mu.Unlock()
 }

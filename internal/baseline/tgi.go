@@ -28,7 +28,7 @@ func (s *TGI) Complete(req Request) (Response, error) {
 		return Response{}, errEmptyPrompt
 	}
 	need := len(req.Prompt) + req.MaxTokens
-	if err := s.e.gate.Acquire(need); err != nil {
+	if err := s.e.admit(need); err != nil {
 		return Response{}, err
 	}
 	defer s.e.gate.Release(need)

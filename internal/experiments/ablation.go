@@ -26,11 +26,14 @@ func (c *fig3Cell) footprint(req workload.RAGRequest) int {
 }
 
 // runSymphonyTrace replays the cell's RAG trace against an already-built
-// kernel. The application's own admission gate (see admitGate) reserves
-// each request's KV footprint before its program is submitted; the pinned
-// documents and some builder headroom are carved out of the gate's
-// capacity up front. Without this, unbounded in-flight programs can
-// exhaust KV memory mid-decode and deadlock waiting on each other's pages.
+// kernel. The application's own admission gate, a FIFO semaphore over KV
+// tokens like the baselines' server-side one, reserves each request's true
+// footprint (a popular-topic request needs ~100 tokens, an uncached one
+// ~3,100; more than the whole gate is clamped so it can run alone) before
+// its program is submitted. The pinned documents and some builder headroom
+// are carved out of the gate's capacity up front. Without this, unbounded
+// in-flight programs can exhaust KV memory mid-decode and deadlock waiting
+// on each other's pages.
 func runSymphonyTrace(c *fig3Cell, k *core.Kernel) {
 	gpuTokens := int(c.cfg.GPUBytes / model.A100Llama13B().KVBytesPerToken)
 	pinned := 0
@@ -41,19 +44,19 @@ func runSymphonyTrace(c *fig3Cell, k *core.Kernel) {
 	if capacity < 4096 {
 		capacity = 4096
 	}
-	gate := newAdmitGate(c.clk, capacity)
+	gate := c.clk.NewSemaphore(capacity)
 	c.replay(func(_ int, req workload.RAGRequest) {
 		if err := c.link.OneWay(2048 + len(req.Query)); err != nil {
 			return
 		}
-		granted, err := gate.Acquire(c.footprint(req))
-		if err != nil {
+		need := min(c.footprint(req), capacity)
+		if err := gate.Acquire(need); err != nil {
 			c.failed.Inc()
 			return
 		}
-		defer gate.Release(granted)
+		defer gate.Release(need)
 		p := k.Submit("rag", c.ragProgram(req))
-		err = p.Wait()
+		err := p.Wait()
 		if err == nil {
 			err = c.link.OneWay(len(p.Output()))
 		}

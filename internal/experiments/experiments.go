@@ -8,12 +8,10 @@ package experiments
 import (
 	"errors"
 	"math/rand"
-	"sync"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/kvfs"
-	"repro/internal/simclock"
 )
 
 // newRand returns a seeded deterministic source for experiment drivers.
@@ -41,66 +39,6 @@ const (
 
 // AllSystems lists the systems in presentation order.
 var AllSystems = []string{SystemSymphony, SystemVLLM, SystemTGI}
-
-// admitGate is a FIFO counting semaphore over KV-token capacity: the RAG
-// application's own admission control. Without it, unbounded concurrent
-// programs can exhaust KV memory mid-decode and deadlock — each holds
-// pages while waiting for pages others hold. Real serving systems queue
-// requests at admission for exactly this reason (the baselines'
-// server-side gate); under Symphony the policy lives in the application,
-// which knows each request's true footprint (a popular-topic request
-// needs ~100 tokens, an uncached one ~3,100).
-type admitGate struct {
-	clk *simclock.Clock
-	cap int
-
-	mu      sync.Mutex
-	free    int
-	waiters []*admitWaiter
-}
-
-type admitWaiter struct {
-	n  int
-	ev *simclock.Event
-}
-
-func newAdmitGate(clk *simclock.Clock, cap int) *admitGate {
-	return &admitGate{clk: clk, cap: cap, free: cap}
-}
-
-// Acquire blocks until n tokens of capacity are free, FIFO. Requests
-// larger than the whole gate are clamped so they can still run alone.
-func (g *admitGate) Acquire(n int) (granted int, err error) {
-	if n > g.cap {
-		n = g.cap
-	}
-	g.mu.Lock()
-	if len(g.waiters) == 0 && g.free >= n {
-		g.free -= n
-		g.mu.Unlock()
-		return n, nil
-	}
-	w := &admitWaiter{n: n, ev: g.clk.NewEvent()}
-	g.waiters = append(g.waiters, w)
-	g.mu.Unlock()
-	if err := w.ev.Wait(); err != nil {
-		return 0, err
-	}
-	return n, nil
-}
-
-// Release returns capacity and admits waiters in order.
-func (g *admitGate) Release(n int) {
-	g.mu.Lock()
-	g.free += n
-	for len(g.waiters) > 0 && g.waiters[0].n <= g.free {
-		w := g.waiters[0]
-		g.waiters = g.waiters[1:]
-		g.free -= w.n
-		w.ev.Fire()
-	}
-	g.mu.Unlock()
-}
 
 // retryNoSpace retries op while it fails with KV-cache OOM, parking on
 // the kernel's space-available signal (with a 250ms liveness fallback)

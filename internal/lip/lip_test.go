@@ -335,9 +335,6 @@ func TestParallelGenerateBranches(t *testing.T) {
 		if len(texts) < 2 {
 			t.Error("branches did not diversify")
 		}
-		if _, err := Best(branches); err != nil {
-			t.Errorf("Best: %v", err)
-		}
 		return nil
 	})
 }

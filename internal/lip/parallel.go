@@ -1,11 +1,9 @@
 package lip
 
 import (
-	"fmt"
 	"sync"
 
 	"repro/internal/core"
-	"repro/internal/token"
 )
 
 // Branch is one parallel generation outcome.
@@ -13,9 +11,6 @@ type Branch struct {
 	Index  int
 	Result GenResult
 	Err    error
-	// Score is the cumulative log-probability of the branch under its own
-	// sampling distribution, usable for ranking hypotheses.
-	Score float64
 }
 
 // ParallelGenerate implements the paper's Figure 2 as a library call: fork
@@ -53,17 +48,9 @@ func ParallelGenerate(base *Session, suffixes []string, opts GenOptions) ([]Bran
 				sp.Seed = sp.Seed*1_000_003 + uint64(i+1)
 				o.Sampler = &sp
 			}
-			var score float64
-			stream := o.Stream
-			o.Stream = func(tok token.ID) {
-				score += LogProb(s.last, tok)
-				if stream != nil {
-					stream(tok)
-				}
-			}
 			res, err := Generate(s, o)
 			mu.Lock()
-			branches[i] = Branch{Index: i, Result: res, Err: err, Score: score}
+			branches[i] = Branch{Index: i, Result: res, Err: err}
 			mu.Unlock()
 			return err
 		})
@@ -87,21 +74,4 @@ func anyEmpty(suffixes []string) bool {
 		}
 	}
 	return false
-}
-
-// Best returns the successful branch with the highest score.
-func Best(branches []Branch) (Branch, error) {
-	best := -1
-	for i, b := range branches {
-		if b.Err != nil {
-			continue
-		}
-		if best < 0 || b.Score > branches[best].Score {
-			best = i
-		}
-	}
-	if best < 0 {
-		return Branch{}, fmt.Errorf("lip: no successful branch")
-	}
-	return branches[best], nil
 }

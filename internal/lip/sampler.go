@@ -1,8 +1,6 @@
 package lip
 
 import (
-	"math"
-
 	"repro/internal/model"
 	"repro/internal/token"
 )
@@ -101,14 +99,4 @@ func SuppressEOS(d model.Dist, _ token.ID) model.Dist {
 		}
 	}
 	return model.NewDist(d.VocabSize(), kept)
-}
-
-// LogProb returns the natural-log probability d assigns to tok, flooring
-// at a small epsilon so scores stay finite.
-func LogProb(d model.Dist, tok token.ID) float64 {
-	p := d.ProbOf(tok)
-	if p < 1e-12 {
-		p = 1e-12
-	}
-	return math.Log(p)
 }

@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/kvfs"
@@ -337,6 +338,20 @@ func Submit(k *core.Kernel, user string, data []byte) (*core.Process, error) {
 	}
 	prio, _ := sched.ParsePriority(s.Priority) // validated by Parse
 	return k.SubmitWith(user, s.Program(), core.SubmitOptions{Budget: s.Budget, Priority: prio}), nil
+}
+
+// RegisterTools registers the tools symphonyd and lip-run offer scripts,
+// search (150 ms, "results for <args>") and weather (100 ms,
+// "weather(<args>)=fair"), so a script answers the same on either.
+func RegisterTools(k *core.Kernel) {
+	k.RegisterTool("search", core.Tool{
+		Latency: 150 * time.Millisecond,
+		Fn:      func(args string) (string, error) { return "results for " + args, nil },
+	})
+	k.RegisterTool("weather", core.Tool{
+		Latency: 100 * time.Millisecond,
+		Fn:      func(args string) (string, error) { return fmt.Sprintf("weather(%s)=fair", args), nil },
+	})
 }
 
 // interpolate replaces ${name} references with variable values; unknown

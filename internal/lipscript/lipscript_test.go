@@ -17,10 +17,7 @@ func newKernel() (*simclock.Clock, *core.Kernel) {
 	k := core.New(clk, core.Config{
 		Models: map[string]*model.Model{"llama-13b": model.New(model.Llama13B())},
 	})
-	k.RegisterTool("weather", core.Tool{
-		Latency: 60 * time.Millisecond,
-		Fn:      func(args string) (string, error) { return "sunny in " + args, nil },
-	})
+	RegisterTools(k)
 	return clk, k
 }
 

@@ -182,6 +182,43 @@ func TestQueueFIFOAcrossTime(t *testing.T) {
 	}
 }
 
+func TestSemaphoreFIFO(t *testing.T) {
+	c := New()
+	var order []int
+	early := -1
+	run(t, c, func() {
+		s := c.NewSemaphore(10)
+		s.Acquire(6) // four units stay free
+		wg := c.NewWaitGroup()
+		for i, n := range []int{8, 1, 4} {
+			wg.Add(1)
+			c.Go("waiter", func() {
+				defer wg.Done()
+				if err := s.Acquire(n); err != nil {
+					t.Errorf("acquire %d: %v", n, err)
+					return
+				}
+				order = append(order, i)
+				if i == 0 {
+					c.Sleep(time.Second)
+					s.Release(n)
+				}
+			})
+			c.Sleep(time.Microsecond) // fix arrival order
+		}
+		// Waiter 1 fits the four free units, and waiter 2 the six free
+		// after this release, but waiter 0 is ahead of both.
+		s.Release(2)
+		c.Sleep(time.Millisecond)
+		early = len(order)
+		s.Release(4) // ten free: 0 and 1 enter; 2 waits for 0's 8 units
+		wg.Wait()
+	})
+	if early != 0 || len(order) != 3 || order[0] != 0 || order[1] != 1 || order[2] != 2 {
+		t.Fatalf("%d admitted ahead of the queue head; order %v", early, order)
+	}
+}
+
 func TestEventWaitForTimeout(t *testing.T) {
 	c := New()
 	run(t, c, func() {
@@ -298,13 +335,19 @@ func TestShutdownWakesEverything(t *testing.T) {
 			atomic.AddInt32(&errs, 1)
 		}
 	})
+	c.Go("acquirer", func() {
+		s := c.NewSemaphore(1)
+		if err := s.Acquire(2); err == ErrShutdown {
+			atomic.AddInt32(&errs, 1)
+		}
+	})
 	// Give the actors a chance to park; they can never finish on their own.
 	time.Sleep(50 * time.Millisecond)
 	c.Shutdown()
 	deadline := time.Now().Add(5 * time.Second)
-	for atomic.LoadInt32(&errs) != 3 {
+	for atomic.LoadInt32(&errs) != 4 {
 		if time.Now().After(deadline) {
-			t.Fatalf("only %d/3 actors saw shutdown: %v", errs, c.Snapshot())
+			t.Fatalf("only %d/4 actors saw shutdown: %v", errs, c.Snapshot())
 		}
 		time.Sleep(time.Millisecond)
 	}

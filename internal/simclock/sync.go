@@ -215,6 +215,73 @@ func (q *Queue[T]) Len() int {
 	return len(q.items)
 }
 
+// Semaphore is a weighted FIFO semaphore on a Clock: Acquire(n) takes n
+// units, parking while fewer are free or an earlier caller still waits,
+// and Release hands freed units to waiters strictly in arrival order
+// before it wakes them. A request larger than the capacity never fits, so
+// callers decide what an oversized request means before they acquire.
+type Semaphore struct {
+	c       *Clock
+	free    int
+	waiters []*semWaiter
+}
+
+type semWaiter struct {
+	n       int
+	ch      chan struct{}
+	granted bool
+}
+
+// NewSemaphore returns a semaphore with n units free.
+func (c *Clock) NewSemaphore(n int) *Semaphore {
+	return &Semaphore{c: c, free: n}
+}
+
+// Acquire parks the calling actor until n units are its own. It returns
+// ErrShutdown if the clock shuts down first.
+func (s *Semaphore) Acquire(n int) error {
+	c := s.c
+	c.mu.Lock()
+	if len(s.waiters) == 0 && s.free >= n {
+		s.free -= n
+		c.mu.Unlock()
+		return nil
+	}
+	if c.down {
+		c.mu.Unlock()
+		return ErrShutdown
+	}
+	w := &semWaiter{n: n, ch: make(chan struct{})}
+	s.waiters = append(s.waiters, w)
+	c.parkLocked(w.ch, "semaphore")
+	c.mu.Unlock()
+	<-w.ch
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if !w.granted {
+		return ErrShutdown
+	}
+	return nil
+}
+
+// Release returns n units and admits the waiters they now cover, in order.
+func (s *Semaphore) Release(n int) {
+	c := s.c
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.down {
+		return
+	}
+	s.free += n
+	for len(s.waiters) > 0 && s.waiters[0].n <= s.free {
+		w := s.waiters[0]
+		s.waiters = s.waiters[1:]
+		s.free -= w.n
+		w.granted = true
+		c.wakeSoonLocked(w.ch)
+	}
+}
+
 // WaitGroup is the simulation-aware analogue of sync.WaitGroup, used by
 // actors to join on a set of child actors.
 type WaitGroup struct {
