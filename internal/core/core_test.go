@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/kvfs"
 	"repro/internal/model"
+	"repro/internal/sched"
 	"repro/internal/simclock"
 	"repro/internal/token"
 )
@@ -673,5 +674,24 @@ func TestDraftModelPred(t *testing.T) {
 	})
 	if draftTime >= targetTime {
 		t.Fatalf("draft (%v) not cheaper than target (%v)", draftTime, targetTime)
+	}
+}
+
+// TestSpecWindowDefaultIsReported: a SpecConfig that leaves Window zero
+// drafts sched.DefaultSpecWindow tokens a round, so SpecDecode, which
+// /v1/stats serves, reports that window rather than the zero it was given.
+func TestSpecWindowDefaultIsReported(t *testing.T) {
+	clk := simclock.New()
+	defer clk.Shutdown()
+	k := New(clk, Config{
+		Models: map[string]*model.Model{
+			"llama-13b": model.New(model.Llama13B()),
+			"draft":     model.New(model.DraftLlama1B()),
+		},
+		DefaultModel: "llama-13b",
+		Spec:         &SpecConfig{Draft: "draft"},
+	})
+	if got := k.SpecDecode().Window; got != sched.DefaultSpecWindow {
+		t.Errorf("SpecDecode().Window = %d, want sched.DefaultSpecWindow (%d)", got, sched.DefaultSpecWindow)
 	}
 }

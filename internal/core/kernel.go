@@ -157,8 +157,8 @@ type SpecConfig struct {
 	// Draft names the registered model that proposes tokens. It must be
 	// a different (cheaper) model than the default one.
 	Draft string
-	// Window is the constant draft window (sched.SpecCall.Window); zero
-	// takes sched.DefaultSpecWindow.
+	// Window is the constant draft window (sched.SpecCall.Window); New
+	// replaces zero with sched.DefaultSpecWindow.
 	Window int
 }
 
@@ -278,6 +278,9 @@ func New(clk *simclock.Clock, cfg Config) *Kernel {
 			panic(fmt.Sprintf("core: speculative decoding requires an iteration-level priority policy (have %q)", cfg.PriorityPolicy.Name()))
 		}
 		s := *cfg.Spec
+		if s.Window == 0 {
+			s.Window = sched.DefaultSpecWindow
+		}
 		spec = &s
 	}
 	schedCfg := sched.Config{
