@@ -25,7 +25,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/lipscript"
-	"repro/internal/model"
 	"repro/internal/simclock"
 	"repro/internal/trace"
 )
@@ -71,15 +70,9 @@ func main() {
 	if *traceOut != "" {
 		tracer = trace.New()
 	}
-	target := model.New(model.Llama13B())
-	kernel := core.New(clk, core.Config{
-		Models: map[string]*model.Model{
-			"llama-13b": target,
-			"draft-1b":  model.New(model.AlignedDraft(target, 0.85)),
-		},
-		DefaultModel: "llama-13b",
-		Tracer:       tracer,
-	})
+	cfg := core.DefaultConfig()
+	cfg.Tracer = tracer
+	kernel := core.New(clk, cfg)
 	lipscript.RegisterTools(kernel)
 
 	clk.Go("client", func() {

@@ -14,29 +14,28 @@
 // one conversation to the replica holding their prefix — or
 // cache-affinity-migrate, which additionally lets the kernel migrate a
 // stranded prefix's KV pages to a colder replica over a simulated
-// NVLink/IB-class interconnect: -interconnect-gbps sets the fabric
-// bandwidth, -migrate-threshold the home-overload factor, and each move
-// streams to the affected job as a kv_migrate event). Per-replica
+// 100 Gbit/s interconnect once its home carries 1.5x the mean load, each
+// move streaming to the affected job as a kv_migrate event). Per-replica
 // utilization and the migration ledger are reported by /v1/stats.
 //
 // The batch scheduler executes iteration-level (Orca-style continuous
-// batching): each pred call runs up to -step-quantum tokens per GPU
-// iteration, and -priority-policy orders every iteration — "lanes"
-// (default) schedules strict interactive/normal/batch priority lanes
-// with aging and preempts mid-flight batch work at iteration boundaries
-// when interactive calls wait; "fifo" is the run-to-completion baseline.
-// Requests pick their lane with a "priority" field on v1/v2 program (and
-// completion) bodies; -default-priority sets the lane for requests that
-// don't, and -batch-tenants lists tenants whose jobs default to the
-// batch lane. Per-lane queue-delay histograms and preemption counters
-// are reported by /v1/stats under "lanes".
+// batching), and -priority-policy orders every iteration — "lanes"
+// (default) runs each pred call up to 128 tokens per GPU iteration in
+// strict interactive/normal/batch priority lanes with aging and preempts
+// mid-flight batch work at iteration boundaries when interactive calls
+// wait; "fifo" is the run-to-completion baseline. Requests pick their
+// lane with a "priority" field on v1/v2 program (and completion) bodies;
+// -default-priority sets the lane for requests that don't, and
+// -batch-tenants lists tenants whose jobs default to the batch lane.
+// Per-lane queue-delay histograms and preemption counters are reported by
+// /v1/stats under "lanes".
 //
 // Two executor options compose with either policy: -prefill-chunk caps
 // the prefill tokens one pred contributes per iteration (Sarathi-style
 // chunked prefill, effective even under fifo; 0 disables), and
 // -spec-decode runs greedy decode runs as draft/verify rounds against
 // the built-in draft-1b model inside each iteration — the draft
-// proposes -spec-window tokens a round (a constant), the target verifies
+// proposes a constant window of 4 tokens a round, the target verifies
 // them in one batched step, and the accepted prefix plus one correction
 // token retire together.
 // -spec-decode requires an iteration-level -priority-policy; the
@@ -50,24 +49,15 @@
 // attach streams to the affected job as a kv_share event.
 //
 // GPU KV memory is managed by the kernel memory daemon: -kv-policy
-// selects the eviction policy (lru, lfu, cost-aware, or none to disable)
-// and -kv-high-water the usage fraction that triggers reclaim. Under
-// pressure the daemon offloads cold KV files to host memory and restores
-// them transparently on access, and a pred that still cannot allocate
-// swaps out its own file and retries instead of failing; daemon counters
-// appear under "kvd" in /v1/stats and offload/restore events stream to
-// the affected job as kv_pressure events on the v2 SSE surface.
-//
-// A disk KV tier sits below host memory when -kv-disk-gb is set, the
-// daemon's third demotion level: it spills cold host files to an
-// FMC1-style snapshot store once host usage crosses -kv-disk-high-water,
-// and the first pred on a spilled file pays an NVMe load or a recompute,
-// whichever the cost model says is cheaper. The store lives on an
-// in-process simulated disk that is new at every boot, so nothing
-// outlives the process: warm restart is a property of the kernel, shown
-// by symphony-bench -exp restart, which hands one disk across kernels.
-// Disk counters appear under "disk" in /v1/stats; spill/load actions
-// stream as kv_pressure events.
+// selects the eviction policy (lru, lfu, cost-aware, or none to disable),
+// and reclaim starts at 90% GPU usage. Under pressure the daemon offloads
+// cold KV files to host memory and restores them transparently on
+// access, and a pred that still cannot allocate swaps out its own file
+// and retries instead of failing; daemon counters appear under "kvd" in
+// /v1/stats and offload/restore events stream to the affected job as
+// kv_pressure events on the v2 SSE surface. The daemon mounts no disk
+// tier: warm restart from durable KV is a property of the kernel
+// (core.Config.Disk), shown by symphony-bench -exp restart.
 //
 //	symphonyd -addr :8080 -speedup 1 -gpus 4 -dispatch cache-affinity -kv-policy cost-aware
 //	curl -s -X POST localhost:8080/v2/programs -d @examples/wire/stream.json
@@ -88,8 +78,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/kvd"
 	"repro/internal/lipscript"
-	"repro/internal/model"
-	"repro/internal/netsim"
 	"repro/internal/sched"
 	"repro/internal/server"
 	"repro/internal/simclock"
@@ -101,28 +89,14 @@ func main() {
 	gpus := flag.Int("gpus", 1, "number of simulated GPU replicas")
 	dispatch := flag.String("dispatch", "round-robin",
 		"replica dispatch policy ("+strings.Join(sched.DispatcherNames(), "|")+")")
-	interconnectGbps := flag.Float64("interconnect-gbps", netsim.DefaultInterconnectGbps,
-		"replica interconnect bandwidth in Gbit/s for -dispatch cache-affinity-migrate")
-	migrateThreshold := flag.Float64("migrate-threshold", core.DefaultMigrateThreshold,
-		"home-overload factor above which a prefix family migrates (cache-affinity-migrate)")
 	kvPolicy := flag.String("kv-policy", "lru",
 		"KV memory daemon eviction policy ("+strings.Join(kvd.PolicyNames(), "|")+"|none)")
-	kvHighWater := flag.Float64("kv-high-water", 0.90,
-		"GPU KV usage fraction that triggers daemon reclaim")
-	kvDiskGB := flag.Float64("kv-disk-gb", 0,
-		"disk KV tier size in GiB, the memory daemon's third demotion level (0 disables)")
-	kvDiskHighWater := flag.Float64("kv-disk-high-water", 0.85,
-		"host KV usage fraction that triggers spilling cold files to disk")
 	prioPolicy := flag.String("priority-policy", "lanes",
 		"GPU iteration ordering policy ("+strings.Join(sched.PriorityPolicyNames(), "|")+")")
-	stepQuantum := flag.Int("step-quantum", sched.DefaultQuantum,
-		"max tokens one pred call executes per GPU iteration under the lanes policy")
 	prefillChunk := flag.Int("prefill-chunk", 0,
 		"max prefill tokens one pred call contributes per GPU iteration, any priority policy (0 disables chunked prefill)")
 	specDecode := flag.Bool("spec-decode", false,
 		"speculatively decode generation runs on the draft-1b model inside each GPU iteration (requires an iteration-level -priority-policy)")
-	specWindow := flag.Int("spec-window", sched.DefaultSpecWindow,
-		fmt.Sprintf("draft window for -spec-decode: tokens drafted per round, a constant between 1 and %d", sched.DefaultSpecMaxWindow))
 	prefixCache := flag.Bool("prefix-cache", false,
 		"enable the kernel radix prefix cache: cross-job KV deduplication of shared prompt prefixes by copy-on-write share")
 	prefixChunk := flag.Int("prefix-chunk", core.DefaultPrefixChunk,
@@ -146,21 +120,12 @@ func main() {
 	if err != nil {
 		log.Fatalf("%v\nvalid priority policies: %s", err, strings.Join(sched.PriorityPolicyNames(), ", "))
 	}
-	if *stepQuantum <= 0 {
-		log.Fatalf("-step-quantum must be positive (got %d)", *stepQuantum)
-	}
-	if lanes, ok := priority.(*sched.Lanes); ok {
-		lanes.SliceTokens = *stepQuantum
-	}
 	if *prefillChunk < 0 {
 		log.Fatalf("-prefill-chunk must be >= 0 (got %d; 0 disables chunking)", *prefillChunk)
 	}
 	if *specDecode && priority.Quantum() <= 0 {
 		log.Fatalf("-spec-decode requires an iteration-level priority policy (have %q; run-to-completion policies never reach a draft/verify boundary)\nvalid policies: %s",
 			*prioPolicy, strings.Join(iterationPolicies(), ", "))
-	}
-	if *specWindow < 1 || *specWindow > sched.DefaultSpecMaxWindow {
-		log.Fatalf("-spec-window must be between 1 and %d (got %d)", sched.DefaultSpecMaxWindow, *specWindow)
 	}
 	if _, err := sched.ParsePriority(*defaultPriority); err != nil {
 		log.Fatalf("-default-priority: %v", err)
@@ -174,41 +139,23 @@ func main() {
 			tenantPrio[tenant] = "batch"
 		}
 	}
-	kvCfg := kvd.Config{Policy: *kvPolicy, HighWater: *kvHighWater}
-	if kvCfg.Enabled() {
+	cfg := core.DefaultConfig()
+	cfg.KV = kvd.Config{Policy: *kvPolicy}
+	if cfg.KV.Enabled() {
 		if _, err := kvd.NewPolicy(*kvPolicy); err != nil {
 			log.Fatalf("%v\nvalid KV policies: %s, none", err, strings.Join(kvd.PolicyNames(), ", "))
 		}
 	}
-	var specCfg *core.SpecConfig
 	if *specDecode {
-		specCfg = &core.SpecConfig{Draft: "draft-1b", Window: *specWindow}
+		cfg.Spec = &core.SpecConfig{Draft: "draft-1b"}
 	}
+	cfg.PriorityPolicy = priority
+	cfg.PrefillChunk = *prefillChunk
+	cfg.Replicas = *gpus
+	cfg.Dispatcher = dispatcher
+	cfg.Prefix = core.PrefixConfig{Enabled: *prefixCache, ChunkTokens: *prefixChunk}
 	clk := simclock.NewRealtime(*speedup)
-	target := model.New(model.Llama13B())
-	kernel := core.New(clk, core.Config{
-		Models: map[string]*model.Model{
-			"llama-13b": target,
-			"draft-1b":  model.New(model.AlignedDraft(target, 0.85)),
-		},
-		DefaultModel:     "llama-13b",
-		PriorityPolicy:   priority,
-		PrefillChunk:     *prefillChunk,
-		Spec:             specCfg,
-		Replicas:         *gpus,
-		Dispatcher:       dispatcher,
-		Interconnect:     netsim.InterconnectFromGbps(clk, *interconnectGbps),
-		MigrateThreshold: *migrateThreshold,
-		KV:               kvCfg,
-		Disk: core.DiskConfig{
-			Bytes:     int64(*kvDiskGB * float64(1<<30)),
-			HighWater: *kvDiskHighWater,
-		},
-		Prefix: core.PrefixConfig{
-			Enabled:     *prefixCache,
-			ChunkTokens: *prefixChunk,
-		},
-	})
+	kernel := core.New(clk, cfg)
 	lipscript.RegisterTools(kernel)
 
 	srv := server.NewWith(clk, kernel, server.Options{
@@ -218,8 +165,8 @@ func main() {
 		TenantPriority:  tenantPrio,
 	})
 	specNote := "off"
-	if specCfg != nil {
-		specNote = fmt.Sprintf("%s w=%d", specCfg.Draft, *specWindow)
+	if sc := kernel.SpecDecode(); sc != nil {
+		specNote = fmt.Sprintf("%s w=%d", sc.Draft, sc.Window)
 	}
 	prefixNote := "off"
 	if *prefixCache {

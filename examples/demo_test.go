@@ -14,22 +14,19 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/lip"
-	"repro/internal/model"
 	"repro/internal/simclock"
 )
 
 var trailingBlanks = regexp.MustCompile(`(?m) +$`)
 
 // demo runs client as the one client actor on a fresh virtual clock whose
-// kernel serves the simulated 13B model, waits until the simulation is
+// kernel is core.DefaultConfig(), waits until the simulation is
 // quiescent and shuts the clock down. It then prints what client wrote to
 // out, and the error client returned, if any, with every line's trailing
 // blanks cut: an Output comment cannot hold them.
 func demo(client func(clk *simclock.Clock, k *core.Kernel, out io.Writer) error) {
 	clk := simclock.New()
-	k := core.New(clk, core.Config{
-		Models: map[string]*model.Model{"llama-13b": model.New(model.Llama13B())},
-	})
+	k := core.New(clk, core.DefaultConfig())
 	var out strings.Builder
 	clk.Go("client", func() {
 		if err := client(clk, k, &out); err != nil {

@@ -148,6 +148,20 @@ type Config struct {
 	CrashCheck func(replica int) bool
 }
 
+// DefaultConfig returns the kernel every front end starts from: the
+// simulated Llama-13B as default model beside draft-1b, a draft that
+// greedily agrees with it on 85% of positions, for Spec to name.
+func DefaultConfig() Config {
+	target := model.New(model.Llama13B())
+	return Config{
+		Models: map[string]*model.Model{
+			"llama-13b": target,
+			"draft-1b":  model.New(model.AlignedDraft(target, 0.85)),
+		},
+		DefaultModel: "llama-13b",
+	}
+}
+
 // SpecConfig configures executor-level speculative decoding: the
 // promotion of internal/lip's draft/verify loop into the GPU step loop.
 // It applies to decode runs submitted through Ctx.PredDecode against the

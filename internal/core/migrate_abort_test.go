@@ -44,7 +44,7 @@ func TestMigrationTransferAbortReleasesReservation(t *testing.T) {
 		t.Fatal(err)
 	}
 	clk := simclock.New()
-	ic := netsim.InterconnectFromGbps(clk, 0)
+	ic := netsim.DefaultInterconnect(clk)
 	ic.SetFault(func(pages int, bytes int64) netsim.TransferFault {
 		return netsim.TransferFault{Err: errors.New("injected transfer failure")}
 	})

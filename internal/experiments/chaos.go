@@ -52,9 +52,6 @@ type ChaosConfig struct {
 	CheckpointEvery time.Duration
 	// DiskGB sizes the durable disk tier in GiB.
 	DiskGB float64
-	// InterconnectGbps is the replica fabric bandwidth; zero means the
-	// netsim default.
-	InterconnectGbps float64
 	// Seed offsets the deterministic workload and injector streams (see
 	// seedBase); 0 and 1 both select the recorded baseline.
 	Seed int64
@@ -162,18 +159,6 @@ type ChaosPoint struct {
 	Throughput float64
 }
 
-// chaosConfig applies symphony-bench's options to the sweep: it shares
-// -kv-disk-gb with restart and -interconnect-gbps with migrate.
-func chaosConfig(o Options) ChaosConfig {
-	cfg := pick(o, DefaultChaos, QuickChaos)
-	o.seed(&cfg.Seed)
-	if o.KVDiskGB > 0 {
-		cfg.DiskGB = o.KVDiskGB
-	}
-	cfg.InterconnectGbps = o.InterconnectGbps
-	return cfg
-}
-
 // RunChaos sweeps the fault plans over the identical seeded workload.
 func RunChaos(cfg ChaosConfig) []ChaosPoint {
 	var out []ChaosPoint
@@ -250,7 +235,7 @@ func runChaosCell(cfg ChaosConfig, mode string) ChaosPoint {
 	clk := simclock.New()
 	inj := chaos.New(clk, int64(base)+97)
 	vfs := kvstore.NewSimFS(nil, model.Llama13B().Cost)
-	ic := netsim.InterconnectFromGbps(clk, cfg.InterconnectGbps)
+	ic := netsim.DefaultInterconnect(clk)
 	hook := chaos.TransferFaultHook(inj, "")
 	ic.SetFault(func(pages int, bytes int64) netsim.TransferFault {
 		o := hook(pages, bytes)

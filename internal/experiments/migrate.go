@@ -8,7 +8,6 @@ import (
 	"repro/internal/kvfs"
 	"repro/internal/metrics"
 	"repro/internal/model"
-	"repro/internal/netsim"
 	"repro/internal/sched"
 	"repro/internal/simclock"
 	"repro/internal/token"
@@ -46,12 +45,6 @@ type MigrateConfig struct {
 	SuffixTokens int
 	// DecodeTokens is the per-request decode length.
 	DecodeTokens int
-	// InterconnectGbps is the replica fabric bandwidth; zero means the
-	// netsim default.
-	InterconnectGbps float64
-	// Threshold is the engine's home-overload factor; zero means the
-	// core default.
-	Threshold float64
 	// Seed offsets the deterministic workload streams (see seedBase); 0
 	// and 1 both select the recorded baseline.
 	Seed int64
@@ -118,16 +111,6 @@ type MigratePoint struct {
 	// family's home ever changed — the acceptance bar is false: locked
 	// files are never migrated.
 	LockedFamilyMoved bool
-}
-
-// migrateConfig applies symphony-bench's options to the sweep:
-// -interconnect-gbps and -migrate-threshold are this sweep's flags.
-func migrateConfig(o Options) MigrateConfig {
-	cfg := pick(o, DefaultMigrate, QuickMigrate)
-	o.seed(&cfg.Seed)
-	cfg.InterconnectGbps = o.InterconnectGbps
-	cfg.Threshold = o.MigrateThreshold
-	return cfg
 }
 
 // RunMigrate sweeps the dispatchers over the skewed workload.
@@ -223,8 +206,6 @@ func runMigrateCell(cfg MigrateConfig, dispatch string) MigratePoint {
 	c := newCell(clk, func(kc *core.Config) {
 		kc.Replicas = cfg.Replicas
 		kc.Dispatcher = dispatcher
-		kc.Interconnect = netsim.InterconnectFromGbps(clk, cfg.InterconnectGbps)
-		kc.MigrateThreshold = cfg.Threshold
 	})
 
 	base := seedBase(cfg.Seed)

@@ -30,12 +30,6 @@ type PrefixCacheConfig struct {
 	SuffixTokens int
 	// DecodeTokens is the per-job decode length after the prompt.
 	DecodeTokens int
-	// ChunkTokens overrides the cache's radix indexing chunk; zero keeps
-	// the core default.
-	ChunkTokens int
-	// ForceOn runs every cell with the cache enabled (the -prefix-cache
-	// flag), turning the sweep into an on/on sanity run.
-	ForceOn bool
 	// Seed offsets the deterministic workload streams (see seedBase); 0
 	// and 1 both select the recorded baseline.
 	Seed int64
@@ -103,18 +97,6 @@ type PrefixCachePoint struct {
 	Shares int64
 }
 
-// prefixCacheConfig applies symphony-bench's options to the sweep:
-// -prefix-cache and -prefix-chunk are this sweep's flags.
-func prefixCacheConfig(o Options) PrefixCacheConfig {
-	cfg := pick(o, DefaultPrefixCache, QuickPrefixCache)
-	o.seed(&cfg.Seed)
-	cfg.ForceOn = o.PrefixCache
-	if o.PrefixChunk > 0 {
-		cfg.ChunkTokens = o.PrefixChunk
-	}
-	return cfg
-}
-
 // RunPrefixCache sweeps the two cells over the shared-preamble
 // workload.
 func RunPrefixCache(cfg PrefixCacheConfig) []PrefixCachePoint {
@@ -136,9 +118,9 @@ func prefixPromptTokens(cfg PrefixCacheConfig, base, t, j int) []token.ID {
 
 // runPrefixCacheCell measures one kernel configuration on the workload.
 func runPrefixCacheCell(cfg PrefixCacheConfig, cell string) PrefixCachePoint {
-	enabled := cfg.ForceOn || cell != "off"
+	enabled := cell != "off"
 	c := newCell(simclock.New(), func(kc *core.Config) {
-		kc.Prefix = core.PrefixConfig{Enabled: enabled, ChunkTokens: cfg.ChunkTokens}
+		kc.Prefix = core.PrefixConfig{Enabled: enabled}
 	})
 
 	base := seedBase(cfg.Seed)

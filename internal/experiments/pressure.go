@@ -51,9 +51,6 @@ type PressureConfig struct {
 	// Think is the idle time between a client's rounds — the window in
 	// which its conversation is cold and evictable.
 	Think time.Duration
-	// HighWater overrides the daemon's reclaim trigger fraction; zero
-	// keeps the kvd default (0.90).
-	HighWater float64
 	// Seed offsets the deterministic workload streams (see seedBase); 0
 	// and 1 both select the recorded baseline.
 	Seed int64
@@ -124,18 +121,6 @@ type PressurePoint struct {
 	GPUPageCap   int
 }
 
-// pressureConfig applies symphony-bench's options to the sweep:
-// -kv-policy and -kv-high-water are this sweep's flags.
-func pressureConfig(o Options) PressureConfig {
-	cfg := pick(o, DefaultPressure, QuickPressure)
-	o.seed(&cfg.Seed)
-	if len(o.KVPolicies) > 0 {
-		cfg.Policies = o.KVPolicies
-	}
-	cfg.HighWater = o.KVHighWater
-	return cfg
-}
-
 // RunPressure sweeps policies × oversubscription factors.
 func RunPressure(cfg PressureConfig) []PressurePoint {
 	var out []PressurePoint
@@ -157,7 +142,7 @@ func runPressureCell(cfg PressureConfig, policy string, over float64) PressurePo
 			HostBytes:     int64(cfg.GPUTokens) * bpt * 16,
 			BytesPerToken: bpt,
 		}
-		kc.KV = kvd.Config{Policy: policy, HighWater: cfg.HighWater}
+		kc.KV = kvd.Config{Policy: policy}
 	})
 
 	chunk := cfg.ConvTokens / cfg.Rounds

@@ -2,23 +2,12 @@ package experiments
 
 import "repro/internal/metrics"
 
-// Options carries symphony-bench's flag values to the sweeps. Quick and
-// Seed apply to every sweep that honours them; each remaining field is
-// applied by the sweep that owns the flag, and a zero value keeps that
-// sweep's default.
+// Options carries symphony-bench's flag values to the sweeps: Quick
+// selects every sweep's reduced config, and a nonzero Seed replaces the
+// workload seed of every seeded sweep.
 type Options struct {
 	Quick bool
 	Seed  int64
-
-	GPUs             []int    // -gpus: scaling
-	Dispatch         string   // -dispatch: scaling
-	KVPolicies       []string // -kv-policy: pressure
-	KVHighWater      float64  // -kv-high-water: pressure
-	InterconnectGbps float64  // -interconnect-gbps: migrate, chaos
-	MigrateThreshold float64  // -migrate-threshold: migrate
-	KVDiskGB         float64  // -kv-disk-gb: restart, chaos
-	PrefixCache      bool     // -prefix-cache: prefixcache
-	PrefixChunk      int      // -prefix-chunk: prefixcache
 }
 
 // pick returns the sweep's reduced config under -quick and its default
@@ -34,6 +23,16 @@ func pick[C any](o Options, def, quick func() C) C {
 func (o Options) seed(s *int64) {
 	if o.Seed != 0 {
 		*s = o.Seed
+	}
+}
+
+// seeded is the config function of a sweep with a Quick variant and a
+// Seed field: pick, then -seed written through seedOf.
+func seeded[C any](def, quick func() C, seedOf func(*C) *int64) func(Options) C {
+	return func(o Options) C {
+		cfg := pick(o, def, quick)
+		o.seed(seedOf(&cfg))
+		return cfg
 	}
 }
 
@@ -119,14 +118,22 @@ var Sweeps = []Sweep{
 		}
 		return cfg
 	}, RunOverhead, OverheadTable)},
-	{Name: "scaling", Seeded: true, Run: runner(scalingConfig, RunScaling, ScalingTable)},
-	{Name: "pressure", Seeded: true, Run: runner(pressureConfig, RunPressure, PressureTable)},
-	{Name: "migrate", Seeded: true, Run: runner(migrateConfig, RunMigrate, MigrateTable)},
-	{Name: "slo", Seeded: true, Run: runner(sloConfig, RunSLO, SLOTable)},
-	{Name: "specdec", Seeded: true, Run: runner(specdecConfig, RunSpecdec, SpecdecTable)},
-	{Name: "restart", Seeded: true, Run: runner(restartConfig, RunRestart, RestartTable)},
-	{Name: "chaos", Seeded: true, Run: runner(chaosConfig, RunChaos, ChaosTable)},
-	{Name: "prefixcache", Seeded: true, Run: runner(prefixCacheConfig, RunPrefixCache, PrefixCacheTable)},
+	{Name: "scaling", Seeded: true, Run: runner(seeded(DefaultScaling, QuickScaling,
+		func(c *ScalingConfig) *int64 { return &c.Seed }), RunScaling, ScalingTable)},
+	{Name: "pressure", Seeded: true, Run: runner(seeded(DefaultPressure, QuickPressure,
+		func(c *PressureConfig) *int64 { return &c.Seed }), RunPressure, PressureTable)},
+	{Name: "migrate", Seeded: true, Run: runner(seeded(DefaultMigrate, QuickMigrate,
+		func(c *MigrateConfig) *int64 { return &c.Seed }), RunMigrate, MigrateTable)},
+	{Name: "slo", Seeded: true, Run: runner(seeded(DefaultSLO, QuickSLO,
+		func(c *SLOConfig) *int64 { return &c.Seed }), RunSLO, SLOTable)},
+	{Name: "specdec", Seeded: true, Run: runner(seeded(DefaultSpecdec, QuickSpecdec,
+		func(c *SpecdecConfig) *int64 { return &c.Seed }), RunSpecdec, SpecdecTable)},
+	{Name: "restart", Seeded: true, Run: runner(seeded(DefaultRestart, QuickRestart,
+		func(c *RestartConfig) *int64 { return &c.Seed }), RunRestart, RestartTable)},
+	{Name: "chaos", Seeded: true, Run: runner(seeded(DefaultChaos, QuickChaos,
+		func(c *ChaosConfig) *int64 { return &c.Seed }), RunChaos, ChaosTable)},
+	{Name: "prefixcache", Seeded: true, Run: runner(seeded(DefaultPrefixCache, QuickPrefixCache,
+		func(c *PrefixCacheConfig) *int64 { return &c.Seed }), RunPrefixCache, PrefixCacheTable)},
 }
 
 // SweepNames returns the names of the registered sweeps keep accepts

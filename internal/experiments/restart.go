@@ -113,17 +113,6 @@ type RestartPoint struct {
 	DiskPages int
 }
 
-// restartConfig applies symphony-bench's options to the sweep:
-// -kv-disk-gb is this sweep's flag.
-func restartConfig(o Options) RestartConfig {
-	cfg := pick(o, DefaultRestart, QuickRestart)
-	o.seed(&cfg.Seed)
-	if o.KVDiskGB > 0 {
-		cfg.DiskGB = o.KVDiskGB
-	}
-	return cfg
-}
-
 // RunRestart sweeps the restart modes over the same crash.
 func RunRestart(cfg RestartConfig) []RestartPoint {
 	var out []RestartPoint

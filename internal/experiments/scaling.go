@@ -21,7 +21,8 @@ type ScalingConfig struct {
 	// Replicas lists the GPU replica counts to sweep.
 	Replicas []int
 	// Dispatcher names the dispatch policy (see sched.NewDispatcher);
-	// empty means round-robin.
+	// empty means round-robin. The sweep runs least-loaded, and
+	// TestScalingDispatcherVariants holds the others to the scaling bar.
 	Dispatcher string
 	// Clients is the closed-loop population size.
 	Clients int
@@ -75,20 +76,6 @@ type ScalingPoint struct {
 	UtilMean    float64 // mean per-replica utilization
 	UtilMin     float64 // least-loaded replica (balance check)
 	UtilMax     float64 // most-loaded replica
-}
-
-// scalingConfig applies symphony-bench's options to the sweep: -gpus and
-// -dispatch are this sweep's flags.
-func scalingConfig(o Options) ScalingConfig {
-	cfg := pick(o, DefaultScaling, QuickScaling)
-	o.seed(&cfg.Seed)
-	if len(o.GPUs) > 0 {
-		cfg.Replicas = o.GPUs
-	}
-	if o.Dispatch != "" {
-		cfg.Dispatcher = o.Dispatch
-	}
-	return cfg
 }
 
 // RunScaling sweeps replica counts under saturating closed-loop load.

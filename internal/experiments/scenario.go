@@ -46,14 +46,12 @@ func fig3FS(gpuBytes, bytesPerToken int64) kvfs.Config {
 }
 
 // newKernel builds a kernel on clk from the defaults every sweep shares —
-// the llama-13b model and a 64 GiB KV pool (so capacity is not the
+// core.DefaultConfig() with a 64 GiB KV pool (so capacity is not the
 // variable under study unless edit makes it one) — after edit has changed
 // what the cell varies.
 func newKernel(clk *simclock.Clock, edit func(*core.Config)) *core.Kernel {
-	cfg := core.Config{
-		Models: map[string]*model.Model{"llama-13b": model.New(model.Llama13B())},
-		FS:     fig3FS(64<<30, model.A100Llama13B().KVBytesPerToken),
-	}
+	cfg := core.DefaultConfig()
+	cfg.FS = fig3FS(64<<30, model.A100Llama13B().KVBytesPerToken)
 	if edit != nil {
 		edit(&cfg)
 	}

@@ -141,13 +141,6 @@ type SLOPoint struct {
 	AvgBatch    float64
 }
 
-// sloConfig applies symphony-bench's options to the sweep.
-func sloConfig(o Options) SLOConfig {
-	cfg := pick(o, DefaultSLO, QuickSLO)
-	o.seed(&cfg.Seed)
-	return cfg
-}
-
 // RunSLO sweeps the priority policies over the mixed workload, then —
 // when HeavyPrefill is set — the heavy-prefill cells that isolate what
 // chunked prefill alone buys.

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/metrics"
-	"repro/internal/model"
 	"repro/internal/sched"
 	"repro/internal/simclock"
 )
@@ -118,13 +117,6 @@ type SpecdecPoint struct {
 	AvgBatch     float64
 }
 
-// specdecConfig applies symphony-bench's options to the sweep.
-func specdecConfig(o Options) SpecdecConfig {
-	cfg := pick(o, DefaultSpecdec, QuickSpecdec)
-	o.seed(&cfg.Seed)
-	return cfg
-}
-
 // RunSpecdec sweeps the three executor configurations over the
 // decode-heavy workload.
 func RunSpecdec(cfg SpecdecConfig) []SpecdecPoint {
@@ -145,13 +137,10 @@ func runSpecdecCell(cfg SpecdecConfig, cell string, spec bool) SpecdecPoint {
 		policy, chunk = "fifo", 0
 	}
 	c := newCell(simclock.New(), func(kc *core.Config) {
-		target := kc.Models["llama-13b"]
-		kc.Models["draft"] = model.New(model.AlignedDraft(target, 0.85))
-		kc.DefaultModel = "llama-13b"
 		kc.PriorityPolicy = lanePolicy(policy, cfg.Quantum, cfg.StepTokens, cfg.AgeAfter)
 		kc.PrefillChunk = chunk
 		if spec {
-			kc.Spec = &core.SpecConfig{Draft: "draft", Window: cfg.Window}
+			kc.Spec = &core.SpecConfig{Draft: "draft-1b", Window: cfg.Window}
 		}
 		kc.Replicas = cfg.GPUs
 		kc.Dispatcher = sched.LeastLoaded{}

@@ -57,7 +57,6 @@ func runSpeculativeCell(cfg SpeculativeConfig, k int) SpeculativePoint {
 	clk := simclock.New()
 	kern := newKernel(clk, func(kc *core.Config) {
 		kc.Models["draft"] = model.New(model.AlignedDraft(kc.Models["llama-13b"], cfg.Agreement))
-		kc.DefaultModel = "llama-13b"
 		kc.Tokenizer = token.NewTokenizer(token.NewVocab())
 	})
 	pt := SpeculativePoint{K: k}

@@ -47,7 +47,7 @@ func TestInterconnectTransferScalesWithPages(t *testing.T) {
 func TestInterconnectTransferChargesActor(t *testing.T) {
 	clk := simclock.New()
 	const pageBytes = 1 << 20
-	ic := InterconnectFromGbps(clk, 100)
+	ic := DefaultInterconnect(clk)
 
 	var elapsed time.Duration
 	done := make(chan struct{})

@@ -122,18 +122,9 @@ func NewInterconnect(clk *simclock.Clock, rtt time.Duration, bytesPerSec int64) 
 	return &Interconnect{link: New(clk, rtt, bytesPerSec)}
 }
 
-// InterconnectFromGbps returns a fabric link with the default RTT and the
-// given bandwidth in Gbit/s; gbps <= 0 selects DefaultInterconnectGbps.
-func InterconnectFromGbps(clk *simclock.Clock, gbps float64) *Interconnect {
-	if gbps <= 0 {
-		gbps = DefaultInterconnectGbps
-	}
-	return NewInterconnect(clk, DefaultInterconnectRTT, int64(gbps*1e9/8))
-}
-
 // DefaultInterconnect returns a fabric link with NVLink/IB-class defaults.
 func DefaultInterconnect(clk *simclock.Clock) *Interconnect {
-	return InterconnectFromGbps(clk, DefaultInterconnectGbps)
+	return NewInterconnect(clk, DefaultInterconnectRTT, int64(DefaultInterconnectGbps*1e9/8))
 }
 
 // Gbps reports the configured bandwidth in Gbit/s (0 = infinite).

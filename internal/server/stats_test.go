@@ -21,28 +21,19 @@ import (
 // zero-config kernel, each after three identical completions on a pure
 // virtual clock. A key, unit or default that moves shows up here.
 func TestStatsGolden(t *testing.T) {
-	models := func() map[string]*model.Model {
-		target := model.New(model.Llama13B())
-		return map[string]*model.Model{
-			"llama-13b": target,
-			"draft-1b":  model.New(model.AlignedDraft(target, 0.85)),
-		}
-	}
+	full := core.DefaultConfig()
+	full.KV = kvd.Config{Policy: "lru"}
+	full.Replicas = 2
+	full.Dispatcher = &sched.CacheAffinityMigrate{}
+	full.Spec = &core.SpecConfig{Draft: "draft-1b"}
+	full.PrefillChunk = 64
+	full.Prefix = core.PrefixConfig{Enabled: true, ChunkTokens: 16}
+	full.Disk = core.DiskConfig{Bytes: 1 << 30}
 	for _, tc := range []struct {
 		golden string
 		cfg    core.Config
 	}{
-		{"stats.golden.json", core.Config{
-			Models:       models(),
-			DefaultModel: "llama-13b",
-			KV:           kvd.Config{Policy: "lru"},
-			Replicas:     2,
-			Dispatcher:   &sched.CacheAffinityMigrate{},
-			Spec:         &core.SpecConfig{Draft: "draft-1b"},
-			PrefillChunk: 64,
-			Prefix:       core.PrefixConfig{Enabled: true, ChunkTokens: 16},
-			Disk:         core.DiskConfig{Bytes: 1 << 30},
-		}},
+		{"stats.golden.json", full},
 		{"stats_zero.golden.json", core.Config{
 			Models: map[string]*model.Model{"llama-13b": model.New(model.Llama13B())},
 		}},
