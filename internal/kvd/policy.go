@@ -166,7 +166,7 @@ func (CostAware) Rank(now time.Duration, cands []FileInfo) []int {
 	})
 }
 
-// policyFactories maps policy names (as accepted by the -kv-policy flags)
+// policyFactories maps policy names (as accepted by symphonyd -kv-policy)
 // to constructors.
 var policyFactories = map[string]func() Policy{
 	"lru":        func() Policy { return LRU{} },

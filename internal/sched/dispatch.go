@@ -177,8 +177,8 @@ type CacheAffinityMigrate struct {
 // Name implements Dispatcher.
 func (*CacheAffinityMigrate) Name() string { return "cache-affinity-migrate" }
 
-// dispatcherFactories maps policy names (as accepted by the -dispatch
-// flags) to constructors. Stateful dispatchers need a fresh value per
+// dispatcherFactories maps policy names (as accepted by symphonyd -dispatch)
+// to constructors. Stateful dispatchers need a fresh value per
 // scheduler, hence factories rather than instances.
 var dispatcherFactories = map[string]func() Dispatcher{
 	"round-robin":            func() Dispatcher { return NewRoundRobin() },
