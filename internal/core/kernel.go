@@ -536,20 +536,22 @@ func (k *Kernel) Process(pid int) (*Process, error) {
 	return p, nil
 }
 
-// Stats is a snapshot of kernel counters.
+// Stats is a snapshot of kernel counters. Each field's stats tag is how
+// the server's /v1/stats serves it (docs/STATS.md); the kernel structs
+// below it carry the same tags.
 type Stats struct {
-	Processes   int64
-	PredCalls   int64
-	PredTokens  int64
-	KVCalls     int64
-	ToolCalls   int64
-	IPCMessages int64
-	RestoreTime time.Duration
-	Sched       sched.Stats
-	FS          kvfs.Stats
-	KVD         kvd.Stats
-	Migration   MigrationStats
-	PrefixCache PrefixCacheStats
+	Processes   int64            `stats:"processes"`
+	PredCalls   int64            `stats:"pred_calls"`
+	PredTokens  int64            `stats:"pred_tokens"`
+	KVCalls     int64            `stats:"kv_calls"`
+	ToolCalls   int64            `stats:"tool_calls"`
+	IPCMessages int64            `stats:"ipc_messages"`
+	RestoreTime time.Duration    `stats:"-"`
+	Sched       sched.Stats      `stats:""`
+	FS          kvfs.Stats       `stats:""`
+	KVD         kvd.Stats        `stats:"kvd"`
+	Migration   MigrationStats   `stats:"migration"`
+	PrefixCache PrefixCacheStats `stats:"prefix_cache"`
 }
 
 // Stats returns a snapshot of counters.

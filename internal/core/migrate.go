@@ -147,37 +147,37 @@ func decide(in migrateDecision) migrateChoice {
 // MigrationStats is a snapshot of the engine's counters; Enabled is
 // false (and everything zero) on kernels without the engine.
 type MigrationStats struct {
-	Enabled          bool
-	Threshold        float64
-	InterconnectGbps float64
+	Enabled          bool    `stats:"enabled"`
+	Threshold        float64 `stats:"threshold"`
+	InterconnectGbps float64 `stats:"interconnect_gbps"`
 	// Roots is the number of live prefix families in the kernel's prefix
 	// directory: every family with a request file or a cached radix node.
-	Roots int
+	Roots int `stats:"prefix_roots"`
 	// Migrations / MigratedTokens / MigratedPages / MigrateTime count
 	// page-copy moves and the fabric time they charged.
-	Migrations     int64
-	MigratedTokens int64
-	MigratedPages  int64
-	MigrateTime    time.Duration
+	Migrations     int64         `stats:"migrations"`
+	MigratedTokens int64         `stats:"migrated_tokens"`
+	MigratedPages  int64         `stats:"migrated_pages"`
+	MigrateTime    time.Duration `stats:"migrate_time,str"`
 	// ColdStarts / RecomputedTokens count moves done by re-prefilling on
 	// the destination instead of transferring.
-	ColdStarts       int64
-	RecomputedTokens int64
+	ColdStarts       int64 `stats:"cold_starts"`
+	RecomputedTokens int64 `stats:"recomputed_tokens"`
 	// RefusedLocked / RefusedInFlight / RefusedPressure count moves the
 	// safety rules vetoed. Locked and in-flight files are never migrated.
-	RefusedLocked   int64
-	RefusedInFlight int64
-	RefusedPressure int64
+	RefusedLocked   int64 `stats:"refused_locked"`
+	RefusedInFlight int64 `stats:"refused_inflight"`
+	RefusedPressure int64 `stats:"refused_pressure"`
 	// TransferAborts counts migrations rolled back because the
 	// interconnect transfer failed: the destination reservation was
 	// released, the family stayed home, and the directory was left unchanged.
-	TransferAborts int64
+	TransferAborts int64 `stats:"transfer_aborts"`
 	// ReplicaCrashes / InvalidatedRoots count crash-restart notifications
 	// from the scheduler and the prefix families they evicted from the
 	// directory (their pages died with the replica; the next pred re-seeds
 	// them at their hash home).
-	ReplicaCrashes   int64
-	InvalidatedRoots int64
+	ReplicaCrashes   int64 `stats:"replica_crashes"`
+	InvalidatedRoots int64 `stats:"invalidated_roots"`
 }
 
 // rootInfo is one prefix family's directory entry.

@@ -70,27 +70,27 @@ type PrefixConfig struct {
 // PrefixCacheStats is a snapshot of the radix prefix cache, surfaced
 // through Kernel.Stats and the server's /v1/stats prefix_cache block.
 type PrefixCacheStats struct {
-	Enabled     bool
-	ChunkTokens int
+	Enabled     bool `stats:"enabled"`
+	ChunkTokens int  `stats:"chunk_tokens"`
 	// Nodes is the current tree size; ResidentTokens / SpilledTokens
 	// attribute each node's own chunk to the GPU+host tiers vs the disk
 	// tier (shared interior pages are pinned to the GPU by KVFS, so only
 	// leaf-exclusive chunks ever spill).
-	Nodes          int
-	ResidentTokens int
-	SpilledTokens  int
+	Nodes          int `stats:"nodes"`
+	ResidentTokens int `stats:"resident_tokens"`
+	SpilledTokens  int `stats:"spilled_tokens"`
 	// Lookups counts match walks; Hits those that attached a prefix;
 	// HitTokens the tokens attached instead of prefilled; SavedPrefill
 	// the prefill GPU time those tokens would have cost.
-	Lookups      int64
-	Hits         int64
-	HitTokens    int64
-	SavedPrefill time.Duration
+	Lookups      int64         `stats:"lookups"`
+	Hits         int64         `stats:"hits"`
+	HitTokens    int64         `stats:"hit_tokens"`
+	SavedPrefill time.Duration `stats:"saved_prefill_ms,ms"`
 	// Insertions counts nodes created, Evictions nodes dropped by the
 	// MaxNodes cap, Invalidations nodes dropped by replica crashes.
-	Insertions    int64
-	Evictions     int64
-	Invalidations int64
+	Insertions    int64 `stats:"insertions"`
+	Evictions     int64 `stats:"evictions"`
+	Invalidations int64 `stats:"invalidations"`
 }
 
 // prefixNode is one radix-tree node: the cached prefix of depth tokens

@@ -103,46 +103,47 @@ type Event struct {
 // block and must not call back into the daemon.
 type Notify func(Event)
 
-// Stats is a snapshot of daemon counters.
+// Stats is a snapshot of daemon counters. The disk-tier ledger is served
+// in /v1/stats' "disk" block beside the file system's disk pages.
 type Stats struct {
-	Policy    string
-	HighWater float64
-	LowWater  float64
+	Policy    string  `stats:"policy"`
+	HighWater float64 `stats:"high_water"`
+	LowWater  float64 `stats:"low_water"`
 	// Pressure is the instantaneous GPU page usage fraction.
-	Pressure float64
+	Pressure float64 `stats:"pressure"`
 	// Tracked is the number of live files under daemon management.
-	Tracked int
+	Tracked int `stats:"tracked_files"`
 	// Reclaims counts reclaim passes that offloaded at least one file.
-	Reclaims int64
+	Reclaims int64 `stats:"reclaims"`
 	// Offloads counts files offloaded; OffloadedTokens the KV tokens
 	// moved GPU→host.
-	Offloads        int64
-	OffloadedTokens int64
+	Offloads        int64 `stats:"offloads"`
+	OffloadedTokens int64 `stats:"offloaded_tokens"`
 	// Restores counts policy-evicted files transparently restored on a
 	// later access; RestoredTokens the tokens moved host→GPU, and
 	// RestoredCost the total PCIe time those restores charged — the
 	// price of the eviction policy picking files that turned out to
 	// still be needed, the figure of merit policies compete on.
-	Restores       int64
-	RestoredTokens int64
-	RestoredCost   time.Duration
+	Restores       int64         `stats:"restores"`
+	RestoredTokens int64         `stats:"restored_tokens"`
+	RestoredCost   time.Duration `stats:"restored_cost,str"`
 	// SwapRestores / SwapRestoredTokens / SwapRestoredCost are the same
 	// ledger for self-preemption swaps (a stalled pred giving back its
 	// own residency): that cost is paid to break allocation standoffs
 	// and is not the eviction policy's doing.
-	SwapRestores       int64
-	SwapRestoredTokens int64
-	SwapRestoredCost   time.Duration
+	SwapRestores       int64         `stats:"swap_restores"`
+	SwapRestoredTokens int64         `stats:"-"`
+	SwapRestoredCost   time.Duration `stats:"swap_restored_cost,str"`
 	// Preemptions counts self-preemption swaps: a stalled pred swapping
 	// out its own residency to break an allocation standoff.
-	Preemptions int64
+	Preemptions int64 `stats:"preemptions"`
 	// Migrations / MigratedTokens / MigratedCost are the cross-replica
 	// ledger: files the kernel's migration engine copied between replicas
 	// over the interconnect (source pages freed after the copy), the KV
 	// tokens moved, and the fabric time charged for them.
-	Migrations     int64
-	MigratedTokens int64
-	MigratedCost   time.Duration
+	Migrations     int64         `stats:"-"`
+	MigratedTokens int64         `stats:"-"`
+	MigratedCost   time.Duration `stats:"-"`
 	// Spills counts files demoted host→disk; SpilledTokens the KV tokens
 	// moved, net of rollbacks. Spills are free of tensor-transfer time by
 	// design: the snapshot store writes only token metadata, and the
@@ -150,19 +151,19 @@ type Stats struct {
 	// spills undone because the snapshot commit failed: their pages moved
 	// back to host and were subtracted from SpilledTokens, so the ledger
 	// never counts pages as disk-resident without a durable copy.
-	Spills         int64
-	SpilledTokens  int64
-	SpillRollbacks int64
+	Spills         int64 `stats:"/disk.spills"`
+	SpilledTokens  int64 `stats:"/disk.spilled_tokens"`
+	SpillRollbacks int64 `stats:"spill_rollbacks"`
 	// DiskLoads / DiskLoadedTokens / DiskLoadCost record disk→GPU
 	// re-prefills from the snapshot store and the NVMe+PCIe time charged
 	// for them; DiskRecomputes / DiskRecomputedTokens count the times the
 	// kernel instead chose to recompute a disk-resident prefix because
 	// prefill was estimated cheaper than the load.
-	DiskLoads            int64
-	DiskLoadedTokens     int64
-	DiskLoadCost         time.Duration
-	DiskRecomputes       int64
-	DiskRecomputedTokens int64
+	DiskLoads            int64         `stats:"/disk.loads"`
+	DiskLoadedTokens     int64         `stats:"/disk.loaded_tokens"`
+	DiskLoadCost         time.Duration `stats:"/disk.load_cost,str"`
+	DiskRecomputes       int64         `stats:"/disk.recomputes"`
+	DiskRecomputedTokens int64         `stats:"/disk.recomputed_tokens"`
 }
 
 type entry struct {

@@ -132,27 +132,27 @@ func DefaultConfig() Config {
 
 // Stats is a snapshot of file-system counters.
 type Stats struct {
-	GPUPages     int
-	HostPages    int
-	GPUPageCap   int
-	HostPageCap  int
-	GPUPeakPages int
+	GPUPages     int `stats:"gpu_pages"`
+	HostPages    int `stats:"-"`
+	GPUPageCap   int `stats:"gpu_page_cap"`
+	HostPageCap  int `stats:"-"`
+	GPUPeakPages int `stats:"-"`
 	// DiskPages is the snapshot-store footprint in pages: every page
 	// with a durable copy on the disk tier, whether or not it also has a
 	// live GPU or host copy (see DiskTier). DiskPeakPages is its
 	// high-water mark.
-	DiskPages     int
-	DiskPageCap   int
-	DiskPeakPages int
-	Files         int
-	Forks         int64
-	COWCopies     int64
+	DiskPages     int   `stats:"/disk.disk_pages"`
+	DiskPageCap   int   `stats:"/disk.disk_page_cap"`
+	DiskPeakPages int   `stats:"/disk.disk_peak_pages"`
+	Files         int   `stats:"-"`
+	Forks         int64 `stats:"-"`
+	COWCopies     int64 `stats:"-"`
 	// Shares counts cross-tree prefix adoptions (AdoptPrefix): page-aligned
 	// prefixes attached to an unrelated empty file by bumping refcounts,
 	// the mechanism behind the kernel's radix prefix cache.
-	Shares     int64
-	OOMErrors  int64
-	PageTokens int
+	Shares     int64 `stats:"-"`
+	OOMErrors  int64 `stats:"-"`
+	PageTokens int   `stats:"-"`
 }
 
 // GPUTokens reports the worst-case token capacity equivalent of used GPU

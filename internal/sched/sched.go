@@ -131,35 +131,35 @@ type Config struct {
 
 // ReplicaStats is a snapshot of one replica's counters.
 type ReplicaStats struct {
-	ID     int
-	Calls  int64
-	Tokens int64
+	ID     int   `stats:"id"`
+	Calls  int64 `stats:"calls"`
+	Tokens int64 `stats:"tokens"`
 	// ExecTokens is the sum of step slices the GPU actually executed;
 	// when every submitted call has completed it equals Tokens — the
 	// invariant preemption and resumption must preserve.
-	ExecTokens  int64
-	Batches     int64
-	Steps       int64
-	AvgBatch    float64
-	AvgTokens   float64
-	Preemptions int64
+	ExecTokens  int64   `stats:"-"`
+	Batches     int64   `stats:"batches"`
+	Steps       int64   `stats:"steps"`
+	AvgBatch    float64 `stats:"avg_batch"`
+	AvgTokens   float64 `stats:"-"`
+	Preemptions int64   `stats:"preemptions"`
 	// Crashes counts crash-restarts of this executor; Requeued is the
 	// number of calls its crashes pushed back for re-dispatch; LostTokens
 	// is the executed-but-unretired progress those crashes discarded
 	// (re-executed after requeue, never re-billed).
-	Crashes  int64
-	Requeued int64
+	Crashes  int64 `stats:"-"`
+	Requeued int64 `stats:"-"`
 	// SpecRounds counts draft/verify rounds this executor ran;
 	// SpecDrafted and SpecAccepted are the draft tokens proposed and
 	// accepted across them (their ratio is the realized acceptance rate).
-	SpecRounds   int64
-	SpecDrafted  int64
-	SpecAccepted int64
-	LostTokens   int64
-	GPUBusy      time.Duration
-	Utilization  float64 // GPUBusy / elapsed virtual time
-	DelayMean    time.Duration
-	DelayP99     time.Duration
+	SpecRounds   int64         `stats:"-"`
+	SpecDrafted  int64         `stats:"-"`
+	SpecAccepted int64         `stats:"-"`
+	LostTokens   int64         `stats:"-"`
+	GPUBusy      time.Duration `stats:"busy_virtual,str"`
+	Utilization  float64       `stats:"utilization"` // GPUBusy / elapsed virtual time
+	DelayMean    time.Duration `stats:"queue_delay_us,us"`
+	DelayP99     time.Duration `stats:"-"`
 }
 
 // LaneStats is one priority lane's aggregate view across replicas. Delay
@@ -169,13 +169,13 @@ type ReplicaStats struct {
 // observes; for a long sliced call it is the time other lanes' work (and
 // preemption) inserted into its execution.
 type LaneStats struct {
-	Lane        string
-	Calls       int64
-	Preemptions int64
-	DelayMean   time.Duration
-	DelayP50    time.Duration
-	DelayP99    time.Duration
-	DelayMax    time.Duration
+	Lane        string        `stats:"lane"`
+	Calls       int64         `stats:"calls"`
+	Preemptions int64         `stats:"preemptions"`
+	DelayMean   time.Duration `stats:"-"`
+	DelayP50    time.Duration `stats:"queue_delay_p50_us,us"`
+	DelayP99    time.Duration `stats:"queue_delay_p99_us,us"`
+	DelayMax    time.Duration `stats:"queue_delay_max_us,us"`
 }
 
 // Stats is a snapshot of scheduler counters. The top-level fields
@@ -184,43 +184,43 @@ type LaneStats struct {
 // and Steps both count GPU iterations — under iteration-level execution
 // the cut-batch/forward-pass distinction has collapsed into one loop.
 type Stats struct {
-	Calls  int64
-	Tokens int64
+	Calls  int64 `stats:"-"`
+	Tokens int64 `stats:"-"`
 	// ExecutedTokens sums the slices executed across replicas; it equals
 	// Tokens + LostTokens once all submitted calls have completed —
 	// crash-discarded progress is re-executed, everything else exactly
 	// once.
-	ExecutedTokens int64
-	Batches        int64
-	Steps          int64
-	AvgBatch       float64
-	AvgTokens      float64
-	GPUBusy        time.Duration
-	Utilization    float64
-	Dispatcher     string
-	PriorityPolicy string
+	ExecutedTokens int64         `stats:"executed_tokens"`
+	Batches        int64         `stats:"-"`
+	Steps          int64         `stats:"-"`
+	AvgBatch       float64       `stats:"avg_batch"`
+	AvgTokens      float64       `stats:"-"`
+	GPUBusy        time.Duration `stats:"-"`
+	Utilization    float64       `stats:"gpu_busy"`
+	Dispatcher     string        `stats:"dispatcher"`
+	PriorityPolicy string        `stats:"priority_policy"`
 	// Preemptions counts iteration-boundary preemptions: a mid-flight
 	// call descheduled because higher-lane work filled the step budget.
-	Preemptions int64
+	Preemptions int64 `stats:"preemptions"`
 	// Crashes, Requeued, and LostTokens aggregate the per-replica
 	// crash-restart counters.
-	Crashes    int64
-	Requeued   int64
-	LostTokens int64
+	Crashes    int64 `stats:"crashes"`
+	Requeued   int64 `stats:"requeued"`
+	LostTokens int64 `stats:"lost_tokens"`
 	// SpecRounds, SpecDrafted, and SpecAccepted aggregate the
 	// speculative-decoding counters across replicas.
-	SpecRounds   int64
-	SpecDrafted  int64
-	SpecAccepted int64
+	SpecRounds   int64 `stats:"/spec.rounds"`
+	SpecDrafted  int64 `stats:"/spec.drafted_tokens"`
+	SpecAccepted int64 `stats:"/spec.accepted_tokens"`
 	// AdmitDeferred is always zero: no call is deferred ahead of its KV
 	// allocation (core.Ctx.pred says why). The frozen benchmark/report.go
 	// reads the field; the next benchmark PR drops it.
-	AdmitDeferred int64
+	AdmitDeferred int64 `stats:"admit_deferred"`
 	// AdmitWait is always zero, for the same reason; the next benchmark
 	// PR drops it with AdmitDeferred.
-	AdmitWait time.Duration
-	Lanes     []LaneStats
-	Replicas  []ReplicaStats
+	AdmitWait time.Duration  `stats:"admit_wait,str"`
+	Lanes     []LaneStats    `stats:"lanes"`
+	Replicas  []ReplicaStats `stats:"replicas"`
 }
 
 // Scheduler is the batch inference scheduler plus the simulated GPU

@@ -27,6 +27,9 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"reflect"
+	"slices"
+	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -175,44 +178,21 @@ func (s *Server) health(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintln(w, "ok")
 }
 
+// stats serves the walked document plus the keys no Stats field holds.
 func (s *Server) stats(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeError(w, http.StatusMethodNotAllowed, CodeMethodNotAllowed, "GET required")
 		return
 	}
 	st := s.k.Stats()
-	replicas := make([]map[string]any, 0, len(st.Sched.Replicas))
-	for _, rs := range st.Sched.Replicas {
-		replicas = append(replicas, map[string]any{
-			"id":             rs.ID,
-			"calls":          rs.Calls,
-			"tokens":         rs.Tokens,
-			"batches":        rs.Batches,
-			"steps":          rs.Steps,
-			"avg_batch":      rs.AvgBatch,
-			"preemptions":    rs.Preemptions,
-			"utilization":    rs.Utilization,
-			"busy_virtual":   rs.GPUBusy.String(),
-			"queue_delay_us": rs.DelayMean.Microseconds(),
-		})
-	}
-	lanes := make([]map[string]any, 0, len(st.Sched.Lanes))
-	for _, ls := range st.Sched.Lanes {
-		lanes = append(lanes, map[string]any{
-			"lane":               ls.Lane,
-			"calls":              ls.Calls,
-			"preemptions":        ls.Preemptions,
-			"queue_delay_p50_us": ls.DelayP50.Microseconds(),
-			"queue_delay_p99_us": ls.DelayP99.Microseconds(),
-			"queue_delay_max_us": ls.DelayMax.Microseconds(),
-		})
-	}
-	spec := map[string]any{
-		"enabled":         false,
-		"rounds":          st.Sched.SpecRounds,
-		"drafted_tokens":  st.Sched.SpecDrafted,
-		"accepted_tokens": st.Sched.SpecAccepted,
-	}
+	doc := walkStats(statsPlan, reflect.ValueOf(st), map[string]any{
+		"gpus":          len(st.Sched.Replicas),
+		"prefill_chunk": s.k.Scheduler().PrefillChunk(),
+		"virtual_time":  s.clk.Now().String(),
+	})
+	statsBlock(doc, "disk")["enabled"] = st.FS.DiskPageCap > 0
+	spec := statsBlock(doc, "spec")
+	spec["enabled"] = false
 	if sc := s.k.SpecDecode(); sc != nil {
 		spec["enabled"] = true
 		spec["draft"] = sc.Draft
@@ -222,95 +202,101 @@ func (s *Server) stats(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(map[string]any{
-		"processes":       st.Processes,
-		"pred_calls":      st.PredCalls,
-		"pred_tokens":     st.PredTokens,
-		"kv_calls":        st.KVCalls,
-		"tool_calls":      st.ToolCalls,
-		"ipc_messages":    st.IPCMessages,
-		"gpu_pages":       st.FS.GPUPages,
-		"gpu_page_cap":    st.FS.GPUPageCap,
-		"gpu_busy":        st.Sched.Utilization,
-		"avg_batch":       st.Sched.AvgBatch,
-		"gpus":            len(st.Sched.Replicas),
-		"dispatcher":      st.Sched.Dispatcher,
-		"priority_policy": st.Sched.PriorityPolicy,
-		"preemptions":     st.Sched.Preemptions,
-		"executed_tokens": st.Sched.ExecutedTokens,
-		"lost_tokens":     st.Sched.LostTokens,
-		"crashes":         st.Sched.Crashes,
-		"requeued":        st.Sched.Requeued,
-		"prefill_chunk":   s.k.Scheduler().PrefillChunk(),
-		"spec":            spec,
-		"lanes":           lanes,
-		"admit_deferred":  st.Sched.AdmitDeferred,
-		"admit_wait":      st.Sched.AdmitWait.String(),
-		"kvd": map[string]any{
-			"policy":             st.KVD.Policy,
-			"high_water":         st.KVD.HighWater,
-			"low_water":          st.KVD.LowWater,
-			"pressure":           st.KVD.Pressure,
-			"tracked_files":      st.KVD.Tracked,
-			"reclaims":           st.KVD.Reclaims,
-			"offloads":           st.KVD.Offloads,
-			"offloaded_tokens":   st.KVD.OffloadedTokens,
-			"restores":           st.KVD.Restores,
-			"restored_tokens":    st.KVD.RestoredTokens,
-			"restored_cost":      st.KVD.RestoredCost.String(),
-			"swap_restores":      st.KVD.SwapRestores,
-			"swap_restored_cost": st.KVD.SwapRestoredCost.String(),
-			"preemptions":        st.KVD.Preemptions,
-			"spill_rollbacks":    st.KVD.SpillRollbacks,
-		},
-		"disk": map[string]any{
-			"enabled":           st.FS.DiskPageCap > 0,
-			"disk_pages":        st.FS.DiskPages,
-			"disk_page_cap":     st.FS.DiskPageCap,
-			"disk_peak_pages":   st.FS.DiskPeakPages,
-			"spills":            st.KVD.Spills,
-			"spilled_tokens":    st.KVD.SpilledTokens,
-			"loads":             st.KVD.DiskLoads,
-			"loaded_tokens":     st.KVD.DiskLoadedTokens,
-			"load_cost":         st.KVD.DiskLoadCost.String(),
-			"recomputes":        st.KVD.DiskRecomputes,
-			"recomputed_tokens": st.KVD.DiskRecomputedTokens,
-		},
-		"migration": map[string]any{
-			"enabled":           st.Migration.Enabled,
-			"threshold":         st.Migration.Threshold,
-			"interconnect_gbps": st.Migration.InterconnectGbps,
-			"prefix_roots":      st.Migration.Roots,
-			"migrations":        st.Migration.Migrations,
-			"migrated_tokens":   st.Migration.MigratedTokens,
-			"migrated_pages":    st.Migration.MigratedPages,
-			"migrate_time":      st.Migration.MigrateTime.String(),
-			"cold_starts":       st.Migration.ColdStarts,
-			"recomputed_tokens": st.Migration.RecomputedTokens,
-			"refused_locked":    st.Migration.RefusedLocked,
-			"refused_inflight":  st.Migration.RefusedInFlight,
-			"refused_pressure":  st.Migration.RefusedPressure,
-			"transfer_aborts":   st.Migration.TransferAborts,
-			"replica_crashes":   st.Migration.ReplicaCrashes,
-			"invalidated_roots": st.Migration.InvalidatedRoots,
-		},
-		"prefix_cache": map[string]any{
-			"enabled":          st.PrefixCache.Enabled,
-			"chunk_tokens":     st.PrefixCache.ChunkTokens,
-			"nodes":            st.PrefixCache.Nodes,
-			"resident_tokens":  st.PrefixCache.ResidentTokens,
-			"spilled_tokens":   st.PrefixCache.SpilledTokens,
-			"lookups":          st.PrefixCache.Lookups,
-			"hits":             st.PrefixCache.Hits,
-			"hit_tokens":       st.PrefixCache.HitTokens,
-			"saved_prefill_ms": float64(st.PrefixCache.SavedPrefill) / float64(time.Millisecond),
-			"insertions":       st.PrefixCache.Insertions,
-			"evictions":        st.PrefixCache.Evictions,
-			"invalidations":    st.PrefixCache.Invalidations,
-		},
-		"replicas":     replicas,
-		"virtual_time": s.clk.Now().String(),
-	})
+	json.NewEncoder(w).Encode(doc)
+}
+
+// statsField is one served leaf or array of core.Stats. A field tagged
+// `stats:"path[,unit]"` is served at path, dotted from its struct's block
+// or, after a leading "/", from the document root. A struct field with an
+// empty path is inlined into its block, one with a path opens that block,
+// and a slice of structs is an array with one object per element, each
+// walked as a document of its own. Unit "us", "ms" or "str" serves a
+// time.Duration as integer µs, float ms or its String(); "-" is not
+// served. docs/STATS.md lists every key.
+type statsField struct {
+	index []int        // reflect.Value.FieldByIndex from the walked struct
+	keys  []string     // the key path from the walked document
+	unit  string       // "", "us", "ms" or "str"
+	sub   []statsField // a slice element's plan
+}
+
+// statsPlan is core.Stats' plan, built once.
+var statsPlan = planStats(reflect.TypeOf(core.Stats{}), nil, nil)
+
+// planStats flattens t's served fields, nested structs included; index
+// and block are t's field index and key path in the walked struct.
+func planStats(t reflect.Type, index []int, block []string) []statsField {
+	var plan []statsField
+	for i := 0; i < t.NumField(); i++ {
+		f := t.Field(i)
+		tag, ok := f.Tag.Lookup("stats")
+		if !ok || tag == "-" {
+			continue
+		}
+		path, unit, _ := strings.Cut(tag, ",")
+		idx, keys := append(slices.Clip(index), i), block
+		if strings.HasPrefix(path, "/") {
+			keys = nil
+		}
+		if path = strings.TrimPrefix(path, "/"); path != "" {
+			keys = append(slices.Clip(keys), strings.Split(path, ".")...)
+		}
+		switch f.Type.Kind() {
+		case reflect.Struct:
+			plan = append(plan, planStats(f.Type, idx, keys)...)
+		case reflect.Slice:
+			plan = append(plan, statsField{index: idx, keys: keys, sub: planStats(f.Type.Elem(), nil, nil)})
+		default:
+			plan = append(plan, statsField{index: idx, keys: keys, unit: unit})
+		}
+	}
+	return plan
+}
+
+// walkStats serves v's planned fields into doc and returns it.
+func walkStats(plan []statsField, v reflect.Value, doc map[string]any) map[string]any {
+	for _, f := range plan {
+		m, last := doc, len(f.keys)-1
+		for _, k := range f.keys[:last] {
+			m = statsBlock(m, k)
+		}
+		m[f.keys[last]] = statsValue(v.FieldByIndex(f.index), f)
+	}
+	return doc
+}
+
+// statsBlock returns m's object at key, creating it on first use.
+func statsBlock(m map[string]any, key string) map[string]any {
+	b, ok := m[key].(map[string]any)
+	if !ok {
+		b = map[string]any{}
+		m[key] = b
+	}
+	return b
+}
+
+// statsValue is one field as served. Numbers are boxed by kind because
+// v.Interface() copies out of an addressable slice element.
+func statsValue(v reflect.Value, f statsField) any {
+	switch {
+	case v.Kind() == reflect.Slice:
+		elems := make([]map[string]any, v.Len())
+		for i := range elems {
+			elems[i] = walkStats(f.sub, v.Index(i), map[string]any{})
+		}
+		return elems
+	case f.unit == "us":
+		return time.Duration(v.Int()).Microseconds()
+	case f.unit == "ms":
+		return float64(v.Int()) / float64(time.Millisecond)
+	case f.unit == "str":
+		return time.Duration(v.Int()).String()
+	case v.CanInt():
+		return v.Int()
+	case v.CanFloat():
+		return v.Float()
+	}
+	return v.Interface()
 }
 
 // programResponse is the /v1/programs and /v1/completions reply.
