@@ -33,8 +33,8 @@
 // Two executor options compose with either policy: -prefill-chunk caps
 // the prefill tokens one pred contributes per iteration (Sarathi-style
 // chunked prefill, effective even under fifo; 0 disables), and
-// -spec-decode runs greedy decode runs as draft/verify rounds against
-// the built-in draft-1b model inside each iteration — the draft
+// -spec-decode runs greedy and seeded-sampled decode runs as draft/verify
+// rounds against the built-in draft-1b model inside each iteration — the draft
 // proposes a constant window of 4 tokens a round, the target verifies
 // them in one batched step, and the accepted prefix plus one correction
 // token retire together.
@@ -96,7 +96,7 @@ func main() {
 	prefillChunk := flag.Int("prefill-chunk", 0,
 		"max prefill tokens one pred call contributes per GPU iteration, any priority policy (0 disables chunked prefill)")
 	specDecode := flag.Bool("spec-decode", false,
-		"speculatively decode generation runs on the draft-1b model inside each GPU iteration (requires an iteration-level -priority-policy)")
+		"speculatively decode greedy and seeded-sampled generation runs on the draft-1b model inside each GPU iteration (requires an iteration-level -priority-policy)")
 	prefixCache := flag.Bool("prefix-cache", false,
 		"enable the kernel radix prefix cache: cross-job KV deduplication of shared prompt prefixes by copy-on-write share")
 	prefixChunk := flag.Int("prefix-chunk", core.DefaultPrefixChunk,

@@ -44,7 +44,7 @@ func Example_wireAgent() {
 	// [tool] results for churi fame thichili fuba fudu
 	// bicha vesu sese tokafo chedu defuvi
 	// ---
-	// virtual time 431ms · 13 pred calls · 58 tokens · 1 tool calls · gpu busy 65%
+	// virtual time 431ms · 4 pred calls · 58 tokens · 1 tool calls · gpu busy 65%
 }
 
 // The streaming script README submits to the v2 API and streams back.
@@ -54,5 +54,5 @@ func Example_wireStream() {
 	// [streaming demo]
 	// lebusu redotu tigabi tazizi thezochi mefe gusavu mutha tuveto tidudu bira tuzime gizuko tepeki gunothe gisatu kipu balu vuga tichize
 	// ---
-	// virtual time 435ms · 21 pred calls · 30 tokens · 0 tool calls · gpu busy 100%
+	// virtual time 435ms · 2 pred calls · 30 tokens · 0 tool calls · gpu busy 100%
 }

@@ -294,7 +294,28 @@ func (c *Ctx) Pred(f *kvfs.File, toks []token.ID, positions []int) ([]model.Dist
 // PredModel is Pred against a named model (e.g. a draft model for
 // library-level speculative decoding, internal/lip).
 func (c *Ctx) PredModel(modelName string, f *kvfs.File, toks []token.ID, positions []int) ([]model.Dist, error) {
-	return c.pred(modelName, f, toks, positions, false)
+	return c.pred(modelName, f, toks, positions, nil)
+}
+
+// DecodeRun is what PredDecode needs to know of a run beyond its tokens:
+// how they were drawn, and who hears of their progress. The zero value is
+// a greedy run nobody watches.
+type DecodeRun struct {
+	// Draw is the run's proposal rule: the token it draws for its i-th
+	// position from d. Nil means greedy, d.Greedy(). Under speculation
+	// position i is accepted where the draft echoes the default model's
+	// distribution ahead of it, and elsewhere iff Draw(i, the draft's
+	// distribution) == toks[i]. For a run whose tokens are its own draws
+	// from the default model (lip.GenerateDecode) that is exactly
+	// Draw(i, draft) == Draw(i, target). Tokens that are not draws (the
+	// experiments' synthetic runs) are allowed and change only timing: the
+	// echoed positions are accepted, the rest by chance.
+	Draw func(i int, d model.Dist) token.ID
+	// Progress, when non-nil, is told how many positions have retired at
+	// the end of every GPU iteration that advanced the run. It runs on the
+	// replica actor and must not block (see sched.Call.OnProgress); after a
+	// replica crash-restart the count can go back.
+	Progress func(retired int)
 }
 
 // PredDecode is Pred for an autoregressive decode run against the
@@ -308,14 +329,19 @@ func (c *Ctx) PredModel(modelName string, f *kvfs.File, toks []token.ID, positio
 // submission); only the step-loop physics differ.
 //
 // The caller supplies the run's tokens up front — the simulated model
-// is deterministic, so a greedy chain is known at submission (see
-// lip.GenerateDecode); the GPU step only decides when the results exist.
-func (c *Ctx) PredDecode(f *kvfs.File, toks []token.ID, positions []int) ([]model.Dist, error) {
-	return c.pred("", f, toks, positions, true)
+// and run.Draw are deterministic, so a greedy or seeded-sampled chain is
+// known at submission (see lip.GenerateDecode); the GPU step only decides
+// when the results exist. Only the final position's distribution is
+// returned built; the others are unbuilt (model.Defer), equal under every
+// Dist method.
+func (c *Ctx) PredDecode(f *kvfs.File, toks []token.ID, positions []int, run DecodeRun) ([]model.Dist, error) {
+	return c.pred("", f, toks, positions, &run)
 }
 
-// pred is the shared body of the pred-family system calls.
-func (c *Ctx) pred(modelName string, f *kvfs.File, toks []token.ID, positions []int, decode bool) ([]model.Dist, error) {
+// pred is the shared body of the pred-family system calls; run is nil
+// except for a decode run.
+func (c *Ctx) pred(modelName string, f *kvfs.File, toks []token.ID, positions []int, run *DecodeRun) ([]model.Dist, error) {
+	decode := run != nil
 	k := c.p.k
 	m, err := k.Model(modelName)
 	if err != nil {
@@ -477,19 +503,32 @@ func (c *Ctx) pred(modelName string, f *kvfs.File, toks []token.ID, positions []
 		Priority: c.p.prio,
 		Decode:   decode,
 	}
+	if decode {
+		call.OnProgress = run.Progress
+	}
 	if decode && k.spec != nil && call.Model == k.defMod && len(toks) > 1 {
 		// Precompute the acceptance bitmap from the deterministic model
-		// pair: position i is accepted iff the draft's greedy proposal
-		// from the context ahead of it matches the target's. Both sides are
-		// read through unbuilt distributions, which answer Greedy without
-		// building. The executor consults the bitmap round by round; no
-		// randomness at execution time, so identically-seeded runs
+		// pair, one rule for greedy and sampled runs: position i is
+		// accepted iff the draft's proposal for it — the run's own draw,
+		// applied to the draft's distribution ahead of position i — equals
+		// toks[i]. For a greedy run that is the draft's argmax; for a
+		// sampled one the coupled draw stands in for speculative sampling's
+		// min(1, p/q) test. Where the draft echoes the target's own
+		// distribution its proposal is the target's draw, so the position
+		// is accepted with nothing built (see DecodeRun.Draw); elsewhere the
+		// draft's distribution is read unbuilt, which a greedy draw answers
+		// without building. The executor consults the bitmap round by round;
+		// no randomness at execution time, so identically-seeded runs
 		// speculate identically.
+		draw := run.Draw
+		if draw == nil {
+			draw = func(_ int, d model.Dist) token.ID { return d.Greedy() }
+		}
 		draft := k.models[k.spec.Draft]
 		accept := make([]bool, len(toks)-1)
 		h := preTail
 		for i := range accept {
-			accept[i] = draft.Defer(h).Greedy() == m.Defer(h).Greedy()
+			accept[i] = draft.Echoes(m, h) || draw(i, draft.Defer(h)) == toks[i]
 			h = tails[i]
 		}
 		call.Spec = &sched.SpecCall{
@@ -563,7 +602,8 @@ func (c *Ctx) pred(modelName string, f *kvfs.File, toks []token.ID, positions []
 	// those tokens would have produced (AdoptPrefix shares exact KV), so
 	// the caller still receives one distribution per submitted token —
 	// built for the positions this call executed, unbuilt (model.Defer) for
-	// the attached ones, which the GPU never computed.
+	// the attached ones, which the GPU never computed, and for a decode
+	// run's non-final positions, whose tokens its caller already drew.
 	dists := make([]model.Dist, len(toks))
 	h := model.CtxHash(0)
 	for i := 0; i < attached; i++ {
@@ -571,7 +611,11 @@ func (c *Ctx) pred(modelName string, f *kvfs.File, toks []token.ID, positions []
 		dists[i] = m.Defer(h)
 	}
 	for i, th := range tails {
-		dists[attached+i] = m.Next(th)
+		if decode && i < len(tails)-1 {
+			dists[attached+i] = m.Defer(th)
+		} else {
+			dists[attached+i] = m.Next(th)
+		}
 	}
 	return dists, nil
 }

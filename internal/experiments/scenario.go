@@ -310,16 +310,20 @@ func positions(n, from int) []int {
 
 // synthPred appends n synthetic tokens to f: through the pred syscall,
 // or — when decode is set — as one PredDecode run the executor advances
-// a token (or a verified draft window) per iteration.
+// a token (or a verified draft window) per iteration. Synthetic tokens are
+// not the model's own draws, so a speculated run accepts the positions
+// where the draft echoes the target and others only by chance.
 func synthPred(ctx *core.Ctx, f *kvfs.File, n, seed int, decode bool) error {
 	if n <= 0 {
 		return nil
 	}
-	pred := ctx.Pred
+	toks, pos := synthTokens(n, seed), positions(n, f.Len())
+	var err error
 	if decode {
-		pred = ctx.PredDecode
+		_, err = ctx.PredDecode(f, toks, pos, core.DecodeRun{})
+	} else {
+		_, err = ctx.Pred(f, toks, pos)
 	}
-	_, err := pred(f, synthTokens(n, seed), positions(n, f.Len()))
 	return err
 }
 

@@ -15,15 +15,25 @@ import (
 // harness runs a LIP body against a fresh kernel and fails on error.
 func harness(t *testing.T, body core.Program) *core.Kernel {
 	t.Helper()
+	return harnessWith(t, func(*core.Config) {}, body)
+}
+
+// harnessWith is harness on a kernel that edit adjusts: llama-13b as the
+// default model beside "draft", a draft that agrees with it on 85 % of
+// contexts.
+func harnessWith(t *testing.T, edit func(*core.Config), body core.Program) *core.Kernel {
+	t.Helper()
 	clk := simclock.New()
 	target := model.New(model.Llama13B())
-	k := core.New(clk, core.Config{
+	cfg := core.Config{
 		Models: map[string]*model.Model{
 			"llama-13b": target,
 			"draft":     model.New(model.AlignedDraft(target, 0.85)),
 		},
 		DefaultModel: "llama-13b",
-	})
+	}
+	edit(&cfg)
+	k := core.New(clk, cfg)
 	done := make(chan error, 1)
 	go func() {
 		clk.Go("driver", func() {

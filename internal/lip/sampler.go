@@ -26,10 +26,10 @@ type Sampler struct {
 // Greedy returns the most probable token of d.
 func Greedy(d model.Dist) token.ID { return d.Greedy() }
 
-// next returns the sampler's next uniform in [0,1).
-func (s *Sampler) next() float64 {
-	s.draws++
-	x := s.Seed + s.draws*0x9e3779b97f4a7c15
+// uniform returns the n-th uniform in [0,1) of the sampler's stream, n
+// counting from 1.
+func (s *Sampler) uniform(n uint64) float64 {
+	x := s.Seed + n*0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
 	x ^= x >> 31
@@ -38,13 +38,26 @@ func (s *Sampler) next() float64 {
 
 // Sample draws one token from d under the sampler's settings.
 func (s *Sampler) Sample(d model.Dist) token.ID {
+	tok, drew := s.sampleAt(d, s.draws+1)
+	if drew {
+		s.draws++
+	}
+	return tok
+}
+
+// sampleAt is the token Sample returns from d when draw n is next in the
+// stream, and whether it spends that draw (greedy settings and an empty
+// distribution spend none). It reads only the settings, so the same draw
+// can be applied to another distribution: a decode run's coupled draft
+// proposal (see GenerateDecode).
+func (s *Sampler) sampleAt(d model.Dist, n uint64) (token.ID, bool) {
 	if s.Temperature <= 0 {
-		return d.Greedy()
+		return d.Greedy(), false
 	}
 	d = d.Temperature(s.Temperature)
 	cands := d.Candidates()
 	if len(cands) == 0 {
-		return token.EOS
+		return token.EOS, false
 	}
 	if s.TopK > 0 && s.TopK < len(cands) {
 		cands = cands[:s.TopK]
@@ -65,15 +78,15 @@ func (s *Sampler) Sample(d model.Dist) token.ID {
 	for _, c := range cands {
 		total += c.Prob
 	}
-	u := s.next() * total
+	u := s.uniform(n) * total
 	var acc float64
 	for _, c := range cands {
 		acc += c.Prob
 		if u < acc {
-			return c.Token
+			return c.Token, true
 		}
 	}
-	return cands[len(cands)-1].Token
+	return cands[len(cands)-1].Token, true
 }
 
 // SuppressEOS is a GenOptions.Transform that removes the end-of-sequence

@@ -279,24 +279,19 @@ func execStmt(ctx *core.Ctx, st Stmt, sessions map[string]*lip.Session,
 		stream := func(t token.ID) {
 			ctx.PublishToken(ctx.Detokenize([]token.ID{t}))
 		}
-		var res lip.GenResult
-		var err error
+		var sampler *lip.Sampler
 		if st.Temperature > 0 {
-			res, err = lip.Generate(sess, lip.GenOptions{
-				MaxTokens: st.MaxTokens,
-				Sampler:   &lip.Sampler{Temperature: st.Temperature, Seed: st.Seed},
-				Stream:    stream,
-			})
-		} else {
-			// Greedy generation is a decode run: the executor advances
-			// it one token — or one verified draft window, under
-			// -spec-decode — per GPU iteration instead of paying a
-			// scheduling round trip per token.
-			res, err = lip.GenerateDecode(sess, lip.DecodeOptions{
-				MaxTokens: st.MaxTokens,
-				Stream:    stream,
-			})
+			sampler = &lip.Sampler{Temperature: st.Temperature, Seed: st.Seed}
 		}
+		// A generation, greedy or seeded-sampled, is a decode run: the
+		// executor advances it one token — or one verified draft window,
+		// under -spec-decode — per GPU iteration instead of paying a
+		// scheduling round trip per token.
+		res, err := lip.GenerateDecode(sess, lip.DecodeOptions{
+			MaxTokens: st.MaxTokens,
+			Sampler:   sampler,
+			Stream:    stream,
+		})
 		if err != nil {
 			return fail(err)
 		}

@@ -249,3 +249,40 @@ func TestInterpolation(t *testing.T) {
 		t.Fatal("mangled plain text")
 	}
 }
+
+// TestSampledGenerateIsDecodeRun runs a seeded-sampled generate on a plain
+// and on a speculating kernel: one decode run after the prefill on both,
+// speculated on the second, and the same output, because the committed
+// tokens are the target's own draws.
+func TestSampledGenerateIsDecodeRun(t *testing.T) {
+	const js = `{"steps":[
+		{"op":"anon","s":"a"},
+		{"op":"prefill","s":"a","text":"route this sampled generation"},
+		{"op":"generate","s":"a","max_tokens":40,"temperature":0.7,"seed":7}
+	]}`
+	out := map[bool]string{}
+	for _, spec := range []bool{false, true} {
+		clk := simclock.New()
+		target := model.New(model.Llama13B())
+		cfg := core.Config{Models: map[string]*model.Model{
+			"llama-13b": target,
+			"draft":     model.New(model.AlignedDraft(target, 0.85)),
+		}, DefaultModel: "llama-13b"}
+		if spec {
+			cfg.Spec = &core.SpecConfig{Draft: "draft"}
+		}
+		k := core.New(clk, cfg)
+		p, err := runScript(t, k, clk, js)
+		clk.Shutdown()
+		if err != nil {
+			t.Fatalf("spec=%v: %v", spec, err)
+		}
+		out[spec] = p.Output()
+		if st := k.Stats(); st.PredCalls != 2 || (st.Sched.SpecRounds > 0) != spec {
+			t.Errorf("spec=%v: %d preds, %d spec rounds; want the prefill and one decode run", spec, st.PredCalls, st.Sched.SpecRounds)
+		}
+	}
+	if out[false] == "" || out[true] != out[false] {
+		t.Errorf("outputs differ: %q without speculation, %q with", out[false], out[true])
+	}
+}

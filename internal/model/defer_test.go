@@ -190,9 +190,9 @@ func BenchmarkDefer(b *testing.B) {
 
 var sinkToken token.ID
 
-// BenchmarkGreedyDefer is what each position of the speculation bitmap, of
-// lip.GenerateDecode's chain walk and of the baselines' server-fixed loop
-// pays: an argmax read off an unbuilt distribution.
+// BenchmarkGreedyDefer is what each position of the greedy speculation
+// bitmap, of lip.GenerateDecode's greedy chain walk and of the baselines'
+// server-fixed loop pays: an argmax read off an unbuilt distribution.
 func BenchmarkGreedyDefer(b *testing.B) {
 	m := testModel()
 	b.ReportAllocs()
@@ -225,5 +225,31 @@ func BenchmarkMask(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		sinkDist = d.Mask(allowed)
+	}
+}
+
+// TestEchoesIsExact holds Echoes to what the kernel's speculation bitmap
+// takes it for: wherever an aligned draft echoes its target, its Next and
+// Defer answer as the target's Next does, on both sides of the coin; a
+// draft aligned to another target, or to none, never echoes.
+func TestEchoesIsExact(t *testing.T) {
+	target, other := New(Llama13B()), New(DraftLlama1B())
+	draft := New(AlignedDraft(target, 0.85))
+	echoed := 0
+	const n = 2_000
+	for i := 0; i < n; i++ {
+		h := CtxHash(splitmix64(uint64(i)))
+		if !draft.Echoes(target, h) {
+			continue
+		}
+		echoed++
+		requireSameDist(t, h, draft.Next(h), target.Next(h))
+		requireSameDist(t, h, draft.Defer(h), target.Next(h))
+		if draft.Echoes(other, h) || other.Echoes(target, h) {
+			t.Fatalf("h=%#x: echoes a model it is not aligned to", h)
+		}
+	}
+	if echoed == 0 || echoed == n {
+		t.Fatalf("draft echoed on %d of %d contexts; want both sides of the coin", echoed, n)
 	}
 }

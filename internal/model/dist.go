@@ -25,11 +25,13 @@ type TokenProb struct {
 // does not hold; every other reader builds the candidates through makeDist
 // first. Methods have value receivers and nothing is cached, so an unbuilt
 // Dist rebuilds on every such read — right for values nobody reads (the
-// kernel's pred hands them out for positions a prefix-cache hit attached)
-// or reads only through Greedy (the speculation bitmap, lip.GenerateDecode's
-// chain walk, the baselines' server-fixed loop), wrong for any other read
-// in a loop: lip.Session keeps the last position's, always executed and so
-// always from Next.
+// kernel's pred hands them out for positions a prefix-cache hit attached
+// and for a decode run's non-final positions), reads only through Greedy
+// (the speculation bitmap, lip.GenerateDecode's greedy chain walk, the
+// baselines' server-fixed loop) or reads once (a sampled chain walk's one
+// draw per position, the sampled bitmap's draft proposal), wrong for any
+// other read in a loop: lip.Session keeps the last position's, always
+// executed and so always from Next.
 type Dist struct {
 	h     uint64
 	vocab int

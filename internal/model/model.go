@@ -162,6 +162,13 @@ func (m *Model) NextAgreeing(h CtxHash, target *Model, agreement float64) Dist {
 	return makeDist(uint64(h)^m.cfg.Seed^0xdeadbeef, m.cfg)
 }
 
+// Echoes reports whether m's distribution at h is target's own: m is a draft
+// aligned to target and h is one of its agreeing contexts. It is exact — a
+// fact about how Next(h) is built, not a comparison of values.
+func (m *Model) Echoes(target *Model, h CtxHash) bool {
+	return m.cfg.AlignTarget == target && m.agrees(h, m.cfg.AlignProb)
+}
+
 // agrees is the per-context coin an aligned draft flips: true on the given
 // fraction of contexts, deterministically.
 func (m *Model) agrees(h CtxHash, agreement float64) bool {

@@ -44,6 +44,13 @@ type Call struct {
 	// the restore if the memory daemon offloaded it meanwhile. Callbacks
 	// run on the replica actor and must not block on clock primitives.
 	OnPreempt func(preempted bool) time.Duration
+	// OnProgress, when non-nil, is invoked from the replica executor at the
+	// end of every iteration that advanced the call, with the tokens it has
+	// retired so far — a decode run streams its tokens through it as they
+	// come to exist. Counts never decrease, except after a crash-restart
+	// discarded the call's progress. Like OnPreempt it runs on the replica
+	// actor and must not block on clock primitives.
+	OnProgress func(retired int)
 }
 
 // ReplicaView is a dispatcher's snapshot of one replica's load at

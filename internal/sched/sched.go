@@ -57,13 +57,14 @@ import (
 // resumable unit: remaining tracks the tokens the GPU has not yet
 // executed, and the executor slices it across iterations.
 type call struct {
-	model     string
-	tokens    int
-	remaining int
-	prio      Priority
-	queuedAt  time.Duration
-	onPreempt func(bool) time.Duration
-	done      *simclock.Event
+	model      string
+	tokens     int
+	remaining  int
+	prio       Priority
+	queuedAt   time.Duration
+	onPreempt  func(bool) time.Duration
+	onProgress func(int)
+	done       *simclock.Event
 
 	// decode marks an autoregressive decode run (one token of progress
 	// per iteration unless spec speculation accepts more); spec is the
@@ -442,16 +443,17 @@ func (s *Scheduler) SubmitCall(meta Call) error {
 	r.mu.Unlock()
 
 	c := &call{
-		model:     meta.Model,
-		tokens:    meta.Tokens,
-		remaining: meta.Tokens,
-		prio:      prio,
-		queuedAt:  now,
-		lastRun:   now,
-		onPreempt: meta.OnPreempt,
-		done:      s.clk.NewEvent(),
-		decode:    meta.Decode,
-		spec:      spec,
+		model:      meta.Model,
+		tokens:     meta.Tokens,
+		remaining:  meta.Tokens,
+		prio:       prio,
+		queuedAt:   now,
+		lastRun:    now,
+		onPreempt:  meta.OnPreempt,
+		onProgress: meta.OnProgress,
+		done:       s.clk.NewEvent(),
+		decode:     meta.Decode,
+		spec:       spec,
 	}
 	r.queue.Put(c)
 	return c.done.Wait()
@@ -833,6 +835,9 @@ func (r *replica) iterate() error {
 	finished := make([]*call, 0, len(selected))
 	for i, c := range selected {
 		c.remaining -= progress[i]
+		if c.onProgress != nil {
+			c.onProgress(c.tokens - c.remaining)
+		}
 	}
 	for _, c := range r.active {
 		if c.remaining <= 0 {

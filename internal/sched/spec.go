@@ -15,7 +15,7 @@ import "fmt"
 //
 // Acceptance is not simulated with randomness at execution time: the
 // kernel precomputes the Accept bitmap from the deterministic model pair
-// (draft greedy token == target greedy token, position by position), so
+// and the run's own deterministic draws (core.Ctx.PredDecode), so
 // identically-seeded runs make identical speculation decisions.
 type SpecCall struct {
 	// Draft names the registered draft model whose cost profile the
@@ -28,12 +28,19 @@ type SpecCall struct {
 	// window is a constant"). Zero means DefaultSpecWindow; otherwise it
 	// must lie in [1, DefaultSpecMaxWindow].
 	Window int
-	// Accept[i] reports whether the draft's greedy proposal for the
-	// call's i-th decode position matches the target's. A spec round
-	// starting at position p accepts the leading run of true values in
-	// Accept[p:p+window] and takes its correction token from the verify
-	// pass. Length must be at least Tokens-1 (the final position never
-	// needs a draft — the plain verify step produces it).
+	// Accept[i] reports whether the draft's proposal for the call's i-th
+	// decode position equals the token the run commits there. The
+	// proposal is the run's own draw applied to the draft's distribution:
+	// its argmax for a greedy run, and for a seeded-sampled one the draw at
+	// the same index of the run's sampler stream — a coupled draw standing
+	// in for speculative sampling's min(1, p/q) test, so a position is
+	// accepted where the two models' distributions lead that draw to the
+	// same token (always, where the draft returns the target's own
+	// distribution). A spec round starting at position p accepts the
+	// leading run of true values in Accept[p:p+window] and takes its
+	// correction token from the verify pass. Length must be at least
+	// Tokens-1 (the final position never needs a draft — the plain verify
+	// step produces it).
 	Accept []bool
 }
 

@@ -271,10 +271,10 @@ func TestV2EventsOrderingReplay(t *testing.T) {
 }
 
 // TestV2SampledGenerateStreamsOneTokenPerStep reads the executor's
-// hand-off off the socket: a sampled generate is one one-token pred per
-// token, alone on the daemon's GPU every step drains the batch, and the
-// token frames' at_ns (virtual publish time, whatever the speedup) come
-// one solo decode step apart.
+// hand-off off the socket: a sampled generate is one decode run that
+// streams each token at the end of the step that made it, so alone on the
+// daemon's GPU the token frames' at_ns (virtual publish time, whatever the
+// speedup) come one solo decode step apart.
 func TestV2SampledGenerateStreamsOneTokenPerStep(t *testing.T) {
 	srv, clk := newServerWith(t, 10000, Options{})
 	defer clk.Shutdown()
