@@ -43,5 +43,5 @@ func Example_quickstart() {
 	// Output:
 	// output (116 chars): "page sefu chufo soki tamathe fonu pada zafuzo bibi soza thopoza vade beze mepi sudi fufu nuzifi debile guthuso pone "
 	// virtual generation time: 434.98ms
-	// kernel stats: 21 pred calls, 31 tokens
+	// kernel stats: 2 pred calls, 31 tokens
 }

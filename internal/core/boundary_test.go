@@ -14,15 +14,15 @@ import (
 	"repro/internal/token"
 )
 
-// decodeBesidePrefill runs the paper's Figure 2 loop — a sampled
-// lip.Generate, one one-token pred per token, each token published as it
-// is committed — beside a prefill of prefillTokens (2,048 in the tests
-// that want company, 0 for none) on one replica with PrefillChunk 512
-// under the default lanes (the 128-token quantum is the tighter bound, so
-// 2,048 tokens are 16 iterations). between, when non-nil, runs in the
-// decoder thread after each token is committed and before the pred that
-// extends the context with it. It returns the decoder's event stream, the
-// instant the prefill finished and the drained kernel stats.
+// decodeBesidePrefill runs the paper's Figure 2 loop written by hand — a
+// sampled Session.Step per token, each token published as it is drawn —
+// beside a prefill of prefillTokens (2,048 in the tests that want company,
+// 0 for none) on one replica with PrefillChunk 512 under the default lanes
+// (the 128-token quantum is the tighter bound, so 2,048 tokens are 16
+// iterations). between, when non-nil, runs in the decoder thread after
+// each token is published and before the pred that extends the context
+// with it. It returns the decoder's event stream, the instant the prefill
+// finished and the drained kernel stats.
 func decodeBesidePrefill(t *testing.T, prefillTokens int, between func(ctx *core.Ctx)) ([]core.ProcEvent, time.Duration, core.Stats) {
 	t.Helper()
 	clk := simclock.New()
@@ -38,20 +38,25 @@ func decodeBesidePrefill(t *testing.T, prefillTokens int, between func(ctx *core
 			return err
 		}
 		s := lip.NewSession(ctx, f)
-		if _, err := s.Prefill("the quick brown fox"); err != nil {
+		d, err := s.Prefill("the quick brown fox")
+		if err != nil {
 			return err
 		}
-		_, err = lip.Generate(s, lip.GenOptions{
-			MaxTokens: 24,
-			Sampler:   &lip.Sampler{Temperature: 0.8, TopK: 40, Seed: 2},
-			Stream: func(tok token.ID) {
-				ctx.PublishToken(ctx.Detokenize([]token.ID{tok}))
-				if between != nil {
-					between(ctx)
-				}
-			},
-		})
-		return err
+		sampler := &lip.Sampler{Temperature: 0.8, TopK: 40, Seed: 2}
+		for i := 0; i < 24; i++ {
+			tok := sampler.Sample(d)
+			if tok == token.EOS {
+				break
+			}
+			ctx.PublishToken(ctx.Detokenize([]token.ID{tok}))
+			if between != nil {
+				between(ctx)
+			}
+			if d, err = s.Step(tok); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
 	var prefillDone time.Duration
 	prefill := func(ctx *core.Ctx) error {

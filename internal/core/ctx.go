@@ -306,10 +306,11 @@ type DecodeRun struct {
 	// position i is accepted where the draft echoes the default model's
 	// distribution ahead of it, and elsewhere iff Draw(i, the draft's
 	// distribution) == toks[i]. For a run whose tokens are its own draws
-	// from the default model (lip.GenerateDecode) that is exactly
-	// Draw(i, draft) == Draw(i, target). Tokens that are not draws (the
-	// experiments' synthetic runs) are allowed and change only timing: the
-	// echoed positions are accepted, the rest by chance.
+	// from the default model (lip.Generate, whose Draw applies the
+	// position's transform and constraint mask before it draws) that is
+	// exactly Draw(i, draft) == Draw(i, target). Tokens that are not draws
+	// (the experiments' synthetic runs) are allowed and change only timing:
+	// the echoed positions are accepted, the rest by chance.
 	Draw func(i int, d model.Dist) token.ID
 	// Progress, when non-nil, is told how many positions have retired at
 	// the end of every GPU iteration that advanced the run. It runs on the
@@ -318,10 +319,10 @@ type DecodeRun struct {
 	Progress func(retired int)
 }
 
-// PredDecode is Pred for an autoregressive decode run against the
-// default model: the tokens are generated sequentially, so the GPU
-// advances the call one token per iteration instead of prefilling the
-// whole run in one slice — unless the kernel was configured with
+// PredDecode is PredModel for an autoregressive decode run: the tokens
+// are generated sequentially, so the GPU advances the call one token per
+// iteration instead of prefilling the whole run in one slice — unless the
+// run is on the default model and the kernel was configured with
 // speculative decoding (Config.Spec), in which case each iteration
 // drafts a window on the cheap draft model and verifies it inside the
 // call's own step, retiring the accepted run plus one correction token
@@ -329,13 +330,13 @@ type DecodeRun struct {
 // submission); only the step-loop physics differ.
 //
 // The caller supplies the run's tokens up front — the simulated model
-// and run.Draw are deterministic, so a greedy or seeded-sampled chain is
-// known at submission (see lip.GenerateDecode); the GPU step only decides
-// when the results exist. Only the final position's distribution is
-// returned built; the others are unbuilt (model.Defer), equal under every
-// Dist method.
-func (c *Ctx) PredDecode(f *kvfs.File, toks []token.ID, positions []int, run DecodeRun) ([]model.Dist, error) {
-	return c.pred("", f, toks, positions, &run)
+// and run.Draw are deterministic, so a generation's chain is known at
+// submission (see lip.Generate); the GPU step only decides when the
+// results exist. Only the final position's distribution is returned
+// built; the others are unbuilt (model.Defer), equal under every Dist
+// method.
+func (c *Ctx) PredDecode(modelName string, f *kvfs.File, toks []token.ID, positions []int, run DecodeRun) ([]model.Dist, error) {
+	return c.pred(modelName, f, toks, positions, &run)
 }
 
 // pred is the shared body of the pred-family system calls; run is nil

@@ -96,7 +96,7 @@ func decodeOnSpecKernel(t *testing.T, target, draft *model.Model, n int, draw fu
 			after = append(after, h)
 		}
 		accept = accept[:len(accept)-1] // the final position is never drafted
-		dists, err := ctx.PredDecode(f, toks, positions, DecodeRun{
+		dists, err := ctx.PredDecode("", f, toks, positions, DecodeRun{
 			Draw:     draw,
 			Progress: func(r int) { progress = append(progress, r) },
 		})

@@ -187,10 +187,10 @@ func forkRequest(ctx *core.Ctx, parent *kvfs.File, suffix, decode, seed int) err
 		return err
 	}
 	defer fork.Remove()
-	if err := synthPred(ctx, fork, suffix, seed, false); err != nil {
+	if err := synthPred(ctx, fork, suffix, seed); err != nil {
 		return err
 	}
-	return decodeSteps(ctx, fork, decode, seed+500)
+	return synthDecode(ctx, fork, decode, seed+500, nil)
 }
 
 // runMigrateCell measures one dispatcher on the skewed workload.
@@ -239,7 +239,7 @@ func runMigrateCell(cfg MigrateConfig, dispatch string) MigratePoint {
 			defer ctx.KvUnlock(f)
 			rounds := cfg.RequestsPerClient * cfg.DecodeTokens
 			return closedLoop(ctx, rounds, 5*time.Millisecond, func(r int) error {
-				return synthPred(ctx, f, 1, 7_100_000+r, false)
+				return synthPred(ctx, f, 1, 7_100_000+r)
 			})
 		})
 

@@ -176,7 +176,7 @@ func runPressureCell(cfg PressureConfig, policy string, over float64) PressurePo
 				return closedLoop(ctx, cfg.Rounds, cfg.Think, func(r int) error {
 					// Grow the conversation (restores transparently if
 					// the daemon evicted it during the think window).
-					if err := synthPred(ctx, conv, chunk, base+i*100000+r*1000, false); err != nil {
+					if err := synthPred(ctx, conv, chunk, base+i*100000+r*1000); err != nil {
 						return err
 					}
 					// Fresh scratch the client will never touch again —
@@ -189,7 +189,7 @@ func runPressureCell(cfg PressureConfig, policy string, over float64) PressurePo
 							return err
 						}
 						scratches = append(scratches, scratch)
-						if err := synthPred(ctx, scratch, cfg.ScratchTokens, base+900000+i*10000+r*100+s, false); err != nil {
+						if err := synthPred(ctx, scratch, cfg.ScratchTokens, base+900000+i*10000+r*100+s); err != nil {
 							return err
 						}
 					}

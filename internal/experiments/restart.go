@@ -145,7 +145,7 @@ func restartPrefix(ctx *core.Ctx, cfg RestartConfig, fam int) (*kvfs.File, error
 	if err != nil {
 		return nil, err
 	}
-	return f, synthPred(ctx, f, cfg.PrefixTokens, seedBase(cfg.Seed)+1_000_000+fam*100_000, false)
+	return f, synthPred(ctx, f, cfg.PrefixTokens, seedBase(cfg.Seed)+1_000_000+fam*100_000)
 }
 
 // runRestartCell measures one restart mode: warm build + checkpoint +
@@ -226,18 +226,19 @@ func runRestartCell(cfg RestartConfig, mode string) RestartPoint {
 				}
 				defer fork.Remove()
 				seed := seedBase(cfg.Seed) + 2_000_000 + fam*100_000
-				if err := synthPred(ctx, fork, cfg.SuffixTokens, seed, false); err != nil {
+				if err := synthPred(ctx, fork, cfg.SuffixTokens, seed); err != nil {
 					return err
 				}
-				// First decode token done = first generated token: TTFT.
-				if err := synthPred(ctx, fork, 1, seed+500, false); err != nil {
-					return err
-				}
-				ttft := ctx.Clock().Now()
-				mu.Lock()
-				ttfts = append(ttfts, ttft)
-				mu.Unlock()
-				return decodeSteps(ctx, fork, cfg.DecodeTokens-1, seed+501)
+				// TTFT: the first decode position retired.
+				timed := false
+				return synthDecode(ctx, fork, cfg.DecodeTokens, seed+500, func(int) {
+					if !timed {
+						timed = true
+						mu.Lock()
+						ttfts = append(ttfts, ctx.Clock().Now())
+						mu.Unlock()
+					}
+				})
 			},
 		})
 	})

@@ -237,9 +237,28 @@ type clientClass struct{ Clients, Requests, Prefill, Decode int }
 // share. Interactive clients spread their starts over one think window
 // and think between requests; batch clients start 5ms apart (as real
 // batch arrivals would be de-phased) and run back to back. Every request
-// is a synthRequest of its class's shape, its decode one run when
-// decodeRun is set.
+// is a promptRequest over a synthetic prompt of its class's shape.
+//
+// Only slo clears decodeRun, which keeps one pred per decode token: its
+// bar reads lane delay per call, and a decode run is one call for all its
+// tokens, so slo decodes per token until that bar reads delay per
+// advanced iteration.
 func (c *cell) mixedLoad(interactive, batch clientClass, think time.Duration, base int, decodeRun bool) {
+	request := func(ctx *core.Ctx, class clientClass, seed int) error {
+		if decodeRun {
+			return promptRequest(ctx, synthTokens(class.Prefill, seed), class.Decode, seed+class.Prefill)
+		}
+		f, err := ctx.KvAnon()
+		if err != nil {
+			return err
+		}
+		defer f.Remove()
+		err = synthPred(ctx, f, class.Prefill, seed)
+		for d := 0; d < class.Decode && err == nil; d++ {
+			err = synthPred(ctx, f, 1, seed+class.Prefill+d)
+		}
+		return err
+	}
 	c.clients(population{
 		User:    func(int) string { return "interactive" },
 		Opts:    core.SubmitOptions{Priority: sched.Interactive},
@@ -247,7 +266,7 @@ func (c *cell) mixedLoad(interactive, batch clientClass, think time.Duration, ba
 		Spread:  think,
 		Program: func(ctx *core.Ctx, i int) error {
 			return closedLoop(ctx, interactive.Requests, think, func(r int) error {
-				return synthRequest(ctx, interactive.Prefill, interactive.Decode, base+i*100000+r*1000, decodeRun)
+				return request(ctx, interactive, base+i*100000+r*1000)
 			})
 		},
 	})
@@ -258,7 +277,7 @@ func (c *cell) mixedLoad(interactive, batch clientClass, think time.Duration, ba
 		Spread:  time.Duration(batch.Clients) * 5 * time.Millisecond,
 		Program: func(ctx *core.Ctx, i int) error {
 			return closedLoop(ctx, batch.Requests, 0, func(r int) error {
-				return synthRequest(ctx, batch.Prefill, batch.Decode, base+5000000+i*200000+r*2000, decodeRun)
+				return request(ctx, batch, base+5000000+i*200000+r*2000)
 			})
 		},
 	})
@@ -308,29 +327,33 @@ func positions(n, from int) []int {
 	return pos
 }
 
-// synthPred appends n synthetic tokens to f: through the pred syscall,
-// or — when decode is set — as one PredDecode run the executor advances
-// a token (or a verified draft window) per iteration. Synthetic tokens are
-// not the model's own draws, so a speculated run accepts the positions
-// where the draft echoes the target and others only by chance.
-func synthPred(ctx *core.Ctx, f *kvfs.File, n, seed int, decode bool) error {
+// synthPred appends n synthetic tokens to f through the pred syscall, as
+// one prefill.
+func synthPred(ctx *core.Ctx, f *kvfs.File, n, seed int) error {
 	if n <= 0 {
 		return nil
 	}
-	toks, pos := synthTokens(n, seed), positions(n, f.Len())
-	var err error
-	if decode {
-		_, err = ctx.PredDecode(f, toks, pos, core.DecodeRun{})
-	} else {
-		_, err = ctx.Pred(f, toks, pos)
+	_, err := ctx.Pred(f, synthTokens(n, seed), positions(n, f.Len()))
+	return err
+}
+
+// synthDecode appends n synthetic tokens to f as one decode run, which
+// the executor advances a token (or a verified draft window) per
+// iteration, as it does a lip.Generate. Synthetic tokens are not the
+// model's own draws, so a speculated run accepts the positions where the
+// draft echoes the target and others only by chance. progress, when
+// non-nil, hears the run's retired positions (core.DecodeRun.Progress).
+func synthDecode(ctx *core.Ctx, f *kvfs.File, n, seed int, progress func(retired int)) error {
+	if n <= 0 {
+		return nil
 	}
+	_, err := ctx.PredDecode("", f, synthTokens(n, seed), positions(n, f.Len()), core.DecodeRun{Progress: progress})
 	return err
 }
 
 // promptRequest runs one request on a fresh file: prompt as one prefill
-// pred, then decode tokens seeded from seed — single-token preds, or one
-// decode run when run is set.
-func promptRequest(ctx *core.Ctx, prompt []token.ID, decode, seed int, run bool) error {
+// pred, then decode tokens seeded from seed as one decode run.
+func promptRequest(ctx *core.Ctx, prompt []token.ID, decode, seed int) error {
 	f, err := ctx.KvAnon()
 	if err != nil {
 		return err
@@ -339,27 +362,7 @@ func promptRequest(ctx *core.Ctx, prompt []token.ID, decode, seed int, run bool)
 	if _, err := ctx.Pred(f, prompt, positions(len(prompt), 0)); err != nil {
 		return err
 	}
-	if run {
-		return synthPred(ctx, f, decode, seed, true)
-	}
-	return decodeSteps(ctx, f, decode, seed)
-}
-
-// synthRequest is promptRequest over a synthetic prompt of prefill
-// tokens.
-func synthRequest(ctx *core.Ctx, prefill, decode, seed int, run bool) error {
-	return promptRequest(ctx, synthTokens(prefill, seed), decode, seed+prefill, run)
-}
-
-// decodeSteps appends n tokens to f one pred at a time, as a decode loop
-// does.
-func decodeSteps(ctx *core.Ctx, f *kvfs.File, n, seed int) error {
-	for d := 0; d < n; d++ {
-		if err := synthPred(ctx, f, 1, seed+d, false); err != nil {
-			return err
-		}
-	}
-	return nil
+	return synthDecode(ctx, f, decode, seed, nil)
 }
 
 // lanePolicy builds the named priority policy; a lanes policy takes the

@@ -145,9 +145,6 @@ func runSpecdecCell(cfg SpecdecConfig, cell string, spec bool) SpecdecPoint {
 		kc.Replicas = cfg.GPUs
 		kc.Dispatcher = sched.LeastLoaded{}
 	})
-	// Each request decodes as a single PredDecode run, which the
-	// executor advances one token — or one verified draft window — per
-	// iteration.
 	c.run(func() {
 		c.mixedLoad(
 			clientClass{cfg.InteractiveClients, cfg.InteractiveRequests, cfg.InteractivePrefill, cfg.InteractiveDecode},

@@ -1,10 +1,13 @@
 package lip
 
 import (
+	"fmt"
+	"regexp"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/grammar"
 	"repro/internal/model"
 	"repro/internal/token"
 )
@@ -128,4 +131,42 @@ func TestStreamingGenerateConstantMemory(t *testing.T) {
 	if got := k.Stats().FS.GPUPages; got != 0 {
 		t.Fatalf("streaming leaked %d pages", got)
 	}
+}
+
+// TestStreamingGenerateKeepsItsOptions runs a regex-constrained
+// StreamingGenerate across several prunes: the output matches the
+// pattern, the constraint reports done, and the sampler drew once per
+// token it emitted.
+func TestStreamingGenerateKeepsItsOptions(t *testing.T) {
+	const digits = 40
+	harness(t, func(ctx *core.Ctx) error {
+		kv, _ := ctx.KvAnon()
+		s := NewSession(ctx, kv)
+		if _, err := s.Prefill("the serial number reads"); err != nil {
+			return err
+		}
+		lex := grammar.NewLexicon(ctx.Kernel().Tokenizer().Vocab(), strings.Split("0123456789", ""))
+		rc, err := grammar.NewRegexConstraint(strings.Repeat(`\d`, digits), lex)
+		if err != nil {
+			return err
+		}
+		smp := &Sampler{Temperature: 1, Seed: 5}
+		res, err := StreamingGenerate(s, GenOptions{MaxTokens: 100, Sampler: smp, Constraint: rc}, 16, 2)
+		if err != nil {
+			return err
+		}
+		if text := ctx.Detokenize(res.Tokens); !regexp.MustCompile(fmt.Sprintf(`^\d{%d}$`, digits)).MatchString(text) {
+			t.Errorf("output %q does not match the pattern", text)
+		}
+		if !res.ConstraintDone {
+			t.Error("constraint not done")
+		}
+		if smp.draws != uint64(len(res.Tokens)) {
+			t.Errorf("%d sampler draws for %d tokens", smp.draws, len(res.Tokens))
+		}
+		if n := s.KV().Len(); n > 16 {
+			t.Errorf("KV holds %d tokens, window 16", n)
+		}
+		return s.Close()
+	})
 }

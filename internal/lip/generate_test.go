@@ -1,0 +1,490 @@
+package lip
+
+import (
+	"errors"
+	"fmt"
+	"reflect"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/grammar"
+	"repro/internal/model"
+	"repro/internal/token"
+)
+
+// generateLoop is the autoregressive loop of the paper's Figure 2 written
+// token by token: sample from the pending distribution, commit the token
+// with a one-token pred, repeat until EOS, the constraint completes, or
+// MaxTokens. It was Generate's body before a generation became one decode
+// run, and it stays as the reference Generate is held to.
+func generateLoop(s *Session, opts GenOptions) (GenResult, error) {
+	if opts.MaxTokens <= 0 {
+		return GenResult{}, fmt.Errorf("lip: MaxTokens must be positive")
+	}
+	if !s.ready {
+		return GenResult{}, ErrNoDist
+	}
+	sampler := opts.Sampler
+	if sampler == nil {
+		sampler = &Sampler{} // greedy
+	}
+	var res GenResult
+	prev := token.PAD
+	for len(res.Tokens) < opts.MaxTokens {
+		d := s.last
+		if opts.Transform != nil {
+			d = opts.Transform(d, prev)
+		}
+		if opts.Constraint != nil {
+			if allowed := opts.Constraint.Allowed(); allowed != nil {
+				d = d.Mask(allowed)
+				if len(d.Candidates()) == 0 {
+					return res, ErrConstraintStuck
+				}
+			}
+		}
+		tok := sampler.Sample(d)
+		if tok == token.EOS {
+			res.HitEOS = true
+			break
+		}
+		if opts.Constraint != nil {
+			if err := opts.Constraint.Accept(tok); err != nil {
+				return res, err
+			}
+		}
+		res.Tokens = append(res.Tokens, tok)
+		prev = tok
+		if opts.Stream != nil {
+			opts.Stream(tok)
+		}
+		if opts.Constraint != nil && opts.Constraint.Done() {
+			res.ConstraintDone = true
+			break
+		}
+		if _, err := s.Step(tok); err != nil {
+			return res, err
+		}
+	}
+	if opts.Constraint == nil {
+		res.ConstraintDone = res.HitEOS || len(res.Tokens) == opts.MaxTokens
+	} else if !res.ConstraintDone {
+		res.ConstraintDone = opts.Constraint.Done()
+	}
+	return res, nil
+}
+
+// failing is a constraint that allows anything for its first after tokens
+// and then fails: stuck on an empty allowed set, or — with refuse set —
+// refusing the token drawn.
+type failing struct {
+	after, n int
+	refuse   bool
+}
+
+var errRefused = errors.New("test: token refused")
+
+func (c *failing) Allowed() []token.ID {
+	if !c.refuse && c.n >= c.after {
+		return []token.ID{}
+	}
+	return nil
+}
+
+func (c *failing) Accept(token.ID) error {
+	if c.refuse && c.n >= c.after {
+		return errRefused
+	}
+	c.n++
+	return nil
+}
+
+func (c *failing) Done() bool { return false }
+
+// constraints are the option sets a generation is held to the loop under.
+var constraints = []string{"none", "regex", "json", "suppress-eos", "stuck", "refuse"}
+
+// speculating makes a harness kernel speculate decode runs on "draft".
+func speculating(c *core.Config) { c.Spec = &core.SpecConfig{Draft: "draft"} }
+
+// streamedToken is one streamed token and the virtual instant it streamed.
+type streamedToken struct {
+	tok token.ID
+	at  time.Duration
+}
+
+// genCase is one generation: a prompt, a sampler (temp 0 is greedy), one
+// of constraints, a length bound, on a plain or a speculating kernel.
+type genCase struct {
+	prompt     string
+	temp       float64
+	seed       uint64
+	constraint string
+	max        int
+	spec       bool
+}
+
+// genOutcome is everything a generation leaves that the loop pins: the
+// result and error, the sampler's draws, the KV file, the pending
+// distribution, and every streamed token with its instant.
+type genOutcome struct {
+	res    GenResult
+	err    error
+	draws  uint64
+	kvLen  int
+	kvTail model.CtxHash
+	last   []model.TokenProb
+	ready  bool
+	stream []streamedToken
+}
+
+// run generates c with gen on a fresh kernel.
+func (c genCase) run(t *testing.T, gen func(*Session, GenOptions) (GenResult, error)) (genOutcome, *core.Kernel) {
+	t.Helper()
+	edit := func(*core.Config) {}
+	if c.spec {
+		edit = speculating
+	}
+	var out genOutcome
+	k := harnessWith(t, edit, func(ctx *core.Ctx) error {
+		kv, err := ctx.KvAnon()
+		if err != nil {
+			return err
+		}
+		s := NewSession(ctx, kv)
+		if _, err := s.Prefill(c.prompt); err != nil {
+			return err
+		}
+		smp := &Sampler{Temperature: c.temp, TopP: 0.9, Seed: c.seed}
+		opts := GenOptions{MaxTokens: c.max, Sampler: smp, Stream: func(tok token.ID) {
+			out.stream = append(out.stream, streamedToken{tok, ctx.Clock().Now()})
+		}}
+		vocab := ctx.Kernel().Tokenizer().Vocab()
+		switch c.constraint {
+		case "regex":
+			digits := strings.Split("0123456789", "")
+			rc, err := grammar.NewRegexConstraint(strings.Repeat(`\d`, 100), grammar.NewLexicon(vocab, digits))
+			if err != nil {
+				return err
+			}
+			opts.Constraint, opts.Transform = rc, SuppressEOS
+		case "json":
+			opts.Constraint = grammar.NewJSONConstraint(grammar.JSONLexicon(vocab, "key", "value"))
+		case "suppress-eos":
+			opts.Transform = SuppressEOS
+		case "stuck":
+			opts.Constraint = &failing{after: 40}
+		case "refuse":
+			opts.Constraint = &failing{after: 40, refuse: true}
+		}
+		out.res, out.err = gen(s, opts)
+		out.draws = smp.draws
+		out.kvLen, out.kvTail = s.KV().Len(), s.KV().Tail()
+		d, ready := s.Last()
+		out.last, out.ready = d.Candidates(), ready
+		return nil
+	})
+	return out, k
+}
+
+// equalsLoop runs c through Generate and generateLoop and fails on any
+// difference the loop pins; streamed instants are compared on the plain
+// kernel only, since speculation moves them. It returns Generate's
+// outcome.
+func (c genCase) equalsLoop(t *testing.T) genOutcome {
+	t.Helper()
+	got, _ := c.run(t, Generate)
+	want, _ := c.run(t, generateLoop)
+	if !reflect.DeepEqual(got.res, want.res) {
+		t.Errorf("result %+v, loop %+v", got.res, want.res)
+	}
+	if fmt.Sprint(got.err) != fmt.Sprint(want.err) {
+		t.Errorf("error %v, loop %v", got.err, want.err)
+	}
+	if got.draws != want.draws {
+		t.Errorf("%d sampler draws, loop %d", got.draws, want.draws)
+	}
+	if got.kvLen != want.kvLen || got.kvTail != want.kvTail {
+		t.Errorf("KV file %d tokens @%x, loop %d @%x", got.kvLen, got.kvTail, want.kvLen, want.kvTail)
+	}
+	if got.ready != want.ready || !reflect.DeepEqual(got.last, want.last) {
+		t.Errorf("pending distribution (ready %v) differs from the loop's (ready %v)", got.ready, want.ready)
+	}
+	if len(got.stream) != len(want.stream) {
+		t.Fatalf("streamed %d tokens, loop %d", len(got.stream), len(want.stream))
+	}
+	for i := range want.stream {
+		g, w := got.stream[i], want.stream[i]
+		if g.tok != w.tok || (!c.spec && g.at != w.at) {
+			t.Fatalf("streamed token %d: %+v, loop %+v", i, g, w)
+		}
+	}
+	return got
+}
+
+// TestGenerateEqualsLoop holds Generate's decode run to the per-token loop
+// over greedy and sampled runs, every kind of option, lengths on both
+// sides of a chunk boundary, and a plain and a speculating kernel. The
+// grid must reach every way a run ends.
+func TestGenerateEqualsLoop(t *testing.T) {
+	ends := map[string]bool{}
+	for _, temp := range []float64{0, 0.7} {
+		name := "greedy"
+		if temp > 0 {
+			name = "sampled"
+		}
+		for _, constraint := range constraints {
+			for _, max := range []int{1, 63, 64, 65, 130} {
+				for _, spec := range []bool{false, true} {
+					kernel := "plain"
+					if spec {
+						kernel = "spec"
+					}
+					c := genCase{"a prompt whose continuation we compute two ways", temp, 7, constraint, max, spec}
+					t.Run(fmt.Sprintf("%s/%s/max%d/%s", name, constraint, max, kernel), func(t *testing.T) {
+						got := c.equalsLoop(t)
+						switch res := got.res; {
+						case errors.Is(got.err, ErrConstraintStuck):
+							ends["stuck"] = true
+						case errors.Is(got.err, errRefused):
+							ends["refused"] = true
+						case res.HitEOS:
+							ends["eos"] = true
+						case constraint != "none" && res.ConstraintDone:
+							ends["constraint done"] = true
+						case len(res.Tokens) == max && max > decodeChunk:
+							ends["max tokens past a chunk"] = true
+						}
+					})
+				}
+			}
+		}
+	}
+	for _, end := range []string{"stuck", "refused", "eos", "constraint done", "max tokens past a chunk"} {
+		if !ends[end] {
+			t.Errorf("no case ended by %s", end)
+		}
+	}
+}
+
+// FuzzGenerateEqualsLoop is TestGenerateEqualsLoop over fuzzed prompts,
+// seeds, temperatures, lengths and option sets.
+func FuzzGenerateEqualsLoop(f *testing.F) {
+	f.Add("a prompt whose continuation we compute two ways", uint64(7), 0.7, 65, uint8(0), false)
+	f.Add("constrained", uint64(3), 0.0, 130, uint8(2), true)
+	f.Add("", uint64(1), 1.5, 1, uint8(4), false)
+	f.Fuzz(func(t *testing.T, prompt string, seed uint64, temp float64, max int, constraint uint8, spec bool) {
+		if len(prompt) > 256 || !(temp >= 0 && temp <= 2) {
+			t.Skip()
+		}
+		max = 1 + (max%150+150)%150
+		genCase{prompt, temp, seed, constraints[int(constraint)%len(constraints)], max, spec}.equalsLoop(t)
+	})
+}
+
+// TestGenerateDecodeUnderSpecMatchesPlain runs greedy and seeded-sampled
+// generations on a speculating kernel: the same tokens as without
+// speculation, the executor ran draft/verify rounds, and it accepted some
+// but never more than it drafted.
+func TestGenerateDecodeUnderSpecMatchesPlain(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		temp float64
+	}{{"greedy", 0}, {"sampled", 0.7}} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := genCase{"speculative decoding must not change results", tc.temp, 7, "none", 48, false}
+			plain, _ := c.run(t, Generate)
+			c.spec = true
+			spec, k := c.run(t, Generate)
+			if !reflect.DeepEqual(spec.res, plain.res) || spec.err != nil {
+				t.Fatalf("spec %+v (%v), plain %+v", spec.res, spec.err, plain.res)
+			}
+			if len(plain.res.Tokens) < 8 {
+				t.Fatalf("only %d tokens generated; the comparison needs a run", len(plain.res.Tokens))
+			}
+			st := k.Scheduler().Stats()
+			if st.SpecRounds == 0 {
+				t.Error("spec kernel ran no speculative rounds")
+			}
+			if st.SpecAccepted == 0 || st.SpecAccepted > st.SpecDrafted {
+				t.Errorf("accepted %d of %d drafted, want some and no more", st.SpecAccepted, st.SpecDrafted)
+			}
+		})
+	}
+}
+
+// TestConstrainedRunSpeculatesUnderItsMask speculates a generation whose
+// constraint allows one token per position. The run's proposal applies
+// the same mask to the draft's distribution, so the draft proposes the
+// committed token everywhere and the executor accepts every drafted token,
+// including where the draft does not echo the target.
+func TestConstrainedRunSpeculatesUnderItsMask(t *testing.T) {
+	var res GenResult
+	var script []token.ID
+	k := harnessWith(t, speculating, func(ctx *core.Ctx) error {
+		kv, _ := ctx.KvAnon()
+		s := NewSession(ctx, kv)
+		if _, err := s.Prefill("recite:"); err != nil {
+			return err
+		}
+		script = ctx.Tokenize(strings.Repeat("every drafted token is accepted under the mask ", 6))
+		var err error
+		res, err = Generate(s, GenOptions{
+			MaxTokens:  len(script),
+			Sampler:    &Sampler{Temperature: 0.7, Seed: 3},
+			Constraint: &fixedConstraint{script: script},
+			Transform:  SuppressEOS,
+		})
+		return err
+	})
+	if !reflect.DeepEqual(res.Tokens, script) {
+		t.Fatalf("generated %d tokens off the script", len(res.Tokens))
+	}
+	if st := k.Scheduler().Stats(); st.SpecRounds == 0 || st.SpecAccepted != st.SpecDrafted {
+		t.Errorf("%d rounds accepted %d of %d drafted tokens, want all", st.SpecRounds, st.SpecAccepted, st.SpecDrafted)
+	}
+}
+
+// TestGenerateDecodeChunkedStreaming streams a generation of three
+// decode chunks alone on the GPU: every token streams in order, one decode
+// step after the last — inside a chunk as across a chunk boundary — and
+// the first at the instant the prefill completed.
+func TestGenerateDecodeChunkedStreaming(t *testing.T) {
+	harness(t, func(ctx *core.Ctx) error {
+		kv, _ := ctx.KvAnon()
+		s := NewSession(ctx, kv)
+		if _, err := s.Prefill("stream this generation across chunks"); err != nil {
+			return err
+		}
+		base, start := kv.Len(), ctx.Clock().Now()
+		var streamed []streamedToken
+		res, err := Generate(s, GenOptions{
+			MaxTokens: 2*decodeChunk + 2,
+			Transform: SuppressEOS,
+			Stream:    func(tok token.ID) { streamed = append(streamed, streamedToken{tok, ctx.Clock().Now()}) },
+		})
+		if err != nil {
+			return err
+		}
+		if len(streamed) != len(res.Tokens) || len(res.Tokens) != 2*decodeChunk+2 {
+			t.Fatalf("streamed %d tokens, result has %d (want %d, three chunks)", len(streamed), len(res.Tokens), 2*decodeChunk+2)
+		}
+		step := model.A100Llama13B().StepTime([]model.BatchCall{{NewTokens: 1}})
+		for i, st := range streamed {
+			if st.tok != res.Tokens[i] {
+				t.Fatalf("stream order broken at %d", i)
+			}
+			if want := start + time.Duration(i)*step; st.at != want {
+				t.Errorf("token %d streamed at %v, want %v (%d decode steps after the prefill)", i, st.at, want, i)
+			}
+		}
+		if kv.Len() != base+len(res.Tokens) {
+			t.Errorf("KV grew by %d, generated %d", kv.Len()-base, len(res.Tokens))
+		}
+		return nil
+	})
+}
+
+// TestGenerateDecodeStreamSurvivesCrash crash-restarts the replica in the
+// middle of a speculating sampled decode run. The executor discards the
+// run's progress and re-executes it, so the progress count goes back; the
+// stream still carries every token exactly once, in order.
+func TestGenerateDecodeStreamSurvivesCrash(t *testing.T) {
+	checks := 0
+	var res GenResult
+	var streamed []token.ID
+	k := harnessWith(t, func(c *core.Config) {
+		speculating(c)
+		// One boundary check per iteration, on the one replica actor: the
+		// prefill is the first iteration, so the eighth is mid-run.
+		c.CrashCheck = func(int) bool { checks++; return checks == 8 }
+	}, func(ctx *core.Ctx) error {
+		kv, _ := ctx.KvAnon()
+		s := NewSession(ctx, kv)
+		if _, err := s.Prefill("a run the replica loses halfway"); err != nil {
+			return err
+		}
+		var err error
+		res, err = Generate(s, GenOptions{
+			MaxTokens: 48,
+			Sampler:   &Sampler{Temperature: 0.7, TopP: 0.9, Seed: 7},
+			Stream:    func(tok token.ID) { streamed = append(streamed, tok) },
+		})
+		return err
+	})
+	st := k.Scheduler().Stats()
+	if st.Crashes != 1 || st.LostTokens == 0 {
+		t.Fatalf("crashes = %d, lost = %d; want one crash that discarded decode progress", st.Crashes, st.LostTokens)
+	}
+	if !reflect.DeepEqual(streamed, res.Tokens) {
+		t.Fatalf("streamed %v, generated %v", streamed, res.Tokens)
+	}
+}
+
+// TestGenerateDecodeErrorKeepsStreamed runs a sampled generation, whose
+// constraint completes after 100 tokens, into a user quota that refuses
+// its second decode chunk. By then the first chunk's retirements have
+// streamed one token more than it committed; the result holds exactly
+// those, as the per-token loop's holds every token it streamed, and like
+// the loop's it does not report the constraint done.
+func TestGenerateDecodeErrorKeepsStreamed(t *testing.T) {
+	prompt := []token.ID{100, 101, 102, 103, 104, 105, 106, 107}
+	var res GenResult
+	var streamed []token.ID
+	var err error
+	harnessWith(t, func(c *core.Config) {
+		c.UserQuotas = map[string]int64{"u": int64(len(prompt)) + decodeChunk + 2}
+	}, func(ctx *core.Ctx) error {
+		kv, _ := ctx.KvAnon()
+		s := NewSession(ctx, kv)
+		if _, perr := s.PrefillTokens(prompt); perr != nil {
+			return perr
+		}
+		script := ctx.Tokenize(strings.Repeat("ten words that the constraint makes the run say again ", 10))
+		res, err = Generate(s, GenOptions{
+			MaxTokens:  2 * decodeChunk,
+			Sampler:    &Sampler{Temperature: 0.7, TopP: 0.9, Seed: 7},
+			Constraint: &fixedConstraint{script: script[:100]},
+			Stream:     func(tok token.ID) { streamed = append(streamed, tok) },
+		})
+		return nil
+	})
+	if !errors.Is(err, core.ErrQuota) {
+		t.Fatalf("err = %v, want the quota to refuse the second chunk", err)
+	}
+	if len(streamed) != decodeChunk+1 || !reflect.DeepEqual(streamed, res.Tokens) {
+		t.Fatalf("streamed %d tokens, result holds %d; want %d of the same", len(streamed), len(res.Tokens), decodeChunk+1)
+	}
+	if res.ConstraintDone || res.HitEOS {
+		t.Errorf("a failed run reports ConstraintDone %v, HitEOS %v", res.ConstraintDone, res.HitEOS)
+	}
+}
+
+// TestGenerateDecodeValidation covers Generate's refusals, and a session
+// on a named model, which decodes as a run like any other.
+func TestGenerateDecodeValidation(t *testing.T) {
+	harness(t, func(ctx *core.Ctx) error {
+		kv, _ := ctx.KvAnon()
+		s := NewSession(ctx, kv)
+		if _, err := Generate(s, GenOptions{MaxTokens: 5}); !errors.Is(err, ErrNoDist) {
+			t.Errorf("before prefill: %v", err)
+		}
+		if _, err := Generate(s, GenOptions{}); err == nil {
+			t.Error("MaxTokens 0 accepted")
+		}
+		if _, err := s.WithModel("draft").Prefill("p"); err != nil {
+			return err
+		}
+		before := ctx.Kernel().Stats().PredCalls
+		res, err := Generate(s, GenOptions{MaxTokens: 5, Transform: SuppressEOS})
+		if err != nil || len(res.Tokens) != 5 {
+			t.Errorf("draft-model session: %d tokens, %v", len(res.Tokens), err)
+		}
+		if n := ctx.Kernel().Stats().PredCalls - before; n != 1 {
+			t.Errorf("draft-model session made %d preds, want one decode run", n)
+		}
+		return nil
+	})
+}

@@ -210,28 +210,6 @@ func TestSamplerTopPRestricts(t *testing.T) {
 	}
 }
 
-func TestGenerateStopCondition(t *testing.T) {
-	harness(t, func(ctx *core.Ctx) error {
-		kv, _ := ctx.KvAnon()
-		s := NewSession(ctx, kv)
-		if _, err := s.Prefill("prompt"); err != nil {
-			return err
-		}
-		count := 0
-		res, err := Generate(s, GenOptions{
-			MaxTokens: 50,
-			Stop:      func(token.ID) bool { count++; return count >= 3 },
-		})
-		if err != nil {
-			return err
-		}
-		if len(res.Tokens) != 3 {
-			t.Errorf("stop ignored: %d tokens", len(res.Tokens))
-		}
-		return nil
-	})
-}
-
 func TestGenerateStreamCallback(t *testing.T) {
 	harness(t, func(ctx *core.Ctx) error {
 		kv, _ := ctx.KvAnon()

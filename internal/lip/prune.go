@@ -1,11 +1,6 @@
 package lip
 
-import (
-	"fmt"
-
-	"repro/internal/model"
-	"repro/internal/token"
-)
+import "fmt"
 
 // PruneContext shrinks a session's context to its first keepHead tokens
 // (the "attention sink" prefix) plus its last keepTail tokens, reusing the
@@ -43,56 +38,35 @@ func PruneContext(s *Session, keepHead, keepTail int) error {
 	return old.Remove()
 }
 
-// StreamingGenerate decodes up to maxTokens while keeping the KV context
-// bounded: whenever the file exceeds window tokens it is pruned back to
-// keepHead sinks plus the most recent window/2 tokens before the next
-// token is committed. This lets a LIP generate indefinitely in constant KV
-// memory — a strategy no prompt API exposes, and precisely the kind of
-// application-specific optimization §4.2 argues for.
+// StreamingGenerate is Generate with the KV context kept bounded: whenever
+// the file holds window tokens it is pruned back to keepHead sinks plus
+// the most recent window/2 tokens before the next token is committed. This
+// lets a LIP generate indefinitely in constant KV memory — a strategy no
+// prompt API exposes, and precisely the kind of application-specific
+// optimization §4.2 argues for.
+//
+// Each window is one segment of Generate's decode run: the walk runs one
+// token past the full file, that token is committed under the pruned
+// (approximate) context — what a real pruning system computes too — and
+// the walk goes on from there.
 func StreamingGenerate(s *Session, opts GenOptions, window, keepHead int) (GenResult, error) {
-	if opts.MaxTokens <= 0 {
-		return GenResult{}, fmt.Errorf("lip: MaxTokens must be positive")
-	}
 	if window <= keepHead+2 {
 		return GenResult{}, fmt.Errorf("lip: window must exceed keepHead+2")
 	}
-	if !s.ready {
-		return GenResult{}, ErrNoDist
+	g, err := newDecoder(s, opts)
+	if err != nil {
+		return GenResult{}, err
 	}
-	sampler := opts.Sampler
-	if sampler == nil {
-		sampler = &Sampler{}
+	room := window - s.kv.Len()
+	for {
+		if err := g.advance(max(room, 0)); err != nil || g.ended {
+			return g.finish(err)
+		}
+		if err := PruneContext(s, keepHead, window/2); err != nil {
+			return g.res, err
+		}
+		// A prune that left the file full still commits the token it was
+		// made for.
+		room = max(window-s.kv.Len(), 1)
 	}
-	sample := func(d model.Dist, prev token.ID) token.ID {
-		if opts.Transform != nil {
-			d = opts.Transform(d, prev)
-		}
-		return sampler.Sample(d)
-	}
-	var res GenResult
-	cur := sample(s.last, token.PAD)
-	for len(res.Tokens) < opts.MaxTokens {
-		if cur == token.EOS {
-			res.HitEOS = true
-			break
-		}
-		res.Tokens = append(res.Tokens, cur)
-		if opts.Stream != nil {
-			opts.Stream(cur)
-		}
-		// Keep the context bounded before committing the next token. The
-		// token is then appended under the pruned (approximate) context,
-		// which is what a real pruning system computes too.
-		if s.kv.Len() >= window {
-			if err := PruneContext(s, keepHead, window/2); err != nil {
-				return res, err
-			}
-		}
-		d, err := s.Step(cur)
-		if err != nil {
-			return res, err
-		}
-		cur = sample(d, cur)
-	}
-	return res, nil
 }

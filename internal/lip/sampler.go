@@ -49,7 +49,7 @@ func (s *Sampler) Sample(d model.Dist) token.ID {
 // stream, and whether it spends that draw (greedy settings and an empty
 // distribution spend none). It reads only the settings, so the same draw
 // can be applied to another distribution: a decode run's coupled draft
-// proposal (see GenerateDecode).
+// proposal (see Generate).
 func (s *Sampler) sampleAt(d model.Dist, n uint64) (token.ID, bool) {
 	if s.Temperature <= 0 {
 		return d.Greedy(), false

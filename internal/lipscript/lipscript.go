@@ -283,11 +283,11 @@ func execStmt(ctx *core.Ctx, st Stmt, sessions map[string]*lip.Session,
 		if st.Temperature > 0 {
 			sampler = &lip.Sampler{Temperature: st.Temperature, Seed: st.Seed}
 		}
-		// A generation, greedy or seeded-sampled, is a decode run: the
-		// executor advances it one token — or one verified draft window,
-		// under -spec-decode — per GPU iteration instead of paying a
-		// scheduling round trip per token.
-		res, err := lip.GenerateDecode(sess, lip.DecodeOptions{
+		// A generation is a decode run: the executor advances it one
+		// token — or one verified draft window, under -spec-decode — per
+		// GPU iteration instead of paying a scheduling round trip per
+		// token.
+		res, err := lip.Generate(sess, lip.GenOptions{
 			MaxTokens: st.MaxTokens,
 			Sampler:   sampler,
 			Stream:    stream,

@@ -191,7 +191,7 @@ func BenchmarkDefer(b *testing.B) {
 var sinkToken token.ID
 
 // BenchmarkGreedyDefer is what each position of the greedy speculation
-// bitmap, of lip.GenerateDecode's greedy chain walk and of the baselines'
+// bitmap, of lip.Generate's greedy chain walk and of the baselines'
 // server-fixed loop pays: an argmax read off an unbuilt distribution.
 func BenchmarkGreedyDefer(b *testing.B) {
 	m := testModel()
