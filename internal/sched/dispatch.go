@@ -37,7 +37,7 @@ type Call struct {
 	Spec *SpecCall
 	// OnPreempt, when non-nil, is invoked from the replica executor at
 	// iteration boundaries: with true when the scheduler deschedules the
-	// call mid-flight (higher-lane work filled the step), with false when
+	// call mid-flight (Stats.Preemptions lists the causes), with false when
 	// the call is next scheduled again. The duration returned by the
 	// resume invocation is charged to the resuming step — the kernel uses
 	// the pair to unpin the call's KV file while preempted and to bill

@@ -99,7 +99,10 @@ type PriorityPolicy interface {
 // normal before batch, FIFO within a lane, each call sliced to Quantum
 // tokens per iteration, and a call's effective lane promoted one step for
 // every AgeAfter it has waited so saturation in a higher lane cannot
-// starve a lower one forever.
+// starve a lower one forever. An iteration that carries a prompt slice
+// carries no prompt slice whose effective lane is less urgent than that
+// prompt's submitted lane; decode runs of every lane still share it (see
+// packStep).
 type Lanes struct {
 	// SliceTokens is the per-call step quantum: the tokens one call may
 	// execute per iteration (default DefaultQuantum).

@@ -29,10 +29,13 @@
 // scheduler's, so a thread whose call the step just retired resubmits in
 // time for the very next iteration and a per-token pred loop decodes at
 // one step per token (see replica.loop for the order and its limit). A
-// low-priority call that is mid-flight can be preempted at an iteration
-// boundary when higher-lane work fills the step budget; its Call.OnPreempt
-// hook lets the kernel release the call's KV pin so preempted state is
-// evictable under memory pressure.
+// call that is mid-flight is preempted at an iteration boundary when it
+// loses its slot in the next iteration, for one of three causes:
+// higher-lane work fills the step budget; a call of another model heads
+// the ranking (a forward pass runs one model); or it is a prompt slice and
+// a more urgent lane's prompt is in the iteration (see packStep). Its
+// Call.OnPreempt hook lets the kernel release the call's KV pin so
+// preempted state is evictable under memory pressure.
 //
 // The scheduler drives Config.Replicas independent GPU executors
 // ("replicas"), each with its own queue, iteration loop, busy clock, and
@@ -201,7 +204,10 @@ type Stats struct {
 	Dispatcher     string        `stats:"dispatcher"`
 	PriorityPolicy string        `stats:"priority_policy"`
 	// Preemptions counts iteration-boundary preemptions: a mid-flight
-	// call descheduled because higher-lane work filled the step budget.
+	// call left out of the next iteration because higher-lane work filled
+	// the step budget, a call of another model headed the ranking (one
+	// model per forward pass), or it is a prompt slice and a more urgent
+	// lane's prompt is in the iteration.
 	Preemptions int64 `stats:"preemptions"`
 	// Crashes, Requeued, and LostTokens aggregate the per-replica
 	// crash-restart counters.
@@ -615,24 +621,61 @@ func (r *replica) crash() {
 	}
 }
 
-// iterate runs one GPU iteration: rank the active set by effective lane,
-// pack quantum-sized slices into one forward pass (a pass runs one
-// model), preempt mid-flight calls that lost their slot, charge the step
-// time, and retire finished calls.
-func (r *replica) iterate() error {
-	s := r.s
-	now := s.clk.Now()
+// packed is one GPU iteration as packStep cut it: the forward pass's
+// model and, in rank order, the calls it carries with each one's token
+// counts.
+type packed struct {
+	model string
+	calls []*call
+	// batch[i].NewTokens is the positions calls[i] computes, progress[i]
+	// the positions it retires, drafted[i] the draft tokens its spec round
+	// proposes (0 = no spec round).
+	batch    []model.BatchCall
+	progress []int
+	drafted  []int
+	// compute and retire sum batch and progress over the step.
+	compute, retire int
+}
 
-	// Rank by effective lane (aging promotes calls stalled without
-	// progress), FIFO within a lane. Effective lanes are fixed for the
-	// whole iteration, so compute them once, not per comparison. The sort
-	// is stable and active is kept in arrival order, so equal ranks keep
-	// their submission order.
-	ranked := make([]*call, len(r.active))
-	copy(ranked, r.active)
+// packStep ranks the active set at virtual instant now and packs one
+// forward pass from it. It reads the calls and never writes them, and
+// takes no clock and no lock: iterate does everything with side effects.
+//
+// Ranking is by effective lane (aging promotes calls stalled without
+// progress), FIFO within a lane. Effective lanes are fixed for the whole
+// iteration, so they are computed once, not per comparison. The sort is
+// stable and active is kept in arrival order, so equal ranks keep their
+// submission order.
+//
+// Packing is in rank order. One forward pass runs one model: the
+// top-ranked call picks it, peers of other models wait their turn.
+// Packing is strict — when a slice no longer fits the budget the step is
+// cut, so a lower lane can never leapfrog a higher one by being smaller.
+// Once a prompt slice (a non-decode call computing more than one position)
+// is packed, every later prompt slice whose effective lane is less urgent
+// than that prompt's submitted lane is skipped, not cut: the prompt cannot
+// leave the step early, so a less urgent slice beside it is time it waits
+// for nothing, while decode runs and spec rounds of every lane still ride.
+// The trigger is the submitted lane and the skipped candidate's the
+// effective one, so a prompt aging has promoted still packs and the
+// starvation bound holds; under fifo every lane reads Normal and nothing
+// is skipped.
+//
+// Each packed call contributes two token counts that the plain prefill
+// path keeps equal but speculation splits: compute is the new positions
+// the forward pass processes (what the step costs and what fills the
+// budget), progress is the positions that retire (what ExecutedTokens and
+// remaining move by). A prefill slice computes and retires the same
+// tokens; a plain decode call computes and retires exactly one; a spec
+// round computes its draft window but retires the accepted run plus the
+// verify pass's correction token — progress can exceed compute, which is
+// the whole point.
+func packStep(active []*call, now time.Duration, prio PriorityPolicy, models map[string]model.CostModel, prefillChunk int) packed {
+	ranked := make([]*call, len(active))
+	copy(ranked, active)
 	lanes := make(map[*call]Priority, len(ranked))
 	for _, c := range ranked {
-		lanes[c] = s.prio.Effective(c.prio, now-c.lastRun)
+		lanes[c] = prio.Effective(c.prio, now-c.lastRun)
 	}
 	sort.SliceStable(ranked, func(i, j int) bool {
 		if lanes[ranked[i]] != lanes[ranked[j]] {
@@ -641,35 +684,17 @@ func (r *replica) iterate() error {
 		return ranked[i].queuedAt < ranked[j].queuedAt
 	})
 
-	// Pack the step in rank order. One forward pass runs one model: the
-	// top-ranked call picks it, peers of other models wait their turn.
-	// Packing is strict — when a slice no longer fits the budget the step
-	// is cut, so a lower lane can never leapfrog a higher one by being
-	// smaller.
-	//
-	// Each packed call contributes two token counts that the plain
-	// prefill path keeps equal but speculation splits: compute is the new
-	// positions the forward pass processes (what the step costs and what
-	// fills the budget), progress is the positions that retire (what
-	// ExecutedTokens and remaining move by). A prefill slice computes and
-	// retires the same tokens; a plain decode call computes and retires
-	// exactly one; a spec round computes its draft window but retires the
-	// accepted run plus the verify pass's correction token — progress can
-	// exceed compute, which is the whole point.
-	stepModel := ranked[0].model
-	cost := s.models[stepModel]
-	budget := cost.MaxBatchTokens
-	if sb := s.prio.StepTokens(); sb > 0 && sb < budget {
+	p := packed{model: ranked[0].model}
+	budget := models[p.model].MaxBatchTokens
+	if sb := prio.StepTokens(); sb > 0 && sb < budget {
 		budget = sb
 	}
-	quantum := s.prio.Quantum()
-	var selected []*call
-	var progress, compute []int
-	var specDraft []int // drafted tokens this round, 0 = no spec round
-	var stepCalls []model.BatchCall
-	stepCompute, stepProgress := 0, 0
+	quantum := prio.Quantum()
+	// promptLane is the most urgent submitted lane of a packed prompt
+	// slice; Batch, the least urgent lane, until one is packed.
+	promptLane := Batch
 	for _, c := range ranked {
-		if c.model != stepModel {
+		if c.model != p.model {
 			continue
 		}
 		var prog, comp, drafted int
@@ -681,8 +706,8 @@ func (r *replica) iterate() error {
 			if quantum > 0 && slice > quantum {
 				slice = quantum
 			}
-			if s.prefillChunk > 0 && slice > s.prefillChunk {
-				slice = s.prefillChunk
+			if prefillChunk > 0 && slice > prefillChunk {
+				slice = prefillChunk
 			}
 			prog, comp = slice, slice
 		case c.spec != nil && c.remaining > 1:
@@ -705,22 +730,40 @@ func (r *replica) iterate() error {
 			// Plain autoregressive decode: one token per iteration.
 			prog, comp = 1, 1
 		}
+		prompt := !c.decode && comp > 1
+		if prompt && lanes[c] > promptLane {
+			continue
+		}
 		// An oversized slice still runs when it is the step's first call;
 		// otherwise the budget cuts the step here.
-		if len(selected) > 0 && stepCompute+comp > budget {
+		if len(p.calls) > 0 && p.compute+comp > budget {
 			break
 		}
-		selected = append(selected, c)
-		progress = append(progress, prog)
-		compute = append(compute, comp)
-		specDraft = append(specDraft, drafted)
-		stepCalls = append(stepCalls, model.BatchCall{NewTokens: comp})
-		stepCompute += comp
-		stepProgress += prog
-		if stepCompute >= budget {
+		if prompt {
+			promptLane = min(promptLane, prio.Effective(c.prio, 0))
+		}
+		p.calls = append(p.calls, c)
+		p.progress = append(p.progress, prog)
+		p.drafted = append(p.drafted, drafted)
+		p.batch = append(p.batch, model.BatchCall{NewTokens: comp})
+		p.compute += comp
+		p.retire += prog
+		if p.compute >= budget {
 			break
 		}
 	}
+	return p
+}
+
+// iterate runs one GPU iteration: pack one forward pass (packStep),
+// preempt mid-flight calls that lost their slot, charge the step time,
+// and retire finished calls.
+func (r *replica) iterate() error {
+	s := r.s
+	now := s.clk.Now()
+	step := packStep(r.active, now, s.prio, s.models, s.prefillChunk)
+	cost := s.models[step.model]
+	selected, progress, specDraft := step.calls, step.progress, step.drafted
 
 	// Draft passes are serialized ahead of the target step: every spec
 	// call's draft round r proposes its r-th token in one batched draft
@@ -801,7 +844,7 @@ func (r *replica) iterate() error {
 		c.scheduled = true
 	}
 
-	d := cost.StepTime(stepCalls) + draftCost + resumeCost
+	d := cost.StepTime(step.batch) + draftCost + resumeCost
 	r.mu.Lock()
 	r.busyUntil = now + d
 	r.mu.Unlock()
@@ -811,10 +854,10 @@ func (r *replica) iterate() error {
 		r.st.GPUBusy += d
 		r.st.Batches++
 		r.st.Steps++
-		r.st.ExecTokens += int64(stepProgress)
+		r.st.ExecTokens += int64(step.retire)
 		r.batchW.Add(float64(len(selected)))
-		r.tokensW.Add(float64(stepCompute))
-		r.inflight -= stepProgress
+		r.tokensW.Add(float64(step.compute))
+		r.inflight -= step.retire
 		for i := range selected {
 			if specDraft[i] > 0 {
 				r.st.SpecRounds++
