@@ -29,7 +29,7 @@ func TestSLOAcceptance(t *testing.T) {
 		}
 	}
 	// The headline: iteration-level lanes vs run-to-completion fifo. The
-	// quick sweep measures ~7.0x; 3x is the acceptance bar.
+	// quick sweep measures ~9.4x; 3x is the acceptance bar.
 	if lanes.InteractiveP99*3 > fifo.InteractiveP99 {
 		t.Fatalf("interactive p99 %v under lanes vs %v under fifo: improvement below 3x",
 			lanes.InteractiveP99, fifo.InteractiveP99)
