@@ -238,26 +238,9 @@ type clientClass struct{ Clients, Requests, Prefill, Decode int }
 // and think between requests; batch clients start 5ms apart (as real
 // batch arrivals would be de-phased) and run back to back. Every request
 // is a promptRequest over a synthetic prompt of its class's shape.
-//
-// Only slo clears decodeRun, which keeps one pred per decode token: its
-// bar reads lane delay per call, and a decode run is one call for all its
-// tokens, so slo decodes per token until that bar reads delay per
-// advanced iteration.
-func (c *cell) mixedLoad(interactive, batch clientClass, think time.Duration, base int, decodeRun bool) {
+func (c *cell) mixedLoad(interactive, batch clientClass, think time.Duration, base int) {
 	request := func(ctx *core.Ctx, class clientClass, seed int) error {
-		if decodeRun {
-			return promptRequest(ctx, synthTokens(class.Prefill, seed), class.Decode, seed+class.Prefill)
-		}
-		f, err := ctx.KvAnon()
-		if err != nil {
-			return err
-		}
-		defer f.Remove()
-		err = synthPred(ctx, f, class.Prefill, seed)
-		for d := 0; d < class.Decode && err == nil; d++ {
-			err = synthPred(ctx, f, 1, seed+class.Prefill+d)
-		}
-		return err
+		return promptRequest(ctx, synthTokens(class.Prefill, seed), class.Decode, seed+class.Prefill)
 	}
 	c.clients(population{
 		User:    func(int) string { return "interactive" },

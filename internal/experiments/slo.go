@@ -52,8 +52,8 @@ type SLOConfig struct {
 	Quantum    int
 	StepTokens int
 	AgeAfter   time.Duration
-	// StarveAfter is the queue delay above which a batch call counts as
-	// starved; the acceptance bar is zero starved calls.
+	// StarveAfter is the queue delay above which a batch advance counts as
+	// starved; the acceptance bar is zero starved advances.
 	StarveAfter time.Duration
 	// HeavyPrefill, when positive, adds a second sweep mode: the same
 	// mixed population but with batch prefills this large — the
@@ -122,9 +122,10 @@ type SLOPoint struct {
 	// the equal-work axis policies are compared at.
 	Throughput float64
 	PredTokens int64
-	// Per-lane queue delay: the call's total time in the scheduler minus
-	// its solo step time — the wait other lanes' work (and preemption)
-	// inserted, not time-to-first-token.
+	// Per-lane queue delay, one sample per advance (sched.LaneStats): the
+	// time since the call's previous advance ended minus this advance's
+	// solo cost — the wait other calls' work (and preemption) inserted,
+	// not time-to-first-token.
 	InteractiveP50 time.Duration
 	InteractiveP99 time.Duration
 	BatchP50       time.Duration
@@ -134,8 +135,9 @@ type SLOPoint struct {
 	// p99 over this row's (1 for the baseline itself; higher is better).
 	InteractiveP99Speedup float64
 	// Preemptions counts iteration-boundary preemptions; Starved counts
-	// batch calls whose queue delay exceeded StarveAfter (aging must keep
-	// this at zero).
+	// batch advances whose queue delay exceeded StarveAfter. That is what
+	// aging bounds — the wait between two advances of one call, not a
+	// call's whole sojourn — and it must stay zero in every lanes cell.
 	Preemptions int64
 	Starved     int64
 	AvgBatch    float64
@@ -176,7 +178,7 @@ func runSLOCell(cfg SLOConfig, mode, label, policy string, batchPrefill, chunk i
 		c.mixedLoad(
 			clientClass{cfg.InteractiveClients, cfg.InteractiveRequests, cfg.InteractivePrefill, cfg.InteractiveDecode},
 			clientClass{cfg.BatchClients, cfg.BatchRequests, batchPrefill, cfg.BatchDecode},
-			cfg.Think, seedBase(cfg.Seed), false)
+			cfg.Think, seedBase(cfg.Seed))
 	})
 
 	st := c.k.Stats()

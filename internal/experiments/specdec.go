@@ -149,7 +149,7 @@ func runSpecdecCell(cfg SpecdecConfig, cell string, spec bool) SpecdecPoint {
 		c.mixedLoad(
 			clientClass{cfg.InteractiveClients, cfg.InteractiveRequests, cfg.InteractivePrefill, cfg.InteractiveDecode},
 			clientClass{cfg.BatchClients, cfg.BatchRequests, cfg.BatchPrefill, cfg.BatchDecode},
-			cfg.Think, seedBase(cfg.Seed), true)
+			cfg.Think, seedBase(cfg.Seed))
 	})
 
 	st := c.k.Stats()

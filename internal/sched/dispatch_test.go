@@ -200,14 +200,14 @@ func TestReplicaStatsAggregation(t *testing.T) {
 	if diff := st.Utilization - want; diff > 1e-9 || diff < -1e-9 {
 		t.Fatalf("utilization = %v, want %v", st.Utilization, want)
 	}
-	// The aggregate queue-delay histogram holds every call; per-replica
-	// ones partition it.
-	if s.QueueDelay().Count() != n {
-		t.Fatalf("aggregate delay samples = %d", s.QueueDelay().Count())
+	// Each 10-token call is one advance: the lane's queue-delay histogram
+	// holds every one, and the per-replica ones partition it.
+	if got := s.LaneDelay(Normal).Count(); got != n {
+		t.Fatalf("lane delay samples = %d", got)
 	}
 	var perReplica int64
-	for i := 0; i < s.Replicas(); i++ {
-		perReplica += s.ReplicaQueueDelay(i).Count()
+	for _, r := range s.replicas {
+		perReplica += r.delayHist.Count()
 	}
 	if perReplica != n {
 		t.Fatalf("per-replica delay samples = %d", perReplica)

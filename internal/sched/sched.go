@@ -75,12 +75,12 @@ type call struct {
 	decode bool
 	spec   *specState
 
-	// started: the call has executed at least one slice (its queue delay
-	// is recorded when it first steps). scheduled: it was packed into the
-	// most recent iteration; a started, unfinished call that loses its
-	// slot is preempted. lastRun is when the call last executed a slice
-	// (its submission time before that): aging promotes calls by time
-	// without progress.
+	// started: the call has executed at least one slice, so packing it
+	// after a lost slot resumes it. scheduled: it was packed into the most
+	// recent iteration; a started, unfinished call that loses its slot is
+	// preempted. lastRun is when the call's previous advance ended (its
+	// submission time before the first): aging promotes calls by time
+	// without progress, and each advance's queue delay counts from it.
 	started   bool
 	scheduled bool
 	lastRun   time.Duration
@@ -162,16 +162,22 @@ type ReplicaStats struct {
 	LostTokens   int64         `stats:"-"`
 	GPUBusy      time.Duration `stats:"busy_virtual,str"`
 	Utilization  float64       `stats:"utilization"` // GPUBusy / elapsed virtual time
-	DelayMean    time.Duration `stats:"queue_delay_us,us"`
-	DelayP99     time.Duration `stats:"-"`
+	// DelayMean and DelayP99 summarize the queue delay of every advance
+	// this replica ran (see LaneStats).
+	DelayMean time.Duration `stats:"queue_delay_us,us"`
+	DelayP99  time.Duration `stats:"-"`
 }
 
 // LaneStats is one priority lane's aggregate view across replicas. Delay
-// is queue delay in the queueing-theory sense: the call's total time in
-// the scheduler minus what the GPU would have charged it running alone.
-// For the short calls interactive SLOs protect it is the wait a client
-// observes; for a long sliced call it is the time other lanes' work (and
-// preemption) inserted into its execution.
+// is queue delay counted per advance, an iteration that moved a call
+// forward: the time since the call's previous advance ended (its
+// submission, before the first) minus what this advance costs alone —
+// the StepTime of the call's own batch entry plus its own draft passes.
+// Every call shape reads the same: a one-token call records one sample, a
+// sliced prefill or a decode run one per iteration it rides, and a call
+// alone on the GPU records zero at each. Per call, the delays plus the
+// solo costs sum to the call's sojourn exactly; preemption, resume
+// restores and the rest of each shared iteration land in the delays.
 type LaneStats struct {
 	Lane        string        `stats:"lane"`
 	Calls       int64         `stats:"calls"`
@@ -240,11 +246,14 @@ type Scheduler struct {
 	prefillChunk int
 	dispatcher   Dispatcher
 	replicas     []*replica
-	delayHist    *metrics.Histogram // aggregate queue delay across replicas
 	laneDelay    [NumLanes]*metrics.Histogram
 
 	crashCheck func(int) bool
 	onCrash    func(int)
+	// advanced, when non-nil, hears each advance's queue delay as it is
+	// recorded: the call, the iteration's end and the delay. Tests set it
+	// before the first SubmitCall to pin per-advance figures.
+	advanced func(c *call, end, delay time.Duration)
 
 	mu           sync.Mutex
 	calls        int64
@@ -296,7 +305,6 @@ func New(clk *simclock.Clock, cfg Config) *Scheduler {
 		prio:         cfg.PriorityPolicy,
 		prefillChunk: cfg.PrefillChunk,
 		dispatcher:   cfg.Dispatcher,
-		delayHist:    metrics.NewHistogram(),
 		crashCheck:   cfg.CrashCheck,
 		onCrash:      cfg.OnCrash,
 	}
@@ -329,19 +337,10 @@ func (s *Scheduler) PriorityPolicy() string { return s.prio.Name() }
 // chunked prefill is disabled.
 func (s *Scheduler) PrefillChunk() int { return s.prefillChunk }
 
-// QueueDelay exposes the aggregate histogram of time calls spent queued
-// before their first token executed, across all replicas and lanes.
-func (s *Scheduler) QueueDelay() *metrics.Histogram { return s.delayHist }
-
-// LaneDelay exposes the aggregate queue-delay histogram of one priority
-// lane across all replicas.
+// LaneDelay exposes the queue-delay histogram of one priority lane across
+// all replicas: one sample per advance (see LaneStats).
 func (s *Scheduler) LaneDelay(p Priority) *metrics.Histogram {
 	return s.laneDelay[p.laneIndex()]
-}
-
-// ReplicaQueueDelay exposes replica i's queue-delay histogram.
-func (s *Scheduler) ReplicaQueueDelay(i int) *metrics.Histogram {
-	return s.replicas[i].delayHist
 }
 
 // Stats returns a snapshot of counters, aggregate, per lane, and per
@@ -830,18 +829,10 @@ func (r *replica) iterate() error {
 	}
 	var resumeCost time.Duration
 	for _, c := range selected {
-		switch {
-		case !c.started:
-			c.started = true
-			d := now - c.queuedAt
-			r.delayHist.Add(d)
-			s.delayHist.Add(d)
-		case !c.scheduled:
-			if c.onPreempt != nil {
-				resumeCost += c.onPreempt(false)
-			}
+		if c.started && !c.scheduled && c.onPreempt != nil {
+			resumeCost += c.onPreempt(false)
 		}
-		c.scheduled = true
+		c.started, c.scheduled = true, true
 	}
 
 	d := cost.StepTime(step.batch) + draftCost + resumeCost
@@ -872,48 +863,43 @@ func (r *replica) iterate() error {
 		return err
 	}
 
-	// Retire finished calls and compact the active set in place,
-	// preserving arrival order.
-	live := r.active[:0]
-	finished := make([]*call, 0, len(selected))
+	// Each call the step advanced records one queue delay: the time since
+	// its previous advance ended, less what this advance costs it alone —
+	// its own batch entry and its own draft passes. StepTime is additive
+	// and every draft pass carries the call's own proposal, so the delay is
+	// never negative. Progress is stamped at step END: a call's own
+	// execution time is not "waiting", so even when one iteration outlasts
+	// AgeAfter the calls that just stepped do not age past fresh
+	// higher-lane work.
+	end := s.clk.Now()
 	for i, c := range selected {
 		c.remaining -= progress[i]
 		if c.onProgress != nil {
 			c.onProgress(c.tokens - c.remaining)
 		}
+		own := cost.StepTime(step.batch[i : i+1])
+		if specDraft[i] > 0 {
+			dc := s.models[c.spec.draft]
+			own += time.Duration(specDraft[i]) * (dc.KernelOverhead + dc.PerSequence + dc.PerToken)
+		}
+		d := end - c.lastRun - own
+		r.delayHist.Add(d)
+		s.laneDelay[c.prio.laneIndex()].Add(d)
+		if s.advanced != nil {
+			s.advanced(c, end, d)
+		}
+		c.lastRun = end
 	}
+	// Retire finished calls and compact the active set in place,
+	// preserving arrival order.
+	live := r.active[:0]
 	for _, c := range r.active {
 		if c.remaining <= 0 {
-			finished = append(finished, c)
+			c.done.Fire()
 			continue
 		}
 		live = append(live, c)
 	}
 	r.active = live
-	end := s.clk.Now()
-	for _, c := range selected {
-		// Progress is stamped at step END: a call's own execution time is
-		// not "waiting", so even when one iteration outlasts AgeAfter the
-		// calls that just stepped do not age past fresh higher-lane work.
-		c.lastRun = end
-	}
-	for _, c := range finished {
-		// Lane delay is the call's queueing delay: total time in the
-		// scheduler minus the step time it would have cost running alone.
-		// Alone, a prefill is one pass; a decode run is one sequential
-		// pass per token (without speculation — spec's win shows up as
-		// negative-clamped delay rather than inflating the baseline).
-		m := s.models[c.model]
-		solo := m.StepTime([]model.BatchCall{{NewTokens: c.tokens}})
-		if c.decode {
-			solo = time.Duration(c.tokens) * m.StepTime([]model.BatchCall{{NewTokens: 1}})
-		}
-		d := end - c.queuedAt - solo
-		if d < 0 {
-			d = 0
-		}
-		s.laneDelay[c.prio.laneIndex()].Add(d)
-		c.done.Fire()
-	}
 	return nil
 }

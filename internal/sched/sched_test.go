@@ -234,8 +234,9 @@ func TestUtilizationAndQueueDelay(t *testing.T) {
 	if st.GPUBusy == 0 {
 		t.Fatal("no busy time recorded")
 	}
-	if s.QueueDelay().Count() != 4 {
-		t.Fatalf("delay samples = %d", s.QueueDelay().Count())
+	// Four one-token calls are four advances, one delay sample each.
+	if n := s.LaneDelay(Normal).Count(); n != 4 {
+		t.Fatalf("delay samples = %d", n)
 	}
 }
 
