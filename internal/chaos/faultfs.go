@@ -32,11 +32,6 @@ func NewFaultFS(inner kvstore.VFS, inj *Injector) *FaultFS {
 	return &FaultFS{inner: inner, inj: inj}
 }
 
-// Inner returns the wrapped filesystem — what survives a simulated
-// machine replacement, e.g. the recovery kernel of a chaos cell boots on
-// Inner() with the fault plan left behind.
-func (fs *FaultFS) Inner() kvstore.VFS { return fs.inner }
-
 // Bind forwards a clock re-bind to the inner filesystem when it supports
 // one (SimFS does), so FaultFS slots into the restart idiom unchanged.
 func (fs *FaultFS) Bind(clk *simclock.Clock) {

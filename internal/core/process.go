@@ -242,13 +242,6 @@ func (p *Process) Cancel() {
 	}
 }
 
-// CancelRequested reports whether Cancel has been called.
-func (p *Process) CancelRequested() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.cancelled
-}
-
 // Output returns everything the process has emitted so far.
 func (p *Process) Output() string {
 	p.mu.Lock()

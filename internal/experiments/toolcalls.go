@@ -47,7 +47,6 @@ type ToolCallsPoint struct {
 	Calls       int
 	E2E         time.Duration
 	PrefillToks int64 // prompt tokens pushed through the GPU
-	NetworkTime time.Duration
 }
 
 func syntheticPrompt(words int, seed int) string {

@@ -491,6 +491,3 @@ func (d *DFA) Accepting(state int) bool {
 func (d *DFA) Match(s string) bool {
 	return d.Accepting(d.StepString(d.Start(), s))
 }
-
-// NumStates reports the DFA size (for tests and diagnostics).
-func (d *DFA) NumStates() int { return len(d.states) }
