@@ -362,14 +362,16 @@ func (c *Ctx) pred(modelName string, f *kvfs.File, toks []token.ID, positions []
 		return nil, err
 	}
 
-	// A full GPU tier is met in three places, all after this Touch and
-	// under the file's pin, so a call that is making room is never itself
-	// the coldest candidate: kvd.MaybeReclaim offloads cold files at the
-	// watermark, withReclaim evicts on an allocation that still fails,
-	// and self-preemption breaks the standoff of calls that each pin what
-	// the others need. Nothing waits ahead of the allocation — the daemon
-	// runs inline on allocation paths, so a wait would buy it no time and
-	// only age this file into the next victim.
+	// A full GPU tier is met in three places, all after this Touch, so a
+	// call that is making room is never itself the coldest candidate:
+	// kvd.MaybeReclaim offloads cold files at the watermark and withReclaim
+	// evicts on an allocation that still fails, both under the file's pin
+	// and neither waiting; a call that still fails queues at the space
+	// gate, whose holder swaps itself out and waits for space, breaking the
+	// standoff of calls that each pin what the others need. Nothing waits
+	// ahead of the allocation — the daemon runs inline on allocation
+	// paths, so a wait would buy it no time and only age this file into
+	// the next victim.
 	k.kvd.Touch(f)
 
 	// extra counts disk-resident prefix tokens ensureResident chose to
@@ -449,28 +451,30 @@ func (c *Ctx) pred(modelName string, f *kvfs.File, toks []token.ID, positions []
 		return aerr
 	}
 	err = predAlloc()
-	// Concurrent preds can exhaust the GPU tier while each holds its own
-	// file pinned — nothing is evictable and everyone stalls. Break the
-	// hold-and-wait by self-preemption (vLLM-style swap): give back this
-	// call's residency, wait for space freed elsewhere, restore and
-	// retry. Waits grow with the attempt count and carry a deterministic
-	// per-process stagger, so standoffs thin out instead of thundering.
-	for attempt := 0; errors.Is(err, kvfs.ErrNoSpace) && k.kvd.Enabled() && attempt < selfPreemptRetries; attempt++ {
-		if lerr := c.p.checkLive(); lerr != nil {
-			// A cancel must surface as a cancellation, not as the
+	if errors.Is(err, kvfs.ErrNoSpace) && k.kvd.Enabled() {
+		// Concurrent preds can exhaust the GPU tier while each holds its
+		// own file pinned — nothing is evictable and everyone stalls. Break
+		// the hold-and-wait by self-preemption (vLLM-style swap), one call
+		// at a time in the order their allocations failed: behind the space
+		// gate, give back this call's residency, wait for space freed
+		// elsewhere, restore and retry. A call queued at the gate holds no
+		// pin, so the one retrying may evict it.
+		if gerr := k.spaceGate.Acquire(1); gerr != nil {
+			return nil, gerr
+		}
+		for attempt := 0; errors.Is(err, kvfs.ErrNoSpace) && attempt < selfPreemptRetries; attempt++ {
+			// A cancel or shutdown surfaces as itself, not as the
 			// standoff's ErrNoSpace.
-			return nil, lerr
+			if err = c.p.checkLive(); err != nil {
+				break
+			}
+			k.kvd.Preempt(f)
+			if _, err = k.spaceEvent().WaitFor(spaceWait); err != nil {
+				break
+			}
+			err = predAlloc()
 		}
-		k.kvd.Preempt(f)
-		wait := time.Duration(1+attempt/4) * time.Millisecond
-		if wait > 16*time.Millisecond {
-			wait = 16 * time.Millisecond
-		}
-		wait += time.Duration(c.p.pid%5) * 200 * time.Microsecond
-		if _, werr := k.spaceEvent().WaitFor(wait); werr != nil {
-			return nil, werr
-		}
-		err = predAlloc()
+		k.spaceGate.Release(1)
 	}
 	if err != nil {
 		return nil, err
@@ -544,7 +548,7 @@ func (c *Ctx) pred(modelName string, f *kvfs.File, toks []token.ID, positions []
 		// file pinned, or preempted state would be unevictable under
 		// pressure. On resume the pin returns, and if the daemon offloaded
 		// the file meanwhile the PCIe restore is charged to the resuming
-		// step. Runs on the replica actor; nothing here blocks.
+		// step. Runs on the replica actor; withReclaim never blocks.
 		cost := m.Config().Cost
 		call.OnPreempt = func(preempted bool) time.Duration {
 			if preempted {
@@ -555,18 +559,16 @@ func (c *Ctx) pred(modelName string, f *kvfs.File, toks []token.ID, positions []
 			if f.GPUResident() {
 				return 0
 			}
-			// The same promote-and-bill path as ensureResident, with the two
-			// things a replica actor cannot do taken out: no reclaim wait
-			// (nothing here may block) and no recompute (the call's batch
-			// entry is already sized). Whatever actually moved is charged
-			// even if the GPU filled before the rest did — those pages are
-			// resident now and no later path would bill them; what stays
-			// behind is the next pred's problem.
-			_, d, _ := k.promote(f, kvfs.Host, cost, false, runOnce)
+			// The same promote-and-bill path as ensureResident, without the
+			// recompute (the call's batch entry is already sized). Whatever
+			// actually moved is charged even if the GPU filled before the
+			// rest did — those pages are resident now and no later path
+			// would bill them; what stays behind is the next pred's problem.
+			_, d, _ := k.promote(f, kvfs.Host, cost, false)
 			if !f.GPUResident() {
 				// The daemon spilled part of the file down to disk while
 				// this call sat preempted.
-				_, ld, _ := k.promote(f, kvfs.Disk, cost, false, runOnce)
+				_, ld, _ := k.promote(f, kvfs.Disk, cost, false)
 				d += ld
 			}
 			return d
@@ -640,29 +642,34 @@ func resolvedName(k *Kernel, name string) string {
 	return name
 }
 
-// selfPreemptRetries bounds how often one pred call will swap itself out
-// and retry before surfacing ErrNoSpace. The budget is generous on
+// selfPreemptRetries bounds how often the pred behind the space gate will
+// swap itself out and retry before surfacing ErrNoSpace, and spaceWait how
+// long each retry waits for freed space. The budget is generous on
 // purpose: competitors hold GPU pages only for finite work, so a stalled
 // call that keeps yielding eventually wins unless memory is truly
 // exhausted by locked files for the whole span.
-const selfPreemptRetries = 1024
+const (
+	selfPreemptRetries = 1024
+	spaceWait          = 16 * time.Millisecond
+)
 
 // promote is the one place KV pages climb back to the GPU, and the one
 // place the climb is priced and ledgered. It runs one leg — f's host
-// pages, or its disk pages — through try, which may attempt the move
-// more than once (partial progress accumulates), and returns the tokens
-// moved and the virtual time they cost: PCIe for host pages, credited to
-// the daemon's restore ledger; NVMe read plus PCIe for disk pages, unless
-// recompute is set, in which case the move is free here because the
-// caller folds the tokens into its own prefill. Who waits for the bill is
-// the caller's business: ensureResident sleeps it on the calling thread,
-// the scheduler's resume hook adds it to the resuming step.
-func (k *Kernel) promote(f *kvfs.File, from kvfs.Tier, cost model.CostModel, recompute bool, try func(op func() error) error) (moved int, bill time.Duration, err error) {
-	move := f.Restore
+// pages, or its disk pages — through withReclaim (partial progress
+// accumulates), and returns the tokens moved and the virtual time they
+// cost: PCIe for host pages, credited to the daemon's restore ledger;
+// NVMe read plus PCIe for disk pages, unless recompute is set, in which
+// case the move is free here because the caller folds the tokens into its
+// own prefill. Who waits for the bill is the caller's business:
+// ensureResident sleeps it on the calling thread, the scheduler's resume
+// hook adds it to the resuming step.
+func (k *Kernel) promote(f *kvfs.File, from kvfs.Tier, cost model.CostModel, recompute bool) (moved int, bill time.Duration, err error) {
+	_, host, disk := f.ResidentTokens()
+	move, need := f.Restore, host
 	if from == kvfs.Disk {
-		move = f.PromoteDisk
+		move, need = f.PromoteDisk, disk
 	}
-	err = try(func() error {
+	err = k.withReclaim(need, func() error {
 		n, err := move()
 		moved += n
 		return err
@@ -682,30 +689,24 @@ func (k *Kernel) promote(f *kvfs.File, from kvfs.Tier, cost model.CostModel, rec
 	return moved, bill, err
 }
 
-// runOnce is promote's try for callers that may not wait for space.
-func runOnce(op func() error) error { return op() }
-
 // ensureResident brings f fully back to the GPU tier if a tool wait,
 // the memory daemon, or a restart left pages elsewhere: promote's host
-// leg and then its disk leg, each retried through withReclaim while the
-// GPU is full, each slept on the calling thread and traced. Disk pages
-// are loaded from the snapshot store or — when allowRecompute is set and
-// prefill is estimated cheaper, the same migrate-vs-recompute economics
-// as the cross-replica engine (migrate.go) one level down — recomputed
-// inside the caller's own pred: the returned extra is the token count
-// the caller must add to its batch call so the GPU step pays the prefill.
-// The durable copy stays behind either way; only the billing differs.
+// leg and then its disk leg, each slept on the calling thread and traced.
+// Disk pages are loaded from the snapshot store or — when allowRecompute
+// is set and prefill is estimated cheaper, the same migrate-vs-recompute
+// economics as the cross-replica engine (migrate.go) one level down —
+// recomputed inside the caller's own pred: the returned extra is the
+// token count the caller must add to its batch call so the GPU step pays
+// the prefill. The durable copy stays behind either way; only the billing
+// differs.
 func (c *Ctx) ensureResident(f *kvfs.File, cost model.CostModel, allowRecompute bool) (extra int, err error) {
 	k := c.p.k
 	if f.GPUResident() {
 		return 0, nil
 	}
-	_, host, disk := f.ResidentTokens()
-	leg := func(from kvfs.Tier, need int, recompute bool) (int, error) {
+	leg := func(from kvfs.Tier, recompute bool) (int, error) {
 		start := k.clk.Now()
-		moved, bill, err := k.promote(f, from, cost, recompute, func(op func() error) error {
-			return k.withReclaim(need, op)
-		})
+		moved, bill, err := k.promote(f, from, cost, recompute)
 		if moved == 0 {
 			return 0, err
 		}
@@ -724,11 +725,12 @@ func (c *Ctx) ensureResident(f *kvfs.File, cost model.CostModel, allowRecompute 
 		})
 		return moved, err
 	}
-	if _, err := leg(kvfs.Host, host, false); err != nil || disk == 0 {
+	_, _, disk := f.ResidentTokens()
+	if _, err := leg(kvfs.Host, false); err != nil || disk == 0 {
 		return 0, err
 	}
 	recompute := allowRecompute && time.Duration(disk)*cost.PerToken < cost.DiskLoadTime(disk)
-	moved, err := leg(kvfs.Disk, disk, recompute)
+	moved, err := leg(kvfs.Disk, recompute)
 	if recompute {
 		extra = moved
 	}

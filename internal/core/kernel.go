@@ -220,6 +220,9 @@ type Kernel struct {
 
 	spaceMu sync.Mutex
 	spaceEv *simclock.Event // fired+replaced whenever KVFS frees GPU pages
+	// spaceGate admits one pred at a time, in the order their allocations
+	// failed, to the swap-and-wait that breaks a full GPU tier's standoff.
+	spaceGate *simclock.Semaphore
 
 	// syscall and accounting counters
 	predCalls    metrics.Counter
@@ -333,6 +336,7 @@ func New(clk *simclock.Clock, cfg Config) *Kernel {
 	schedCfg.OnCrash = k.replicaCrashed
 	k.sch = sched.New(clk, schedCfg)
 	k.spaceEv = clk.NewEvent()
+	k.spaceGate = clk.NewSemaphore(1)
 	k.fs.SetReleaseHook(k.kvReleased)
 	if cfg.Disk.Bytes > 0 {
 		vfs := cfg.Disk.FS
@@ -465,38 +469,25 @@ func (k *Kernel) CheckpointKV() (files int, err error) {
 	return files, k.disk.Commit()
 }
 
-// reclaimAttempts bounds the ErrNoSpace reclaim-retry loop. It is kept
-// short deliberately: withReclaim runs with the caller's file pinned, so
-// when nothing is evictable the caller should fail fast and break the
-// hold-and-wait through self-preemption (see Ctx.PredModel) rather than
-// wait here holding residency.
-const (
-	reclaimAttempts = 4
-	reclaimWait     = time.Millisecond
-)
-
 // withReclaim runs op, and if it fails with KV-cache OOM while the KV
-// memory daemon is enabled, reclaims cold files and retries. This is
-// what makes GPU memory exhaustion invisible to programs on a
-// daemon-managed kernel: allocations transparently evict instead of
-// failing. Without a daemon, op's error surfaces unchanged (the
-// mechanism-only behaviour programs like retryNoSpace build on).
+// memory daemon is enabled, reclaims cold files and, if that freed any
+// GPU space, runs it once more. This is what makes GPU memory exhaustion
+// invisible to programs on a daemon-managed kernel: allocations
+// transparently evict instead of failing. It never waits — the caller's
+// file is pinned here, so when nothing is evictable the pred at the head
+// of the space gate breaks the standoff instead (see Ctx.pred) — so the
+// scheduler's resume hook calls it on the replica actor too. Without a
+// daemon, op's error surfaces unchanged (the mechanism-only behaviour
+// programs like retryNoSpace build on).
 func (k *Kernel) withReclaim(need int, op func() error) error {
 	err := op()
-	if !k.kvd.Enabled() {
+	if !k.kvd.Enabled() || !errors.Is(err, kvfs.ErrNoSpace) {
 		return err
 	}
-	for attempt := 0; errors.Is(err, kvfs.ErrNoSpace) && attempt < reclaimAttempts; attempt++ {
-		if freed := k.kvd.Reclaim(need); freed == 0 {
-			// Nothing evictable right now (all pinned, locked, or
-			// shared): wait for someone to free pages, then retry.
-			if _, werr := k.spaceEvent().WaitFor(reclaimWait); werr != nil {
-				return werr
-			}
-		}
-		err = op()
+	if k.kvd.Reclaim(need) == 0 {
+		return err
 	}
-	return err
+	return op()
 }
 
 // Model returns the named model, or the default one for name "".

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -288,5 +289,105 @@ func TestPreemptedPredResumeBillsPromotion(t *testing.T) {
 				t.Fatalf("ledger %+v does not account for %d tokens at %v", l, n, tc.bill)
 			}
 		})
+	}
+}
+
+// TestPreemptedPredResumesResidentOnFullTier: the scheduler's resume hook
+// reclaims like every other allocation path. A batch pred sits preempted
+// by interactive load; meanwhile a bystander offloads its file and fills
+// the GPU tier with cold, unpinned KV. On resume the hook must evict the
+// cold files and bring the batch file back whole, not leave part of it
+// off the GPU for the step that reads it.
+func TestPreemptedPredResumesResidentOnFullTier(t *testing.T) {
+	const n = 96
+	clk := simclock.New()
+	bpt := model.A100Llama13B().KVBytesPerToken
+	k := New(clk, Config{
+		Models: map[string]*model.Model{"llama-13b": model.New(model.Llama13B())},
+		FS: kvfs.Config{
+			PageTokens:    16,
+			GPUBytes:      1024 * bpt,
+			HostBytes:     1024 * bpt * 16,
+			BytesPerToken: bpt,
+		},
+		KV:             kvd.Config{Policy: "lru"},
+		PriorityPolicy: &sched.Lanes{SliceTokens: 16, MaxStepTokens: 16, AgeAfter: -1},
+	})
+	var batchFile *kvfs.File
+	filled, resident := false, false
+	drive(t, clk, func() {
+		batch := k.SubmitWith("batch", func(ctx *Ctx) error {
+			f, err := ctx.KvAnon()
+			if err != nil {
+				return err
+			}
+			batchFile = f
+			defer f.Remove()
+			toks, pos := make([]token.ID, n), make([]int, n)
+			for i := range toks {
+				toks[i], pos[i] = token.ID(i+10), i
+			}
+			if _, err := ctx.Pred(f, toks, pos); err != nil {
+				return err
+			}
+			resident = f.GPUResident()
+			return nil
+		}, SubmitOptions{Priority: sched.Batch})
+		inter := k.SubmitWith("inter", func(ctx *Ctx) error {
+			f, err := ctx.KvAnon()
+			if err != nil {
+				return err
+			}
+			defer f.Remove()
+			if err := ctx.Sleep(30 * time.Millisecond); err != nil {
+				return err
+			}
+			// One call: no later allocation of its own may reclaim for the
+			// batch file before the resume hook runs.
+			_, err = ctx.Pred(f, []token.ID{500}, []int{0})
+			return err
+		}, SubmitOptions{Priority: sched.Interactive})
+		// The bystander acts the first time it finds the batch file
+		// preempted (submitted, unfinished, unpinned): it offloads the file,
+		// then appends cold KV to a file of its own, outside any pred, until
+		// the GPU tier refuses another page.
+		fill := k.Submit("fill", func(ctx *Ctx) error {
+			for !filled && !batch.Done() {
+				if batchFile != nil && batchFile.Len() == n && k.KVD().Pins(batchFile) == 0 {
+					filled = true
+					if k.KVD().Reclaim(1) != n || batchFile.GPUResident() {
+						t.Errorf("reclaim did not take the batch file")
+					}
+					cold, err := ctx.KvAnon()
+					if err != nil {
+						return err
+					}
+					for err == nil {
+						_, err = cold.Append([]token.ID{1}, []int{cold.Len()})
+					}
+					if !errors.Is(err, kvfs.ErrNoSpace) {
+						return err
+					}
+				}
+				if err := ctx.Sleep(time.Millisecond); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		for name, p := range map[string]*Process{"batch": batch, "interactive": inter, "fill": fill} {
+			if err := p.Wait(); err != nil {
+				t.Errorf("%s process: %v", name, err)
+			}
+		}
+	})
+	if !filled {
+		t.Fatal("batch pred was never found preempted")
+	}
+	if st := k.Stats(); st.Sched.Preemptions == 0 || st.Sched.ExecutedTokens != st.Sched.Tokens {
+		t.Fatalf("preemptions %d, executed %d of %d tokens", st.Sched.Preemptions, st.Sched.ExecutedTokens, st.Sched.Tokens)
+	}
+	if !resident {
+		t.Fatal("the batch pred resumed with part of its file off the GPU")
 	}
 }
