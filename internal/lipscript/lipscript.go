@@ -110,6 +110,9 @@ func (s *Script) Validate() error {
 	if _, err := sched.ParsePriority(s.Priority); err != nil {
 		return fmt.Errorf("lipscript: %w", err)
 	}
+	if s.Budget < 0 {
+		return fmt.Errorf("lipscript: budget must not be negative")
+	}
 	sessions := map[string]bool{}
 	for i, st := range s.Steps {
 		fail := func(msg string) error {
@@ -143,10 +146,17 @@ func (s *Script) Validate() error {
 				return fail("fork source not defined")
 			}
 			sessions[st.S] = true
-		case OpLock, OpUnlock, OpRemove:
+		case OpLock, OpUnlock:
 			if err := needSession(); err != nil {
 				return err
 			}
+		case OpRemove:
+			if err := needSession(); err != nil {
+				return err
+			}
+			// The interpreter drops the session with its file: a later
+			// step must define the name again before it uses it.
+			delete(sessions, st.S)
 		case OpPrefill, OpPrefillIfEmpty:
 			if err := needSession(); err != nil {
 				return err
@@ -160,6 +170,9 @@ func (s *Script) Validate() error {
 			}
 			if st.MaxTokens <= 0 {
 				return fail("max_tokens must be positive")
+			}
+			if st.Temperature < 0 {
+				return fail("temperature must not be negative")
 			}
 		case OpCall:
 			if st.Tool == "" {

@@ -83,6 +83,38 @@ func TestParseValidation(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsAtParse: a script that would fail at run time on
+// a removed session, or whose budget or temperature is negative, is a
+// validation error naming the offending step (or the script's budget),
+// never a run-time panic or a silent default.
+func TestValidateRejectsAtParse(t *testing.T) {
+	const removed = `{"op":"anon","s":"a"},{"op":"remove","s":"a"}`
+	for _, tc := range []struct {
+		name, script, want string
+	}{
+		{"prefill removed", `{"steps":[` + removed + `,{"op":"prefill","s":"a","text":"hi"}]}`, "step 2 (prefill): session not defined"},
+		{"fork removed", `{"steps":[` + removed + `,{"op":"fork","s":"b","from":"a"}]}`, "step 2 (fork): fork source not defined"},
+		{"lock removed", `{"steps":[` + removed + `,{"op":"lock","s":"a"}]}`, "step 2 (lock): session not defined"},
+		{"generate removed", `{"steps":[` + removed + `,{"op":"generate","s":"a","max_tokens":4}]}`, "step 2 (generate): session not defined"},
+		{"link removed", `{"steps":[` + removed + `,{"op":"link","s":"a","path":"p"}]}`, "step 2 (link): session not defined"},
+		{"remove removed", `{"steps":[` + removed + `,{"op":"remove","s":"a"}]}`, "step 2 (remove): session not defined"},
+		{"negative budget", `{"budget":-1,"steps":[{"op":"emit","text":"x"}]}`, "budget must not be negative"},
+		{"negative temperature", `{"steps":[{"op":"anon","s":"a"},{"op":"generate","s":"a","max_tokens":4,"temperature":-0.5}]}`, "step 1 (generate): temperature must not be negative"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := Parse([]byte(tc.script))
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Parse = %v, want an error containing %q", err, tc.want)
+			}
+		})
+	}
+	// A removed name defined again is a new session.
+	again := `{"steps":[` + removed + `,{"op":"anon","s":"a"},{"op":"prefill","s":"a","text":"hi"}]}`
+	if _, err := Parse([]byte(again)); err != nil {
+		t.Fatalf("rejected a session defined again after remove: %v", err)
+	}
+}
+
 func TestScriptMatchesNativeLIP(t *testing.T) {
 	// The declarative agent must produce the same output as the same
 	// program written natively against the syscall API.

@@ -490,6 +490,11 @@ func TestV2TypedErrors(t *testing.T) {
 	expect(resp, http.StatusBadRequest, CodeValidation)
 	resp, _ = http.Post(ts.URL+"/v1/programs", "application/json", strings.NewReader(`"a string"`))
 	expect(resp, http.StatusBadRequest, CodeValidation)
+	// A step on a session an earlier step removed fails validation, not
+	// the run.
+	resp, _ = http.Post(ts.URL+"/v2/programs", "application/json", strings.NewReader(
+		`{"steps":[{"op":"anon","s":"a"},{"op":"remove","s":"a"},{"op":"prefill","s":"a","text":"hi"}]}`))
+	expect(resp, http.StatusBadRequest, CodeValidation)
 
 	// Bodies over the cap: payload_too_large.
 	big := `{"steps":[{"op":"emit","text":"` + strings.Repeat("x", 2048) + `"}]}`
