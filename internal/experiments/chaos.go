@@ -80,20 +80,15 @@ func DefaultChaos() ChaosConfig {
 
 // QuickChaos returns a reduced sweep for -quick and the test suite.
 func QuickChaos() ChaosConfig {
-	return ChaosConfig{
-		Replicas:          4,
-		Cells:             DefaultChaosCells,
-		Families:          6,
-		ClientsPerFamily:  2,
-		RequestsPerClient: 2,
-		PrefixTokens:      256,
-		SuffixTokens:      96,
-		DecodeTokens:      4,
-		Checkpoints:       3,
-		CheckpointEvery:   7 * time.Millisecond,
-		DiskGB:            16,
-		Seed:              1,
-	}
+	c := DefaultChaos()
+	c.Families = 6
+	c.RequestsPerClient = 2
+	c.PrefixTokens = 256
+	c.SuffixTokens = 96
+	c.DecodeTokens = 4
+	c.Checkpoints = 3
+	c.CheckpointEvery = 7 * time.Millisecond
+	return c
 }
 
 // ChaosPoint is one fault plan's measurement on the seeded workload.

@@ -67,17 +67,11 @@ func DefaultMigrate() MigrateConfig {
 
 // QuickMigrate returns a reduced sweep for -quick and the test suite.
 func QuickMigrate() MigrateConfig {
-	return MigrateConfig{
-		Replicas:          4,
-		Dispatchers:       []string{"cache-affinity", "cache-affinity-migrate"},
-		Families:          8,
-		ClientsPerFamily:  2,
-		RequestsPerClient: 3,
-		PrefixTokens:      384,
-		SuffixTokens:      192,
-		DecodeTokens:      4,
-		Seed:              1,
-	}
+	c := DefaultMigrate()
+	c.RequestsPerClient = 3
+	c.PrefixTokens = 384
+	c.DecodeTokens = 4
+	return c
 }
 
 // MigratePoint is one dispatcher's measurement on the skewed workload.

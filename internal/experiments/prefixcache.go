@@ -51,14 +51,11 @@ func DefaultPrefixCache() PrefixCacheConfig {
 // QuickPrefixCache returns a reduced sweep for -quick and the test
 // suite.
 func QuickPrefixCache() PrefixCacheConfig {
-	return PrefixCacheConfig{
-		Tenants:        4,
-		JobsPerTenant:  8,
-		PreambleTokens: 512,
-		SuffixTokens:   64,
-		DecodeTokens:   4,
-		Seed:           1,
-	}
+	c := DefaultPrefixCache()
+	c.Tenants = 4
+	c.PreambleTokens = 512
+	c.DecodeTokens = 4
+	return c
 }
 
 // prefixCacheCells names the sweep's kernel configurations in

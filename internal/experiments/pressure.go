@@ -73,17 +73,13 @@ func DefaultPressure() PressureConfig {
 
 // QuickPressure returns a reduced sweep for -quick and the test suite.
 func QuickPressure() PressureConfig {
-	return PressureConfig{
-		Policies:      kvd.PolicyNames(),
-		Oversub:       []float64{3},
-		GPUTokens:     2048,
-		Clients:       8,
-		Rounds:        4,
-		ConvTokens:    144,
-		ScratchTokens: 48,
-		Think:         120 * time.Millisecond,
-		Seed:          1,
-	}
+	c := DefaultPressure()
+	c.Oversub = []float64{3}
+	c.GPUTokens = 2048
+	c.Clients = 8
+	c.Rounds = 4
+	c.Think = 120 * time.Millisecond
+	return c
 }
 
 // PressurePoint is one (policy, oversubscription) cell's measurement.

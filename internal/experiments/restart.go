@@ -66,15 +66,10 @@ func DefaultRestart() RestartConfig {
 
 // QuickRestart returns a reduced sweep for -quick and the test suite.
 func QuickRestart() RestartConfig {
-	return RestartConfig{
-		Families:     6,
-		PrefixTokens: 768,
-		SuffixTokens: 8,
-		DecodeTokens: 2,
-		DiskGB:       16,
-		Modes:        []string{"recompute", "disk"},
-		Seed:         1,
-	}
+	c := DefaultRestart()
+	c.Families = 6
+	c.PrefixTokens = 768
+	return c
 }
 
 // RestartPoint is one restart mode's measurement.

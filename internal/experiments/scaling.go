@@ -51,15 +51,13 @@ func DefaultScaling() ScalingConfig {
 
 // QuickScaling returns a reduced sweep for -quick and the test suite.
 func QuickScaling() ScalingConfig {
-	return ScalingConfig{
-		Replicas:          []int{1, 4},
-		Dispatcher:        "least-loaded",
-		Clients:           64,
-		RequestsPerClient: 2,
-		PrefillTokens:     192,
-		DecodeTokens:      16,
-		Seed:              1,
-	}
+	c := DefaultScaling()
+	c.Replicas = []int{1, 4}
+	c.Clients = 64
+	c.RequestsPerClient = 2
+	c.PrefillTokens = 192
+	c.DecodeTokens = 16
+	return c
 }
 
 // ScalingPoint is one replica count's measurement.
