@@ -357,6 +357,53 @@ func TestToolCallChargesLatencyAndOffloads(t *testing.T) {
 	}
 }
 
+// TestToolWaitSkipsFileASiblingPredHolds: the tool-wait offload moves
+// only files no in-flight call has pinned. A sibling thread's pred holds
+// the parent's file across the parent's 300 ms tool call, so the file
+// stays on the GPU under the pred that is reading it.
+func TestToolWaitSkipsFileASiblingPredHolds(t *testing.T) {
+	clk, k := newKernel()
+	k.RegisterTool("slow", Tool{Latency: 300 * time.Millisecond})
+	var err error
+	drive(t, clk, func() {
+		p := k.Submit("u", func(ctx *Ctx) error {
+			f, err := ctx.KvAnon()
+			if err != nil {
+				return err
+			}
+			toks := make([]token.ID, 4096)
+			pos := make([]int, len(toks))
+			for i := range toks {
+				toks[i], pos[i] = token.ID(100+i), i
+			}
+			sibling, err := ctx.Spawn(func(tc *Ctx) error {
+				_, err := tc.Pred(f, toks, pos)
+				return err
+			})
+			if err != nil {
+				return err
+			}
+			if err := ctx.Sleep(time.Millisecond); err != nil {
+				return err
+			}
+			if f.Pins() == 0 {
+				return errors.New("the sibling's pred is not in flight at the tool call")
+			}
+			if _, err := ctx.Call("slow", ""); err != nil {
+				return err
+			}
+			if !f.GPUResident() {
+				return errors.New("tool wait offloaded a file a sibling's pred held")
+			}
+			return sibling.Join()
+		})
+		err = p.Wait()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestShortToolCallSkipsOffload(t *testing.T) {
 	clk, k := newKernel()
 	k.RegisterTool("fast", Tool{Latency: time.Millisecond})

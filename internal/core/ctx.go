@@ -143,8 +143,8 @@ func (c *Ctx) KvFork(f *kvfs.File) (*kvfs.File, error) {
 	}
 	k := c.p.k
 	k.kvCalls.Inc()
-	k.kvd.Pin(f)
-	defer k.kvd.Unpin(f)
+	f.Pin()
+	defer f.Unpin()
 	// Forking needs the parent on the GPU; there is no pred to fold a
 	// recompute into, so disk pages are loaded, never recomputed.
 	if _, err := c.ensureResident(f, k.models[k.defMod].Config().Cost, false); err != nil {
@@ -166,8 +166,8 @@ func (c *Ctx) KvExtract(f *kvfs.File, indices []int) (*kvfs.File, error) {
 	}
 	k := c.p.k
 	k.kvCalls.Inc()
-	k.kvd.Pin(f)
-	defer k.kvd.Unpin(f)
+	f.Pin()
+	defer f.Unpin()
 	k.kvd.Touch(f)
 	var child *kvfs.File
 	err := k.withReclaim(len(indices), func() error {
@@ -191,8 +191,8 @@ func (c *Ctx) KvMerge(files ...*kvfs.File) (*kvfs.File, error) {
 	k.kvCalls.Inc()
 	need := 0
 	for _, f := range files {
-		k.kvd.Pin(f)
-		defer k.kvd.Unpin(f)
+		f.Pin()
+		defer f.Unpin()
 		k.kvd.Touch(f)
 		need += f.Len()
 	}
@@ -384,9 +384,9 @@ func (c *Ctx) pred(modelName string, f *kvfs.File, toks []token.ID, positions []
 	// Radix prefix cache (prefixcache.go): a fresh prefill whose prompt
 	// starts at position zero is matched against the kernel's tree of
 	// committed prefixes. On a hit the deepest cached node is attached by
-	// COW share — the node file held under a reader and a pin so neither
-	// eviction nor the memory daemon can reclaim it mid-attach — and only
-	// the uncached tail is appended and submitted. A disk-resident match
+	// COW share — the node file pinned by the match so neither eviction
+	// nor a tier move can take it mid-attach — and only the uncached
+	// tail is appended and submitted. A disk-resident match
 	// pays the usual promote-vs-recompute decision here, folding any
 	// recompute tokens into the call's batch entry.
 	cacheable := k.pcache != nil && !decode && f.Len() == 0 &&
@@ -395,25 +395,22 @@ func (c *Ctx) pred(modelName string, f *kvfs.File, toks []token.ID, positions []
 	attached := 0
 	if cacheable {
 		if n, depth := k.pcache.match(toks); n != nil {
-			k.kvd.Pin(n.file)
 			k.kvd.Touch(n.file)
 			if _, rerr := c.ensureResident(n.file, m.Config().Cost, true); rerr != nil {
 				// Cannot bring the cached prefix back: treat as a miss.
-				k.kvd.Unpin(n.file)
 				k.pcache.release(n)
 			} else {
 				pnode, attached = n, depth
-				defer k.kvd.Unpin(n.file)
 				defer k.pcache.release(n)
 			}
 		}
 	}
 
 	// predAlloc is the memory-acquisition phase of the call: with the
-	// file pinned (the daemon never offloads KV an in-flight pred is
-	// using), restore it if a tool wait or the daemon offloaded it, then
-	// append the new tokens, reclaiming cold files on allocation
-	// failure. On success the pin is retained — the GPU step still
+	// file pinned (no tier move takes a pinned file's pages down, and the
+	// migration engine reads the pin as in flight), restore it if a tool
+	// wait or the daemon offloaded it, then append the new tokens,
+	// reclaiming cold files on allocation failure. On success the pin is retained — the GPU step still
 	// reads these pages — and released after the scheduler returns; on
 	// failure it is released so self-preemption can swap the file out.
 	var tails []model.CtxHash
@@ -421,11 +418,11 @@ func (c *Ctx) pred(modelName string, f *kvfs.File, toks []token.ID, positions []
 	// speculation bitmap's first position draws from it.
 	preTail := f.Tail()
 	predAlloc := func() error {
-		k.kvd.Pin(f)
+		f.Pin()
 		k.kvd.MaybeReclaim()
 		n, err := c.ensureResident(f, m.Config().Cost, !decode)
 		if err != nil {
-			k.kvd.Unpin(f)
+			f.Unpin()
 			return err
 		}
 		extra += n
@@ -446,7 +443,7 @@ func (c *Ctx) pred(modelName string, f *kvfs.File, toks []token.ID, positions []
 			return err
 		})
 		if aerr != nil {
-			k.kvd.Unpin(f)
+			f.Unpin()
 		}
 		return aerr
 	}
@@ -479,7 +476,7 @@ func (c *Ctx) pred(modelName string, f *kvfs.File, toks []token.ID, positions []
 	if err != nil {
 		return nil, err
 	}
-	defer k.kvd.Unpin(f)
+	defer f.Unpin()
 	k.predCalls.Inc()
 	k.predTokens.Add(int64(len(toks)))
 
@@ -552,10 +549,10 @@ func (c *Ctx) pred(modelName string, f *kvfs.File, toks []token.ID, positions []
 		cost := m.Config().Cost
 		call.OnPreempt = func(preempted bool) time.Duration {
 			if preempted {
-				k.kvd.Unpin(f)
+				f.Unpin()
 				return 0
 			}
-			k.kvd.Pin(f)
+			f.Pin()
 			if f.GPUResident() {
 				return 0
 			}
@@ -578,10 +575,9 @@ func (c *Ctx) pred(modelName string, f *kvfs.File, toks []token.ID, positions []
 		// Migration-aware dispatch: the engine pins the call to the
 		// family's current home in the prefix directory, moving the prefix
 		// first (interconnect copy or destination recompute, charged here)
-		// when the home is overloaded. beginPred/endPred mark the file in
-		// flight so no concurrent call migrates it from under this one.
-		k.mig.beginPred(f)
-		defer k.mig.endPred(f)
+		// when the home is overloaded. Another call's pin on the file,
+		// beside this call's own, marks it in flight: the engine then
+		// refuses to move it.
 		k.mig.route(c, f, &call, m.Config().Cost)
 	}
 	k.gauge(stateRunning, stateInferWait)
@@ -788,7 +784,8 @@ func (c *Ctx) Call(tool string, args string) (string, error) {
 		// Offload is asynchronous DMA overlapped with the wait; only the
 		// restore on the next Pred costs the thread time. This is a direct
 		// File.Offload, outside the daemon's ledger, on purpose: it must
-		// work with the daemon off.
+		// work with the daemon off. A file a sibling thread's pred has
+		// pinned stays on the GPU.
 		for _, f := range c.tracked {
 			if !f.Removed() {
 				f.Offload() // best effort; host pressure just keeps pages on GPU

@@ -81,7 +81,7 @@ type migrateDecision struct {
 	Threshold float64
 	// Locked / InFlight mark files migration must never touch: an
 	// advisory lock holder may be mutating the file, and another
-	// in-flight pred is appending to it right now.
+	// in-flight call holds it pinned right now.
 	Locked   bool
 	InFlight bool
 	// PressureHigh is true while the KV daemon reports GPU usage at or
@@ -358,8 +358,7 @@ type migrator struct {
 	ic        *netsim.Interconnect
 	threshold float64
 
-	mu       sync.Mutex
-	inflight map[*kvfs.File]int
+	mu sync.Mutex
 	// pendingMove[replica] is the KV tokens of migrations currently in
 	// flight toward that replica. Concurrent placement decisions add it
 	// to the replica's viewed load, so a burst of decisions does not herd
@@ -379,35 +378,8 @@ func newMigrator(k *Kernel, ic *netsim.Interconnect, threshold float64) *migrato
 		k:           k,
 		ic:          ic,
 		threshold:   threshold,
-		inflight:    make(map[*kvfs.File]int),
 		pendingMove: make(map[int]int),
 	}
-}
-
-// beginPred / endPred bracket one pred call's use of f, so the engine
-// can refuse to migrate a file some other call is appending to right
-// now. The tracking is independent of the KV daemon (which may be off).
-func (m *migrator) beginPred(f *kvfs.File) {
-	m.mu.Lock()
-	m.inflight[f]++
-	m.mu.Unlock()
-}
-
-func (m *migrator) endPred(f *kvfs.File) {
-	m.mu.Lock()
-	if m.inflight[f]--; m.inflight[f] <= 0 {
-		delete(m.inflight, f)
-	}
-	m.mu.Unlock()
-}
-
-// otherInFlight reports whether a pred other than the caller's own
-// (which has already passed beginPred) is using f.
-func (m *migrator) otherInFlight(f *kvfs.File) bool {
-	m.mu.Lock()
-	n := m.inflight[f]
-	m.mu.Unlock()
-	return n > 1 || m.k.kvd.Pins(f) > 1
 }
 
 // route places one affinity-carrying pred call: it pins the call to the
@@ -462,7 +434,7 @@ func (m *migrator) route(c *Ctx, f *kvfs.File, call *sched.Call, cost model.Cost
 		RootsAtHome:   rootsAtHome,
 		Threshold:     m.threshold,
 		Locked:        f.LockedBy() != "",
-		InFlight:      m.otherInFlight(f),
+		InFlight:      f.Pins() > 1, // the caller's own pred holds one pin
 		PressureHigh:  m.pressureHigh(),
 		Cooldown:      fam.moved && m.k.clk.Now()-fam.lastMove < migrateCooldown,
 		TransferCost:  m.ic.PageTransferTime(span.Pages, m.k.fs.PageBytes()),

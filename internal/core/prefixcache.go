@@ -24,7 +24,8 @@
 //
 // Eviction and invalidation. A MaxNodes cap evicts idle leaves in
 // least-recent-use order (shared interior pages survive removal via
-// refcounts); a node is never evicted while a reader holds it mid-attach.
+// refcounts); a node is never evicted while a pred holds its file pinned
+// mid-attach.
 // The tree holds content only. Where a prefix lives is the kernel's prefix
 // directory's business (migrate.go): each node file is registered there
 // under its prompt family's root, like the family's request files, and
@@ -110,10 +111,6 @@ type prefixNode struct {
 	// a logical-use counter for LRU eviction.
 	seq     int64
 	lastUse int64
-	// readers counts in-flight preds between match and attach completion;
-	// a node with readers is never evicted, and one a crash dropped from
-	// the tree meanwhile keeps its file until the last reader releases it.
-	readers int
 	// children counts direct extensions; only childless nodes (leaves)
 	// are cap-evictable.
 	children int
@@ -164,9 +161,11 @@ func newPrefixCache(k *Kernel, cfg PrefixConfig) *prefixCache {
 }
 
 // match walks the prompt's chunk boundaries and returns the deepest
-// cached node, with a reader hold the caller must release. The walk caps
-// at len(toks)-1: a pred must always prefill at least one token. Returns
-// (nil, 0) on a miss.
+// cached node with its file pinned, a hold the caller must release. A
+// node whose file is pinned is never evicted, and one a crash dropped
+// from the tree meanwhile keeps its file until the last pin is released.
+// The walk caps at len(toks)-1: a pred must always prefill at least one
+// token. Returns (nil, 0) on a miss.
 func (pc *prefixCache) match(toks []token.ID) (*prefixNode, int) {
 	if pc == nil {
 		return nil, 0
@@ -189,24 +188,23 @@ func (pc *prefixCache) match(toks []token.ID) (*prefixNode, int) {
 	if best == nil {
 		return nil, 0
 	}
-	best.readers++
+	best.file.Pin()
 	pc.useSeq++
 	best.lastUse = pc.useSeq
 	return best, best.depth
 }
 
-// release drops a reader hold acquired by match. The last reader of a
-// node that left the tree meanwhile (its family's home crashed; eviction
-// never takes a held node) removes the node's file.
+// release drops the pin match took. The last holder of a node that left
+// the tree meanwhile (its family's home crashed; eviction never takes a
+// held node) removes the node's file. Node files are pinned and unpinned
+// only under pc.mu, so the count read here is the tree's own.
 func (pc *prefixCache) release(n *prefixNode) {
 	if pc == nil || n == nil {
 		return
 	}
 	pc.mu.Lock()
-	if n.readers > 0 {
-		n.readers--
-	}
-	last := n.readers == 0 && pc.nodes[n.tail] != n
+	n.file.Unpin()
+	last := n.file.Pins() == 0 && pc.nodes[n.tail] != n
 	pc.mu.Unlock()
 	if last {
 		n.file.Remove()
@@ -294,7 +292,7 @@ func (pc *prefixCache) insert(f *kvfs.File, toks []token.ID) {
 	}
 }
 
-// evictOverCapLocked drops idle leaves (no children, no readers), least
+// evictOverCapLocked drops idle leaves (no children, file unpinned), least
 // recently used first, until the tree fits maxNodes, returning the files
 // to remove. Evicting a leaf may expose its parent as the next victim, so
 // it sweeps to a fixpoint. Caller holds pc.mu.
@@ -303,7 +301,7 @@ func (pc *prefixCache) evictOverCapLocked() []*kvfs.File {
 	for len(pc.nodes) > pc.maxNodes {
 		var leaves []*prefixNode
 		for _, n := range pc.nodes {
-			if n.children == 0 && n.readers == 0 {
+			if n.children == 0 && n.file.Pins() == 0 {
 				leaves = append(leaves, n)
 			}
 		}
@@ -339,8 +337,8 @@ func (pc *prefixCache) evictOverCapLocked() []*kvfs.File {
 // directory just dropped (their home replica crash-restarted). A family is
 // whole subtrees — a child extends its parent's tokens, so it has the
 // parent's root — and no node is left dangling below a missing parent.
-// Idle nodes' files are removed here; a reader-held node's is mid-attach
-// and goes at release.
+// Idle nodes' files are removed here; a pinned node's is mid-attach and
+// goes at release.
 func (pc *prefixCache) dropFamilies(roots map[model.CtxHash]bool) {
 	if pc == nil || len(roots) == 0 {
 		return
@@ -357,7 +355,7 @@ func (pc *prefixCache) dropFamilies(roots map[model.CtxHash]bool) {
 	for _, n := range victims {
 		delete(pc.nodes, n.tail)
 		pc.st.Invalidations++
-		if n.readers == 0 {
+		if n.file.Pins() == 0 {
 			idle = append(idle, n.file)
 		}
 	}

@@ -123,8 +123,9 @@ func TestShutdownDuringSpaceWaitIsNotErrNoSpace(t *testing.T) {
 			_, predErr = prefillAnon(ctx, 16)
 			return predErr
 		})
-		// Every instant from here on finds the waiter parked on the
-		// space event, in withReclaim or in the self-preemption loop.
+		// Every instant from here on finds the waiter holding the space
+		// gate, parked on the space event between self-preemption
+		// retries.
 		if err := clk.Sleep(50 * time.Millisecond); err != nil {
 			t.Errorf("driver sleep: %v", err)
 		}
@@ -280,7 +281,7 @@ func TestCancelQueuedAtSpaceGate(t *testing.T) {
 	if !errors.Is(secondErr, ErrCancelled) || errors.Is(secondErr, kvfs.ErrNoSpace) {
 		t.Fatalf("cancelled pred returned %v, want ErrCancelled and not kvfs.ErrNoSpace", secondErr)
 	}
-	if n := k.KVD().Pins(secondFile); n != 0 {
+	if n := secondFile.Pins(); n != 0 {
 		t.Fatalf("cancelled pred left %d pins on its file", n)
 	}
 	if !gateFree {

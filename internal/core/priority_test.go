@@ -208,7 +208,7 @@ func TestPreemptedPredResumeBillsPromotion(t *testing.T) {
 			}, SubmitOptions{Priority: sched.Interactive})
 			watch := k.Submit("watch", func(ctx *Ctx) error {
 				for !evicted && !batch.Done() {
-					if batchFile != nil && batchFile.Len() == n && k.KVD().Pins(batchFile) == 0 {
+					if batchFile != nil && batchFile.Len() == n && batchFile.Pins() == 0 {
 						evicted = true
 						evict(k, batchFile)
 					}
@@ -353,7 +353,7 @@ func TestPreemptedPredResumesResidentOnFullTier(t *testing.T) {
 		// the GPU tier refuses another page.
 		fill := k.Submit("fill", func(ctx *Ctx) error {
 			for !filled && !batch.Done() {
-				if batchFile != nil && batchFile.Len() == n && k.KVD().Pins(batchFile) == 0 {
+				if batchFile != nil && batchFile.Len() == n && batchFile.Pins() == 0 {
 					filled = true
 					if k.KVD().Reclaim(1) != n || batchFile.GPUResident() {
 						t.Errorf("reclaim did not take the batch file")

@@ -23,12 +23,14 @@
 // The daemon runs inline on kernel allocation paths rather than as a
 // polling actor: a periodic timer would keep the virtual clock from ever
 // quiescing, and allocation time is exactly when pressure changes. Safety
-// invariants: a file that is advisory-locked, pinned by an in-flight
-// pred, or merely opened by another program (untracked) is never
-// offloaded.
+// invariants: a file that is advisory-locked, or merely opened by another
+// program (untracked), is never offloaded; a file an in-flight call has
+// pinned (kvfs.File.Pin) is not a candidate, and KVFS itself refuses to
+// move its pages down a tier, so no offload, swap or spill touches it.
 package kvd
 
 import (
+	"errors"
 	"sort"
 	"sync"
 	"time"
@@ -174,7 +176,6 @@ type entry struct {
 
 	lastAccess time.Duration
 	accesses   int64
-	pins       int
 	// offloadReason is "policy" or "swap" while the daemon has moved the
 	// file off the GPU and has not yet seen it restored, so each restore
 	// is attributed to the decision that caused it; "" otherwise.
@@ -382,46 +383,6 @@ func (d *Daemon) ReleaseProcess(pid int) {
 	}
 }
 
-// Pin marks a file in-flight (a pred is using it); pinned files are
-// never offloaded. Pins nest.
-func (d *Daemon) Pin(f *kvfs.File) {
-	if d == nil {
-		return
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if e, ok := d.entries[f]; ok {
-		e.pins++
-	}
-}
-
-// Unpin releases a Pin.
-func (d *Daemon) Unpin(f *kvfs.File) {
-	if d == nil {
-		return
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if e, ok := d.entries[f]; ok && e.pins > 0 {
-		e.pins--
-	}
-}
-
-// Pins reports the file's current in-flight pin count (0 for files the
-// daemon does not track). The migration engine uses it to refuse moving
-// a file another pred is using right now.
-func (d *Daemon) Pins(f *kvfs.File) int {
-	if d == nil {
-		return 0
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if e, ok := d.entries[f]; ok {
-		return e.pins
-	}
-	return 0
-}
-
 // NoteMigrate records a cross-replica migration in the daemon ledger:
 // tokens of KV copied over the interconnect in cost fabric time, with
 // the source replica's pages freed once the copy landed. The owning
@@ -565,12 +526,17 @@ func (d *Daemon) demote(r rung, needTokens int) int {
 			break
 		}
 		e := d.entries[cands[i].File]
-		n := d.demoteFileLocked(r, e)
-		if n == 0 {
-			continue // nothing demotable, or the tier below is full: try the next one
+		n, err := d.demoteFileLocked(r, e)
+		if n > 0 {
+			freed += n
+			fired = append(fired, moved{e.notify, n})
 		}
-		freed += n
-		fired = append(fired, moved{e.notify, n})
+		if r.from == kvfs.GPU && errors.Is(err, kvfs.ErrNoHost) {
+			// Nothing frees host pages during the pass, so every later
+			// offload would fail on its first page. A spill goes on: the
+			// disk tier reserves per file, and a smaller one may fit.
+			break
+		}
 	}
 	if r.from == kvfs.GPU && freed > 0 {
 		d.st.Reclaims++
@@ -586,19 +552,20 @@ func (d *Daemon) demote(r rung, needTokens int) int {
 // move — the one place the offload and spill ledgers are bumped. A GPU
 // offload that stops part-way on a full host tier still counts for what
 // it moved; a spill the disk tier refuses moves nothing. Returns the
-// tokens moved. Caller holds d.mu (and, for a spill, has checked d.disk).
-func (d *Daemon) demoteFileLocked(r rung, e *entry) (n int) {
+// tokens moved and the move's error. Caller holds d.mu (and, for a spill,
+// has checked d.disk).
+func (d *Daemon) demoteFileLocked(r rung, e *entry) (n int, err error) {
 	if r.from == kvfs.GPU {
-		if n, _ = e.f.Offload(); n > 0 {
+		if n, err = e.f.Offload(); n > 0 {
 			d.st.Offloads++
 			d.st.OffloadedTokens += int64(n)
 			e.offloadReason = r.reason
 		}
-	} else if n, _ = d.disk.Spill(e.f); n > 0 {
+	} else if n, err = d.disk.Spill(e.f); n > 0 {
 		d.st.Spills++
 		d.st.SpilledTokens += int64(n)
 	}
-	return n
+	return n, err
 }
 
 // candidatesLocked snapshots the files rung r may demote: tracked, not
@@ -617,7 +584,7 @@ func (d *Daemon) candidatesLocked(r rung) []FileInfo {
 			delete(d.entries, f)
 			continue
 		}
-		if e.pins > 0 || f.LockedBy() != "" {
+		if f.Pins() > 0 || f.LockedBy() != "" {
 			continue
 		}
 		tokens, host, _ := f.ResidentTokens()
@@ -666,19 +633,19 @@ func (d *Daemon) maybeSpillHost() {
 // Preempt offloads f immediately on behalf of its own stalled pred
 // (vLLM-style swap-out: a call that cannot get GPU pages gives back its
 // residency, waits, and restores on retry), unless another in-flight
-// call has it pinned or it is advisory-locked. It returns the tokens
-// moved and counts one preemption.
+// call has it pinned (KVFS then moves nothing) or it is advisory-locked.
+// It returns the tokens moved and counts one preemption.
 func (d *Daemon) Preempt(f *kvfs.File) int {
 	if d == nil {
 		return 0
 	}
 	d.mu.Lock()
 	e, ok := d.entries[f]
-	if !ok || e.pins > 0 || f.Removed() || f.LockedBy() != "" {
+	if !ok || f.LockedBy() != "" {
 		d.mu.Unlock()
 		return 0
 	}
-	n := d.demoteFileLocked(swapOffload, e)
+	n, _ := d.demoteFileLocked(swapOffload, e)
 	if n > 0 {
 		d.st.Preemptions++
 	}

@@ -64,8 +64,6 @@ func TestDisabledConfig(t *testing.T) {
 		t.Fatal("nil daemon not inert")
 	}
 	nd.Touch(nil)
-	nd.Pin(nil)
-	nd.Unpin(nil)
 	if st := nd.Stats(); st.Policy != "none" {
 		t.Fatalf("nil daemon policy = %q", st.Policy)
 	}
@@ -175,6 +173,32 @@ func TestMaybeReclaimWatermarks(t *testing.T) {
 	}
 }
 
+// TestReclaimStopsAtFullHostTier: nothing frees host pages inside a
+// reclaim pass, so the pass ends at the first offload the host tier
+// refuses instead of failing once more on every remaining candidate.
+func TestReclaimStopsAtFullHostTier(t *testing.T) {
+	const bpt = 1 << 10
+	fs := kvfs.NewFS(kvfs.Config{
+		PageTokens:    16,
+		GPUBytes:      256 * bpt, // 16 pages
+		HostBytes:     96 * bpt,  // 6 pages
+		BytesPerToken: bpt,
+	})
+	d := newDaemon(t, simclock.New(), fs, kvd.Config{Policy: "lru", HighWater: 0.75, LowWater: 0.5})
+	for i := 0; i < 4; i++ {
+		f := fs.CreateAnon("u")
+		fill(t, f, 64)
+		d.Track(f, 1, nil)
+	}
+	// The first file moves whole, the second part-way; then host is full.
+	if freed := d.Reclaim(1 << 20); freed != 96 {
+		t.Fatalf("freed %d tokens, want the host tier's 96", freed)
+	}
+	if n := fs.Stats().OOMErrors; n != 1 {
+		t.Fatalf("%d refused host allocations, want the one that ended the pass", n)
+	}
+}
+
 func TestLockedPinnedAndUntrackedNeverOffloaded(t *testing.T) {
 	clk := simclock.New()
 	fs := newFS(256)
@@ -190,7 +214,7 @@ func TestLockedPinnedAndUntrackedNeverOffloaded(t *testing.T) {
 	pinned := fs.CreateAnon("u")
 	fill(t, pinned, 64)
 	d.Track(pinned, 1, nil)
-	d.Pin(pinned)
+	pinned.Pin()
 
 	untracked := fs.CreateAnon("u")
 	fill(t, untracked, 64)
@@ -209,9 +233,12 @@ func TestLockedPinnedAndUntrackedNeverOffloaded(t *testing.T) {
 	if cold.GPUResident() {
 		t.Fatal("cold file still resident")
 	}
+	if n := d.Preempt(pinned); n != 0 || !pinned.GPUResident() {
+		t.Fatalf("preempt swapped out %d tokens of a pinned file", n)
+	}
 
 	// Unpinning and unlocking makes both eligible.
-	d.Unpin(pinned)
+	pinned.Unpin()
 	if err := locked.Unlock("u"); err != nil {
 		t.Fatal(err)
 	}

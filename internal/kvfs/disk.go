@@ -144,7 +144,8 @@ func (dt *DiskTier) Put(f *File) error {
 // Spill checkpoints f to the store and demotes its exclusively owned
 // host pages to the disk tier, returning the tokens demoted. This is the
 // host→disk leg of cost-aware demotion: host space is released
-// immediately; durability arrives at the next Commit.
+// immediately; durability arrives at the next Commit. A pinned file is
+// checkpointed but demotes nothing.
 func (dt *DiskTier) Spill(f *File) (tokens int, err error) {
 	if err := dt.Put(f); err != nil {
 		return 0, err

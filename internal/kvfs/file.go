@@ -36,6 +36,8 @@ type File struct {
 	removed bool
 
 	lockedBy string
+	// pins counts in-flight calls using the file (see Pin).
+	pins int
 }
 
 // Owner returns the file's owning user.
@@ -490,6 +492,32 @@ func (f *File) LockedBy() string {
 	return f.lockedBy
 }
 
+// Pin marks the file in use by an in-flight call. A pinned file's pages
+// never move down a tier (see movePages): offload and spill skip it, while
+// restore, append, fork and removal work as usual. Pins nest, and they
+// count whether or not a memory daemon runs.
+func (f *File) Pin() {
+	f.fs.mu.Lock()
+	f.pins++
+	f.fs.mu.Unlock()
+}
+
+// Unpin releases one Pin.
+func (f *File) Unpin() {
+	f.fs.mu.Lock()
+	if f.pins > 0 {
+		f.pins--
+	}
+	f.fs.mu.Unlock()
+}
+
+// Pins reports how many in-flight calls hold the file pinned.
+func (f *File) Pins() int {
+	f.fs.mu.Lock()
+	defer f.fs.mu.Unlock()
+	return f.pins
+}
+
 func (f *File) gpuResidentLocked() bool { return f.offGPU == 0 }
 
 // GPUResident reports whether every page lives on the GPU tier, the
@@ -526,8 +554,10 @@ func (f *File) ResidentTokens() (gpu, host, disk int) {
 // except on the Disk side: the file's snapshot-store record owns the disk
 // reservation for every page of the file (see DiskTier), so a page moving
 // to Disk reserves nothing and a page leaving Disk keeps its durable copy
-// behind. A full destination stops the walk with its error and leaves the
-// file partially moved; the caller may retry after freeing memory.
+// behind. A pinned file moves nothing down a tier (0 tokens, nil error):
+// an in-flight call is using it. A full destination stops the walk with
+// its error and leaves the file partially moved; the caller may retry
+// after freeing memory.
 func (f *File) movePages(from, to Tier, maxTokens int) (tokens int, err error) {
 	fs := f.fs
 	if from == GPU {
@@ -537,6 +567,9 @@ func (f *File) movePages(from, to Tier, maxTokens int) (tokens int, err error) {
 	defer fs.mu.Unlock()
 	if f.removed {
 		return 0, ErrRemoved
+	}
+	if to > from && f.pins > 0 {
+		return 0, nil
 	}
 	offGPU := 0 // what one moved page adds to f.offGPU
 	switch GPU {
@@ -570,7 +603,7 @@ func (f *File) movePages(from, to Tier, maxTokens int) (tokens int, err error) {
 // Offload migrates the file's exclusively owned GPU pages to host memory,
 // returning the number of tokens moved (the caller charges PCIe transfer
 // time for them). Pages shared with other files stay put: another program
-// may be using them.
+// may be using them. A pinned file moves nothing.
 func (f *File) Offload() (tokens int, err error) {
 	return f.movePages(GPU, Host, math.MaxInt)
 }

@@ -16,6 +16,8 @@
 //     *approximations*: the resulting context hash differs from what a full
 //     recompute would produce (see Entry.KV);
 //   - TryLock/Unlock — advisory exclusive locks;
+//   - Pin/Unpin — in-flight use by a call: a pinned file's pages never
+//     move down a tier;
 //   - Offload/Restore — migration between GPU and host tiers while a
 //     program waits on I/O (paper §4.3).
 //
