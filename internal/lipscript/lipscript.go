@@ -17,9 +17,11 @@
 package lipscript
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"strings"
 	"time"
 
@@ -88,13 +90,17 @@ type Script struct {
 	Steps    []Stmt `json:"steps"`
 }
 
-// Parse decodes and validates a JSON script.
+// Parse decodes and validates a JSON script: one object, followed by
+// nothing but whitespace.
 func Parse(data []byte) (*Script, error) {
-	dec := json.NewDecoder(strings.NewReader(string(data)))
+	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	var s Script
 	if err := dec.Decode(&s); err != nil {
 		return nil, fmt.Errorf("lipscript: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("lipscript: trailing data after the script object")
 	}
 	if err := s.Validate(); err != nil {
 		return nil, err

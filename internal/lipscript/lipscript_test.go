@@ -100,6 +100,8 @@ func TestValidateRejectsAtParse(t *testing.T) {
 		{"remove removed", `{"steps":[` + removed + `,{"op":"remove","s":"a"}]}`, "step 2 (remove): session not defined"},
 		{"negative budget", `{"budget":-1,"steps":[{"op":"emit","text":"x"}]}`, "budget must not be negative"},
 		{"negative temperature", `{"steps":[{"op":"anon","s":"a"},{"op":"generate","s":"a","max_tokens":4,"temperature":-0.5}]}`, "step 1 (generate): temperature must not be negative"},
+		{"trailing garbage", `{"steps":[{"op":"emit","text":"x"}]} garbage`, "trailing data"},
+		{"second object", `{"steps":[{"op":"emit","text":"x"}]}{"steps":[]}`, "trailing data"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := Parse([]byte(tc.script))
@@ -112,6 +114,10 @@ func TestValidateRejectsAtParse(t *testing.T) {
 	again := `{"steps":[` + removed + `,{"op":"anon","s":"a"},{"op":"prefill","s":"a","text":"hi"}]}`
 	if _, err := Parse([]byte(again)); err != nil {
 		t.Fatalf("rejected a session defined again after remove: %v", err)
+	}
+	// Whitespace after the object is not trailing data.
+	if _, err := Parse([]byte(`{"steps":[{"op":"emit","text":"x"}]}` + " \n\t")); err != nil {
+		t.Fatalf("rejected trailing whitespace: %v", err)
 	}
 }
 

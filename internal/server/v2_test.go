@@ -495,6 +495,10 @@ func TestV2TypedErrors(t *testing.T) {
 	resp, _ = http.Post(ts.URL+"/v2/programs", "application/json", strings.NewReader(
 		`{"steps":[{"op":"anon","s":"a"},{"op":"remove","s":"a"},{"op":"prefill","s":"a","text":"hi"}]}`))
 	expect(resp, http.StatusBadRequest, CodeValidation)
+	// Anything after the script object but whitespace fails validation.
+	resp, _ = http.Post(ts.URL+"/v2/programs", "application/json", strings.NewReader(
+		`{"steps":[{"op":"emit","text":"x"}]} garbage`))
+	expect(resp, http.StatusBadRequest, CodeValidation)
 
 	// Bodies over the cap: payload_too_large.
 	big := `{"steps":[{"op":"emit","text":"` + strings.Repeat("x", 2048) + `"}]}`

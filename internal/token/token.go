@@ -3,15 +3,19 @@
 //
 // The tokenizer is intentionally simple — maximal runs of letters/digits,
 // runs of whitespace, and single punctuation characters — but it is exactly
-// reversible (Decode(Encode(s)) == s), which the test suite relies on to
-// detect KV-cache corruption: any reuse bug changes the visible context
-// hash, which changes generated tokens, which changes decoded text.
+// reversible on valid UTF-8 (Decode(Encode(s)) == s), which the test suite
+// relies on to detect KV-cache corruption: any reuse bug changes the visible
+// context hash, which changes generated tokens, which changes decoded text.
+// Each byte of s that is not valid UTF-8 encodes as the token "\uFFFD", as
+// []rune(s) reads it, so in general Decode(Encode(s)) == string([]rune(s)).
 package token
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"unicode"
+	"unicode/utf8"
 )
 
 // ID identifies a token within a Vocab. IDs are dense and start at 0 with
@@ -42,10 +46,18 @@ type Vocab struct {
 func NewVocab() *Vocab {
 	v := &Vocab{ids: make(map[string]ID)}
 	for _, s := range []string{"<pad>", "<bos>", "<eos>", "<unk>"} {
-		v.strs = append(v.strs, s)
-		v.ids[s] = ID(len(v.strs) - 1)
+		v.add(s)
 	}
 	return v
+}
+
+// add assigns s the next ID. The caller holds the write lock and has
+// checked that s is absent.
+func (v *Vocab) add(s string) ID {
+	v.strs = append(v.strs, s)
+	id := ID(len(v.strs) - 1)
+	v.ids[s] = id
+	return id
 }
 
 // Intern returns the ID for s, assigning a fresh one if needed.
@@ -61,10 +73,7 @@ func (v *Vocab) Intern(s string) ID {
 	if id, ok := v.ids[s]; ok {
 		return id
 	}
-	v.strs = append(v.strs, s)
-	id = ID(len(v.strs) - 1)
-	v.ids[s] = id
-	return id
+	return v.add(s)
 }
 
 // Lookup returns the ID for s without interning, or Invalid if absent.
@@ -157,21 +166,92 @@ func classify(r rune) runeClass {
 	}
 }
 
+// asciiClass is classify of every ASCII rune.
+var asciiClass = func() (t [utf8.RuneSelf]runeClass) {
+	for r := range t {
+		t[r] = classify(rune(r))
+	}
+	return t
+}()
+
+// classAt classifies the rune at text[i] and returns its width. A byte that
+// is not valid UTF-8 reads as utf8.RuneError of width 1, as in []rune(text).
+func classAt(text string, i int) (runeClass, int) {
+	if b := text[i]; b < utf8.RuneSelf {
+		return asciiClass[b], 1
+	}
+	r, w := utf8.DecodeRuneInString(text[i:])
+	return classify(r), w
+}
+
+// tokenEnd returns the end of the token that starts at text[i]. ASCII runes
+// past the first are classified inline, since classAt does not inline.
+func tokenEnd(text string, i int) int {
+	c, w := classAt(text, i)
+	j := i + w
+	if c == classPunct {
+		return j
+	}
+	for j < len(text) {
+		if b := text[j]; b < utf8.RuneSelf {
+			if asciiClass[b] != c {
+				break
+			}
+			j++
+			continue
+		}
+		cj, wj := classAt(text, j)
+		if cj != c {
+			break
+		}
+		j += wj
+	}
+	return j
+}
+
 // Encode splits text into tokens: maximal word runs, maximal whitespace
 // runs, and single punctuation runes. It never produces special tokens.
+// Every byte that is not valid UTF-8 is a punctuation rune "\uFFFD".
+//
+// It walks text in place and looks each token up without copying it; only
+// a token it interns is cloned, so the vocabulary never holds on to text.
+// The read lock is held for the whole call until the first unknown token,
+// and the write lock from there on.
 func (t *Tokenizer) Encode(text string) []ID {
-	var out []ID
-	runes := []rune(text)
-	for i := 0; i < len(runes); {
-		c := classify(runes[i])
-		j := i + 1
-		if c != classPunct {
-			for j < len(runes) && classify(runes[j]) == c {
-				j++
-			}
+	if text == "" {
+		return nil
+	}
+	n := 0
+	for i := 0; i < len(text); i = tokenEnd(text, i) {
+		n++
+	}
+	out := make([]ID, 0, n)
+	v := t.v
+	v.mu.RLock()
+	writing := false
+	for i := 0; i < len(text); {
+		j := tokenEnd(text, i)
+		s := text[i:j]
+		if j == i+1 && s[0] >= utf8.RuneSelf { // one byte that is not valid UTF-8
+			s = string(utf8.RuneError)
 		}
-		out = append(out, t.v.Intern(string(runes[i:j])))
+		id, ok := v.ids[s]
+		if !ok && !writing {
+			v.mu.RUnlock()
+			v.mu.Lock()
+			writing = true
+			id, ok = v.ids[s]
+		}
+		if !ok {
+			id = v.add(strings.Clone(s))
+		}
+		out = append(out, id)
 		i = j
+	}
+	if writing {
+		v.mu.Unlock()
+	} else {
+		v.mu.RUnlock()
 	}
 	return out
 }
