@@ -49,11 +49,11 @@
 // attach streams to the affected job as a kv_share event.
 //
 // GPU KV memory is managed by the kernel memory daemon: -kv-policy
-// selects the eviction policy (lru, lfu, cost-aware, or none to disable),
-// and reclaim starts at 90% GPU usage. Under pressure the daemon offloads
-// cold KV files to host memory and restores them transparently on
-// access, and a pred that still cannot allocate swaps out its own file
-// and retries instead of failing; daemon counters appear under "kvd" in
+// selects the eviction policy (lru, lfu or cost-aware), and reclaim
+// starts at 90% GPU usage. Under pressure the daemon offloads cold KV
+// files to host memory and restores them transparently on access, and a
+// KV syscall that still cannot allocate swaps out its own files and
+// retries instead of failing; daemon counters appear under "kvd" in
 // /v1/stats and offload/restore events stream to the affected job as
 // kv_pressure events on the v2 SSE surface. The daemon mounts no disk
 // tier: warm restart from durable KV is a property of the kernel
@@ -90,7 +90,7 @@ func main() {
 	dispatch := flag.String("dispatch", "round-robin",
 		"replica dispatch policy ("+strings.Join(sched.DispatcherNames(), "|")+")")
 	kvPolicy := flag.String("kv-policy", "lru",
-		"KV memory daemon eviction policy ("+strings.Join(kvd.PolicyNames(), "|")+"|none)")
+		"KV memory daemon eviction policy ("+strings.Join(kvd.PolicyNames(), "|")+")")
 	prioPolicy := flag.String("priority-policy", "lanes",
 		"GPU iteration ordering policy ("+strings.Join(sched.PriorityPolicyNames(), "|")+")")
 	prefillChunk := flag.Int("prefill-chunk", 0,
@@ -140,12 +140,10 @@ func main() {
 		}
 	}
 	cfg := core.DefaultConfig()
-	cfg.KV = kvd.Config{Policy: *kvPolicy}
-	if cfg.KV.Enabled() {
-		if _, err := kvd.NewPolicy(*kvPolicy); err != nil {
-			log.Fatalf("%v\nvalid KV policies: %s, none", err, strings.Join(kvd.PolicyNames(), ", "))
-		}
+	if _, err := kvd.NewPolicy(*kvPolicy); err != nil {
+		log.Fatalf("%v\nvalid KV policies: %s", err, strings.Join(kvd.PolicyNames(), ", "))
 	}
+	cfg.KV = kvd.Config{Policy: *kvPolicy}
 	if *specDecode {
 		cfg.Spec = &core.SpecConfig{Draft: "draft-1b"}
 	}

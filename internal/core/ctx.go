@@ -87,13 +87,11 @@ func (c *Ctx) EmitTokens(ids []token.ID) { c.Emit(c.Detokenize(ids)) }
 
 func (c *Ctx) track(f *kvfs.File) *kvfs.File {
 	c.tracked = append(c.tracked, f)
-	if k := c.p.k; k.kvd.Enabled() {
-		p := c.p
-		k.kvd.Track(f, p.pid, func(ev kvd.Event) {
-			p.publish(ProcEvent{Kind: EventKVPressure, Phase: ev.Phase,
-				Text: fmt.Sprintf("%d tokens, policy %s", ev.Tokens, ev.Policy)})
-		})
-	}
+	p := c.p
+	p.k.kvd.Track(f, p.pid, func(ev kvd.Event) {
+		p.publish(ProcEvent{Kind: EventKVPressure, Phase: ev.Phase,
+			Text: fmt.Sprintf("%d tokens, policy %s", ev.Tokens, ev.Policy)})
+	})
 	return f
 }
 
@@ -131,9 +129,10 @@ func (c *Ctx) KvOpen(path string, write bool) (*kvfs.File, error) {
 }
 
 // KvFork clones f copy-on-write (Figure 2's kv_fork). Forking requires
-// read access: the clone carries the original's content. On a kernel
-// with a KV memory daemon, a parent the daemon offloaded is restored
-// transparently first (forking pins shared pages to the GPU tier).
+// read access: the clone carries the original's content. A parent the
+// memory daemon or a tool wait offloaded is restored transparently first
+// (forking pins shared pages to the GPU tier), waiting at the space gate
+// if the GPU tier is full.
 func (c *Ctx) KvFork(f *kvfs.File) (*kvfs.File, error) {
 	if err := c.p.checkLive(); err != nil {
 		return nil, err
@@ -143,13 +142,17 @@ func (c *Ctx) KvFork(f *kvfs.File) (*kvfs.File, error) {
 	}
 	k := c.p.k
 	k.kvCalls.Inc()
-	f.Pin()
-	defer f.Unpin()
 	// Forking needs the parent on the GPU; there is no pred to fold a
 	// recompute into, so disk pages are loaded, never recomputed.
-	if _, err := c.ensureResident(f, k.models[k.defMod].Config().Cost, false); err != nil {
+	cost := k.models[k.defMod].Config().Cost
+	err := c.allocUnderPressure([]*kvfs.File{f}, func() error {
+		_, err := c.ensureResident(f, cost, false)
+		return err
+	})
+	if err != nil {
 		return nil, err
 	}
+	defer f.Unpin()
 	k.kvd.Touch(f)
 	child, err := f.Fork(c.p.user)
 	if err != nil {
@@ -159,30 +162,23 @@ func (c *Ctx) KvFork(f *kvfs.File) (*kvfs.File, error) {
 }
 
 // KvExtract builds a new file from selected token indices of f. The new
-// file's page allocation reclaims cold files under a KV memory daemon.
+// file's page allocation reclaims cold files and, if the GPU tier is
+// still full, waits at the space gate.
 func (c *Ctx) KvExtract(f *kvfs.File, indices []int) (*kvfs.File, error) {
 	if err := c.p.checkLive(); err != nil {
 		return nil, err
 	}
 	k := c.p.k
 	k.kvCalls.Inc()
-	f.Pin()
-	defer f.Unpin()
 	k.kvd.Touch(f)
-	var child *kvfs.File
-	err := k.withReclaim(len(indices), func() error {
-		var xerr error
-		child, xerr = f.Extract(c.p.user, indices)
-		return xerr
+	return c.build([]*kvfs.File{f}, len(indices), func() (*kvfs.File, error) {
+		return f.Extract(c.p.user, indices)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return c.track(child), nil
 }
 
 // KvMerge concatenates files into a new one. The new file's page
-// allocation reclaims cold files under a KV memory daemon.
+// allocation reclaims cold files and, if the GPU tier is still full,
+// waits at the space gate.
 func (c *Ctx) KvMerge(files ...*kvfs.File) (*kvfs.File, error) {
 	if err := c.p.checkLive(); err != nil {
 		return nil, err
@@ -191,20 +187,28 @@ func (c *Ctx) KvMerge(files ...*kvfs.File) (*kvfs.File, error) {
 	k.kvCalls.Inc()
 	need := 0
 	for _, f := range files {
-		f.Pin()
-		defer f.Unpin()
 		k.kvd.Touch(f)
 		need += f.Len()
 	}
+	return c.build(files, need, func() (*kvfs.File, error) {
+		return k.fs.Merge(c.p.user, files...)
+	})
+}
+
+// build makes a new file of need tokens from the sources' entries with
+// op, the sources pinned while it runs, and tracks it.
+func (c *Ctx) build(sources []*kvfs.File, need int, op func() (*kvfs.File, error)) (*kvfs.File, error) {
 	var child *kvfs.File
-	err := k.withReclaim(need, func() error {
-		var merr error
-		child, merr = k.fs.Merge(c.p.user, files...)
-		return merr
+	err := c.allocUnderPressure(sources, func() error {
+		return c.p.k.withReclaim(need, func() (err error) {
+			child, err = op()
+			return err
+		})
 	})
 	if err != nil {
 		return nil, err
 	}
+	unpin(sources)
 	return c.track(child), nil
 }
 
@@ -230,25 +234,6 @@ func (c *Ctx) KvRemove(path string) error {
 func (c *Ctx) KvList(prefix string) []string {
 	c.p.k.kvCalls.Inc()
 	return c.p.k.fs.List(prefix)
-}
-
-// KvWaitSpace parks the thread until some GPU KV memory is freed anywhere
-// in the system, or until maxWait elapses (liveness fallback against
-// missed wakeups). What to do on wake — retry, shed work, give up — is
-// the program's policy; the kernel only provides the signal. It returns
-// immediately if the process is cancelled.
-func (c *Ctx) KvWaitSpace(maxWait time.Duration) error {
-	if err := c.p.checkLive(); err != nil {
-		return err
-	}
-	if maxWait <= 0 {
-		maxWait = 100 * time.Millisecond
-	}
-	_, err := c.p.k.spaceEvent().WaitFor(maxWait)
-	if err != nil {
-		return err
-	}
-	return c.p.checkLive()
 }
 
 // KvLock acquires f's advisory lock, parking until it is free. The lock
@@ -406,23 +391,20 @@ func (c *Ctx) pred(modelName string, f *kvfs.File, toks []token.ID, positions []
 		}
 	}
 
-	// predAlloc is the memory-acquisition phase of the call: with the
-	// file pinned (no tier move takes a pinned file's pages down, and the
-	// migration engine reads the pin as in flight), restore it if a tool
-	// wait or the daemon offloaded it, then append the new tokens,
-	// reclaiming cold files on allocation failure. On success the pin is retained — the GPU step still
-	// reads these pages — and released after the scheduler returns; on
-	// failure it is released so self-preemption can swap the file out.
+	// The memory-acquisition phase of the call: with the file pinned (no
+	// tier move takes a pinned file's pages down, and the migration engine
+	// reads the pin as in flight), restore it if a tool wait or the daemon
+	// offloaded it, then append the new tokens, reclaiming cold files on
+	// allocation failure. The pin is retained — the GPU step still reads
+	// these pages — and released after the scheduler returns.
 	var tails []model.CtxHash
 	// preTail is the context hash ahead of this call's tokens: the
 	// speculation bitmap's first position draws from it.
 	preTail := f.Tail()
-	predAlloc := func() error {
-		f.Pin()
+	err = c.allocUnderPressure([]*kvfs.File{f}, func() error {
 		k.kvd.MaybeReclaim()
 		n, err := c.ensureResident(f, m.Config().Cost, !decode)
 		if err != nil {
-			f.Unpin()
 			return err
 		}
 		extra += n
@@ -437,42 +419,11 @@ func (c *Ctx) pred(modelName string, f *kvfs.File, toks []token.ID, positions []
 		// The KV entries and their context hashes are fixed at
 		// submission; the GPU step only determines *when* the results
 		// exist.
-		aerr := k.withReclaim(len(toks)-attached, func() error {
-			var err error
+		return k.withReclaim(len(toks)-attached, func() (err error) {
 			tails, err = f.Append(toks[attached:], positions[attached:])
 			return err
 		})
-		if aerr != nil {
-			f.Unpin()
-		}
-		return aerr
-	}
-	err = predAlloc()
-	if errors.Is(err, kvfs.ErrNoSpace) && k.kvd.Enabled() {
-		// Concurrent preds can exhaust the GPU tier while each holds its
-		// own file pinned — nothing is evictable and everyone stalls. Break
-		// the hold-and-wait by self-preemption (vLLM-style swap), one call
-		// at a time in the order their allocations failed: behind the space
-		// gate, give back this call's residency, wait for space freed
-		// elsewhere, restore and retry. A call queued at the gate holds no
-		// pin, so the one retrying may evict it.
-		if gerr := k.spaceGate.Acquire(1); gerr != nil {
-			return nil, gerr
-		}
-		for attempt := 0; errors.Is(err, kvfs.ErrNoSpace) && attempt < selfPreemptRetries; attempt++ {
-			// A cancel or shutdown surfaces as itself, not as the
-			// standoff's ErrNoSpace.
-			if err = c.p.checkLive(); err != nil {
-				break
-			}
-			k.kvd.Preempt(f)
-			if _, err = k.spaceEvent().WaitFor(spaceWait); err != nil {
-				break
-			}
-			err = predAlloc()
-		}
-		k.spaceGate.Release(1)
-	}
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -539,37 +490,35 @@ func (c *Ctx) pred(modelName string, f *kvfs.File, toks []token.ID, positions []
 			Accept: accept,
 		}
 	}
-	if k.kvd.Enabled() {
-		// Keep scheduler preemption coherent with the memory daemon: a
-		// call descheduled at an iteration boundary must not hold its KV
-		// file pinned, or preempted state would be unevictable under
-		// pressure. On resume the pin returns, and if the daemon offloaded
-		// the file meanwhile the PCIe restore is charged to the resuming
-		// step. Runs on the replica actor; withReclaim never blocks.
-		cost := m.Config().Cost
-		call.OnPreempt = func(preempted bool) time.Duration {
-			if preempted {
-				f.Unpin()
-				return 0
-			}
-			f.Pin()
-			if f.GPUResident() {
-				return 0
-			}
-			// The same promote-and-bill path as ensureResident, without the
-			// recompute (the call's batch entry is already sized). Whatever
-			// actually moved is charged even if the GPU filled before the
-			// rest did — those pages are resident now and no later path
-			// would bill them; what stays behind is the next pred's problem.
-			_, d, _ := k.promote(f, kvfs.Host, cost, false)
-			if !f.GPUResident() {
-				// The daemon spilled part of the file down to disk while
-				// this call sat preempted.
-				_, ld, _ := k.promote(f, kvfs.Disk, cost, false)
-				d += ld
-			}
-			return d
+	// Keep scheduler preemption coherent with the memory daemon: a call
+	// descheduled at an iteration boundary must not hold its KV file
+	// pinned, or preempted state would be unevictable under pressure. On
+	// resume the pin returns, and if the daemon offloaded the file
+	// meanwhile the PCIe restore is charged to the resuming step. Runs on
+	// the replica actor; withReclaim never blocks.
+	cost := m.Config().Cost
+	call.OnPreempt = func(preempted bool) time.Duration {
+		if preempted {
+			f.Unpin()
+			return 0
 		}
+		f.Pin()
+		if f.GPUResident() {
+			return 0
+		}
+		// The same promote-and-bill path as ensureResident, without the
+		// recompute (the call's batch entry is already sized). Whatever
+		// actually moved is charged even if the GPU filled before the rest
+		// did — those pages are resident now and no later path would bill
+		// them; what stays behind is the next pred's problem.
+		_, d, _ := k.promote(f, kvfs.Host, cost, false)
+		if !f.GPUResident() {
+			// The daemon spilled part of the file down to disk while this
+			// call sat preempted.
+			_, ld, _ := k.promote(f, kvfs.Disk, cost, false)
+			d += ld
+		}
+		return d
 	}
 	if k.mig != nil {
 		// Migration-aware dispatch: the engine pins the call to the
@@ -638,7 +587,7 @@ func resolvedName(k *Kernel, name string) string {
 	return name
 }
 
-// selfPreemptRetries bounds how often the pred behind the space gate will
+// selfPreemptRetries bounds how often the call behind the space gate will
 // swap itself out and retry before surfacing ErrNoSpace, and spaceWait how
 // long each retry waits for freed space. The budget is generous on
 // purpose: competitors hold GPU pages only for finite work, so a stalled
@@ -648,6 +597,63 @@ const (
 	selfPreemptRetries = 1024
 	spaceWait          = 16 * time.Millisecond
 )
+
+// allocUnderPressure is the one place a full GPU tier makes a KV syscall
+// wait. alloc is the call's memory-acquisition step, run with own pinned
+// and reclaiming through withReclaim on a failed allocation; its first
+// run is the whole call when memory suffices. On success own stay pinned
+// for the caller to release; on failure they are released. Concurrent
+// calls can still exhaust the GPU tier while each holds its own files
+// pinned — nothing is evictable and everyone stalls — so a call whose
+// alloc fails with ErrNoSpace breaks the hold-and-wait by
+// self-preemption (vLLM-style swap), one call at a time in the order
+// their allocations failed: behind the space gate, it gives back the
+// residency of own, waits for space freed elsewhere, and runs alloc
+// again. A call queued at the gate holds no pin, so the one retrying may
+// evict it.
+func (c *Ctx) allocUnderPressure(own []*kvfs.File, alloc func() error) error {
+	try := func() error {
+		for _, f := range own {
+			f.Pin()
+		}
+		err := alloc()
+		if err != nil {
+			unpin(own)
+		}
+		return err
+	}
+	err := try()
+	if !errors.Is(err, kvfs.ErrNoSpace) {
+		return err
+	}
+	k := c.p.k
+	if gerr := k.spaceGate.Acquire(1); gerr != nil {
+		return gerr
+	}
+	defer k.spaceGate.Release(1)
+	for attempt := 0; errors.Is(err, kvfs.ErrNoSpace) && attempt < selfPreemptRetries; attempt++ {
+		// A cancel or shutdown surfaces as itself, not as the standoff's
+		// ErrNoSpace.
+		if err = c.p.checkLive(); err != nil {
+			break
+		}
+		for _, f := range own {
+			k.kvd.Preempt(f)
+		}
+		if _, err = k.spaceEvent().WaitFor(spaceWait); err != nil {
+			break
+		}
+		err = try()
+	}
+	return err
+}
+
+// unpin releases one pin on each of files.
+func unpin(files []*kvfs.File) {
+	for _, f := range files {
+		f.Unpin()
+	}
+}
 
 // promote is the one place KV pages climb back to the GPU, and the one
 // place the climb is priced and ledgered. It runs one leg — f's host

@@ -356,73 +356,6 @@ func TestUserQuotaSpansProcesses(t *testing.T) {
 	}
 }
 
-// TestKvWaitSpaceWakesOnFree checks the memory-pressure signal: a program
-// blocked on KvWaitSpace wakes promptly when another frees KV pages,
-// rather than waiting out its fallback timeout.
-func TestKvWaitSpaceWakesOnFree(t *testing.T) {
-	clk := simclock.New()
-	k := New(clk, Config{
-		Models: map[string]*model.Model{"llama-13b": model.New(model.Llama13B())},
-		FS: kvfs.Config{
-			PageTokens: 16, GPUBytes: 64, HostBytes: 640, BytesPerToken: 1,
-		},
-	})
-	var waited time.Duration
-	drive(t, clk, func() {
-		hog := k.Submit("u", func(ctx *Ctx) error {
-			f, err := ctx.KvAnon()
-			if err != nil {
-				return err
-			}
-			if _, err := prefill(ctx, f, "a b c d e f g h i j k l m n o p q r s t u v w x y z a b c d e f"); err != nil {
-				return err
-			}
-			ctx.Sleep(3 * time.Second)
-			return f.Remove() // frees everything
-		})
-		waiter := k.Submit("u", func(ctx *Ctx) error {
-			ctx.Sleep(time.Second) // let the hog fill memory
-			f, err := ctx.KvAnon()
-			if err != nil {
-				return err
-			}
-			defer f.Remove()
-			start := ctx.Clock().Now()
-			err = retryNoSpaceTest(ctx, func() error {
-				_, e := prefill(ctx, f, "q r s t u v w x y z a b c d e f")
-				return e
-			})
-			waited = ctx.Clock().Now() - start
-			return err
-		})
-		if err := hog.Wait(); err != nil {
-			t.Error(err)
-		}
-		if err := waiter.Wait(); err != nil {
-			t.Error(err)
-		}
-	})
-	// The hog frees at t=3s+ε; the waiter started at 1s, so it blocked
-	// ~2s and must wake within one fallback window of the free.
-	if waited < 1900*time.Millisecond || waited > 2600*time.Millisecond {
-		t.Fatalf("waiter blocked %v; want ≈2s (prompt wake on free)", waited)
-	}
-}
-
-// retryNoSpaceTest mirrors the experiments' retry loop for kernel tests.
-func retryNoSpaceTest(ctx *Ctx, op func() error) error {
-	for i := 0; i < 1000; i++ {
-		err := op()
-		if !errors.Is(err, kvfs.ErrNoSpace) {
-			return err
-		}
-		if werr := ctx.KvWaitSpace(500 * time.Millisecond); werr != nil {
-			return werr
-		}
-	}
-	return kvfs.ErrNoSpace
-}
-
 // TestSchedulerBatchesAcrossProcesses asserts the two-level scheduling
 // payoff: pred calls from distinct processes share GPU steps.
 func TestSchedulerBatchesAcrossProcesses(t *testing.T) {

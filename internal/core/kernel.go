@@ -80,9 +80,8 @@ type Config struct {
 	// with the default model's KV footprint.
 	FS kvfs.Config
 	// KV configures the kernel KV memory daemon (internal/kvd): policy
-	// name plus high/low watermarks. The zero value disables the daemon,
-	// preserving the mechanism-only behaviour where programs see
-	// ErrNoSpace and carry their own retry policy.
+	// name plus high/low watermarks. Every kernel runs the daemon; the
+	// zero value is lru at the default watermarks.
 	KV kvd.Config
 	// Disk configures the durable disk KV tier (internal/kvstore). The
 	// zero value disables it, leaving the two-tier GPU/host hierarchy.
@@ -354,8 +353,8 @@ func New(clk *simclock.Clock, cfg Config) *Kernel {
 }
 
 // kvReleased broadcasts that GPU KV pages were freed: the current space
-// event fires (waking every Ctx.KvWaitSpace) and a fresh one takes its
-// place for future waiters.
+// event fires (waking the call waiting at the space gate) and a fresh one
+// takes its place for future waiters.
 func (k *Kernel) kvReleased() {
 	k.spaceMu.Lock()
 	ev := k.spaceEv
@@ -364,7 +363,7 @@ func (k *Kernel) kvReleased() {
 	ev.Fire()
 }
 
-// spaceEvent returns the event the next KvWaitSpace should park on.
+// spaceEvent returns the event the next space-gate wait should park on.
 func (k *Kernel) spaceEvent() *simclock.Event {
 	k.spaceMu.Lock()
 	defer k.spaceMu.Unlock()
@@ -400,8 +399,7 @@ func (k *Kernel) FS() *kvfs.FS { return k.fs }
 // Scheduler returns the batch inference scheduler, for observability.
 func (k *Kernel) Scheduler() *sched.Scheduler { return k.sch }
 
-// KVD returns the KV memory daemon, or nil when disabled. The nil
-// daemon's methods are safe no-ops.
+// KVD returns the KV memory daemon.
 func (k *Kernel) KVD() *kvd.Daemon { return k.kvd }
 
 // DiskTier returns the durable disk KV tier, or nil when disabled.
@@ -469,19 +467,16 @@ func (k *Kernel) CheckpointKV() (files int, err error) {
 	return files, k.disk.Commit()
 }
 
-// withReclaim runs op, and if it fails with KV-cache OOM while the KV
-// memory daemon is enabled, reclaims cold files and, if that freed any
-// GPU space, runs it once more. This is what makes GPU memory exhaustion
-// invisible to programs on a daemon-managed kernel: allocations
-// transparently evict instead of failing. It never waits — the caller's
-// file is pinned here, so when nothing is evictable the pred at the head
-// of the space gate breaks the standoff instead (see Ctx.pred) — so the
-// scheduler's resume hook calls it on the replica actor too. Without a
-// daemon, op's error surfaces unchanged (the mechanism-only behaviour
-// programs like retryNoSpace build on).
+// withReclaim runs op, and if it fails with KV-cache OOM, has the memory
+// daemon reclaim cold files and, if that freed any GPU space, runs it
+// once more: allocations evict instead of failing. It never waits — the
+// caller's files are pinned here, so when nothing is evictable the call
+// at the head of the space gate breaks the standoff instead (see
+// Ctx.allocUnderPressure) — so the scheduler's resume hook calls it on
+// the replica actor too.
 func (k *Kernel) withReclaim(need int, op func() error) error {
 	err := op()
-	if !k.kvd.Enabled() || !errors.Is(err, kvfs.ErrNoSpace) {
+	if !errors.Is(err, kvfs.ErrNoSpace) {
 		return err
 	}
 	if k.kvd.Reclaim(need) == 0 {

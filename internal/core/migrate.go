@@ -580,12 +580,9 @@ func (k *Kernel) replicaCrashed(id int) {
 }
 
 // pressureHigh reports whether the KV daemon is at or above its
-// high-water mark (always false without a daemon).
+// high-water mark.
 func (m *migrator) pressureHigh() bool {
 	d := m.k.kvd
-	if !d.Enabled() {
-		return false
-	}
 	return d.Pressure() >= d.Config().HighWater
 }
 

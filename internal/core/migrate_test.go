@@ -122,9 +122,9 @@ func TestMigrateDecisionTable(t *testing.T) {
 }
 
 // TestMigrateRefusesFileASiblingPredHolds: the in-flight flag the
-// migration engine reads comes from the file's pins, with no memory
-// daemon on the kernel. Two families are homed at replica 0 of 2, and a
-// sibling thread's long prefill on one family's file overloads that home.
+// migration engine reads comes from the file's pins. Two families are
+// homed at replica 0 of 2, and a sibling thread's long prefill on one
+// family's file overloads that home.
 // A second pred on the same file routes while the sibling's still holds
 // it: the move the load picture wants is refused as in flight and
 // counted, and the family stays home.
@@ -140,9 +140,6 @@ func TestMigrateRefusesFileASiblingPredHolds(t *testing.T) {
 		Replicas:   replicas,
 		Dispatcher: dispatcher,
 	})
-	if k.KVD().Enabled() {
-		t.Fatal("kernel has a memory daemon; the pin must not need one")
-	}
 	seq := func(first token.ID, base, n int) ([]token.ID, []int) {
 		toks, pos := make([]token.ID, n), make([]int, n)
 		for i := range toks {

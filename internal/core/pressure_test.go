@@ -227,16 +227,35 @@ func TestSpaceWaitersRetryInFailureOrder(t *testing.T) {
 	}
 }
 
-// TestCancelQueuedAtSpaceGate: a pred cancelled while it waits behind
-// another at the space gate surfaces ErrCancelled, not the ErrNoSpace it
-// queued on, holds no pin on its file, and leaves the gate free.
+// TestCancelQueuedAtSpaceGate: a pred and a fork cancelled while they
+// wait behind another pred at the space gate surface ErrCancelled, not the
+// ErrNoSpace they queued on, hold no pin on their files, and leave the
+// gate free.
 func TestCancelQueuedAtSpaceGate(t *testing.T) {
 	clk, k := newTightKernel()
-	ready := clk.NewEvent()
-	var secondFile *kvfs.File
-	var secondErr error
+	parentReady, ready := clk.NewEvent(), clk.NewEvent()
+	var secondFile, parent *kvfs.File
+	var secondErr, forkErr error
 	gateFree := false
 	drive(t, clk, func() {
+		// The forker's parent waits on the host tier, so forking it needs
+		// GPU pages the holder is about to take.
+		forker := k.Submit("forker", func(ctx *Ctx) error {
+			var err error
+			parent, err = offloadedSource(ctx)
+			parentReady.Fire()
+			if err != nil {
+				return err
+			}
+			if err := ctx.Sleep(2 * time.Millisecond); err != nil {
+				return err
+			}
+			_, forkErr = ctx.KvFork(parent)
+			return forkErr
+		})
+		if err := parentReady.Wait(); err != nil {
+			t.Errorf("parent never ready: %v", err)
+		}
 		holder := lockedHolder(k, ready, []int{128}, []time.Duration{50 * time.Millisecond})
 		if err := ready.Wait(); err != nil {
 			t.Errorf("holder never ready: %v", err)
@@ -257,34 +276,148 @@ func TestCancelQueuedAtSpaceGate(t *testing.T) {
 			_, secondErr = ctx.Pred(f, []token.ID{10}, []int{0})
 			return secondErr
 		})
-		// The first waiter holds the gate and the second is queued behind
-		// it: both have failed an allocation and the holder frees nothing
-		// until 50 ms.
+		// The first waiter holds the gate, and the second and the fork are
+		// queued behind it: all three have failed an allocation and the
+		// holder frees nothing until 50 ms.
 		if err := clk.Sleep(10 * time.Millisecond); err != nil {
 			t.Errorf("driver sleep: %v", err)
 		}
-		if n := k.Stats().FS.OOMErrors; n < 2 {
-			t.Errorf("%d failed allocations before the cancel, want both waiters'", n)
+		if n := k.Stats().FS.OOMErrors; n < 3 {
+			t.Errorf("%d failed allocations before the cancel, want all three waiters'", n)
 		}
 		second.Cancel()
+		forker.Cancel()
 		for name, p := range map[string]*Process{"holder": holder, "first": first} {
 			if err := p.Wait(); err != nil {
 				t.Errorf("%s process: %v", name, err)
 			}
 		}
 		_ = second.Wait()
+		_ = forker.Wait()
 		if err := k.spaceGate.Acquire(1); err == nil {
 			gateFree = true
 			k.spaceGate.Release(1)
 		}
 	})
-	if !errors.Is(secondErr, ErrCancelled) || errors.Is(secondErr, kvfs.ErrNoSpace) {
-		t.Fatalf("cancelled pred returned %v, want ErrCancelled and not kvfs.ErrNoSpace", secondErr)
+	for name, err := range map[string]error{"pred": secondErr, "fork": forkErr} {
+		if !errors.Is(err, ErrCancelled) || errors.Is(err, kvfs.ErrNoSpace) {
+			t.Errorf("cancelled %s returned %v, want ErrCancelled and not kvfs.ErrNoSpace", name, err)
+		}
 	}
-	if n := secondFile.Pins(); n != 0 {
-		t.Fatalf("cancelled pred left %d pins on its file", n)
+	for name, f := range map[string]*kvfs.File{"pred": secondFile, "fork": parent} {
+		if n := f.Pins(); n != 0 {
+			t.Errorf("cancelled %s left %d pins on its file", name, n)
+		}
 	}
 	if !gateFree {
 		t.Fatal("the space gate was still held after every waiter returned")
+	}
+}
+
+// offloadedSource prefills a 16-token file and moves it to the host tier,
+// leaving the whole GPU tier free.
+func offloadedSource(ctx *Ctx) (*kvfs.File, error) {
+	f, err := prefillAnon(ctx, 16)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := f.Offload(); err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+// waitsAtGateForPinnedTier runs op on a GPU tier whose every page an
+// in-flight decode run has pinned. op's source is a 16-token file on the
+// host tier, and op starts 10 ms into the run. Nothing is evictable
+// until the run ends, so op's allocation fails, waits at the space gate
+// and succeeds once the run's file has become evictable. It returns the
+// file op built.
+func waitsAtGateForPinnedTier(t *testing.T, op func(ctx *Ctx, src *kvfs.File) (*kvfs.File, error)) *kvfs.File {
+	t.Helper()
+	clk, k := newTightKernel()
+	const gpuTokens = 128
+	srcReady := clk.NewEvent()
+	var runFile, built *kvfs.File
+	var opEnd, runEnd time.Duration
+	drive(t, clk, func() {
+		hog := k.Submit("hog", func(ctx *Ctx) error {
+			if err := srcReady.Wait(); err != nil {
+				return err
+			}
+			f, err := ctx.KvAnon()
+			if err != nil {
+				return err
+			}
+			runFile = f
+			toks, pos := make([]token.ID, gpuTokens), make([]int, gpuTokens)
+			for i := range toks {
+				toks[i], pos[i] = token.ID(i+10), i
+			}
+			_, err = ctx.PredDecode("", f, toks, pos, DecodeRun{})
+			runEnd = clk.Now()
+			return err
+		})
+		user := k.Submit("user", func(ctx *Ctx) error {
+			src, err := offloadedSource(ctx)
+			srcReady.Fire()
+			if err != nil {
+				return err
+			}
+			if err := ctx.Sleep(10 * time.Millisecond); err != nil {
+				return err
+			}
+			if st := k.FS().Stats(); st.GPUPages != st.GPUPageCap || runFile.Pins() == 0 {
+				t.Errorf("GPU tier %d of %d pages, run pins %d; want a full tier held by the in-flight run",
+					st.GPUPages, st.GPUPageCap, runFile.Pins())
+			}
+			built, err = op(ctx, src)
+			opEnd = clk.Now()
+			return err
+		})
+		for name, p := range map[string]*Process{"hog": hog, "user": user} {
+			if err := p.Wait(); err != nil {
+				t.Errorf("%s process: %v", name, err)
+			}
+		}
+	})
+	if st := k.Stats(); st.FS.OOMErrors == 0 {
+		t.Error("the call never failed an allocation: it did not wait for space")
+	}
+	if opEnd < runEnd {
+		t.Errorf("call returned at %v, before the run that pins the tier ended at %v", opEnd, runEnd)
+	}
+	return built
+}
+
+// TestForkOfOffloadedParentWaitsForSpace: restoring a host-offloaded
+// parent to fork it queues at the space gate, like a pred, instead of
+// surfacing ErrNoSpace.
+func TestForkOfOffloadedParentWaitsForSpace(t *testing.T) {
+	child := waitsAtGateForPinnedTier(t, func(ctx *Ctx, src *kvfs.File) (*kvfs.File, error) {
+		return ctx.KvFork(src)
+	})
+	if child == nil || child.Len() != 16 || !child.GPUResident() {
+		t.Fatalf("fork = %v, want a GPU-resident 16-token child", child)
+	}
+}
+
+// TestExtractWaitsForSpace: KvExtract's new file waits at the space gate.
+func TestExtractWaitsForSpace(t *testing.T) {
+	child := waitsAtGateForPinnedTier(t, func(ctx *Ctx, src *kvfs.File) (*kvfs.File, error) {
+		return ctx.KvExtract(src, []int{0, 2, 4, 6, 8, 10, 12, 14})
+	})
+	if child == nil || child.Len() != 8 {
+		t.Fatalf("extract = %v, want an 8-token file", child)
+	}
+}
+
+// TestMergeWaitsForSpace: KvMerge's new file waits at the space gate.
+func TestMergeWaitsForSpace(t *testing.T) {
+	child := waitsAtGateForPinnedTier(t, func(ctx *Ctx, src *kvfs.File) (*kvfs.File, error) {
+		return ctx.KvMerge(src, src)
+	})
+	if child == nil || child.Len() != 32 {
+		t.Fatalf("merge = %v, want a 32-token file", child)
 	}
 }

@@ -31,9 +31,11 @@ func (c *fig3Cell) footprint(req workload.RAGRequest) int {
 // footprint (a popular-topic request needs ~100 tokens, an uncached one
 // ~3,100; more than the whole gate is clamped so it can run alone) before
 // its program is submitted. The pinned documents and some builder headroom
-// are carved out of the gate's capacity up front. Without this, unbounded
-// in-flight programs can exhaust KV memory mid-decode and deadlock waiting
-// on each other's pages.
+// are carved out of the gate's capacity up front. Every allocating KV
+// syscall waits at the kernel's own space gate, so the programs would not
+// deadlock without this one; it stays because it decides the in-flight
+// set the recorded Figure 3 grid measures (docs/EXPERIMENTS.md, "Why
+// fig3's harness gate still stands").
 func runSymphonyTrace(c *fig3Cell, k *core.Kernel) {
 	gpuTokens := int(c.cfg.GPUBytes / model.A100Llama13B().KVBytesPerToken)
 	pinned := 0

@@ -5,14 +5,7 @@
 // that registry.
 package experiments
 
-import (
-	"errors"
-	"math/rand"
-	"time"
-
-	"repro/internal/core"
-	"repro/internal/kvfs"
-)
+import "math/rand"
 
 // newRand returns a seeded deterministic source for experiment drivers.
 func newRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
@@ -39,23 +32,3 @@ const (
 
 // AllSystems lists the systems in presentation order.
 var AllSystems = []string{SystemSymphony, SystemVLLM, SystemTGI}
-
-// retryNoSpace retries op while it fails with KV-cache OOM, parking on
-// the kernel's space-available signal (with a 250ms liveness fallback)
-// between attempts. This is *application* queueing policy living in a LIP
-// — the kernel provides only the wakeup mechanism (Ctx.KvWaitSpace); how
-// a program reacts to memory pressure is its own business.
-func retryNoSpace(ctx *core.Ctx, op func() error) error {
-	const attempts = 20000
-	var err error
-	for i := 0; i < attempts; i++ {
-		err = op()
-		if !errors.Is(err, kvfs.ErrNoSpace) {
-			return err
-		}
-		if werr := ctx.KvWaitSpace(250 * time.Millisecond); werr != nil {
-			return werr
-		}
-	}
-	return err
-}

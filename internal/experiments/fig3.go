@@ -187,8 +187,9 @@ func runFig3Cell(cfg Fig3Config, sys string, rate, pareto float64) Fig3Point {
 // policy. Popular topics (rank < PinTop) live in named, shared KV files
 // that persist across requests; the program builds them on first use under
 // an advisory lock and forks them afterwards. Unpopular topics use a
-// scratch file that is discarded. Memory pressure is handled by the
-// program itself (retryNoSpace).
+// scratch file that is discarded. Memory pressure is the kernel's: a
+// pred or fork that finds the GPU tier full waits at the kernel's space
+// gate.
 func (c *fig3Cell) ragProgram(req workload.RAGRequest) core.Program {
 	return func(ctx *core.Ctx) error {
 		var sess *lip.Session
@@ -209,10 +210,7 @@ func (c *fig3Cell) ragProgram(req workload.RAGRequest) core.Program {
 			}
 			if f.Len() == 0 {
 				builder := lip.NewSession(ctx, f)
-				if err := retryNoSpace(ctx, func() error {
-					_, e := builder.Prefill(c.docs[req.Topic])
-					return e
-				}); err != nil {
+				if _, err := builder.Prefill(c.docs[req.Topic]); err != nil {
 					ctx.KvUnlock(f)
 					return err
 				}
@@ -228,10 +226,7 @@ func (c *fig3Cell) ragProgram(req workload.RAGRequest) core.Program {
 			sess = lip.NewSession(ctx, fork)
 			// The fork carries the doc context; only the question needs
 			// model computation.
-			if err := retryNoSpace(ctx, func() error {
-				_, e := sess.Prefill(req.Query)
-				return e
-			}); err != nil {
+			if _, err := sess.Prefill(req.Query); err != nil {
 				return err
 			}
 		} else {
@@ -241,28 +236,20 @@ func (c *fig3Cell) ragProgram(req workload.RAGRequest) core.Program {
 			}
 			defer f.Remove()
 			sess = lip.NewSession(ctx, f)
-			if err := retryNoSpace(ctx, func() error {
-				_, e := sess.Prefill(c.docs[req.Topic] + req.Query)
-				return e
-			}); err != nil {
+			if _, err := sess.Prefill(c.docs[req.Topic] + req.Query); err != nil {
 				return err
 			}
 		}
-		// Greedy decode with per-step OOM retry; pred steps are atomic.
+		// Greedy decode, one pred per token.
 		d, _ := sess.Last()
 		cur := d.Greedy()
 		for i := 0; i < req.MaxGen && cur != token.EOS; i++ {
 			ctx.EmitTokens([]token.ID{cur})
-			step := cur
-			if err := retryNoSpace(ctx, func() error {
-				nd, e := sess.Step(step)
-				if e == nil {
-					cur = nd.Greedy()
-				}
-				return e
-			}); err != nil {
+			nd, err := sess.Step(cur)
+			if err != nil {
 				return err
 			}
+			cur = nd.Greedy()
 		}
 		return nil
 	}

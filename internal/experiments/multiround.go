@@ -104,10 +104,7 @@ func runMultiRoundCell(cfg MultiRoundConfig, sys string) MultiRoundPoint {
 				s := lip.NewSession(ctx, f)
 				for r, turn := range turns {
 					start := ctx.Clock().Now()
-					if err := retryNoSpace(ctx, func() error {
-						_, e := s.Prefill(turn.User)
-						return e
-					}); err != nil {
+					if _, err := s.Prefill(turn.User); err != nil {
 						return err
 					}
 					if _, err := lip.Generate(s, lip.GenOptions{MaxTokens: turn.MaxGen}); err != nil {
@@ -185,10 +182,7 @@ func spawnPressureLIPs(ctx *core.Ctx, k *core.Kernel, round int, cfg MultiRoundC
 			}
 			defer f.Remove()
 			s := lip.NewSession(c2, f)
-			if err := retryNoSpace(c2, func() error {
-				_, e := s.Prefill(prompt)
-				return e
-			}); err != nil {
+			if _, err := s.Prefill(prompt); err != nil {
 				return err
 			}
 			_, err = lip.Generate(s, lip.GenOptions{MaxTokens: 8})

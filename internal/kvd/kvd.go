@@ -3,10 +3,10 @@
 // paper §4.2–4.3) deliberately leaves out.
 //
 // KVFS gives programs Offload/Restore between the GPU and host tiers but
-// ships no eviction: a busy multi-tenant deployment that exhausts GPU
-// pages simply fails allocations with ErrNoSpace. The daemon closes that
-// gap inside the kernel so every workload — not just programs that carry
-// their own retry loops — survives oversubscription:
+// ships no eviction: on its own, a busy multi-tenant deployment that
+// exhausts GPU pages simply fails allocations with ErrNoSpace. Every
+// kernel runs a daemon, which closes that gap inside the kernel so no
+// program needs a retry loop of its own to survive oversubscription:
 //
 //   - it tracks the KV files processes create, with recency, frequency,
 //     and model.CostModel-derived restore/recompute estimates per file;
@@ -16,8 +16,8 @@
 //   - offloaded files are restored transparently by the next pred on them
 //     (the kernel already pays the PCIe time there), and the daemon keeps
 //     the restore ledger the pressure experiments report;
-//   - a pred that still cannot allocate because every resident file is
-//     pinned by a concurrent pred swaps out its own file (Preempt) and
+//   - a KV syscall that still cannot allocate because every resident file
+//     is pinned by a concurrent call swaps out what it holds (Preempt) and
 //     retries, which is what breaks the hold-and-wait.
 //
 // The daemon runs inline on kernel allocation paths rather than as a
@@ -40,11 +40,11 @@ import (
 	"repro/internal/simclock"
 )
 
-// Config assembles a daemon. The zero value is disabled.
+// Config assembles a daemon. The zero value is lru at the default
+// watermarks.
 type Config struct {
-	// Policy names the eviction policy (see PolicyNames). Empty or "none"
-	// disables the daemon entirely: allocation failures surface to
-	// programs as before.
+	// Policy names the eviction policy (see PolicyNames); empty means
+	// "lru".
 	Policy string
 	// HighWater is the GPU page usage fraction that triggers reclaim
 	// (default 0.90).
@@ -61,11 +61,11 @@ type Config struct {
 	DiskLowWater float64
 }
 
-// Enabled reports whether the configuration selects an active daemon.
-func (c Config) Enabled() bool { return c.Policy != "" && c.Policy != "none" }
-
-// withDefaults fills unset watermarks.
+// withDefaults fills the unset policy and watermarks.
 func (c Config) withDefaults() Config {
+	if c.Policy == "" {
+		c.Policy = "lru"
+	}
 	if c.HighWater <= 0 || c.HighWater > 1 {
 		c.HighWater = 0.90
 	}
@@ -183,8 +183,7 @@ type entry struct {
 }
 
 // Daemon is a KV memory daemon instance. All methods are safe for
-// concurrent use and are no-ops on a nil receiver, so a kernel without a
-// daemon pays only nil checks.
+// concurrent use.
 type Daemon struct {
 	clk    *simclock.Clock
 	fs     *kvfs.FS
@@ -205,12 +204,9 @@ type Daemon struct {
 }
 
 // New assembles a daemon over fs, costing restores and recomputes with
-// the default model's cost model. A disabled config returns (nil, nil):
-// the nil daemon is a valid no-op.
+// the default model's cost model. An unknown policy name is an error.
 func New(clk *simclock.Clock, fs *kvfs.FS, cost model.CostModel, cfg Config) (*Daemon, error) {
-	if !cfg.Enabled() {
-		return nil, nil
-	}
+	cfg = cfg.withDefaults()
 	pol, err := NewPolicy(cfg.Policy)
 	if err != nil {
 		return nil, err
@@ -220,37 +216,21 @@ func New(clk *simclock.Clock, fs *kvfs.FS, cost model.CostModel, cfg Config) (*D
 		fs:      fs,
 		cost:    cost,
 		policy:  pol,
-		cfg:     cfg.withDefaults(),
+		cfg:     cfg,
 		entries: make(map[*kvfs.File]*entry),
 	}, nil
 }
 
-// Enabled reports whether the daemon is active.
-func (d *Daemon) Enabled() bool { return d != nil }
-
-// PolicyName reports the active eviction policy name, or "none".
-func (d *Daemon) PolicyName() string {
-	if d == nil {
-		return "none"
-	}
-	return d.policy.Name()
-}
+// PolicyName reports the active eviction policy name.
+func (d *Daemon) PolicyName() string { return d.policy.Name() }
 
 // Config returns the daemon's effective configuration.
-func (d *Daemon) Config() Config {
-	if d == nil {
-		return Config{}
-	}
-	return d.cfg
-}
+func (d *Daemon) Config() Config { return d.cfg }
 
 // AttachDisk gives the daemon a disk tier to demote into, enabling the
 // host-watermark spill path. Call once at kernel assembly, before any
 // traffic.
 func (d *Daemon) AttachDisk(dt *kvfs.DiskTier) {
-	if d == nil {
-		return
-	}
 	d.mu.Lock()
 	d.disk = dt
 	d.mu.Unlock()
@@ -273,7 +253,7 @@ func (d *Daemon) notify(fn Notify, phase string, tokens int) {
 // have made them durable never landed. The spill ledger reverses and the
 // owning process hears a "spill-rollback" kv_pressure event.
 func (d *Daemon) rollbackSpill(f *kvfs.File, tokens int) {
-	if d == nil || tokens <= 0 {
+	if tokens <= 0 {
 		return
 	}
 	d.mu.Lock()
@@ -290,7 +270,7 @@ func (d *Daemon) rollbackSpill(f *kvfs.File, tokens int) {
 // NoteDiskLoad attributes a disk→GPU re-prefill performed by the kernel
 // to the daemon ledger and notifies the owning process.
 func (d *Daemon) NoteDiskLoad(f *kvfs.File, tokens int, cost time.Duration) {
-	if d == nil || tokens <= 0 {
+	if tokens <= 0 {
 		return
 	}
 	d.mu.Lock()
@@ -309,7 +289,7 @@ func (d *Daemon) NoteDiskLoad(f *kvfs.File, tokens int, cost time.Duration) {
 // NoteDiskRecompute records that the kernel chose to recompute a
 // disk-resident prefix (prefill estimated cheaper than the NVMe load).
 func (d *Daemon) NoteDiskRecompute(f *kvfs.File, tokens int) {
-	if d == nil || tokens <= 0 {
+	if tokens <= 0 {
 		return
 	}
 	d.mu.Lock()
@@ -325,9 +305,6 @@ func (d *Daemon) NoteDiskRecompute(f *kvfs.File, tokens int) {
 // daemon does not know about (e.g. shared files another program opened)
 // are never offloaded.
 func (d *Daemon) Track(f *kvfs.File, pid int, notify Notify) {
-	if d == nil || f == nil {
-		return
-	}
 	now := d.clk.Now()
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -348,9 +325,6 @@ func (d *Daemon) Track(f *kvfs.File, pid int, notify Notify) {
 // Touch records an access to a tracked file (pred, fork source, …),
 // refreshing the recency and frequency signals policies rank on.
 func (d *Daemon) Touch(f *kvfs.File) {
-	if d == nil {
-		return
-	}
 	now := d.clk.Now()
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -365,9 +339,6 @@ func (d *Daemon) Touch(f *kvfs.File) {
 // event ring. Files the process leaked (never Removed) stay tracked as
 // orphans — cold garbage the eviction policies reap first.
 func (d *Daemon) ReleaseProcess(pid int) {
-	if d == nil {
-		return
-	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	for f, e := range d.entries {
@@ -389,7 +360,7 @@ func (d *Daemon) ReleaseProcess(pid int) {
 // process hears about it through the kernel's kv_migrate event, not the
 // daemon's notify channel.
 func (d *Daemon) NoteMigrate(f *kvfs.File, tokens int, cost time.Duration) {
-	if d == nil || tokens <= 0 {
+	if tokens <= 0 {
 		return
 	}
 	d.mu.Lock()
@@ -407,7 +378,7 @@ func (d *Daemon) NoteMigrate(f *kvfs.File, tokens int, cost time.Duration) {
 // (pred found the file off-GPU) to the daemon's ledger and notifies the
 // owning process.
 func (d *Daemon) NoteRestore(f *kvfs.File, tokens int, cost time.Duration) {
-	if d == nil || tokens <= 0 {
+	if tokens <= 0 {
 		return
 	}
 	d.mu.Lock()
@@ -433,9 +404,6 @@ func (d *Daemon) NoteRestore(f *kvfs.File, tokens int, cost time.Duration) {
 
 // Pressure reports the instantaneous GPU page usage fraction.
 func (d *Daemon) Pressure() float64 {
-	if d == nil {
-		return 0
-	}
 	st := d.fs.Stats()
 	if st.GPUPageCap <= 0 {
 		return 0
@@ -448,9 +416,6 @@ func (d *Daemon) Pressure() float64 {
 // tokens freed. The kernel calls it on allocation paths (every pred), so
 // pressure is handled where it is created.
 func (d *Daemon) MaybeReclaim() int {
-	if d == nil {
-		return 0
-	}
 	st := d.fs.Stats()
 	if st.GPUPageCap <= 0 || float64(st.GPUPages) < d.cfg.HighWater*float64(st.GPUPageCap) {
 		return 0
@@ -463,9 +428,6 @@ func (d *Daemon) MaybeReclaim() int {
 // driving usage to the low-water mark when above it. The kernel calls it
 // when an allocation fails outright (ErrNoSpace) before retrying.
 func (d *Daemon) Reclaim(needTokens int) int {
-	if d == nil {
-		return 0
-	}
 	st := d.fs.Stats()
 	if st.GPUPageCap > 0 {
 		if over := st.GPUPages - int(d.cfg.LowWater*float64(st.GPUPageCap)); over*st.PageTokens > needTokens {
@@ -630,15 +592,12 @@ func (d *Daemon) maybeSpillHost() {
 	d.demote(spillToDisk, target*st.PageTokens)
 }
 
-// Preempt offloads f immediately on behalf of its own stalled pred
+// Preempt offloads f immediately on behalf of a stalled KV syscall on it
 // (vLLM-style swap-out: a call that cannot get GPU pages gives back its
 // residency, waits, and restores on retry), unless another in-flight
 // call has it pinned (KVFS then moves nothing) or it is advisory-locked.
 // It returns the tokens moved and counts one preemption.
 func (d *Daemon) Preempt(f *kvfs.File) int {
-	if d == nil {
-		return 0
-	}
 	d.mu.Lock()
 	e, ok := d.entries[f]
 	if !ok || f.LockedBy() != "" {
@@ -670,9 +629,6 @@ func (d *Daemon) sweepRemovedLocked() {
 
 // Stats returns a snapshot of counters.
 func (d *Daemon) Stats() Stats {
-	if d == nil {
-		return Stats{Policy: "none"}
-	}
 	pressure := d.Pressure()
 	d.mu.Lock()
 	defer d.mu.Unlock()

@@ -30,9 +30,6 @@ func newDaemon(t *testing.T, clk *simclock.Clock, fs *kvfs.FS, cfg kvd.Config) *
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !d.Enabled() {
-		t.Fatal("daemon not enabled")
-	}
 	return d
 }
 
@@ -51,24 +48,21 @@ func fill(t *testing.T, f *kvfs.File, n int) {
 	}
 }
 
-func TestDisabledConfig(t *testing.T) {
-	for _, policy := range []string{"", "none"} {
-		d, err := kvd.New(simclock.New(), newFS(64), model.A100Llama13B(), kvd.Config{Policy: policy})
-		if err != nil || d != nil {
-			t.Fatalf("Policy=%q: got (%v, %v), want disabled nil daemon", policy, d, err)
+// TestZeroConfigIsLRU checks that every configuration runs a daemon: the
+// zero Config is lru at the default 0.90 / 0.75 watermarks, and a policy
+// name outside PolicyNames — "none" included — is an error.
+func TestZeroConfigIsLRU(t *testing.T) {
+	d, err := kvd.New(simclock.New(), newFS(64), model.A100Llama13B(), kvd.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := d.Stats(); st.Policy != "lru" || st.HighWater != 0.90 || st.LowWater != 0.75 {
+		t.Fatalf("zero config = %s at %v / %v, want lru at 0.9 / 0.75", st.Policy, st.HighWater, st.LowWater)
+	}
+	for _, policy := range []string{"none", "nope"} {
+		if _, err := kvd.New(simclock.New(), newFS(64), model.A100Llama13B(), kvd.Config{Policy: policy}); err == nil {
+			t.Fatalf("policy %q accepted", policy)
 		}
-	}
-	// The nil daemon is a safe no-op everywhere.
-	var nd *kvd.Daemon
-	if nd.Enabled() || nd.Pressure() != 0 || nd.Reclaim(100) != 0 {
-		t.Fatal("nil daemon not inert")
-	}
-	nd.Touch(nil)
-	if st := nd.Stats(); st.Policy != "none" {
-		t.Fatalf("nil daemon policy = %q", st.Policy)
-	}
-	if _, err := kvd.New(simclock.New(), newFS(64), model.A100Llama13B(), kvd.Config{Policy: "nope"}); err == nil {
-		t.Fatal("unknown policy accepted")
 	}
 }
 

@@ -190,14 +190,14 @@ type FS struct {
 
 	// onRelease is invoked (outside fs.mu, debounced per operation) after
 	// an operation frees GPU pages. The Symphony kernel uses it to wake
-	// programs blocked on memory pressure (Ctx.KvWaitSpace).
+	// the call waiting for space at its space gate.
 	onRelease    func()
 	releaseDirty bool
 }
 
 // SetReleaseHook registers fn to run after operations that free GPU
 // pages. Mechanism only: what a waiter does with the notification is the
-// program's policy.
+// kernel's policy.
 func (fs *FS) SetReleaseHook(fn func()) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()

@@ -49,7 +49,10 @@ type Call struct {
 	// retired so far — a decode run streams its tokens through it as they
 	// come to exist. Counts never decrease, except after a crash-restart
 	// discarded the call's progress. Like OnPreempt it runs on the replica
-	// actor and must not block on clock primitives.
+	// actor and must not block on clock primitives. Once SubmitCall has
+	// returned — the call done, or the clock shut down under it — it never
+	// runs again: SubmitCall waits out a count in progress before it
+	// returns.
 	OnProgress func(retired int)
 }
 

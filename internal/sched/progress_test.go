@@ -1,7 +1,9 @@
 package sched
 
 import (
+	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -170,5 +172,53 @@ func TestProgressHookAfterCrash(t *testing.T) {
 	}
 	if backs != 1 || rec.counts[len(rec.counts)-1] != tokens {
 		t.Fatalf("hook heard %v; want one restart and a final count of %d", rec.counts, tokens)
+	}
+}
+
+// TestProgressHookSilentAfterShutdownReturn shuts the clock down in the
+// middle of a long decode run, while the replica is most likely inside the
+// call's OnProgress. SubmitCall returns ErrShutdown, and from then on the
+// hook must never run: the caller's write after SubmitCall returns is
+// read by no hook (a data race under -race), and a hook that starts after
+// it is counted.
+func TestProgressHookSilentAfterShutdownReturn(t *testing.T) {
+	for round := 0; round < 10; round++ {
+		clk := simclock.New()
+		s := newSched(clk)
+		var late atomic.Bool
+		returned := false // written by the caller, read by the hook
+		hook := func(int) {
+			if returned {
+				late.Store(true)
+			}
+			// Hold the replica inside the hook for most of its wall time,
+			// so the shutdown below lands here.
+			time.Sleep(20 * time.Microsecond)
+			if returned {
+				late.Store(true)
+			}
+		}
+		errCh := make(chan error, 1)
+		clk.Go("decode", func() {
+			err := s.SubmitCall(Call{Model: target, Tokens: 1 << 20, Decode: true, OnProgress: hook})
+			returned = true
+			errCh <- err
+		})
+		time.Sleep(2 * time.Millisecond)
+		clk.Shutdown()
+		select {
+		case err := <-errCh:
+			if !errors.Is(err, simclock.ErrShutdown) {
+				t.Fatalf("round %d: SubmitCall = %v, want ErrShutdown", round, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("round %d: SubmitCall did not return after shutdown", round)
+		}
+		// Give a replica that is wrongly still running the hook time to be
+		// caught at it.
+		time.Sleep(time.Millisecond)
+		if late.Load() {
+			t.Fatalf("round %d: OnProgress ran after SubmitCall returned", round)
+		}
 	}
 }

@@ -60,14 +60,20 @@ import (
 // resumable unit: remaining tracks the tokens the GPU has not yet
 // executed, and the executor slices it across iterations.
 type call struct {
-	model      string
-	tokens     int
-	remaining  int
-	prio       Priority
-	queuedAt   time.Duration
-	onPreempt  func(bool) time.Duration
+	model     string
+	tokens    int
+	remaining int
+	prio      Priority
+	queuedAt  time.Duration
+	onPreempt func(bool) time.Duration
+	done      *simclock.Event
+
+	// onProgress is the caller's OnProgress, run and cleared under
+	// progressMu: SubmitCall clears it before it returns, so no count is
+	// heard after that, even when a clock shutdown returns SubmitCall
+	// while the replica is still inside the call's iteration.
+	progressMu sync.Mutex
 	onProgress func(int)
-	done       *simclock.Event
 
 	// decode marks an autoregressive decode run (one token of progress
 	// per iteration unless spec speculation accepts more); spec is the
@@ -461,7 +467,24 @@ func (s *Scheduler) SubmitCall(meta Call) error {
 		spec:       spec,
 	}
 	r.queue.Put(c)
-	return c.done.Wait()
+	err := c.done.Wait()
+	if c.onProgress != nil {
+		c.progressMu.Lock()
+		c.onProgress = nil
+		c.progressMu.Unlock()
+	}
+	return err
+}
+
+// progress tells the call's OnProgress, unless SubmitCall has returned,
+// that retired tokens have been executed.
+func (c *call) progress(retired int) {
+	c.progressMu.Lock()
+	defer c.progressMu.Unlock()
+	if c.onProgress != nil {
+		//lint:allow locksafepublish progressMu is this call's alone and guards only the hook, which cannot reach SubmitCall's clear of it; holding it is what keeps the hook from running past SubmitCall's return
+		c.onProgress(retired)
+	}
 }
 
 // Views snapshots every replica's load at the current virtual time, in
@@ -874,9 +897,7 @@ func (r *replica) iterate() error {
 	end := s.clk.Now()
 	for i, c := range selected {
 		c.remaining -= progress[i]
-		if c.onProgress != nil {
-			c.onProgress(c.tokens - c.remaining)
-		}
+		c.progress(c.tokens - c.remaining)
 		own := cost.StepTime(step.batch[i : i+1])
 		if specDraft[i] > 0 {
 			dc := s.models[c.spec.draft]
