@@ -100,6 +100,49 @@ func TestTGIMatchesGroundTruth(t *testing.T) {
 	}
 }
 
+// TestGenerationIsOneDecodeRun holds each baseline to two scheduler calls
+// per request — the prefill and one decode run of the whole answer — and
+// a whole-prompt vLLM cache hit to the decode run alone.
+func TestGenerationIsOneDecodeRun(t *testing.T) {
+	v := token.NewVocab()
+	p := prompt(v, 160, 3) // 10 whole blocks
+	for _, tc := range []struct {
+		name string
+		mk   func(*simclock.Clock, Config) Server
+	}{
+		{"tgi", func(c *simclock.Clock, cfg Config) Server { return NewTGI(c, cfg) }},
+		{"vllm", func(c *simclock.Clock, cfg Config) Server { return NewVLLM(c, cfg) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			clk := simclock.New()
+			m := model.New(model.Llama13B())
+			srv := tc.mk(clk, Config{Model: m, FS: smallFS(100_000)})
+			check := func(calls, executed int64) {
+				t.Helper()
+				r, err := srv.Complete(Request{Prompt: p, MaxTokens: 20})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if len(r.Tokens) < 2 {
+					t.Errorf("generated %d tokens, want a multi-token answer", len(r.Tokens))
+				}
+				st := srv.Stats().Sched
+				executed += int64(len(p) - r.CachedTokens + len(r.Tokens))
+				if st.Calls != calls || st.ExecutedTokens != executed {
+					t.Errorf("calls %d, executed %d; want %d, %d", st.Calls, st.ExecutedTokens, calls, executed)
+				}
+			}
+			drive(t, clk, func() {
+				check(2, 0)
+				if tc.name == "vllm" {
+					check(3, srv.Stats().Sched.ExecutedTokens)
+				}
+			})
+		})
+	}
+}
+
 func TestVLLMPrefixCacheHit(t *testing.T) {
 	clk := simclock.New()
 	m := model.New(model.Llama13B())

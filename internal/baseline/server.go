@@ -5,10 +5,12 @@
 //
 // Both baselines run on exactly the same substrates as Symphony — the
 // simulated model and cost model, the paged KV allocator, and the batch
-// scheduler — so measured differences isolate the serving architecture:
-// who controls the cache policy and where the application logic runs.
-// Their unit of service is a prompt: a stateless request carrying the full
-// context, answered with generated tokens.
+// scheduler — and make the same calls on it as a Symphony program's
+// lip.Generate: a prefill, then the whole greedy answer as one decode run.
+// So measured differences isolate the serving architecture: who controls
+// the cache policy and where the application logic runs. Their unit of
+// service is a prompt: a stateless request carrying the full context,
+// answered with generated tokens.
 package baseline
 
 import (
@@ -119,44 +121,39 @@ func (e *engine) admit(n int) error {
 }
 
 // pred mirrors the Symphony kernel's pred path for the baselines: append
-// tokens to a KV file, charge one batched GPU step, return unbuilt
-// distributions (model.Defer). The server-fixed loop reads nothing of them
-// but Greedy, which answers those without building.
-func (e *engine) pred(f *kvfs.File, toks []token.ID, positions []int) ([]model.Dist, error) {
-	tails, err := f.Append(toks, positions)
-	if err != nil {
-		return nil, err
+// tokens to a KV file and charge them to the batch scheduler — a prefill,
+// or with decode set a decode run the GPU advances one token per
+// iteration.
+func (e *engine) pred(f *kvfs.File, toks []token.ID, positions []int, decode bool) error {
+	if _, err := f.Append(toks, positions); err != nil {
+		return err
 	}
-	if err := e.sch.SubmitCall(sched.Call{Model: e.mdl.Name(), Tokens: len(toks)}); err != nil {
-		return nil, err
-	}
-	dists := make([]model.Dist, len(tails))
-	for i, h := range tails {
-		dists[i] = e.mdl.Defer(h)
-	}
-	return dists, nil
+	return e.sch.SubmitCall(sched.Call{Model: e.mdl.Name(), Tokens: len(toks), Decode: decode})
 }
 
-// predFn is the forward-pass function decode steps through, letting vLLM
-// interpose cache eviction on memory pressure.
-type predFn func(f *kvfs.File, toks []token.ID, positions []int) ([]model.Dist, error)
+// predFn is the forward-pass function a request runs through, letting
+// vLLM interpose cache eviction on memory pressure.
+type predFn func(f *kvfs.File, toks []token.ID, positions []int, decode bool) error
 
-// decode runs the server-fixed greedy generation loop (the paper's §2.3:
-// users cannot change this).
-func (e *engine) decode(f *kvfs.File, first model.Dist, maxTokens int) ([]token.ID, error) {
-	return e.decodeWith(f, first, maxTokens, e.pred)
-}
-
-func (e *engine) decodeWith(f *kvfs.File, first model.Dist, maxTokens int, pred predFn) ([]token.ID, error) {
+// decode runs the server-fixed greedy generation (the paper's §2.3: users
+// cannot change it). The model is a pure function of the context, so the
+// whole chain is walked on the host from the prefilled file's tail and
+// committed as one decode run.
+func (e *engine) decode(f *kvfs.File, maxTokens int, pred predFn) ([]token.ID, error) {
 	var out []token.ID
-	cur := first.Greedy()
-	for len(out) < maxTokens && cur != token.EOS {
-		out = append(out, cur)
-		d, err := pred(f, []token.ID{cur}, []int{f.Len()})
-		if err != nil {
-			return out, err
+	h, base := f.Tail(), f.Len()
+	for len(out) < maxTokens {
+		tok := e.mdl.Next(h).Greedy()
+		if tok == token.EOS {
+			break
 		}
-		cur = d[0].Greedy()
+		h = h.Extend(tok, base+len(out))
+		out = append(out, tok)
+	}
+	if len(out) > 0 {
+		if err := pred(f, out, positions(base, len(out)), true); err != nil {
+			return nil, err
+		}
 	}
 	e.decodeTokens.Add(int64(len(out)))
 	return out, nil

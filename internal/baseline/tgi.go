@@ -35,13 +35,12 @@ func (s *TGI) Complete(req Request) (Response, error) {
 
 	f := s.e.fs.CreateAnon("server")
 	defer f.Remove()
-	dists, err := s.e.pred(f, req.Prompt, positions(0, len(req.Prompt)))
-	if err != nil {
+	if err := s.e.pred(f, req.Prompt, positions(0, len(req.Prompt)), false); err != nil {
 		return Response{}, err
 	}
 	s.e.requests.Inc()
 	s.e.promptTokens.Add(int64(len(req.Prompt)))
-	out, err := s.e.decode(f, dists[len(dists)-1], req.MaxTokens)
+	out, err := s.e.decode(f, req.MaxTokens, s.e.pred)
 	if err != nil {
 		return Response{}, err
 	}

@@ -156,14 +156,14 @@ func (s *VLLM) ensureSpace(tokens int) {
 
 // predEvict is pred with eviction-on-pressure: free cache space for the
 // incoming tokens, then retry once more aggressively on OOM.
-func (s *VLLM) predEvict(f *kvfs.File, toks []token.ID, pos []int) ([]model.Dist, error) {
+func (s *VLLM) predEvict(f *kvfs.File, toks []token.ID, pos []int, decode bool) error {
 	s.ensureSpace(len(toks) + s.blockTk)
-	dists, err := s.e.pred(f, toks, pos)
+	err := s.e.pred(f, toks, pos, decode)
 	if errors.Is(err, kvfs.ErrNoSpace) {
 		s.ensureSpace(s.e.fs.Stats().GPUPageCap * s.blockTk) // drain the cache
-		dists, err = s.e.pred(f, toks, pos)
+		err = s.e.pred(f, toks, pos, decode)
 	}
-	return dists, err
+	return err
 }
 
 // Complete implements Server.
@@ -196,22 +196,16 @@ func (s *VLLM) Complete(req Request) (Response, error) {
 	s.e.promptTokens.Add(int64(len(req.Prompt)))
 	s.e.cachedTokens.Add(int64(cached))
 
-	rest := req.Prompt[cached:]
-	var last model.Dist
-	if len(rest) > 0 {
-		dists, err := s.predEvict(f, rest, positions(cached, len(rest)))
-		if err != nil {
+	// A whole cached prompt needs no GPU work: decode reads the next
+	// token from the cached context.
+	if rest := req.Prompt[cached:]; len(rest) > 0 {
+		if err := s.predEvict(f, rest, positions(cached, len(rest)), false); err != nil {
 			return Response{}, err
 		}
-		last = dists[len(dists)-1]
-	} else {
-		// Whole prompt cached: the next-token distribution is a pure
-		// function of the cached context; no GPU work needed.
-		last = s.e.mdl.Defer(f.Tail())
 	}
 	s.insert(f, bounds)
 
-	out, err := s.e.decodeWith(f, last, req.MaxTokens, s.predEvict)
+	out, err := s.e.decode(f, req.MaxTokens, s.predEvict)
 	if err != nil {
 		return Response{}, err
 	}

@@ -189,7 +189,7 @@ func runFig3Cell(cfg Fig3Config, sys string, rate, pareto float64) Fig3Point {
 // an advisory lock and forks them afterwards. Unpopular topics use a
 // scratch file that is discarded. Memory pressure is the kernel's: a
 // pred or fork that finds the GPU tier full waits at the kernel's space
-// gate.
+// gate. The answer is one greedy decode run.
 func (c *fig3Cell) ragProgram(req workload.RAGRequest) core.Program {
 	return func(ctx *core.Ctx) error {
 		var sess *lip.Session
@@ -240,17 +240,11 @@ func (c *fig3Cell) ragProgram(req workload.RAGRequest) core.Program {
 				return err
 			}
 		}
-		// Greedy decode, one pred per token.
-		d, _ := sess.Last()
-		cur := d.Greedy()
-		for i := 0; i < req.MaxGen && cur != token.EOS; i++ {
-			ctx.EmitTokens([]token.ID{cur})
-			nd, err := sess.Step(cur)
-			if err != nil {
-				return err
-			}
-			cur = nd.Greedy()
+		res, err := lip.Generate(sess, lip.GenOptions{MaxTokens: req.MaxGen})
+		if err != nil {
+			return err
 		}
+		ctx.EmitTokens(res.Tokens)
 		return nil
 	}
 }

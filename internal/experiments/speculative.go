@@ -91,9 +91,7 @@ func runSpeculativeCell(cfg SpeculativeConfig, k int) SpeculativePoint {
 			if _, err := ds.Prefill(prompt); err != nil {
 				return err
 			}
-			res, err := lip.SpeculativeGenerate(ts, ds, lip.SpecOptions{
-				DraftModel: "draft", K: k, MaxTokens: cfg.GenTokens,
-			})
+			res, err := lip.SpeculativeGenerate(ts, ds, lip.SpecOptions{K: k, MaxTokens: cfg.GenTokens})
 			if err != nil {
 				return err
 			}

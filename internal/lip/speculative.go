@@ -8,8 +8,6 @@ import (
 
 // SpecOptions configure speculative decoding.
 type SpecOptions struct {
-	// DraftModel names the kernel-registered draft model.
-	DraftModel string
 	// K is the number of tokens drafted per round.
 	K int
 	// MaxTokens bounds the total generated tokens.
@@ -39,8 +37,8 @@ func (r SpecResult) AcceptanceRate() float64 {
 }
 
 // SpeculativeGenerate implements greedy speculative decoding as a LIP, the
-// way §4.1 sketches: the draft model proposes K tokens with cheap pred
-// calls, then a single target pred over all K proposals verifies them by
+// way §4.1 sketches: the draft model proposes up to K tokens as one cheap
+// decode run, then a single target pred over the proposal verifies them by
 // inspecting the returned distributions. Accepted prefixes cost one target
 // step instead of one per token; the first rejected position is repaired
 // with the target's own choice and the draft context is rolled back via
@@ -58,21 +56,12 @@ func SpeculativeGenerate(target, draft *Session, opts SpecOptions) (SpecResult, 
 	var res SpecResult
 	for len(res.Tokens) < opts.MaxTokens {
 		res.Rounds++
-		// Draft phase: propose up to K greedy tokens with the cheap model.
-		var proposal []token.ID
-		dDist := draft.last
-		for i := 0; i < opts.K; i++ {
-			t := dDist.Greedy()
-			if t == token.EOS {
-				break
-			}
-			proposal = append(proposal, t)
-			var err error
-			dDist, err = draft.Step(t)
-			if err != nil {
-				return res, err
-			}
+		// Draft phase: the cheap model's greedy run of up to K tokens.
+		drafted, err := Generate(draft, GenOptions{MaxTokens: opts.K})
+		if err != nil {
+			return res, err
 		}
+		proposal := drafted.Tokens
 		if len(proposal) == 0 {
 			// Draft wants to stop; let the target decide the next token.
 			t := target.last.Greedy()
