@@ -2,6 +2,7 @@ package lip
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -343,56 +344,68 @@ func TestParallelBranchesBatchOnGPU(t *testing.T) {
 
 func TestSpeculativeMatchesGreedyDecode(t *testing.T) {
 	// Speculative decoding must be lossless: identical tokens to plain
-	// greedy decoding, with fewer target steps.
-	var plain, spec []token.ID
-	var specRes SpecResult
-	harness(t, func(ctx *core.Ctx) error {
-		kv, _ := ctx.KvAnon()
-		s := NewSession(ctx, kv)
-		if _, err := s.Prefill("speculative decoding test prompt"); err != nil {
-			return err
-		}
-		res, err := Generate(s, GenOptions{MaxTokens: 32})
-		if err != nil {
-			return err
-		}
-		plain = res.Tokens
-		return nil
-	})
-	harness(t, func(ctx *core.Ctx) error {
-		tkv, _ := ctx.KvAnon()
-		dkv, _ := ctx.KvAnon()
-		ts := NewSession(ctx, tkv)
-		ds := NewSession(ctx, dkv).WithModel("draft")
-		if _, err := ts.Prefill("speculative decoding test prompt"); err != nil {
-			return err
-		}
-		if _, err := ds.Prefill("speculative decoding test prompt"); err != nil {
-			return err
-		}
-		r, err := SpeculativeGenerate(ts, ds, SpecOptions{K: 4, MaxTokens: 32})
-		if err != nil {
-			return err
-		}
-		spec = r.Tokens
-		specRes = r
-		return nil
-	})
-	if len(spec) != len(plain) {
-		t.Fatalf("lengths: spec %d, plain %d", len(spec), len(plain))
-	}
-	for i := range spec {
-		if spec[i] != plain[i] {
-			t.Fatalf("token %d: spec %d != plain %d", i, spec[i], plain[i])
-		}
-	}
-	if specRes.TargetSteps >= len(plain) {
-		t.Fatalf("speculation saved nothing: %d target steps for %d tokens", specRes.TargetSteps, len(plain))
-	}
-	// Expected acceptance with a 0.85-aligned draft and K=4 is ~0.68, but a
-	// 32-token run is a single deterministic path with high variance; just
-	// require speculation to be clearly better than chance.
-	if ar := specRes.AcceptanceRate(); ar < 0.35 {
-		t.Fatalf("acceptance rate = %.2f, want >= 0.35 with 0.85-aligned draft", ar)
+	// greedy decoding, with fewer target steps. A budget that is not a
+	// multiple of K must not be drafted past: both KV files end holding
+	// the prompt and the answer, nothing beyond it.
+	for _, maxTokens := range []int{32, 30} {
+		t.Run(fmt.Sprint(maxTokens), func(t *testing.T) {
+			var plain, spec []token.ID
+			var specRes SpecResult
+			harness(t, func(ctx *core.Ctx) error {
+				kv, _ := ctx.KvAnon()
+				s := NewSession(ctx, kv)
+				if _, err := s.Prefill("speculative decoding test prompt"); err != nil {
+					return err
+				}
+				res, err := Generate(s, GenOptions{MaxTokens: maxTokens})
+				if err != nil {
+					return err
+				}
+				plain = res.Tokens
+				return nil
+			})
+			var promptLen, targetLen, draftLen int
+			harness(t, func(ctx *core.Ctx) error {
+				tkv, _ := ctx.KvAnon()
+				dkv, _ := ctx.KvAnon()
+				ts := NewSession(ctx, tkv)
+				ds := NewSession(ctx, dkv).WithModel("draft")
+				if _, err := ts.Prefill("speculative decoding test prompt"); err != nil {
+					return err
+				}
+				if _, err := ds.Prefill("speculative decoding test prompt"); err != nil {
+					return err
+				}
+				promptLen = tkv.Len()
+				r, err := SpeculativeGenerate(ts, ds, SpecOptions{K: 4, MaxTokens: maxTokens})
+				if err != nil {
+					return err
+				}
+				spec = r.Tokens
+				specRes = r
+				targetLen, draftLen = tkv.Len(), dkv.Len()
+				return nil
+			})
+			if len(spec) != len(plain) {
+				t.Fatalf("lengths: spec %d, plain %d", len(spec), len(plain))
+			}
+			for i := range spec {
+				if spec[i] != plain[i] {
+					t.Fatalf("token %d: spec %d != plain %d", i, spec[i], plain[i])
+				}
+			}
+			if want := promptLen + len(spec); targetLen != want || draftLen != want {
+				t.Fatalf("target KV %d, draft KV %d tokens; want prompt+answer = %d", targetLen, draftLen, want)
+			}
+			if specRes.TargetSteps >= len(plain) {
+				t.Fatalf("speculation saved nothing: %d target steps for %d tokens", specRes.TargetSteps, len(plain))
+			}
+			// Expected acceptance with a 0.85-aligned draft and K=4 is ~0.68, but a
+			// 32-token run is a single deterministic path with high variance; just
+			// require speculation to be clearly better than chance.
+			if ar := specRes.AcceptanceRate(); ar < 0.35 {
+				t.Fatalf("acceptance rate = %.2f, want >= 0.35 with 0.85-aligned draft", ar)
+			}
+		})
 	}
 }

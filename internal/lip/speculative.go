@@ -56,8 +56,9 @@ func SpeculativeGenerate(target, draft *Session, opts SpecOptions) (SpecResult, 
 	var res SpecResult
 	for len(res.Tokens) < opts.MaxTokens {
 		res.Rounds++
-		// Draft phase: the cheap model's greedy run of up to K tokens.
-		drafted, err := Generate(draft, GenOptions{MaxTokens: opts.K})
+		// Draft phase: the cheap model's greedy run of up to K tokens,
+		// never past the budget.
+		drafted, err := Generate(draft, GenOptions{MaxTokens: min(opts.K, opts.MaxTokens-len(res.Tokens))})
 		if err != nil {
 			return res, err
 		}
@@ -135,10 +136,6 @@ func SpeculativeGenerate(target, draft *Session, opts SpecOptions) (SpecResult, 
 			// Whole proposal accepted; target.last becomes the last dist.
 			target.last = dists[len(dists)-1]
 			target.ready = true
-		}
-		if len(res.Tokens) >= opts.MaxTokens {
-			res.Tokens = res.Tokens[:opts.MaxTokens]
-			break
 		}
 	}
 	return res, nil
