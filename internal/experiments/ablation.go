@@ -57,7 +57,8 @@ func runSymphonyTrace(c *fig3Cell, k *core.Kernel) {
 			return
 		}
 		defer gate.Release(need)
-		p := k.Submit("rag", c.ragProgram(req))
+		generated := 0
+		p := k.Submit("rag", c.ragProgram(req, &generated))
 		err := p.Wait()
 		if err == nil {
 			err = c.link.OneWay(len(p.Output()))
@@ -66,7 +67,7 @@ func runSymphonyTrace(c *fig3Cell, k *core.Kernel) {
 			c.failed.Inc()
 			return
 		}
-		c.record(req.Arrive, req.MaxGen)
+		c.record(req.Arrive, generated)
 	})
 }
 

@@ -105,6 +105,8 @@ type fig3Cell struct {
 	perTok *metrics.Welford
 	failed *metrics.Counter
 	lastAt time.Duration
+	// generated sums the answer tokens of the completed requests.
+	generated int64
 }
 
 func newFig3Cell(cfg Fig3Config, rate, pareto float64) *fig3Cell {
@@ -139,6 +141,7 @@ func (c *fig3Cell) record(arrive time.Duration, genTokens int) {
 	now := c.clk.Now()
 	d := now - arrive
 	c.lat.Add(d)
+	c.generated += int64(genTokens)
 	if genTokens > 0 {
 		c.perTok.Add(float64(d) / float64(genTokens))
 	}
@@ -189,8 +192,8 @@ func runFig3Cell(cfg Fig3Config, sys string, rate, pareto float64) Fig3Point {
 // an advisory lock and forks them afterwards. Unpopular topics use a
 // scratch file that is discarded. Memory pressure is the kernel's: a
 // pred or fork that finds the GPU tier full waits at the kernel's space
-// gate. The answer is one greedy decode run.
-func (c *fig3Cell) ragProgram(req workload.RAGRequest) core.Program {
+// gate. The answer is one greedy decode run; its length goes to generated.
+func (c *fig3Cell) ragProgram(req workload.RAGRequest, generated *int) core.Program {
 	return func(ctx *core.Ctx) error {
 		var sess *lip.Session
 		if req.Topic < c.cfg.PinTop {
@@ -245,6 +248,7 @@ func (c *fig3Cell) ragProgram(req workload.RAGRequest) core.Program {
 			return err
 		}
 		ctx.EmitTokens(res.Tokens)
+		*generated = len(res.Tokens)
 		return nil
 	}
 }
@@ -268,7 +272,7 @@ func (c *fig3Cell) runSymphony(rate, pareto float64) Fig3Point {
 		total += int64(len(c.tok.Encode(c.docs[req.Topic] + req.Query)))
 	}
 	if total > 0 {
-		saved := total - st.PredTokens + int64(len(c.trace)*c.cfg.GenTokens)
+		saved := total - st.PredTokens + c.generated
 		if saved > 0 {
 			hit = float64(saved) / float64(total)
 		}
@@ -290,11 +294,12 @@ func (c *fig3Cell) runBaseline(sys string, rate, pareto float64) Fig3Point {
 		prompts[i] = c.tok.Encode(c.docs[req.Topic] + req.Query)
 	}
 	c.replay(func(i int, req workload.RAGRequest) {
-		if _, err := client.CompleteTokens(prompts[i], req.MaxGen); err != nil {
+		resp, err := client.CompleteTokens(prompts[i], req.MaxGen)
+		if err != nil {
 			c.failed.Inc()
 			return
 		}
-		c.record(req.Arrive, req.MaxGen)
+		c.record(req.Arrive, len(resp.Tokens))
 	})
 	st := srv.Stats()
 	return c.point(sys, rate, pareto, st.CacheHitRate, st.Sched.Utilization)
