@@ -8,7 +8,7 @@ import (
 
 // SpecOptions configure speculative decoding.
 type SpecOptions struct {
-	// K is the number of tokens drafted per round.
+	// K bounds the tokens drafted per round.
 	K int
 	// MaxTokens bounds the total generated tokens.
 	MaxTokens int

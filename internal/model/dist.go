@@ -27,12 +27,11 @@ type TokenProb struct {
 // Dist rebuilds on every such read — right for values nobody reads (the
 // kernel's pred hands them out for positions a prefix-cache hit attached
 // and for a decode run's non-final positions), reads only through Greedy
-// (the speculation bitmap, lip.Generate's greedy chain walk, the
-// baselines' server-fixed loop) or reads once (a sampled or constrained
-// chain walk's one draw per position, the bitmap's draft proposal for such
-// a run), wrong for any
-// other read in a loop: lip.Session keeps the last position's, always
-// executed and so always from Next.
+// (the speculation bitmap, lip.Generate's greedy chain walk) or reads once
+// (a sampled or constrained chain walk's one draw per position, the
+// bitmap's draft proposal for such a run), wrong for any other read in a
+// loop: lip.Session keeps the last position's, always executed and so
+// always from Next.
 type Dist struct {
 	h     uint64
 	vocab int
