@@ -143,6 +143,40 @@ func TestGenerationIsOneDecodeRun(t *testing.T) {
 	}
 }
 
+// TestDecodeRunGrowsKVWithTheGPU holds a decode run's KV file to the GPU's
+// pace: each answer token is appended alone, just before the iteration
+// that processes it, never the whole answer at submission.
+func TestDecodeRunGrowsKVWithTheGPU(t *testing.T) {
+	clk := simclock.New()
+	e := NewTGI(clk, Config{Model: model.New(model.Llama13B()), FS: smallFS(100_000)}).e
+	p := prompt(token.NewVocab(), 40, 5)
+	drive(t, clk, func() {
+		f := e.fs.CreateAnon("server")
+		defer f.Remove()
+		if err := e.prefill(f, p, positions(0, len(p)), appendKV); err != nil {
+			t.Error(err)
+			return
+		}
+		appends := 0
+		out, err := e.decode(f, 20, func(f *kvfs.File, toks []token.ID, pos []int) error {
+			// Before the run's i-th iteration the GPU has executed the
+			// prompt and i answer tokens, and position len(p)+i is next.
+			if ran := e.sch.Stats().ExecutedTokens; len(toks) != 1 || int64(pos[0]) != ran {
+				t.Errorf("append %d: %d tokens at position %d after %d executed", appends, len(toks), pos[0], ran)
+			}
+			appends++
+			return appendKV(f, toks, pos)
+		})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if len(out) < 2 || appends != len(out) || f.Len() != len(p)+len(out) {
+			t.Errorf("%d tokens in %d appends, file %d; want a multi-token answer, one append each, file %d", len(out), appends, f.Len(), len(p)+len(out))
+		}
+	})
+}
+
 func TestVLLMPrefixCacheHit(t *testing.T) {
 	clk := simclock.New()
 	m := model.New(model.Llama13B())

@@ -5,15 +5,17 @@
 //
 // Both baselines run on exactly the same substrates as Symphony — the
 // simulated model and cost model, the paged KV allocator, and the batch
-// scheduler — and make the same calls on it as a Symphony program's
-// lip.Generate: a prefill, then the whole greedy answer as one decode run.
-// So measured differences isolate the serving architecture: who controls
-// the cache policy and where the application logic runs. Their unit of
-// service is a prompt: a stateless request carrying the full context,
-// answered with generated tokens.
+// scheduler — and, for an answer within lip.Generate's 64-token decode
+// chunk, make the same scheduler calls as a Symphony program: a prefill,
+// then the whole greedy answer as one decode run. So measured differences
+// isolate the serving architecture: who controls the cache policy and
+// where the application logic runs. Their unit of service is a prompt: a
+// stateless request carrying the full context, answered with generated
+// tokens.
 package baseline
 
 import (
+	"cmp"
 	"errors"
 
 	"repro/internal/kvfs"
@@ -120,26 +122,31 @@ func (e *engine) admit(n int) error {
 	return e.gate.Acquire(n)
 }
 
-// pred mirrors the Symphony kernel's pred path for the baselines: append
-// tokens to a KV file and charge them to the batch scheduler — a prefill,
-// or with decode set a decode run the GPU advances one token per
-// iteration.
-func (e *engine) pred(f *kvfs.File, toks []token.ID, positions []int, decode bool) error {
-	if _, err := f.Append(toks, positions); err != nil {
-		return err
-	}
-	return e.sch.SubmitCall(sched.Call{Model: e.mdl.Name(), Tokens: len(toks), Decode: decode})
+// appendFn appends tokens to a request's KV file, letting vLLM interpose
+// cache eviction on memory pressure.
+type appendFn func(f *kvfs.File, toks []token.ID, positions []int) error
+
+// appendKV is appendFn without eviction.
+func appendKV(f *kvfs.File, toks []token.ID, positions []int) error {
+	_, err := f.Append(toks, positions)
+	return err
 }
 
-// predFn is the forward-pass function a request runs through, letting
-// vLLM interpose cache eviction on memory pressure.
-type predFn func(f *kvfs.File, toks []token.ID, positions []int, decode bool) error
+// prefill mirrors the Symphony kernel's pred path for a prompt: append its
+// tokens to the KV file and charge them to the batch scheduler as one call.
+func (e *engine) prefill(f *kvfs.File, toks []token.ID, positions []int, app appendFn) error {
+	if err := app(f, toks, positions); err != nil {
+		return err
+	}
+	return e.sch.SubmitCall(sched.Call{Model: e.mdl.Name(), Tokens: len(toks)})
+}
 
 // decode runs the server-fixed greedy generation (the paper's §2.3: users
 // cannot change it). The model is a pure function of the context, so the
-// whole chain is walked on the host from the prefilled file's tail and
-// committed as one decode run.
-func (e *engine) decode(f *kvfs.File, maxTokens int, pred predFn) ([]token.ID, error) {
+// chain is walked on the host from the prefilled file's tail and submitted
+// as one decode run. Its KV file grows with the run, a token just before
+// each iteration, so vLLM evicts for a page only as the answer reaches it.
+func (e *engine) decode(f *kvfs.File, maxTokens int, app appendFn) ([]token.ID, error) {
 	var out []token.ID
 	h, base := f.Tail(), f.Len()
 	for len(out) < maxTokens {
@@ -150,10 +157,24 @@ func (e *engine) decode(f *kvfs.File, maxTokens int, pred predFn) ([]token.ID, e
 		h = h.Extend(tok, base+len(out))
 		out = append(out, tok)
 	}
-	if len(out) > 0 {
-		if err := pred(f, out, positions(base, len(out)), true); err != nil {
-			return nil, err
+	if len(out) == 0 {
+		return nil, nil
+	}
+	// The run retires a token per iteration, so after i of them out[i] is
+	// next. grow runs on the replica actor; appending never blocks.
+	pos := positions(base, len(out))
+	var growErr error
+	grow := func(i int) {
+		if growErr == nil && i < len(out) {
+			growErr = app(f, out[i:i+1], pos[i:i+1])
 		}
+	}
+	if grow(0); growErr != nil {
+		return nil, growErr
+	}
+	err := e.sch.SubmitCall(sched.Call{Model: e.mdl.Name(), Tokens: len(out), Decode: true, OnProgress: grow})
+	if err = cmp.Or(err, growErr); err != nil {
+		return nil, err
 	}
 	e.decodeTokens.Add(int64(len(out)))
 	return out, nil

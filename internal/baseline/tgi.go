@@ -35,12 +35,12 @@ func (s *TGI) Complete(req Request) (Response, error) {
 
 	f := s.e.fs.CreateAnon("server")
 	defer f.Remove()
-	if err := s.e.pred(f, req.Prompt, positions(0, len(req.Prompt)), false); err != nil {
+	if err := s.e.prefill(f, req.Prompt, positions(0, len(req.Prompt)), appendKV); err != nil {
 		return Response{}, err
 	}
 	s.e.requests.Inc()
 	s.e.promptTokens.Add(int64(len(req.Prompt)))
-	out, err := s.e.decode(f, req.MaxTokens, s.e.pred)
+	out, err := s.e.decode(f, req.MaxTokens, appendKV)
 	if err != nil {
 		return Response{}, err
 	}

@@ -154,14 +154,14 @@ func (s *VLLM) ensureSpace(tokens int) {
 	}
 }
 
-// predEvict is pred with eviction-on-pressure: free cache space for the
-// incoming tokens, then retry once more aggressively on OOM.
-func (s *VLLM) predEvict(f *kvfs.File, toks []token.ID, pos []int, decode bool) error {
+// appendEvict is appendKV with eviction on pressure: free cache space for
+// the incoming tokens, then retry once more aggressively on OOM.
+func (s *VLLM) appendEvict(f *kvfs.File, toks []token.ID, pos []int) error {
 	s.ensureSpace(len(toks) + s.blockTk)
-	err := s.e.pred(f, toks, pos, decode)
+	err := appendKV(f, toks, pos)
 	if errors.Is(err, kvfs.ErrNoSpace) {
 		s.ensureSpace(s.e.fs.Stats().GPUPageCap * s.blockTk) // drain the cache
-		err = s.e.pred(f, toks, pos, decode)
+		err = appendKV(f, toks, pos)
 	}
 	return err
 }
@@ -199,13 +199,13 @@ func (s *VLLM) Complete(req Request) (Response, error) {
 	// A whole cached prompt needs no GPU work: decode reads the next
 	// token from the cached context.
 	if rest := req.Prompt[cached:]; len(rest) > 0 {
-		if err := s.predEvict(f, rest, positions(cached, len(rest)), false); err != nil {
+		if err := s.e.prefill(f, rest, positions(cached, len(rest)), s.appendEvict); err != nil {
 			return Response{}, err
 		}
 	}
 	s.insert(f, bounds)
 
-	out, err := s.e.decode(f, req.MaxTokens, s.predEvict)
+	out, err := s.e.decode(f, req.MaxTokens, s.appendEvict)
 	if err != nil {
 		return Response{}, err
 	}
