@@ -789,9 +789,12 @@ func (c *Ctx) Call(tool string, args string) (string, error) {
 	if t.Latency >= offloadThreshold {
 		// Offload is asynchronous DMA overlapped with the wait; only the
 		// restore on the next Pred costs the thread time. This is a direct
-		// File.Offload, outside the daemon's ledger, on purpose: it must
-		// work with the daemon off. A file a sibling thread's pred has
-		// pinned stays on the GPU.
+		// File.Offload, outside the daemon's ledger, on purpose: the
+		// ledger (kvd.offloads, kvd.restores, the undone-offload share)
+		// counts the daemon's own reclaims under pressure, and this
+		// offload is the tool wait's, made at any pressure, so its
+		// restore is charged to the thread but credited to no reclaim.
+		// A file a sibling thread's pred has pinned stays on the GPU.
 		for _, f := range c.tracked {
 			if !f.Removed() {
 				f.Offload() // best effort; host pressure just keeps pages on GPU

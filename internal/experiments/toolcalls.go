@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"repro/internal/baseline"
@@ -50,19 +51,20 @@ type ToolCallsPoint struct {
 }
 
 func syntheticPrompt(words int, seed int) string {
-	out := ""
+	var b strings.Builder
 	for i := 0; i < words; i++ {
-		out += fmt.Sprintf("w%d_%d ", seed, i)
+		fmt.Fprintf(&b, "w%d_%d ", seed, i)
 	}
-	return out
+	return b.String()
 }
 
 func toolResult(call int, words int) string {
-	out := fmt.Sprintf("result %d:", call)
+	var b strings.Builder
+	fmt.Fprintf(&b, "result %d:", call)
 	for i := 0; i < words; i++ {
-		out += fmt.Sprintf(" r%d_%d", call, i)
+		fmt.Fprintf(&b, " r%d_%d", call, i)
 	}
-	return out
+	return b.String()
 }
 
 // RunToolCalls sweeps E2 across systems and call counts.

@@ -48,6 +48,13 @@ type GenOptions struct {
 	// replica actor at the end of the GPU iteration that retired the
 	// position before it. So Stream must not block on the clock.
 	Stream func(tok token.ID)
+	// Terminal tells Generate that the session's file is removed once it
+	// returns, so no distribution after the run is ever read. A run that
+	// ends at MaxTokens then leaves its last token out of the file: it
+	// still streams when the position before it retires and is still
+	// returned, but costs no GPU iteration of its own. Runs ended by EOS
+	// or a completed constraint are unchanged.
+	Terminal bool
 }
 
 // GenResult reports a finished generation.
@@ -80,8 +87,10 @@ const decodeChunk = 64
 // tokens, the sampler's draws and the billing are those of one Session.Step
 // per token; without speculation each token even streams at the same
 // virtual instant. A run the constraint completed reports its final token
-// but does not commit it. When the constraint is stuck or refuses a token,
-// every token walked so far is committed before the error returns.
+// but does not commit it, and so does a Terminal run that reached
+// MaxTokens: an N-token answer bills N-1 pred tokens and N-1 decode
+// iterations instead of N. When the constraint is stuck or refuses a
+// token, every token walked so far is committed before the error returns.
 func Generate(s *Session, opts GenOptions) (GenResult, error) {
 	g, err := newDecoder(s, opts)
 	if err != nil {
@@ -134,13 +143,14 @@ func newDecoder(s *Session, opts GenOptions) (*decoder, error) {
 
 // advance walks the chain until it is room+1 tokens ahead of the KV file
 // or ends, then commits up to room of the walked tokens — all of them,
-// unless the walk went past room or the constraint completed. A walk error
-// returns once what was walked is committed.
+// unless the walk went past room, the constraint completed or a Terminal
+// run reached MaxTokens. A walk error returns once what was walked is
+// committed.
 func (g *decoder) advance(room int) error {
 	werr := g.walk(room + 1)
 	n := len(g.res.Tokens) - g.done
-	if g.res.ConstraintDone {
-		n-- // a completed constraint's final token never enters the file
+	if g.res.ConstraintDone || g.opts.Terminal && g.ended && !g.res.HitEOS {
+		n-- // the final token's KV would never be read
 	}
 	if err := g.commit(g.done + min(room, n)); err != nil {
 		return err

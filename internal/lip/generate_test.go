@@ -17,8 +17,10 @@ import (
 // generateLoop is the autoregressive loop of the paper's Figure 2 written
 // token by token: sample from the pending distribution, commit the token
 // with a one-token pred, repeat until EOS, the constraint completes, or
-// MaxTokens. It was Generate's body before a generation became one decode
-// run, and it stays as the reference Generate is held to.
+// MaxTokens — or, for a Terminal run, until MaxTokens tokens exist, the
+// last one never committed. It was Generate's body before a generation
+// became one decode run, and it stays as the reference Generate is held
+// to.
 func generateLoop(s *Session, opts GenOptions) (GenResult, error) {
 	if opts.MaxTokens <= 0 {
 		return GenResult{}, fmt.Errorf("lip: MaxTokens must be positive")
@@ -62,6 +64,9 @@ func generateLoop(s *Session, opts GenOptions) (GenResult, error) {
 		}
 		if opts.Constraint != nil && opts.Constraint.Done() {
 			res.ConstraintDone = true
+			break
+		}
+		if opts.Terminal && len(res.Tokens) == opts.MaxTokens {
 			break
 		}
 		if _, err := s.Step(tok); err != nil {
@@ -116,7 +121,8 @@ type streamedToken struct {
 }
 
 // genCase is one generation: a prompt, a sampler (temp 0 is greedy), one
-// of constraints, a length bound, on a plain or a speculating kernel.
+// of constraints, a length bound, on a plain or a speculating kernel,
+// terminal or not.
 type genCase struct {
 	prompt     string
 	temp       float64
@@ -124,11 +130,13 @@ type genCase struct {
 	constraint string
 	max        int
 	spec       bool
+	terminal   bool
 }
 
 // genOutcome is everything a generation leaves that the loop pins: the
 // result and error, the sampler's draws, the KV file, the pending
-// distribution, and every streamed token with its instant.
+// distribution, and every streamed token with its instant; and the pred
+// tokens the generation billed.
 type genOutcome struct {
 	res    GenResult
 	err    error
@@ -138,6 +146,7 @@ type genOutcome struct {
 	last   []model.TokenProb
 	ready  bool
 	stream []streamedToken
+	billed int64
 }
 
 // run generates c with gen on a fresh kernel.
@@ -158,7 +167,7 @@ func (c genCase) run(t *testing.T, gen func(*Session, GenOptions) (GenResult, er
 			return err
 		}
 		smp := &Sampler{Temperature: c.temp, TopP: 0.9, Seed: c.seed}
-		opts := GenOptions{MaxTokens: c.max, Sampler: smp, Stream: func(tok token.ID) {
+		opts := GenOptions{MaxTokens: c.max, Sampler: smp, Terminal: c.terminal, Stream: func(tok token.ID) {
 			out.stream = append(out.stream, streamedToken{tok, ctx.Clock().Now()})
 		}}
 		vocab := ctx.Kernel().Tokenizer().Vocab()
@@ -179,7 +188,9 @@ func (c genCase) run(t *testing.T, gen func(*Session, GenOptions) (GenResult, er
 		case "refuse":
 			opts.Constraint = &failing{after: 40, refuse: true}
 		}
+		before := ctx.Kernel().Stats().PredTokens
 		out.res, out.err = gen(s, opts)
+		out.billed = ctx.Kernel().Stats().PredTokens - before
 		out.draws = smp.draws
 		out.kvLen, out.kvTail = s.KV().Len(), s.KV().Tail()
 		d, ready := s.Last()
@@ -206,6 +217,9 @@ func (c genCase) equalsLoop(t *testing.T) genOutcome {
 	if got.draws != want.draws {
 		t.Errorf("%d sampler draws, loop %d", got.draws, want.draws)
 	}
+	if got.billed != want.billed {
+		t.Errorf("billed %d pred tokens, loop %d", got.billed, want.billed)
+	}
 	if got.kvLen != want.kvLen || got.kvTail != want.kvTail {
 		t.Errorf("KV file %d tokens @%x, loop %d @%x", got.kvLen, got.kvTail, want.kvLen, want.kvTail)
 	}
@@ -224,12 +238,29 @@ func (c genCase) equalsLoop(t *testing.T) genOutcome {
 	return got
 }
 
-// TestGenerateEqualsLoop holds Generate's decode run to the per-token loop
-// over greedy and sampled runs, every kind of option, lengths on both
-// sides of a chunk boundary, and a plain and a speculating kernel. The
-// grid must reach every way a run ends.
-func TestGenerateEqualsLoop(t *testing.T) {
-	ends := map[string]bool{}
+// end names the way a generation of c ended.
+func (c genCase) end(got genOutcome) string {
+	switch res := got.res; {
+	case errors.Is(got.err, ErrConstraintStuck):
+		return "stuck"
+	case errors.Is(got.err, errRefused):
+		return "refused"
+	case got.err != nil:
+		return "error"
+	case res.HitEOS:
+		return "eos"
+	case c.constraint != "none" && c.constraint != "suppress-eos" && res.ConstraintDone:
+		return "constraint done"
+	case c.max > decodeChunk:
+		return "max tokens past a chunk"
+	}
+	return "max tokens"
+}
+
+// genGrid calls fn with every case of the grid, none terminal: greedy and
+// sampled runs, every kind of option, lengths on both sides of a chunk
+// boundary, and a plain and a speculating kernel.
+func genGrid(t *testing.T, fn func(t *testing.T, c genCase)) {
 	for _, temp := range []float64{0, 0.7} {
 		name := "greedy"
 		if temp > 0 {
@@ -242,27 +273,74 @@ func TestGenerateEqualsLoop(t *testing.T) {
 					if spec {
 						kernel = "spec"
 					}
-					c := genCase{"a prompt whose continuation we compute two ways", temp, 7, constraint, max, spec}
-					t.Run(fmt.Sprintf("%s/%s/max%d/%s", name, constraint, max, kernel), func(t *testing.T) {
-						got := c.equalsLoop(t)
-						switch res := got.res; {
-						case errors.Is(got.err, ErrConstraintStuck):
-							ends["stuck"] = true
-						case errors.Is(got.err, errRefused):
-							ends["refused"] = true
-						case res.HitEOS:
-							ends["eos"] = true
-						case constraint != "none" && res.ConstraintDone:
-							ends["constraint done"] = true
-						case len(res.Tokens) == max && max > decodeChunk:
-							ends["max tokens past a chunk"] = true
-						}
-					})
+					c := genCase{"a prompt whose continuation we compute two ways", temp, 7, constraint, max, spec, false}
+					t.Run(fmt.Sprintf("%s/%s/max%d/%s", name, constraint, max, kernel), func(t *testing.T) { fn(t, c) })
 				}
 			}
 		}
 	}
-	for _, end := range []string{"stuck", "refused", "eos", "constraint done", "max tokens past a chunk"} {
+}
+
+// TestGenerateEqualsLoop holds Generate's decode run to the per-token loop
+// over the whole grid, each case terminal and not; the grid must reach
+// every way a run ends.
+func TestGenerateEqualsLoop(t *testing.T) {
+	ends := map[string]bool{}
+	genGrid(t, func(t *testing.T, c genCase) {
+		for _, terminal := range []bool{false, true} {
+			c.terminal = terminal
+			t.Run(fmt.Sprintf("terminal=%v", terminal), func(t *testing.T) {
+				ends[c.end(c.equalsLoop(t))] = true
+			})
+		}
+	})
+	for _, end := range []string{"stuck", "refused", "eos", "constraint done", "max tokens", "max tokens past a chunk"} {
+		if !ends[end] {
+			t.Errorf("no case ended by %s", end)
+		}
+	}
+}
+
+// TestTerminalSkipsOnlyTheLastCommit runs every case of the grid again as
+// a Terminal run. A run that reached MaxTokens leaves its
+// last token out of the KV file and bills one pred token less, with the
+// same tokens, streamed at the same instants on a plain kernel (a
+// speculating one verifies a shorter last window, so its instants may move
+// earlier); a run ended by EOS, a completed constraint or an error is
+// unchanged in everything the loop pins.
+func TestTerminalSkipsOnlyTheLastCommit(t *testing.T) {
+	ends := map[string]bool{}
+	genGrid(t, func(t *testing.T, c genCase) {
+		kept, _ := c.run(t, Generate)
+		c.terminal = true
+		got, _ := c.run(t, Generate)
+		end := c.end(kept)
+		ends[end] = true
+		if c.end(got) != end || !reflect.DeepEqual(got.res, kept.res) || fmt.Sprint(got.err) != fmt.Sprint(kept.err) || got.draws != kept.draws {
+			t.Fatalf("terminal run %+v (%v), kept %+v (%v)", got.res, got.err, kept.res, kept.err)
+		}
+		skipped := 0
+		if strings.HasPrefix(end, "max tokens") {
+			skipped = 1
+		}
+		if len(got.stream) != len(kept.stream) {
+			t.Fatalf("terminal run streamed %d tokens, kept %d", len(got.stream), len(kept.stream))
+		}
+		for i, g := range got.stream {
+			k := kept.stream[i]
+			if g.tok != k.tok || g.at > k.at || g.at != k.at && (skipped == 0 || !c.spec) {
+				t.Fatalf("%s: streamed token %d: terminal %+v, kept %+v", end, i, g, k)
+			}
+		}
+		if got.kvLen != kept.kvLen-skipped || got.billed != kept.billed-int64(skipped) {
+			t.Errorf("%s: terminal run left %d tokens and billed %d, kept %d and %d; want %d fewer",
+				end, got.kvLen, got.billed, kept.kvLen, kept.billed, skipped)
+		}
+		if skipped == 0 && (got.kvTail != kept.kvTail || !reflect.DeepEqual(got.last, kept.last)) {
+			t.Errorf("%s: terminal run left a different KV file or pending distribution", end)
+		}
+	})
+	for _, end := range []string{"stuck", "refused", "eos", "constraint done", "max tokens", "max tokens past a chunk"} {
 		if !ends[end] {
 			t.Errorf("no case ended by %s", end)
 		}
@@ -270,17 +348,18 @@ func TestGenerateEqualsLoop(t *testing.T) {
 }
 
 // FuzzGenerateEqualsLoop is TestGenerateEqualsLoop over fuzzed prompts,
-// seeds, temperatures, lengths and option sets.
+// seeds, temperatures, lengths, option sets and Terminal.
 func FuzzGenerateEqualsLoop(f *testing.F) {
-	f.Add("a prompt whose continuation we compute two ways", uint64(7), 0.7, 65, uint8(0), false)
-	f.Add("constrained", uint64(3), 0.0, 130, uint8(2), true)
-	f.Add("", uint64(1), 1.5, 1, uint8(4), false)
-	f.Fuzz(func(t *testing.T, prompt string, seed uint64, temp float64, max int, constraint uint8, spec bool) {
+	f.Add("a prompt whose continuation we compute two ways", uint64(7), 0.7, 65, uint8(0), false, false)
+	f.Add("constrained", uint64(3), 0.0, 130, uint8(2), true, false)
+	f.Add("", uint64(1), 1.5, 1, uint8(4), false, true)
+	f.Add("terminal", uint64(5), 0.7, 65, uint8(3), true, true)
+	f.Fuzz(func(t *testing.T, prompt string, seed uint64, temp float64, max int, constraint uint8, spec, terminal bool) {
 		if len(prompt) > 256 || !(temp >= 0 && temp <= 2) {
 			t.Skip()
 		}
 		max = 1 + (max%150+150)%150
-		genCase{prompt, temp, seed, constraints[int(constraint)%len(constraints)], max, spec}.equalsLoop(t)
+		genCase{prompt, temp, seed, constraints[int(constraint)%len(constraints)], max, spec, terminal}.equalsLoop(t)
 	})
 }
 
@@ -294,7 +373,7 @@ func TestGenerateDecodeUnderSpecMatchesPlain(t *testing.T) {
 		temp float64
 	}{{"greedy", 0}, {"sampled", 0.7}} {
 		t.Run(tc.name, func(t *testing.T) {
-			c := genCase{"speculative decoding must not change results", tc.temp, 7, "none", 48, false}
+			c := genCase{"speculative decoding must not change results", tc.temp, 7, "none", 48, false, false}
 			plain, _ := c.run(t, Generate)
 			c.spec = true
 			spec, k := c.run(t, Generate)

@@ -2,6 +2,7 @@ package lipscript
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -322,5 +323,95 @@ func TestSampledGenerateIsDecodeRun(t *testing.T) {
 	}
 	if out[false] == "" || out[true] != out[false] {
 		t.Errorf("outputs differ: %q without speculation, %q with", out[false], out[true])
+	}
+}
+
+// scriptRun is what a script left behind: its output, the text and
+// virtual instant of every streamed token, and the GPU positions executed
+// and the pred tokens billed.
+type scriptRun struct {
+	out      string
+	streamed []core.ProcEvent
+	executed int64
+	billed   int64
+}
+
+// runCounted runs js alone on a fresh kernel.
+func runCounted(t *testing.T, js string) scriptRun {
+	t.Helper()
+	clk, k := newKernel()
+	defer clk.Shutdown()
+	p, err := runScript(t, k, clk, js)
+	if err != nil {
+		t.Fatalf("script failed: %v", err)
+	}
+	r := scriptRun{out: p.Output(), executed: k.Stats().Sched.ExecutedTokens, billed: k.Stats().PredTokens}
+	sub := p.Subscribe(0)
+	for e, ok := sub.Next(nil); ok; e, ok = sub.Next(nil) {
+		if e.Kind == core.EventToken {
+			r.streamed = append(r.streamed, core.ProcEvent{Text: e.Text, At: e.At})
+		}
+	}
+	return r
+}
+
+// TestTerminalGenerateSkipsLastPosition: a generate whose session the next
+// statement removes executes exactly one GPU position fewer, and bills one
+// pred token fewer, than the same script with an emit between the two,
+// and streams the same tokens at the same instants and outputs the same
+// text.
+func TestTerminalGenerateSkipsLastPosition(t *testing.T) {
+	const head = `{"steps":[
+		{"op":"anon","s":"a"},
+		{"op":"prefill","s":"a","text":"a terminal generation ends its session"},
+		{"op":"generate","s":"a","max_tokens":16,"temperature":0.7,"seed":7,"out":"x"},`
+	terminal := runCounted(t, head+`{"op":"remove","s":"a"},{"op":"emit","text":"${x}"}]}`)
+	kept := runCounted(t, head+`{"op":"emit","text":"${x}"},{"op":"remove","s":"a"}]}`)
+	if len(kept.streamed) != 16 {
+		t.Fatalf("streamed %d tokens; the comparison needs a run that reaches max_tokens", len(kept.streamed))
+	}
+	if terminal.executed != kept.executed-1 || terminal.billed != kept.billed-1 {
+		t.Errorf("terminal generate executed %d positions and billed %d, with an emit between %d and %d; want one fewer",
+			terminal.executed, terminal.billed, kept.executed, kept.billed)
+	}
+	if !reflect.DeepEqual(terminal.streamed, kept.streamed) {
+		t.Errorf("streamed %v, with an emit between %v", terminal.streamed, kept.streamed)
+	}
+	if terminal.out == "" || terminal.out != kept.out {
+		t.Errorf("output %q, with an emit between %q", terminal.out, kept.out)
+	}
+}
+
+// TestOnlyRemoveMakesGenerateTerminal puts each kind of statement after a
+// generate and compares the script with the same one that has an emit
+// between the two: only a remove of the generating session saves a
+// position. A call, a prefill, a second generate or a remove of another
+// session leaves every generated token in the file.
+func TestOnlyRemoveMakesGenerateTerminal(t *testing.T) {
+	const head = `{"steps":[
+		{"op":"anon","s":"a"},
+		{"op":"anon","s":"b"},
+		{"op":"prefill","s":"a","text":"which statement follows decides"},
+		{"op":"prefill","s":"b","text":"another session"},
+		{"op":"generate","s":"a","max_tokens":12,"temperature":0.7,"seed":3,"out":"x"},`
+	const tail = `{"op":"remove","s":"b"},{"op":"remove","s":"a"}]}`
+	for _, tc := range []struct {
+		name, next string
+		saved      int64
+	}{
+		{"remove", `{"op":"remove","s":"a"},{"op":"remove","s":"b"}]}`, 1},
+		{"call", `{"op":"call","tool":"weather","text":"paris"},` + tail, 0},
+		{"prefill", `{"op":"prefill","s":"a","text":"more context"},` + tail, 0},
+		{"generate", `{"op":"generate","s":"a","max_tokens":4},` + tail, 0},
+		{"remove other", `{"op":"remove","s":"b"},{"op":"remove","s":"a"}]}`, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got := runCounted(t, head+tc.next)
+			kept := runCounted(t, head+`{"op":"emit","text":"${x}"},`+tc.next)
+			if got.executed != kept.executed-tc.saved || got.billed != kept.billed-tc.saved {
+				t.Errorf("executed %d positions and billed %d, with an emit between %d and %d; want %d fewer",
+					got.executed, got.billed, kept.executed, kept.billed, tc.saved)
+			}
+		})
 	}
 }
