@@ -37,9 +37,9 @@
 // rounds against the built-in draft-1b model inside each iteration — the draft
 // proposes a constant window of 4 tokens a round, the target verifies
 // them in one batched step, and the accepted prefix plus one correction
-// token retire together.
-// -spec-decode requires an iteration-level -priority-policy; the
-// speculation ledger is reported by /v1/stats under "spec".
+// token retire together. A decode run advances one round per iteration
+// under either policy; the speculation ledger is reported by /v1/stats
+// under "spec".
 //
 // A kernel radix prefix cache (-prefix-cache) deduplicates KV across
 // jobs: every committed prefill leaves its -prefix-chunk-aligned
@@ -96,7 +96,7 @@ func main() {
 	prefillChunk := flag.Int("prefill-chunk", 0,
 		"max prefill tokens one pred call contributes per GPU iteration, any priority policy (0 disables chunked prefill)")
 	specDecode := flag.Bool("spec-decode", false,
-		"speculatively decode greedy and seeded-sampled generation runs on the draft-1b model inside each GPU iteration (requires an iteration-level -priority-policy)")
+		"speculatively decode greedy and seeded-sampled generation runs on the draft-1b model inside each GPU iteration, any priority policy")
 	prefixCache := flag.Bool("prefix-cache", false,
 		"enable the kernel radix prefix cache: cross-job KV deduplication of shared prompt prefixes by copy-on-write share")
 	prefixChunk := flag.Int("prefix-chunk", core.DefaultPrefixChunk,
@@ -122,10 +122,6 @@ func main() {
 	}
 	if *prefillChunk < 0 {
 		log.Fatalf("-prefill-chunk must be >= 0 (got %d; 0 disables chunking)", *prefillChunk)
-	}
-	if *specDecode && priority.Quantum() <= 0 {
-		log.Fatalf("-spec-decode requires an iteration-level priority policy (have %q; run-to-completion policies never reach a draft/verify boundary)\nvalid policies: %s",
-			*prioPolicy, strings.Join(iterationPolicies(), ", "))
 	}
 	if _, err := sched.ParsePriority(*defaultPriority); err != nil {
 		log.Fatalf("-default-priority: %v", err)
@@ -164,7 +160,7 @@ func main() {
 	})
 	specNote := "off"
 	if sc := kernel.SpecDecode(); sc != nil {
-		specNote = fmt.Sprintf("%s w=%d", sc.Draft, sc.Window)
+		specNote = fmt.Sprintf("%s w=%d", sc.Draft, sched.DefaultSpecWindow)
 	}
 	prefixNote := "off"
 	if *prefixCache {
@@ -177,17 +173,4 @@ func main() {
 	if err := http.ListenAndServe(*addr, srv); err != nil {
 		log.Fatal(err)
 	}
-}
-
-// iterationPolicies lists the priority policies compatible with
-// -spec-decode: those that bound each call's per-iteration slice, so a
-// decode call actually reaches a draft/verify boundary every step.
-func iterationPolicies() []string {
-	var out []string
-	for _, name := range sched.PriorityPolicyNames() {
-		if p, err := sched.NewPriorityPolicy(name); err == nil && p.Quantum() > 0 {
-			out = append(out, name)
-		}
-	}
-	return out
 }

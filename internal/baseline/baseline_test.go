@@ -384,7 +384,7 @@ func TestClientChargesNetwork(t *testing.T) {
 	vocab := token.NewVocab()
 	tk := token.NewTokenizer(vocab)
 	link := netsim.New(clk, 40*time.Millisecond, 0)
-	client := NewClient(link, srv, tk)
+	client := NewClient(link, srv)
 	var netFree, netPaid time.Duration
 	drive(t, clk, func() {
 		start := clk.Now()
@@ -394,7 +394,7 @@ func TestClientChargesNetwork(t *testing.T) {
 		}
 		netFree = clk.Now() - start
 		start = clk.Now()
-		if _, err := client.Complete("direct call", 4); err != nil {
+		if _, err := client.CompleteTokens(tk.Encode("direct call"), 4); err != nil {
 			t.Error(err)
 			return
 		}

@@ -14,37 +14,19 @@ import (
 type Client struct {
 	link *netsim.Link
 	srv  Server
-	tok  *token.Tokenizer
 }
 
 // NewClient returns a client for srv over link.
-func NewClient(link *netsim.Link, srv Server, tok *token.Tokenizer) *Client {
-	return &Client{link: link, srv: srv, tok: tok}
+func NewClient(link *netsim.Link, srv Server) *Client {
+	return &Client{link: link, srv: srv}
 }
 
 // approxBytesPerToken is the average wire size of a token of text.
 const approxBytesPerToken = 4
 
-// Complete sends prompt text and returns the generated text, charging
-// network time in both directions. Call from a simclock actor.
-func (c *Client) Complete(prompt string, maxTokens int) (string, error) {
-	toks := c.tok.Encode(prompt)
-	if err := c.link.OneWay(len(prompt)); err != nil {
-		return "", err
-	}
-	resp, err := c.srv.Complete(Request{Prompt: toks, MaxTokens: maxTokens})
-	if err != nil {
-		return "", err
-	}
-	out := c.tok.Decode(resp.Tokens)
-	if err := c.link.OneWay(len(out)); err != nil {
-		return "", err
-	}
-	return out, nil
-}
-
-// CompleteTokens is Complete for already-tokenized prompts, charging the
-// wire at the average text size per token.
+// CompleteTokens sends a tokenized prompt and returns the server's
+// response, charging network time in both directions at the average text
+// size per token. Call from a simclock actor.
 func (c *Client) CompleteTokens(prompt []token.ID, maxTokens int) (Response, error) {
 	if err := c.link.OneWay(len(prompt) * approxBytesPerToken); err != nil {
 		return Response{}, err

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/kvfs"
 	"repro/internal/model"
-	"repro/internal/sched"
 	"repro/internal/simclock"
 	"repro/internal/token"
 )
@@ -287,9 +286,9 @@ func TestParallelThreadsSharedPrefix(t *testing.T) {
 	if outputs[0] == outputs[1] || outputs[1] == outputs[2] {
 		t.Fatalf("branches produced identical text: %q", outputs)
 	}
-	_, _, _, peak := k.ThreadGauges()
-	if peak < 4 { // main + 3 workers
-		t.Fatalf("peak threads = %d, want >= 4", peak)
+	// The three workers decode at once, so their preds share iterations.
+	if avg := k.Stats().Sched.AvgBatch; avg <= 1 {
+		t.Fatalf("average batch = %v, want the threads' preds batched together", avg)
 	}
 }
 
@@ -621,9 +620,6 @@ func TestKvSyscallSurface(t *testing.T) {
 	// Exercises the full KVFS syscall surface end to end: extract, merge,
 	// link, list, remove, plus identity accessors.
 	clk, k := newKernel()
-	if k.DefaultModelName() != "llama-13b" {
-		t.Fatalf("default model = %q", k.DefaultModelName())
-	}
 	if k.Clock() != clk || k.Scheduler() == nil || k.Tokenizer() == nil {
 		t.Fatal("kernel accessors broken")
 	}
@@ -721,24 +717,5 @@ func TestDraftModelPred(t *testing.T) {
 	})
 	if draftTime >= targetTime {
 		t.Fatalf("draft (%v) not cheaper than target (%v)", draftTime, targetTime)
-	}
-}
-
-// TestSpecWindowDefaultIsReported: a SpecConfig that leaves Window zero
-// drafts sched.DefaultSpecWindow tokens a round, so SpecDecode, which
-// /v1/stats serves, reports that window rather than the zero it was given.
-func TestSpecWindowDefaultIsReported(t *testing.T) {
-	clk := simclock.New()
-	defer clk.Shutdown()
-	k := New(clk, Config{
-		Models: map[string]*model.Model{
-			"llama-13b": model.New(model.Llama13B()),
-			"draft":     model.New(model.DraftLlama1B()),
-		},
-		DefaultModel: "llama-13b",
-		Spec:         &SpecConfig{Draft: "draft"},
-	})
-	if got := k.SpecDecode().Window; got != sched.DefaultSpecWindow {
-		t.Errorf("SpecDecode().Window = %d, want sched.DefaultSpecWindow (%d)", got, sched.DefaultSpecWindow)
 	}
 }

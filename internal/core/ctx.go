@@ -484,11 +484,7 @@ func (c *Ctx) pred(modelName string, f *kvfs.File, toks []token.ID, positions []
 			accept[i] = draft.Echoes(m, h) || draw(i, draft.Defer(h)) == toks[i]
 			h = tails[i]
 		}
-		call.Spec = &sched.SpecCall{
-			Draft:  k.spec.Draft,
-			Window: k.spec.Window,
-			Accept: accept,
-		}
+		call.Spec = &sched.SpecCall{Draft: k.spec.Draft, Accept: accept}
 	}
 	// Keep scheduler preemption coherent with the memory daemon: a call
 	// descheduled at an iteration boundary must not hold its KV file
@@ -529,11 +525,8 @@ func (c *Ctx) pred(modelName string, f *kvfs.File, toks []token.ID, positions []
 		// refuses to move it.
 		k.mig.route(c, f, &call, m.Config().Cost)
 	}
-	k.gauge(stateRunning, stateInferWait)
-	serr := k.sch.SubmitCall(call)
-	k.gauge(stateInferWait, stateRunning)
-	if serr != nil {
-		return nil, serr
+	if err := k.sch.SubmitCall(call); err != nil {
+		return nil, err
 	}
 	k.tracer.Span(trace.Event{
 		At: pstart, Dur: k.clk.Now() - pstart, PID: c.p.pid, TID: c.tid,
@@ -754,13 +747,11 @@ func (c *Ctx) Spawn(fn Program) (*Thread, error) {
 	p.mu.Unlock()
 	t := &Thread{id: tid, done: p.k.clk.NewEvent()}
 	p.wg.Add(1)
-	p.k.gauge(stateDone, stateRunning)
 	p.k.clk.Go(fmt.Sprintf("lip-%d.%d", p.pid, tid), func() {
 		err := runGuarded(fn, &Ctx{p: p, tid: tid})
 		t.mu.Lock()
 		t.err = err
 		t.mu.Unlock()
-		p.k.gauge(stateRunning, stateDone)
 		t.done.Fire()
 		p.wg.Done()
 	})
@@ -803,10 +794,7 @@ func (c *Ctx) Call(tool string, args string) (string, error) {
 	}
 
 	tstart := k.clk.Now()
-	k.gauge(stateRunning, stateIOWait)
-	err := k.clk.Sleep(t.Latency)
-	k.gauge(stateIOWait, stateRunning)
-	if err != nil {
+	if err := k.clk.Sleep(t.Latency); err != nil {
 		return "", err
 	}
 	k.tracer.Span(trace.Event{

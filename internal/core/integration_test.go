@@ -243,12 +243,8 @@ func TestMultiTenantMixedWorkload(t *testing.T) {
 	if failures > 0 {
 		t.Fatalf("%d programs failed", failures)
 	}
-	running, infer, io, peak := k.ThreadGauges()
-	if running != 0 || infer != 0 || io != 0 {
-		t.Fatalf("gauges not drained: run=%d infer=%d io=%d", running, infer, io)
-	}
-	if peak < 3 {
-		t.Fatalf("peak concurrency = %d, expected real overlap", peak)
+	if avg := k.Stats().Sched.AvgBatch; avg <= 1 {
+		t.Fatalf("average batch = %v, expected programs' preds to overlap", avg)
 	}
 	st := k.Stats()
 	// Only the two shared doc files should still hold pages.

@@ -168,11 +168,9 @@ func DefaultConfig() Config {
 // never speculated.
 type SpecConfig struct {
 	// Draft names the registered model that proposes tokens. It must be
-	// a different (cheaper) model than the default one.
+	// a different (cheaper) model than the default one. Every round
+	// drafts sched.DefaultSpecWindow tokens.
 	Draft string
-	// Window is the constant draft window (sched.SpecCall.Window); New
-	// replaces zero with sched.DefaultSpecWindow.
-	Window int
 }
 
 // DiskConfig configures the kernel's durable disk KV tier: a snapshot
@@ -180,12 +178,10 @@ type SpecConfig struct {
 // and is re-prefilled from lazily, plus the third level the KV memory
 // daemon demotes cold host pages to.
 type DiskConfig struct {
-	// Bytes bounds the disk tier; 0 disables it entirely.
+	// Bytes bounds the disk tier; 0 disables it entirely. Host→disk
+	// spilling starts at kvd.DiskHighWater host usage and stops at
+	// kvd.DiskLowWater.
 	Bytes int64
-	// HighWater is the *host*-tier usage fraction that starts host→disk
-	// spilling (default 0.85); where it stops is kvd.Config.DiskLowWater
-	// (default 0.60).
-	HighWater float64
 	// FS is the backing virtual file system. Nil means a fresh
 	// kvstore.SimFS billed by the default model's cost model; restart
 	// experiments pass one in so durable state carries across kernels
@@ -231,13 +227,6 @@ type Kernel struct {
 	ipcMessages  metrics.Counter
 	procsStarted metrics.Counter
 	restoreTime  metrics.Counter // nanoseconds spent restoring offloaded KV
-
-	// thread-state gauges (the upper scheduling level's view)
-	gaugeMu    sync.Mutex
-	running    int
-	inferWait  int
-	ioWait     int
-	peakThread int
 }
 
 // New assembles and starts a kernel on clk.
@@ -264,7 +253,6 @@ func New(clk *simclock.Clock, cfg Config) *Kernel {
 	}
 	if cfg.Disk.Bytes > 0 {
 		fsCfg.DiskBytes = cfg.Disk.Bytes
-		cfg.KV.DiskHighWater = cfg.Disk.HighWater
 	}
 	costs := make(map[string]model.CostModel, len(cfg.Models))
 	for name, m := range cfg.Models {
@@ -290,13 +278,7 @@ func New(clk *simclock.Clock, cfg Config) *Kernel {
 		if cfg.Spec.Draft == def {
 			panic("core: spec draft model is the default model")
 		}
-		if cfg.PriorityPolicy != nil && cfg.PriorityPolicy.Quantum() <= 0 {
-			panic(fmt.Sprintf("core: speculative decoding requires an iteration-level priority policy (have %q)", cfg.PriorityPolicy.Name()))
-		}
 		s := *cfg.Spec
-		if s.Window == 0 {
-			s.Window = sched.DefaultSpecWindow
-		}
 		spec = &s
 	}
 	schedCfg := sched.Config{
@@ -497,9 +479,6 @@ func (k *Kernel) Model(name string) (*model.Model, error) {
 	return m, nil
 }
 
-// DefaultModelName returns the name Pred resolves "" to.
-func (k *Kernel) DefaultModelName() string { return k.defMod }
-
 // SpecDecode returns the speculative-decoding configuration, or nil when
 // disabled.
 func (k *Kernel) SpecDecode() *SpecConfig { return k.spec }
@@ -555,46 +534,6 @@ func (k *Kernel) Stats() Stats {
 		KVD:         k.kvd.Stats(),
 		Migration:   k.mig.stats(),
 		PrefixCache: k.pcache.stats(),
-	}
-}
-
-// ThreadGauges reports the instantaneous two-level scheduler view: threads
-// running LIP code, threads parked in the inference pool, and threads
-// waiting on external I/O.
-func (k *Kernel) ThreadGauges() (running, inferWait, ioWait, peak int) {
-	k.gaugeMu.Lock()
-	defer k.gaugeMu.Unlock()
-	return k.running, k.inferWait, k.ioWait, k.peakThread
-}
-
-type threadState int
-
-const (
-	stateRunning threadState = iota
-	stateInferWait
-	stateIOWait
-	stateDone
-)
-
-// gaugeDelta adjusts one thread-state gauge by d. Caller holds gaugeMu.
-func (k *Kernel) gaugeDelta(s threadState, d int) {
-	switch s {
-	case stateRunning:
-		k.running += d
-	case stateInferWait:
-		k.inferWait += d
-	case stateIOWait:
-		k.ioWait += d
-	}
-}
-
-func (k *Kernel) gauge(from, to threadState) {
-	k.gaugeMu.Lock()
-	defer k.gaugeMu.Unlock()
-	k.gaugeDelta(from, -1)
-	k.gaugeDelta(to, +1)
-	if t := k.running + k.inferWait + k.ioWait; t > k.peakThread {
-		k.peakThread = t
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/kvd"
 	"repro/internal/kvfs"
 	"repro/internal/model"
 	"repro/internal/netsim"
@@ -582,8 +583,7 @@ func (k *Kernel) replicaCrashed(id int) {
 // pressureHigh reports whether the KV daemon is at or above its
 // high-water mark.
 func (m *migrator) pressureHigh() bool {
-	d := m.k.kvd
-	return d.Pressure() >= d.Config().HighWater
+	return m.k.kvd.Pressure() >= kvd.HighWater
 }
 
 // stats snapshots the engine counters (nil-safe: the zero value reports

@@ -148,9 +148,11 @@ func TestPreemptedPredResumeBillsPromotion(t *testing.T) {
 			PriorityPolicy: &sched.Lanes{SliceTokens: 16, MaxStepTokens: 16, AgeAfter: -1},
 		}
 		if disk {
-			// Any host residency at all crosses the spill watermark, so an
-			// offload cascades straight down to the disk tier.
-			cfg.Disk = DiskConfig{Bytes: 1 << 30, HighWater: 1e-6}
+			// A host tier that holds exactly the file under test: its
+			// offload fills the host past kvd.DiskHighWater, so it
+			// cascades straight down to the disk tier.
+			cfg.FS.HostBytes = n * cost.KVBytesPerToken
+			cfg.Disk = DiskConfig{Bytes: 1 << 30}
 		}
 		return clk, New(clk, cfg)
 	}

@@ -89,14 +89,12 @@ func (k *Kernel) SubmitWith(user string, prog Program, opts SubmitOptions) *Proc
 	p.publish(ProcEvent{Kind: EventStatus, Status: StatusRunning})
 
 	p.wg.Add(1)
-	k.gauge(stateDone, stateRunning) // stateDone acts as "outside"
 	k.clk.Go(fmt.Sprintf("lip-%d", p.pid), func() {
 		err := runGuarded(prog, &Ctx{p: p, tid: 0})
 		p.wg.Done()
 		// The process exits when the main thread has returned and every
 		// spawned thread has been joined or finished.
 		p.wg.Wait()
-		k.gauge(stateRunning, stateDone)
 		p.finish(err)
 	})
 	return p

@@ -140,7 +140,7 @@ func runEditorCell(cfg EditorConfig, sys string) EditorPoint {
 	}
 
 	srv := newBaseline(clk, sys, nil)
-	client := baseline.NewClient(link, srv, tok)
+	client := baseline.NewClient(link, srv)
 	drive(clk, func() {
 		var sb strings.Builder
 		sb.WriteString(base)

@@ -286,7 +286,7 @@ func (c *fig3Cell) runBaseline(sys string, rate, pareto float64) Fig3Point {
 	srv := newBaseline(c.clk, sys, func(bc *baseline.Config) {
 		bc.FS = c.fsConfig(bc.Model.Config().Cost.KVBytesPerToken)
 	})
-	client := baseline.NewClient(c.link, srv, c.tok)
+	client := baseline.NewClient(c.link, srv)
 	// The client-side RAG application: fetch the document locally, ship
 	// document+question as the prompt (the paper's §2 workflow).
 	prompts := make([][]token.ID, len(c.trace))

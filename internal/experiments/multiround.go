@@ -138,7 +138,7 @@ func runMultiRoundCell(cfg MultiRoundConfig, sys string) MultiRoundPoint {
 		bc.FS = fig3FS(cfg.GPUBytes, bc.Model.Config().Cost.KVBytesPerToken)
 	})
 	link := netsim.Default(clk)
-	client := baseline.NewClient(link, srv, tok)
+	client := baseline.NewClient(link, srv)
 	drive(clk, func() {
 		var conv []token.ID
 		for r, turn := range turns {

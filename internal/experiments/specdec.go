@@ -17,9 +17,9 @@ import (
 //
 //   - fifo: the unchunked run-to-completion executor — prefills are
 //     monolithic steps, decode advances one token per iteration.
-//   - lanes: iteration-level lanes plus Sarathi-style chunked prefill
-//     (Config.PrefillChunk) — latency improves, but decode throughput is
-//     still pinned at one token per sequence per iteration.
+//   - lanes: iteration-level lanes, whose quantum slices each prefill —
+//     latency improves, but decode throughput is still pinned at one
+//     token per sequence per iteration.
 //   - lanes+spec: the same kernel with Config.Spec — each iteration
 //     drafts a window on the cheap model and verifies it inside the
 //     call's own step, so accepted run lengths multiply per-step decode
@@ -47,11 +47,6 @@ type SpecdecConfig struct {
 	Quantum    int
 	StepTokens int
 	AgeAfter   time.Duration
-	// PrefillChunk is the kernel prefill chunk of the non-fifo cells.
-	PrefillChunk int
-	// Window is the spec cell's draft window; zero takes
-	// sched.DefaultSpecWindow.
-	Window int
 	// Seed offsets the deterministic workload streams (see seedBase).
 	Seed int64
 }
@@ -72,7 +67,6 @@ func DefaultSpecdec() SpecdecConfig {
 		Quantum:             96,
 		StepTokens:          512,
 		AgeAfter:            250 * time.Millisecond,
-		PrefillChunk:        256,
 		Seed:                1,
 	}
 }
@@ -132,15 +126,14 @@ func RunSpecdec(cfg SpecdecConfig) []SpecdecPoint {
 
 // runSpecdecCell measures one executor configuration.
 func runSpecdecCell(cfg SpecdecConfig, cell string, spec bool) SpecdecPoint {
-	policy, chunk := "lanes", cfg.PrefillChunk
+	policy := "lanes"
 	if cell == "fifo" {
-		policy, chunk = "fifo", 0
+		policy = "fifo"
 	}
 	c := newCell(simclock.New(), func(kc *core.Config) {
 		kc.PriorityPolicy = lanePolicy(policy, cfg.Quantum, cfg.StepTokens, cfg.AgeAfter)
-		kc.PrefillChunk = chunk
 		if spec {
-			kc.Spec = &core.SpecConfig{Draft: "draft-1b", Window: cfg.Window}
+			kc.Spec = &core.SpecConfig{Draft: "draft-1b"}
 		}
 		kc.Replicas = cfg.GPUs
 		kc.Dispatcher = sched.LeastLoaded{}

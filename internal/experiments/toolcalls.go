@@ -139,7 +139,7 @@ func runToolCallsCell(cfg ToolCallsConfig, sys string, calls int) ToolCallsPoint
 
 	// Prompt-serving agent: the client interprets tool calls.
 	srv := newBaseline(clk, sys, nil)
-	client := baseline.NewClient(link, srv, tok)
+	client := baseline.NewClient(link, srv)
 	drive(clk, func() {
 		start := clk.Now()
 		conv := tok.Encode(sysPrompt)

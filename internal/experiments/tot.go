@@ -90,7 +90,7 @@ func runTreeCell(cfg TreeConfig, sys string) TreePoint {
 	}
 
 	srv := newBaseline(clk, sys, nil)
-	client := baseline.NewClient(link, srv, tok)
+	client := baseline.NewClient(link, srv)
 	drive(clk, func() {
 		start := clk.Now()
 		// Breadth-first client-side tree: each node is a full request over

@@ -16,8 +16,8 @@ import (
 func offloadDecisions(t *testing.T) []bool {
 	t.Helper()
 	clk := simclock.New()
-	fs := newFS(256) // 16 pages
-	d := newDaemon(t, clk, fs, kvd.Config{Policy: "lru", HighWater: 0.75, LowWater: 0.5})
+	fs := newFS(256) // 16 pages: reclaim down to 12
+	d := newDaemon(t, clk, fs, kvd.Config{Policy: "lru"})
 	var files []*kvfs.File
 	for i := 0; i < 8; i++ {
 		f := fs.CreateAnon("u")

@@ -31,13 +31,11 @@ func newTieredFS(gpuTokens, hostTokens, diskTokens int) (*kvfs.FS, *kvfs.DiskTie
 // daemon demotes the coldest host files on to the disk tier.
 func TestReclaimCascadesToDisk(t *testing.T) {
 	clk := simclock.New()
-	// Host tier only twice the GPU tier, so sustained GPU eviction
-	// crosses the host watermark quickly.
-	fs, dt := newTieredFS(256, 512, 4096)
-	d := newDaemon(t, clk, fs, kvd.Config{
-		Policy: "lru", HighWater: 0.5, LowWater: 0.25,
-		DiskHighWater: 0.5, DiskLowWater: 0.25,
-	})
+	// GPU 16 pages, host 20. From the fourth 4-page file on, each fill
+	// crosses the GPU high-water mark and offloads one file; the fifth
+	// offload fills the host, which spills down to its low-water mark.
+	fs, dt := newTieredFS(256, 320, 4096)
+	d := newDaemon(t, clk, fs, kvd.Config{Policy: "lru"})
 	d.AttachDisk(dt)
 
 	var spills, loads []kvd.Event
@@ -68,7 +66,7 @@ func TestReclaimCascadesToDisk(t *testing.T) {
 	if fst.DiskPages == 0 {
 		t.Fatal("no disk pages reserved after spills")
 	}
-	if float64(fst.HostPages) >= 0.5*float64(fst.HostPageCap) {
+	if float64(fst.HostPages) >= kvd.DiskHighWater*float64(fst.HostPageCap) {
 		t.Fatalf("host still above watermark after spill: %d/%d", fst.HostPages, fst.HostPageCap)
 	}
 
@@ -111,18 +109,20 @@ func TestReclaimCascadesToDisk(t *testing.T) {
 // without an attached disk tier, whatever the watermarks say.
 func TestSpillInertWithoutDisk(t *testing.T) {
 	clk := simclock.New()
-	fs, _ := newTieredFS(128, 128, 1024)
-	d := newDaemon(t, clk, fs, kvd.Config{Policy: "lru", HighWater: 0.5, LowWater: 0.25, DiskHighWater: 0.1, DiskLowWater: 0.05})
+	// A host tier of one 2-page file: the first offload fills it past
+	// kvd.DiskHighWater.
+	fs, _ := newTieredFS(128, 32, 1024)
+	d := newDaemon(t, clk, fs, kvd.Config{Policy: "lru"})
 	for i := 0; i < 4; i++ {
 		f := fs.CreateAnon("u")
 		fill(t, f, 32)
 		d.Track(f, 1+i, nil)
 		d.MaybeReclaim()
 	}
-	if st := d.Stats(); st.Spills != 0 {
-		t.Fatalf("spilled without a disk tier: %+v", st)
+	if st := d.Stats(); st.Offloads == 0 || st.Spills != 0 {
+		t.Fatalf("want offloads and no spill without a disk tier: %+v", st)
 	}
-	if st := fs.Stats(); st.DiskPages != 0 {
-		t.Fatalf("disk pages without a disk tier: %d", st.DiskPages)
+	if st := fs.Stats(); st.HostPages != st.HostPageCap || st.DiskPages != 0 {
+		t.Fatalf("host %d/%d pages, disk %d: want a full host tier and no disk pages", st.HostPages, st.HostPageCap, st.DiskPages)
 	}
 }

@@ -40,52 +40,23 @@ import (
 	"repro/internal/simclock"
 )
 
-// Config assembles a daemon. The zero value is lru at the default
-// watermarks.
+// Config assembles a daemon. The zero value is lru.
 type Config struct {
 	// Policy names the eviction policy (see PolicyNames); empty means
 	// "lru".
 	Policy string
-	// HighWater is the GPU page usage fraction that triggers reclaim
-	// (default 0.90).
-	HighWater float64
-	// LowWater is the usage fraction reclaim drives down to (default
-	// HighWater − 0.15).
-	LowWater float64
-	// DiskHighWater is the *host* page usage fraction that triggers
-	// spilling cold host-resident files down to the disk tier (default
-	// 0.85). Spilling needs a disk tier: it is inert until AttachDisk.
-	DiskHighWater float64
-	// DiskLowWater is the host usage fraction spilling drives down to
-	// (default 0.60).
-	DiskLowWater float64
 }
 
-// withDefaults fills the unset policy and watermarks.
-func (c Config) withDefaults() Config {
-	if c.Policy == "" {
-		c.Policy = "lru"
-	}
-	if c.HighWater <= 0 || c.HighWater > 1 {
-		c.HighWater = 0.90
-	}
-	if c.LowWater <= 0 || c.LowWater >= c.HighWater {
-		c.LowWater = c.HighWater - 0.15
-		if c.LowWater < 0 {
-			c.LowWater = 0
-		}
-	}
-	if c.DiskHighWater <= 0 || c.DiskHighWater > 1 {
-		c.DiskHighWater = 0.85
-	}
-	if c.DiskLowWater <= 0 || c.DiskLowWater >= c.DiskHighWater {
-		c.DiskLowWater = 0.60
-		if c.DiskLowWater >= c.DiskHighWater {
-			c.DiskLowWater = c.DiskHighWater / 2
-		}
-	}
-	return c
-}
+// The watermarks are constants. Reclaim starts once GPU page usage
+// reaches HighWater and drives it down to LowWater; spilling starts once
+// host page usage reaches DiskHighWater (with a disk tier attached) and
+// drives it down to DiskLowWater.
+const (
+	HighWater     = 0.90
+	LowWater      = 0.75
+	DiskHighWater = 0.85
+	DiskLowWater  = 0.60
+)
 
 // Event describes a daemon action on one tracked file, delivered to the
 // owning process through the notify callback registered at Track time
@@ -108,7 +79,8 @@ type Notify func(Event)
 // Stats is a snapshot of daemon counters. The disk-tier ledger is served
 // in /v1/stats' "disk" block beside the file system's disk pages.
 type Stats struct {
-	Policy    string  `stats:"policy"`
+	Policy string `stats:"policy"`
+	// HighWater and LowWater echo the GPU watermark constants.
 	HighWater float64 `stats:"high_water"`
 	LowWater  float64 `stats:"low_water"`
 	// Pressure is the instantaneous GPU page usage fraction.
@@ -189,7 +161,6 @@ type Daemon struct {
 	fs     *kvfs.FS
 	cost   model.CostModel
 	policy Policy
-	cfg    Config
 
 	mu      sync.Mutex
 	disk    *kvfs.DiskTier // nil until AttachDisk
@@ -206,7 +177,9 @@ type Daemon struct {
 // New assembles a daemon over fs, costing restores and recomputes with
 // the default model's cost model. An unknown policy name is an error.
 func New(clk *simclock.Clock, fs *kvfs.FS, cost model.CostModel, cfg Config) (*Daemon, error) {
-	cfg = cfg.withDefaults()
+	if cfg.Policy == "" {
+		cfg.Policy = "lru"
+	}
 	pol, err := NewPolicy(cfg.Policy)
 	if err != nil {
 		return nil, err
@@ -216,16 +189,12 @@ func New(clk *simclock.Clock, fs *kvfs.FS, cost model.CostModel, cfg Config) (*D
 		fs:      fs,
 		cost:    cost,
 		policy:  pol,
-		cfg:     cfg,
 		entries: make(map[*kvfs.File]*entry),
 	}, nil
 }
 
 // PolicyName reports the active eviction policy name.
 func (d *Daemon) PolicyName() string { return d.policy.Name() }
-
-// Config returns the daemon's effective configuration.
-func (d *Daemon) Config() Config { return d.cfg }
 
 // AttachDisk gives the daemon a disk tier to demote into, enabling the
 // host-watermark spill path. Call once at kernel assembly, before any
@@ -417,10 +386,10 @@ func (d *Daemon) Pressure() float64 {
 // pressure is handled where it is created.
 func (d *Daemon) MaybeReclaim() int {
 	st := d.fs.Stats()
-	if st.GPUPageCap <= 0 || float64(st.GPUPages) < d.cfg.HighWater*float64(st.GPUPageCap) {
+	if st.GPUPageCap <= 0 || float64(st.GPUPages) < HighWater*float64(st.GPUPageCap) {
 		return 0
 	}
-	target := st.GPUPages - int(d.cfg.LowWater*float64(st.GPUPageCap))
+	target := st.GPUPages - int(LowWater*float64(st.GPUPageCap))
 	return d.reclaim(target * st.PageTokens)
 }
 
@@ -430,7 +399,7 @@ func (d *Daemon) MaybeReclaim() int {
 func (d *Daemon) Reclaim(needTokens int) int {
 	st := d.fs.Stats()
 	if st.GPUPageCap > 0 {
-		if over := st.GPUPages - int(d.cfg.LowWater*float64(st.GPUPageCap)); over*st.PageTokens > needTokens {
+		if over := st.GPUPages - int(LowWater*float64(st.GPUPageCap)); over*st.PageTokens > needTokens {
 			needTokens = over * st.PageTokens
 		}
 	}
@@ -585,10 +554,10 @@ func (d *Daemon) maybeSpillHost() {
 		return
 	}
 	st := d.fs.Stats()
-	if st.HostPageCap <= 0 || float64(st.HostPages) < d.cfg.DiskHighWater*float64(st.HostPageCap) {
+	if st.HostPageCap <= 0 || float64(st.HostPages) < DiskHighWater*float64(st.HostPageCap) {
 		return
 	}
-	target := st.HostPages - int(d.cfg.DiskLowWater*float64(st.HostPageCap))
+	target := st.HostPages - int(DiskLowWater*float64(st.HostPageCap))
 	d.demote(spillToDisk, target*st.PageTokens)
 }
 
@@ -634,7 +603,7 @@ func (d *Daemon) Stats() Stats {
 	defer d.mu.Unlock()
 	d.sweepRemovedLocked() // Tracked counts live files, not removed ones
 	st := d.st
-	st.Policy, st.HighWater, st.LowWater = d.policy.Name(), d.cfg.HighWater, d.cfg.LowWater
+	st.Policy, st.HighWater, st.LowWater = d.policy.Name(), HighWater, LowWater
 	st.Pressure, st.Tracked = pressure, len(d.entries)
 	return st
 }

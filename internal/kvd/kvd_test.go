@@ -49,8 +49,8 @@ func fill(t *testing.T, f *kvfs.File, n int) {
 }
 
 // TestZeroConfigIsLRU checks that every configuration runs a daemon: the
-// zero Config is lru at the default 0.90 / 0.75 watermarks, and a policy
-// name outside PolicyNames — "none" included — is an error.
+// zero Config is lru, Stats echoes the 0.90 / 0.75 watermark constants,
+// and a policy name outside PolicyNames — "none" included — is an error.
 func TestZeroConfigIsLRU(t *testing.T) {
 	d, err := kvd.New(simclock.New(), newFS(64), model.A100Llama13B(), kvd.Config{})
 	if err != nil {
@@ -135,27 +135,30 @@ func TestPolicyRanking(t *testing.T) {
 
 func TestMaybeReclaimWatermarks(t *testing.T) {
 	clk := simclock.New()
-	fs := newFS(256) // 16 pages
-	d := newDaemon(t, clk, fs, kvd.Config{Policy: "lru", HighWater: 0.75, LowWater: 0.5})
+	fs := newFS(320) // 20 pages: reclaim from 18 (0.90) down to 15 (0.75)
+	d := newDaemon(t, clk, fs, kvd.Config{Policy: "lru"})
 
-	// Four cold files of 64 tokens (4 pages) each: 16/16 pages used.
-	var files []*kvfs.File
-	for i := 0; i < 4; i++ {
+	// Cold files of 64 tokens (4 pages) each.
+	add := func() {
 		f := fs.CreateAnon("u")
 		fill(t, f, 64)
 		d.Track(f, 1, nil)
-		files = append(files, f)
 	}
+	for i := 0; i < 4; i++ {
+		add()
+	}
+	// 16/20 pages is below the high-water mark: reclaim is a no-op.
+	if freed := d.MaybeReclaim(); freed != 0 {
+		t.Fatalf("reclaim at pressure %v freed %d", d.Pressure(), freed)
+	}
+	add()
 	if p := d.Pressure(); p != 1 {
 		t.Fatalf("pressure = %v, want 1", p)
 	}
+	// 5 pages over the low-water mark: two files go.
 	freed := d.MaybeReclaim()
-	if freed == 0 {
-		t.Fatal("no reclaim above high water")
-	}
-	st := fs.Stats()
-	if st.GPUPages > 8 {
-		t.Fatalf("gpu pages = %d after reclaim, want <= low water 8", st.GPUPages)
+	if st := fs.Stats(); freed != 128 || st.GPUPages != 12 {
+		t.Fatalf("reclaim freed %d tokens to %d gpu pages, want 128 to 12 (under low water 15)", freed, st.GPUPages)
 	}
 	// Below the high-water mark reclaim is a no-op.
 	if again := d.MaybeReclaim(); again != 0 {
@@ -178,7 +181,7 @@ func TestReclaimStopsAtFullHostTier(t *testing.T) {
 		HostBytes:     96 * bpt,  // 6 pages
 		BytesPerToken: bpt,
 	})
-	d := newDaemon(t, simclock.New(), fs, kvd.Config{Policy: "lru", HighWater: 0.75, LowWater: 0.5})
+	d := newDaemon(t, simclock.New(), fs, kvd.Config{Policy: "lru"})
 	for i := 0; i < 4; i++ {
 		f := fs.CreateAnon("u")
 		fill(t, f, 64)
@@ -196,7 +199,7 @@ func TestReclaimStopsAtFullHostTier(t *testing.T) {
 func TestLockedPinnedAndUntrackedNeverOffloaded(t *testing.T) {
 	clk := simclock.New()
 	fs := newFS(256)
-	d := newDaemon(t, clk, fs, kvd.Config{Policy: "lru", HighWater: 0.5, LowWater: 0.1})
+	d := newDaemon(t, clk, fs, kvd.Config{Policy: "lru"})
 
 	locked := fs.CreateAnon("u")
 	fill(t, locked, 64)
@@ -247,7 +250,7 @@ func TestLockedPinnedAndUntrackedNeverOffloaded(t *testing.T) {
 func TestRestoreLedgerAndNotify(t *testing.T) {
 	clk := simclock.New()
 	fs := newFS(128)
-	d := newDaemon(t, clk, fs, kvd.Config{Policy: "cost-aware", HighWater: 0.5, LowWater: 0.1})
+	d := newDaemon(t, clk, fs, kvd.Config{Policy: "cost-aware"})
 
 	var events []kvd.Event
 	f := fs.CreateAnon("u")
@@ -287,7 +290,7 @@ func TestRestoreLedgerAndNotify(t *testing.T) {
 func TestReleaseProcessOrphansFilesAndFreesPark(t *testing.T) {
 	clk := simclock.New()
 	fs := newFS(128)
-	d := newDaemon(t, clk, fs, kvd.Config{Policy: "lru", HighWater: 0.5, LowWater: 0.25})
+	d := newDaemon(t, clk, fs, kvd.Config{Policy: "lru"})
 
 	var events int
 	leaked := fs.CreateAnon("dead")
@@ -326,7 +329,7 @@ func TestTrackedEntriesGCWithoutPressure(t *testing.T) {
 	// path (which also sweeps) only runs under pressure.
 	clk := simclock.New()
 	fs := newFS(16 << 10)
-	d := newDaemon(t, clk, fs, kvd.Config{Policy: "lru", HighWater: 0.99})
+	d := newDaemon(t, clk, fs, kvd.Config{Policy: "lru"})
 	for i := 0; i < 300; i++ {
 		f := fs.CreateAnon("u")
 		fill(t, f, 16)

@@ -26,17 +26,14 @@ func TestFailedCommitRollsBackSpill(t *testing.T) {
 	fs := kvfs.NewFS(kvfs.Config{
 		PageTokens:    16,
 		GPUBytes:      256 * bpt,
-		HostBytes:     512 * bpt,
+		HostBytes:     320 * bpt,
 		DiskBytes:     4096 * bpt,
 		BytesPerToken: bpt,
 	})
 	inj := chaos.New(nil, 1)
 	ffs := chaos.NewFaultFS(kvstore.NewSimFS(nil, model.CostModel{}), inj)
 	dt := kvfs.NewDiskTier(fs, kvstore.NewStore(ffs))
-	d := newDaemon(t, clk, fs, kvd.Config{
-		Policy: "lru", HighWater: 0.5, LowWater: 0.25,
-		DiskHighWater: 0.5, DiskLowWater: 0.25,
-	})
+	d := newDaemon(t, clk, fs, kvd.Config{Policy: "lru"})
 	d.AttachDisk(dt)
 
 	// Cascade enough pressure that host spills to disk (the shape of

@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/grammar"
 	"repro/internal/model"
+	"repro/internal/sched"
 	"repro/internal/token"
 )
 
@@ -149,12 +150,16 @@ type genOutcome struct {
 	billed int64
 }
 
-// run generates c with gen on a fresh kernel.
-func (c genCase) run(t *testing.T, gen func(*Session, GenOptions) (GenResult, error)) (genOutcome, *core.Kernel) {
+// run generates c with gen on a fresh kernel that edits adjust.
+func (c genCase) run(t *testing.T, gen func(*Session, GenOptions) (GenResult, error), edits ...func(*core.Config)) (genOutcome, *core.Kernel) {
 	t.Helper()
-	edit := func(*core.Config) {}
-	if c.spec {
-		edit = speculating
+	edit := func(cfg *core.Config) {
+		if c.spec {
+			speculating(cfg)
+		}
+		for _, e := range edits {
+			e(cfg)
+		}
 	}
 	var out genOutcome
 	k := harnessWith(t, edit, func(ctx *core.Ctx) error {
@@ -364,21 +369,33 @@ func FuzzGenerateEqualsLoop(f *testing.F) {
 }
 
 // TestGenerateDecodeUnderSpecMatchesPlain runs greedy and seeded-sampled
-// generations on a speculating kernel: the same tokens as without
-// speculation, the executor ran draft/verify rounds, and it accepted some
-// but never more than it drafted.
+// generations on a speculating kernel: the same tokens, sampler draws and
+// KV file as without speculation, the executor ran draft/verify rounds,
+// and it accepted some but never more than it drafted. Speculation needs
+// no iteration-level priority policy: under fifo a decode run still
+// advances one position per iteration, so the fifo cases speculate too.
 func TestGenerateDecodeUnderSpecMatchesPlain(t *testing.T) {
+	fifo := func(c *core.Config) { c.PriorityPolicy = sched.FIFO{} }
 	for _, tc := range []struct {
-		name string
-		temp float64
-	}{{"greedy", 0}, {"sampled", 0.7}} {
+		name  string
+		temp  float64
+		edits []func(*core.Config)
+	}{
+		{"greedy", 0, nil},
+		{"sampled", 0.7, nil},
+		{"fifo-greedy", 0, []func(*core.Config){fifo}},
+		{"fifo-sampled", 0.7, []func(*core.Config){fifo}},
+	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c := genCase{"speculative decoding must not change results", tc.temp, 7, "none", 48, false, false}
-			plain, _ := c.run(t, Generate)
+			plain, _ := c.run(t, Generate, tc.edits...)
 			c.spec = true
-			spec, k := c.run(t, Generate)
+			spec, k := c.run(t, Generate, tc.edits...)
 			if !reflect.DeepEqual(spec.res, plain.res) || spec.err != nil {
 				t.Fatalf("spec %+v (%v), plain %+v", spec.res, spec.err, plain.res)
+			}
+			if spec.draws != plain.draws || spec.kvLen != plain.kvLen || spec.kvTail != plain.kvTail {
+				t.Errorf("spec drew %d and left %d KV tokens, plain %d and %d", spec.draws, spec.kvLen, plain.draws, plain.kvLen)
 			}
 			if len(plain.res.Tokens) < 8 {
 				t.Fatalf("only %d tokens generated; the comparison needs a run", len(plain.res.Tokens))

@@ -140,12 +140,12 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 	return h.max
 }
 
-// Welford accumulates running mean and variance of float64 samples.
+// Welford accumulates the running mean (Welford's update) and total of
+// float64 samples.
 type Welford struct {
 	mu    sync.Mutex
 	n     int64
 	mean  float64
-	m2    float64
 	total float64
 }
 
@@ -156,7 +156,6 @@ func (w *Welford) Add(x float64) {
 	w.n++
 	d := x - w.mean
 	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
 	w.total += x
 }
 
@@ -168,16 +167,6 @@ func (w *Welford) Mean() float64 { w.mu.Lock(); defer w.mu.Unlock(); return w.me
 
 // Sum reports the running total.
 func (w *Welford) Sum() float64 { w.mu.Lock(); defer w.mu.Unlock(); return w.total }
-
-// Std reports the sample standard deviation.
-func (w *Welford) Std() float64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.n < 2 {
-		return 0
-	}
-	return math.Sqrt(w.m2 / float64(w.n-1))
-}
 
 // Counter is a concurrent monotonic counter.
 type Counter struct {

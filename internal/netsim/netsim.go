@@ -39,12 +39,6 @@ func Default(clk *simclock.Clock) *Link {
 	return New(clk, DefaultRTT, DefaultBandwidth)
 }
 
-// Loopback returns a zero-latency link, used to model co-located logic
-// (e.g. a LIP performing "network" calls inside the server).
-func Loopback(clk *simclock.Clock) *Link {
-	return New(clk, 0, 0)
-}
-
 // OneWay charges the calling actor for sending n bytes in one direction.
 func (l *Link) OneWay(n int) error {
 	d := l.RTT / 2

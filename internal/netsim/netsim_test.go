@@ -46,16 +46,16 @@ func TestBandwidthCharged(t *testing.T) {
 	}
 }
 
-func TestLoopbackFree(t *testing.T) {
+func TestZeroLinkFree(t *testing.T) {
 	clk := simclock.New()
-	l := Loopback(clk)
+	l := New(clk, 0, 0)
 	runActor(t, clk, func() {
 		if err := l.RoundTrip(1<<20, 1<<20); err != nil {
 			t.Errorf("RoundTrip: %v", err)
 		}
 	})
 	if clk.Now() != 0 {
-		t.Fatalf("loopback charged time: %v", clk.Now())
+		t.Fatalf("zero link charged time: %v", clk.Now())
 	}
 }
 

@@ -51,7 +51,7 @@ func checkOneStepPerToken(t *testing.T, who string, stamps []time.Duration, n in
 // step count is set by the long call — only who rides which step moves.
 func TestDecodeLoopRidesEveryIteration(t *testing.T) {
 	cost, draft := model.A100Llama13B(), model.A100Llama1B()
-	const n, window = 10, 4
+	const n, window = 10, DefaultSpecWindow
 	cases := []struct {
 		name  string
 		long  Call
@@ -73,7 +73,7 @@ func TestDecodeLoopRidesEveryIteration(t *testing.T) {
 			// verify step.
 			name: "spec decode run",
 			long: Call{Model: target, Tokens: 101, Decode: true, Spec: &SpecCall{
-				Draft: draftModel, Window: window,
+				Draft:  draftModel,
 				Accept: bitmap(100, func(int) bool { return true }),
 			}},
 			step: window*(draft.KernelOverhead+draft.PerSequence+draft.PerToken) +

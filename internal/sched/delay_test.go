@@ -28,7 +28,7 @@ func TestLoneCallRecordsNoDelay(t *testing.T) {
 		{"sliced prefill", Call{Model: target, Tokens: 300}, 3},
 		{"decode run", Call{Model: target, Tokens: 16, Decode: true}, 16},
 		{"speculated run", Call{Model: target, Tokens: 21, Decode: true, Spec: &SpecCall{
-			Draft: draftModel, Window: 4, Accept: bitmap(20, func(int) bool { return true }),
+			Draft: draftModel, Accept: bitmap(20, func(int) bool { return true }),
 		}}, 5},
 	}
 	for _, tc := range cases {
@@ -128,7 +128,7 @@ func TestQueueDelayTimeIdentity(t *testing.T) {
 			config: func() Config { return Config{} },
 			jobs: []job{
 				{0, Call{Model: target, Tokens: 11, Decode: true, Spec: &SpecCall{
-					Draft: draftModel, Window: 4, Accept: bitmap(10, func(int) bool { return true }),
+					Draft: draftModel, Accept: bitmap(10, func(int) bool { return true }),
 				}}, []advance{
 					{us(29740), 0, us(29740)},
 					{us(60060), us(580), us(29740)},

@@ -30,7 +30,7 @@ func fuzzCall(b []byte, now time.Duration, spec bool) *call {
 		for i := range accept {
 			accept[i] = (i*int(b[1])+int(b[3]))%3 != 0
 		}
-		c.spec = &specState{draft: draftModel, window: 1 + int(b[3])%DefaultSpecMaxWindow, accept: accept}
+		c.spec = &specState{draft: draftModel, accept: accept}
 	}
 	return c
 }
@@ -49,7 +49,7 @@ func refCompute(c *call, quantum, chunk int) int {
 		}
 		return n
 	case c.spec != nil && c.remaining > 1:
-		return min(c.spec.window, c.remaining-1)
+		return min(DefaultSpecWindow, c.remaining-1)
 	default:
 		return 1
 	}

@@ -158,9 +158,11 @@ func (l *Lanes) Effective(p Priority, waited time.Duration) Priority {
 }
 
 // FIFO is the run-to-completion baseline: priorities are ignored, calls
-// execute in arrival order, and each call runs all of its tokens in one
-// slice. It reproduces the pre-iteration-level executor and is what the
-// SLO experiment measures lane scheduling against.
+// execute in arrival order, and a prompt runs all of its tokens in one
+// slice unless a prefill chunk cuts it. Decode runs advance one token per iteration (one draft/verify
+// round when speculated) under every policy, this one included. It
+// reproduces the pre-iteration-level executor and is what the SLO
+// experiment measures lane scheduling against.
 type FIFO struct{}
 
 // Name implements PriorityPolicy.

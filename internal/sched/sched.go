@@ -733,16 +733,13 @@ func packStep(active []*call, now time.Duration, prio PriorityPolicy, models map
 			}
 			prog, comp = slice, slice
 		case c.spec != nil && c.remaining > 1:
-			// Draft/verify round: the draft proposes up to window tokens
-			// (never past the run's final position — that one always
-			// comes from a verify pass), the target computes them all,
-			// and the leading accepted run plus one correction/bonus
-			// token retires.
+			// Draft/verify round: the draft proposes up to
+			// DefaultSpecWindow tokens (never past the run's final
+			// position — that one always comes from a verify pass), the
+			// target computes them all, and the leading accepted run plus
+			// one correction/bonus token retires.
 			pos := c.tokens - c.remaining
-			effW := c.spec.window
-			if effW > c.remaining-1 {
-				effW = c.remaining - 1
-			}
+			effW := min(DefaultSpecWindow, c.remaining-1)
 			acc := 0
 			for acc < effW && c.spec.accept[pos+acc] {
 				acc++

@@ -65,35 +65,41 @@ func TestPlainDecodeAdvancesOneTokenPerIteration(t *testing.T) {
 // TestSpecFullAcceptance is the 100%-acceptance edge: every draft token
 // verifies, so each round retires window+1 tokens (accepted run plus the
 // verify pass's bonus token) and a 21-token run finishes in 5 iterations
-// instead of 21 — with the ledger still exact.
+// instead of 21 — with the ledger still exact. A decode run advances one
+// round per iteration under every priority policy, so fifo speculates the
+// same way lanes does.
 func TestSpecFullAcceptance(t *testing.T) {
-	clk := simclock.New()
-	s := specSched(clk, DefaultLanes(), 0)
-	const tokens = 21
-	run(t, clk, func() {
-		err := s.SubmitCall(Call{
-			Model: target, Tokens: tokens, Decode: true,
-			Spec: &SpecCall{
-				Draft: draftModel, Window: 4,
-				Accept: bitmap(tokens-1, func(int) bool { return true }),
-			},
+	for _, prio := range []PriorityPolicy{DefaultLanes(), FIFO{}} {
+		t.Run(prio.Name(), func(t *testing.T) {
+			clk := simclock.New()
+			s := specSched(clk, prio, 0)
+			const tokens = 21
+			run(t, clk, func() {
+				err := s.SubmitCall(Call{
+					Model: target, Tokens: tokens, Decode: true,
+					Spec: &SpecCall{
+						Draft:  draftModel,
+						Accept: bitmap(tokens-1, func(int) bool { return true }),
+					},
+				})
+				if err != nil {
+					t.Errorf("SubmitCall: %v", err)
+				}
+			})
+			st := s.Stats()
+			// Rounds: 4 spec rounds of 4 drafted / 5 retired (21 -> 16 ->
+			// 11 -> 6 -> 1), then one plain verify step for the final token.
+			if st.Steps != 5 {
+				t.Fatalf("steps = %d, want 5", st.Steps)
+			}
+			if st.ExecutedTokens != tokens {
+				t.Fatalf("executed = %d, want %d", st.ExecutedTokens, tokens)
+			}
+			if st.SpecRounds != 4 || st.SpecDrafted != 16 || st.SpecAccepted != 16 {
+				t.Fatalf("spec counters = %d rounds / %d drafted / %d accepted, want 4/16/16",
+					st.SpecRounds, st.SpecDrafted, st.SpecAccepted)
+			}
 		})
-		if err != nil {
-			t.Errorf("SubmitCall: %v", err)
-		}
-	})
-	st := s.Stats()
-	// Rounds: 4 spec rounds of 4 drafted / 5 retired (21 -> 16 -> 11 ->
-	// 6 -> 1), then one plain verify step for the final token.
-	if st.Steps != 5 {
-		t.Fatalf("steps = %d, want 5", st.Steps)
-	}
-	if st.ExecutedTokens != tokens {
-		t.Fatalf("executed = %d, want %d", st.ExecutedTokens, tokens)
-	}
-	if st.SpecRounds != 4 || st.SpecDrafted != 16 || st.SpecAccepted != 16 {
-		t.Fatalf("spec counters = %d rounds / %d drafted / %d accepted, want 4/16/16",
-			st.SpecRounds, st.SpecDrafted, st.SpecAccepted)
 	}
 }
 
@@ -109,7 +115,7 @@ func TestSpecZeroAcceptance(t *testing.T) {
 		err := s.SubmitCall(Call{
 			Model: target, Tokens: tokens, Decode: true,
 			Spec: &SpecCall{
-				Draft: draftModel, Window: 4,
+				Draft:  draftModel,
 				Accept: bitmap(tokens-1, func(int) bool { return false }),
 			},
 		})
@@ -163,9 +169,9 @@ func TestSpecOscillatingAcceptance(t *testing.T) {
 	// Hot stretches multiply throughput: far fewer iterations than
 	// tokens. Cold stretches retire one token per round, so the step
 	// count cannot collapse to tokens/(window+1) either.
-	if st.Steps >= tokens || st.Steps <= int64(tokens)/(DefaultSpecMaxWindow+1) {
+	if st.Steps >= tokens || st.Steps <= int64(tokens)/(DefaultSpecWindow+1) {
 		t.Fatalf("steps = %d, want between %d and %d under oscillating acceptance",
-			st.Steps, tokens/(DefaultSpecMaxWindow+1), tokens)
+			st.Steps, tokens/(DefaultSpecWindow+1), tokens)
 	}
 	if st.SpecAccepted == 0 || st.SpecAccepted >= st.SpecDrafted {
 		t.Fatalf("accepted = %d of %d drafted, want strictly between 0 and drafted",
@@ -295,51 +301,34 @@ func TestSpecCrashLedger(t *testing.T) {
 }
 
 // TestSpecValidation exercises every up-front rejection of a malformed
-// speculative call: fifo policy, missing Decode, unknown or self draft
-// model, a draft window outside [1, DefaultSpecMaxWindow] (0 is the
-// default, so -1 stands in below 1), and a short acceptance bitmap.
+// speculative call: missing Decode, unknown or self draft model, and a
+// short acceptance bitmap.
 func TestSpecValidation(t *testing.T) {
 	ok := &SpecCall{Draft: draftModel, Accept: bitmap(7, func(int) bool { return true })}
 	cases := []struct {
 		name string
-		prio PriorityPolicy
 		call Call
 		want string
 	}{
-		{"fifo policy", FIFO{},
-			Call{Model: target, Tokens: 8, Decode: true, Spec: ok},
-			"iteration-level priority policy"},
-		{"spec without decode", nil,
+		{"spec without decode",
 			Call{Model: target, Tokens: 8, Spec: ok},
 			"requires a decode call"},
-		{"unknown draft", nil,
+		{"unknown draft",
 			Call{Model: target, Tokens: 8, Decode: true,
 				Spec: &SpecCall{Draft: "nope", Accept: ok.Accept}},
 			"unknown draft model"},
-		{"draft is target", nil,
+		{"draft is target",
 			Call{Model: target, Tokens: 8, Decode: true,
 				Spec: &SpecCall{Draft: target, Accept: ok.Accept}},
 			"is the target model"},
-		{"window under 1", nil,
-			Call{Model: target, Tokens: 8, Decode: true,
-				Spec: &SpecCall{Draft: draftModel, Window: -1, Accept: ok.Accept}},
-			"invalid draft window"},
-		{"window over the bound", nil,
-			Call{Model: target, Tokens: 8, Decode: true,
-				Spec: &SpecCall{Draft: draftModel, Window: DefaultSpecMaxWindow + 1, Accept: ok.Accept}},
-			"invalid draft window"},
-		{"short bitmap", nil,
+		{"short bitmap",
 			Call{Model: target, Tokens: 64, Decode: true,
 				Spec: &SpecCall{Draft: draftModel, Accept: bitmap(10, func(int) bool { return true })}},
 			"acceptance bitmap"},
 	}
 	for _, tc := range cases {
 		clk := simclock.New()
-		prio := tc.prio
-		if prio == nil {
-			prio = DefaultLanes()
-		}
-		s := specSched(clk, prio, 0)
+		s := specSched(clk, DefaultLanes(), 0)
 		errCh := make(chan error, 1)
 		run(t, clk, func() { errCh <- s.SubmitCall(tc.call) })
 		err := <-errCh

@@ -34,6 +34,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/lipscript"
+	"repro/internal/sched"
 	"repro/internal/simclock"
 )
 
@@ -45,8 +46,6 @@ type Options struct {
 	// Retention is how long finished jobs stay pollable, in virtual time
 	// (default 10m).
 	Retention time.Duration
-	// MaxBodyBytes caps POST bodies (default 1 MiB).
-	MaxBodyBytes int64
 	// DefaultPriority is the scheduling lane for submissions that carry
 	// no "priority" field ("interactive", "normal", or "batch"; default
 	// normal). Invalid names panic at construction.
@@ -58,13 +57,15 @@ type Options struct {
 	TenantPriority map[string]string
 }
 
+// maxBodyBytes caps POST bodies.
+const maxBodyBytes = 1 << 20
+
 // Server is the HTTP front-end.
 type Server struct {
-	clk     *simclock.Clock
-	k       *core.Kernel
-	mux     *http.ServeMux
-	jobs    *jobRegistry
-	maxBody int64
+	clk  *simclock.Clock
+	k    *core.Kernel
+	mux  *http.ServeMux
+	jobs *jobRegistry
 }
 
 // New wraps a kernel with default options. The kernel's clock must be
@@ -76,15 +77,11 @@ func New(clk *simclock.Clock, k *core.Kernel) *Server {
 
 // NewWith wraps a kernel with explicit options.
 func NewWith(clk *simclock.Clock, k *core.Kernel, o Options) *Server {
-	if o.MaxBodyBytes <= 0 {
-		o.MaxBodyBytes = 1 << 20
-	}
 	s := &Server{
-		clk:     clk,
-		k:       k,
-		mux:     http.NewServeMux(),
-		jobs:    newJobRegistry(clk, k, o),
-		maxBody: o.MaxBodyBytes,
+		clk:  clk,
+		k:    k,
+		mux:  http.NewServeMux(),
+		jobs: newJobRegistry(clk, k, o),
 	}
 	s.mux.HandleFunc("/healthz", s.health)
 	s.mux.HandleFunc("/v1/stats", s.stats)
@@ -150,12 +147,12 @@ func (s *Server) waitJob(r *http.Request, j *Job) error {
 // readBody enforces the body byte cap and requires a JSON object,
 // writing the typed error itself on failure.
 func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.maxBody))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
 			writeError(w, http.StatusRequestEntityTooLarge, CodePayloadTooLarge,
-				fmt.Sprintf("body exceeds %d bytes", s.maxBody))
+				fmt.Sprintf("body exceeds %d bytes", maxBodyBytes))
 		} else {
 			writeError(w, http.StatusBadRequest, CodeValidation, "reading body: "+err.Error())
 		}
@@ -196,7 +193,7 @@ func (s *Server) stats(w http.ResponseWriter, r *http.Request) {
 	if sc := s.k.SpecDecode(); sc != nil {
 		spec["enabled"] = true
 		spec["draft"] = sc.Draft
-		spec["window"] = sc.Window
+		spec["window"] = sched.DefaultSpecWindow
 		if st.Sched.SpecDrafted > 0 {
 			spec["accept_rate"] = float64(st.Sched.SpecAccepted) / float64(st.Sched.SpecDrafted)
 		}

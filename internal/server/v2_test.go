@@ -461,7 +461,7 @@ func TestV2ListTenantIsolation(t *testing.T) {
 }
 
 func TestV2TypedErrors(t *testing.T) {
-	srv, clk := newServerWith(t, 10000, Options{MaxJobsPerUser: 1, MaxBodyBytes: 1024})
+	srv, clk := newServerWith(t, 10000, Options{MaxJobsPerUser: 1})
 	defer clk.Shutdown()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -501,7 +501,7 @@ func TestV2TypedErrors(t *testing.T) {
 	expect(resp, http.StatusBadRequest, CodeValidation)
 
 	// Bodies over the cap: payload_too_large.
-	big := `{"steps":[{"op":"emit","text":"` + strings.Repeat("x", 2048) + `"}]}`
+	big := `{"steps":[{"op":"emit","text":"` + strings.Repeat("x", maxBodyBytes) + `"}]}`
 	resp, _ = http.Post(ts.URL+"/v2/programs", "application/json", strings.NewReader(big))
 	expect(resp, http.StatusRequestEntityTooLarge, CodePayloadTooLarge)
 
