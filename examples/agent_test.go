@@ -93,5 +93,5 @@ func Example_agent() {
 	// [pid 2] done
 	// final answer: kubu vibi puni sepu chivo revafe dirigi zemire vumo zedopa zikino fonu tichopu nubecha chapu navino chonu fothe techide gomese gumoche rifiko giduku nadoso
 	//
-	// tool calls: 2, IPC messages: 3, KV restore time: 4.081725ms, total virtual time: 1.410341725s
+	// tool calls: 2, IPC messages: 3, KV restore time: 4.005431ms, total virtual time: 1.349085431s
 }

@@ -91,5 +91,5 @@ func Example_got() {
 	// merged context: 68 tokens, approximate=true
 	// synthesis: taropa dagani zevutu chipe genaku biko lubaro thegeve faso lodise kake kano fipe filo thethumi dikavi bede zotafo chemo rachoba muso thazachu thadaze doledo
 	//
-	// pred tokens: 119 (merge itself cost zero model computation)
+	// pred tokens: 117 (merge itself cost zero model computation)
 }

@@ -74,5 +74,5 @@ func Example_multiagent() {
 	// [from pid 4] evaluation: vafe gigale retobu gemimo fupo rofugi pisa rezesi fobi zukubo vesi piku gagatha keda pota nefupu
 	// [from pid 5] conclusion: gedoke vupu thazeve sugu rubudu soza fora ribato muthi zitechu chame sive madu lipive dabobu vose
 	//
-	// 8 IPC messages, avg GPU batch 4.0 calls, total virtual time 388.4ms
+	// 8 IPC messages, avg GPU batch 4.0 calls, total virtual time 366.08ms
 }

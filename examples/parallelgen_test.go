@@ -103,6 +103,6 @@ func Example_parallelgen() {
 	// branch 1 -> "lisusa maka sota pili fonu bachu mivo lavatu kechi pecho dolube tutezi ladivo tenuli chuga suda bozo thubaru tiragu soku kathu pomo kedu zemothu "
 	// branch 2 -> "dadefi ronefo nafatho nikila rudiva lapiche sofa mebo thiseche thukadu vudo zageru mogi fofu "
 	//
-	// shared prefix: 24 tokens, prefilled once; total pred tokens: 129
+	// shared prefix: 24 tokens, prefilled once; total pred tokens: 127
 	// pages on GPU now: 2 (forked branches freed theirs)
 }

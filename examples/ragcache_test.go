@@ -99,11 +99,11 @@ func Example_ragcache() {
 		return nil
 	})
 	// Output:
-	// cold     (build + answer):  ttft   1.407s   total 2.06556s
-	// warm     (fork + answer):   ttft  25.62ms   total 684.18ms
-	// warm     (again):                               total 684.18ms
-	// uncached (full prefill):    ttft  1.3867s   total 2.04526s
+	// cold     (build + answer):  ttft   1.407s   total 2.04498s
+	// warm     (fork + answer):   ttft  25.62ms   total 663.6ms
+	// warm     (again):                               total 663.6ms
+	// uncached (full prefill):    ttft  1.3867s   total 2.02468s
 	//
-	// warm vs uncached: 54.1x faster to first token, 3.0x end-to-end
+	// warm vs uncached: 54.1x faster to first token, 3.1x end-to-end
 	// forks: 3, GPU pages held by the pinned doc: 196
 }

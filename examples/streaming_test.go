@@ -60,7 +60,7 @@ func Example_streaming() {
 		return nil
 	})
 	// Output:
-	// generated 400 tokens; KV peaked at 96 of a 96-token window (buffer now 61)
+	// generated 400 tokens; KV peaked at 96 of a 96-token window (buffer now 60)
 	// last 80 chars: …e mura fechu mamo keve base mitu thuzeke romapo thegura baku tekire pofu revago
 	// GPU pages in use at exit: 0; peak pages: 10 (vs 400 tokens generated)
 }

@@ -68,6 +68,9 @@ func runSymphonyTrace(c *fig3Cell, k *core.Kernel) {
 			return
 		}
 		c.record(req.Arrive, generated)
+		if generated == req.MaxGen {
+			c.unbilled++
+		}
 	})
 }
 

@@ -105,8 +105,10 @@ type fig3Cell struct {
 	perTok *metrics.Welford
 	failed *metrics.Counter
 	lastAt time.Duration
-	// generated sums the answer tokens of the completed requests.
-	generated int64
+	// generated sums the answer tokens of the completed requests, and
+	// unbilled those of them no pred computed: an answer that reached
+	// MaxGen leaves its last token pending in a file removed next.
+	generated, unbilled int64
 }
 
 func newFig3Cell(cfg Fig3Config, rate, pareto float64) *fig3Cell {
@@ -272,7 +274,7 @@ func (c *fig3Cell) runSymphony(rate, pareto float64) Fig3Point {
 		total += int64(len(c.tok.Encode(c.docs[req.Topic] + req.Query)))
 	}
 	if total > 0 {
-		saved := total - st.PredTokens + c.generated
+		saved := total - st.PredTokens + c.generated - c.unbilled
 		if saved > 0 {
 			hit = float64(saved) / float64(total)
 		}

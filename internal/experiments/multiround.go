@@ -126,10 +126,12 @@ func runMultiRoundCell(cfg MultiRoundConfig, sys string) MultiRoundPoint {
 			}
 		})
 		// PredTokens counts everything; strip the chat replies and the
-		// pressure tenant (prompts plus its 8-token generations).
+		// pressure tenant (prompts plus its 8-token generations). A
+		// generation bills its last token only when a later pred carries
+		// it: every reply's but the last one's, and none of the tenant's.
 		pt.PrefillToks = k.Stats().PredTokens -
-			int64(cfg.Rounds*cfg.ReplyToks) -
-			pressureTotal - int64(cfg.Rounds*cfg.PressurePrompts*8)
+			int64(cfg.Rounds*cfg.ReplyToks-1) -
+			pressureTotal - int64(cfg.Rounds*cfg.PressurePrompts*7)
 		pt.MeanRound = roundSum / time.Duration(cfg.Rounds)
 		return pt
 	}

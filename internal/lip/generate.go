@@ -48,13 +48,6 @@ type GenOptions struct {
 	// replica actor at the end of the GPU iteration that retired the
 	// position before it. So Stream must not block on the clock.
 	Stream func(tok token.ID)
-	// Terminal tells Generate that the session's file is removed once it
-	// returns, so no distribution after the run is ever read. A run that
-	// ends at MaxTokens then leaves its last token out of the file: it
-	// still streams when the position before it retires and is still
-	// returned, but costs no GPU iteration of its own. Runs ended by EOS
-	// or a completed constraint are unchanged.
-	Terminal bool
 }
 
 // GenResult reports a finished generation.
@@ -76,7 +69,8 @@ func (r GenResult) Text(s *Session) string { return s.ctx.Detokenize(r.Tokens) }
 const decodeChunk = 64
 
 // Generate runs the autoregressive loop of the paper's Figure 2 against a
-// prefilled session until EOS, the constraint completes, or MaxTokens.
+// prefilled session, or one holding a pending token, until EOS, the
+// constraint completes, or MaxTokens.
 //
 // The model, the sampler, the constraint and the transform are all
 // deterministic functions of the tokens so far, so the whole chain is
@@ -86,17 +80,23 @@ const decodeChunk = 64
 // iteration, or one verified draft window when the kernel speculates. The
 // tokens, the sampler's draws and the billing are those of one Session.Step
 // per token; without speculation each token even streams at the same
-// virtual instant. A run the constraint completed reports its final token
-// but does not commit it, and so does a Terminal run that reached
-// MaxTokens: an N-token answer bills N-1 pred tokens and N-1 decode
-// iterations instead of N. When the constraint is stuck or refuses a
-// token, every token walked so far is committed before the error returns.
+// virtual instant.
+//
+// Figure 2 preds a token only to read the distribution after it, so a run
+// that ended at MaxTokens or on a completed constraint commits all but its
+// final token and leaves that one pending on the session (see Session):
+// the next pred on the session carries it, and a session closed first
+// never pays for it. A run that ended on EOS commits every token, and so
+// does one whose constraint is stuck or refuses a token, before the error
+// returns. A pending token the session held when Generate began is the
+// run's first position: the GPU computes it in the run's first iteration,
+// and the run's first token streams when it retires.
 func Generate(s *Session, opts GenOptions) (GenResult, error) {
 	g, err := newDecoder(s, opts)
 	if err != nil {
 		return GenResult{}, err
 	}
-	return g.finish(g.advance(opts.MaxTokens))
+	return g.finish(g.advance(g.carried + opts.MaxTokens))
 }
 
 // Complete is the one-call convenience: prefill prompt into a fresh
@@ -109,7 +109,9 @@ func Complete(s *Session, prompt string, maxTokens int) (GenResult, error) {
 }
 
 // decoder is one generation in flight: the chain walked so far, and how
-// much of it the session's KV file holds and the stream has carried.
+// much of it the session's KV file holds and the stream has carried. The
+// chain is the session's pending token, when one was carried in, followed
+// by the run's own tokens; done and streamed count chain positions.
 type decoder struct {
 	s        *Session
 	m        *model.Model
@@ -117,9 +119,11 @@ type decoder struct {
 	sampler  *Sampler
 	first    uint64 // the sampler's draw number for token 0
 	res      GenResult
+	chain    []token.ID
+	carried  int          // 1 when chain[0] is the carried pending token
 	masks    [][]token.ID // the constraint's allowed set at each token; nil unmasked
-	done     int          // tokens the KV file holds
-	streamed int          // tokens the stream has carried
+	done     int          // chain positions the KV file holds
+	streamed int          // chain positions the stream has carried
 	ended    bool         // the walk met EOS, a completed constraint or MaxTokens
 }
 
@@ -127,7 +131,7 @@ func newDecoder(s *Session, opts GenOptions) (*decoder, error) {
 	if opts.MaxTokens <= 0 {
 		return nil, fmt.Errorf("lip: MaxTokens must be positive")
 	}
-	if !s.ready {
+	if !s.primed() {
 		return nil, ErrNoDist
 	}
 	m, err := s.ctx.Kernel().Model(s.model)
@@ -138,19 +142,23 @@ func newDecoder(s *Session, opts GenOptions) (*decoder, error) {
 	if sampler == nil {
 		sampler = &Sampler{} // greedy
 	}
-	return &decoder{s: s, m: m, opts: opts, sampler: sampler, first: sampler.draws + 1}, nil
+	g := &decoder{s: s, m: m, opts: opts, sampler: sampler, first: sampler.draws + 1}
+	if tok, ok := s.Pending(); ok {
+		g.chain, g.carried, g.streamed = []token.ID{tok}, 1, 1
+	}
+	return g, nil
 }
 
-// advance walks the chain until it is room+1 tokens ahead of the KV file
-// or ends, then commits up to room of the walked tokens — all of them,
-// unless the walk went past room, the constraint completed or a Terminal
-// run reached MaxTokens. A walk error returns once what was walked is
-// committed.
+// advance walks the chain until it is room+1 positions ahead of the KV
+// file or ends, then commits up to room of the walked positions — all of
+// them, unless the walk went past room or the run ended at MaxTokens or
+// on a completed constraint, whose final token stays pending. A walk
+// error returns once what was walked is committed.
 func (g *decoder) advance(room int) error {
 	werr := g.walk(room + 1)
-	n := len(g.res.Tokens) - g.done
-	if g.res.ConstraintDone || g.opts.Terminal && g.ended && !g.res.HitEOS {
-		n-- // the final token's KV would never be read
+	n := len(g.chain) - g.done
+	if g.ended && !g.res.HitEOS {
+		n-- // only a later pred reads past the final token
 	}
 	if err := g.commit(g.done + min(room, n)); err != nil {
 		return err
@@ -158,25 +166,26 @@ func (g *decoder) advance(room int) error {
 	return werr
 }
 
-// walk extends the chain until it is ahead tokens ahead of the KV file or
-// ends. Each position's distribution is the session's pending one, or past
-// it the model's unbuilt one over the context hash kvfs.Append will give
+// walk extends the chain until it is ahead positions ahead of the KV file
+// or ends. Each position's distribution is the session's pending one, or
+// past a carried or walked token the model's unbuilt one over the context hash kvfs.Append will give
 // the tokens ahead of it — the hash PredDecode's verifier sees there too.
 func (g *decoder) walk(ahead int) error {
 	h, pos, d := g.s.kv.Tail(), g.s.kv.Len(), g.s.last
-	for _, tok := range g.res.Tokens[g.done:] {
+	for _, tok := range g.chain[g.done:] {
 		h = h.Extend(tok, pos)
 		pos++
 		d = g.m.Defer(h)
 	}
 	c := g.opts.Constraint
-	for !g.ended && len(g.res.Tokens)-g.done < ahead {
-		if len(g.res.Tokens) == g.opts.MaxTokens {
+	for !g.ended && len(g.chain)-g.done < ahead {
+		j := len(g.chain) - g.carried
+		if j == g.opts.MaxTokens {
 			g.ended = true
 			break
 		}
 		var allowed []token.ID
-		d, allowed = g.shape(len(g.res.Tokens), d)
+		d, allowed = g.shape(j, d)
 		if allowed != nil && len(d.Candidates()) == 0 {
 			return ErrConstraintStuck
 		}
@@ -191,7 +200,8 @@ func (g *decoder) walk(ahead int) error {
 			}
 			g.masks = append(g.masks, allowed)
 		}
-		g.res.Tokens = append(g.res.Tokens, tok)
+		g.chain = append(g.chain, tok)
+		g.res.Tokens = g.chain[g.carried:]
 		if c != nil && c.Done() {
 			g.res.ConstraintDone, g.ended = true, true
 			break
@@ -211,7 +221,7 @@ func (g *decoder) shape(j int, d model.Dist) (model.Dist, []token.ID) {
 	if g.opts.Transform != nil {
 		prev := token.PAD
 		if j > 0 {
-			prev = g.res.Tokens[j-1]
+			prev = g.chain[g.carried+j-1]
 		}
 		d = g.opts.Transform(d, prev)
 	}
@@ -230,19 +240,25 @@ func (g *decoder) shape(j int, d model.Dist) (model.Dist, []token.ID) {
 	return d, allowed
 }
 
-// commit brings the KV file up to upto walked tokens in chunked PredDecode
-// calls. The run's proposal for token j is the walk's own draw j applied,
-// under the same transform and mask, to the draft's distribution, so a
-// speculating kernel accepts it under its one rule (core.DecodeRun.Draw).
-// Token j streams when position j-1 retires, and token done before each
-// call, a no-op once the last call's retirements carried it. On an error
-// the result holds every token that exists — the one whose commit failed
-// and any the stream carried past it — and, like the per-token loop's,
-// neither end flag.
+// commit brings the KV file up to upto chain positions in chunked
+// PredDecode calls. The run's proposal for token j is the walk's own draw
+// j applied, under the same transform and mask, to the draft's
+// distribution, so a speculating kernel accepts it under its one rule
+// (core.DecodeRun.Draw); a carried token is an input, not a draw, and is
+// proposed as itself. Position k streams when position k-1 retires, and
+// position done before each call, a no-op once the last call's
+// retirements carried it. On an error the result holds every token that
+// exists — the one whose commit failed and any the stream carried past it
+// — and, like the per-token loop's, neither end flag; a carried token
+// whose commit failed stays pending.
 func (g *decoder) commit(upto int) error {
 	run := core.DecodeRun{
 		Draw: func(i int, d model.Dist) token.ID {
-			j := g.done + i
+			k := g.done + i
+			if k < g.carried {
+				return g.chain[k]
+			}
+			j := k - g.carried
 			d, _ = g.shape(j, d)
 			tok, _ := g.sampler.sampleAt(d, g.first+uint64(j))
 			return tok
@@ -259,30 +275,35 @@ func (g *decoder) commit(upto int) error {
 		for i := range positions {
 			positions[i] = base + i
 		}
-		dists, err := g.s.ctx.PredDecode(g.s.model, g.s.kv, g.res.Tokens[g.done:g.done+n], positions, run)
+		dists, err := g.s.ctx.PredDecode(g.s.model, g.s.kv, g.chain[g.done:g.done+n], positions, run)
 		if err != nil {
-			g.res = GenResult{Tokens: g.res.Tokens[:g.streamed]}
+			g.res = GenResult{Tokens: g.res.Tokens[:g.streamed-g.carried]}
 			return err
 		}
-		g.s.last, g.s.ready = dists[n-1], true
+		g.s.last, g.s.ready, g.s.held = dists[n-1], true, false
 		g.done += n
 	}
 }
 
-// stream carries the walked tokens up to upto to opts.Stream, once each.
-// A count that goes back (after a replica crash-restart) carries nothing.
+// stream carries the walked tokens up to chain position upto to
+// opts.Stream, once each. A count that goes back (after a replica
+// crash-restart) carries nothing.
 func (g *decoder) stream(upto int) {
-	for ; g.streamed < min(upto, len(g.res.Tokens)); g.streamed++ {
+	for ; g.streamed < min(upto, len(g.chain)); g.streamed++ {
 		if g.opts.Stream != nil {
-			g.opts.Stream(g.res.Tokens[g.streamed])
+			g.opts.Stream(g.chain[g.streamed])
 		}
 	}
 }
 
-// finish settles ConstraintDone for a run that ended without an error.
+// finish leaves an uncommitted final token pending on the session and
+// settles ConstraintDone, for a run that ended without an error.
 func (g *decoder) finish(err error) (GenResult, error) {
 	if err != nil {
 		return g.res, err
+	}
+	if g.done < len(g.chain) {
+		g.s.pending, g.s.held = g.chain[g.done], true
 	}
 	if g.opts.Constraint == nil {
 		g.res.ConstraintDone = g.res.HitEOS || len(g.res.Tokens) == g.opts.MaxTokens

@@ -16,18 +16,23 @@ import (
 )
 
 // generateLoop is the autoregressive loop of the paper's Figure 2 written
-// token by token: sample from the pending distribution, commit the token
-// with a one-token pred, repeat until EOS, the constraint completes, or
-// MaxTokens — or, for a Terminal run, until MaxTokens tokens exist, the
-// last one never committed. It was Generate's body before a generation
-// became one decode run, and it stays as the reference Generate is held
-// to.
+// token by token: sample from the pending distribution, and pred the
+// token with a one-token Step only to read the distribution after it,
+// until EOS, the constraint completes, or MaxTokens. So the loop never
+// Steps a final token the run ends on without EOS: it leaves it pending,
+// and the session's next pred carries it. A token pending when the loop
+// starts is committed first, to read the distribution after it. It was
+// Generate's body before a generation became one decode run, and it stays
+// as the reference Generate is held to.
 func generateLoop(s *Session, opts GenOptions) (GenResult, error) {
 	if opts.MaxTokens <= 0 {
 		return GenResult{}, fmt.Errorf("lip: MaxTokens must be positive")
 	}
-	if !s.ready {
+	if !s.primed() {
 		return GenResult{}, ErrNoDist
+	}
+	if err := s.Commit(); err != nil {
+		return GenResult{}, err
 	}
 	sampler := opts.Sampler
 	if sampler == nil {
@@ -67,12 +72,15 @@ func generateLoop(s *Session, opts GenOptions) (GenResult, error) {
 			res.ConstraintDone = true
 			break
 		}
-		if opts.Terminal && len(res.Tokens) == opts.MaxTokens {
+		if len(res.Tokens) == opts.MaxTokens {
 			break
 		}
 		if _, err := s.Step(tok); err != nil {
 			return res, err
 		}
+	}
+	if n := len(res.Tokens); n > 0 && !res.HitEOS {
+		s.pending, s.held = res.Tokens[n-1], true
 	}
 	if opts.Constraint == nil {
 		res.ConstraintDone = res.HitEOS || len(res.Tokens) == opts.MaxTokens
@@ -122,8 +130,8 @@ type streamedToken struct {
 }
 
 // genCase is one generation: a prompt, a sampler (temp 0 is greedy), one
-// of constraints, a length bound, on a plain or a speculating kernel,
-// terminal or not.
+// of constraints, a length bound, on a plain or a speculating kernel, and
+// the text a prefill appends once it returned ("" for none).
 type genCase struct {
 	prompt     string
 	temp       float64
@@ -131,23 +139,25 @@ type genCase struct {
 	constraint string
 	max        int
 	spec       bool
-	terminal   bool
+	then       string
 }
 
-// genOutcome is everything a generation leaves that the loop pins: the
-// result and error, the sampler's draws, the KV file, the pending
-// distribution, and every streamed token with its instant; and the pred
-// tokens the generation billed.
+// genOutcome is everything a generation and the prefill after it leave
+// that the loop pins: the result and error, the sampler's draws, the KV
+// file, the pending token and distribution, and every streamed token with
+// its instant; and the pred tokens both calls billed.
 type genOutcome struct {
-	res    GenResult
-	err    error
-	draws  uint64
-	kvLen  int
-	kvTail model.CtxHash
-	last   []model.TokenProb
-	ready  bool
-	stream []streamedToken
-	billed int64
+	res     GenResult
+	err     error
+	draws   uint64
+	kvLen   int
+	kvTail  model.CtxHash
+	pending token.ID
+	held    bool
+	last    []model.TokenProb
+	ready   bool
+	stream  []streamedToken
+	billed  int64
 }
 
 // run generates c with gen on a fresh kernel that edits adjust.
@@ -172,7 +182,7 @@ func (c genCase) run(t *testing.T, gen func(*Session, GenOptions) (GenResult, er
 			return err
 		}
 		smp := &Sampler{Temperature: c.temp, TopP: 0.9, Seed: c.seed}
-		opts := GenOptions{MaxTokens: c.max, Sampler: smp, Terminal: c.terminal, Stream: func(tok token.ID) {
+		opts := GenOptions{MaxTokens: c.max, Sampler: smp, Stream: func(tok token.ID) {
 			out.stream = append(out.stream, streamedToken{tok, ctx.Clock().Now()})
 		}}
 		vocab := ctx.Kernel().Tokenizer().Vocab()
@@ -195,9 +205,15 @@ func (c genCase) run(t *testing.T, gen func(*Session, GenOptions) (GenResult, er
 		}
 		before := ctx.Kernel().Stats().PredTokens
 		out.res, out.err = gen(s, opts)
-		out.billed = ctx.Kernel().Stats().PredTokens - before
 		out.draws = smp.draws
+		if c.then != "" && out.err == nil {
+			if _, err := s.Prefill(c.then); err != nil {
+				return err
+			}
+		}
+		out.billed = ctx.Kernel().Stats().PredTokens - before
 		out.kvLen, out.kvTail = s.KV().Len(), s.KV().Tail()
+		out.pending, out.held = s.Pending()
 		d, ready := s.Last()
 		out.last, out.ready = d.Candidates(), ready
 		return nil
@@ -227,6 +243,9 @@ func (c genCase) equalsLoop(t *testing.T) genOutcome {
 	}
 	if got.kvLen != want.kvLen || got.kvTail != want.kvTail {
 		t.Errorf("KV file %d tokens @%x, loop %d @%x", got.kvLen, got.kvTail, want.kvLen, want.kvTail)
+	}
+	if got.pending != want.pending || got.held != want.held {
+		t.Errorf("pending token %v (held %v), loop %v (held %v)", got.pending, got.held, want.pending, want.held)
 	}
 	if got.ready != want.ready || !reflect.DeepEqual(got.last, want.last) {
 		t.Errorf("pending distribution (ready %v) differs from the loop's (ready %v)", got.ready, want.ready)
@@ -262,10 +281,13 @@ func (c genCase) end(got genOutcome) string {
 	return "max tokens"
 }
 
-// genGrid calls fn with every case of the grid, none terminal: greedy and
-// sampled runs, every kind of option, lengths on both sides of a chunk
-// boundary, and a plain and a speculating kernel.
-func genGrid(t *testing.T, fn func(t *testing.T, c genCase)) {
+// TestGenerateEqualsLoop holds Generate's decode run to the per-token loop
+// over greedy and sampled runs, every kind of option, lengths on both
+// sides of a chunk boundary, a plain and a speculating kernel, and with
+// and without a prefill after the run, which carries a pending final
+// token. The grid must reach every way a run ends.
+func TestGenerateEqualsLoop(t *testing.T) {
+	ends := map[string]bool{}
 	for _, temp := range []float64{0, 0.7} {
 		name := "greedy"
 		if temp > 0 {
@@ -278,27 +300,16 @@ func genGrid(t *testing.T, fn func(t *testing.T, c genCase)) {
 					if spec {
 						kernel = "spec"
 					}
-					c := genCase{"a prompt whose continuation we compute two ways", temp, 7, constraint, max, spec, false}
-					t.Run(fmt.Sprintf("%s/%s/max%d/%s", name, constraint, max, kernel), func(t *testing.T) { fn(t, c) })
+					for _, then := range []string{"", " and then a prefill"} {
+						c := genCase{"a prompt whose continuation we compute two ways", temp, 7, constraint, max, spec, then}
+						t.Run(fmt.Sprintf("%s/%s/max%d/%s/then=%t", name, constraint, max, kernel, then != ""), func(t *testing.T) {
+							ends[c.end(c.equalsLoop(t))] = true
+						})
+					}
 				}
 			}
 		}
 	}
-}
-
-// TestGenerateEqualsLoop holds Generate's decode run to the per-token loop
-// over the whole grid, each case terminal and not; the grid must reach
-// every way a run ends.
-func TestGenerateEqualsLoop(t *testing.T) {
-	ends := map[string]bool{}
-	genGrid(t, func(t *testing.T, c genCase) {
-		for _, terminal := range []bool{false, true} {
-			c.terminal = terminal
-			t.Run(fmt.Sprintf("terminal=%v", terminal), func(t *testing.T) {
-				ends[c.end(c.equalsLoop(t))] = true
-			})
-		}
-	})
 	for _, end := range []string{"stuck", "refused", "eos", "constraint done", "max tokens", "max tokens past a chunk"} {
 		if !ends[end] {
 			t.Errorf("no case ended by %s", end)
@@ -306,65 +317,118 @@ func TestGenerateEqualsLoop(t *testing.T) {
 	}
 }
 
-// TestTerminalSkipsOnlyTheLastCommit runs every case of the grid again as
-// a Terminal run. A run that reached MaxTokens leaves its
-// last token out of the KV file and bills one pred token less, with the
-// same tokens, streamed at the same instants on a plain kernel (a
-// speculating one verifies a shorter last window, so its instants may move
-// earlier); a run ended by EOS, a completed constraint or an error is
-// unchanged in everything the loop pins.
-func TestTerminalSkipsOnlyTheLastCommit(t *testing.T) {
-	ends := map[string]bool{}
-	genGrid(t, func(t *testing.T, c genCase) {
-		kept, _ := c.run(t, Generate)
-		c.terminal = true
-		got, _ := c.run(t, Generate)
-		end := c.end(kept)
-		ends[end] = true
-		if c.end(got) != end || !reflect.DeepEqual(got.res, kept.res) || fmt.Sprint(got.err) != fmt.Sprint(kept.err) || got.draws != kept.draws {
-			t.Fatalf("terminal run %+v (%v), kept %+v (%v)", got.res, got.err, kept.res, kept.err)
+// TestConstrainedRunThenPrefillKeepsEveryToken generates until a
+// constraint completes and then prefills more text. The prefill carries
+// the run's final token, so the KV file holds the prompt, every generated
+// token and the new text — the file one prefill of all three builds — and
+// the next generation matches the per-token loop's over that file.
+func TestConstrainedRunThenPrefillKeepsEveryToken(t *testing.T) {
+	var got, want GenResult
+	var gotLen, wantLen int
+	var gotTail, wantTail model.CtxHash
+	harness(t, func(ctx *core.Ctx) error {
+		prompt := ctx.Tokenize("recite:")
+		script := ctx.Tokenize(" a constraint that completes after these words")
+		more := ctx.Tokenize(" and then some more text")
+		kv, _ := ctx.KvAnon()
+		s := NewSession(ctx, kv)
+		if _, err := s.PrefillTokens(prompt); err != nil {
+			return err
 		}
-		skipped := 0
-		if strings.HasPrefix(end, "max tokens") {
-			skipped = 1
+		res, err := Generate(s, GenOptions{MaxTokens: 2 * len(script), Constraint: &fixedConstraint{script: script}})
+		if err != nil {
+			return err
 		}
-		if len(got.stream) != len(kept.stream) {
-			t.Fatalf("terminal run streamed %d tokens, kept %d", len(got.stream), len(kept.stream))
+		if !res.ConstraintDone || !reflect.DeepEqual(res.Tokens, script) {
+			t.Fatalf("generated %v (done %v), want the script", res.Tokens, res.ConstraintDone)
 		}
-		for i, g := range got.stream {
-			k := kept.stream[i]
-			if g.tok != k.tok || g.at > k.at || g.at != k.at && (skipped == 0 || !c.spec) {
-				t.Fatalf("%s: streamed token %d: terminal %+v, kept %+v", end, i, g, k)
+		if _, err := s.PrefillTokens(more); err != nil {
+			return err
+		}
+		rkv, _ := ctx.KvAnon()
+		ref := NewSession(ctx, rkv)
+		if _, err := ref.PrefillTokens(append(append(append([]token.ID{}, prompt...), script...), more...)); err != nil {
+			return err
+		}
+		gotLen, gotTail, wantLen, wantTail = kv.Len(), kv.Tail(), rkv.Len(), rkv.Tail()
+		opts := func() GenOptions { return GenOptions{MaxTokens: 24, Sampler: &Sampler{Temperature: 0.7, Seed: 5}} }
+		if got, err = Generate(s, opts()); err != nil {
+			return err
+		}
+		want, err = generateLoop(ref, opts())
+		return err
+	})
+	if gotLen != wantLen || gotTail != wantTail {
+		t.Errorf("KV file %d tokens @%x, one prefill of the whole context %d @%x", gotLen, gotTail, wantLen, wantTail)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("next generation %v, loop over the whole context %v", got.Tokens, want.Tokens)
+	}
+}
+
+// TestCarriedTokenStreamsAfterItsPosition runs two generations back to
+// back alone on the GPU. The first leaves its final token pending; the
+// second carries it as its first position, so its first token streams
+// when that position retires — one decode step after the first run
+// returned, never earlier — and every later one a step after the last.
+func TestCarriedTokenStreamsAfterItsPosition(t *testing.T) {
+	harness(t, func(ctx *core.Ctx) error {
+		kv, _ := ctx.KvAnon()
+		s := NewSession(ctx, kv)
+		if _, err := s.Prefill("two generations back to back"); err != nil {
+			return err
+		}
+		base := kv.Len()
+		first, err := Generate(s, GenOptions{MaxTokens: 8, Transform: SuppressEOS})
+		if err != nil {
+			return err
+		}
+		if tok, held := s.Pending(); !held || tok != first.Tokens[7] || kv.Len() != base+7 || s.Len() != base+8 {
+			t.Fatalf("after the first run: pending %v (held %v), KV %d tokens; want its last token pending beside %d",
+				tok, held, kv.Len(), base+7)
+		}
+		start := ctx.Clock().Now()
+		var streamed []streamedToken
+		second, err := Generate(s, GenOptions{
+			MaxTokens: 8,
+			Transform: SuppressEOS,
+			Stream:    func(tok token.ID) { streamed = append(streamed, streamedToken{tok, ctx.Clock().Now()}) },
+		})
+		if err != nil {
+			return err
+		}
+		step := model.A100Llama13B().StepTime([]model.BatchCall{{NewTokens: 1}})
+		for i, st := range streamed {
+			if want := start + time.Duration(i+1)*step; st.tok != second.Tokens[i] || st.at != want {
+				t.Errorf("token %d streamed %v at %v, want %v at %v (%d decode steps after the first run)",
+					i, st.tok, st.at, second.Tokens[i], want, i+1)
 			}
 		}
-		if got.kvLen != kept.kvLen-skipped || got.billed != kept.billed-int64(skipped) {
-			t.Errorf("%s: terminal run left %d tokens and billed %d, kept %d and %d; want %d fewer",
-				end, got.kvLen, got.billed, kept.kvLen, kept.billed, skipped)
+		if tok, held := s.Pending(); len(streamed) != 8 || !held || tok != second.Tokens[7] || kv.Len() != base+15 {
+			t.Errorf("after the second run: %d streamed, pending %v (held %v), KV %d tokens; want 8, its last token and %d",
+				len(streamed), tok, held, kv.Len(), base+15)
 		}
-		if skipped == 0 && (got.kvTail != kept.kvTail || !reflect.DeepEqual(got.last, kept.last)) {
-			t.Errorf("%s: terminal run left a different KV file or pending distribution", end)
-		}
+		return nil
 	})
-	for _, end := range []string{"stuck", "refused", "eos", "constraint done", "max tokens", "max tokens past a chunk"} {
-		if !ends[end] {
-			t.Errorf("no case ended by %s", end)
-		}
-	}
 }
 
 // FuzzGenerateEqualsLoop is TestGenerateEqualsLoop over fuzzed prompts,
-// seeds, temperatures, lengths, option sets and Terminal.
+// seeds, temperatures, lengths, option sets and a following prefill.
 func FuzzGenerateEqualsLoop(f *testing.F) {
 	f.Add("a prompt whose continuation we compute two ways", uint64(7), 0.7, 65, uint8(0), false, false)
 	f.Add("constrained", uint64(3), 0.0, 130, uint8(2), true, false)
 	f.Add("", uint64(1), 1.5, 1, uint8(4), false, true)
-	f.Add("terminal", uint64(5), 0.7, 65, uint8(3), true, true)
-	f.Fuzz(func(t *testing.T, prompt string, seed uint64, temp float64, max int, constraint uint8, spec, terminal bool) {
+	f.Add("then a prefill", uint64(5), 0.7, 65, uint8(3), true, true)
+	f.Fuzz(func(t *testing.T, prompt string, seed uint64, temp float64, max int, constraint uint8, spec, then bool) {
 		if len(prompt) > 256 || !(temp >= 0 && temp <= 2) {
 			t.Skip()
 		}
 		max = 1 + (max%150+150)%150
-		genCase{prompt, temp, seed, constraints[int(constraint)%len(constraints)], max, spec, terminal}.equalsLoop(t)
+		c := genCase{prompt, temp, seed, constraints[int(constraint)%len(constraints)], max, spec, ""}
+		if then {
+			c.then = " and then a prefill"
+		}
+		c.equalsLoop(t)
 	})
 }
 
@@ -387,7 +451,7 @@ func TestGenerateDecodeUnderSpecMatchesPlain(t *testing.T) {
 		{"fifo-sampled", 0.7, []func(*core.Config){fifo}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			c := genCase{"speculative decoding must not change results", tc.temp, 7, "none", 48, false, false}
+			c := genCase{"speculative decoding must not change results", tc.temp, 7, "none", 48, false, ""}
 			plain, _ := c.run(t, Generate, tc.edits...)
 			c.spec = true
 			spec, k := c.run(t, Generate, tc.edits...)
@@ -446,7 +510,8 @@ func TestConstrainedRunSpeculatesUnderItsMask(t *testing.T) {
 // TestGenerateDecodeChunkedStreaming streams a generation of three
 // decode chunks alone on the GPU: every token streams in order, one decode
 // step after the last — inside a chunk as across a chunk boundary — and
-// the first at the instant the prefill completed.
+// the first at the instant the prefill completed. The KV file then holds
+// every token but the last, which is pending.
 func TestGenerateDecodeChunkedStreaming(t *testing.T) {
 	harness(t, func(ctx *core.Ctx) error {
 		kv, _ := ctx.KvAnon()
@@ -476,8 +541,8 @@ func TestGenerateDecodeChunkedStreaming(t *testing.T) {
 				t.Errorf("token %d streamed at %v, want %v (%d decode steps after the prefill)", i, st.at, want, i)
 			}
 		}
-		if kv.Len() != base+len(res.Tokens) {
-			t.Errorf("KV grew by %d, generated %d", kv.Len()-base, len(res.Tokens))
+		if kv.Len() != base+len(res.Tokens)-1 || s.Len() != base+len(res.Tokens) {
+			t.Errorf("KV grew by %d and the context by %d, generated %d", kv.Len()-base, s.Len()-base, len(res.Tokens))
 		}
 		return nil
 	})

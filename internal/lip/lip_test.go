@@ -345,8 +345,9 @@ func TestParallelBranchesBatchOnGPU(t *testing.T) {
 func TestSpeculativeMatchesGreedyDecode(t *testing.T) {
 	// Speculative decoding must be lossless: identical tokens to plain
 	// greedy decoding, with fewer target steps. A budget that is not a
-	// multiple of K must not be drafted past: both KV files end holding
-	// the prompt and the answer, nothing beyond it.
+	// multiple of K must not be drafted past: both contexts end holding
+	// the prompt and the answer, nothing beyond it — the target's in its
+	// KV file, the draft's with its last token pending.
 	for _, maxTokens := range []int{32, 30} {
 		t.Run(fmt.Sprint(maxTokens), func(t *testing.T) {
 			var plain, spec []token.ID
@@ -383,7 +384,7 @@ func TestSpeculativeMatchesGreedyDecode(t *testing.T) {
 				}
 				spec = r.Tokens
 				specRes = r
-				targetLen, draftLen = tkv.Len(), dkv.Len()
+				targetLen, draftLen = tkv.Len(), ds.Len()
 				return nil
 			})
 			if len(spec) != len(plain) {
@@ -395,7 +396,7 @@ func TestSpeculativeMatchesGreedyDecode(t *testing.T) {
 				}
 			}
 			if want := promptLen + len(spec); targetLen != want || draftLen != want {
-				t.Fatalf("target KV %d, draft KV %d tokens; want prompt+answer = %d", targetLen, draftLen, want)
+				t.Fatalf("target KV %d, draft context %d tokens; want prompt+answer = %d", targetLen, draftLen, want)
 			}
 			if specRes.TargetSteps >= len(plain) {
 				t.Fatalf("speculation saved nothing: %d target steps for %d tokens", specRes.TargetSteps, len(plain))

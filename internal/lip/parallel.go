@@ -17,12 +17,16 @@ type Branch struct {
 // the base session's KV prefix once per suffix, spawn one thread per
 // branch, generate concurrently, and join. Branch i prefills suffixes[i]
 // (which may be empty) and then generates under opts, with the sampler
-// seed offset by the branch index so branches decorrelate.
+// seed offset by the branch index so branches decorrelate. A token
+// pending on base is committed before the first fork.
 //
 // Concurrent branches issue concurrent pred calls, which the batch
 // inference scheduler coalesces into shared GPU steps — the efficiency
 // the paper's two-level scheduling is designed around.
 func ParallelGenerate(base *Session, suffixes []string, opts GenOptions) ([]Branch, error) {
+	if err := base.Commit(); err != nil {
+		return nil, err
+	}
 	if !base.ready && anyEmpty(suffixes) {
 		return nil, ErrNoDist
 	}

@@ -28,12 +28,23 @@ var ErrNoDist = errors.New("lip: session has no pending distribution; call Prefi
 // Session couples a KV file with a model choice and tracks the pending
 // next-token distribution, so callers can alternate prefills and decode
 // steps without managing positions by hand.
+//
+// A session can also hold one pending token: the last token of a
+// generation, part of the context but not yet in the KV file. The paper's
+// Figure 2 preds a sampled token only to get the distribution after it,
+// so Generate leaves a run's final token pending when the run ended at
+// MaxTokens or on a completed constraint, and only a later pred that reads
+// past it pays its forward pass: PrefillTokens, Step and Generate carry it
+// as their first position, and Fork and Commit commit it on its own. Close
+// and Rollback drop it.
 type Session struct {
-	ctx   *core.Ctx
-	kv    *kvfs.File
-	model string
-	last  model.Dist
-	ready bool
+	ctx     *core.Ctx
+	kv      *kvfs.File
+	model   string
+	last    model.Dist // the distribution after the KV file's tokens
+	ready   bool
+	pending token.ID
+	held    bool // pending is part of the context
 }
 
 // NewSession returns a session over kv using the kernel's default model.
@@ -54,9 +65,27 @@ func (s *Session) KV() *kvfs.File { return s.kv }
 // Ctx returns the session's thread context.
 func (s *Session) Ctx() *core.Ctx { return s.ctx }
 
+// Len returns the context length: the KV file's tokens plus a pending
+// token.
+func (s *Session) Len() int {
+	if s.held {
+		return s.kv.Len() + 1
+	}
+	return s.kv.Len()
+}
+
+// Pending returns the pending token. The boolean reports whether the
+// session holds one.
+func (s *Session) Pending() (token.ID, bool) { return s.pending, s.held }
+
 // Last returns the pending next-token distribution. The boolean reports
-// whether one exists.
-func (s *Session) Last() (model.Dist, bool) { return s.last, s.ready }
+// whether one exists; none does while a token is pending, since no pred
+// has read past it yet.
+func (s *Session) Last() (model.Dist, bool) { return s.last, s.ready && !s.held }
+
+// primed reports whether Generate can start: from the pending
+// distribution, or past the pending token.
+func (s *Session) primed() bool { return s.ready || s.held }
 
 // Prefill appends text to the context in one pred call and records the
 // resulting next-token distribution.
@@ -67,7 +96,36 @@ func (s *Session) Prefill(text string) (model.Dist, error) {
 // PrefillTokens appends toks at the next positions in one pred call.
 func (s *Session) PrefillTokens(toks []token.ID) (model.Dist, error) {
 	if len(toks) == 0 {
-		return s.last, nil
+		d, _ := s.Last()
+		return d, nil
+	}
+	return s.pred(toks)
+}
+
+// Step appends one token (typically the one just sampled) and returns the
+// distribution after it.
+func (s *Session) Step(tok token.ID) (model.Dist, error) {
+	return s.pred([]token.ID{tok})
+}
+
+// Commit writes a pending token into the KV file with a one-position
+// pred, so the file holds the whole context; it does nothing when no
+// token is pending. A caller that hands the file itself to someone else
+// (KvFork, KvLink) commits first.
+func (s *Session) Commit() error {
+	if !s.held {
+		return nil
+	}
+	_, err := s.pred(nil)
+	return err
+}
+
+// pred appends toks at the next positions, behind the pending token if
+// one is held, in one pred call and records the distribution after them.
+// A failed call leaves the session as it was.
+func (s *Session) pred(toks []token.ID) (model.Dist, error) {
+	if s.held {
+		toks = append([]token.ID{s.pending}, toks...)
 	}
 	pos := make([]int, len(toks))
 	base := s.kv.Len()
@@ -78,34 +136,22 @@ func (s *Session) PrefillTokens(toks []token.ID) (model.Dist, error) {
 	if err != nil {
 		return model.Dist{}, err
 	}
-	s.last = dists[len(dists)-1]
-	s.ready = true
-	return s.last, nil
-}
-
-// Step appends one token (typically the one just sampled) and returns the
-// distribution after it.
-func (s *Session) Step(tok token.ID) (model.Dist, error) {
-	dists, err := s.ctx.PredModel(s.model, s.kv, []token.ID{tok}, []int{s.kv.Len()})
-	if err != nil {
-		return model.Dist{}, err
-	}
-	s.last = dists[0]
-	s.ready = true
+	s.last, s.ready, s.held = dists[len(dists)-1], true, false
 	return s.last, nil
 }
 
 // Fork clones the session: the new session shares the KV prefix
-// copy-on-write and inherits the pending distribution.
+// copy-on-write and inherits the pending distribution. A pending token is
+// committed first, so both sessions' files hold it.
 func (s *Session) Fork() (*Session, error) {
-	kv, err := s.ctx.KvFork(s.kv)
-	if err != nil {
+	if err := s.Commit(); err != nil {
 		return nil, err
 	}
-	return &Session{ctx: s.ctx, kv: kv, model: s.model, last: s.last, ready: s.ready}, nil
+	return s.forkInto(s.ctx)
 }
 
-// forkInto clones the session for use by a different thread's ctx.
+// forkInto clones the session, which holds no pending token, for use by a
+// different thread's ctx.
 func (s *Session) forkInto(ctx *core.Ctx) (*Session, error) {
 	kv, err := ctx.KvFork(s.kv)
 	if err != nil {
@@ -114,21 +160,28 @@ func (s *Session) forkInto(ctx *core.Ctx) (*Session, error) {
 	return &Session{ctx: ctx, kv: kv, model: s.model, last: s.last, ready: s.ready}, nil
 }
 
-// Rollback truncates the session's context to n tokens. The pending
-// distribution is invalidated unless n equals the current length.
+// Rollback truncates the session's context to n tokens, a pending token
+// counted (see Len). The pending distribution is invalidated unless n
+// equals the current length or the KV file's.
 func (s *Session) Rollback(n int) error {
-	if n == s.kv.Len() {
+	if n == s.Len() {
 		return nil
 	}
-	if err := s.kv.Truncate(n); err != nil {
-		return err
+	if n != s.kv.Len() {
+		if err := s.kv.Truncate(n); err != nil {
+			return err
+		}
+		s.ready = false
 	}
-	s.ready = false
+	s.held = false
 	return nil
 }
 
-// Close removes the session's KV file.
-func (s *Session) Close() error { return s.kv.Remove() }
+// Close removes the session's KV file and drops a pending token.
+func (s *Session) Close() error {
+	s.held = false
+	return s.kv.Remove()
+}
 
 // String describes the session for diagnostics.
 func (s *Session) String() string {
@@ -136,5 +189,5 @@ func (s *Session) String() string {
 	if name == "" {
 		name = "default"
 	}
-	return fmt.Sprintf("session{model=%s len=%d ready=%v}", name, s.kv.Len(), s.ready)
+	return fmt.Sprintf("session{model=%s len=%d ready=%v}", name, s.Len(), s.ready)
 }

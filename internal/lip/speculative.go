@@ -45,19 +45,25 @@ func (r SpecResult) AcceptanceRate() float64 {
 // Truncate — KV-file surgery no prompt-serving API can express.
 //
 // target must be a prefilled session on the target model; draft must be a
-// session on the draft model whose KV holds the same token content.
+// session on the draft model whose context holds the same tokens. A token
+// pending on the target is committed first; the draft's rides into its
+// next draft run, so lengths are read with Len.
 func SpeculativeGenerate(target, draft *Session, opts SpecOptions) (SpecResult, error) {
 	if opts.K <= 0 || opts.MaxTokens <= 0 {
 		return SpecResult{}, fmt.Errorf("lip: speculative K and MaxTokens must be positive")
 	}
-	if !target.ready || !draft.ready {
+	if err := target.Commit(); err != nil {
+		return SpecResult{}, err
+	}
+	if !target.ready || !draft.primed() {
 		return SpecResult{}, ErrNoDist
 	}
 	var res SpecResult
 	for len(res.Tokens) < opts.MaxTokens {
 		res.Rounds++
 		// Draft phase: the cheap model's greedy run of up to K tokens,
-		// never past the budget.
+		// never past the budget. Its last token stays pending on the
+		// draft until the next round's run or a rollback.
 		drafted, err := Generate(draft, GenOptions{MaxTokens: min(opts.K, opts.MaxTokens-len(res.Tokens))})
 		if err != nil {
 			return res, err
@@ -116,7 +122,7 @@ func SpeculativeGenerate(target, draft *Session, opts SpecOptions) (SpecResult, 
 			}
 			correction := prev.Greedy()
 			// Roll the draft back to match the target context.
-			if err := draft.Rollback(draft.kv.Len() - (len(proposal) - accepted)); err != nil {
+			if err := draft.Rollback(draft.Len() - (len(proposal) - accepted)); err != nil {
 				return res, err
 			}
 			if correction == token.EOS {

@@ -224,7 +224,7 @@ func (s *Script) Program() core.Program {
 			// Each statement is bracketed by start/end events so v2
 			// subscribers can follow the program as it runs.
 			ctx.PublishStatement(i, string(st.Op), "start", "")
-			if err := execStmt(ctx, st, s.removedNext(i), sessions, vars, expand, fail); err != nil {
+			if err := execStmt(ctx, st, sessions, vars, expand, fail); err != nil {
 				return err
 			}
 			ctx.PublishStatement(i, string(st.Op), "end", "")
@@ -233,15 +233,9 @@ func (s *Script) Program() core.Program {
 	}
 }
 
-// removedNext reports whether the statement after step i removes step
-// i's session, so nothing step i leaves in its file is ever read.
-func (s *Script) removedNext(i int) bool {
-	return i+1 < len(s.Steps) && s.Steps[i+1].Op == OpRemove && s.Steps[i+1].S == s.Steps[i].S
-}
-
 // execStmt interprets one statement against the session and variable
-// environment; removedNext says the next statement removes st's session.
-func execStmt(ctx *core.Ctx, st Stmt, removedNext bool, sessions map[string]*lip.Session,
+// environment.
+func execStmt(ctx *core.Ctx, st Stmt, sessions map[string]*lip.Session,
 	vars map[string]string, expand func(string) string, fail func(error) error) error {
 	switch st.Op {
 	case OpAnon:
@@ -292,9 +286,12 @@ func execStmt(ctx *core.Ctx, st Stmt, removedNext bool, sessions map[string]*lip
 		}
 	case OpGenerate:
 		sess := sessions[st.S]
-		if _, ok := sess.Last(); !ok {
+		_, ok := sess.Last()
+		if _, held := sess.Pending(); !ok && !held {
 			// A fork of a built cache file carries no pending
-			// distribution; re-prime from its tail context.
+			// distribution; re-prime from its tail context. A token
+			// left pending by an earlier generate needs none: this run
+			// carries it.
 			if _, err := sess.Prefill(" "); err != nil {
 				return fail(err)
 			}
@@ -311,14 +308,12 @@ func execStmt(ctx *core.Ctx, st Stmt, removedNext bool, sessions map[string]*lip
 		// A generation is a decode run: the executor advances it one
 		// token — or one verified draft window, under -spec-decode — per
 		// GPU iteration instead of paying a scheduling round trip per
-		// token. A generation whose session the next statement removes is
-		// terminal: its last token is sampled and streamed but never
-		// committed, since no one reads the distribution after it.
+		// token. Its last token stays pending on the session until a
+		// later statement reads past it; a remove discards it.
 		res, err := lip.Generate(sess, lip.GenOptions{
 			MaxTokens: st.MaxTokens,
 			Sampler:   sampler,
 			Stream:    stream,
-			Terminal:  removedNext,
 		})
 		if err != nil {
 			return fail(err)
@@ -345,6 +340,11 @@ func execStmt(ctx *core.Ctx, st Stmt, removedNext bool, sessions map[string]*lip
 		}
 		delete(sessions, st.S)
 	case OpLink:
+		// The named file outlives the program, so it gets the whole
+		// context.
+		if err := sessions[st.S].Commit(); err != nil {
+			return fail(err)
+		}
 		if err := ctx.KvLink(sessions[st.S].KV(), expand(st.Path)); err != nil {
 			return fail(err)
 		}

@@ -327,25 +327,35 @@ func TestSampledGenerateIsDecodeRun(t *testing.T) {
 }
 
 // scriptRun is what a script left behind: its output, the text and
-// virtual instant of every streamed token, and the GPU positions executed
-// and the pred tokens billed.
+// virtual instant of every streamed token, the GPU positions executed and
+// GPU iterations run, the pred tokens billed, and the GPU positions
+// executed when the probe tool ran.
 type scriptRun struct {
 	out      string
 	streamed []core.ProcEvent
 	executed int64
+	steps    int64
 	billed   int64
+	probed   int64
 }
 
-// runCounted runs js alone on a fresh kernel.
+// runCounted runs js alone on a fresh kernel that offers the tool
+// "probe", which records the GPU positions executed so far.
 func runCounted(t *testing.T, js string) scriptRun {
 	t.Helper()
 	clk, k := newKernel()
 	defer clk.Shutdown()
+	var r scriptRun
+	k.RegisterTool("probe", core.Tool{Fn: func(string) (string, error) {
+		r.probed = k.Stats().Sched.ExecutedTokens
+		return "", nil
+	}})
 	p, err := runScript(t, k, clk, js)
 	if err != nil {
 		t.Fatalf("script failed: %v", err)
 	}
-	r := scriptRun{out: p.Output(), executed: k.Stats().Sched.ExecutedTokens, billed: k.Stats().PredTokens}
+	st := k.Stats()
+	r.out, r.executed, r.steps, r.billed = p.Output(), st.Sched.ExecutedTokens, st.Sched.Steps, st.PredTokens
 	sub := p.Subscribe(0)
 	for e, ok := sub.Next(nil); ok; e, ok = sub.Next(nil) {
 		if e.Kind == core.EventToken {
@@ -355,62 +365,58 @@ func runCounted(t *testing.T, js string) scriptRun {
 	return r
 }
 
-// TestTerminalGenerateSkipsLastPosition: a generate whose session the next
-// statement removes executes exactly one GPU position fewer, and bills one
-// pred token fewer, than the same script with an emit between the two,
-// and streams the same tokens at the same instants and outputs the same
-// text.
-func TestTerminalGenerateSkipsLastPosition(t *testing.T) {
-	const head = `{"steps":[
-		{"op":"anon","s":"a"},
-		{"op":"prefill","s":"a","text":"a terminal generation ends its session"},
-		{"op":"generate","s":"a","max_tokens":16,"temperature":0.7,"seed":7,"out":"x"},`
-	terminal := runCounted(t, head+`{"op":"remove","s":"a"},{"op":"emit","text":"${x}"}]}`)
-	kept := runCounted(t, head+`{"op":"emit","text":"${x}"},{"op":"remove","s":"a"}]}`)
-	if len(kept.streamed) != 16 {
-		t.Fatalf("streamed %d tokens; the comparison needs a run that reaches max_tokens", len(kept.streamed))
-	}
-	if terminal.executed != kept.executed-1 || terminal.billed != kept.billed-1 {
-		t.Errorf("terminal generate executed %d positions and billed %d, with an emit between %d and %d; want one fewer",
-			terminal.executed, terminal.billed, kept.executed, kept.billed)
-	}
-	if !reflect.DeepEqual(terminal.streamed, kept.streamed) {
-		t.Errorf("streamed %v, with an emit between %v", terminal.streamed, kept.streamed)
-	}
-	if terminal.out == "" || terminal.out != kept.out {
-		t.Errorf("output %q, with an emit between %q", terminal.out, kept.out)
-	}
-}
-
-// TestOnlyRemoveMakesGenerateTerminal puts each kind of statement after a
-// generate and compares the script with the same one that has an emit
-// between the two: only a remove of the generating session saves a
-// position. A call, a prefill, a second generate or a remove of another
-// session leaves every generated token in the file.
-func TestOnlyRemoveMakesGenerateTerminal(t *testing.T) {
-	const head = `{"steps":[
-		{"op":"anon","s":"a"},
-		{"op":"anon","s":"b"},
-		{"op":"prefill","s":"a","text":"which statement follows decides"},
-		{"op":"prefill","s":"b","text":"another session"},
-		{"op":"generate","s":"a","max_tokens":12,"temperature":0.7,"seed":3,"out":"x"},`
-	const tail = `{"op":"remove","s":"b"},{"op":"remove","s":"a"}]}`
+// TestGenerateLeavesItsLastTokenPending puts each kind of statement after
+// a generate that reaches max_tokens and compares the script with the
+// same one that forks the session right after the generate — a fork
+// commits a pending token with a one-position pred, so there the
+// generated tokens all reach the file as every generate's did before a
+// run left its last token pending. The generate computes one GPU position
+// fewer, which the probe after it sees, and the scripts output and stream
+// the same. A remove discards the token: one position and one GPU
+// iteration fewer in all. A prefill carries it in its prompt slice: as
+// many positions, one iteration fewer. A second generate carries it as
+// the first position of its run, which costs the iteration the fork's
+// commit does. A generate that ends on EOS commits every token: the fork
+// then commits nothing and both scripts execute alike.
+func TestGenerateLeavesItsLastTokenPending(t *testing.T) {
+	const prompt = `{"op":"anon","s":"a"},{"op":"prefill","s":"a","text":"which statement follows decides"},`
+	const full = `{"op":"generate","s":"a","max_tokens":12,"temperature":0.7,"seed":3,"out":"x"},`
+	const eos = `{"op":"generate","s":"a","max_tokens":400,"temperature":0.7,"seed":3,"out":"x"},`
+	const fork = `{"op":"fork","s":"f","from":"a"},{"op":"remove","s":"f"},`
+	const probe = `{"op":"call","tool":"probe"},`
 	for _, tc := range []struct {
-		name, next string
-		saved      int64
+		name, generate, next string
+		// fewer positions before the probe and in all, and fewer GPU
+		// iterations in all
+		probed, executed, steps int64
 	}{
-		{"remove", `{"op":"remove","s":"a"},{"op":"remove","s":"b"}]}`, 1},
-		{"call", `{"op":"call","tool":"weather","text":"paris"},` + tail, 0},
-		{"prefill", `{"op":"prefill","s":"a","text":"more context"},` + tail, 0},
-		{"generate", `{"op":"generate","s":"a","max_tokens":4},` + tail, 0},
-		{"remove other", `{"op":"remove","s":"b"},{"op":"remove","s":"a"}]}`, 0},
+		{"call+prefill", full, `{"op":"call","tool":"search","text":"q","out":"o"},{"op":"prefill","s":"a","text":"${o}"},{"op":"emit","text":"${x}"},{"op":"remove","s":"a"}`, 1, 0, 1},
+		{"generate", full, `{"op":"generate","s":"a","max_tokens":4},{"op":"emit","text":"${x}"},{"op":"remove","s":"a"}`, 1, 0, 0},
+		{"emit+remove", full, `{"op":"emit","text":"${x}"},{"op":"remove","s":"a"}`, 1, 1, 1},
+		{"remove", full, `{"op":"remove","s":"a"},{"op":"emit","text":"${x}"}`, 1, 1, 1},
+		{"eos", eos, `{"op":"remove","s":"a"},{"op":"emit","text":"${x}"}`, 0, 0, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			got := runCounted(t, head+tc.next)
-			kept := runCounted(t, head+`{"op":"emit","text":"${x}"},`+tc.next)
-			if got.executed != kept.executed-tc.saved || got.billed != kept.billed-tc.saved {
-				t.Errorf("executed %d positions and billed %d, with an emit between %d and %d; want %d fewer",
-					got.executed, got.billed, kept.executed, kept.billed, tc.saved)
+			got := runCounted(t, `{"steps":[`+prompt+tc.generate+probe+tc.next+`]}`)
+			ref := runCounted(t, `{"steps":[`+prompt+tc.generate+fork+probe+tc.next+`]}`)
+			if got.out == "" || got.out != ref.out {
+				t.Fatalf("output %q, with a fork after the generate %q", got.out, ref.out)
+			}
+			if !reflect.DeepEqual(got.streamed, ref.streamed) {
+				t.Errorf("streamed %v, with a fork after the generate %v", got.streamed, ref.streamed)
+			}
+			if n := len(got.streamed); tc.generate == full && n < 12 || tc.generate == eos && n >= 400 {
+				t.Fatalf("streamed %d tokens; the case needs a run that ends as it is named", n)
+			}
+			if got.probed != ref.probed-tc.probed {
+				t.Errorf("the generate executed %d positions, with a fork after it %d; want %d fewer", got.probed, ref.probed, tc.probed)
+			}
+			if got.executed != ref.executed-tc.executed || got.billed != ref.billed-tc.executed {
+				t.Errorf("executed %d positions and billed %d, with a fork after the generate %d and %d; want %d fewer",
+					got.executed, got.billed, ref.executed, ref.billed, tc.executed)
+			}
+			if got.steps != ref.steps-tc.steps {
+				t.Errorf("ran %d GPU iterations, with a fork after the generate %d; want %d fewer", got.steps, ref.steps, tc.steps)
 			}
 		})
 	}
