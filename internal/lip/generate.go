@@ -83,14 +83,12 @@ const decodeChunk = 64
 // virtual instant.
 //
 // Figure 2 preds a token only to read the distribution after it, so a run
-// that ended at MaxTokens or on a completed constraint commits all but its
-// final token and leaves that one pending on the session (see Session):
-// the next pred on the session carries it, and a session closed first
-// never pays for it. A run that ended on EOS commits every token, and so
-// does one whose constraint is stuck or refuses a token, before the error
-// returns. A pending token the session held when Generate began is the
-// run's first position: the GPU computes it in the run's first iteration,
-// and the run's first token streams when it retires.
+// that ends at MaxTokens or on a completed constraint leaves its final
+// token pending on the session (see Session). A run that ends on EOS
+// commits every token, and so does one whose constraint is stuck or
+// refuses a token, before the error returns. A token pending when Generate
+// begins is the run's first position, and the run's first token streams
+// when that position retires.
 func Generate(s *Session, opts GenOptions) (GenResult, error) {
 	g, err := newDecoder(s, opts)
 	if err != nil {
@@ -168,8 +166,9 @@ func (g *decoder) advance(room int) error {
 
 // walk extends the chain until it is ahead positions ahead of the KV file
 // or ends. Each position's distribution is the session's pending one, or
-// past a carried or walked token the model's unbuilt one over the context hash kvfs.Append will give
-// the tokens ahead of it — the hash PredDecode's verifier sees there too.
+// past a carried or walked token the model's unbuilt one over the context
+// hash kvfs.Append will give the tokens ahead of it — the hash
+// PredDecode's verifier sees there too.
 func (g *decoder) walk(ahead int) error {
 	h, pos, d := g.s.kv.Tail(), g.s.kv.Len(), g.s.last
 	for _, tok := range g.chain[g.done:] {

@@ -131,7 +131,8 @@ type streamedToken struct {
 
 // genCase is one generation: a prompt, a sampler (temp 0 is greedy), one
 // of constraints, a length bound, on a plain or a speculating kernel, and
-// the text a prefill appends once it returned ("" for none).
+// terminal — nothing reads past it — or followed by a prefill, which
+// carries a pending final token.
 type genCase struct {
 	prompt     string
 	temp       float64
@@ -139,8 +140,12 @@ type genCase struct {
 	constraint string
 	max        int
 	spec       bool
-	then       string
+	terminal   bool
 }
+
+// followingPrefill is the text a non-terminal case prefills after its
+// generation.
+const followingPrefill = " and then a prefill"
 
 // genOutcome is everything a generation and the prefill after it leave
 // that the loop pins: the result and error, the sampler's draws, the KV
@@ -206,8 +211,8 @@ func (c genCase) run(t *testing.T, gen func(*Session, GenOptions) (GenResult, er
 		before := ctx.Kernel().Stats().PredTokens
 		out.res, out.err = gen(s, opts)
 		out.draws = smp.draws
-		if c.then != "" && out.err == nil {
-			if _, err := s.Prefill(c.then); err != nil {
+		if !c.terminal && out.err == nil {
+			if _, err := s.Prefill(followingPrefill); err != nil {
 				return err
 			}
 		}
@@ -281,13 +286,10 @@ func (c genCase) end(got genOutcome) string {
 	return "max tokens"
 }
 
-// TestGenerateEqualsLoop holds Generate's decode run to the per-token loop
-// over greedy and sampled runs, every kind of option, lengths on both
-// sides of a chunk boundary, a plain and a speculating kernel, and with
-// and without a prefill after the run, which carries a pending final
-// token. The grid must reach every way a run ends.
-func TestGenerateEqualsLoop(t *testing.T) {
-	ends := map[string]bool{}
+// genGrid calls fn with every case of the grid, all terminal: greedy and
+// sampled runs, every kind of option, lengths on both sides of a chunk
+// boundary, and a plain and a speculating kernel.
+func genGrid(t *testing.T, fn func(t *testing.T, c genCase)) {
 	for _, temp := range []float64{0, 0.7} {
 		name := "greedy"
 		if temp > 0 {
@@ -300,16 +302,74 @@ func TestGenerateEqualsLoop(t *testing.T) {
 					if spec {
 						kernel = "spec"
 					}
-					for _, then := range []string{"", " and then a prefill"} {
-						c := genCase{"a prompt whose continuation we compute two ways", temp, 7, constraint, max, spec, then}
-						t.Run(fmt.Sprintf("%s/%s/max%d/%s/then=%t", name, constraint, max, kernel, then != ""), func(t *testing.T) {
-							ends[c.end(c.equalsLoop(t))] = true
-						})
-					}
+					c := genCase{"a prompt whose continuation we compute two ways", temp, 7, constraint, max, spec, true}
+					t.Run(fmt.Sprintf("%s/%s/max%d/%s", name, constraint, max, kernel), func(t *testing.T) { fn(t, c) })
 				}
 			}
 		}
 	}
+}
+
+// TestGenerateEqualsLoop holds Generate's decode run to the per-token loop
+// over the whole grid, each case terminal and followed by a prefill, and
+// compares the pred tokens both calls billed; the grid must reach every
+// way a run ends.
+func TestGenerateEqualsLoop(t *testing.T) {
+	ends := map[string]bool{}
+	genGrid(t, func(t *testing.T, c genCase) {
+		for _, terminal := range []bool{false, true} {
+			c.terminal = terminal
+			t.Run(fmt.Sprintf("terminal=%v", terminal), func(t *testing.T) {
+				ends[c.end(c.equalsLoop(t))] = true
+			})
+		}
+	})
+	for _, end := range []string{"stuck", "refused", "eos", "constraint done", "max tokens", "max tokens past a chunk"} {
+		if !ends[end] {
+			t.Errorf("no case ended by %s", end)
+		}
+	}
+}
+
+// TestTerminalSkipsOnlyTheLastCommit runs every case of the grid twice as
+// a terminal run, once committing a pending token afterwards
+// (Session.Commit) as every run did before a run left its final token
+// pending. A run that reached MaxTokens or completed its constraint
+// leaves its last token out of the KV file and bills one pred token
+// fewer, with the same tokens streamed at the same instants; a run ended
+// by EOS or an error is unchanged in everything the loop pins.
+func TestTerminalSkipsOnlyTheLastCommit(t *testing.T) {
+	ends := map[string]bool{}
+	commit := func(s *Session, opts GenOptions) (GenResult, error) {
+		res, err := Generate(s, opts)
+		if err == nil {
+			err = s.Commit()
+		}
+		return res, err
+	}
+	genGrid(t, func(t *testing.T, c genCase) {
+		kept, _ := c.run(t, commit)
+		got, _ := c.run(t, Generate)
+		end := c.end(kept)
+		ends[end] = true
+		if c.end(got) != end || !reflect.DeepEqual(got.res, kept.res) || fmt.Sprint(got.err) != fmt.Sprint(kept.err) || got.draws != kept.draws {
+			t.Fatalf("terminal run %+v (%v), committed %+v (%v)", got.res, got.err, kept.res, kept.err)
+		}
+		skipped := 0
+		if strings.HasPrefix(end, "max tokens") || end == "constraint done" {
+			skipped = 1
+		}
+		if !reflect.DeepEqual(got.stream, kept.stream) {
+			t.Fatalf("%s: terminal run streamed %v, committed %v", end, got.stream, kept.stream)
+		}
+		if got.kvLen != kept.kvLen-skipped || got.billed != kept.billed-int64(skipped) || got.held != (skipped == 1) {
+			t.Errorf("%s: terminal run left %d tokens (pending %v) and billed %d, committed %d and %d; want %d fewer",
+				end, got.kvLen, got.held, got.billed, kept.kvLen, kept.billed, skipped)
+		}
+		if skipped == 0 && (got.kvTail != kept.kvTail || !reflect.DeepEqual(got.last, kept.last)) {
+			t.Errorf("%s: terminal run left a different KV file or pending distribution", end)
+		}
+	})
 	for _, end := range []string{"stuck", "refused", "eos", "constraint done", "max tokens", "max tokens past a chunk"} {
 		if !ends[end] {
 			t.Errorf("no case ended by %s", end)
@@ -413,22 +473,18 @@ func TestCarriedTokenStreamsAfterItsPosition(t *testing.T) {
 }
 
 // FuzzGenerateEqualsLoop is TestGenerateEqualsLoop over fuzzed prompts,
-// seeds, temperatures, lengths, option sets and a following prefill.
+// seeds, temperatures, lengths, option sets and terminal or not.
 func FuzzGenerateEqualsLoop(f *testing.F) {
 	f.Add("a prompt whose continuation we compute two ways", uint64(7), 0.7, 65, uint8(0), false, false)
 	f.Add("constrained", uint64(3), 0.0, 130, uint8(2), true, false)
 	f.Add("", uint64(1), 1.5, 1, uint8(4), false, true)
-	f.Add("then a prefill", uint64(5), 0.7, 65, uint8(3), true, true)
-	f.Fuzz(func(t *testing.T, prompt string, seed uint64, temp float64, max int, constraint uint8, spec, then bool) {
+	f.Add("terminal", uint64(5), 0.7, 65, uint8(3), true, true)
+	f.Fuzz(func(t *testing.T, prompt string, seed uint64, temp float64, max int, constraint uint8, spec, terminal bool) {
 		if len(prompt) > 256 || !(temp >= 0 && temp <= 2) {
 			t.Skip()
 		}
 		max = 1 + (max%150+150)%150
-		c := genCase{prompt, temp, seed, constraints[int(constraint)%len(constraints)], max, spec, ""}
-		if then {
-			c.then = " and then a prefill"
-		}
-		c.equalsLoop(t)
+		genCase{prompt, temp, seed, constraints[int(constraint)%len(constraints)], max, spec, terminal}.equalsLoop(t)
 	})
 }
 
@@ -451,7 +507,7 @@ func TestGenerateDecodeUnderSpecMatchesPlain(t *testing.T) {
 		{"fifo-sampled", 0.7, []func(*core.Config){fifo}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			c := genCase{"speculative decoding must not change results", tc.temp, 7, "none", 48, false, ""}
+			c := genCase{"speculative decoding must not change results", tc.temp, 7, "none", 48, false, true}
 			plain, _ := c.run(t, Generate, tc.edits...)
 			c.spec = true
 			spec, k := c.run(t, Generate, tc.edits...)

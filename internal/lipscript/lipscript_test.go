@@ -372,29 +372,35 @@ func runCounted(t *testing.T, js string) scriptRun {
 // generated tokens all reach the file as every generate's did before a
 // run left its last token pending. The generate computes one GPU position
 // fewer, which the probe after it sees, and the scripts output and stream
-// the same. A remove discards the token: one position and one GPU
-// iteration fewer in all. A prefill carries it in its prompt slice: as
-// many positions, one iteration fewer. A second generate carries it as
+// the same. A remove discards the token, after a call or another
+// session's remove too: one position and one GPU iteration fewer in all.
+// A prefill carries it in its prompt slice: as many positions, one
+// iteration fewer. A second generate carries it as
 // the first position of its run, which costs the iteration the fork's
 // commit does. A generate that ends on EOS commits every token: the fork
 // then commits nothing and both scripts execute alike.
 func TestGenerateLeavesItsLastTokenPending(t *testing.T) {
-	const prompt = `{"op":"anon","s":"a"},{"op":"prefill","s":"a","text":"which statement follows decides"},`
+	const prompt = `{"op":"anon","s":"a"},{"op":"anon","s":"b"},
+		{"op":"prefill","s":"a","text":"which statement follows decides"},{"op":"prefill","s":"b","text":"another session"},`
 	const full = `{"op":"generate","s":"a","max_tokens":12,"temperature":0.7,"seed":3,"out":"x"},`
 	const eos = `{"op":"generate","s":"a","max_tokens":400,"temperature":0.7,"seed":3,"out":"x"},`
 	const fork = `{"op":"fork","s":"f","from":"a"},{"op":"remove","s":"f"},`
 	const probe = `{"op":"call","tool":"probe"},`
+	const tail = `{"op":"remove","s":"b"},{"op":"remove","s":"a"}`
 	for _, tc := range []struct {
 		name, generate, next string
 		// fewer positions before the probe and in all, and fewer GPU
 		// iterations in all
 		probed, executed, steps int64
 	}{
-		{"call+prefill", full, `{"op":"call","tool":"search","text":"q","out":"o"},{"op":"prefill","s":"a","text":"${o}"},{"op":"emit","text":"${x}"},{"op":"remove","s":"a"}`, 1, 0, 1},
-		{"generate", full, `{"op":"generate","s":"a","max_tokens":4},{"op":"emit","text":"${x}"},{"op":"remove","s":"a"}`, 1, 0, 0},
-		{"emit+remove", full, `{"op":"emit","text":"${x}"},{"op":"remove","s":"a"}`, 1, 1, 1},
-		{"remove", full, `{"op":"remove","s":"a"},{"op":"emit","text":"${x}"}`, 1, 1, 1},
-		{"eos", eos, `{"op":"remove","s":"a"},{"op":"emit","text":"${x}"}`, 0, 0, 0},
+		{"call", full, `{"op":"call","tool":"weather","text":"paris"},{"op":"emit","text":"${x}"},` + tail, 1, 1, 1},
+		{"call+prefill", full, `{"op":"call","tool":"search","text":"q","out":"o"},{"op":"prefill","s":"a","text":"${o}"},{"op":"emit","text":"${x}"},` + tail, 1, 0, 1},
+		{"prefill", full, `{"op":"prefill","s":"a","text":"more context"},{"op":"emit","text":"${x}"},` + tail, 1, 0, 1},
+		{"generate", full, `{"op":"generate","s":"a","max_tokens":4},{"op":"emit","text":"${x}"},` + tail, 1, 0, 0},
+		{"emit+remove", full, `{"op":"emit","text":"${x}"},` + tail, 1, 1, 1},
+		{"remove", full, `{"op":"remove","s":"a"},{"op":"remove","s":"b"},{"op":"emit","text":"${x}"}`, 1, 1, 1},
+		{"remove other", full, `{"op":"remove","s":"b"},{"op":"remove","s":"a"},{"op":"emit","text":"${x}"}`, 1, 1, 1},
+		{"eos", eos, `{"op":"remove","s":"a"},{"op":"remove","s":"b"},{"op":"emit","text":"${x}"}`, 0, 0, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			got := runCounted(t, `{"steps":[`+prompt+tc.generate+probe+tc.next+`]}`)
