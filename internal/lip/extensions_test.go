@@ -107,6 +107,11 @@ func TestStreamingGenerateConstantMemory(t *testing.T) {
 		if _, err := s.Prefill("stream forever from this prompt"); err != nil {
 			return err
 		}
+		// A first run leaves its last token pending; the streaming run
+		// carries it into its first window.
+		if _, err := Generate(s, GenOptions{MaxTokens: 8, Transform: SuppressEOS}); err != nil {
+			return err
+		}
 		maxSeen := 0
 		res, err := StreamingGenerate(s, GenOptions{
 			MaxTokens: 200,

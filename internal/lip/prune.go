@@ -48,7 +48,8 @@ func PruneContext(s *Session, keepHead, keepTail int) error {
 // Each window is one segment of Generate's decode run: the walk runs one
 // token past the full file, that token is committed under the pruned
 // (approximate) context — what a real pruning system computes too — and
-// the walk goes on from there.
+// the walk goes on from there. A window's room counts the positions the
+// run commits, a carried pending token among them.
 func StreamingGenerate(s *Session, opts GenOptions, window, keepHead int) (GenResult, error) {
 	if window <= keepHead+2 {
 		return GenResult{}, fmt.Errorf("lip: window must exceed keepHead+2")

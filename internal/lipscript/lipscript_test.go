@@ -427,3 +427,33 @@ func TestGenerateLeavesItsLastTokenPending(t *testing.T) {
 		})
 	}
 }
+
+// TestLinkCommitsThePendingToken links a session whose generate left its
+// last token pending: the named file another program opens holds the
+// prompt and every generated token.
+func TestLinkCommitsThePendingToken(t *testing.T) {
+	clk, k := newKernel()
+	defer clk.Shutdown()
+	p, err := runScript(t, k, clk, `{"steps":[
+		{"op":"anon","s":"a"},
+		{"op":"prefill","s":"a","text":"a generation worth keeping"},
+		{"op":"generate","s":"a","max_tokens":8,"temperature":0.7,"seed":3},
+		{"op":"link","s":"a","path":"kept"}]}`)
+	if err != nil {
+		t.Fatalf("script failed: %v", err)
+	}
+	streamed := 0
+	sub := p.Subscribe(0)
+	for e, ok := sub.Next(nil); ok; e, ok = sub.Next(nil) {
+		if e.Kind == core.EventToken {
+			streamed++
+		}
+	}
+	f, err := k.FS().Open("kept", "wire", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := len(k.Tokenizer().Encode("a generation worth keeping")) + 8; streamed != 8 || f.Len() != want {
+		t.Errorf("linked file holds %d tokens after %d generated, want %d: the prompt and all 8", f.Len(), streamed, want)
+	}
+}
