@@ -426,50 +426,73 @@ func TestConstrainedRunThenPrefillKeepsEveryToken(t *testing.T) {
 	}
 }
 
-// TestCarriedTokenStreamsAfterItsPosition runs two generations back to
-// back alone on the GPU. The first leaves its final token pending; the
-// second carries it as its first position, so its first token streams
+// TestCarriedTokenStreamsAfterItsPosition runs two sampled generations
+// back to back alone on the GPU. The first leaves its final token pending;
+// the second carries it as its first position, so its first token streams
 // when that position retires — one decode step after the first run
-// returned, never earlier — and every later one a step after the last.
+// returned, never earlier — and every later one a step after the last. A
+// speculating kernel, which proposes the carried position as itself,
+// speculates both runs and leaves the same tokens and KV file, its first
+// token streaming no earlier than the carried position's decode step.
 func TestCarriedTokenStreamsAfterItsPosition(t *testing.T) {
-	harness(t, func(ctx *core.Ctx) error {
-		kv, _ := ctx.KvAnon()
-		s := NewSession(ctx, kv)
-		if _, err := s.Prefill("two generations back to back"); err != nil {
-			return err
-		}
-		base := kv.Len()
-		first, err := Generate(s, GenOptions{MaxTokens: 8, Transform: SuppressEOS})
-		if err != nil {
-			return err
-		}
-		if tok, held := s.Pending(); !held || tok != first.Tokens[7] || kv.Len() != base+7 || s.Len() != base+8 {
-			t.Fatalf("after the first run: pending %v (held %v), KV %d tokens; want its last token pending beside %d",
-				tok, held, kv.Len(), base+7)
-		}
-		start := ctx.Clock().Now()
-		var streamed []streamedToken
-		second, err := Generate(s, GenOptions{
-			MaxTokens: 8,
-			Transform: SuppressEOS,
-			Stream:    func(tok token.ID) { streamed = append(streamed, streamedToken{tok, ctx.Clock().Now()}) },
-		})
-		if err != nil {
-			return err
-		}
-		step := model.A100Llama13B().StepTime([]model.BatchCall{{NewTokens: 1}})
-		for i, st := range streamed {
-			if want := start + time.Duration(i+1)*step; st.tok != second.Tokens[i] || st.at != want {
-				t.Errorf("token %d streamed %v at %v, want %v at %v (%d decode steps after the first run)",
-					i, st.tok, st.at, second.Tokens[i], want, i+1)
+	type outcome struct {
+		first, second GenResult
+		tail          model.CtxHash
+	}
+	pair := func(t *testing.T, spec bool) (outcome, *core.Kernel) {
+		var out outcome
+		k := harnessWith(t, func(c *core.Config) {
+			if spec {
+				speculating(c)
 			}
-		}
-		if tok, held := s.Pending(); len(streamed) != 8 || !held || tok != second.Tokens[7] || kv.Len() != base+15 {
-			t.Errorf("after the second run: %d streamed, pending %v (held %v), KV %d tokens; want 8, its last token and %d",
-				len(streamed), tok, held, kv.Len(), base+15)
-		}
-		return nil
-	})
+		}, func(ctx *core.Ctx) error {
+			kv, _ := ctx.KvAnon()
+			s := NewSession(ctx, kv)
+			if _, err := s.Prefill("two generations back to back"); err != nil {
+				return err
+			}
+			base := kv.Len()
+			opts := func(stream func(token.ID)) GenOptions {
+				return GenOptions{MaxTokens: 8, Sampler: &Sampler{Temperature: 0.7, Seed: 11}, Transform: SuppressEOS, Stream: stream}
+			}
+			var err error
+			if out.first, err = Generate(s, opts(nil)); err != nil {
+				return err
+			}
+			if tok, held := s.Pending(); !held || tok != out.first.Tokens[7] || kv.Len() != base+7 || s.Len() != base+8 {
+				t.Fatalf("after the first run: pending %v (held %v), KV %d tokens; want its last token pending beside %d",
+					tok, held, kv.Len(), base+7)
+			}
+			start := ctx.Clock().Now()
+			var streamed []streamedToken
+			out.second, err = Generate(s, opts(func(tok token.ID) { streamed = append(streamed, streamedToken{tok, ctx.Clock().Now()}) }))
+			if err != nil {
+				return err
+			}
+			step := model.A100Llama13B().StepTime([]model.BatchCall{{NewTokens: 1}})
+			for i, st := range streamed {
+				if st.tok != out.second.Tokens[i] || st.at < start+step || !spec && st.at != start+time.Duration(i+1)*step {
+					t.Errorf("token %d streamed %v at %v, want %v at %v (%d decode steps after the first run)",
+						i, st.tok, st.at, out.second.Tokens[i], start+time.Duration(i+1)*step, i+1)
+				}
+			}
+			if tok, held := s.Pending(); len(streamed) != 8 || !held || tok != out.second.Tokens[7] || kv.Len() != base+15 {
+				t.Errorf("after the second run: %d streamed, pending %v (held %v), KV %d tokens; want 8, its last token and %d",
+					len(streamed), tok, held, kv.Len(), base+15)
+			}
+			out.tail = kv.Tail()
+			return nil
+		})
+		return out, k
+	}
+	plain, _ := pair(t, false)
+	spec, k := pair(t, true)
+	if !reflect.DeepEqual(spec, plain) {
+		t.Errorf("speculating kernel left %+v, plain %+v", spec, plain)
+	}
+	if st := k.Scheduler().Stats(); st.SpecRounds == 0 || st.SpecAccepted == 0 || st.SpecAccepted > st.SpecDrafted {
+		t.Errorf("%d rounds accepted %d of %d drafted, want some and no more", st.SpecRounds, st.SpecAccepted, st.SpecDrafted)
+	}
 }
 
 // FuzzGenerateEqualsLoop is TestGenerateEqualsLoop over fuzzed prompts,
