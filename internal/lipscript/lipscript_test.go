@@ -365,6 +365,42 @@ func runCounted(t *testing.T, js string) scriptRun {
 	return r
 }
 
+// TestTerminalGenerateSkipsLastPosition: a generate whose session the next
+// statement removes executes exactly one GPU position fewer, and bills one
+// pred token fewer, than the same script with a fork after the generate,
+// whose one-position pred commits the last token; an emit between the
+// generate and the remove changes nothing, since the token stays pending
+// until a pred reads past it. All three stream the same tokens at the
+// same instants and output the same text.
+func TestTerminalGenerateSkipsLastPosition(t *testing.T) {
+	const head = `{"steps":[
+		{"op":"anon","s":"a"},
+		{"op":"prefill","s":"a","text":"a terminal generation ends its session"},
+		{"op":"generate","s":"a","max_tokens":16,"temperature":0.7,"seed":7,"out":"x"},`
+	terminal := runCounted(t, head+`{"op":"remove","s":"a"},{"op":"emit","text":"${x}"}]}`)
+	emitted := runCounted(t, head+`{"op":"emit","text":"${x}"},{"op":"remove","s":"a"}]}`)
+	kept := runCounted(t, head+`{"op":"fork","s":"f","from":"a"},{"op":"remove","s":"f"},{"op":"emit","text":"${x}"},{"op":"remove","s":"a"}]}`)
+	if len(kept.streamed) != 16 {
+		t.Fatalf("streamed %d tokens; the comparison needs a run that reaches max_tokens", len(kept.streamed))
+	}
+	if terminal.executed != kept.executed-1 || terminal.billed != kept.billed-1 {
+		t.Errorf("terminal generate executed %d positions and billed %d, with a fork after it %d and %d; want one fewer",
+			terminal.executed, terminal.billed, kept.executed, kept.billed)
+	}
+	if emitted.executed != terminal.executed || emitted.billed != terminal.billed {
+		t.Errorf("with an emit before the remove: executed %d positions and billed %d, without %d and %d; want the same",
+			emitted.executed, emitted.billed, terminal.executed, terminal.billed)
+	}
+	for _, r := range []scriptRun{emitted, kept} {
+		if !reflect.DeepEqual(terminal.streamed, r.streamed) {
+			t.Errorf("streamed %v, in a reference script %v", terminal.streamed, r.streamed)
+		}
+		if terminal.out == "" || terminal.out != r.out {
+			t.Errorf("output %q, in a reference script %q", terminal.out, r.out)
+		}
+	}
+}
+
 // TestGenerateLeavesItsLastTokenPending puts each kind of statement after
 // a generate that reaches max_tokens and compares the script with the
 // same one that forks the session right after the generate — a fork
