@@ -58,7 +58,15 @@ func Example_got() {
 			// Aggregate: merge both branch contexts into one KV file and
 			// synthesize from the union — the "graph join" no prompt API
 			// expresses without re-prefilling both branches.
-			merged, err := ctx.KvMerge(thoughts[0].KV(), thoughts[1].KV())
+			a, err := thoughts[0].File()
+			if err != nil {
+				return err
+			}
+			b, err := thoughts[1].File()
+			if err != nil {
+				return err
+			}
+			merged, err := ctx.KvMerge(a, b)
 			if err != nil {
 				return err
 			}

@@ -38,14 +38,14 @@ func Example_streaming() {
 				// the policy-transform hook (§2.3 in one line).
 				Transform: lip.SuppressEOS,
 				Stream: func(token.ID) {
-					peak = max(peak, s.KV().Len())
+					peak = max(peak, s.Len())
 				},
 			}, window, keepHead)
 			if err != nil {
 				return err
 			}
 			ctx.Emit(fmt.Sprintf("generated %d tokens; KV peaked at %d of a %d-token window (buffer now %d)\n",
-				len(res.Tokens), peak, window, s.KV().Len()))
+				len(res.Tokens), peak, window, s.Len()))
 			text := ctx.Detokenize(res.Tokens)
 			ctx.Emit(fmt.Sprintf("last 80 chars: …%s\n", text[len(text)-80:]))
 			return nil
@@ -60,7 +60,7 @@ func Example_streaming() {
 		return nil
 	})
 	// Output:
-	// generated 400 tokens; KV peaked at 96 of a 96-token window (buffer now 60)
+	// generated 400 tokens; KV peaked at 96 of a 96-token window (buffer now 61)
 	// last 80 chars: …e mura fechu mamo keve base mitu thuzeke romapo thegura baku tekire pofu revago
 	// GPU pages in use at exit: 0; peak pages: 10 (vs 400 tokens generated)
 }

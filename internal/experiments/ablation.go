@@ -57,8 +57,8 @@ func runSymphonyTrace(c *fig3Cell, k *core.Kernel) {
 			return
 		}
 		defer gate.Release(need)
-		generated := 0
-		p := k.Submit("rag", c.ragProgram(req, &generated))
+		generated, decoded := 0, 0
+		p := k.Submit("rag", c.ragProgram(req, &generated, &decoded))
 		err := p.Wait()
 		if err == nil {
 			err = c.link.OneWay(len(p.Output()))
@@ -68,9 +68,7 @@ func runSymphonyTrace(c *fig3Cell, k *core.Kernel) {
 			return
 		}
 		c.record(req.Arrive, generated)
-		if generated == req.MaxGen {
-			c.unbilled++
-		}
+		c.decoded += int64(decoded)
 	})
 }
 

@@ -105,10 +105,9 @@ type fig3Cell struct {
 	perTok *metrics.Welford
 	failed *metrics.Counter
 	lastAt time.Duration
-	// generated sums the answer tokens of the completed requests, and
-	// unbilled those of them no pred computed: an answer that reached
-	// MaxGen leaves its last token pending in a file removed next.
-	generated, unbilled int64
+	// decoded sums the answer tokens of the completed requests that a
+	// pred computed.
+	decoded int64
 }
 
 func newFig3Cell(cfg Fig3Config, rate, pareto float64) *fig3Cell {
@@ -143,7 +142,6 @@ func (c *fig3Cell) record(arrive time.Duration, genTokens int) {
 	now := c.clk.Now()
 	d := now - arrive
 	c.lat.Add(d)
-	c.generated += int64(genTokens)
 	if genTokens > 0 {
 		c.perTok.Add(float64(d) / float64(genTokens))
 	}
@@ -194,8 +192,9 @@ func runFig3Cell(cfg Fig3Config, sys string, rate, pareto float64) Fig3Point {
 // an advisory lock and forks them afterwards. Unpopular topics use a
 // scratch file that is discarded. Memory pressure is the kernel's: a
 // pred or fork that finds the GPU tier full waits at the kernel's space
-// gate. The answer is one greedy decode run; its length goes to generated.
-func (c *fig3Cell) ragProgram(req workload.RAGRequest, generated *int) core.Program {
+// gate. The answer is one greedy decode run; its length goes to generated,
+// and how many of its tokens a pred computed to decoded.
+func (c *fig3Cell) ragProgram(req workload.RAGRequest, generated, decoded *int) core.Program {
 	return func(ctx *core.Ctx) error {
 		var sess *lip.Session
 		if req.Topic < c.cfg.PinTop {
@@ -251,6 +250,10 @@ func (c *fig3Cell) ragProgram(req workload.RAGRequest, generated *int) core.Prog
 		}
 		ctx.EmitTokens(res.Tokens)
 		*generated = len(res.Tokens)
+		*decoded = len(res.Tokens)
+		if _, held := sess.Pending(); held {
+			*decoded-- // the file is removed before a pred reads past it
+		}
 		return nil
 	}
 }
@@ -274,7 +277,7 @@ func (c *fig3Cell) runSymphony(rate, pareto float64) Fig3Point {
 		total += int64(len(c.tok.Encode(c.docs[req.Topic] + req.Query)))
 	}
 	if total > 0 {
-		saved := total - st.PredTokens + c.generated - c.unbilled
+		saved := total - st.PredTokens + c.decoded
 		if saved > 0 {
 			hit = float64(saved) / float64(total)
 		}

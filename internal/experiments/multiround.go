@@ -94,6 +94,8 @@ func runMultiRoundCell(cfg MultiRoundConfig, sys string) MultiRoundPoint {
 			kc.PriorityPolicy = sched.FIFO{}
 			kc.Tokenizer = tok
 		})
+		// replied counts the reply tokens a pred computed.
+		var replied int64
 		drive(clk, func() {
 			p := k.Submit("chat", func(ctx *core.Ctx) error {
 				f, err := ctx.KvAnon()
@@ -107,9 +109,11 @@ func runMultiRoundCell(cfg MultiRoundConfig, sys string) MultiRoundPoint {
 					if _, err := s.Prefill(turn.User); err != nil {
 						return err
 					}
-					if _, err := lip.Generate(s, lip.GenOptions{MaxTokens: turn.MaxGen}); err != nil {
+					res, err := lip.Generate(s, lip.GenOptions{MaxTokens: turn.MaxGen})
+					if err != nil {
 						return err
 					}
+					replied += int64(len(res.Tokens))
 					d := ctx.Clock().Now() - start
 					roundSum += d
 					pt.LastRound = d
@@ -119,19 +123,18 @@ func runMultiRoundCell(cfg MultiRoundConfig, sys string) MultiRoundPoint {
 						return err
 					}
 				}
+				if _, held := s.Pending(); held {
+					replied-- // the file is removed before a pred reads past it
+				}
 				return nil
 			})
 			if err := p.Wait(); err != nil {
 				panic(fmt.Sprintf("chat LIP failed: %v", err))
 			}
+			// The chat process's pred tokens less its replies; the
+			// pressure tenant runs as processes of its own.
+			pt.PrefillToks = p.PredTokens() - replied
 		})
-		// PredTokens counts everything; strip the chat replies and the
-		// pressure tenant (prompts plus its 8-token generations). A
-		// generation bills its last token only when a later pred carries
-		// it: every reply's but the last one's, and none of the tenant's.
-		pt.PrefillToks = k.Stats().PredTokens -
-			int64(cfg.Rounds*cfg.ReplyToks-1) -
-			pressureTotal - int64(cfg.Rounds*cfg.PressurePrompts*7)
 		pt.MeanRound = roundSum / time.Duration(cfg.Rounds)
 		return pt
 	}

@@ -138,15 +138,14 @@ func expandTree(ctx *core.Ctx, parent *lip.Session, cfg TreeConfig, depth int) e
 	if depth == 0 {
 		return nil
 	}
-	// The branches fork the parent's file, so it must hold the token the
-	// parent's generation left pending.
-	if err := parent.Commit(); err != nil {
+	file, err := parent.File()
+	if err != nil {
 		return err
 	}
 	var threads []*core.Thread
 	for b := 0; b < cfg.Branch; b++ {
 		b := b
-		kv, err := ctx.KvFork(parent.KV())
+		kv, err := ctx.KvFork(file)
 		if err != nil {
 			return err
 		}

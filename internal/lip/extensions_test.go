@@ -55,18 +55,18 @@ func TestPruneContextBoundsKV(t *testing.T) {
 		if err := PruneContext(s, 4, 16); err != nil {
 			return err
 		}
-		after := s.KV().Len()
+		after := s.kv.Len()
 		if after != 20 {
 			t.Errorf("pruned length = %d, want 20", after)
 		}
 		if after >= before {
 			t.Errorf("prune did not shrink: %d -> %d", before, after)
 		}
-		if !s.KV().Approx() {
+		if !s.kv.Approx() {
 			t.Error("pruned context not marked approximate")
 		}
 		// Head tokens survive with original positions.
-		es := s.KV().Entries()
+		es := s.kv.Entries()
 		if es[0].Pos != 0 || es[3].Pos != 3 {
 			t.Errorf("head entries wrong: %+v", es[:4])
 		}
@@ -90,7 +90,7 @@ func TestPruneContextNoopWhenSmall(t *testing.T) {
 		if err := PruneContext(s, 8, 8); err != nil {
 			return err
 		}
-		if s.KV() != kv || kv.Len() != n {
+		if s.kv != kv || kv.Len() != n {
 			t.Error("no-op prune replaced the file")
 		}
 		if _, ok := s.Last(); !ok {
@@ -116,7 +116,7 @@ func TestStreamingGenerateConstantMemory(t *testing.T) {
 		res, err := StreamingGenerate(s, GenOptions{
 			MaxTokens: 200,
 			Stream: func(token.ID) {
-				if l := s.KV().Len(); l > maxSeen {
+				if l := s.kv.Len(); l > maxSeen {
 					maxSeen = l
 				}
 			},
@@ -169,7 +169,7 @@ func TestStreamingGenerateKeepsItsOptions(t *testing.T) {
 		if smp.draws != uint64(len(res.Tokens)) {
 			t.Errorf("%d sampler draws for %d tokens", smp.draws, len(res.Tokens))
 		}
-		if n := s.KV().Len(); n > 16 {
+		if n := s.kv.Len(); n > 16 {
 			t.Errorf("KV holds %d tokens, window 16", n)
 		}
 		return s.Close()

@@ -129,7 +129,7 @@ func newDecoder(s *Session, opts GenOptions) (*decoder, error) {
 	if opts.MaxTokens <= 0 {
 		return nil, fmt.Errorf("lip: MaxTokens must be positive")
 	}
-	if !s.primed() {
+	if !s.Primed() {
 		return nil, ErrNoDist
 	}
 	m, err := s.ctx.Kernel().Model(s.model)

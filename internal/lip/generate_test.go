@@ -28,10 +28,10 @@ func generateLoop(s *Session, opts GenOptions) (GenResult, error) {
 	if opts.MaxTokens <= 0 {
 		return GenResult{}, fmt.Errorf("lip: MaxTokens must be positive")
 	}
-	if !s.primed() {
+	if !s.Primed() {
 		return GenResult{}, ErrNoDist
 	}
-	if err := s.Commit(); err != nil {
+	if err := s.commit(); err != nil {
 		return GenResult{}, err
 	}
 	sampler := opts.Sampler
@@ -217,7 +217,7 @@ func (c genCase) run(t *testing.T, gen func(*Session, GenOptions) (GenResult, er
 			}
 		}
 		out.billed = ctx.Kernel().Stats().PredTokens - before
-		out.kvLen, out.kvTail = s.KV().Len(), s.KV().Tail()
+		out.kvLen, out.kvTail = s.kv.Len(), s.kv.Tail()
 		out.pending, out.held = s.Pending()
 		d, ready := s.Last()
 		out.last, out.ready = d.Candidates(), ready
@@ -333,7 +333,7 @@ func TestGenerateEqualsLoop(t *testing.T) {
 
 // TestTerminalSkipsOnlyTheLastCommit runs every case of the grid twice as
 // a terminal run, once committing a pending token afterwards
-// (Session.Commit) as every run did before a run left its final token
+// (Session.File) as every run did before a run left its final token
 // pending. A run that reached MaxTokens or completed its constraint
 // leaves its last token out of the KV file and bills one pred token
 // fewer, with the same tokens streamed at the same instants; a run ended
@@ -343,7 +343,7 @@ func TestTerminalSkipsOnlyTheLastCommit(t *testing.T) {
 	commit := func(s *Session, opts GenOptions) (GenResult, error) {
 		res, err := Generate(s, opts)
 		if err == nil {
-			err = s.Commit()
+			_, err = s.File()
 		}
 		return res, err
 	}

@@ -24,7 +24,7 @@ type Branch struct {
 // inference scheduler coalesces into shared GPU steps — the efficiency
 // the paper's two-level scheduling is designed around.
 func ParallelGenerate(base *Session, suffixes []string, opts GenOptions) ([]Branch, error) {
-	if err := base.Commit(); err != nil {
+	if err := base.commit(); err != nil {
 		return nil, err
 	}
 	if !base.ready && anyEmpty(suffixes) {

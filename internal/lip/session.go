@@ -35,7 +35,7 @@ var ErrNoDist = errors.New("lip: session has no pending distribution; call Prefi
 // so Generate leaves a run's final token pending when the run ended at
 // MaxTokens or on a completed constraint, and only a later pred that reads
 // past it pays its forward pass: PrefillTokens, Step and Generate carry it
-// as their first position, and Fork and Commit commit it on its own. Close
+// as their first position, and Fork and File commit it on its own. Close
 // and Rollback drop it.
 type Session struct {
 	ctx     *core.Ctx
@@ -59,8 +59,15 @@ func (s *Session) WithModel(name string) *Session {
 	return s
 }
 
-// KV returns the session's KV file.
-func (s *Session) KV() *kvfs.File { return s.kv }
+// File hands out the session's KV file holding the whole context: a
+// pending token is committed first, with a one-position pred, so whoever
+// reads the file (KvFork, KvLink, KvMerge, another program) sees it.
+func (s *Session) File() (*kvfs.File, error) {
+	if err := s.commit(); err != nil {
+		return nil, err
+	}
+	return s.kv, nil
+}
 
 // Ctx returns the session's thread context.
 func (s *Session) Ctx() *core.Ctx { return s.ctx }
@@ -83,9 +90,9 @@ func (s *Session) Pending() (token.ID, bool) { return s.pending, s.held }
 // has read past it yet.
 func (s *Session) Last() (model.Dist, bool) { return s.last, s.ready && !s.held }
 
-// primed reports whether Generate can start: from the pending
+// Primed reports whether Generate can start: from the pending
 // distribution, or past the pending token.
-func (s *Session) primed() bool { return s.ready || s.held }
+func (s *Session) Primed() bool { return s.ready || s.held }
 
 // Prefill appends text to the context in one pred call and records the
 // resulting next-token distribution.
@@ -96,8 +103,7 @@ func (s *Session) Prefill(text string) (model.Dist, error) {
 // PrefillTokens appends toks at the next positions in one pred call.
 func (s *Session) PrefillTokens(toks []token.ID) (model.Dist, error) {
 	if len(toks) == 0 {
-		d, _ := s.Last()
-		return d, nil
+		return s.last, nil
 	}
 	return s.pred(toks)
 }
@@ -108,11 +114,10 @@ func (s *Session) Step(tok token.ID) (model.Dist, error) {
 	return s.pred([]token.ID{tok})
 }
 
-// Commit writes a pending token into the KV file with a one-position
+// commit writes a pending token into the KV file with a one-position
 // pred, so the file holds the whole context; it does nothing when no
-// token is pending. A caller that hands the file itself to someone else
-// (KvFork, KvLink) commits first.
-func (s *Session) Commit() error {
+// token is pending.
+func (s *Session) commit() error {
 	if !s.held {
 		return nil
 	}
@@ -144,7 +149,7 @@ func (s *Session) pred(toks []token.ID) (model.Dist, error) {
 // copy-on-write and inherits the pending distribution. A pending token is
 // committed first, so both sessions' files hold it.
 func (s *Session) Fork() (*Session, error) {
-	if err := s.Commit(); err != nil {
+	if err := s.commit(); err != nil {
 		return nil, err
 	}
 	return s.forkInto(s.ctx)

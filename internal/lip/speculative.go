@@ -52,10 +52,10 @@ func SpeculativeGenerate(target, draft *Session, opts SpecOptions) (SpecResult, 
 	if opts.K <= 0 || opts.MaxTokens <= 0 {
 		return SpecResult{}, fmt.Errorf("lip: speculative K and MaxTokens must be positive")
 	}
-	if err := target.Commit(); err != nil {
+	if err := target.commit(); err != nil {
 		return SpecResult{}, err
 	}
-	if !target.ready || !draft.primed() {
+	if !target.ready || !draft.Primed() {
 		return SpecResult{}, ErrNoDist
 	}
 	var res SpecResult

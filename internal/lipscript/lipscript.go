@@ -211,8 +211,20 @@ func (s *Script) WireBytes() int {
 // Program compiles the script into a kernel-executable Program. The
 // returned closure is the interpreter: pure syscall glue, no user code.
 func (s *Script) Program() core.Program {
-	return func(ctx *core.Ctx) error {
+	return func(ctx *core.Ctx) (err error) {
 		sessions := map[string]*lip.Session{}
+		// named lists the sessions over named files in the order the
+		// program opened or linked them. Those files outlive the program,
+		// so when it ends each gets the whole context: a token a
+		// generation left pending is committed.
+		var named []*lip.Session
+		defer func() {
+			for _, sess := range named {
+				if _, cerr := sess.File(); err == nil && cerr != nil {
+					err = fmt.Errorf("lipscript: %w", cerr)
+				}
+			}
+		}()
 		vars := map[string]string{}
 		expand := func(text string) string {
 			return interpolate(text, vars)
@@ -224,7 +236,7 @@ func (s *Script) Program() core.Program {
 			// Each statement is bracketed by start/end events so v2
 			// subscribers can follow the program as it runs.
 			ctx.PublishStatement(i, string(st.Op), "start", "")
-			if err := execStmt(ctx, st, sessions, vars, expand, fail); err != nil {
+			if err := execStmt(ctx, st, sessions, &named, vars, expand, fail); err != nil {
 				return err
 			}
 			ctx.PublishStatement(i, string(st.Op), "end", "")
@@ -234,8 +246,8 @@ func (s *Script) Program() core.Program {
 }
 
 // execStmt interprets one statement against the session and variable
-// environment.
-func execStmt(ctx *core.Ctx, st Stmt, sessions map[string]*lip.Session,
+// environment, adding each session over a named file to named.
+func execStmt(ctx *core.Ctx, st Stmt, sessions map[string]*lip.Session, named *[]*lip.Session,
 	vars map[string]string, expand func(string) string, fail func(error) error) error {
 	switch st.Op {
 	case OpAnon:
@@ -253,12 +265,14 @@ func execStmt(ctx *core.Ctx, st Stmt, sessions map[string]*lip.Session,
 			return fail(err)
 		}
 		sessions[st.S] = lip.NewSession(ctx, f)
+		*named = append(*named, sessions[st.S])
 	case OpOpen:
 		f, err := ctx.KvOpen(expand(st.Path), st.Write)
 		if err != nil {
 			return fail(err)
 		}
 		sessions[st.S] = lip.NewSession(ctx, f)
+		*named = append(*named, sessions[st.S])
 	case OpFork:
 		src := sessions[st.From]
 		fk, err := src.Fork()
@@ -267,11 +281,20 @@ func execStmt(ctx *core.Ctx, st Stmt, sessions map[string]*lip.Session,
 		}
 		sessions[st.S] = fk
 	case OpLock:
-		if err := ctx.KvLock(sessions[st.S].KV()); err != nil {
+		f, err := sessions[st.S].File()
+		if err != nil {
+			return fail(err)
+		}
+		if err := ctx.KvLock(f); err != nil {
 			return fail(err)
 		}
 	case OpUnlock:
-		if err := ctx.KvUnlock(sessions[st.S].KV()); err != nil {
+		// The next holder reads the file, so it gets the whole context.
+		f, err := sessions[st.S].File()
+		if err != nil {
+			return fail(err)
+		}
+		if err := ctx.KvUnlock(f); err != nil {
 			return fail(err)
 		}
 	case OpPrefill:
@@ -279,15 +302,14 @@ func execStmt(ctx *core.Ctx, st Stmt, sessions map[string]*lip.Session,
 			return fail(err)
 		}
 	case OpPrefillIfEmpty:
-		if sessions[st.S].KV().Len() == 0 {
+		if sessions[st.S].Len() == 0 {
 			if _, err := sessions[st.S].Prefill(expand(st.Text)); err != nil {
 				return fail(err)
 			}
 		}
 	case OpGenerate:
 		sess := sessions[st.S]
-		_, ok := sess.Last()
-		if _, held := sess.Pending(); !ok && !held {
+		if !sess.Primed() {
 			// A fork of a built cache file carries no pending
 			// distribution; re-prime from its tail context. A token
 			// left pending by an earlier generate needs none: this run
@@ -340,14 +362,14 @@ func execStmt(ctx *core.Ctx, st Stmt, sessions map[string]*lip.Session,
 		}
 		delete(sessions, st.S)
 	case OpLink:
-		// The named file outlives the program, so it gets the whole
-		// context.
-		if err := sessions[st.S].Commit(); err != nil {
+		f, err := sessions[st.S].File()
+		if err != nil {
 			return fail(err)
 		}
-		if err := ctx.KvLink(sessions[st.S].KV(), expand(st.Path)); err != nil {
+		if err := ctx.KvLink(f, expand(st.Path)); err != nil {
 			return fail(err)
 		}
+		*named = append(*named, sessions[st.S])
 	}
 	return nil
 }

@@ -464,32 +464,58 @@ func TestGenerateLeavesItsLastTokenPending(t *testing.T) {
 	}
 }
 
-// TestLinkCommitsThePendingToken links a session whose generate left its
-// last token pending: the named file another program opens holds the
-// prompt and every generated token.
-func TestLinkCommitsThePendingToken(t *testing.T) {
+// TestNamedFileHoldsTheWholeContext: a session whose generate left its
+// last token pending commits it when the program links the file, unlocks
+// it, and, for a named file, when the program ends, also on a failed
+// step. So the next program to open the file finds the prompt and every
+// generated token: the linked file's length, and its content.
+func TestNamedFileHoldsTheWholeContext(t *testing.T) {
+	const steps = `{"op":"prefill","s":"c","text":"a context another program reads"},
+		{"op":"generate","s":"c","max_tokens":8,"temperature":0.7,"seed":3},`
 	clk, k := newKernel()
 	defer clk.Shutdown()
-	p, err := runScript(t, k, clk, `{"steps":[
-		{"op":"anon","s":"a"},
-		{"op":"prefill","s":"a","text":"a generation worth keeping"},
-		{"op":"generate","s":"a","max_tokens":8,"temperature":0.7,"seed":3},
-		{"op":"link","s":"a","path":"kept"}]}`)
-	if err != nil {
-		t.Fatalf("script failed: %v", err)
+	if _, err := runScript(t, k, clk, `{"steps":[{"op":"anon","s":"c"},`+steps+`{"op":"link","s":"c","path":"ref"}]}`); err != nil {
+		t.Fatalf("reference script failed: %v", err)
 	}
-	streamed := 0
-	sub := p.Subscribe(0)
-	for e, ok := sub.Next(nil); ok; e, ok = sub.Next(nil) {
-		if e.Kind == core.EventToken {
-			streamed++
+	open := func(path string) (int, model.CtxHash) {
+		f, err := k.FS().Open(path, "wire", false)
+		if err != nil {
+			t.Fatal(err)
 		}
+		return f.Len(), f.Tail()
 	}
-	f, err := k.FS().Open("kept", "wire", false)
-	if err != nil {
-		t.Fatal(err)
+	refLen, refTail := open("ref")
+	if want := len(k.Tokenizer().Encode("a context another program reads")) + 8; refLen != want {
+		t.Fatalf("linked file holds %d tokens, want %d: the prompt and all 8", refLen, want)
 	}
-	if want := len(k.Tokenizer().Encode("a generation worth keeping")) + 8; streamed != 8 || f.Len() != want {
-		t.Errorf("linked file holds %d tokens after %d generated, want %d: the prompt and all 8", f.Len(), streamed, want)
+	// probe records the file's content while the program still runs.
+	var probedLen int
+	var probedTail model.CtxHash
+	k.RegisterTool("probe", core.Tool{Fn: func(path string) (string, error) {
+		probedLen, probedTail = open(path)
+		return "", nil
+	}})
+	for _, tc := range []struct {
+		name, script string
+		fails, probe bool
+	}{
+		{"end", `{"op":"create","s":"c","path":"end"},` + steps + `{"op":"emit","text":"done"}`, false, false},
+		{"unlock", `{"op":"create","s":"c","path":"unlock"},{"op":"lock","s":"c"},` + steps +
+			`{"op":"unlock","s":"c"},{"op":"call","tool":"probe","text":"unlock"}`, false, true},
+		{"failed step", `{"op":"create","s":"c","path":"failed step"},` + steps + `{"op":"call","tool":"missing"}`, true, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := runScript(t, k, clk, `{"steps":[`+tc.script+`]}`)
+			if (err != nil) != tc.fails {
+				t.Fatalf("script error %v, want failure %v", err, tc.fails)
+			}
+			n, tail := open(tc.name)
+			if tc.probe {
+				n, tail = probedLen, probedTail
+			}
+			if n != refLen || tail != refTail {
+				t.Errorf("named file holds %d tokens, want the linked file's %d and its content", n, refLen)
+			}
+		})
 	}
 }
