@@ -48,18 +48,18 @@
 // The hit ledger is reported by /v1/stats under "prefix_cache"; each
 // attach streams to the affected job as a kv_share event.
 //
-// GPU KV memory is managed by the kernel memory daemon: -kv-policy
-// selects the eviction policy (lru, lfu or cost-aware), and reclaim
-// starts at 90% GPU usage. Under pressure the daemon offloads cold KV
-// files to host memory and restores them transparently on access, and a
-// KV syscall that still cannot allocate swaps out its own files and
-// retries instead of failing; daemon counters appear under "kvd" in
-// /v1/stats and offload/restore events stream to the affected job as
-// kv_pressure events on the v2 SSE surface. The daemon mounts no disk
+// GPU KV memory is managed by the kernel memory daemon, whose reclaim
+// starts at 90% GPU usage. Under pressure the daemon offloads the least
+// recently used KV files to host memory and restores them transparently
+// on access; a program keeps a file resident by holding its advisory
+// lock (the lipscript "lock" op). A KV syscall that still cannot allocate
+// swaps out its own files and retries instead of failing. Daemon counters
+// appear under "kvd" in /v1/stats, and offload/restore events stream to
+// the affected job as kv_pressure events on the v2 SSE surface. The daemon mounts no disk
 // tier: warm restart from durable KV is a property of the kernel
 // (core.Config.Disk), shown by symphony-bench -exp restart.
 //
-//	symphonyd -addr :8080 -speedup 1 -gpus 4 -dispatch cache-affinity -kv-policy cost-aware
+//	symphonyd -addr :8080 -speedup 1 -gpus 4 -dispatch cache-affinity
 //	curl -s -X POST localhost:8080/v2/programs -d @examples/wire/stream.json
 //	curl -sN localhost:8080/v2/programs/job-000001/events
 //	curl -s -X DELETE localhost:8080/v2/programs/job-000001
@@ -76,7 +76,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/kvd"
 	"repro/internal/lipscript"
 	"repro/internal/sched"
 	"repro/internal/server"
@@ -89,8 +88,6 @@ func main() {
 	gpus := flag.Int("gpus", 1, "number of simulated GPU replicas")
 	dispatch := flag.String("dispatch", "round-robin",
 		"replica dispatch policy ("+strings.Join(sched.DispatcherNames(), "|")+")")
-	kvPolicy := flag.String("kv-policy", "lru",
-		"KV memory daemon eviction policy ("+strings.Join(kvd.PolicyNames(), "|")+")")
 	prioPolicy := flag.String("priority-policy", "lanes",
 		"GPU iteration ordering policy ("+strings.Join(sched.PriorityPolicyNames(), "|")+")")
 	prefillChunk := flag.Int("prefill-chunk", 0,
@@ -136,10 +133,6 @@ func main() {
 		}
 	}
 	cfg := core.DefaultConfig()
-	if _, err := kvd.NewPolicy(*kvPolicy); err != nil {
-		log.Fatalf("%v\nvalid KV policies: %s", err, strings.Join(kvd.PolicyNames(), ", "))
-	}
-	cfg.KV = kvd.Config{Policy: *kvPolicy}
 	if *specDecode {
 		cfg.Spec = &core.SpecConfig{Draft: "draft-1b"}
 	}
@@ -166,9 +159,9 @@ func main() {
 	if *prefixCache {
 		prefixNote = fmt.Sprintf("chunk %d", kernel.Stats().PrefixCache.ChunkTokens)
 	}
-	log.Printf("symphonyd: llama-13b (simulated) on %s, %gx virtual time, %d GPU replica(s), %s dispatch, %s priority policy, %s kv policy, prefill chunk %d, spec decode %s, prefix cache %s",
+	log.Printf("symphonyd: llama-13b (simulated) on %s, %gx virtual time, %d GPU replica(s), %s dispatch, %s priority policy, prefill chunk %d, spec decode %s, prefix cache %s",
 		*addr, *speedup, kernel.Scheduler().Replicas(), kernel.Scheduler().Dispatcher(),
-		kernel.Scheduler().PriorityPolicy(), kernel.KVD().PolicyName(),
+		kernel.Scheduler().PriorityPolicy(),
 		kernel.Scheduler().PrefillChunk(), specNote, prefixNote)
 	if err := http.ListenAndServe(*addr, srv); err != nil {
 		log.Fatal(err)

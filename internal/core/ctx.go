@@ -90,7 +90,7 @@ func (c *Ctx) track(f *kvfs.File) *kvfs.File {
 	p := c.p
 	p.k.kvd.Track(f, p.pid, func(ev kvd.Event) {
 		p.publish(ProcEvent{Kind: EventKVPressure, Phase: ev.Phase,
-			Text: fmt.Sprintf("%d tokens, policy %s", ev.Tokens, ev.Policy)})
+			Text: fmt.Sprintf("%d tokens", ev.Tokens)})
 	})
 	return f
 }

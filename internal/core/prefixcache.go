@@ -284,9 +284,9 @@ func (pc *prefixCache) insert(f *kvfs.File, toks []token.ID) {
 	for _, nf := range created {
 		// Registered in the prefix directory under f's family, like a
 		// request file, and tracked by the memory daemon as ownerless
-		// (pid 0): the lru/lfu/cost-aware policies may offload or spill a
-		// leaf's exclusive tail pages like any cold file, while shared
-		// interior pages stay GPU-pinned by refcount.
+		// (pid 0): the daemon may offload or spill a leaf's exclusive
+		// tail pages like any cold file, while shared interior pages stay
+		// GPU-pinned by refcount.
 		pc.k.dir.observe(nf, root)
 		pc.k.kvd.Track(nf, 0, nil)
 	}

@@ -178,6 +178,71 @@ func lockedHolder(k *Kernel, ready *simclock.Event, sizes []int, releases []time
 	})
 }
 
+// TestLockedTierEndsInErrNoSpace: a GPU tier filled by advisory-locked
+// files that are never released — their holder exits still holding the
+// locks — leaves the daemon nothing to evict. A pred that cannot fit must
+// end in the space gate's typed failure, kvfs.ErrNoSpace, once its retry
+// budget (selfPreemptRetries waits of spaceWait each) is spent, not hang;
+// and it must leave its own file unpinned and the holder's files resident.
+func TestLockedTierEndsInErrNoSpace(t *testing.T) {
+	clk, k := newTightKernel()
+	ready := clk.NewEvent()
+	var held []*kvfs.File
+	var waiterFile *kvfs.File
+	var predErr error
+	var took time.Duration
+	drive(t, clk, func() {
+		holder := k.Submit("holder", func(ctx *Ctx) error {
+			defer ready.Fire()
+			for i := 0; i < 2; i++ { // 2 × 64 tokens: all eight GPU pages
+				f, err := prefillAnon(ctx, 64)
+				if err != nil {
+					return err
+				}
+				if err := ctx.KvLock(f); err != nil {
+					return err
+				}
+				held = append(held, f)
+			}
+			return nil
+		})
+		if err := holder.Wait(); err != nil {
+			t.Errorf("holder: %v", err)
+			return
+		}
+		waiter := k.Submit("waiter", func(ctx *Ctx) error {
+			start := clk.Now()
+			waiterFile, predErr = prefillAnon(ctx, 16)
+			took = clk.Now() - start
+			return predErr
+		})
+		_ = waiter.Wait()
+	})
+	if !errors.Is(predErr, kvfs.ErrNoSpace) {
+		t.Fatalf("pred returned %v, want kvfs.ErrNoSpace", predErr)
+	}
+	// Every retry waits out its spaceWait; the failed allocations between
+	// them cost no virtual time.
+	if budget := selfPreemptRetries * spaceWait; took != budget {
+		t.Errorf("pred failed after %v, want the space gate's retry budget %v", took, budget)
+	}
+	st := k.Stats()
+	if st.FS.OOMErrors == 0 {
+		t.Error("no failed allocation counted")
+	}
+	if n := waiterFile.Pins(); n != 0 {
+		t.Errorf("waiter's file holds %d pins after the failure", n)
+	}
+	if st.KVD.Offloads != 0 {
+		t.Errorf("daemon offloaded %d files with only locked files on the GPU", st.KVD.Offloads)
+	}
+	for i, f := range held {
+		if !f.GPUResident() || f.LockedBy() == "" {
+			t.Errorf("holder file %d: resident %v, locked by %q; want resident and still locked", i, f.GPUResident(), f.LockedBy())
+		}
+	}
+}
+
 // TestSpaceWaitersRetryInFailureOrder pins the space gate's order: two
 // preds that fail on a full GPU tier get space in the order they failed,
 // even when the later one would fit first. The tier is held by two

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/kvd"
 	"repro/internal/kvfs"
 	"repro/internal/metrics"
 	"repro/internal/model"
@@ -23,15 +22,18 @@ import (
 // scratch lingers until the program exits, like abandoned contexts
 // awaiting cleanup. Conversations alone fit comfortably on the GPU —
 // the accumulated scratch is what drives demand to Oversub × capacity —
-// so the eviction policy has real discretion, and the workload is a
-// recency trap: pure LRU ranks a thinking client's conversation as
+// so the daemon has real discretion, and the workload is a recency trap:
+// its least-recently-used order ranks a thinking client's conversation as
 // idler than that client's own fresher scratch and pays the large
-// restore when the conversation returns, while the cost-aware policy
-// weighs how expensive and how likely-to-return a victim is.
+// restore when the conversation returns. The program knows better, and
+// says so the one way the kernel offers (paper §2.1): in a retaining cell
+// each client holds its conversation's advisory lock (Ctx.KvLock) from
+// creation to removal, which takes the file out of the daemon's
+// candidates.
 type PressureConfig struct {
-	// Policies lists the kvd eviction policies to sweep (see
-	// kvd.PolicyNames).
-	Policies []string
+	// Retain lists the cells to sweep at each factor: false leaves the
+	// conversation to the daemon, true has the program lock it.
+	Retain []bool
 	// Oversub lists the demand factors to sweep: total KV tokens created
 	// (conversations + scratch) = Oversub × GPUTokens.
 	Oversub []float64
@@ -59,7 +61,7 @@ type PressureConfig struct {
 // DefaultPressure returns the sweep used by symphony-bench -exp pressure.
 func DefaultPressure() PressureConfig {
 	return PressureConfig{
-		Policies:      kvd.PolicyNames(),
+		Retain:        []bool{false, true},
 		Oversub:       []float64{2, 3, 4},
 		GPUTokens:     4096,
 		Clients:       16,
@@ -82,9 +84,10 @@ func QuickPressure() PressureConfig {
 	return c
 }
 
-// PressurePoint is one (policy, oversubscription) cell's measurement.
+// PressurePoint is one (retention, oversubscription) cell's measurement.
 type PressurePoint struct {
-	Policy string
+	// Retain reports whether the clients locked their conversations.
+	Retain bool
 	// Oversub is the configured working-set factor.
 	Oversub float64
 	Clients int
@@ -100,9 +103,9 @@ type PressurePoint struct {
 	PredTokens int64
 	// Offloads/Restores mirror the daemon ledger for the cell;
 	// RestoredCost is the total PCIe time paid to bring back files the
-	// eviction policy evicted — the figure of merit policies compete on.
-	// SwapRestoredCost is the same for self-preemption swaps (standoff
-	// breaking, not a policy decision).
+	// daemon evicted — the price of its guesses, which retention is
+	// meant to save. SwapRestoredCost is the same for self-preemption
+	// swaps (standoff breaking, not an eviction).
 	Offloads         int64
 	OffloadedTokens  int64
 	Restores         int64
@@ -117,19 +120,20 @@ type PressurePoint struct {
 	GPUPageCap   int
 }
 
-// RunPressure sweeps policies × oversubscription factors.
+// RunPressure sweeps retention × oversubscription factors.
 func RunPressure(cfg PressureConfig) []PressurePoint {
 	var out []PressurePoint
-	for _, policy := range cfg.Policies {
+	for _, retain := range cfg.Retain {
 		for _, over := range cfg.Oversub {
-			out = append(out, runPressureCell(cfg, policy, over))
+			out = append(out, runPressureCell(cfg, retain, over))
 		}
 	}
 	return out
 }
 
-// runPressureCell measures one policy at one oversubscription factor.
-func runPressureCell(cfg PressureConfig, policy string, over float64) PressurePoint {
+// runPressureCell measures one retention choice at one oversubscription
+// factor.
+func runPressureCell(cfg PressureConfig, retain bool, over float64) PressurePoint {
 	bpt := model.A100Llama13B().KVBytesPerToken
 	c := newCell(simclock.New(), func(kc *core.Config) {
 		kc.FS = kvfs.Config{
@@ -138,7 +142,6 @@ func runPressureCell(cfg PressureConfig, policy string, over float64) PressurePo
 			HostBytes:     int64(cfg.GPUTokens) * bpt * 16,
 			BytesPerToken: bpt,
 		}
-		kc.KV = kvd.Config{Policy: policy}
 	})
 
 	chunk := cfg.ConvTokens / cfg.Rounds
@@ -163,6 +166,11 @@ func runPressureCell(cfg PressureConfig, policy string, over float64) PressurePo
 					return err
 				}
 				defer conv.Remove()
+				if retain {
+					if err := ctx.KvLock(conv); err != nil {
+						return err
+					}
+				}
 				var scratches []*kvfs.File
 				defer func() {
 					for _, s := range scratches {
@@ -197,7 +205,7 @@ func runPressureCell(cfg PressureConfig, policy string, over float64) PressurePo
 
 	st := c.k.Stats()
 	return PressurePoint{
-		Policy:           policy,
+		Retain:           retain,
 		Oversub:          over,
 		Clients:          cfg.Clients,
 		Completed:        c.procs.completed,
@@ -223,11 +231,15 @@ func runPressureCell(cfg PressureConfig, policy string, over float64) PressurePo
 func PressureTable(points []PressurePoint) metrics.Table {
 	t := metrics.Table{
 		Title: "P1 (§4.2–4.3): kernel KV daemon under GPU memory oversubscription",
-		Headers: []string{"policy", "oversub", "done", "nospace", "tok/s",
+		Headers: []string{"conv", "oversub", "done", "nospace", "tok/s",
 			"offloads", "off-tok", "restores", "rst-tok", "rst-cost", "swap-cost", "preempt"},
 	}
 	for _, p := range points {
-		t.AddRow(p.Policy, fmt.Sprintf("%.1fx", p.Oversub),
+		conv := "evictable"
+		if p.Retain {
+			conv = "locked"
+		}
+		t.AddRow(conv, fmt.Sprintf("%.1fx", p.Oversub),
 			fmt.Sprintf("%d/%d", p.Completed, p.Clients), p.NoSpaceErrors,
 			fmt.Sprintf("%.0f", p.Throughput),
 			p.Offloads, p.OffloadedTokens, p.Restores, p.RestoredTokens,

@@ -10,7 +10,7 @@ import (
 )
 
 // offloadDecisions runs one tie-heavy reclaim pass — every candidate has
-// identical recency and frequency, so the choice of victims rests
+// identical recency, so the choice of victims rests
 // entirely on the daemon's deterministic tie-breaks (registration seq) —
 // and returns, per file in creation order, whether it was offloaded.
 func offloadDecisions(t *testing.T) []bool {

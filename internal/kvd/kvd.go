@@ -8,11 +8,11 @@
 // kernel runs a daemon, which closes that gap inside the kernel so no
 // program needs a retry loop of its own to survive oversubscription:
 //
-//   - it tracks the KV files processes create, with recency, frequency,
-//     and model.CostModel-derived restore/recompute estimates per file;
-//   - when GPU usage crosses a high-water mark it offloads cold, unlocked,
-//     un-pinned files to the host tier under a pluggable policy (lru, lfu,
-//     or cost-aware) until usage falls to the low-water mark;
+//   - it tracks the KV files processes create and when each was last
+//     touched;
+//   - when GPU usage crosses a high-water mark it offloads unlocked,
+//     un-pinned files to the host tier, least recently used first, until
+//     usage falls to the low-water mark;
 //   - offloaded files are restored transparently by the next pred on them
 //     (the kernel already pays the PCIe time there), and the daemon keeps
 //     the restore ledger the pressure experiments report;
@@ -27,10 +27,15 @@
 // program (untracked), is never offloaded; a file an in-flight call has
 // pinned (kvfs.File.Pin) is not a candidate, and KVFS itself refuses to
 // move its pages down a tier, so no offload, swap or spill touches it.
+//
+// The eviction order is the daemon's only policy, and it is fixed: what
+// must stay resident is the program's call (paper §2.1), made by holding
+// the file's advisory lock, not a ranking the server guesses at.
 package kvd
 
 import (
 	"errors"
+	"fmt"
 	"sort"
 	"sync"
 	"time"
@@ -40,10 +45,10 @@ import (
 	"repro/internal/simclock"
 )
 
-// Config assembles a daemon. The zero value is lru.
+// Config assembles a daemon. The zero value is the daemon.
 type Config struct {
-	// Policy names the eviction policy (see PolicyNames); empty means
-	// "lru".
+	// Policy names the eviction order. Only "lru" (or empty) is accepted;
+	// any other name is an error.
 	Policy string
 }
 
@@ -68,8 +73,6 @@ type Event struct {
 	Phase string
 	// Tokens is the number of KV tokens moved.
 	Tokens int
-	// Policy is the active eviction policy name.
-	Policy string
 }
 
 // Notify receives daemon events for one tracked file. Callbacks must not
@@ -79,6 +82,7 @@ type Notify func(Event)
 // Stats is a snapshot of daemon counters. The disk-tier ledger is served
 // in /v1/stats' "disk" block beside the file system's disk pages.
 type Stats struct {
+	// Policy is the eviction order's name, always "lru".
 	Policy string `stats:"policy"`
 	// HighWater and LowWater echo the GPU watermark constants.
 	HighWater float64 `stats:"high_water"`
@@ -93,18 +97,17 @@ type Stats struct {
 	// moved GPU→host.
 	Offloads        int64 `stats:"offloads"`
 	OffloadedTokens int64 `stats:"offloaded_tokens"`
-	// Restores counts policy-evicted files transparently restored on a
-	// later access; RestoredTokens the tokens moved host→GPU, and
-	// RestoredCost the total PCIe time those restores charged — the
-	// price of the eviction policy picking files that turned out to
-	// still be needed, the figure of merit policies compete on.
+	// Restores counts evicted files transparently restored on a later
+	// access; RestoredTokens the tokens moved host→GPU, and RestoredCost
+	// the total PCIe time those restores charged — the price of evicting
+	// files that turned out to still be needed.
 	Restores       int64         `stats:"restores"`
 	RestoredTokens int64         `stats:"restored_tokens"`
 	RestoredCost   time.Duration `stats:"restored_cost,str"`
 	// SwapRestores / SwapRestoredTokens / SwapRestoredCost are the same
 	// ledger for self-preemption swaps (a stalled pred giving back its
 	// own residency): that cost is paid to break allocation standoffs
-	// and is not the eviction policy's doing.
+	// and is not the eviction order's doing.
 	SwapRestores       int64         `stats:"swap_restores"`
 	SwapRestoredTokens int64         `stats:"-"`
 	SwapRestoredCost   time.Duration `stats:"swap_restored_cost,str"`
@@ -147,8 +150,7 @@ type entry struct {
 	notify Notify
 
 	lastAccess time.Duration
-	accesses   int64
-	// offloadReason is "policy" or "swap" while the daemon has moved the
+	// offloadReason is "evict" or "swap" while the daemon has moved the
 	// file off the GPU and has not yet seen it restored, so each restore
 	// is attributed to the decision that caused it; "" otherwise.
 	offloadReason string
@@ -157,10 +159,8 @@ type entry struct {
 // Daemon is a KV memory daemon instance. All methods are safe for
 // concurrent use.
 type Daemon struct {
-	clk    *simclock.Clock
-	fs     *kvfs.FS
-	cost   model.CostModel
-	policy Policy
+	clk *simclock.Clock
+	fs  *kvfs.FS
 
 	mu      sync.Mutex
 	disk    *kvfs.DiskTier // nil until AttachDisk
@@ -174,27 +174,15 @@ type Daemon struct {
 	st Stats
 }
 
-// New assembles a daemon over fs, costing restores and recomputes with
-// the default model's cost model. An unknown policy name is an error.
-func New(clk *simclock.Clock, fs *kvfs.FS, cost model.CostModel, cfg Config) (*Daemon, error) {
-	if cfg.Policy == "" {
-		cfg.Policy = "lru"
+// New assembles a daemon over fs. The cost model is unused: the
+// eviction order reads no cost. A policy name other than "lru" is an
+// error.
+func New(clk *simclock.Clock, fs *kvfs.FS, _ model.CostModel, cfg Config) (*Daemon, error) {
+	if cfg.Policy != "" && cfg.Policy != "lru" {
+		return nil, fmt.Errorf("kvd: unknown eviction policy %q (only lru)", cfg.Policy)
 	}
-	pol, err := NewPolicy(cfg.Policy)
-	if err != nil {
-		return nil, err
-	}
-	return &Daemon{
-		clk:     clk,
-		fs:      fs,
-		cost:    cost,
-		policy:  pol,
-		entries: make(map[*kvfs.File]*entry),
-	}, nil
+	return &Daemon{clk: clk, fs: fs, entries: make(map[*kvfs.File]*entry)}, nil
 }
-
-// PolicyName reports the active eviction policy name.
-func (d *Daemon) PolicyName() string { return d.policy.Name() }
 
 // AttachDisk gives the daemon a disk tier to demote into, enabling the
 // host-watermark spill path. Call once at kernel assembly, before any
@@ -213,7 +201,7 @@ func (d *Daemon) AttachDisk(dt *kvfs.DiskTier) {
 // d.mu held: the callback publishes to the process's subscribers.
 func (d *Daemon) notify(fn Notify, phase string, tokens int) {
 	if fn != nil {
-		fn(Event{Phase: phase, Tokens: tokens, Policy: d.policy.Name()})
+		fn(Event{Phase: phase, Tokens: tokens})
 	}
 }
 
@@ -288,25 +276,24 @@ func (d *Daemon) Track(f *kvfs.File, pid int, notify Notify) {
 		d.sweepRemovedLocked()
 	}
 	d.seq++
-	d.entries[f] = &entry{f: f, seq: d.seq, pid: pid, notify: notify, lastAccess: now, accesses: 1}
+	d.entries[f] = &entry{f: f, seq: d.seq, pid: pid, notify: notify, lastAccess: now}
 }
 
 // Touch records an access to a tracked file (pred, fork source, …),
-// refreshing the recency and frequency signals policies rank on.
+// refreshing the recency the eviction order ranks on.
 func (d *Daemon) Touch(f *kvfs.File) {
 	now := d.clk.Now()
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if e, ok := d.entries[f]; ok {
 		e.lastAccess = now
-		e.accesses++
 	}
 }
 
 // ReleaseProcess detaches a finished process from the daemon: its
 // entries drop their notify closures, releasing the Process and its
 // event ring. Files the process leaked (never Removed) stay tracked as
-// orphans — cold garbage the eviction policies reap first.
+// orphans, untouched from then on, so they grow cold and go early.
 func (d *Daemon) ReleaseProcess(pid int) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -410,15 +397,14 @@ func (d *Daemon) Reclaim(needTokens int) int {
 // one level down: GPU→host offloads are what grow the host tier, so the
 // host watermark is checked right after them.
 func (d *Daemon) reclaim(needTokens int) int {
-	freed := d.demote(policyOffload, needTokens)
+	freed := d.demote(evictOffload, needTokens)
 	d.maybeSpillHost()
 	return freed
 }
 
 // rung is one step down the tier ladder. The tier a step starts from
 // decides everything mechanical about it — which of a file's tokens
-// count, what bringing them back would cost, which KVFS move runs and
-// which ledger records it (see candidatesLocked and demoteFileLocked); a
+// count, which KVFS move runs and which ledger records it (see candidatesLocked and demoteFileLocked); a
 // rung value adds how the step is reported.
 type rung struct {
 	from kvfs.Tier
@@ -430,12 +416,12 @@ type rung struct {
 }
 
 var (
-	policyOffload = rung{from: kvfs.GPU, phase: "offload", reason: "policy"}
-	swapOffload   = rung{from: kvfs.GPU, phase: "offload", reason: "swap"}
-	spillToDisk   = rung{from: kvfs.Host, phase: "spill"}
+	evictOffload = rung{from: kvfs.GPU, phase: "offload", reason: "evict"}
+	swapOffload  = rung{from: kvfs.GPU, phase: "offload", reason: "swap"}
+	spillToDisk  = rung{from: kvfs.Host, phase: "spill"}
 )
 
-// demote moves candidates one rung down in policy order until freed >=
+// demote moves candidates one rung down in eviction order until freed >=
 // needTokens or candidates run out, then fires the owner notifications.
 // Every move is metadata-only (PCIe time is charged at restore, the
 // store write at the next commit), so it is safe on any allocation path.
@@ -448,15 +434,12 @@ func (d *Daemon) demote(r rung, needTokens int) int {
 		tokens int
 	}
 	var fired []moved
-	now := d.clk.Now()
 	d.mu.Lock()
-	cands := d.candidatesLocked(r)
 	freed := 0
-	for _, i := range d.policy.Rank(now, cands) {
+	for _, e := range d.candidatesLocked(r) {
 		if freed >= needTokens {
 			break
 		}
-		e := d.entries[cands[i].File]
 		n, err := d.demoteFileLocked(r, e)
 		if n > 0 {
 			freed += n
@@ -499,17 +482,13 @@ func (d *Daemon) demoteFileLocked(r rung, e *entry) (n int, err error) {
 	return n, err
 }
 
-// candidatesLocked snapshots the files rung r may demote: tracked, not
+// candidatesLocked lists the entries rung r may demote — tracked, not
 // removed, not advisory-locked, not pinned, with tokens on the rung's
-// tier. Tokens counts that tier only, and RestoreCost describes the way
-// back from the tier below — PCIe from host, NVMe read plus PCIe from
-// disk — so cost-aware policies weigh the deeper demotion correctly. It
-// also garbage-collects entries for removed files. The snapshot is sorted
-// by tracking seq so the policy ranks an identical slice on every run
-// regardless of map iteration order (rankBy is stable, so the input order
-// is the tie-break of last resort). Caller holds d.mu.
-func (d *Daemon) candidatesLocked(r rung) []FileInfo {
-	var infos []FileInfo
+// tier — in eviction order: least recently accessed first, tracking seq
+// breaking ties so the order never depends on map iteration. It also
+// garbage-collects entries for removed files. Caller holds d.mu.
+func (d *Daemon) candidatesLocked(r rung) []*entry {
+	var cands []*entry
 	for f, e := range d.entries {
 		if f.Removed() {
 			delete(d.entries, f)
@@ -518,34 +497,27 @@ func (d *Daemon) candidatesLocked(r rung) []FileInfo {
 		if f.Pins() > 0 || f.LockedBy() != "" {
 			continue
 		}
-		tokens, host, _ := f.ResidentTokens()
-		restore := d.cost.TransferTime(tokens)
-		if r.from == kvfs.Host {
-			tokens, restore = host, d.cost.DiskLoadTime(host)
-		}
-		if tokens == 0 {
+		gpu, host, _ := f.ResidentTokens()
+		if (r.from == kvfs.GPU && gpu == 0) || (r.from == kvfs.Host && host == 0) {
 			continue
 		}
-		infos = append(infos, FileInfo{
-			File:          f,
-			Seq:           e.seq,
-			PID:           e.pid,
-			LastAccess:    e.lastAccess,
-			Accesses:      e.accesses,
-			Tokens:        tokens,
-			RestoreCost:   restore,
-			RecomputeCost: d.cost.KernelOverhead + d.cost.PerSequence + time.Duration(f.Len())*d.cost.PerToken,
-		})
+		cands = append(cands, e)
 	}
-	sort.Slice(infos, func(i, j int) bool { return infos[i].Seq < infos[j].Seq })
-	return infos
+	sort.Slice(cands, func(i, j int) bool {
+		a, b := cands[i], cands[j]
+		if a.lastAccess != b.lastAccess {
+			return a.lastAccess < b.lastAccess
+		}
+		return a.seq < b.seq
+	})
+	return cands
 }
 
 // maybeSpillHost checks the host-tier watermark and, when crossed and a
 // disk tier is attached, spills cold host-resident files down to disk
 // until host usage falls to DiskLowWater. Demotion cascades one level at
-// a time, cost-aware because the same policy that picked the coldest GPU
-// files picks the coldest host files.
+// a time, and the host rung ranks its files in the same order as the GPU
+// rung.
 func (d *Daemon) maybeSpillHost() {
 	d.mu.Lock()
 	dt := d.disk
@@ -603,7 +575,7 @@ func (d *Daemon) Stats() Stats {
 	defer d.mu.Unlock()
 	d.sweepRemovedLocked() // Tracked counts live files, not removed ones
 	st := d.st
-	st.Policy, st.HighWater, st.LowWater = d.policy.Name(), HighWater, LowWater
+	st.Policy, st.HighWater, st.LowWater = "lru", HighWater, LowWater
 	st.Pressure, st.Tracked = pressure, len(d.entries)
 	return st
 }

@@ -1,6 +1,7 @@
 package kvd_test
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -50,7 +51,8 @@ func fill(t *testing.T, f *kvfs.File, n int) {
 
 // TestZeroConfigIsLRU checks that every configuration runs a daemon: the
 // zero Config is lru, Stats echoes the 0.90 / 0.75 watermark constants,
-// and a policy name outside PolicyNames — "none" included — is an error.
+// and any other policy name — "none" and the removed "lfu" and
+// "cost-aware" included — is an error.
 func TestZeroConfigIsLRU(t *testing.T) {
 	d, err := kvd.New(simclock.New(), newFS(64), model.A100Llama13B(), kvd.Config{})
 	if err != nil {
@@ -59,77 +61,73 @@ func TestZeroConfigIsLRU(t *testing.T) {
 	if st := d.Stats(); st.Policy != "lru" || st.HighWater != 0.90 || st.LowWater != 0.75 {
 		t.Fatalf("zero config = %s at %v / %v, want lru at 0.9 / 0.75", st.Policy, st.HighWater, st.LowWater)
 	}
-	for _, policy := range []string{"none", "nope"} {
+	if _, err := kvd.New(simclock.New(), newFS(64), model.A100Llama13B(), kvd.Config{Policy: "lru"}); err != nil {
+		t.Fatalf("lru rejected: %v", err)
+	}
+	for _, policy := range []string{"none", "nope", "lfu", "cost-aware"} {
 		if _, err := kvd.New(simclock.New(), newFS(64), model.A100Llama13B(), kvd.Config{Policy: policy}); err == nil {
 			t.Fatalf("policy %q accepted", policy)
 		}
 	}
 }
 
-func TestPolicyRegistry(t *testing.T) {
-	names := kvd.PolicyNames()
-	want := []string{"cost-aware", "lfu", "lru"}
-	if len(names) != len(want) {
-		t.Fatalf("policies = %v", names)
-	}
-	for i, n := range want {
-		if names[i] != n {
-			t.Fatalf("policies = %v, want %v", names, want)
-		}
-		p, err := kvd.NewPolicy(n)
-		if err != nil || p.Name() != n {
-			t.Fatalf("NewPolicy(%q) = %v, %v", n, p, err)
-		}
-	}
+// touch is one instant of an evictionOrder script: at that virtual
+// time the listed files are touched, in the listed order.
+type touch struct {
+	at    time.Duration
+	files []int
 }
 
-func TestPolicyRanking(t *testing.T) {
-	ms := func(d int) time.Duration { return time.Duration(d) * time.Millisecond }
-	now := ms(100)
-	cands := []kvd.FileInfo{
-		// 0: recently used, small, touched twice.
-		{Seq: 1, LastAccess: ms(90), Accesses: 2, Tokens: 32,
-			RestoreCost: ms(1), RecomputeCost: ms(10)},
-		// 1: long idle, huge (expensive to bring back), touched often.
-		{Seq: 2, LastAccess: ms(10), Accesses: 9, Tokens: 4096,
-			RestoreCost: ms(160), RecomputeCost: ms(1200)},
-		// 2: medium idle, small and cheap, touched once.
-		{Seq: 3, LastAccess: ms(60), Accesses: 1, Tokens: 32,
-			RestoreCost: ms(1), RecomputeCost: ms(10)},
-	}
-	cases := []struct {
-		policy kvd.Policy
-		want   []int
-	}{
-		// LRU: pure recency — the long-idle giant goes first.
-		{kvd.LRU{}, []int{1, 2, 0}},
-		// LFU: pure frequency, recency tie-break.
-		{kvd.LFU{}, []int{2, 0, 1}},
-		// Cost-aware: idle per unit of re-access cost. The giant's 160ms
-		// restore keeps it resident despite being idlest; the cheap files
-		// go first, older first.
-		{kvd.CostAware{}, []int{2, 0, 1}},
-	}
-	for _, c := range cases {
-		got := c.policy.Rank(now, cands)
-		if len(got) != len(c.want) {
-			t.Fatalf("%s: rank = %v", c.policy.Name(), got)
+// evictionOrder tracks n 32-token files at time 0, plays touches (in
+// ascending time), then reclaims one file's worth at a time and returns
+// the files' indices in the order they were offloaded.
+func evictionOrder(t *testing.T, n int, touches []touch) []int {
+	t.Helper()
+	clk := simclock.New()
+	fs := newFS(4096) // far below the high-water mark: each reclaim frees only its need
+	d := newDaemon(t, clk, fs, kvd.Config{})
+	var order []int
+	files := make([]*kvfs.File, n)
+	drive(t, clk, func() {
+		for i := range files {
+			i := i
+			files[i] = fs.CreateAnon("u")
+			fill(t, files[i], 32)
+			d.Track(files[i], 1, func(kvd.Event) { order = append(order, i) })
 		}
-		for i := range got {
-			if got[i] != c.want[i] {
-				t.Fatalf("%s: rank = %v, want %v", c.policy.Name(), got, c.want)
+		for _, tc := range touches {
+			if err := clk.Sleep(tc.at - clk.Now()); err != nil {
+				t.Error(err)
+				return
+			}
+			for _, i := range tc.files {
+				d.Touch(files[i])
 			}
 		}
-	}
-	// Exact ties fall back to registration order, deterministically.
-	tied := []kvd.FileInfo{
-		{Seq: 7, LastAccess: ms(50), Accesses: 3, Tokens: 16, RestoreCost: ms(1), RecomputeCost: ms(5)},
-		{Seq: 4, LastAccess: ms(50), Accesses: 3, Tokens: 16, RestoreCost: ms(1), RecomputeCost: ms(5)},
-	}
-	for _, p := range []kvd.Policy{kvd.LRU{}, kvd.LFU{}, kvd.CostAware{}} {
-		if got := p.Rank(now, tied); got[0] != 1 {
-			t.Fatalf("%s: tie not broken by seq: %v", p.Name(), got)
+		for range files {
+			if freed := d.Reclaim(32); freed != 32 {
+				t.Errorf("reclaim freed %d tokens, want one file's 32", freed)
+			}
 		}
+	})
+	return order
+}
+
+// TestPolicyRanking pins the daemon's one eviction order: least recently
+// accessed first, whatever the registration order.
+func TestPolicyRanking(t *testing.T) {
+	ms := time.Millisecond
+	// 0: touched at 90 ms; 1: at 10 ms (long idle); 2: at 60 ms.
+	got := evictionOrder(t, 3, []touch{{10 * ms, []int{1}}, {60 * ms, []int{2}}, {90 * ms, []int{0}}})
+	if want := []int{1, 2, 0}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("eviction order %v, want %v", got, want)
+	}
+	// Exact ties fall back to registration order, deterministically: both
+	// files are last touched at 50 ms, the later-registered one first, and
+	// the earlier-registered one still goes first.
+	got = evictionOrder(t, 2, []touch{{50 * ms, []int{1, 0}}})
+	if want := []int{0, 1}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("tie broken as %v, want registration order %v", got, want)
 	}
 }
 
@@ -250,7 +248,7 @@ func TestLockedPinnedAndUntrackedNeverOffloaded(t *testing.T) {
 func TestRestoreLedgerAndNotify(t *testing.T) {
 	clk := simclock.New()
 	fs := newFS(128)
-	d := newDaemon(t, clk, fs, kvd.Config{Policy: "cost-aware"})
+	d := newDaemon(t, clk, fs, kvd.Config{Policy: "lru"})
 
 	var events []kvd.Event
 	f := fs.CreateAnon("u")
@@ -282,7 +280,7 @@ func TestRestoreLedgerAndNotify(t *testing.T) {
 	if len(events) != 2 || events[0].Phase != "offload" || events[1].Phase != "restore" {
 		t.Fatalf("events = %+v", events)
 	}
-	if events[0].Tokens != 64 || events[0].Policy != "cost-aware" {
+	if events[0].Tokens != 64 {
 		t.Fatalf("offload event = %+v", events[0])
 	}
 }
