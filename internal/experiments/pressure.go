@@ -231,15 +231,11 @@ func runPressureCell(cfg PressureConfig, retain bool, over float64) PressurePoin
 func PressureTable(points []PressurePoint) metrics.Table {
 	t := metrics.Table{
 		Title: "P1 (§4.2–4.3): kernel KV daemon under GPU memory oversubscription",
-		Headers: []string{"conv", "oversub", "done", "nospace", "tok/s",
+		Headers: []string{"retain", "oversub", "done", "nospace", "tok/s",
 			"offloads", "off-tok", "restores", "rst-tok", "rst-cost", "swap-cost", "preempt"},
 	}
 	for _, p := range points {
-		conv := "evictable"
-		if p.Retain {
-			conv = "locked"
-		}
-		t.AddRow(conv, fmt.Sprintf("%.1fx", p.Oversub),
+		t.AddRow(p.Retain, fmt.Sprintf("%.1fx", p.Oversub),
 			fmt.Sprintf("%d/%d", p.Completed, p.Clients), p.NoSpaceErrors,
 			fmt.Sprintf("%.0f", p.Throughput),
 			p.Offloads, p.OffloadedTokens, p.Restores, p.RestoredTokens,

@@ -45,10 +45,10 @@ import (
 	"repro/internal/simclock"
 )
 
-// Config assembles a daemon. The zero value is the daemon.
+// Config assembles a daemon. Its zero value is the only configuration.
 type Config struct {
-	// Policy names the eviction order. Only "lru" (or empty) is accepted;
-	// any other name is an error.
+	// Policy names the eviction order: empty or "lru", the only one. Any
+	// other name is an error.
 	Policy string
 }
 
@@ -404,8 +404,9 @@ func (d *Daemon) reclaim(needTokens int) int {
 
 // rung is one step down the tier ladder. The tier a step starts from
 // decides everything mechanical about it — which of a file's tokens
-// count, which KVFS move runs and which ledger records it (see candidatesLocked and demoteFileLocked); a
-// rung value adds how the step is reported.
+// count, which KVFS move runs and which ledger records it (see
+// candidatesLocked and demoteFileLocked); a rung value adds how the step
+// is reported.
 type rung struct {
 	from kvfs.Tier
 	// phase is the Event.Phase the file's owner hears.
@@ -497,8 +498,11 @@ func (d *Daemon) candidatesLocked(r rung) []*entry {
 		if f.Pins() > 0 || f.LockedBy() != "" {
 			continue
 		}
-		gpu, host, _ := f.ResidentTokens()
-		if (r.from == kvfs.GPU && gpu == 0) || (r.from == kvfs.Host && host == 0) {
+		tokens, host, _ := f.ResidentTokens()
+		if r.from == kvfs.Host {
+			tokens = host
+		}
+		if tokens == 0 {
 			continue
 		}
 		cands = append(cands, e)
