@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/kvd"
 	"repro/internal/kvfs"
 	"repro/internal/model"
 	"repro/internal/simclock"
@@ -35,7 +36,13 @@ func drive(t *testing.T, clk *simclock.Clock, fn func()) {
 // daemon: a workload whose KV working set is 3x the GPU tier completes
 // with zero program-visible ErrNoSpace failures, because the kernel
 // transparently offloads cold files and restores them on the next access.
+// The lru subtest names the daemon's one eviction order explicitly in its
+// config, the one value besides "" that kvd.Config.Policy still accepts.
 func TestOversubscriptionSurvival(t *testing.T) {
+	t.Run("lru", func(t *testing.T) { oversubscribe(t, kvd.Config{Policy: "lru"}) })
+}
+
+func oversubscribe(t *testing.T, kv kvd.Config) {
 	const (
 		gpuTokens = 512 // 32 pages of 16 tokens
 		clients   = 16
@@ -52,6 +59,7 @@ func TestOversubscriptionSurvival(t *testing.T) {
 			HostBytes:     gpuTokens * bpt * 16,
 			BytesPerToken: bpt,
 		},
+		KV: kv,
 	})
 
 	var (
