@@ -23,23 +23,21 @@
 // (default) runs each pred call up to 128 tokens per GPU iteration in
 // strict interactive/normal/batch priority lanes with aging and preempts
 // mid-flight batch work at iteration boundaries when interactive calls
-// wait; "fifo" is the run-to-completion baseline. Requests pick their
-// lane with a "priority" field on v1/v2 program (and completion) bodies;
-// -default-priority sets the lane for requests that don't, and
-// -batch-tenants lists tenants whose jobs default to the batch lane.
-// Per-lane queue-delay histograms and preemption counters are reported by
-// /v1/stats under "lanes".
+// wait; "fifo" is the run-to-completion baseline, each prompt one slice.
+// The policy's quantum is the only bound on a call's prompt slice.
+// Requests pick their lane with a "priority" field on v1/v2 program (and
+// completion) bodies; -default-priority sets the lane for requests that
+// don't, and -batch-tenants lists tenants whose jobs default to the batch
+// lane. Per-lane queue-delay histograms and preemption counters are
+// reported by /v1/stats under "lanes".
 //
-// Two executor options compose with either policy: -prefill-chunk caps
-// the prefill tokens one pred contributes per iteration (Sarathi-style
-// chunked prefill, effective even under fifo; 0 disables), and
-// -spec-decode runs greedy and seeded-sampled decode runs as draft/verify
-// rounds against the built-in draft-1b model inside each iteration — the draft
-// proposes a constant window of 4 tokens a round, the target verifies
-// them in one batched step, and the accepted prefix plus one correction
-// token retire together. A decode run advances one round per iteration
-// under either policy; the speculation ledger is reported by /v1/stats
-// under "spec".
+// -spec-decode composes with either policy: it runs greedy and
+// seeded-sampled decode runs as draft/verify rounds against the built-in
+// draft-1b model inside each iteration — the draft proposes a constant
+// window of 4 tokens a round, the target verifies them in one batched
+// step, and the accepted prefix plus one correction token retire
+// together. A decode run advances one round per iteration under either
+// policy; the speculation ledger is reported by /v1/stats under "spec".
 //
 // A kernel radix prefix cache (-prefix-cache) deduplicates KV across
 // jobs: every committed prefill leaves its -prefix-chunk-aligned
@@ -90,8 +88,6 @@ func main() {
 		"replica dispatch policy ("+strings.Join(sched.DispatcherNames(), "|")+")")
 	prioPolicy := flag.String("priority-policy", "lanes",
 		"GPU iteration ordering policy ("+strings.Join(sched.PriorityPolicyNames(), "|")+")")
-	prefillChunk := flag.Int("prefill-chunk", 0,
-		"max prefill tokens one pred call contributes per GPU iteration, any priority policy (0 disables chunked prefill)")
 	specDecode := flag.Bool("spec-decode", false,
 		"speculatively decode greedy and seeded-sampled generation runs on the draft-1b model inside each GPU iteration, any priority policy")
 	prefixCache := flag.Bool("prefix-cache", false,
@@ -117,9 +113,6 @@ func main() {
 	if err != nil {
 		log.Fatalf("%v\nvalid priority policies: %s", err, strings.Join(sched.PriorityPolicyNames(), ", "))
 	}
-	if *prefillChunk < 0 {
-		log.Fatalf("-prefill-chunk must be >= 0 (got %d; 0 disables chunking)", *prefillChunk)
-	}
 	if _, err := sched.ParsePriority(*defaultPriority); err != nil {
 		log.Fatalf("-default-priority: %v", err)
 	}
@@ -137,7 +130,6 @@ func main() {
 		cfg.Spec = &core.SpecConfig{Draft: "draft-1b"}
 	}
 	cfg.PriorityPolicy = priority
-	cfg.PrefillChunk = *prefillChunk
 	cfg.Replicas = *gpus
 	cfg.Dispatcher = dispatcher
 	cfg.Prefix = core.PrefixConfig{Enabled: *prefixCache, ChunkTokens: *prefixChunk}
@@ -159,10 +151,9 @@ func main() {
 	if *prefixCache {
 		prefixNote = fmt.Sprintf("chunk %d", kernel.Stats().PrefixCache.ChunkTokens)
 	}
-	log.Printf("symphonyd: llama-13b (simulated) on %s, %gx virtual time, %d GPU replica(s), %s dispatch, %s priority policy, prefill chunk %d, spec decode %s, prefix cache %s",
+	log.Printf("symphonyd: llama-13b (simulated) on %s, %gx virtual time, %d GPU replica(s), %s dispatch, %s priority policy, spec decode %s, prefix cache %s",
 		*addr, *speedup, kernel.Scheduler().Replicas(), kernel.Scheduler().Dispatcher(),
-		kernel.Scheduler().PriorityPolicy(),
-		kernel.Scheduler().PrefillChunk(), specNote, prefixNote)
+		kernel.Scheduler().PriorityPolicy(), specNote, prefixNote)
 	if err := http.ListenAndServe(*addr, srv); err != nil {
 		log.Fatal(err)
 	}

@@ -17,19 +17,17 @@ import (
 // decodeBesidePrefill runs the paper's Figure 2 loop written by hand — a
 // sampled Session.Step per token, each token published as it is drawn —
 // beside a prefill of prefillTokens (2,048 in the tests that want company,
-// 0 for none) on one replica with PrefillChunk 512 under the default lanes
-// (the 128-token quantum is the tighter bound, so 2,048 tokens are 16
-// iterations). between, when non-nil, runs in the decoder thread after
-// each token is published and before the pred that extends the context
-// with it. It returns the decoder's event stream, the instant the prefill
-// finished and the drained kernel stats.
+// 0 for none) on one replica under the default lanes (the 128-token
+// quantum slices 2,048 tokens into 16 iterations). between, when non-nil,
+// runs in the decoder thread after each token is published and before the
+// pred that extends the context with it. It returns the decoder's event
+// stream, the instant the prefill finished and the drained kernel stats.
 func decodeBesidePrefill(t *testing.T, prefillTokens int, between func(ctx *core.Ctx)) ([]core.ProcEvent, time.Duration, core.Stats) {
 	t.Helper()
 	clk := simclock.New()
 	k := core.New(clk, core.Config{
 		Models:         map[string]*model.Model{"llama-13b": model.New(model.Llama13B())},
 		PriorityPolicy: sched.DefaultLanes(),
-		PrefillChunk:   512,
 	})
 	k.RegisterTool("noop", core.Tool{})
 	decode := func(ctx *core.Ctx) error {

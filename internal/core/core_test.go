@@ -446,6 +446,71 @@ func TestUnknownToolAndModel(t *testing.T) {
 	})
 }
 
+// TestPredRejectsMismatchedPositions hands pred 1,072 tokens and 10
+// positions, on a kernel whose prefix cache holds the prompt's family and
+// on one without a cache. Each must return an error, not panic, and do so
+// before it pins the file or charges the process or the user.
+func TestPredRejectsMismatchedPositions(t *testing.T) {
+	toks := make([]token.ID, 1072)
+	for i := range toks {
+		toks[i] = token.ID(100 + i%500)
+	}
+	positions := make([]int, 10)
+	for i := range positions {
+		positions[i] = i
+	}
+	for _, tc := range []struct {
+		name   string
+		kernel func() (*simclock.Clock, *Kernel)
+		cached bool
+	}{
+		{"prefix-cache", func() (*simclock.Clock, *Kernel) { return newPrefixKernel(64, 0) }, true},
+		{"no-cache", newKernel, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			clk, k := tc.kernel()
+			if tc.cached {
+				insertPrompt(t, k, toks)
+			}
+			var (
+				proc     *Process
+				err      error
+				panicked any
+				pins     int
+			)
+			drive(t, clk, func() {
+				proc = k.Submit("u", func(ctx *Ctx) error {
+					f, ferr := ctx.KvAnon()
+					if ferr != nil {
+						return ferr
+					}
+					func() {
+						defer func() { panicked = recover() }()
+						_, err = ctx.Pred(f, toks, positions)
+					}()
+					pins = f.Pins()
+					return nil
+				})
+				proc.Wait()
+			})
+			if panicked != nil {
+				t.Errorf("pred panicked: %v", panicked)
+			} else if err == nil {
+				t.Error("pred with 1,072 tokens and 10 positions accepted")
+			}
+			if pins != 0 {
+				t.Errorf("file pins = %d after the rejected pred, want 0", pins)
+			}
+			if got := proc.PredTokens(); got != 0 {
+				t.Errorf("process charged %d pred tokens, want 0", got)
+			}
+			if got := k.UserUsage("u"); got != 0 {
+				t.Errorf("user charged %d pred tokens, want 0", got)
+			}
+		})
+	}
+}
+
 func TestIPCPingPong(t *testing.T) {
 	clk, k := newKernel()
 	var got string

@@ -336,6 +336,9 @@ func (c *Ctx) pred(modelName string, f *kvfs.File, toks []token.ID, positions []
 	if len(toks) == 0 {
 		return nil, fmt.Errorf("core: pred with no tokens")
 	}
+	if len(positions) != len(toks) {
+		return nil, fmt.Errorf("core: pred with %d tokens, %d positions", len(toks), len(positions))
+	}
 	// pred mutates the file: enforce write access at the syscall boundary.
 	if err := f.CheckAccess(c.p.user, true); err != nil {
 		return nil, err

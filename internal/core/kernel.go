@@ -96,11 +96,11 @@ type Config struct {
 	// (strict interactive/normal/batch lanes with aging). See
 	// sched.NewPriorityPolicy for selection by name.
 	PriorityPolicy sched.PriorityPolicy
-	// PrefillChunk, when > 0, bounds the prefill tokens one pred call may
-	// execute per GPU iteration independently of the priority policy's
-	// quantum (see sched.Config.PrefillChunk). It is what keeps a monster
-	// prompt from holding an iteration hostage under the fifo
-	// run-to-completion policy.
+	// PrefillChunk is ignored — New does not read it: the priority
+	// policy's quantum is the one bound on a call's prompt slice
+	// (sched.FIFO.SliceTokens for chunked prefill under fifo). The field
+	// stays because the frozen benchmark/kernel.go sets it; the next
+	// benchmark PR drops those lines, then this field goes.
 	PrefillChunk int
 	// Spec, when non-nil, enables executor-level speculative decoding for
 	// decode runs (Ctx.PredDecode) against the default model: each GPU
@@ -123,11 +123,6 @@ type Config struct {
 	// engine copies KV pages over; nil means netsim.DefaultInterconnect
 	// (NVLink/IB-class). Ignored without a migration-aware dispatcher.
 	Interconnect *netsim.Interconnect
-	// MigrateThreshold is the home-overload factor above which the
-	// migration engine moves a prefix family (default
-	// DefaultMigrateThreshold). Ignored without a migration-aware
-	// dispatcher.
-	MigrateThreshold float64
 	// Tokenizer, when non-nil, is shared with other systems so that token
 	// IDs agree across a comparative experiment. Nil creates a fresh one.
 	Tokenizer *token.Tokenizer
@@ -284,7 +279,6 @@ func New(clk *simclock.Clock, cfg Config) *Kernel {
 	schedCfg := sched.Config{
 		Models:         costs,
 		PriorityPolicy: cfg.PriorityPolicy,
-		PrefillChunk:   cfg.PrefillChunk,
 		Replicas:       cfg.Replicas,
 		Dispatcher:     cfg.Dispatcher,
 		CrashCheck:     cfg.CrashCheck,
@@ -312,7 +306,7 @@ func New(clk *simclock.Clock, cfg Config) *Kernel {
 		if ic == nil {
 			ic = netsim.DefaultInterconnect(clk)
 		}
-		k.mig = newMigrator(k, ic, cfg.MigrateThreshold)
+		k.mig = newMigrator(k, ic)
 	}
 	schedCfg.OnCrash = k.replicaCrashed
 	k.sch = sched.New(clk, schedCfg)

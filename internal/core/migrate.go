@@ -355,9 +355,8 @@ func (x *prefixIndex) invalidateHome(home int) map[model.CtxHash]bool {
 
 // migrator is the migration engine instance hanging off a kernel.
 type migrator struct {
-	k         *Kernel
-	ic        *netsim.Interconnect
-	threshold float64
+	k  *Kernel
+	ic *netsim.Interconnect
 
 	mu sync.Mutex
 	// pendingMove[replica] is the KV tokens of migrations currently in
@@ -371,14 +370,10 @@ type migrator struct {
 	st MigrationStats
 }
 
-func newMigrator(k *Kernel, ic *netsim.Interconnect, threshold float64) *migrator {
-	if threshold <= 0 {
-		threshold = DefaultMigrateThreshold
-	}
+func newMigrator(k *Kernel, ic *netsim.Interconnect) *migrator {
 	return &migrator{
 		k:           k,
 		ic:          ic,
-		threshold:   threshold,
 		pendingMove: make(map[int]int),
 	}
 }
@@ -433,7 +428,7 @@ func (m *migrator) route(c *Ctx, f *kvfs.File, call *sched.Call, cost model.Cost
 		MinLoad:       loads[minID],
 		MeanLoad:      float64(total) / float64(n),
 		RootsAtHome:   rootsAtHome,
-		Threshold:     m.threshold,
+		Threshold:     DefaultMigrateThreshold,
 		Locked:        f.LockedBy() != "",
 		InFlight:      f.Pins() > 1, // the caller's own pred holds one pin
 		PressureHigh:  m.pressureHigh(),
@@ -595,7 +590,7 @@ func (m *migrator) stats() MigrationStats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	st := m.st
-	st.Enabled, st.Threshold, st.InterconnectGbps = true, m.threshold, m.ic.Gbps()
+	st.Enabled, st.Threshold, st.InterconnectGbps = true, DefaultMigrateThreshold, m.ic.Gbps()
 	st.Roots = m.k.dir.size()
 	return st
 }

@@ -58,11 +58,10 @@ type SLOConfig struct {
 	// HeavyPrefill, when positive, adds a second sweep mode: the same
 	// mixed population but with batch prefills this large — the
 	// head-of-line hazard chunked prefill exists to defuse. The heavy
-	// cells compare fifo, fifo with Config.PrefillChunk set to
-	// HeavyChunk (Sarathi-style slicing with no priority policy at
-	// all), and lanes.
+	// cells compare fifo, fifo sliced to HeavyChunk (Sarathi-style
+	// slicing with no priority lanes at all), and lanes.
 	HeavyPrefill int
-	// HeavyChunk is the kernel PrefillChunk of the heavy fifo+chunk
+	// HeavyChunk is the sched.FIFO.SliceTokens of the heavy fifo+chunk
 	// cell.
 	HeavyChunk int
 	// Seed offsets the deterministic workload streams (see seedBase); 0
@@ -111,7 +110,8 @@ type SLOPoint struct {
 	Mode   string
 	Policy string
 	GPUs   int
-	// Chunk is the kernel PrefillChunk the cell ran with (0 = disabled).
+	// Chunk is the fifo slice bound the cell ran with
+	// (sched.FIFO.SliceTokens; 0 = unsliced).
 	Chunk int
 	// Completed counts client processes that finished every request;
 	// Errors everything else.
@@ -165,12 +165,15 @@ func RunSLO(cfg SLOConfig) []SLOPoint {
 }
 
 // runSLOCell measures one cell: a priority policy (labelled label) over
-// the mixed workload with the given batch prefill size and kernel
-// prefill chunk.
+// the mixed workload with the given batch prefill size; a positive chunk
+// runs fifo sliced to it.
 func runSLOCell(cfg SLOConfig, mode, label, policy string, batchPrefill, chunk int) SLOPoint {
+	prio := lanePolicy(policy, cfg.Quantum, cfg.StepTokens, cfg.AgeAfter)
+	if chunk > 0 {
+		prio = sched.FIFO{SliceTokens: chunk}
+	}
 	c := newCell(simclock.New(), func(kc *core.Config) {
-		kc.PriorityPolicy = lanePolicy(policy, cfg.Quantum, cfg.StepTokens, cfg.AgeAfter)
-		kc.PrefillChunk = chunk
+		kc.PriorityPolicy = prio
 		kc.Replicas = cfg.GPUs
 		kc.Dispatcher = sched.LeastLoaded{}
 	})

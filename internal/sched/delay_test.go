@@ -34,7 +34,7 @@ func TestLoneCallRecordsNoDelay(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			clk := simclock.New()
-			s := specSched(clk, DefaultLanes(), 0)
+			s := specSched(clk, DefaultLanes())
 			run(t, clk, func() {
 				if err := s.SubmitCall(tc.call); err != nil {
 					t.Errorf("SubmitCall: %v", err)

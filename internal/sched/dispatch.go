@@ -149,30 +149,24 @@ func (LeastLoaded) Pick(_ Call, views []ReplicaView) int {
 // family keeps hitting the replica that holds its shared prefix KV pages.
 // This Pick is the one statement of that rule: the kernel's prefix
 // directory asks it where a family it has not moved lives. Calls without
-// a key fall back to the Fallback dispatcher (least-loaded when nil).
-type CacheAffinity struct {
-	Fallback Dispatcher
-}
+// a key go to the least-loaded replica.
+type CacheAffinity struct{}
 
 // Name implements Dispatcher.
 func (*CacheAffinity) Name() string { return "cache-affinity" }
 
 // Pick implements Dispatcher.
-func (d *CacheAffinity) Pick(c Call, views []ReplicaView) int {
+func (*CacheAffinity) Pick(c Call, views []ReplicaView) int {
 	if c.Affinity != 0 {
 		return int(c.Affinity % uint64(len(views)))
 	}
-	fb := d.Fallback
-	if fb == nil {
-		fb = LeastLoaded{}
-	}
-	return fb.Pick(c, views)
+	return LeastLoaded{}.Pick(c, views)
 }
 
 // CacheAffinityMigrate is cache-affinity with cross-replica KV migration:
 // the same routing contract as CacheAffinity — affinity keys pin to a
-// home replica, keyless calls fall back — but the home is dynamic. On a
-// kernel, the migration engine (internal/core) owns placement: it tracks
+// home replica, keyless calls go least-loaded — but the home is dynamic.
+// On a kernel, the migration engine (internal/core) owns placement: it tracks
 // homes in the kernel's prefix directory, moves a hot prefix's KV pages to
 // a colder replica over the interconnect when the home is overloaded, and
 // pins each call to the directory's current home via Call.Routed/Target,

@@ -37,15 +37,12 @@ func fuzzCall(b []byte, now time.Duration, spec bool) *call {
 
 // refCompute is the positions c computes if packed: the reference the
 // fuzz target holds packStep's choices to.
-func refCompute(c *call, quantum, chunk int) int {
+func refCompute(c *call, quantum int) int {
 	switch {
 	case !c.decode:
 		n := c.remaining
 		if quantum > 0 && n > quantum {
 			n = quantum
-		}
-		if chunk > 0 && n > chunk {
-			n = chunk
 		}
 		return n
 	case c.spec != nil && c.remaining > 1:
@@ -56,18 +53,20 @@ func refCompute(c *call, quantum, chunk int) int {
 }
 
 // FuzzPackStep holds one iteration's packing to its rules over arbitrary
-// active sets, lanes and waits, under both policies: the first ranked
-// call packs, the budget holds unless that first call alone exceeds it,
-// the pass runs one model, no prompt slice sits beside a prompt of a more
-// urgent submitted lane unless aging has promoted it to that lane, and
-// nothing packs after a call the budget cut.
+// active sets, lanes and waits, under both policies (fifo sliced to the
+// chunk input, unbounded at 0): the first ranked call packs, the budget
+// holds unless that first call alone exceeds it, the pass runs one model,
+// no prompt slice sits beside a prompt of a more urgent submitted lane
+// unless aging has promoted it to that lane, and nothing packs after a
+// call the budget cut.
 func FuzzPackStep(f *testing.F) {
 	f.Add([]byte{0, 40, 200, 3, 0, 2, 90, 90, 0, 0, 6, 1, 0, 0, 0}, uint8(0), uint8(0), uint8(0))
 	f.Add([]byte{2, 255, 255, 0, 10, 0, 60, 60, 5, 0, 13, 20, 3, 1, 1}, uint8(1), uint8(32), uint8(0))
 	f.Add([]byte{0, 100, 99, 0, 0, 18, 10, 10, 0, 0, 2, 80, 2, 0, 70}, uint8(2), uint8(0), uint8(40))
+	f.Add([]byte{0, 100, 99, 0, 0, 18, 10, 10, 0, 0, 2, 80, 2, 0, 70}, uint8(0), uint8(0), uint8(40))
 	models := map[string]model.CostModel{target: model.A100Llama13B(), draftModel: model.A100Llama1B()}
 	f.Fuzz(func(t *testing.T, data []byte, pol, slice, chunk uint8) {
-		var prio PriorityPolicy = FIFO{}
+		var prio PriorityPolicy = FIFO{SliceTokens: int(chunk)}
 		if pol%4 != 0 {
 			prio = &Lanes{SliceTokens: int(slice), MaxStepTokens: int(pol) * 3, AgeAfter: time.Duration(pol%4) * 50 * time.Millisecond}
 		}
@@ -80,7 +79,7 @@ func FuzzPackStep(f *testing.F) {
 		if len(active) == 0 {
 			return
 		}
-		p := packStep(active, now, prio, models, int(chunk))
+		p := packStep(active, now, prio, models)
 
 		eff := func(c *call) Priority { return prio.Effective(c.prio, now-c.lastRun) }
 		ranked := append([]*call(nil), active...)
@@ -116,7 +115,7 @@ func FuzzPackStep(f *testing.F) {
 		// candidate is either a less urgent prompt the rule skips or the
 		// call the budget cut, and after a cut nothing packs.
 		quantum := prio.Quantum()
-		isPrompt := func(c *call) bool { return !c.decode && refCompute(c, quantum, int(chunk)) > 1 }
+		isPrompt := func(c *call) bool { return !c.decode && refCompute(c, quantum) > 1 }
 		promptLane, next, cut := Batch, 0, false
 		for _, c := range ranked {
 			if c.model != p.model {
@@ -135,7 +134,7 @@ func FuzzPackStep(f *testing.F) {
 			if isPrompt(c) && eff(c) > promptLane {
 				continue
 			}
-			if !cut && p.compute < budget && p.compute+refCompute(c, quantum, int(chunk)) <= budget {
+			if !cut && p.compute < budget && p.compute+refCompute(c, quantum) <= budget {
 				t.Fatalf("a call that fits the budget was left out")
 			}
 			cut = true

@@ -159,17 +159,24 @@ func (l *Lanes) Effective(p Priority, waited time.Duration) Priority {
 
 // FIFO is the run-to-completion baseline: priorities are ignored, calls
 // execute in arrival order, and a prompt runs all of its tokens in one
-// slice unless a prefill chunk cuts it. Decode runs advance one token per iteration (one draft/verify
-// round when speculated) under every policy, this one included. It
-// reproduces the pre-iteration-level executor and is what the SLO
-// experiment measures lane scheduling against.
-type FIFO struct{}
+// slice unless SliceTokens cuts it. Decode runs advance one token per
+// iteration (one draft/verify round when speculated) under every policy,
+// this one included. It reproduces the pre-iteration-level executor and
+// is what the SLO experiment measures lane scheduling against.
+type FIFO struct {
+	// SliceTokens, when > 0, bounds the prompt tokens one call may execute
+	// per iteration: Sarathi-style chunked prefill under arrival order, so
+	// a monster prompt cannot hold an iteration hostage while decodes queue
+	// behind it. The zero value runs each prompt to completion.
+	SliceTokens int
+}
 
 // Name implements PriorityPolicy.
 func (FIFO) Name() string { return "fifo" }
 
-// Quantum implements PriorityPolicy: unbounded, run to completion.
-func (FIFO) Quantum() int { return 0 }
+// Quantum implements PriorityPolicy: SliceTokens, where <= 0 is unbounded
+// (run to completion).
+func (f FIFO) Quantum() int { return f.SliceTokens }
 
 // StepTokens implements PriorityPolicy: the model cap is the only bound.
 func (FIFO) StepTokens() int { return 0 }

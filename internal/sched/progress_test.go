@@ -56,7 +56,7 @@ func replaySpec(accept []bool, tokens, window int) []int {
 func TestProgressHookOncePerAdvancingIteration(t *testing.T) {
 	t.Run("spec", func(t *testing.T) {
 		clk := simclock.New()
-		s := specSched(clk, DefaultLanes(), 0)
+		s := specSched(clk, DefaultLanes())
 		const tokens = 40
 		accept := bitmap(tokens-1, func(i int) bool { return i%5 != 2 })
 		rec := &progressRecorder{clk: clk}

@@ -23,7 +23,9 @@
 // of tokens per GPU iteration, new arrivals join the running batch at the
 // next iteration boundary, and a pluggable PriorityPolicy (see
 // priority.go) orders every iteration — strict interactive/normal/batch
-// lanes with aging by default, or the FIFO run-to-completion baseline. A
+// lanes with aging by default, or the FIFO run-to-completion baseline.
+// The policy's quantum is the one bound on a call's prompt slice; FIFO's
+// is unbounded unless FIFO.SliceTokens sets it (chunked prefill). A
 // boundary is ordered retire → the woken threads run → drain → crash
 // check → pack: the thread scheduler gets its turn before the batch
 // scheduler's, so a thread whose call the step just retired resubmits in
@@ -112,14 +114,6 @@ type Config struct {
 	// nil means DefaultLanes (strict lanes with aging). See
 	// NewPriorityPolicy for selection by name.
 	PriorityPolicy PriorityPolicy
-	// PrefillChunk, when > 0, bounds the prefill tokens one non-decode
-	// call may execute per iteration, independently of the priority
-	// policy's quantum (the tighter of the two wins). It is the
-	// Sarathi-style chunked-prefill knob: under the fifo
-	// run-to-completion policy — whose quantum is unbounded — it is the
-	// only thing stopping a monster prompt from holding an entire
-	// iteration hostage while decodes queue behind it. <= 0 disables.
-	PrefillChunk int
 	// Replicas is the number of independent GPU executors; values < 1
 	// mean one (the paper's single-GPU setting).
 	Replicas int
@@ -246,13 +240,12 @@ type Stats struct {
 // executors: one actor per replica that runs the iteration loop and
 // charges virtual time per step, fed by a dispatcher.
 type Scheduler struct {
-	clk          *simclock.Clock
-	models       map[string]model.CostModel
-	prio         PriorityPolicy
-	prefillChunk int
-	dispatcher   Dispatcher
-	replicas     []*replica
-	laneDelay    [NumLanes]*metrics.Histogram
+	clk        *simclock.Clock
+	models     map[string]model.CostModel
+	prio       PriorityPolicy
+	dispatcher Dispatcher
+	replicas   []*replica
+	laneDelay  [NumLanes]*metrics.Histogram
 
 	crashCheck func(int) bool
 	onCrash    func(int)
@@ -302,17 +295,13 @@ func New(clk *simclock.Clock, cfg Config) *Scheduler {
 	if cfg.Dispatcher == nil {
 		cfg.Dispatcher = NewRoundRobin()
 	}
-	if cfg.PrefillChunk < 0 {
-		cfg.PrefillChunk = 0
-	}
 	s := &Scheduler{
-		clk:          clk,
-		models:       cfg.Models,
-		prio:         cfg.PriorityPolicy,
-		prefillChunk: cfg.PrefillChunk,
-		dispatcher:   cfg.Dispatcher,
-		crashCheck:   cfg.CrashCheck,
-		onCrash:      cfg.OnCrash,
+		clk:        clk,
+		models:     cfg.Models,
+		prio:       cfg.PriorityPolicy,
+		dispatcher: cfg.Dispatcher,
+		crashCheck: cfg.CrashCheck,
+		onCrash:    cfg.OnCrash,
 	}
 	for i := range s.laneDelay {
 		s.laneDelay[i] = metrics.NewHistogram()
@@ -338,10 +327,6 @@ func (s *Scheduler) Dispatcher() string { return s.dispatcher.Name() }
 
 // PriorityPolicy reports the active priority policy's name.
 func (s *Scheduler) PriorityPolicy() string { return s.prio.Name() }
-
-// PrefillChunk reports the per-iteration prefill-slice bound; 0 when
-// chunked prefill is disabled.
-func (s *Scheduler) PrefillChunk() int { return s.prefillChunk }
 
 // LaneDelay exposes the queue-delay histogram of one priority lane across
 // all replicas: one sample per advance (see LaneStats).
@@ -692,7 +677,7 @@ type packed struct {
 // round computes its draft window but retires the accepted run plus the
 // verify pass's correction token — progress can exceed compute, which is
 // the whole point.
-func packStep(active []*call, now time.Duration, prio PriorityPolicy, models map[string]model.CostModel, prefillChunk int) packed {
+func packStep(active []*call, now time.Duration, prio PriorityPolicy, models map[string]model.CostModel) packed {
 	ranked := make([]*call, len(active))
 	copy(ranked, active)
 	lanes := make(map[*call]Priority, len(ranked))
@@ -722,14 +707,10 @@ func packStep(active []*call, now time.Duration, prio PriorityPolicy, models map
 		var prog, comp, drafted int
 		switch {
 		case !c.decode:
-			// Prefill slice: the tighter of the policy quantum and the
-			// chunked-prefill bound.
+			// Prefill slice: at most the policy quantum.
 			slice := c.remaining
 			if quantum > 0 && slice > quantum {
 				slice = quantum
-			}
-			if prefillChunk > 0 && slice > prefillChunk {
-				slice = prefillChunk
 			}
 			prog, comp = slice, slice
 		case c.spec != nil && c.remaining > 1:
@@ -780,7 +761,7 @@ func packStep(active []*call, now time.Duration, prio PriorityPolicy, models map
 func (r *replica) iterate() error {
 	s := r.s
 	now := s.clk.Now()
-	step := packStep(r.active, now, s.prio, s.models, s.prefillChunk)
+	step := packStep(r.active, now, s.prio, s.models)
 	cost := s.models[step.model]
 	selected, progress, specDraft := step.calls, step.progress, step.drafted
 

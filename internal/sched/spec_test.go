@@ -14,15 +14,14 @@ const draftModel = "draft"
 
 // specSched builds a single-replica scheduler with a target and a draft
 // model registered, an immediate batching policy, and the given priority
-// policy and prefill chunk.
-func specSched(clk *simclock.Clock, prio PriorityPolicy, chunk int) *Scheduler {
+// policy.
+func specSched(clk *simclock.Clock, prio PriorityPolicy) *Scheduler {
 	return New(clk, Config{
 		Models: map[string]model.CostModel{
 			target:     model.A100Llama13B(),
 			draftModel: model.A100Llama1B(),
 		},
 		PriorityPolicy: prio,
-		PrefillChunk:   chunk,
 	})
 }
 
@@ -41,7 +40,7 @@ func bitmap(n int, f func(i int) bool) []bool {
 // prefill-style slicing, regardless of the policy quantum.
 func TestPlainDecodeAdvancesOneTokenPerIteration(t *testing.T) {
 	clk := simclock.New()
-	s := specSched(clk, DefaultLanes(), 0)
+	s := specSched(clk, DefaultLanes())
 	const tokens = 16
 	var elapsed time.Duration
 	run(t, clk, func() {
@@ -72,7 +71,7 @@ func TestSpecFullAcceptance(t *testing.T) {
 	for _, prio := range []PriorityPolicy{DefaultLanes(), FIFO{}} {
 		t.Run(prio.Name(), func(t *testing.T) {
 			clk := simclock.New()
-			s := specSched(clk, prio, 0)
+			s := specSched(clk, prio)
 			const tokens = 21
 			run(t, clk, func() {
 				err := s.SubmitCall(Call{
@@ -109,7 +108,7 @@ func TestSpecFullAcceptance(t *testing.T) {
 // — while the draft keeps proposing its full window.
 func TestSpecZeroAcceptance(t *testing.T) {
 	clk := simclock.New()
-	s := specSched(clk, DefaultLanes(), 0)
+	s := specSched(clk, DefaultLanes())
 	const tokens = 10
 	run(t, clk, func() {
 		err := s.SubmitCall(Call{
@@ -150,7 +149,7 @@ func TestSpecOscillatingAcceptance(t *testing.T) {
 	accept := bitmap(tokens-1, func(i int) bool { return i/32%2 == 0 })
 	runOnce := func() Stats {
 		clk := simclock.New()
-		s := specSched(clk, DefaultLanes(), 0)
+		s := specSched(clk, DefaultLanes())
 		run(t, clk, func() {
 			err := s.SubmitCall(Call{
 				Model: target, Tokens: tokens, Decode: true,
@@ -328,7 +327,7 @@ func TestSpecValidation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		clk := simclock.New()
-		s := specSched(clk, DefaultLanes(), 0)
+		s := specSched(clk, DefaultLanes())
 		errCh := make(chan error, 1)
 		run(t, clk, func() { errCh <- s.SubmitCall(tc.call) })
 		err := <-errCh
@@ -338,10 +337,10 @@ func TestSpecValidation(t *testing.T) {
 	}
 }
 
-// TestChunkedPrefillInterleavesUnderFIFO pins the Sarathi property the
-// PrefillChunk knob exists for: under the fifo run-to-completion policy
+// TestChunkedPrefillInterleavesUnderFIFO pins the Sarathi property
+// FIFO.SliceTokens exists for: under the fifo run-to-completion policy
 // a 4096-token prefill normally holds the GPU for one monster step, so a
-// 1-token call behind it waits the whole prefill. With PrefillChunk the
+// 1-token call behind it waits the whole prefill. With SliceTokens set the
 // prefill runs as bounded slices and the late call lands at the next
 // iteration boundary.
 func TestChunkedPrefillInterleavesUnderFIFO(t *testing.T) {
@@ -349,7 +348,7 @@ func TestChunkedPrefillInterleavesUnderFIFO(t *testing.T) {
 	const chunk = 256
 	elapsedSmall := func(chunk int) time.Duration {
 		clk := simclock.New()
-		s := specSched(clk, FIFO{}, chunk)
+		s := specSched(clk, FIFO{SliceTokens: chunk})
 		var d time.Duration
 		run(t, clk, func() {
 			wg := clk.NewWaitGroup()
@@ -388,17 +387,30 @@ func TestChunkedPrefillInterleavesUnderFIFO(t *testing.T) {
 	}
 }
 
-// TestPrefillChunkTightensQuantum checks the slice bound is the tighter
-// of the lane quantum and the prefill chunk.
-func TestPrefillChunkTightensQuantum(t *testing.T) {
-	clk := simclock.New()
-	s := specSched(clk, DefaultLanes(), 64) // quantum 128, chunk 64
-	run(t, clk, func() {
-		if err := s.SubmitCall(Call{Model: target, Tokens: 512}); err != nil {
-			t.Errorf("SubmitCall: %v", err)
-		}
-	})
-	if st := s.Stats(); st.Steps != 512/64 {
-		t.Fatalf("steps = %d, want %d (512 tokens in 64-token chunks)", st.Steps, 512/64)
+// TestQuantumBoundsPromptSlice checks the policy quantum is the one bound
+// on a prompt's slice: 512 tokens take eight 64-token steps under a
+// 64-token quantum of either policy, and one step under unbounded fifo.
+func TestQuantumBoundsPromptSlice(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		prio  PriorityPolicy
+		steps int64
+	}{
+		{"lanes64", &Lanes{SliceTokens: 64}, 512 / 64},
+		{"fifo64", FIFO{SliceTokens: 64}, 512 / 64},
+		{"fifo", FIFO{}, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			clk := simclock.New()
+			s := specSched(clk, tc.prio)
+			run(t, clk, func() {
+				if err := s.SubmitCall(Call{Model: target, Tokens: 512}); err != nil {
+					t.Errorf("SubmitCall: %v", err)
+				}
+			})
+			if st := s.Stats(); st.Steps != tc.steps {
+				t.Fatalf("steps = %d, want %d", st.Steps, tc.steps)
+			}
+		})
 	}
 }

@@ -183,9 +183,8 @@ func (s *Server) stats(w http.ResponseWriter, r *http.Request) {
 	}
 	st := s.k.Stats()
 	doc := walkStats(statsPlan, reflect.ValueOf(st), map[string]any{
-		"gpus":          len(st.Sched.Replicas),
-		"prefill_chunk": s.k.Scheduler().PrefillChunk(),
-		"virtual_time":  s.clk.Now().String(),
+		"gpus":         len(st.Sched.Replicas),
+		"virtual_time": s.clk.Now().String(),
 	})
 	statsBlock(doc, "disk")["enabled"] = st.FS.DiskPageCap > 0
 	spec := statsBlock(doc, "spec")

@@ -28,7 +28,7 @@ func fullConfig() core.Config {
 	full.Replicas = 2
 	full.Dispatcher = &sched.CacheAffinityMigrate{}
 	full.Spec = &core.SpecConfig{Draft: "draft-1b"}
-	full.PrefillChunk = 64
+	full.PriorityPolicy = &sched.Lanes{SliceTokens: 64, AgeAfter: sched.DefaultAgeAfter}
 	full.Prefix = core.PrefixConfig{Enabled: true, ChunkTokens: 16}
 	full.Disk = core.DiskConfig{Bytes: 1 << 30}
 	return full
