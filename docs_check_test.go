@@ -14,6 +14,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/analysis"
 	"repro/internal/experiments"
 )
 
@@ -163,6 +164,32 @@ func TestDocsFlagsMatchBinaries(t *testing.T) {
 		if !found {
 			t.Errorf("docs/FLAGS.md has a section %q that is not a cmd/ binary", section)
 		}
+	}
+}
+
+// TestDocsAnalyzersMatchSuite asserts README.md's "Static analysis"
+// section and analysis.All() agree: every analyzer symphonyvet runs has
+// a "- **name** —" bullet, and every bullet names an analyzer it runs.
+func TestDocsAnalyzersMatchSuite(t *testing.T) {
+	data, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatalf("reading README.md: %v", err)
+	}
+	_, section, _ := strings.Cut(string(data), "\n## Static analysis\n")
+	section, _, _ = strings.Cut(section, "\n## ")
+	bulletRE := regexp.MustCompile(`(?m)^- \*\*([a-z]+)\*\* —`)
+	documented := map[string]bool{}
+	for _, m := range bulletRE.FindAllStringSubmatch(section, -1) {
+		documented[m[1]] = true
+	}
+	for _, a := range analysis.All() {
+		if !documented[a.Name] {
+			t.Errorf("symphonyvet runs %s but README.md's Static analysis section has no bullet for it", a.Name)
+		}
+		delete(documented, a.Name)
+	}
+	for _, name := range sorted(documented) {
+		t.Errorf("README.md documents analyzer %s but analysis.All() does not run it", name)
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package analysis is the kernel's static-analysis suite: a small,
 // dependency-free reimplementation of the golang.org/x/tools/go/analysis
 // driver shape (the toolchain bundled with this repository carries no
-// module cache, so the real framework cannot be vendored) plus the five
+// module cache, so the real framework cannot be vendored) plus the six
 // analyzers that make the simulator's correctness rules mechanically
 // checkable:
 //
@@ -15,7 +15,9 @@
 //     blocking waits while a sync.Mutex/RWMutex acquired in the same
 //     function is still held;
 //   - errortaxonomy:   HTTP error responses in internal/server go through
-//     the typed taxonomy writer, never raw http.Error/WriteHeader.
+//     the typed taxonomy writer, never raw http.Error/WriteHeader;
+//   - testonly:        no exported internal/ name that only tests use, and
+//     no *Config/*Options field that only tests set.
 //
 // Every scale and latency claim the repository makes rests on the
 // simulation being deterministic and race-free; `go vet` and the race
@@ -59,6 +61,7 @@ type Pass struct {
 	Pkg       *types.Package
 	TypesInfo *types.Info
 
+	uses  *moduleUses
 	diags *[]Diagnostic
 }
 
@@ -91,10 +94,12 @@ func All() []*Analyzer {
 		GlobalRand,
 		LockSafePublish,
 		ErrorTaxonomy,
+		TestOnly,
 	}
 }
 
-// RunAnalyzers applies every analyzer to every package, honors
+// RunAnalyzers builds the module-wide use set from every package once,
+// applies every analyzer to every package not marked UsesOnly, honors
 // //lint:allow annotations, and returns the surviving diagnostics sorted
 // by position. Malformed or unknown-rule allow annotations are themselves
 // diagnostics, so the exception list stays auditable.
@@ -103,8 +108,12 @@ func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) 
 	for _, a := range analyzers {
 		known[a.Name] = true
 	}
+	uses := newModuleUses(pkgs)
 	var out []Diagnostic
 	for _, pkg := range pkgs {
+		if pkg.UsesOnly {
+			continue
+		}
 		var diags []Diagnostic
 		for _, a := range analyzers {
 			pass := &Pass{
@@ -114,6 +123,7 @@ func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) 
 				Files:     pkg.Files,
 				Pkg:       pkg.Types,
 				TypesInfo: pkg.Info,
+				uses:      uses,
 				diags:     &diags,
 			}
 			if err := a.Run(pass); err != nil {

@@ -3,7 +3,8 @@
 // annotations, mirroring golang.org/x/tools/go/analysis/analysistest
 // (which the offline toolchain cannot vendor; see internal/analysis).
 //
-// A fixture is a directory of Go files forming one package. A line that
+// A fixture is a directory of Go files forming one package (Run), or a
+// tree of such directories forming a pretend module (RunModule). A line that
 // must be reported carries a trailing comment
 //
 //	// want "regexp"
@@ -23,6 +24,7 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -52,15 +54,45 @@ type expectation struct {
 // a test error.
 func Run(t *testing.T, dir, pkgPath string, a *analysis.Analyzer) {
 	t.Helper()
-	pkg, err := loadFixture(dir, pkgPath)
+	run(t, a, map[string]string{pkgPath: dir})
+}
+
+// RunModule loads every directory under root that holds Go files as one
+// package of a pretend module, at import path "repro/" plus its path
+// below root, so fixture packages may import each other. Module-level
+// rules (testonly) see exactly these packages' non-test files, the way
+// the loader gives them the real module's: _test.go files are skipped.
+func RunModule(t *testing.T, root string, a *analysis.Analyzer) {
+	t.Helper()
+	dirs := map[string]string{}
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") {
+			return err
+		}
+		rel, err := filepath.Rel(root, filepath.Dir(path))
+		dirs["repro/"+filepath.ToSlash(rel)] = filepath.Dir(path)
+		return err
+	})
 	if err != nil {
-		t.Fatalf("loading fixture %s: %v", dir, err)
+		t.Fatalf("walking fixture %s: %v", root, err)
 	}
-	diags, err := analysis.RunAnalyzers([]*analysis.Package{pkg}, []*analysis.Analyzer{a})
+	run(t, a, dirs)
+}
+
+func run(t *testing.T, a *analysis.Analyzer, dirs map[string]string) {
+	t.Helper()
+	pkgs, err := loadFixtures(dirs)
 	if err != nil {
-		t.Fatalf("running %s on %s: %v", a.Name, dir, err)
+		t.Fatalf("loading fixtures %v: %v", dirs, err)
 	}
-	wants := collectWants(t, pkg)
+	diags, err := analysis.RunAnalyzers(pkgs, []*analysis.Analyzer{a})
+	if err != nil {
+		t.Fatalf("running %s on %v: %v", a.Name, dirs, err)
+	}
+	var wants []*expectation
+	for _, pkg := range pkgs {
+		wants = append(wants, collectWants(t, pkg)...)
+	}
 
 	for _, d := range diags {
 		if !claimWant(wants, d) {
@@ -119,28 +151,39 @@ func collectWants(t *testing.T, pkg *analysis.Package) []*expectation {
 	return wants
 }
 
-// loadFixture parses and type-checks dir as one package named pkgPath.
-// Standard-library imports are resolved from the build cache's export
-// data via analysis.ExportImporter.
-func loadFixture(dir, pkgPath string) (*analysis.Package, error) {
-	names, err := filepath.Glob(filepath.Join(dir, "*.go"))
-	if err != nil {
-		return nil, err
+// loadFixtures parses the non-test files of each directory in dirs
+// (import path -> directory) and type-checks them as packages, each after
+// the fixture packages it imports. Standard-library imports are resolved
+// from the build cache's export data via analysis.ExportImporter.
+func loadFixtures(dirs map[string]string) ([]*analysis.Package, error) {
+	paths := make([]string, 0, len(dirs))
+	for p := range dirs {
+		paths = append(paths, p)
 	}
-	sort.Strings(names)
+	sort.Strings(paths)
 	fset := token.NewFileSet()
-	var files []*ast.File
+	files := map[string][]*ast.File{}
 	imports := map[string]bool{}
-	for _, name := range names {
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
+	for _, path := range paths {
+		names, err := filepath.Glob(filepath.Join(dirs[path], "*.go"))
 		if err != nil {
 			return nil, err
 		}
-		files = append(files, f)
-		for _, spec := range f.Imports {
-			p, _ := strconv.Unquote(spec.Path.Value)
-			if p != "" && !strings.HasPrefix(p, "repro/") {
-				imports[p] = true
+		sort.Strings(names)
+		for _, name := range names {
+			if strings.HasSuffix(name, "_test.go") {
+				continue
+			}
+			f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
+			if err != nil {
+				return nil, err
+			}
+			files[path] = append(files[path], f)
+			for _, spec := range f.Imports {
+				p, _ := strconv.Unquote(spec.Path.Value)
+				if p != "" && dirs[p] == "" {
+					imports[p] = true
+				}
 			}
 		}
 	}
@@ -153,22 +196,60 @@ func loadFixture(dir, pkgPath string) (*analysis.Package, error) {
 	if err != nil {
 		return nil, err
 	}
-	imp, err := analysis.ExportImporter(moduleDir, fset, patterns)
+	std, err := analysis.ExportImporter(moduleDir, fset, patterns)
 	if err != nil {
 		return nil, err
 	}
-	info := analysis.NewTypesInfo()
-	conf := types.Config{Importer: imp}
-	tpkg, err := conf.Check(pkgPath, fset, files, info)
-	if err != nil {
-		return nil, err
+	imp := &fixtureImporter{std: std, checked: map[string]*types.Package{}}
+	var pkgs []*analysis.Package
+	var check func(path string) error
+	check = func(path string) error {
+		if imp.checked[path] != nil {
+			return nil
+		}
+		for _, f := range files[path] {
+			for _, spec := range f.Imports {
+				if p, _ := strconv.Unquote(spec.Path.Value); dirs[p] != "" {
+					if err := check(p); err != nil {
+						return err
+					}
+				}
+			}
+		}
+		info := analysis.NewTypesInfo()
+		conf := types.Config{Importer: imp}
+		tpkg, err := conf.Check(path, fset, files[path], info)
+		if err != nil {
+			return err
+		}
+		imp.checked[path] = tpkg
+		pkgs = append(pkgs, &analysis.Package{
+			Fset:  fset,
+			Path:  path,
+			Files: files[path],
+			Types: tpkg,
+			Info:  info,
+		})
+		return nil
 	}
-	return &analysis.Package{
-		Fset:  fset,
-		Path:  pkgPath,
-		Dir:   dir,
-		Files: files,
-		Types: tpkg,
-		Info:  info,
-	}, nil
+	for _, p := range paths {
+		if err := check(p); err != nil {
+			return nil, err
+		}
+	}
+	return pkgs, nil
+}
+
+// fixtureImporter resolves fixture packages by identity and everything
+// else from export data.
+type fixtureImporter struct {
+	std     types.Importer
+	checked map[string]*types.Package
+}
+
+func (f *fixtureImporter) Import(path string) (*types.Package, error) {
+	if p, ok := f.checked[path]; ok {
+		return p, nil
+	}
+	return f.std.Import(path)
 }

@@ -46,3 +46,9 @@ func TestErrorTaxonomy(t *testing.T) {
 func TestErrorTaxonomyScopesToServer(t *testing.T) {
 	analysistest.Run(t, "testdata/errortaxonomy_exempt", "repro/internal/fixture", analysis.ErrorTaxonomy)
 }
+
+func TestTestOnly(t *testing.T) {
+	// A pretend module: bench (outside internal/, like benchmark/) is the
+	// only non-test user of internal/lib; lib_test.go is never loaded.
+	analysistest.RunModule(t, "testdata/testonly", analysis.TestOnly)
+}

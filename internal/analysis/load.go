@@ -13,6 +13,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 )
 
 // The loader type-checks module packages with nothing beyond the standard
@@ -26,10 +27,12 @@ import (
 type Package struct {
 	Fset  *token.FileSet
 	Path  string
-	Dir   string
 	Files []*ast.File
 	Types *types.Package
 	Info  *types.Info
+	// UsesOnly marks a package the patterns did not select: it feeds the
+	// module-wide use set but is not analyzed.
+	UsesOnly bool
 }
 
 // listPkg is the subset of `go list -json` output the loader consumes.
@@ -39,14 +42,13 @@ type listPkg struct {
 	Export     string
 	Standard   bool
 	GoFiles    []string
-	Imports    []string
 }
 
 // goList runs `go list -export -deps -json` for patterns in dir and
 // returns the decoded package stream in dependency-first order.
 func goList(dir string, patterns []string) ([]listPkg, error) {
 	args := append([]string{"list", "-export", "-deps",
-		"-json=ImportPath,Export,Dir,GoFiles,Standard,Imports"}, patterns...)
+		"-json=ImportPath,Export,Dir,GoFiles,Standard"}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
 	var stderr bytes.Buffer
@@ -114,12 +116,28 @@ func (m *moduleImporter) Import(path string) (*types.Package, error) {
 	return m.gc.ImportFrom(path, "", 0)
 }
 
-// LoadPackages type-checks the module packages matched by patterns
-// (relative to dir), returning them in dependency-first order. Standard
-// library and other non-module dependencies are imported from export
-// data, not analyzed.
+// LoadPackages type-checks every package of the module that contains
+// dir, returning them in dependency-first order. The packages matched by
+// patterns (relative to dir) and their module dependencies are analyzed;
+// the rest are marked UsesOnly, so a narrow pattern sees the same
+// module-wide use set as ./... . Standard library dependencies are
+// imported from export data, not analyzed.
 func LoadPackages(dir string, patterns []string) ([]*Package, error) {
-	listed, err := goList(dir, patterns)
+	selected, err := goList(dir, patterns)
+	if err != nil {
+		return nil, err
+	}
+	analyze := make(map[string]bool)
+	for _, p := range selected {
+		analyze[p.ImportPath] = true
+	}
+	env := exec.Command("go", "env", "GOMOD")
+	env.Dir = dir
+	gomod, err := env.Output()
+	if err != nil {
+		return nil, fmt.Errorf("analysis: go env GOMOD: %w", err)
+	}
+	listed, err := goList(filepath.Dir(strings.TrimSpace(string(gomod))), []string{"./..."})
 	if err != nil {
 		return nil, err
 	}
@@ -150,6 +168,7 @@ func LoadPackages(dir string, patterns []string) ([]*Package, error) {
 		if err != nil {
 			return nil, err
 		}
+		pkg.UsesOnly = !analyze[p.ImportPath]
 		imp.checked[p.ImportPath] = pkg.Types
 		out = append(out, pkg)
 	}
@@ -175,7 +194,6 @@ func checkPackage(fset *token.FileSet, imp types.Importer, p listPkg) (*Package,
 	return &Package{
 		Fset:  fset,
 		Path:  p.ImportPath,
-		Dir:   p.Dir,
 		Files: files,
 		Types: tpkg,
 		Info:  info,
