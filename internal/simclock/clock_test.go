@@ -83,6 +83,11 @@ func TestTimersFireInDeadlineOrder(t *testing.T) {
 	}
 }
 
+// TestEqualDeadlinesFIFO pins today's tie order for sleeps due at the
+// same virtual instant: they wake in the order their timers registered
+// (timerEntry.seq). That order is what every byte-identical pin in the
+// repository runs on, not a promise of the clock; an equal-deadline
+// ordering a caller depends on is a defect to fix there.
 func TestEqualDeadlinesFIFO(t *testing.T) {
 	c := New()
 	var mu sync.Mutex
