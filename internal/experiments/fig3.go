@@ -25,7 +25,6 @@ import (
 type Fig3Config struct {
 	Rates         []float64 // request rates (req/s) to sweep
 	ParetoIndices []float64 // skew sweep; small = skewed
-	Systems       []string  // subset of AllSystems; nil = all
 
 	Topics    int // number of documents/topics (paper: 100)
 	DocTokens int // tokens per document (paper: 3000)
@@ -78,14 +77,10 @@ type Fig3Point struct {
 
 // RunFig3 sweeps the full grid and returns one point per cell.
 func RunFig3(cfg Fig3Config) []Fig3Point {
-	systems := cfg.Systems
-	if systems == nil {
-		systems = AllSystems
-	}
 	var out []Fig3Point
 	for _, pareto := range cfg.ParetoIndices {
 		for _, rate := range cfg.Rates {
-			for _, sys := range systems {
+			for _, sys := range AllSystems {
 				out = append(out, runFig3Cell(cfg, sys, rate, pareto))
 			}
 		}
