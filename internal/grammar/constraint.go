@@ -2,7 +2,6 @@ package grammar
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/token"
 )
@@ -106,69 +105,3 @@ func (c *RegexConstraint) Done() bool { return c.dfa.Accepting(c.state) }
 
 // Reset rewinds to the start state.
 func (c *RegexConstraint) Reset() { c.state = c.dfa.Start() }
-
-// ChoiceConstraint forces the output to be exactly one of a fixed set of
-// token sequences — a trie over tokenized options, the cheapest useful
-// constraint (enum fields, tool names, yes/no).
-type ChoiceConstraint struct {
-	root *trieNode
-	cur  *trieNode
-}
-
-type trieNode struct {
-	children map[token.ID]*trieNode
-	terminal bool
-}
-
-// NewChoice tokenizes each option with tk and builds the constraint.
-func NewChoice(tk *token.Tokenizer, options []string) (*ChoiceConstraint, error) {
-	if len(options) == 0 {
-		return nil, fmt.Errorf("grammar: empty choice set")
-	}
-	root := &trieNode{children: map[token.ID]*trieNode{}}
-	for _, opt := range options {
-		toks := tk.Encode(opt)
-		if len(toks) == 0 {
-			return nil, fmt.Errorf("grammar: empty option %q", opt)
-		}
-		n := root
-		for _, t := range toks {
-			child, ok := n.children[t]
-			if !ok {
-				child = &trieNode{children: map[token.ID]*trieNode{}}
-				n.children[t] = child
-			}
-			n = child
-		}
-		n.terminal = true
-	}
-	return &ChoiceConstraint{root: root, cur: root}, nil
-}
-
-// Allowed returns the next tokens continuing any remaining option, in
-// ascending token order: the decoder picks among them, so handing back
-// map iteration order would make constrained generation nondeterministic.
-func (c *ChoiceConstraint) Allowed() []token.ID {
-	out := make([]token.ID, 0, len(c.cur.children))
-	for t := range c.cur.children {
-		out = append(out, t)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// Accept descends the trie by tok.
-func (c *ChoiceConstraint) Accept(tok token.ID) error {
-	child, ok := c.cur.children[tok]
-	if !ok {
-		return fmt.Errorf("grammar: token %d continues no option", tok)
-	}
-	c.cur = child
-	return nil
-}
-
-// Done reports whether a complete option has been produced.
-func (c *ChoiceConstraint) Done() bool { return c.cur.terminal }
-
-// Reset rewinds to the trie root.
-func (c *ChoiceConstraint) Reset() { c.cur = c.root }

@@ -150,47 +150,6 @@ func TestRegexConstraintFlow(t *testing.T) {
 	}
 }
 
-func TestChoiceConstraint(t *testing.T) {
-	v := token.NewVocab()
-	tk := token.NewTokenizer(v)
-	c, err := NewChoice(tk, []string{"yes", "no", "not sure"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewChoice(tk, nil); err == nil {
-		t.Fatal("empty choice set accepted")
-	}
-	first := c.Allowed()
-	if len(first) != 3 { // yes, no, not
-		t.Fatalf("initial allowed = %d tokens", len(first))
-	}
-	if err := c.Accept(v.Intern("not")); err != nil {
-		t.Fatal(err)
-	}
-	if c.Done() {
-		t.Fatal("'not' is not a complete option")
-	}
-	if err := c.Accept(v.Intern(" ")); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Accept(v.Intern("sure")); err != nil {
-		t.Fatal(err)
-	}
-	if !c.Done() {
-		t.Fatal("'not sure' should be done")
-	}
-	c.Reset()
-	if err := c.Accept(v.Intern("yes")); err != nil {
-		t.Fatal(err)
-	}
-	if !c.Done() {
-		t.Fatal("'yes' should be done")
-	}
-	if err := c.Accept(v.Intern("yes")); err == nil {
-		t.Fatal("walked past a leaf")
-	}
-}
-
 func TestJSONMachineAcceptsValidDocuments(t *testing.T) {
 	docs := []string{
 		`{}`, `[]`, `"hi"`, `42`, `-3.5e+10`, `true`, `false`, `null`,

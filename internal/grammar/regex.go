@@ -6,10 +6,9 @@
 // Serving stacks like XGrammar, Outlines, and Guidance bake a fixed set of
 // such decoders into the server; Symphony's claim is that, given full
 // access to the distribution, they are expressible as ordinary user code.
-// This package provides three: a regex engine (parsed to an NFA, subset-
+// This package provides two: a regex engine (parsed to an NFA, subset-
 // constructed to a byte-level DFA, lifted to token masks through a
-// Lexicon), a token-trie choice constraint, and an incremental JSON
-// validator.
+// Lexicon) and an incremental JSON validator.
 package grammar
 
 import (
