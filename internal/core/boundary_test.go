@@ -86,7 +86,7 @@ func decodeBesidePrefill(t *testing.T, prefillTokens int, between func(ctx *core
 	select {
 	case <-done:
 	case <-time.After(30 * time.Second):
-		t.Fatalf("simulation stalled: %v", clk.Snapshot())
+		t.Fatalf("simulation stalled at %v", clk.Now())
 	}
 	defer clk.Shutdown()
 	for _, p := range []*core.Process{decoder, prefiller} {

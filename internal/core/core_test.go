@@ -37,7 +37,7 @@ func drive(t *testing.T, clk *simclock.Clock, fn func()) {
 	select {
 	case <-done:
 	case <-time.After(30 * time.Second):
-		t.Fatalf("simulation stalled: %v", clk.Snapshot())
+		t.Fatalf("simulation stalled at %v", clk.Now())
 	}
 	clk.Shutdown()
 }

@@ -134,7 +134,7 @@ func TestShutdownDuringSpaceWaitIsNotErrNoSpace(t *testing.T) {
 	select {
 	case <-done:
 	case <-time.After(30 * time.Second):
-		t.Fatalf("waiter never returned: %v", clk.Snapshot())
+		t.Fatalf("waiter never returned by %v", clk.Now())
 	}
 	if !errors.Is(predErr, simclock.ErrShutdown) || errors.Is(predErr, kvfs.ErrNoSpace) {
 		t.Fatalf("pred returned %v, want simclock.ErrShutdown and not kvfs.ErrNoSpace", predErr)

@@ -27,7 +27,7 @@ func drive(t *testing.T, clk *simclock.Clock, fn func()) {
 	select {
 	case <-done:
 	case <-time.After(60 * time.Second):
-		t.Fatalf("stalled: %v", clk.Snapshot())
+		t.Fatalf("stalled at %v", clk.Now())
 	}
 	clk.Shutdown()
 }

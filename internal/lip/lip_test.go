@@ -49,7 +49,7 @@ func harnessWith(t *testing.T, edit func(*core.Config), body core.Program) *core
 			t.Fatalf("LIP failed: %v", err)
 		}
 	case <-time.After(30 * time.Second):
-		t.Fatalf("stalled: %v", clk.Snapshot())
+		t.Fatalf("stalled at %v", clk.Now())
 	}
 	clk.Shutdown()
 	return k

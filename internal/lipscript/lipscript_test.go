@@ -43,7 +43,7 @@ func runScript(t *testing.T, k *core.Kernel, clk *simclock.Clock, js string) (*c
 	select {
 	case <-done:
 	case <-time.After(30 * time.Second):
-		t.Fatalf("stalled: %v", clk.Snapshot())
+		t.Fatalf("stalled at %v", clk.Now())
 	}
 	return p, serr
 }
@@ -248,7 +248,7 @@ func TestScriptPromptCachePattern(t *testing.T) {
 	select {
 	case <-done:
 	case <-time.After(30 * time.Second):
-		t.Fatalf("stalled: %v", clk.Snapshot())
+		t.Fatalf("stalled at %v", clk.Now())
 	}
 	clk.Shutdown()
 	if second >= first {

@@ -18,7 +18,7 @@ func runActor(t *testing.T, c *simclock.Clock, fn func()) {
 	select {
 	case <-done:
 	case <-time.After(10 * time.Second):
-		t.Fatalf("stalled: %v", c.Snapshot())
+		t.Fatalf("stalled at %v", c.Now())
 	}
 }
 

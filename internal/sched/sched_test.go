@@ -36,7 +36,7 @@ func run(t *testing.T, clk *simclock.Clock, fn func()) {
 	select {
 	case <-done:
 	case <-time.After(15 * time.Second):
-		t.Fatalf("stalled: %v", clk.Snapshot())
+		t.Fatalf("stalled at %v", clk.Now())
 	}
 	clk.Shutdown()
 }

@@ -26,8 +26,6 @@ package simclock
 import (
 	"container/heap"
 	"errors"
-	"fmt"
-	"sort"
 	"sync"
 	"time"
 )
@@ -48,7 +46,7 @@ type Clock struct {
 	down   bool // Shutdown called
 
 	timers timerHeap
-	parked map[chan struct{}]string // parked wake channels -> description
+	parked map[chan struct{}]bool // parked wake channels
 
 	// realtime pacing: virtual time advances no faster than wall time
 	// divided by speedup. speedup <= 0 disables pacing.
@@ -56,16 +54,13 @@ type Clock struct {
 	wallStart time.Time
 
 	nextTimerID uint64
-	actorSeq    uint64
-	names       map[uint64]string // live actors, for Snapshot
 	downCh      chan struct{}     // closed by Shutdown; interrupts pacing
 }
 
 // New returns a pure virtual-time clock starting at time zero.
 func New() *Clock {
 	c := &Clock{
-		parked: make(map[chan struct{}]string),
-		names:  make(map[uint64]string),
+		parked: make(map[chan struct{}]bool),
 		downCh: make(chan struct{}),
 	}
 	c.cond = sync.NewCond(&c.mu)
@@ -95,8 +90,8 @@ func (c *Clock) Now() time.Duration {
 
 // Go starts fn as a new actor. It may be called from inside or outside an
 // actor; the new actor is accounted runnable before Go returns, so the
-// clock cannot advance past the present before fn begins. The name is used
-// only for diagnostics.
+// clock cannot advance past the present before fn begins. The name labels
+// the actor at its call site; the clock does not keep it.
 //
 // fn itself starts when the actor's zero-delay spawn timer fires, which
 // serializes startup in Go-call order: the child runs after the spawning
@@ -110,22 +105,18 @@ func (c *Clock) Go(name string, fn func()) {
 		c.mu.Unlock()
 		return
 	}
-	c.actorSeq++
-	id := c.actorSeq
-	c.names[id] = name
 	c.busy++
 	c.actors++
 	ch := make(chan struct{})
 	c.nextTimerID++
 	heap.Push(&c.timers, timerEntry{at: c.now, seq: c.nextTimerID, ch: ch})
-	c.parkLocked(ch, "spawn "+name)
+	c.parkLocked(ch)
 	c.mu.Unlock()
 
 	go func() {
 		<-ch
 		defer func() {
 			c.mu.Lock()
-			delete(c.names, id)
 			c.busy--
 			c.actors--
 			c.maybeAdvanceLocked()
@@ -150,7 +141,7 @@ func (c *Clock) Sleep(d time.Duration) error {
 	ch := make(chan struct{})
 	c.nextTimerID++
 	heap.Push(&c.timers, timerEntry{at: c.now + d, seq: c.nextTimerID, ch: ch})
-	c.parkLocked(ch, "sleep")
+	c.parkLocked(ch)
 	c.mu.Unlock()
 	<-ch
 	c.mu.Lock()
@@ -204,49 +195,12 @@ func (c *Clock) Down() bool {
 	return c.down
 }
 
-// Snapshot describes the instantaneous state of the clock, for debugging
-// stalled simulations.
-type Snapshot struct {
-	Now          time.Duration
-	Busy         int
-	Actors       int
-	PendingTimer int
-	Parked       []string
-	LiveActors   []string
-}
-
-// Snapshot returns a diagnostic view of the clock.
-func (c *Clock) Snapshot() Snapshot {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	s := Snapshot{
-		Now:          c.now,
-		Busy:         c.busy,
-		Actors:       c.actors,
-		PendingTimer: c.timers.Len(),
-	}
-	for _, why := range c.parked {
-		s.Parked = append(s.Parked, why)
-	}
-	for _, name := range c.names {
-		s.LiveActors = append(s.LiveActors, name)
-	}
-	sort.Strings(s.Parked)
-	sort.Strings(s.LiveActors)
-	return s
-}
-
-func (s Snapshot) String() string {
-	return fmt.Sprintf("simclock{now=%v busy=%d actors=%d timers=%d parked=%v live=%v}",
-		s.Now, s.Busy, s.Actors, s.PendingTimer, s.Parked, s.LiveActors)
-}
-
 // parkLocked registers ch as a parked actor wake channel and gives up the
 // caller's runnable slot. The caller must hold c.mu, and after unlocking
 // must receive from ch. Whoever wakes the channel (timer advance, Event
 // fire, Queue put, or Shutdown) restores the runnable slot before closing.
-func (c *Clock) parkLocked(ch chan struct{}, why string) {
-	c.parked[ch] = why
+func (c *Clock) parkLocked(ch chan struct{}) {
+	c.parked[ch] = true
 	c.busy--
 	if c.busy < 0 {
 		panic("simclock: park from non-actor goroutine (busy underflow)")

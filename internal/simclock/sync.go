@@ -35,7 +35,7 @@ func (e *Event) Wait() error {
 	}
 	ch := make(chan struct{})
 	e.waiters = append(e.waiters, ch)
-	c.parkLocked(ch, "event")
+	c.parkLocked(ch)
 	c.mu.Unlock()
 	<-ch
 	c.mu.Lock()
@@ -70,7 +70,7 @@ func (e *Event) WaitFor(d time.Duration) (fired bool, err error) {
 	e.waiters = append(e.waiters, ch)
 	c.nextTimerID++
 	heap.Push(&c.timers, timerEntry{at: c.now + d, seq: c.nextTimerID, ch: ch})
-	c.parkLocked(ch, "event-timeout")
+	c.parkLocked(ch)
 	c.mu.Unlock()
 	<-ch
 	c.mu.Lock()
@@ -175,7 +175,7 @@ func (q *Queue[T]) Get() (T, error) {
 		}
 		ch := make(chan struct{})
 		q.waiters = append(q.waiters, ch)
-		c.parkLocked(ch, "queue")
+		c.parkLocked(ch)
 		c.mu.Unlock()
 		<-ch
 		c.mu.Lock()
@@ -253,7 +253,7 @@ func (s *Semaphore) Acquire(n int) error {
 	}
 	w := &semWaiter{n: n, ch: make(chan struct{})}
 	s.waiters = append(s.waiters, w)
-	c.parkLocked(w.ch, "semaphore")
+	c.parkLocked(w.ch)
 	c.mu.Unlock()
 	<-w.ch
 	c.mu.Lock()
