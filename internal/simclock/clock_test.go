@@ -260,41 +260,6 @@ func TestEventWaitForTimeout(t *testing.T) {
 	})
 }
 
-func TestQueuePushFront(t *testing.T) {
-	c := New()
-	run(t, c, func() {
-		q := NewQueue[int](c)
-		q.Put(1)
-		q.Put(2)
-		q.PushFront(0)
-		for want := 0; want <= 2; want++ {
-			v, err := q.Get()
-			if err != nil || v != want {
-				t.Errorf("Get = %d,%v want %d", v, err, want)
-			}
-		}
-		// PushFront must wake a waiting consumer too.
-		got := make(chan int, 1)
-		c.Go("consumer", func() {
-			v, err := q.Get()
-			if err == nil {
-				got <- v
-			}
-		})
-		c.Sleep(time.Millisecond)
-		q.PushFront(42)
-		c.Sleep(time.Millisecond)
-		select {
-		case v := <-got:
-			if v != 42 {
-				t.Errorf("woken consumer got %d", v)
-			}
-		default:
-			t.Error("PushFront did not wake consumer")
-		}
-	})
-}
-
 func TestQueueTryGetAndDrain(t *testing.T) {
 	c := New()
 	run(t, c, func() {

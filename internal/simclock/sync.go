@@ -138,24 +138,6 @@ func (q *Queue[T]) Put(v T) {
 	}
 }
 
-// PushFront prepends v, so the next Get returns it before older items.
-// Schedulers use it to requeue work that exceeded a batch budget without
-// losing FIFO order. Like Put it wakes one waiting consumer.
-func (q *Queue[T]) PushFront(v T) {
-	c := q.c
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.down {
-		return
-	}
-	q.items = append([]T{v}, q.items...)
-	if len(q.waiters) > 0 {
-		ch := q.waiters[0]
-		q.waiters = q.waiters[1:]
-		c.wakeSoonLocked(ch)
-	}
-}
-
 // Get removes and returns the oldest item, parking the calling actor while
 // the queue is empty. It returns ErrShutdown if the clock shuts down.
 func (q *Queue[T]) Get() (T, error) {
