@@ -101,13 +101,6 @@ func (e *Event) Fire() {
 	e.waiters = nil
 }
 
-// Fired reports whether the event has fired.
-func (e *Event) Fired() bool {
-	e.c.mu.Lock()
-	defer e.c.mu.Unlock()
-	return e.fired
-}
-
 // Queue is an unbounded FIFO connecting actors, the simulation-aware
 // equivalent of a buffered channel. Multiple producers and consumers are
 // allowed.
