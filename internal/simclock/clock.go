@@ -54,7 +54,7 @@ type Clock struct {
 	wallStart time.Time
 
 	nextTimerID uint64
-	downCh      chan struct{}     // closed by Shutdown; interrupts pacing
+	downCh      chan struct{} // closed by Shutdown; interrupts pacing
 }
 
 // New returns a pure virtual-time clock starting at time zero.
