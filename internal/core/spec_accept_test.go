@@ -115,6 +115,21 @@ func decodeOnSpecKernel(t *testing.T, target, draft *model.Model, n int, draw fu
 	return toks, accept, specOutcome{st.SpecRounds, st.SpecDrafted, st.SpecAccepted}, progress
 }
 
+// sampleAt inverts d's candidate CDF at u; tail mass maps to the least
+// probable candidate. It is the coupled draw the acceptance rule is
+// checked against.
+func sampleAt(d model.Dist, u float64) token.ID {
+	cands := d.Candidates()
+	var acc float64
+	for _, c := range cands {
+		acc += c.Prob
+		if u < acc {
+			return c.Token
+		}
+	}
+	return cands[len(cands)-1].Token
+}
+
 // TestDecodeRunAcceptanceRule pins the one acceptance rule of greedy and
 // sampled decode runs — position i is accepted iff the draft's proposal
 // for it, the run's own draw applied to the draft's distribution, equals
@@ -128,8 +143,8 @@ func decodeOnSpecKernel(t *testing.T, target, draft *model.Model, n int, draw fu
 //
 // Each run also hears its progress end at its length.
 func TestDecodeRunAcceptanceRule(t *testing.T) {
-	sample := func(i int, d model.Dist) token.ID { return d.SampleAt(coupledU(i)) }
-	coupled := func(i int, draftD, _ model.Dist, tok token.ID) bool { return draftD.SampleAt(coupledU(i)) == tok }
+	sample := func(i int, d model.Dist) token.ID { return sampleAt(d, coupledU(i)) }
+	coupled := func(i int, draftD, _ model.Dist, tok token.ID) bool { return sampleAt(draftD, coupledU(i)) == tok }
 	target := model.New(smallVocab(model.Llama13B()))
 	big := model.New(model.Llama13B())
 	for _, tc := range []struct {

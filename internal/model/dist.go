@@ -219,36 +219,6 @@ func (d Dist) ProbOf(tok token.ID) float64 {
 	return mean * (0.5 + u)
 }
 
-// Entropy returns the Shannon entropy (nats) over the candidate set,
-// ignoring the tail.
-func (d Dist) Entropy() float64 {
-	d = d.built()
-	var e float64
-	for _, c := range d.cands {
-		if c.Prob > 0 {
-			e -= c.Prob * math.Log(c.Prob)
-		}
-	}
-	return e
-}
-
-// SampleAt inverts the candidate CDF at u in [0,1). Tail mass maps to the
-// least probable candidate, so SampleAt always returns a candidate.
-func (d Dist) SampleAt(u float64) token.ID {
-	d = d.built()
-	if len(d.cands) == 0 {
-		return token.EOS
-	}
-	var acc float64
-	for _, c := range d.cands {
-		acc += c.Prob
-		if u < acc {
-			return c.Token
-		}
-	}
-	return d.cands[len(d.cands)-1].Token
-}
-
 // Mask restricts the distribution to the allowed token set and
 // renormalizes, the primitive constrained decoding builds on. Allowed
 // tokens outside the candidate set enter with their tail probability, so a
@@ -304,8 +274,3 @@ func (d Dist) Temperature(temp float64) Dist {
 	order(out.cands)
 	return out
 }
-
-// ApproxBytes returns the wire size of the full distribution this Dist
-// stands for (vocab × fp16), the figure the paper cites when arguing the
-// sampling loop cannot live client-side.
-func (d Dist) ApproxBytes() int { return d.vocab * 2 }
