@@ -92,11 +92,6 @@ type Fault struct {
 	Crash bool
 }
 
-// Zero reports whether the fault is a clean pass-through.
-func (f Fault) Zero() bool {
-	return f.Err == nil && f.Stall == 0 && !f.Torn && !f.Lie && !f.Crash
-}
-
 // armed is one rule plus its fire count.
 type armed struct {
 	Rule
@@ -192,26 +187,6 @@ func (in *Injector) Check(point string) Fault {
 		out.Crash = out.Crash || a.Crash
 	}
 	return out
-}
-
-// Hits reports how many times point has been checked.
-func (in *Injector) Hits(point string) int {
-	if in == nil {
-		return 0
-	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.hits[point]
-}
-
-// Fired reports how many of point's hits triggered at least one rule.
-func (in *Injector) Fired(point string) int {
-	if in == nil {
-		return 0
-	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.fired[point]
 }
 
 // TotalFired reports the number of hits, across all points, that
