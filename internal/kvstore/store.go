@@ -103,13 +103,6 @@ func (s *Store) snapshotLocked() []SnapshotEntry {
 	return out
 }
 
-// Entries returns a seq-sorted copy of the current entry set.
-func (s *Store) Entries() []SnapshotEntry {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.snapshotLocked()
-}
-
 // Commit publishes the current entry set as a new snapshot generation
 // using the crash-safe temp-file + Rename + SyncDir protocol, then
 // unlinks older generations. The calling actor is billed the write.

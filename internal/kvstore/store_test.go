@@ -120,7 +120,7 @@ func TestStoreCrashRecovery(t *testing.T) {
 
 	// Hand-run the first half of a second publish, crashing before
 	// SyncDir: the rename is in the namespace but not durable.
-	data, err := EncodeSnapshot(s.Entries())
+	data, err := EncodeSnapshot(s.snapshotLocked())
 	if err != nil {
 		t.Fatal(err)
 	}
