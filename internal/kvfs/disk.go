@@ -162,14 +162,6 @@ func (dt *DiskTier) Spill(f *File) (tokens int, err error) {
 	return tokens, nil
 }
 
-// Forget drops f's store record and releases its disk reservation, e.g.
-// when the file is removed. Durable at the next Commit.
-func (dt *DiskTier) Forget(f *File) {
-	dt.mu.Lock()
-	defer dt.mu.Unlock()
-	dt.forgetLocked(f)
-}
-
 func (dt *DiskTier) forgetLocked(f *File) {
 	r := dt.recs[f]
 	if r == nil {

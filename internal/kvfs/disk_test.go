@@ -124,22 +124,6 @@ func TestPutReplacesAndResizes(t *testing.T) {
 	}
 }
 
-func TestForgetReleasesDisk(t *testing.T) {
-	fs, dt := diskFS(4, 100, 100, 100)
-	f, _ := fs.Create("/kv/a", "u", ModePrivate)
-	mustAppend(t, f, 10, 0)
-	if err := dt.Put(f); err != nil {
-		t.Fatal(err)
-	}
-	dt.Forget(f)
-	if st := fs.Stats(); st.DiskPages != 0 {
-		t.Fatalf("disk pages after forget = %d, want 0", st.DiskPages)
-	}
-	if dt.Store().Len() != 0 {
-		t.Fatal("store entry survived forget")
-	}
-}
-
 func TestCommitGCsRemovedFiles(t *testing.T) {
 	fs, dt := diskFS(4, 100, 100, 100)
 	f, _ := fs.Create("/kv/a", "u", ModePrivate)
