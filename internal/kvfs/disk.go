@@ -77,17 +77,6 @@ func (dt *DiskTier) SetSpillRollback(fn func(f *File, tokens int)) {
 // Store exposes the underlying snapshot store (for recovery and stats).
 func (dt *DiskTier) Store() *kvstore.Store { return dt.store }
 
-// Pages reports the disk pages currently reserved for f, or 0 if the
-// file has no store record.
-func (dt *DiskTier) Pages(f *File) int {
-	dt.mu.Lock()
-	defer dt.mu.Unlock()
-	if r := dt.recs[f]; r != nil {
-		return r.pages
-	}
-	return 0
-}
-
 // Put writes f's current entries to the snapshot store, replacing any
 // previous record for the file and adjusting the disk reservation to the
 // file's page count. The file's live pages are not touched — Put alone

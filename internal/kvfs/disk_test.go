@@ -188,8 +188,8 @@ func TestImportRecoversNamedFile(t *testing.T) {
 	if st := fs2.Stats(); st.DiskPages != 3 || st.GPUPages != 0 {
 		t.Fatalf("pages after import = gpu %d disk %d, want 0/3", st.GPUPages, st.DiskPages)
 	}
-	if dt2.Pages(g) != 3 {
-		t.Fatalf("tier tracks %d pages, want 3", dt2.Pages(g))
+	if r := dt2.recs[g]; r == nil || r.pages != 3 {
+		t.Fatalf("tier tracks %+v, want a record of 3 pages", r)
 	}
 
 	// Promote and verify the file is fully usable again.

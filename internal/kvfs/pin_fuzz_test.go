@@ -79,7 +79,7 @@ func FuzzFilePins(f *testing.F) {
 // checkPinsAndPages holds every file's pin count to the reference model
 // and each tier's page accounting to the pages the live files hold (a
 // page shared by forks counted once; disk pages are the store records'
-// reservations, which outlive a removed file until Commit or Forget).
+// reservations, which outlive a removed file until Commit).
 func checkPinsAndPages(t *testing.T, fs *FS, dt *DiskTier, files []*File, pins map[*File]int) {
 	t.Helper()
 	for _, f := range files {
