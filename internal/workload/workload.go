@@ -61,18 +61,6 @@ func (p *Pareto) Sample(rng *rand.Rand) int {
 	return lo
 }
 
-// TopMass reports the total popularity mass of the k most popular topics —
-// the best-case hit rate of a cache that pins exactly those topics.
-func (p *Pareto) TopMass(k int) float64 {
-	if k <= 0 {
-		return 0
-	}
-	if k >= p.n {
-		return 1
-	}
-	return p.cdf[k-1]
-}
-
 // Poisson generates exponentially distributed inter-arrival gaps for a
 // given mean request rate.
 type Poisson struct {

@@ -11,29 +11,12 @@ func TestParetoSkewOrdering(t *testing.T) {
 	// Smaller index must concentrate more mass on the top topics.
 	skewed := NewPareto(100, 0.3)
 	mild := NewPareto(100, 2.0)
-	if skewed.TopMass(20) <= mild.TopMass(20) {
-		t.Fatalf("TopMass(20): skewed %.3f <= mild %.3f", skewed.TopMass(20), mild.TopMass(20))
+	// cdf[19] is the popularity mass of the 20 most popular topics.
+	if skewed.cdf[19] <= mild.cdf[19] {
+		t.Fatalf("top-20 mass: skewed %.3f <= mild %.3f", skewed.cdf[19], mild.cdf[19])
 	}
-	if skewed.TopMass(20) < 0.9 {
-		t.Fatalf("index 0.3 top-20 mass = %.3f, want >0.9", skewed.TopMass(20))
-	}
-}
-
-func TestParetoTopMassBounds(t *testing.T) {
-	p := NewPareto(50, 1)
-	if p.TopMass(0) != 0 {
-		t.Fatal("TopMass(0) != 0")
-	}
-	if p.TopMass(50) != 1 || p.TopMass(100) != 1 {
-		t.Fatal("full mass != 1")
-	}
-	prev := 0.0
-	for k := 1; k <= 50; k++ {
-		m := p.TopMass(k)
-		if m < prev {
-			t.Fatalf("TopMass not monotone at %d", k)
-		}
-		prev = m
+	if skewed.cdf[19] < 0.9 {
+		t.Fatalf("index 0.3 top-20 mass = %.3f, want >0.9", skewed.cdf[19])
 	}
 }
 
@@ -48,7 +31,7 @@ func TestParetoSampleMatchesMass(t *testing.T) {
 		}
 	}
 	got := float64(top20) / n
-	want := p.TopMass(20)
+	want := p.cdf[19]
 	if math.Abs(got-want) > 0.02 {
 		t.Fatalf("empirical top-20 rate %.3f vs analytic %.3f", got, want)
 	}
