@@ -1,7 +1,7 @@
 // Package netsim models the client↔server network that the paper's §2.2
 // argues prompt-serving systems cross too often. A Link charges virtual
 // time for propagation (half the RTT per direction) plus serialization at
-// a configured bandwidth; a RoundTrip is two crossings. Symphony pays one
+// a configured bandwidth; a round trip is two crossings. Symphony pays one
 // round trip per program; prompt-serving baselines pay one per request and
 // two more per client-side function call.
 package netsim
@@ -49,15 +49,6 @@ func (l *Link) OneWay(n int) error {
 		return nil
 	}
 	return l.clk.Sleep(d)
-}
-
-// RoundTrip charges the calling actor for a request of reqBytes and a
-// response of respBytes.
-func (l *Link) RoundTrip(reqBytes, respBytes int) error {
-	if err := l.OneWay(reqBytes); err != nil {
-		return err
-	}
-	return l.OneWay(respBytes)
 }
 
 // TransferTime reports the one-way time for n bytes without sleeping.

@@ -26,8 +26,11 @@ func TestRoundTripChargesRTT(t *testing.T) {
 	clk := simclock.New()
 	l := New(clk, 30*time.Millisecond, 0)
 	runActor(t, clk, func() {
-		if err := l.RoundTrip(100, 100); err != nil {
-			t.Errorf("RoundTrip: %v", err)
+		// A round trip is two one-way crossings.
+		for i := 0; i < 2; i++ {
+			if err := l.OneWay(100); err != nil {
+				t.Errorf("OneWay: %v", err)
+			}
 		}
 	})
 	if got := clk.Now(); got != 30*time.Millisecond {
@@ -50,8 +53,8 @@ func TestZeroLinkFree(t *testing.T) {
 	clk := simclock.New()
 	l := New(clk, 0, 0)
 	runActor(t, clk, func() {
-		if err := l.RoundTrip(1<<20, 1<<20); err != nil {
-			t.Errorf("RoundTrip: %v", err)
+		if err := l.OneWay(1 << 20); err != nil {
+			t.Errorf("OneWay: %v", err)
 		}
 	})
 	if clk.Now() != 0 {
