@@ -32,9 +32,6 @@ const (
 	numSpecials
 )
 
-// Invalid is returned by lookups that fail.
-const Invalid ID = -1
-
 // Vocab is a thread-safe interning table from token strings to dense IDs.
 type Vocab struct {
 	mu   sync.RWMutex
@@ -74,16 +71,6 @@ func (v *Vocab) Intern(s string) ID {
 		return id
 	}
 	return v.add(s)
-}
-
-// Lookup returns the ID for s without interning, or Invalid if absent.
-func (v *Vocab) Lookup(s string) ID {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	if id, ok := v.ids[s]; ok {
-		return id
-	}
-	return Invalid
 }
 
 // String returns the surface string for id. IDs outside the interned range
