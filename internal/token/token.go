@@ -22,12 +22,13 @@ import (
 // the special tokens below.
 type ID int32
 
-// Special token IDs, present in every Vocab.
+// Special token IDs, present in every Vocab. IDs 1 (<bos>) and 3 (<unk>)
+// are reserved but never produced, so they have no names.
 const (
 	PAD ID = iota // padding / absent
-	BOS           // beginning of sequence
+	_             // <bos>
 	EOS           // end of sequence
-	UNK           // unknown (never produced by Encode; reserved)
+	_             // <unk>
 
 	numSpecials
 )

@@ -46,7 +46,7 @@ func TestSpecialsPresent(t *testing.T) {
 	if v.String(EOS) != "<eos>" {
 		t.Errorf("EOS renders as %q", v.String(EOS))
 	}
-	if !IsSpecial(BOS) || IsSpecial(numSpecials) {
+	if !IsSpecial(1) || IsSpecial(numSpecials) {
 		t.Error("IsSpecial boundary wrong")
 	}
 }
@@ -131,7 +131,7 @@ func TestRoundTripProperty(t *testing.T) {
 
 func TestDecodeSkipsSpecials(t *testing.T) {
 	tok := NewTokenizer(NewVocab())
-	ids := append([]ID{BOS}, tok.Encode("hi")...)
+	ids := append([]ID{1}, tok.Encode("hi")...) // <bos>
 	ids = append(ids, EOS)
 	if got := tok.Decode(ids); got != "hi" {
 		t.Fatalf("Decode with specials = %q", got)
