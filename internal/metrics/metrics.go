@@ -80,9 +80,6 @@ func (h *Histogram) Mean() time.Duration {
 	return h.sum / time.Duration(h.count)
 }
 
-// Min and Max report observation extremes.
-func (h *Histogram) Min() time.Duration { h.mu.Lock(); defer h.mu.Unlock(); return h.min }
-
 // Max reports the largest observation.
 func (h *Histogram) Max() time.Duration { h.mu.Lock(); defer h.mu.Unlock(); return h.max }
 

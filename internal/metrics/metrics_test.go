@@ -24,8 +24,8 @@ func TestHistogramBasics(t *testing.T) {
 	if h.Mean() != 20*time.Millisecond {
 		t.Fatalf("mean = %v", h.Mean())
 	}
-	if h.Min() != 10*time.Millisecond || h.Max() != 30*time.Millisecond {
-		t.Fatalf("min/max = %v/%v", h.Min(), h.Max())
+	if h.min != 10*time.Millisecond || h.Max() != 30*time.Millisecond {
+		t.Fatalf("min/max = %v/%v", h.min, h.Max())
 	}
 }
 
@@ -71,7 +71,7 @@ func TestHistogramQuantileBoundsProperty(t *testing.T) {
 			h.Add(time.Duration(s%10_000_000) * time.Microsecond)
 		}
 		v := h.Quantile(q)
-		return v >= h.Min() && v <= h.Max()
+		return v >= h.min && v <= h.Max()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -81,7 +81,7 @@ func TestHistogramQuantileBoundsProperty(t *testing.T) {
 func TestHistogramNegativeClamped(t *testing.T) {
 	h := NewHistogram()
 	h.Add(-5 * time.Second)
-	if h.Min() != 0 || h.Max() != 0 {
+	if h.min != 0 || h.Max() != 0 {
 		t.Fatal("negative duration not clamped to 0")
 	}
 }
