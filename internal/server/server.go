@@ -68,14 +68,9 @@ type Server struct {
 	jobs *jobRegistry
 }
 
-// New wraps a kernel with default options. The kernel's clock must be
-// realtime-paced (simclock.NewRealtime) for HTTP callers to observe
-// meaningful timing.
-func New(clk *simclock.Clock, k *core.Kernel) *Server {
-	return NewWith(clk, k, Options{})
-}
-
-// NewWith wraps a kernel with explicit options.
+// NewWith wraps a kernel; the zero Options select the defaults. The
+// kernel's clock must be realtime-paced (simclock.NewRealtime) for HTTP
+// callers to observe meaningful timing.
 func NewWith(clk *simclock.Clock, k *core.Kernel, o Options) *Server {
 	s := &Server{
 		clk:  clk,

@@ -29,7 +29,7 @@ func newServer(t *testing.T) (*Server, *simclock.Clock) {
 		Latency: 10 * time.Millisecond,
 		Fn:      func(args string) (string, error) { return "echo:" + args, nil },
 	})
-	return New(clk, k), clk
+	return NewWith(clk, k, Options{}), clk
 }
 
 func post(t *testing.T, ts *httptest.Server, path, body string) (*http.Response, programResponse) {

@@ -40,7 +40,7 @@ func goldenServer(tb testing.TB, cfg core.Config) *Server {
 	tb.Helper()
 	clk := simclock.New()
 	tb.Cleanup(clk.Shutdown)
-	srv := New(clk, core.New(clk, cfg))
+	srv := NewWith(clk, core.New(clk, cfg), Options{})
 	body := `{"prompt":"` + strings.Repeat("the same long shared preamble ", 8) + `","max_tokens":8}`
 	for i := 0; i < 3; i++ {
 		rec := httptest.NewRecorder()
