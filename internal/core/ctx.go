@@ -346,9 +346,7 @@ func (c *Ctx) pred(modelName string, f *kvfs.File, toks []token.ID, positions []
 	if err := c.p.chargeTokens(len(toks)); err != nil {
 		return nil, err
 	}
-	if err := k.chargeUser(c.p.user, len(toks)); err != nil {
-		return nil, err
-	}
+	k.chargeUser(c.p.user, len(toks))
 
 	// A full GPU tier is met in three places, all after this Touch, so a
 	// call that is making room is never itself the coldest candidate:

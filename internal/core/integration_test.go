@@ -316,42 +316,6 @@ func TestTracerRecordsKernelSpans(t *testing.T) {
 	}
 }
 
-// TestUserQuotaSpansProcesses checks multi-tenant accounting: a user's
-// quota is aggregate across their processes and does not affect others.
-func TestUserQuotaSpansProcesses(t *testing.T) {
-	clk := simclock.New()
-	k := New(clk, Config{
-		Models:     map[string]*model.Model{"llama-13b": model.New(model.Llama13B())},
-		UserQuotas: map[string]int64{"bob": 10},
-	})
-	job := func(ctx *Ctx) error {
-		f, err := ctx.KvAnon()
-		if err != nil {
-			return err
-		}
-		defer f.Remove()
-		_, err = prefill(ctx, f, "a b c") // 5 tokens (3 words, 2 spaces)
-		return err
-	}
-	drive(t, clk, func() {
-		if err := k.Submit("bob", job).Wait(); err != nil {
-			t.Errorf("first job within quota failed: %v", err)
-		}
-		if err := k.Submit("bob", job).Wait(); err != nil {
-			t.Errorf("second job exactly reaches the quota: %v", err)
-		}
-		if err := k.Submit("bob", job).Wait(); !errors.Is(err, ErrBudget) {
-			t.Errorf("third job should exceed bob's quota: %v", err)
-		}
-		if err := k.Submit("alice", job).Wait(); err != nil {
-			t.Errorf("alice is unlimited: %v", err)
-		}
-	})
-	if u := k.UserUsage("bob"); u != 10 {
-		t.Fatalf("bob usage = %d, want 10", u)
-	}
-}
-
 // TestSchedulerBatchesAcrossProcesses asserts the two-level scheduling
 // payoff: pred calls from distinct processes share GPU steps.
 func TestSchedulerBatchesAcrossProcesses(t *testing.T) {

@@ -51,10 +51,6 @@ var (
 	ErrNoProcess = errors.New("core: no such process")
 	ErrBudget    = errors.New("core: token budget exhausted")
 	ErrCancelled = errors.New("core: process cancelled")
-	// ErrQuota is the multi-tenant variant of ErrBudget: the user's
-	// aggregate cross-process quota is exhausted. It wraps ErrBudget so
-	// errors.Is(err, ErrBudget) still matches.
-	ErrQuota = fmt.Errorf("%w (user quota)", ErrBudget)
 )
 
 // offloadThreshold is the minimum tool latency for which the kernel
@@ -130,10 +126,6 @@ type Config struct {
 	// migration span on the virtual timeline (§6's evaluation-space
 	// instrumentation). Nil disables tracing at zero cost.
 	Tracer *trace.Tracer
-	// UserQuotas caps the total pred tokens each named user may consume
-	// across all of their processes (multi-tenant resource accounting,
-	// §6). Users absent from the map are unlimited.
-	UserQuotas map[string]int64
 	// CrashCheck, when non-nil, lets a fault injector crash-restart GPU
 	// replicas at iteration boundaries (see sched.Config.CrashCheck and
 	// internal/chaos). The kernel hooks the crash to also invalidate the
@@ -205,7 +197,6 @@ type Kernel struct {
 	tools     map[string]Tool
 	procs     map[int]*Process
 	nextPID   int
-	quotas    map[string]int64
 	userUsage map[string]int64
 
 	spaceMu sync.Mutex
@@ -295,7 +286,6 @@ func New(clk *simclock.Clock, cfg Config) *Kernel {
 		tracer:    cfg.Tracer,
 		tools:     make(map[string]Tool),
 		procs:     make(map[int]*Process),
-		quotas:    cfg.UserQuotas,
 		userUsage: make(map[string]int64),
 	}
 	// What the crash hook reads — directory, migrator, prefix cache — is
@@ -346,17 +336,11 @@ func (k *Kernel) spaceEvent() *simclock.Event {
 	return k.spaceEv
 }
 
-// chargeUser enforces the user's aggregate token quota.
-func (k *Kernel) chargeUser(user string, n int) error {
+// chargeUser adds n pred tokens to the user's usage across processes.
+func (k *Kernel) chargeUser(user string, n int) {
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	if q, ok := k.quotas[user]; ok {
-		if k.userUsage[user]+int64(n) > q {
-			return fmt.Errorf("%w: user %s over quota %d", ErrQuota, user, q)
-		}
-	}
 	k.userUsage[user] += int64(n)
-	return nil
 }
 
 // UserUsage reports the total pred tokens charged to user so far.

@@ -664,8 +664,8 @@ func TestGenerateDecodeStreamSurvivesCrash(t *testing.T) {
 }
 
 // TestGenerateDecodeErrorKeepsStreamed runs a sampled generation, whose
-// constraint completes after 100 tokens, into a user quota that refuses
-// its second decode chunk. By then the first chunk's retirements have
+// constraint completes after 100 tokens, in a process whose token budget
+// refuses its second decode chunk. By then the first chunk's retirements have
 // streamed one token more than it committed; the result holds exactly
 // those, as the per-token loop's holds every token it streamed, and like
 // the loop's it does not report the constraint done.
@@ -674,9 +674,7 @@ func TestGenerateDecodeErrorKeepsStreamed(t *testing.T) {
 	var res GenResult
 	var streamed []token.ID
 	var err error
-	harnessWith(t, func(c *core.Config) {
-		c.UserQuotas = map[string]int64{"u": int64(len(prompt)) + decodeChunk + 2}
-	}, func(ctx *core.Ctx) error {
+	gen := func(ctx *core.Ctx) error {
 		kv, _ := ctx.KvAnon()
 		s := NewSession(ctx, kv)
 		if _, perr := s.PrefillTokens(prompt); perr != nil {
@@ -690,9 +688,13 @@ func TestGenerateDecodeErrorKeepsStreamed(t *testing.T) {
 			Stream:     func(tok token.ID) { streamed = append(streamed, tok) },
 		})
 		return nil
+	}
+	harness(t, func(ctx *core.Ctx) error {
+		budget := core.SubmitOptions{Budget: int64(len(prompt)) + decodeChunk + 2}
+		return ctx.Kernel().SubmitWith("u", gen, budget).Wait()
 	})
-	if !errors.Is(err, core.ErrQuota) {
-		t.Fatalf("err = %v, want the quota to refuse the second chunk", err)
+	if !errors.Is(err, core.ErrBudget) {
+		t.Fatalf("err = %v, want the budget to refuse the second chunk", err)
 	}
 	if len(streamed) != decodeChunk+1 || !reflect.DeepEqual(streamed, res.Tokens) {
 		t.Fatalf("streamed %d tokens, result holds %d; want %d of the same", len(streamed), len(res.Tokens), decodeChunk+1)

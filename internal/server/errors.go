@@ -23,7 +23,7 @@ const (
 	CodeMethodNotAllowed = "method_not_allowed" // wrong HTTP method (405)
 	CodePayloadTooLarge  = "payload_too_large"  // body over the byte cap (413)
 	CodeBudget           = "budget_exhausted"   // per-process token budget (422)
-	CodeQuota            = "quota_exhausted"    // per-tenant token or job quota (429)
+	CodeQuota            = "quota_exhausted"    // per-tenant live-job quota (429)
 	CodeCancelled        = "cancelled"          // process cancelled mid-flight (499)
 	CodeProgramFailed    = "program_failed"     // program ran and returned an error (422)
 	CodeInternal         = "internal_error"     // kernel shutdown or unclassified (500)
@@ -44,7 +44,7 @@ func errorCode(err error) (code string, status int) {
 	// (422), not a missing API resource.
 	case errors.Is(err, errJobNotFound):
 		return CodeNotFound, http.StatusNotFound
-	case errors.Is(err, errJobQuota), errors.Is(err, core.ErrQuota):
+	case errors.Is(err, errJobQuota):
 		return CodeQuota, http.StatusTooManyRequests
 	case errors.Is(err, core.ErrCancelled):
 		return CodeCancelled, statusClientClosed
