@@ -359,12 +359,6 @@ func (k *Kernel) FS() *kvfs.FS { return k.fs }
 // Scheduler returns the batch inference scheduler, for observability.
 func (k *Kernel) Scheduler() *sched.Scheduler { return k.sch }
 
-// KVD returns the KV memory daemon.
-func (k *Kernel) KVD() *kvd.Daemon { return k.kvd }
-
-// DiskTier returns the durable disk KV tier, or nil when disabled.
-func (k *Kernel) DiskTier() *kvfs.DiskTier { return k.disk }
-
 // RecoverKV loads the newest durable snapshot generation from the disk
 // tier and re-imports its named prefixes as disk-resident KV files: a
 // warm restart. Each file is invisible to the GPU until a program opens

@@ -166,7 +166,7 @@ func TestPreemptedPredResumeBillsPromotion(t *testing.T) {
 	// evict demotes the coldest unpinned file — the one under test — as far
 	// as the kernel's tiers go.
 	evict := func(k *Kernel, f *kvfs.File) {
-		if k.KVD().Reclaim(1) != n || f.GPUResident() {
+		if k.kvd.Reclaim(1) != n || f.GPUResident() {
 			t.Errorf("reclaim did not take the file under test")
 		}
 	}
@@ -357,7 +357,7 @@ func TestPreemptedPredResumesResidentOnFullTier(t *testing.T) {
 			for !filled && !batch.Done() {
 				if batchFile != nil && batchFile.Len() == n && batchFile.Pins() == 0 {
 					filled = true
-					if k.KVD().Reclaim(1) != n || batchFile.GPUResident() {
+					if k.kvd.Reclaim(1) != n || batchFile.GPUResident() {
 						t.Errorf("reclaim did not take the batch file")
 					}
 					cold, err := ctx.KvAnon()
