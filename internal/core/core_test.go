@@ -744,8 +744,8 @@ func TestKvSyscallSurface(t *testing.T) {
 		if err := p.Wait(); err != nil {
 			t.Error(err)
 		}
-		if p.User() != "carol" {
-			t.Errorf("process user = %q", p.User())
+		if p.user != "carol" {
+			t.Errorf("process user = %q", p.user)
 		}
 		if p.PredTokens() == 0 {
 			t.Error("no pred tokens accounted")

@@ -236,7 +236,7 @@ func TestMultiTenantMixedWorkload(t *testing.T) {
 		for _, p := range procs {
 			if err := p.Wait(); err != nil {
 				failures++
-				t.Errorf("pid %d (%s): %v", p.PID(), p.User(), err)
+				t.Errorf("pid %d (%s): %v", p.PID(), p.user, err)
 			}
 		}
 	})

@@ -24,8 +24,8 @@ func TestPredCarriesProcessPriority(t *testing.T) {
 			if err := p.Wait(); err != nil {
 				t.Errorf("%v process: %v", prio, err)
 			}
-			if p.Priority() != prio {
-				t.Errorf("Priority() = %v, want %v", p.Priority(), prio)
+			if p.prio != prio {
+				t.Errorf("Priority() = %v, want %v", p.prio, prio)
 			}
 		}
 	})

@@ -204,12 +204,6 @@ func (p *Process) EndedAt() (time.Duration, bool) {
 // PID returns the process ID.
 func (p *Process) PID() int { return p.pid }
 
-// Priority returns the scheduling lane the process's pred calls run in.
-func (p *Process) Priority() sched.Priority { return p.prio }
-
-// User returns the submitting user.
-func (p *Process) User() string { return p.user }
-
 // Wait parks the calling actor until the process exits and returns its
 // error, if any.
 func (p *Process) Wait() error {
