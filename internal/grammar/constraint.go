@@ -48,15 +48,6 @@ func JSONLexicon(v *token.Vocab, extra ...string) *Lexicon {
 	return NewLexicon(v, words)
 }
 
-// String returns the surface string of a lexicon token.
-func (l *Lexicon) String(id token.ID) (string, bool) {
-	s, ok := l.strs[id]
-	return s, ok
-}
-
-// Size reports the number of lexicon entries.
-func (l *Lexicon) Size() int { return len(l.ids) }
-
 // RegexConstraint forces generated text to match a regular expression. It
 // implements lip.Constraint.
 type RegexConstraint struct {

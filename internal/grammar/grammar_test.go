@@ -332,13 +332,13 @@ func TestJSONConstraintAllowedNeverEmpty(t *testing.T) {
 func TestLexiconDedup(t *testing.T) {
 	v := token.NewVocab()
 	lex := NewLexicon(v, []string{"a", "b", "a", ""})
-	if lex.Size() != 2 {
-		t.Fatalf("size = %d", lex.Size())
+	if len(lex.ids) != 2 || len(lex.strs) != 2 {
+		t.Fatalf("size = %d ids, %d strings", len(lex.ids), len(lex.strs))
 	}
-	if s, ok := lex.String(v.Intern("a")); !ok || s != "a" {
+	if s, ok := lex.strs[v.Intern("a")]; !ok || s != "a" {
 		t.Fatal("lookup failed")
 	}
-	if _, ok := lex.String(12345); ok {
+	if _, ok := lex.strs[12345]; ok {
 		t.Fatal("phantom lexicon entry")
 	}
 }
