@@ -93,6 +93,3 @@ func (c *RegexConstraint) Accept(tok token.ID) error {
 
 // Done reports whether the text so far is a complete match.
 func (c *RegexConstraint) Done() bool { return c.dfa.Accepting(c.state) }
-
-// Reset rewinds to the start state.
-func (c *RegexConstraint) Reset() { c.state = c.dfa.Start() }

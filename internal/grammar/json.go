@@ -379,6 +379,3 @@ func (c *JSONConstraint) Accept(tok token.ID) error {
 
 // Done reports whether the output is a complete JSON document.
 func (c *JSONConstraint) Done() bool { return c.m.Complete() }
-
-// Reset rewinds to an empty document.
-func (c *JSONConstraint) Reset() { c.m = NewJSONMachine() }
