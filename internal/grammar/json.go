@@ -338,9 +338,6 @@ func (m *JSONMachine) Complete() bool {
 	return m.mode == jmAfterValue || (m.mode == jmNumber && m.numComplete())
 }
 
-// Failed reports whether the machine is dead.
-func (m *JSONMachine) Failed() bool { return m.mode == jmFail }
-
 // JSONConstraint forces generated text to be valid JSON, choosing from a
 // lexicon. It implements lip.Constraint.
 type JSONConstraint struct {

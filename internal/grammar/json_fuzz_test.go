@@ -96,13 +96,13 @@ func FuzzJSONMachine(f *testing.F) {
 		if complete && !accepted {
 			t.Fatalf("machine complete but dead on %q", s)
 		}
-		if accepted && m.Failed() {
+		if accepted && m.mode == jmFail {
 			t.Fatalf("machine accepted all bytes of %q yet reports failure", s)
 		}
 		// Dead machines must stay dead, and completeness must not
 		// change after failure.
 		if !accepted {
-			if m.Step('1') || !m.Failed() || m.Complete() {
+			if m.Step('1') || m.mode != jmFail || m.Complete() {
 				t.Fatalf("dead machine revived on %q", s)
 			}
 		}
