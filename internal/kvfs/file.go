@@ -142,17 +142,6 @@ func (f *File) Entries() []Entry {
 	return out
 }
 
-// Tokens returns a copy of the token IDs in order.
-func (f *File) Tokens() []token.ID {
-	f.fs.mu.Lock()
-	defer f.fs.mu.Unlock()
-	out := make([]token.ID, 0, f.length)
-	for i := 0; i < f.length; i++ {
-		out = append(out, f.entryAtLocked(i).Tok)
-	}
-	return out
-}
-
 // Append extends the file with tokens at the given absolute positions,
 // computing each token's KV identity from the rolling context. It returns
 // the context hash *after* each appended token — the hashes pred feeds to

@@ -116,8 +116,8 @@ func TestForkSharesPagesAndIsolates(t *testing.T) {
 	mustAppend(t, child, 4, 8)
 	parentTail := parent.Tail()
 	mustAppend(t, parent, 4, 8)
-	toksC := child.Tokens()
-	toksP := parent.Tokens()
+	toksC := child.Entries()
+	toksP := parent.Entries()
 	if len(toksC) != 12 || len(toksP) != 12 {
 		t.Fatalf("lens %d %d", len(toksC), len(toksP))
 	}
@@ -133,7 +133,7 @@ func TestForkSharesPagesAndIsolates(t *testing.T) {
 	if got := child.Len(); got != 12 {
 		t.Fatalf("child len after parent removal = %d", got)
 	}
-	if child.Tokens()[0] != 100 {
+	if child.Entries()[0].Tok != 100 {
 		t.Fatal("child content corrupted by parent removal")
 	}
 }
@@ -154,8 +154,8 @@ func TestForkCOWOnPartialPage(t *testing.T) {
 	if parent.Len() != 6 {
 		t.Fatalf("parent len = %d", parent.Len())
 	}
-	ptoks := parent.Tokens()
-	if ptoks[5] != 105 {
+	ptoks := parent.Entries()
+	if ptoks[5].Tok != 105 {
 		t.Fatalf("parent content changed: %v", ptoks)
 	}
 	// Parent appending now is on its own (exclusively owned) page copy.
@@ -235,7 +235,7 @@ func TestTruncatePreservesSharedSibling(t *testing.T) {
 	if child.Len() != 8 {
 		t.Fatal("truncating parent shrank child")
 	}
-	if child.Tokens()[7] != 107 {
+	if child.Entries()[7].Tok != 107 {
 		t.Fatal("child content lost")
 	}
 	// Page 1 is still referenced by the child only.
@@ -332,7 +332,7 @@ func TestMergeDeterministicOrderSensitive(t *testing.T) {
 	// Merged file owns fresh pages; removing sources must not disturb it.
 	a.Remove()
 	b.Remove()
-	if ab.Tokens()[0] != 100 {
+	if ab.Entries()[0].Tok != 100 {
 		t.Fatal("merge shares storage with sources")
 	}
 }
