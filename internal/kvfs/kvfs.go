@@ -157,10 +157,6 @@ type Stats struct {
 	PageTokens int   `stats:"-"`
 }
 
-// GPUTokens reports the worst-case token capacity equivalent of used GPU
-// pages.
-func (s Stats) GPUTokens() int { return s.GPUPages * s.PageTokens }
-
 // tierUse is one tier's page accounting: pages in use, capacity, and the
 // high-water mark of pages.
 type tierUse struct{ pages, cap, peak int }
