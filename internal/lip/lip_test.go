@@ -109,9 +109,6 @@ func TestSessionAccessorsAndTextHelpers(t *testing.T) {
 	harness(t, func(ctx *core.Ctx) error {
 		kv, _ := ctx.KvAnon()
 		s := NewSession(ctx, kv)
-		if s.Ctx() != ctx {
-			t.Error("Ctx accessor broken")
-		}
 		if got := s.String(); got == "" || !strings.Contains(got, "default") {
 			t.Errorf("String() = %q", got)
 		}

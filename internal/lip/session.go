@@ -69,9 +69,6 @@ func (s *Session) File() (*kvfs.File, error) {
 	return s.kv, nil
 }
 
-// Ctx returns the session's thread context.
-func (s *Session) Ctx() *core.Ctx { return s.ctx }
-
 // Len returns the context length: the KV file's tokens plus a pending
 // token.
 func (s *Session) Len() int {
