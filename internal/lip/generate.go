@@ -60,9 +60,6 @@ type GenResult struct {
 	ConstraintDone bool
 }
 
-// Text decodes the generated tokens with the session's tokenizer context.
-func (r GenResult) Text(s *Session) string { return s.ctx.Detokenize(r.Tokens) }
-
 // decodeChunk bounds how many tokens one PredDecode call commits: how much
 // KV and budget a run claims ahead of the GPU. Streaming does not wait for
 // a chunk; each token streams at the end of the iteration that made it.

@@ -115,12 +115,8 @@ func TestSessionAccessorsAndTextHelpers(t *testing.T) {
 		if _, err := s.Prefill("short text"); err != nil {
 			return err
 		}
-		res, err := Generate(s, GenOptions{MaxTokens: 3})
-		if err != nil {
+		if _, err := Generate(s, GenOptions{MaxTokens: 3}); err != nil {
 			return err
-		}
-		if res.Text(s) != ctx.Detokenize(res.Tokens) {
-			t.Error("GenResult.Text disagrees with Detokenize")
 		}
 		d, _ := s.Last()
 		if Greedy(d) != d.Greedy() {
