@@ -118,10 +118,6 @@ func TestSessionAccessorsAndTextHelpers(t *testing.T) {
 		if _, err := Generate(s, GenOptions{MaxTokens: 3}); err != nil {
 			return err
 		}
-		d, _ := s.Last()
-		if Greedy(d) != d.Greedy() {
-			t.Error("Greedy helper disagrees")
-		}
 		// ParallelGenerate with all-empty suffixes uses the base dist.
 		branches, err := ParallelGenerate(s, []string{"", ""}, GenOptions{MaxTokens: 2})
 		if err != nil {

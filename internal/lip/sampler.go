@@ -23,9 +23,6 @@ type Sampler struct {
 	draws uint64
 }
 
-// Greedy returns the most probable token of d.
-func Greedy(d model.Dist) token.ID { return d.Greedy() }
-
 // uniform returns the n-th uniform in [0,1) of the sampler's stream, n
 // counting from 1.
 func (s *Sampler) uniform(n uint64) float64 {
