@@ -122,9 +122,6 @@ func NewCorpus(n, tokensPerDoc int) *Corpus {
 // Doc returns document i's text.
 func (c *Corpus) Doc(i int) string { return c.docs[i] }
 
-// Len reports the number of documents.
-func (c *Corpus) Len() int { return len(c.docs) }
-
 // Question synthesizes the i-th user question about a topic. Questions are
 // unique per (topic, i) so prefix caching can never reuse the suffix.
 func Question(topic, i int) string {

@@ -75,8 +75,8 @@ func TestCorpusDeterministicAndSized(t *testing.T) {
 	if a.Doc(0) == a.Doc(1) {
 		t.Fatal("documents identical")
 	}
-	if a.Len() != 5 {
-		t.Fatalf("len = %d", a.Len())
+	if len(a.docs) != 5 {
+		t.Fatalf("len = %d", len(a.docs))
 	}
 }
 
