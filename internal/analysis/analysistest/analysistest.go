@@ -52,6 +52,8 @@ type expectation struct {
 // path, runs exactly one analyzer (allow filtering included), and
 // reports every mismatch between diagnostics and // want annotations as
 // a test error.
+//
+//lint:allow testonly a test harness: the analyzer suite's fixture tests are its callers
 func Run(t *testing.T, dir, pkgPath string, a *analysis.Analyzer) {
 	t.Helper()
 	run(t, a, map[string]string{pkgPath: dir})
@@ -62,6 +64,8 @@ func Run(t *testing.T, dir, pkgPath string, a *analysis.Analyzer) {
 // below root, so fixture packages may import each other. Module-level
 // rules (testonly) see exactly these packages' non-test files, the way
 // the loader gives them the real module's: _test.go files are skipped.
+//
+//lint:allow testonly a test harness: the analyzer suite's fixture tests are its callers
 func RunModule(t *testing.T, root string, a *analysis.Analyzer) {
 	t.Helper()
 	dirs := map[string]string{}

@@ -351,9 +351,13 @@ func (k *Kernel) UserUsage(user string) int64 {
 }
 
 // Clock returns the kernel's clock.
+//
+//lint:allow testonly library surface: examples/ragcache_test.go drives the kernel's clock
 func (k *Kernel) Clock() *simclock.Clock { return k.clk }
 
 // FS returns the KV file system (admin-side access; LIPs use Ctx).
+//
+//lint:allow testonly a test oracle: tests inspect KV files from outside any process through it
 func (k *Kernel) FS() *kvfs.FS { return k.fs }
 
 // Scheduler returns the batch inference scheduler, for observability.
@@ -512,4 +516,6 @@ func (k *Kernel) Stats() Stats {
 // Tokenizer returns the kernel's tokenizer. Token IDs are universal across
 // the kernel's programs; experiments that compare several serving systems
 // on one trace pass the same Tokenizer to all of them via Config.
+//
+//lint:allow testonly library surface: examples/ builds constraint lexicons from the kernel's tokenizer
 func (k *Kernel) Tokenizer() *token.Tokenizer { return k.tok }

@@ -36,6 +36,8 @@ func NewLexicon(v *token.Vocab, words []string) *Lexicon {
 
 // JSONLexicon returns a lexicon with the structural tokens, digits, and
 // letters JSON output needs, plus the given extra words (e.g. field names).
+//
+//lint:allow testonly library surface: examples/constrained_test.go shows JSON-constrained generation
 func JSONLexicon(v *token.Vocab, extra ...string) *Lexicon {
 	words := []string{
 		"{", "}", "[", "]", ":", ",", "\"", " ",

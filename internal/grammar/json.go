@@ -346,6 +346,8 @@ type JSONConstraint struct {
 }
 
 // NewJSONConstraint returns a constraint over the lexicon.
+//
+//lint:allow testonly library surface: examples/constrained_test.go shows JSON-constrained generation
 func NewJSONConstraint(lex *Lexicon) *JSONConstraint {
 	return &JSONConstraint{m: NewJSONMachine(), lex: lex}
 }

@@ -42,6 +42,8 @@ type GenOptions struct {
 	// Example_streaming pays for it through SuppressEOS. It must be a
 	// function of its arguments alone: a speculating kernel applies it to
 	// the draft model's distributions too.
+	//
+	//lint:allow testonly library surface: examples/streaming_test.go rewrites the stream with it
 	Transform func(d model.Dist, prev token.ID) model.Dist
 	// Stream receives each token the moment it exists: the first on the
 	// calling thread before any pred is submitted, every later one on the

@@ -23,6 +23,8 @@ type Branch struct {
 // Concurrent branches issue concurrent pred calls, which the batch
 // inference scheduler coalesces into shared GPU steps — the efficiency
 // the paper's two-level scheduling is designed around.
+//
+//lint:allow testonly library surface: a §4 extension examples/got_test.go shows
 func ParallelGenerate(base *Session, suffixes []string, opts GenOptions) ([]Branch, error) {
 	if err := base.commit(); err != nil {
 		return nil, err

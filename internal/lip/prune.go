@@ -50,6 +50,8 @@ func PruneContext(s *Session, keepHead, keepTail int) error {
 // (approximate) context — what a real pruning system computes too — and
 // the walk goes on from there. A window's room counts the positions the
 // run commits, a carried pending token among them.
+//
+//lint:allow testonly library surface: a §4 extension examples/streaming_test.go shows
 func StreamingGenerate(s *Session, opts GenOptions, window, keepHead int) (GenResult, error) {
 	if window <= keepHead+2 {
 		return GenResult{}, fmt.Errorf("lip: window must exceed keepHead+2")

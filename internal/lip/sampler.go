@@ -90,6 +90,8 @@ func (s *Sampler) sampleAt(d model.Dist, n uint64) (token.ID, bool) {
 // token from the distribution — the one-line "policy" a program installs
 // when it wants unbounded generation (e.g. streaming with context
 // pruning). Distributions without EOS pass through unchanged.
+//
+//lint:allow testonly library surface: examples/streaming_test.go shows it
 func SuppressEOS(d model.Dist, _ token.ID) model.Dist {
 	cands := d.Candidates()
 	hasEOS := false

@@ -85,6 +85,8 @@ func (s *Session) Pending() (token.ID, bool) { return s.pending, s.held }
 // Last returns the pending next-token distribution. The boolean reports
 // whether one exists; none does while a token is pending, since no pred
 // has read past it yet.
+//
+//lint:allow testonly a test oracle: GenerateEqualsLoop and the rollback and prune tests read the pending distribution through it
 func (s *Session) Last() (model.Dist, bool) { return s.last, s.ready && !s.held }
 
 // Primed reports whether Generate can start: from the pending
