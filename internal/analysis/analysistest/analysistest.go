@@ -3,8 +3,8 @@
 // annotations, mirroring golang.org/x/tools/go/analysis/analysistest
 // (which the offline toolchain cannot vendor; see internal/analysis).
 //
-// A fixture is a directory of Go files forming one package (Run), or a
-// tree of such directories forming a pretend module (RunModule). A line that
+// A fixture is a directory of Go files forming one package, beside the
+// fixture packages in its subdirectories. A line that
 // must be reported carries a trailing comment
 //
 //	// want "regexp"
@@ -49,49 +49,35 @@ type expectation struct {
 }
 
 // Run loads the fixture directory as one package under the given import
-// path, runs exactly one analyzer (allow filtering included), and
-// reports every mismatch between diagnostics and // want annotations as
-// a test error.
+// path, then each directory below it that holds Go files, in lexical
+// order, as a package at "repro/" plus its path below dir; such a package
+// may import the fixture and the packages loaded before it. It skips
+// _test.go files, as the loader does, runs exactly one analyzer (allow
+// filtering included) over them all, and reports every mismatch between
+// diagnostics and // want annotations as a test error.
 //
 //lint:allow testonly a test harness: the analyzer suite's fixture tests are its callers
 func Run(t *testing.T, dir, pkgPath string, a *analysis.Analyzer) {
 	t.Helper()
-	run(t, a, map[string]string{pkgPath: dir})
-}
-
-// RunModule loads every directory under root that holds Go files as one
-// package of a pretend module, at import path "repro/" plus its path
-// below root, so fixture packages may import each other. Module-level
-// rules (testonly) see exactly these packages' non-test files, the way
-// the loader gives them the real module's: _test.go files are skipped.
-//
-//lint:allow testonly a test harness: the analyzer suite's fixture tests are its callers
-func RunModule(t *testing.T, root string, a *analysis.Analyzer) {
-	t.Helper()
-	dirs := map[string]string{}
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") {
+	fixtures := []fixture{{pkgPath, dir}}
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() || path == dir {
 			return err
 		}
-		rel, err := filepath.Rel(root, filepath.Dir(path))
-		dirs["repro/"+filepath.ToSlash(rel)] = filepath.Dir(path)
+		rel, err := filepath.Rel(dir, path)
+		fixtures = append(fixtures, fixture{"repro/" + filepath.ToSlash(rel), path})
 		return err
 	})
 	if err != nil {
-		t.Fatalf("walking fixture %s: %v", root, err)
+		t.Fatalf("walking fixture %s: %v", dir, err)
 	}
-	run(t, a, dirs)
-}
-
-func run(t *testing.T, a *analysis.Analyzer, dirs map[string]string) {
-	t.Helper()
-	pkgs, err := loadFixtures(dirs)
+	pkgs, err := loadFixtures(fixtures)
 	if err != nil {
-		t.Fatalf("loading fixtures %v: %v", dirs, err)
+		t.Fatalf("loading fixture %s: %v", dir, err)
 	}
 	diags, err := analysis.RunAnalyzers(pkgs, []*analysis.Analyzer{a})
 	if err != nil {
-		t.Fatalf("running %s on %v: %v", a.Name, dirs, err)
+		t.Fatalf("running %s on %s: %v", a.Name, dir, err)
 	}
 	var wants []*expectation
 	for _, pkg := range pkgs {
@@ -155,25 +141,22 @@ func collectWants(t *testing.T, pkg *analysis.Package) []*expectation {
 	return wants
 }
 
-// loadFixtures parses the non-test files of each directory in dirs
-// (import path -> directory) and type-checks them as packages, each after
-// the fixture packages it imports. Standard-library imports are resolved
-// from the build cache's export data via analysis.ExportImporter.
-func loadFixtures(dirs map[string]string) ([]*analysis.Package, error) {
-	paths := make([]string, 0, len(dirs))
-	for p := range dirs {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
+// fixture is one fixture package: its import path and directory.
+type fixture struct{ path, dir string }
+
+// loadFixtures parses each fixture's non-test files and type-checks the
+// packages in order. Standard-library imports are resolved from the build
+// cache's export data via analysis.ExportImporter.
+func loadFixtures(fixtures []fixture) ([]*analysis.Package, error) {
 	fset := token.NewFileSet()
-	files := map[string][]*ast.File{}
-	imports := map[string]bool{}
-	for _, path := range paths {
-		names, err := filepath.Glob(filepath.Join(dirs[path], "*.go"))
+	files := make([][]*ast.File, len(fixtures))
+	local, imports := map[string]bool{}, map[string]bool{}
+	for i, fx := range fixtures {
+		local[fx.path] = true
+		names, err := filepath.Glob(filepath.Join(fx.dir, "*.go"))
 		if err != nil {
 			return nil, err
 		}
-		sort.Strings(names)
 		for _, name := range names {
 			if strings.HasSuffix(name, "_test.go") {
 				continue
@@ -182,18 +165,17 @@ func loadFixtures(dirs map[string]string) ([]*analysis.Package, error) {
 			if err != nil {
 				return nil, err
 			}
-			files[path] = append(files[path], f)
+			files[i] = append(files[i], f)
 			for _, spec := range f.Imports {
-				p, _ := strconv.Unquote(spec.Path.Value)
-				if p != "" && dirs[p] == "" {
-					imports[p] = true
-				}
+				imports[strings.Trim(spec.Path.Value, `"`)] = true
 			}
 		}
 	}
-	patterns := make([]string, 0, len(imports))
+	var patterns []string
 	for p := range imports {
-		patterns = append(patterns, p)
+		if !local[p] {
+			patterns = append(patterns, p)
+		}
 	}
 	sort.Strings(patterns)
 	moduleDir, err := os.Getwd()
@@ -204,56 +186,30 @@ func loadFixtures(dirs map[string]string) ([]*analysis.Package, error) {
 	if err != nil {
 		return nil, err
 	}
-	imp := &fixtureImporter{std: std, checked: map[string]*types.Package{}}
-	var pkgs []*analysis.Package
-	var check func(path string) error
-	check = func(path string) error {
-		if imp.checked[path] != nil {
-			return nil
+	checked := map[string]*types.Package{}
+	conf := types.Config{Importer: importerFunc(func(path string) (*types.Package, error) {
+		if p := checked[path]; p != nil {
+			return p, nil
 		}
-		for _, f := range files[path] {
-			for _, spec := range f.Imports {
-				if p, _ := strconv.Unquote(spec.Path.Value); dirs[p] != "" {
-					if err := check(p); err != nil {
-						return err
-					}
-				}
-			}
+		return std.Import(path)
+	})}
+	var pkgs []*analysis.Package
+	for i, fx := range fixtures {
+		if len(files[i]) == 0 {
+			continue
 		}
 		info := analysis.NewTypesInfo()
-		conf := types.Config{Importer: imp}
-		tpkg, err := conf.Check(path, fset, files[path], info)
+		tpkg, err := conf.Check(fx.path, fset, files[i], info)
 		if err != nil {
-			return err
-		}
-		imp.checked[path] = tpkg
-		pkgs = append(pkgs, &analysis.Package{
-			Fset:  fset,
-			Path:  path,
-			Files: files[path],
-			Types: tpkg,
-			Info:  info,
-		})
-		return nil
-	}
-	for _, p := range paths {
-		if err := check(p); err != nil {
 			return nil, err
 		}
+		checked[fx.path] = tpkg
+		pkgs = append(pkgs, &analysis.Package{Fset: fset, Path: fx.path, Files: files[i], Types: tpkg, Info: info})
 	}
 	return pkgs, nil
 }
 
-// fixtureImporter resolves fixture packages by identity and everything
-// else from export data.
-type fixtureImporter struct {
-	std     types.Importer
-	checked map[string]*types.Package
-}
+// importerFunc adapts a function to types.Importer.
+type importerFunc func(path string) (*types.Package, error)
 
-func (f *fixtureImporter) Import(path string) (*types.Package, error) {
-	if p, ok := f.checked[path]; ok {
-		return p, nil
-	}
-	return f.std.Import(path)
-}
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }

@@ -48,7 +48,7 @@ func TestErrorTaxonomyScopesToServer(t *testing.T) {
 }
 
 func TestTestOnly(t *testing.T) {
-	// A pretend module: bench (outside internal/, like benchmark/) is the
-	// only non-test user of internal/lib; lib_test.go is never loaded.
-	analysistest.RunModule(t, "testdata/testonly", analysis.TestOnly)
+	// bench, outside internal/ like benchmark/, is the only non-test user
+	// of internal/lib; lib_test.go is never loaded.
+	analysistest.Run(t, "testdata/testonly", "repro/internal/lib", analysis.TestOnly)
 }

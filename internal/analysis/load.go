@@ -77,15 +77,18 @@ func goList(dir string, patterns []string) ([]listPkg, error) {
 // The analysistest harness uses it to type-check fixture packages that
 // live outside the module's build graph.
 func ExportImporter(dir string, fset *token.FileSet, patterns []string) (types.Importer, error) {
-	if len(patterns) == 0 {
-		return importer.ForCompiler(fset, "gc", func(string) (io.ReadCloser, error) {
-			return nil, fmt.Errorf("analysis: no packages listed")
-		}), nil
+	var listed []listPkg
+	if len(patterns) > 0 {
+		var err error
+		if listed, err = goList(dir, patterns); err != nil {
+			return nil, err
+		}
 	}
-	listed, err := goList(dir, patterns)
-	if err != nil {
-		return nil, err
-	}
+	return exportImporter(fset, listed), nil
+}
+
+// exportImporter returns the gc importer over listed's export data.
+func exportImporter(fset *token.FileSet, listed []listPkg) types.Importer {
 	exports := make(map[string]string)
 	for _, p := range listed {
 		if p.Export != "" {
@@ -98,22 +101,21 @@ func ExportImporter(dir string, fset *token.FileSet, patterns []string) (types.I
 			return nil, fmt.Errorf("analysis: no export data for %q", path)
 		}
 		return os.Open(e)
-	}), nil
+	})
 }
 
-// moduleImporter resolves imports for source-checked module packages:
-// already-checked module packages by identity, everything else through
-// the gc importer over `go list`'s export data.
+// moduleImporter resolves already-checked module packages by identity
+// and everything else from export data.
 type moduleImporter struct {
 	checked map[string]*types.Package
-	gc      types.ImporterFrom
+	gc      types.Importer
 }
 
 func (m *moduleImporter) Import(path string) (*types.Package, error) {
 	if p, ok := m.checked[path]; ok {
 		return p, nil
 	}
-	return m.gc.ImportFrom(path, "", 0)
+	return m.gc.Import(path)
 }
 
 // LoadPackages type-checks every package of the module that contains
@@ -141,24 +143,8 @@ func LoadPackages(dir string, patterns []string) ([]*Package, error) {
 	if err != nil {
 		return nil, err
 	}
-	exports := make(map[string]string)
-	for _, p := range listed {
-		if p.Export != "" {
-			exports[p.ImportPath] = p.Export
-		}
-	}
 	fset := token.NewFileSet()
-	lookup := func(path string) (io.ReadCloser, error) {
-		e, ok := exports[path]
-		if !ok {
-			return nil, fmt.Errorf("analysis: no export data for %q", path)
-		}
-		return os.Open(e)
-	}
-	imp := &moduleImporter{
-		checked: make(map[string]*types.Package),
-		gc:      importer.ForCompiler(fset, "gc", lookup).(types.ImporterFrom),
-	}
+	imp := &moduleImporter{checked: make(map[string]*types.Package), gc: exportImporter(fset, listed)}
 	var out []*Package
 	for _, p := range listed {
 		if p.Standard || len(p.GoFiles) == 0 {
