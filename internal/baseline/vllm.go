@@ -32,7 +32,6 @@ type VLLM struct {
 type cacheNode struct {
 	key      model.CtxHash
 	children map[model.CtxHash]*cacheNode
-	parent   *cacheNode
 	file     *kvfs.File // prefix snapshot; nil for interior/root nodes
 	tokens   int        // prefix length in tokens
 	lastUse  time.Duration
@@ -106,7 +105,6 @@ func (s *VLLM) insert(f *kvfs.File, bounds []model.CtxHash) {
 			child = &cacheNode{
 				key:      h,
 				children: map[model.CtxHash]*cacheNode{},
-				parent:   n,
 				tokens:   (i + 1) * s.blockTk,
 			}
 			n.children[h] = child

@@ -756,7 +756,7 @@ func (c *Ctx) Spawn(fn Program) (*Thread, error) {
 	p.threadSeq++
 	tid := p.threadSeq
 	p.mu.Unlock()
-	t := &Thread{id: tid, done: p.k.clk.NewEvent()}
+	t := &Thread{done: p.k.clk.NewEvent()}
 	p.wg.Add(1)
 	p.k.clk.Go(fmt.Sprintf("lip-%d.%d", p.pid, tid), func() {
 		err := runGuarded(fn, &Ctx{p: p, tid: tid})

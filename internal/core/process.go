@@ -283,7 +283,6 @@ func (p *Process) chargeTokens(n int) error {
 
 // Thread is a LIP thread handle.
 type Thread struct {
-	id   int
 	done *simclock.Event
 	mu   sync.Mutex
 	err  error

@@ -50,8 +50,7 @@ type Clock struct {
 
 	// realtime pacing: virtual time advances no faster than wall time
 	// divided by speedup. speedup <= 0 disables pacing.
-	speedup   float64
-	wallStart time.Time
+	speedup float64
 
 	nextTimerID uint64
 	downCh      chan struct{} // closed by Shutdown; interrupts pacing
@@ -76,7 +75,6 @@ func NewRealtime(speedup float64) *Clock {
 		speedup = 1
 	}
 	c.speedup = speedup
-	c.wallStart = time.Now()
 	return c
 }
 
