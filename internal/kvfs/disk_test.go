@@ -22,6 +22,19 @@ func diskFS(pageTokens, gpuPages, hostPages, diskPages int) (*FS, *DiskTier) {
 	return fs, NewDiskTier(fs, store)
 }
 
+// committed commits dt and returns the entries its store recovers.
+func committed(t *testing.T, dt *DiskTier) []kvstore.SnapshotEntry {
+	t.Helper()
+	if err := dt.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := dt.Store().Recover(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return entries
+}
+
 func TestSpillPromoteRoundTrip(t *testing.T) {
 	fs, dt := diskFS(4, 100, 100, 100)
 	f, err := fs.Create("/kv/prefix", "u", ModeShared)
@@ -116,11 +129,12 @@ func TestPutReplacesAndResizes(t *testing.T) {
 	if st := fs.Stats(); st.DiskPages != 1 {
 		t.Fatalf("disk pages after shrink = %d, want 1", st.DiskPages)
 	}
-	if dt.Store().Len() != 1 {
-		t.Fatalf("store entries = %d, want 1 (replaced by path)", dt.Store().Len())
+	entries := committed(t, dt)
+	if len(entries) != 1 {
+		t.Fatalf("store entries = %d, want 1 (replaced by path)", len(entries))
 	}
-	if dt.Store().Tokens() != 4 {
-		t.Fatalf("store tokens = %d, want 4", dt.Store().Tokens())
+	if n := len(entries[0].Recs); n != 4 {
+		t.Fatalf("store tokens = %d, want 4", n)
 	}
 }
 
@@ -140,7 +154,7 @@ func TestCommitGCsRemovedFiles(t *testing.T) {
 	if st := fs.Stats(); st.DiskPages != 0 {
 		t.Fatalf("disk pages after GC commit = %d, want 0", st.DiskPages)
 	}
-	if dt.Store().Len() != 0 {
+	if entries := committed(t, dt); len(entries) != 0 {
 		t.Fatal("removed file still in store after commit")
 	}
 }

@@ -74,28 +74,6 @@ func (s *Store) Drop(key string) {
 	delete(s.entries, key)
 }
 
-// Len reports the current number of entries.
-//
-//lint:allow testonly the disk tier's tests check the store's contents through it
-func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.entries)
-}
-
-// Tokens reports the total token records across current entries.
-//
-//lint:allow testonly the disk tier's tests check the store's contents through it
-func (s *Store) Tokens() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := 0
-	for _, e := range s.entries {
-		n += len(e.Recs)
-	}
-	return n
-}
-
 // snapshotLocked returns the entries in ascending Seq order — the
 // deterministic iteration every snapshot write uses. Caller holds s.mu.
 func (s *Store) snapshotLocked() []SnapshotEntry {

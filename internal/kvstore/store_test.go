@@ -60,11 +60,11 @@ func TestStorePutReplacesByPath(t *testing.T) {
 	_, s := newTestStore()
 	s.Put(SnapshotEntry{Path: "fam-0", Recs: []Rec{{Tok: 1}}})
 	s.Put(SnapshotEntry{Path: "fam-0", Recs: []Rec{{Tok: 1}, {Tok: 2, Pos: 1}}})
-	if s.Len() != 1 {
-		t.Fatalf("store holds %d entries, want 1 (replace by path)", s.Len())
+	if len(s.entries) != 1 {
+		t.Fatalf("store holds %d entries, want 1 (replace by path)", len(s.entries))
 	}
-	if s.Tokens() != 2 {
-		t.Fatalf("store holds %d tokens, want the replacement's 2", s.Tokens())
+	if n := len(s.entries["fam-0"].Recs); n != 2 {
+		t.Fatalf("store holds %d tokens, want the replacement's 2", n)
 	}
 }
 
@@ -72,8 +72,8 @@ func TestStoreDrop(t *testing.T) {
 	_, s := newTestStore()
 	k := s.Put(SnapshotEntry{Path: "fam-0", Recs: []Rec{{Tok: 1}}})
 	s.Drop(k)
-	if s.Len() != 0 {
-		t.Fatalf("store holds %d entries after drop", s.Len())
+	if len(s.entries) != 0 {
+		t.Fatalf("store holds %d entries after drop", len(s.entries))
 	}
 }
 
@@ -181,7 +181,7 @@ func TestStoreRecoverAllCorrupt(t *testing.T) {
 	if err == nil {
 		t.Fatal("recover of corrupt-only disk reported success")
 	}
-	if len(kept) != 0 || s2.Len() != 0 {
+	if len(kept) != 0 || len(s2.entries) != 0 {
 		t.Fatalf("recover of corrupt-only disk kept %d entries", len(kept))
 	}
 	// The store still works going forward.
