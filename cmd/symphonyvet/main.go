@@ -63,13 +63,7 @@ func main() {
 		fmt.Println(d)
 	}
 	if len(diags) > 0 {
-		analyzed := 0
-		for _, p := range pkgs {
-			if !p.UsesOnly {
-				analyzed++
-			}
-		}
-		fmt.Fprintf(os.Stderr, "symphonyvet: %d finding(s) in %d package(s)\n", len(diags), analyzed)
+		fmt.Fprintf(os.Stderr, "symphonyvet: %d finding(s)\n", len(diags))
 		os.Exit(1)
 	}
 }

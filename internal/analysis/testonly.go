@@ -46,10 +46,7 @@ func runTestOnly(pass *Pass) error {
 		if !ok || tn.IsAlias() {
 			continue
 		}
-		named := tn.Type().(*types.Named)
-		if _, ok := named.Underlying().(*types.Interface); ok {
-			continue
-		}
+		named := tn.Type().(*types.Named) // an interface's methods are on Underlying(), unchecked
 		for i := 0; i < named.NumMethods(); i++ {
 			fn := named.Method(i)
 			if fn.Exported() && !m.used[fn] && !m.satisfies(named, fn.Name()) {
@@ -83,7 +80,7 @@ func runTestOnly(pass *Pass) error {
 // moduleUses is what the loaded packages' non-test code does with
 // declared objects: used holds every object named outside its own
 // declaration, set every struct field assigned, keyed in a composite
-// literal, or taken by address. ifaces indexes every interface the
+// literal, or taken by address (flag.IntVar(&cfg.N, …)). ifaces indexes every interface the
 // module declares, writes or imports by method name.
 type moduleUses struct {
 	used   map[types.Object]bool
@@ -142,10 +139,6 @@ func declared(info *types.Info, n ast.Node) map[types.Object]bool {
 		}
 	case *ast.TypeSpec:
 		self[info.Defs[n.Name]] = true
-	case *ast.ValueSpec:
-		for _, id := range n.Names {
-			self[info.Defs[id]] = true
-		}
 	}
 	return self
 }
@@ -165,8 +158,6 @@ func (m *moduleUses) walk(info *types.Info, n ast.Node, self map[types.Object]bo
 			for _, lhs := range n.Lhs {
 				m.markSet(info, lhs)
 			}
-		case *ast.IncDecStmt:
-			m.markSet(info, n.X)
 		case *ast.UnaryExpr:
 			if n.Op == token.AND {
 				m.markSet(info, n.X)
