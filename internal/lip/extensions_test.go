@@ -93,7 +93,7 @@ func TestPruneContextNoopWhenSmall(t *testing.T) {
 		if s.kv != kv || kv.Len() != n {
 			t.Error("no-op prune replaced the file")
 		}
-		if _, ok := s.Last(); !ok {
+		if !s.ready {
 			t.Error("no-op prune invalidated the pending dist")
 		}
 		return nil

@@ -219,8 +219,7 @@ func (c genCase) run(t *testing.T, gen func(*Session, GenOptions) (GenResult, er
 		out.billed = ctx.Kernel().Stats().PredTokens - before
 		out.kvLen, out.kvTail = s.kv.Len(), s.kv.Tail()
 		out.pending, out.held = s.Pending()
-		d, ready := s.Last()
-		out.last, out.ready = d.Candidates(), ready
+		out.last, out.ready = s.last.Candidates(), s.ready && !s.held
 		return nil
 	})
 	return out, k

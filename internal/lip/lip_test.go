@@ -270,13 +270,13 @@ func TestSessionRollbackInvalidation(t *testing.T) {
 		if err := s.Rollback(n); err != nil {
 			return err
 		}
-		if _, ok := s.Last(); !ok {
+		if !s.ready {
 			t.Error("rollback to current length invalidated dist")
 		}
 		if err := s.Rollback(1); err != nil {
 			return err
 		}
-		if _, ok := s.Last(); ok {
+		if s.ready {
 			t.Error("shortening rollback kept stale dist")
 		}
 		if _, err := Generate(s, GenOptions{MaxTokens: 2}); !errors.Is(err, ErrNoDist) {

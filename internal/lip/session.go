@@ -42,7 +42,7 @@ type Session struct {
 	kv      *kvfs.File
 	model   string
 	last    model.Dist // the distribution after the KV file's tokens
-	ready   bool
+	ready   bool       // last is set; while held, it predates pending
 	pending token.ID
 	held    bool // pending is part of the context
 }
@@ -81,13 +81,6 @@ func (s *Session) Len() int {
 // Pending returns the pending token. The boolean reports whether the
 // session holds one.
 func (s *Session) Pending() (token.ID, bool) { return s.pending, s.held }
-
-// Last returns the pending next-token distribution. The boolean reports
-// whether one exists; none does while a token is pending, since no pred
-// has read past it yet.
-//
-//lint:allow testonly a test oracle: GenerateEqualsLoop and the rollback and prune tests read the pending distribution through it
-func (s *Session) Last() (model.Dist, bool) { return s.last, s.ready && !s.held }
 
 // Primed reports whether Generate can start: from the pending
 // distribution, or past the pending token.
