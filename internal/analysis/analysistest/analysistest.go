@@ -3,9 +3,9 @@
 // annotations, mirroring golang.org/x/tools/go/analysis/analysistest
 // (which the offline toolchain cannot vendor; see internal/analysis).
 //
-// A fixture is a directory of Go files forming one package, beside the
-// fixture packages in its subdirectories. A line that
-// must be reported carries a trailing comment
+// A fixture is a directory of Go files forming one package, beside any
+// fixture packages in its subdirectories. A line that must be reported
+// carries a trailing comment
 //
 //	// want "regexp"
 //

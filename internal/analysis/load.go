@@ -78,13 +78,11 @@ func goList(dir string, patterns []string) ([]listPkg, error) {
 // live outside the module's build graph.
 func ExportImporter(dir string, fset *token.FileSet, patterns []string) (types.Importer, error) {
 	var listed []listPkg
+	var err error
 	if len(patterns) > 0 {
-		var err error
-		if listed, err = goList(dir, patterns); err != nil {
-			return nil, err
-		}
+		listed, err = goList(dir, patterns)
 	}
-	return exportImporter(fset, listed), nil
+	return exportImporter(fset, listed), err
 }
 
 // exportImporter returns the gc importer over listed's export data.

@@ -18,11 +18,12 @@ import (
 //     reservation belongs to the file's store record — not to the
 //     in-memory page structs. A page demoted to the Disk tier and later
 //     promoted back to the GPU keeps its durable copy (and reservation)
-//     behind; only Forget, which drops the record, releases it.
+//     behind; only dropping the record, which Commit does for a removed
+//     file, releases it.
 //   - The Store holds token-level snapshot entries and publishes them as
 //     FMC1 generations on Commit.
 //
-// Methods that only mutate metadata (Put, Spill, Forget, Import) never
+// Methods that only mutate metadata (Put, Spill, Import) never
 // block on the virtual clock and may be called from any goroutine, e.g.
 // under kvd's eviction path. Commit writes a snapshot generation and
 // bills the calling actor virtual disk time, so it must run in a

@@ -440,7 +440,7 @@ func (fs *FS) derefLocked(pg *page) {
 		// Disk-tier footprint is owned by the file's snapshot-store
 		// record (see DiskTier), not by the in-memory page: dropping the
 		// page leaves the durable copy and its reservation behind until
-		// DiskTier.Forget drops the record.
+		// DiskTier.Commit drops the removed file's record.
 		fs.releaseLocked(pg.tier)
 	}
 }
