@@ -151,6 +151,63 @@ func TestRegexConstraintFlow(t *testing.T) {
 	}
 }
 
+// TestChoiceConstraint restricts output to a fixed set of options, the
+// one-of-N answer a program asks for with an alternation over the
+// options' tokens.
+func TestChoiceConstraint(t *testing.T) {
+	v := token.NewVocab()
+	tk := token.NewTokenizer(v)
+	options := []string{"yes", "no", "not sure"}
+	var words []string
+	for _, o := range options {
+		for _, id := range tk.Encode(o) {
+			words = append(words, v.String(id))
+		}
+	}
+	lex := NewLexicon(v, words)
+	choice := func() *RegexConstraint {
+		t.Helper()
+		c, err := NewRegexConstraint("yes|no|not sure", lex)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	if _, err := NewRegexConstraint("yes|no|(", lex); err == nil {
+		t.Fatal("malformed choice set accepted")
+	}
+	c := choice()
+	first := c.Allowed()
+	if len(first) != 3 { // yes, no, not
+		t.Fatalf("initial allowed = %d tokens", len(first))
+	}
+	if err := c.Accept(v.Intern("not")); err != nil {
+		t.Fatal(err)
+	}
+	if c.Done() {
+		t.Fatal("'not' is not a complete option")
+	}
+	if err := c.Accept(v.Intern(" ")); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Accept(v.Intern("sure")); err != nil {
+		t.Fatal(err)
+	}
+	if !c.Done() {
+		t.Fatal("'not sure' should be done")
+	}
+	c = choice()
+	if err := c.Accept(v.Intern("yes")); err != nil {
+		t.Fatal(err)
+	}
+	if !c.Done() {
+		t.Fatal("'yes' should be done")
+	}
+	if err := c.Accept(v.Intern("yes")); err == nil {
+		t.Fatal("walked past a complete option")
+	}
+}
+
 func TestJSONMachineAcceptsValidDocuments(t *testing.T) {
 	docs := []string{
 		`{}`, `[]`, `"hi"`, `42`, `-3.5e+10`, `true`, `false`, `null`,

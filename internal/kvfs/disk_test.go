@@ -2,6 +2,7 @@ package kvfs
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/kvstore"
@@ -135,6 +136,59 @@ func TestPutReplacesAndResizes(t *testing.T) {
 	}
 	if n := len(entries[0].Recs); n != 4 {
 		t.Fatalf("store tokens = %d, want 4", n)
+	}
+}
+
+// failingVFS is a store device on which every snapshot write fails.
+type failingVFS struct{ kvstore.VFS }
+
+func (failingVFS) Create(string) (kvstore.File, error) { return nil, errors.New("device failed") }
+
+// TestForgetReleasesDisk: a commit forgets a removed file's disk record —
+// store entry, disk reservation and pending spill — before it publishes,
+// so a failed publish rolls back only the spills of live files.
+func TestForgetReleasesDisk(t *testing.T) {
+	fs := NewFS(Config{PageTokens: 4, GPUBytes: 400, HostBytes: 400, DiskBytes: 400, BytesPerToken: 1})
+	dt := NewDiskTier(fs, kvstore.NewStore(failingVFS{kvstore.NewSimFS(nil, model.CostModel{})}))
+	var rolled []string
+	dt.SetSpillRollback(func(f *File, tokens int) {
+		rolled = append(rolled, fmt.Sprintf("%s:%d", f.Path(), tokens))
+	})
+	spill := func(path string) *File {
+		f, err := fs.Create(path, "u", ModePrivate)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mustAppend(t, f, 10, 0)
+		if _, err := f.Offload(); err != nil {
+			t.Fatal(err)
+		}
+		if n, err := dt.Spill(f); err != nil || n != 10 {
+			t.Fatalf("spill %s = %d, %v; want 10", path, n, err)
+		}
+		return f
+	}
+	a, b := spill("/kv/a"), spill("/kv/b")
+	if err := a.Remove(); err != nil {
+		t.Fatal(err)
+	}
+	if err := dt.Commit(); err == nil {
+		t.Fatal("commit on a failing device succeeded")
+	}
+	if st := fs.Stats(); st.DiskPages != 3 {
+		t.Fatalf("disk pages after forget = %d, want 3 (b's record only)", st.DiskPages)
+	}
+	if _, ok := dt.recs[a]; ok {
+		t.Fatal("removed file's record survived the commit")
+	}
+	if _, ok := dt.pending[a]; ok {
+		t.Fatal("removed file's spill still pending")
+	}
+	if len(rolled) != 1 || rolled[0] != "/kv/b:10" {
+		t.Fatalf("rolled back %v, want [/kv/b:10]", rolled)
+	}
+	if _, host, disk := b.ResidentTokens(); host != 10 || disk != 0 {
+		t.Fatalf("b after rollback = host %d disk %d, want 10/0", host, disk)
 	}
 }
 

@@ -128,6 +128,32 @@ func TestProbOfTailPositive(t *testing.T) {
 	}
 }
 
+// TestSampleAtCoversCDF checks the candidate CDF a sampler inverts:
+// it starts at the greedy token, never decreases, and reaches 1-TailMass
+// at the least probable candidate, so every u in [0, 1-TailMass) lands on
+// a candidate and only the tail is left to map to the last one.
+func TestSampleAtCoversCDF(t *testing.T) {
+	m := testModel()
+	d := m.Next(99)
+	cands := d.Candidates()
+	if len(cands) == 0 || cands[0].Token != d.Greedy() {
+		t.Fatal("CDF does not start at the greedy token")
+	}
+	var acc float64
+	for i, c := range cands {
+		if c.Prob <= 0 {
+			t.Fatalf("candidate %d has probability %v", i, c.Prob)
+		}
+		if i > 0 && c.Prob > cands[i-1].Prob {
+			t.Fatalf("candidate %d more probable than %d", i, i-1)
+		}
+		acc += c.Prob
+	}
+	if math.Abs(acc-(1-TailMass)) > 1e-9 {
+		t.Fatalf("candidate mass = %v, want %v", acc, 1-TailMass)
+	}
+}
+
 func TestMaskRestrictsAndRenormalizes(t *testing.T) {
 	m := testModel()
 	d := m.Next(1234)
@@ -245,6 +271,28 @@ func TestTransferTime(t *testing.T) {
 	}
 	if c.KVBytes(2) != 2*c.KVBytesPerToken {
 		t.Fatal("KVBytes arithmetic wrong")
+	}
+}
+
+// TestApproxBytesMatchesPaperClaim: the paper puts a distribution over a
+// 100K vocabulary at fp16 at ~200 KB. A Dist carries its model's
+// vocabulary through every rewrite a sampler or a program applies, so
+// vocab x fp16 is the size of what it stands for.
+func TestApproxBytesMatchesPaperClaim(t *testing.T) {
+	cfg := Llama13B()
+	cfg.VocabSize = 100_000
+	m := New(cfg)
+	d := m.Next(1)
+	for name, r := range map[string]Dist{
+		"next":        d,
+		"defer":       m.Defer(1),
+		"mask":        d.Mask([]token.ID{d.Greedy()}),
+		"temperature": d.Temperature(2),
+		"new":         NewDist(d.VocabSize(), d.Candidates()),
+	} {
+		if b := 2 * r.VocabSize(); b != 200_000 {
+			t.Errorf("%s: vocab x fp16 = %d bytes, want 200000", name, b)
+		}
 	}
 }
 

@@ -20,6 +20,27 @@ func TestParetoSkewOrdering(t *testing.T) {
 	}
 }
 
+// TestParetoTopMassBounds checks the CDF Sample inverts: cdf[k-1] is the
+// popularity mass of the k most popular topics, positive from the first
+// topic on, never decreasing, and exactly 1 over all of them.
+func TestParetoTopMassBounds(t *testing.T) {
+	p := NewPareto(50, 1)
+	if len(p.cdf) != 50 {
+		t.Fatalf("cdf over %d topics, want 50", len(p.cdf))
+	}
+	if p.cdf[0] <= 0 {
+		t.Fatal("top topic has no mass")
+	}
+	if p.cdf[49] != 1 {
+		t.Fatalf("full mass = %v, want 1", p.cdf[49])
+	}
+	for k := 1; k < 50; k++ {
+		if p.cdf[k] < p.cdf[k-1] {
+			t.Fatalf("top-k mass not monotone at %d", k+1)
+		}
+	}
+}
+
 func TestParetoSampleMatchesMass(t *testing.T) {
 	p := NewPareto(100, 0.5)
 	rng := rand.New(rand.NewSource(7))
