@@ -146,12 +146,10 @@ func (c *Ctx) KvFork(f *kvfs.File) (*kvfs.File, error) {
 	}
 	k := c.p.k
 	k.kvCalls.Inc()
-	// Forking needs the parent on the GPU; there is no pred to fold a
-	// recompute into, so disk pages are loaded, never recomputed.
+	// Forking needs the parent on the GPU.
 	cost := k.models[k.defMod].Config().Cost
 	err := c.allocUnderPressure([]*kvfs.File{f}, func() error {
-		_, err := c.ensureResident(f, cost, false)
-		return err
+		return c.ensureResident(f, cost)
 	})
 	if err != nil {
 		return nil, err
@@ -370,21 +368,13 @@ func (c *Ctx) pred(modelName string, f *kvfs.File, toks []token.ID, positions []
 	// the next victim.
 	k.kvd.Touch(f)
 
-	// extra counts disk-resident prefix tokens ensureResident chose to
-	// recompute rather than load: they ride in this call's batch entry so
-	// the GPU step pays their prefill (see migrate.go's recompute path).
-	// A decode call has no prefill entry to fold a rebuild into, so for
-	// it disk pages are always loaded, never recomputed.
-	extra := 0
-
 	// Radix prefix cache (prefixcache.go): a fresh prefill whose prompt
 	// starts at position zero is matched against the kernel's tree of
 	// committed prefixes. On a hit the deepest cached node is attached by
 	// COW share — the node file pinned by the match so neither eviction
 	// nor a tier move can take it mid-attach — and only the uncached
-	// tail is appended and submitted. A disk-resident match
-	// pays the usual promote-vs-recompute decision here, folding any
-	// recompute tokens into the call's batch entry.
+	// tail is appended and submitted. A disk-resident match is loaded
+	// back first, billed like any other disk load.
 	cacheable := k.pcache != nil && !decode && f.Len() == 0 &&
 		identityPositions(positions) && len(toks) >= k.pcache.chunk
 	var pnode *prefixNode
@@ -392,7 +382,7 @@ func (c *Ctx) pred(modelName string, f *kvfs.File, toks []token.ID, positions []
 	if cacheable {
 		if n, depth := k.pcache.match(toks); n != nil {
 			k.kvd.Touch(n.file)
-			if _, rerr := c.ensureResident(n.file, m.Config().Cost, true); rerr != nil {
+			if rerr := c.ensureResident(n.file, m.Config().Cost); rerr != nil {
 				// Cannot bring the cached prefix back: treat as a miss.
 				k.pcache.release(n)
 			} else {
@@ -414,11 +404,9 @@ func (c *Ctx) pred(modelName string, f *kvfs.File, toks []token.ID, positions []
 	preTail := f.Tail()
 	err = c.allocUnderPressure([]*kvfs.File{f}, func() error {
 		k.kvd.MaybeReclaim()
-		n, err := c.ensureResident(f, m.Config().Cost, !decode)
-		if err != nil {
+		if err := c.ensureResident(f, m.Config().Cost); err != nil {
 			return err
 		}
-		extra += n
 		if attached > 0 && f.Len() == 0 {
 			if aerr := f.AdoptPrefix(pnode.file, attached); aerr != nil {
 				// Share refused (the node file lost residency despite the
@@ -462,7 +450,7 @@ func (c *Ctx) pred(modelName string, f *kvfs.File, toks []token.ID, positions []
 	// iteration loop.
 	call := sched.Call{
 		Model:    resolvedName(k, modelName),
-		Tokens:   len(toks) - attached + extra,
+		Tokens:   len(toks) - attached,
 		Affinity: uint64(f.Root()),
 		Priority: c.p.prio,
 		Decode:   decode,
@@ -513,16 +501,15 @@ func (c *Ctx) pred(modelName string, f *kvfs.File, toks []token.ID, positions []
 		if f.GPUResident() {
 			return 0
 		}
-		// The same promote-and-bill path as ensureResident, without the
-		// recompute (the call's batch entry is already sized). Whatever
+		// The same promote-and-bill path as ensureResident. Whatever
 		// actually moved is charged even if the GPU filled before the rest
 		// did — those pages are resident now and no later path would bill
 		// them; what stays behind is the next pred's problem.
-		_, d, _ := k.promote(f, kvfs.Host, cost, false)
+		_, d, _ := k.promote(f, kvfs.Host, cost)
 		if !f.GPUResident() {
 			// The daemon spilled part of the file down to disk while this
 			// call sat preempted.
-			_, ld, _ := k.promote(f, kvfs.Disk, cost, false)
+			_, ld, _ := k.promote(f, kvfs.Disk, cost)
 			d += ld
 		}
 		return d
@@ -664,12 +651,11 @@ func unpin(files []*kvfs.File) {
 // pages, or its disk pages — through withReclaim (partial progress
 // accumulates), and returns the tokens moved and the virtual time they
 // cost: PCIe for host pages, credited to the daemon's restore ledger;
-// NVMe read plus PCIe for disk pages, unless recompute is set, in which
-// case the move is free here because the caller folds the tokens into its
-// own prefill. Who waits for the bill is the caller's business:
-// ensureResident sleeps it on the calling thread, the scheduler's resume
-// hook adds it to the resuming step.
-func (k *Kernel) promote(f *kvfs.File, from kvfs.Tier, cost model.CostModel, recompute bool) (moved int, bill time.Duration, err error) {
+// NVMe read plus PCIe for disk pages, credited to its disk-load ledger.
+// Who waits for the bill is the caller's business: ensureResident sleeps
+// it on the calling thread, the scheduler's resume hook adds it to the
+// resuming step.
+func (k *Kernel) promote(f *kvfs.File, from kvfs.Tier, cost model.CostModel) (moved int, bill time.Duration, err error) {
 	_, host, disk := f.ResidentTokens()
 	move, need := f.Restore, host
 	if from == kvfs.Disk {
@@ -686,8 +672,6 @@ func (k *Kernel) promote(f *kvfs.File, from kvfs.Tier, cost model.CostModel, rec
 		bill = cost.TransferTime(moved)
 		k.restoreTime.Add(int64(bill))
 		k.kvd.NoteRestore(f, moved, bill)
-	case recompute:
-		k.kvd.NoteDiskRecompute(f, moved)
 	default:
 		bill = cost.DiskLoadTime(moved)
 		k.kvd.NoteDiskLoad(f, moved, bill)
@@ -698,49 +682,37 @@ func (k *Kernel) promote(f *kvfs.File, from kvfs.Tier, cost model.CostModel, rec
 // ensureResident brings f fully back to the GPU tier if a tool wait,
 // the memory daemon, or a restart left pages elsewhere: promote's host
 // leg and then its disk leg, each slept on the calling thread and traced.
-// Disk pages are loaded from the snapshot store or — when allowRecompute
-// is set and prefill is estimated cheaper, the same migrate-vs-recompute
-// economics as the cross-replica engine (migrate.go) one level down —
-// recomputed inside the caller's own pred: the returned extra is the
-// token count the caller must add to its batch call so the GPU step pays
-// the prefill. The durable copy stays behind either way; only the billing
-// differs.
-func (c *Ctx) ensureResident(f *kvfs.File, cost model.CostModel, allowRecompute bool) (extra int, err error) {
+// Disk pages are always loaded from the snapshot store, whose durable
+// copy stays behind.
+func (c *Ctx) ensureResident(f *kvfs.File, cost model.CostModel) error {
 	k := c.p.k
 	if f.GPUResident() {
-		return 0, nil
+		return nil
 	}
-	leg := func(from kvfs.Tier, recompute bool) (int, error) {
+	leg := func(from kvfs.Tier) error {
 		start := k.clk.Now()
-		moved, bill, err := k.promote(f, from, cost, recompute)
+		moved, bill, err := k.promote(f, from, cost)
 		if moved == 0 {
-			return 0, err
+			return err
 		}
 		detail := fmt.Sprintf("%d tokens", moved)
 		if from == kvfs.Disk {
-			detail = fmt.Sprintf("%d tokens (disk, recompute=%t)", moved, recompute)
+			detail += " (disk)"
 		}
-		if !recompute {
-			if serr := k.clk.Sleep(bill); serr != nil {
-				return 0, serr
-			}
+		if serr := k.clk.Sleep(bill); serr != nil {
+			return serr
 		}
 		k.tracer.Span(trace.Event{
 			At: start, Dur: k.clk.Now() - start, PID: c.p.pid, TID: c.tid,
 			Kind: trace.KindRestore, Detail: detail,
 		})
-		return moved, err
+		return err
 	}
 	_, _, disk := f.ResidentTokens()
-	if _, err := leg(kvfs.Host, false); err != nil || disk == 0 {
-		return 0, err
+	if err := leg(kvfs.Host); err != nil || disk == 0 {
+		return err
 	}
-	recompute := allowRecompute && time.Duration(disk)*cost.PerToken < cost.DiskLoadTime(disk)
-	moved, err := leg(kvfs.Disk, recompute)
-	if recompute {
-		extra = moved
-	}
-	return extra, err
+	return leg(kvfs.Disk)
 }
 
 // --- threads (§4.3) ---

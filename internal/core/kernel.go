@@ -366,8 +366,8 @@ func (k *Kernel) Scheduler() *sched.Scheduler { return k.sch }
 // RecoverKV loads the newest durable snapshot generation from the disk
 // tier and re-imports its named prefixes as disk-resident KV files: a
 // warm restart. Each file is invisible to the GPU until a program opens
-// it and a pred promotes it — paying an NVMe re-prefill or a recompute,
-// whichever the cost model says is cheaper. Entries that no longer fit
+// it and a pred promotes it, paying the NVMe read plus PCIe of a disk
+// load (CostModel.DiskLoadTime). Entries that no longer fit
 // the disk tier are filtered on the snapshot index alone, without
 // reading their payloads. Must run in a clock-actor context: snapshot
 // reads bill virtual disk time. A corruption fallback (an older

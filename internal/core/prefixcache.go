@@ -20,7 +20,7 @@
 // shared-page rules pin them to the GPU, while a leaf's exclusive tail
 // pages are ordinary kvd eviction candidates (the node files are tracked
 // with the daemon) and may be offloaded or spilled to disk; a later match
-// then pays the existing promote-vs-recompute decision in ensureResident.
+// then loads it back from disk in ensureResident, like any other file.
 //
 // Eviction and invalidation. A MaxNodes cap evicts idle leaves in
 // least-recent-use order (shared interior pages survive removal via

@@ -21,9 +21,8 @@ import (
 // The sweep compares two restart modes on identical workloads:
 //
 //   - "disk": the restarted kernel recovers the committed snapshot and
-//     serves each first request by promoting the prefix from disk (an
-//     NVMe load, or a recompute when the cost model says that is
-//     cheaper).
+//     serves each first request by loading the prefix from disk (NVMe
+//     read plus PCIe).
 //   - "recompute": no durable tier — the restarted kernel rebuilds every
 //     prefix from tokens, paying full prefill compute.
 //
@@ -101,8 +100,6 @@ type RestartPoint struct {
 	DiskLoads        int64
 	DiskLoadedTokens int64
 	DiskLoadCost     time.Duration
-	DiskRecomputes   int64
-	DiskRecomputed   int64
 	// DiskPages is the snapshot-store footprint still reserved when the
 	// run ends: promoted prefixes keep their durable copy.
 	DiskPages int
@@ -248,8 +245,6 @@ func runRestartCell(cfg RestartConfig, mode string) RestartPoint {
 	pt.DiskLoads = st.KVD.DiskLoads
 	pt.DiskLoadedTokens = st.KVD.DiskLoadedTokens
 	pt.DiskLoadCost = st.KVD.DiskLoadCost
-	pt.DiskRecomputes = st.KVD.DiskRecomputes
-	pt.DiskRecomputed = st.KVD.DiskRecomputedTokens
 	pt.DiskPages = st.FS.DiskPages
 	var sum time.Duration
 	for _, t := range ttfts {
@@ -269,7 +264,7 @@ func RestartTable(points []RestartPoint) metrics.Table {
 	t := metrics.Table{
 		Title: "R1: warm restart from the durable disk KV tier vs full recompute",
 		Headers: []string{"mode", "families", "done", "nospace", "recovered",
-			"ttft-mean", "ttft-max", "speedup", "req/s", "loads", "load-tok", "load-cost", "recomputes"},
+			"ttft-mean", "ttft-max", "speedup", "req/s", "loads", "load-tok", "load-cost"},
 	}
 	for _, p := range points {
 		t.AddRow(p.Mode, p.Families,
@@ -277,8 +272,7 @@ func RestartTable(points []RestartPoint) metrics.Table {
 			fmt.Sprintf("%d (%d tok)", p.RecoveredFiles, p.RecoveredTokens),
 			p.TTFTMean.Round(time.Microsecond), p.TTFTMax.Round(time.Microsecond),
 			fmt.Sprintf("%.2fx", p.Speedup), fmt.Sprintf("%.2f", p.Throughput),
-			p.DiskLoads, p.DiskLoadedTokens, p.DiskLoadCost.Round(time.Microsecond),
-			p.DiskRecomputes)
+			p.DiskLoads, p.DiskLoadedTokens, p.DiskLoadCost.Round(time.Microsecond))
 	}
 	return t
 }

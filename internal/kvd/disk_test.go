@@ -98,11 +98,6 @@ func TestReclaimCascadesToDisk(t *testing.T) {
 	if len(loads) != 1 || loads[0].Tokens != n {
 		t.Fatalf("load events = %+v", loads)
 	}
-
-	d.NoteDiskRecompute(files[0], 64)
-	if st := d.Stats(); st.DiskRecomputes != 1 || st.DiskRecomputedTokens != 64 {
-		t.Fatalf("recompute ledger = %+v", st)
-	}
 }
 
 // TestSpillInertWithoutDisk pins down that the spill path never fires

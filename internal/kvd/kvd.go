@@ -133,9 +133,11 @@ type Stats struct {
 	SpillRollbacks int64 `stats:"spill_rollbacks"`
 	// DiskLoads / DiskLoadedTokens / DiskLoadCost record disk→GPU
 	// re-prefills from the snapshot store and the NVMe+PCIe time charged
-	// for them; DiskRecomputes / DiskRecomputedTokens count the times the
-	// kernel instead chose to recompute a disk-resident prefix because
-	// prefill was estimated cheaper than the load.
+	// for them. DiskRecomputes and DiskRecomputedTokens are always zero:
+	// the kernel loads a disk-resident prefix, never recomputes it. The
+	// frozen benchmark/report.go reads DiskRecomputes and
+	// benchmark/report_daemon.go its /v1/stats key; the next benchmark PR
+	// drops those reads, then both fields go.
 	DiskLoads            int64         `stats:"/disk.loads"`
 	DiskLoadedTokens     int64         `stats:"/disk.loaded_tokens"`
 	DiskLoadCost         time.Duration `stats:"/disk.load_cost,str"`
@@ -241,21 +243,6 @@ func (d *Daemon) NoteDiskLoad(f *kvfs.File, tokens int, cost time.Duration) {
 	}
 	d.mu.Unlock()
 	d.notify(fn, "load", tokens)
-}
-
-// NoteDiskRecompute records that the kernel chose to recompute a
-// disk-resident prefix (prefill estimated cheaper than the NVMe load).
-func (d *Daemon) NoteDiskRecompute(f *kvfs.File, tokens int) {
-	if tokens <= 0 {
-		return
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.st.DiskRecomputes++
-	d.st.DiskRecomputedTokens += int64(tokens)
-	if e, ok := d.entries[f]; ok {
-		e.offloadReason = ""
-	}
 }
 
 // Track places a process-private file under daemon management. Files the

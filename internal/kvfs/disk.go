@@ -241,7 +241,7 @@ func (dt *DiskTier) Commit() error {
 // pages all live on the Disk tier, reserving its disk footprint and
 // registering the store record with the tier. The returned file is not
 // GPU-resident: a program touches it back to life through the usual
-// promote-vs-recompute path. Only named entries are importable —
+// disk-load path. Only named entries are importable —
 // anonymous spills belong to processes that did not survive the restart.
 func (dt *DiskTier) Import(e kvstore.SnapshotEntry) (*File, error) {
 	if e.Path == "" {

@@ -610,8 +610,7 @@ func (f *File) Restore() (tokens int, err error) {
 // tokens moved. The durable copy (and its disk reservation) stays behind
 // in the snapshot store. On ErrNoSpace the file is left partially
 // promoted; the caller may retry after freeing memory. The caller bills
-// the move: NVMe read plus PCIe for a data load, or batch prefill tokens
-// when recomputing is cheaper (see core's restore-vs-recompute choice).
+// the move as a data load: NVMe read plus PCIe (see core's Kernel.promote).
 func (f *File) PromoteDisk() (tokens int, err error) {
 	return f.movePages(Disk, GPU, math.MaxInt)
 }
