@@ -578,12 +578,13 @@ func resolvedName(k *Kernel, name string) string {
 	return name
 }
 
-// selfPreemptRetries bounds how often the call behind the space gate will
-// swap itself out and retry before surfacing ErrNoSpace, and spaceWait how
-// long each retry waits for freed space. The budget is generous on
-// purpose: competitors hold GPU pages only for finite work, so a stalled
-// call that keeps yielding eventually wins unless memory is truly
-// exhausted by locked files for the whole span.
+// selfPreemptRetries bounds how many consecutive times the call behind the
+// space gate will swap itself out and wait in vain — no GPU page freed
+// during the wait — before surfacing ErrNoSpace, and spaceWait how long
+// each wait lasts. A wait that sees pages freed restarts the count:
+// competitors hold GPU pages only for finite work, so a stalled call that
+// keeps yielding eventually wins unless memory is truly exhausted by
+// locked files for the whole span.
 const (
 	selfPreemptRetries = 1024
 	spaceWait          = 16 * time.Millisecond
@@ -622,17 +623,23 @@ func (c *Ctx) allocUnderPressure(own []*kvfs.File, alloc func() error) error {
 		return gerr
 	}
 	defer k.spaceGate.Release(1)
-	for attempt := 0; errors.Is(err, kvfs.ErrNoSpace) && attempt < selfPreemptRetries; attempt++ {
+	for idle := 0; errors.Is(err, kvfs.ErrNoSpace) && idle < selfPreemptRetries; {
 		// A cancel or shutdown surfaces as itself, not as the standoff's
 		// ErrNoSpace.
-		if err = c.p.checkLive(); err != nil {
-			break
+		if err := c.p.checkLive(); err != nil {
+			return err
 		}
 		for _, f := range own {
 			k.kvd.Preempt(f)
 		}
-		if _, err = k.spaceEvent().WaitFor(spaceWait); err != nil {
-			break
+		freed, werr := k.spaceEvent().WaitFor(spaceWait)
+		if werr != nil {
+			return werr
+		}
+		if freed {
+			idle = 0
+		} else {
+			idle++
 		}
 		err = try()
 	}

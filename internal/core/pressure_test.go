@@ -243,6 +243,80 @@ func TestLockedTierEndsInErrNoSpace(t *testing.T) {
 	}
 }
 
+// TestSpaceWaitOutlastsPageChurn: the space gate's budget counts waits
+// in which no GPU page was freed, not waits. A locked file holds seven
+// of the eight GPU pages for longer than the budget
+// (selfPreemptRetries waits of spaceWait each) while another process
+// keeps freeing and retaking the eighth; a pred that needs two pages is
+// kept out the whole time, yet every freed page restarts its count, so
+// it must get its space once the holder lets go instead of ending in
+// ErrNoSpace while pages are still being freed.
+func TestSpaceWaitOutlastsPageChurn(t *testing.T) {
+	clk, k := newTightKernel()
+	ready := clk.NewEvent()
+	const churnFor = 20 * time.Second
+	if budget := selfPreemptRetries * spaceWait; churnFor <= budget {
+		t.Fatalf("churn of %v does not outlast the space gate's budget %v", churnFor, budget)
+	}
+	var predErr error
+	var took time.Duration
+	cycles := 0
+	drive(t, clk, func() {
+		holder := lockedHolder(k, ready, []int{112}, []time.Duration{churnFor})
+		if err := ready.Wait(); err != nil {
+			t.Errorf("holder never ready: %v", err)
+		}
+		start := clk.Now()
+		churner := k.Submit("churner", func(ctx *Ctx) error {
+			for clk.Now()-start < churnFor {
+				f, err := prefillAnon(ctx, 16)
+				if err != nil {
+					return err
+				}
+				if err := ctx.KvLock(f); err != nil {
+					return err
+				}
+				if err := ctx.Sleep(10 * time.Millisecond); err != nil {
+					return err
+				}
+				if err := ctx.KvUnlock(f); err != nil {
+					return err
+				}
+				if err := f.Remove(); err != nil {
+					return err
+				}
+				cycles++
+				if err := ctx.Sleep(time.Millisecond); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		waiter := k.Submit("waiter", func(ctx *Ctx) error {
+			if err := ctx.Sleep(5 * time.Millisecond); err != nil {
+				return err
+			}
+			_, predErr = prefillAnon(ctx, 32)
+			took = clk.Now() - start
+			return predErr
+		})
+		for name, p := range map[string]*Process{"holder": holder, "churner": churner, "waiter": waiter} {
+			if err := p.Wait(); err != nil && p != waiter {
+				t.Errorf("%s process: %v", name, err)
+			}
+		}
+	})
+	if predErr != nil {
+		t.Fatalf("pred returned %v after %v and %d churn cycles, want space once the holder released the tier", predErr, took, cycles)
+	}
+	if took < churnFor {
+		t.Errorf("pred returned %v after the start, before the holder released the tier at %v", took, churnFor)
+	}
+	if cycles == 0 {
+		t.Error("the churner never freed a page")
+	}
+}
+
 // TestSpaceWaitersRetryInFailureOrder pins the space gate's order: two
 // preds that fail on a full GPU tier get space in the order they failed,
 // even when the later one would fit first. The tier is held by two
