@@ -138,11 +138,12 @@ type Stats struct {
 	// frozen benchmark/report.go reads DiskRecomputes and
 	// benchmark/report_daemon.go its /v1/stats key; the next benchmark PR
 	// drops those reads, then both fields go.
-	DiskLoads            int64         `stats:"/disk.loads"`
-	DiskLoadedTokens     int64         `stats:"/disk.loaded_tokens"`
-	DiskLoadCost         time.Duration `stats:"/disk.load_cost,str"`
-	DiskRecomputes       int64         `stats:"/disk.recomputes"`
-	DiskRecomputedTokens int64         `stats:"/disk.recomputed_tokens"`
+	DiskLoads        int64         `stats:"/disk.loads"`
+	DiskLoadedTokens int64         `stats:"/disk.loaded_tokens"`
+	DiskLoadCost     time.Duration `stats:"/disk.load_cost,str"`
+	DiskRecomputes   int64         `stats:"/disk.recomputes"`
+	//lint:allow testonly always 0; /v1/stats reports it beside disk.recomputes until the benchmark thaw drops both
+	DiskRecomputedTokens int64 `stats:"/disk.recomputed_tokens"`
 }
 
 type entry struct {
