@@ -12,12 +12,11 @@ import "fmt"
 // while the transfer is in flight do both exist.
 
 // PageSpan describes a file's pages exported for migration over the
-// replica interconnect: how many fixed-size pages, how many token
-// entries they hold, and their wire size.
+// replica interconnect: how many fixed-size pages and how many token
+// entries they hold.
 type PageSpan struct {
 	Pages  int
 	Tokens int
-	Bytes  int64
 }
 
 // PageBytes reports the wire size of one KV page.
@@ -45,7 +44,6 @@ func (f *File) ExportPages() (PageSpan, error) {
 	return PageSpan{
 		Pages:  len(f.pages),
 		Tokens: f.length,
-		Bytes:  int64(len(f.pages)) * fs.PageBytes(),
 	}, nil
 }
 

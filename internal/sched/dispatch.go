@@ -60,9 +60,8 @@ type Call struct {
 // submission time.
 type ReplicaView struct {
 	ID int
-	// Queued is the number of calls waiting in the replica's queue.
-	Queued int
-	// QueuedTokens is the total new tokens those calls carry.
+	// QueuedTokens is the total new tokens the calls waiting in the
+	// replica's queue carry.
 	QueuedTokens int
 	// InflightTokens is the new tokens of the batch the replica is
 	// currently executing (0 when idle).

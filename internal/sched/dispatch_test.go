@@ -220,14 +220,14 @@ func TestReplicaStatsAggregation(t *testing.T) {
 func TestDispatcherTieBreaks(t *testing.T) {
 	ms := func(d int) time.Duration { return time.Duration(d) * time.Millisecond }
 	equal := []ReplicaView{
-		{ID: 0, Queued: 2, QueuedTokens: 100, InflightTokens: 50},
-		{ID: 1, Queued: 2, QueuedTokens: 100, InflightTokens: 50},
-		{ID: 2, Queued: 2, QueuedTokens: 100, InflightTokens: 50},
+		{ID: 0, QueuedTokens: 100, InflightTokens: 50},
+		{ID: 1, QueuedTokens: 100, InflightTokens: 50},
+		{ID: 2, QueuedTokens: 100, InflightTokens: 50},
 	}
 	// Replica 1 (= 5 % 4) is drowning; the others are idle.
 	saturatedHome := []ReplicaView{
 		{ID: 0},
-		{ID: 1, Queued: 64, QueuedTokens: 50000, InflightTokens: 8000,
+		{ID: 1, QueuedTokens: 50000, InflightTokens: 8000,
 			BusyUntil: ms(900), Now: ms(10)},
 		{ID: 2},
 		{ID: 3},

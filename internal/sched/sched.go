@@ -314,7 +314,7 @@ func New(clk *simclock.Clock, cfg Config) *Scheduler {
 			delayHist: metrics.NewHistogram(),
 		}
 		s.replicas = append(s.replicas, r)
-		clk.Go(fmt.Sprintf("inference-scheduler-%d", i), r.loop)
+		clk.Go("inference-scheduler", r.loop)
 	}
 	return s
 }
@@ -485,7 +485,6 @@ func (s *Scheduler) views(now time.Duration) []ReplicaView {
 		r.mu.Lock()
 		views[i] = ReplicaView{
 			ID:             i,
-			Queued:         r.queue.Len(),
 			QueuedTokens:   r.queuedTokens,
 			InflightTokens: r.inflight,
 			BusyUntil:      r.busyUntil,

@@ -34,8 +34,6 @@ type Job struct {
 	Proc *core.Process
 	// Priority is the scheduling lane the job's process runs in.
 	Priority sched.Priority
-	// SubmittedAt is the virtual submission time.
-	SubmittedAt time.Duration
 }
 
 // jobRegistry indexes live and recently finished jobs.
@@ -134,11 +132,10 @@ func (r *jobRegistry) Submit(user string, script *lipscript.Script) (*Job, error
 	prio := r.priorityFor(user, script.Priority)
 	p := r.k.SubmitWith(user, script.Program(), core.SubmitOptions{Budget: script.Budget, Priority: prio})
 	j := &Job{
-		ID:          fmt.Sprintf("job-%06d", p.PID()),
-		User:        user,
-		Proc:        p,
-		Priority:    prio,
-		SubmittedAt: r.clk.Now(),
+		ID:       fmt.Sprintf("job-%06d", p.PID()),
+		User:     user,
+		Proc:     p,
+		Priority: prio,
 	}
 	r.jobs[j.ID] = j
 	return j, nil

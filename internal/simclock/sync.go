@@ -182,14 +182,6 @@ func (q *Queue[T]) Drain() []T {
 	return out
 }
 
-// Len reports the number of queued items.
-func (q *Queue[T]) Len() int {
-	c := q.c
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(q.items)
-}
-
 // Semaphore is a weighted FIFO semaphore on a Clock: Acquire(n) takes n
 // units, parking while fewer are free or an earlier caller still waits,
 // and Release hands freed units to waiters strictly in arrival order

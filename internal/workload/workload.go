@@ -130,7 +130,6 @@ func Question(topic, i int) string {
 
 // RAGRequest is one request of the Figure-3 workload.
 type RAGRequest struct {
-	ID     int
 	Topic  int
 	Arrive time.Duration
 	Query  string
@@ -150,7 +149,6 @@ func RAGTrace(n int, ratePerSec, paretoIndex float64, topics, maxGen int, seed i
 		t += poisson.NextGap(rng)
 		topic := pareto.Sample(rng)
 		out[i] = RAGRequest{
-			ID:     i,
 			Topic:  topic,
 			Arrive: t,
 			Query:  Question(topic, i),
