@@ -737,7 +737,7 @@ func (c *Ctx) Spawn(fn Program) (*Thread, error) {
 	p.mu.Unlock()
 	t := &Thread{done: p.k.clk.NewEvent()}
 	p.wg.Add(1)
-	p.k.clk.Go(fmt.Sprintf("lip-%d.%d", p.pid, tid), func() {
+	p.k.clk.Go("lip-thread", func() {
 		err := runGuarded(fn, &Ctx{p: p, tid: tid})
 		t.mu.Lock()
 		t.err = err

@@ -89,7 +89,7 @@ func (k *Kernel) SubmitWith(user string, prog Program, opts SubmitOptions) *Proc
 	p.publish(ProcEvent{Kind: EventStatus, Status: StatusRunning})
 
 	p.wg.Add(1)
-	k.clk.Go(fmt.Sprintf("lip-%d", p.pid), func() {
+	k.clk.Go("lip", func() {
 		err := runGuarded(prog, &Ctx{p: p, tid: 0})
 		p.wg.Done()
 		// The process exits when the main thread has returned and every
