@@ -14,10 +14,12 @@
 //	go run ./cmd/symphonyvet -list
 //	go run ./cmd/symphonyvet ./internal/kvd ./internal/core
 //
-// Exit status is 0 when the tree is clean, 1 when any analyzer reports,
-// and 2 on a driver error (load or type-check failure). Justified
-// exceptions are annotated in the source as //lint:allow <rule> <reason>
-// and counted in the summary so they stay visible.
+// Each finding prints on its own line, followed on stderr by a summary of
+// the finding count; a clean tree prints nothing. Exit status is 0 when
+// the tree is clean, 1 when any analyzer reports, and 2 on a driver error
+// (load or type-check failure). Justified exceptions are annotated in the
+// source as //lint:allow <rule> <reason>; they suppress the finding and
+// are neither printed nor counted, so grep the source to list them.
 package main
 
 import (
