@@ -367,9 +367,9 @@ func (k *Kernel) Scheduler() *sched.Scheduler { return k.sch }
 // tier and re-imports its named prefixes as disk-resident KV files: a
 // warm restart. Each file is invisible to the GPU until a program opens
 // it and a pred promotes it, paying the NVMe read plus PCIe of a disk
-// load (CostModel.DiskLoadTime). Entries that no longer fit
-// the disk tier are filtered on the snapshot index alone, without
-// reading their payloads. Must run in a clock-actor context: snapshot
+// load (CostModel.DiskLoadTime). Entries that no longer fit the disk
+// tier are filtered on the snapshot index alone, without reading their
+// payloads. Must run in a clock-actor context: snapshot
 // reads bill virtual disk time. A corruption fallback (an older
 // generation loaded, or none) is reported through err with the imported
 // files still valid.
