@@ -32,13 +32,13 @@ import (
 //     home (sched.Call.Routed), so homes are dynamic rather than
 //     hash-static;
 //   - when the home is overloaded past the configured imbalance
-//     threshold, the engine either copies the file's KV pages to the
+//     threshold, the engine copies the file's KV pages to the
 //     least-loaded replica over the netsim.Interconnect — charging
 //     fabric time proportional to pages moved, holding the transient
 //     double residency against the KV pool, freeing the source copy, and
-//     informing the KV daemon's ledger — or, when re-prefilling is
-//     cheaper than the transfer (model.Cost), cold-starts the family
-//     there by recomputing the prefix inside the call's own batch;
+//     refreshing the file's recency in the KV daemon. A prefill whose
+//     file holds nothing but its own tokens has no pages to copy: the
+//     family is re-homed there for free;
 //   - files that are advisory-locked or have another pred in flight are
 //     never migrated, and migration is refused outright while the KV
 //     daemon reports pressure at or above its high-water mark
@@ -63,7 +63,7 @@ type migrateChoice int
 const (
 	choiceStay migrateChoice = iota
 	choiceMigrate
-	choiceRecompute
+	choiceRehome
 )
 
 // migrateDecision is everything the engine knows when an
@@ -92,16 +92,11 @@ type migrateDecision struct {
 	// Cooldown is true while the family's last move is younger than
 	// migrateCooldown.
 	Cooldown bool
-	// NoRecompute forbids the cold-start choice: a decode call advances
-	// autoregressively, so it has no prefill batch entry to fold a
-	// prefix rebuild into — the prefix either transfers or stays.
-	NoRecompute bool
-	// TransferCost is the interconnect time to copy the file's pages;
-	// RecomputeCost the marginal prefill compute to rebuild them inside
-	// the call's own batch (tokens × PerToken — the batch is already
-	// paying the kernel launch).
-	TransferCost  time.Duration
-	RecomputeCost time.Duration
+	// Fresh marks a prefill whose file holds only this call's tokens:
+	// nothing is computed yet, so the family moves without a copy.
+	Fresh bool
+	// TransferCost is the interconnect time to copy the file's pages.
+	TransferCost time.Duration
 	// GapBenefit is the queue time the call saves by running at the
 	// least-loaded replica instead of home: the pending-token gap priced
 	// at the model's per-token compute. A move must buy more than it
@@ -122,8 +117,8 @@ func overloadWantsMove(in migrateDecision) bool {
 }
 
 // decide is the placement policy: stay home, migrate the prefix's pages
-// to the least-loaded replica, or cold-start there by recomputing. Pure
-// function of its input, so the policy is table-testable.
+// to the least-loaded replica, or re-home a fresh family there at no
+// cost. Pure function of its input, so the policy is table-testable.
 func decide(in migrateDecision) migrateChoice {
 	if in.Locked || in.InFlight || in.PressureHigh || in.Cooldown {
 		return choiceStay
@@ -131,16 +126,15 @@ func decide(in migrateDecision) migrateChoice {
 	if !overloadWantsMove(in) {
 		return choiceStay
 	}
-	// Cost-benefit: moving must save more queueing than the move costs.
-	moveCost := in.TransferCost
-	if !in.NoRecompute && in.RecomputeCost < moveCost {
-		moveCost = in.RecomputeCost
+	if in.Fresh {
+		if in.GapBenefit <= 0 {
+			return choiceStay
+		}
+		return choiceRehome
 	}
-	if in.GapBenefit <= moveCost {
+	// Cost-benefit: moving must save more queueing than the copy costs.
+	if in.GapBenefit <= in.TransferCost {
 		return choiceStay
-	}
-	if !in.NoRecompute && in.RecomputeCost < in.TransferCost {
-		return choiceRecompute
 	}
 	return choiceMigrate
 }
@@ -160,10 +154,9 @@ type MigrationStats struct {
 	MigratedTokens int64         `stats:"migrated_tokens"`
 	MigratedPages  int64         `stats:"migrated_pages"`
 	MigrateTime    time.Duration `stats:"migrate_time,str"`
-	// ColdStarts / RecomputedTokens count moves done by re-prefilling on
-	// the destination instead of transferring.
-	ColdStarts       int64 `stats:"cold_starts"`
-	RecomputedTokens int64 `stats:"recomputed_tokens"`
+	// ColdStarts counts fresh families re-homed without a copy: their
+	// file held only the routed prefill's tokens.
+	ColdStarts int64 `stats:"cold_starts"`
 	// RefusedLocked / RefusedInFlight / RefusedPressure count moves the
 	// safety rules vetoed. Locked and in-flight files are never migrated.
 	RefusedLocked   int64 `stats:"refused_locked"`
@@ -381,8 +374,8 @@ func newMigrator(k *Kernel, ic *netsim.Interconnect) *migrator {
 // route places one affinity-carrying pred call: it pins the call to the
 // family's current home and, when the home is overloaded, moves the
 // family first — copying pages over the interconnect (charged to the
-// calling actor) or scheduling a recompute inside the call itself. It
-// must run on the calling thread's clock actor.
+// calling actor), or re-homing it for free when the file holds only this
+// prefill's tokens. It must run on the calling thread's clock actor.
 func (m *migrator) route(c *Ctx, f *kvfs.File, call *sched.Call, cost model.CostModel) {
 	root := model.CtxHash(call.Affinity)
 	if root == 0 {
@@ -415,28 +408,21 @@ func (m *migrator) route(c *Ctx, f *kvfs.File, call *sched.Call, cost model.Cost
 	if minID == home {
 		return
 	}
+	// The span is the whole file, taken after this call's append.
 	span, spanErr := f.ExportPages()
-	// The span is the whole file, taken after this call's append; the
-	// prefix a cold start would have to rebuild excludes the call's own
-	// tokens (they are prefilled on the destination under either choice).
-	prefixTokens := span.Tokens - call.Tokens
-	if prefixTokens < 0 {
-		prefixTokens = 0
-	}
 	in := migrateDecision{
-		HomeLoad:      loads[home],
-		MinLoad:       loads[minID],
-		MeanLoad:      float64(total) / float64(n),
-		RootsAtHome:   rootsAtHome,
-		Threshold:     DefaultMigrateThreshold,
-		Locked:        f.LockedBy() != "",
-		InFlight:      f.Pins() > 1, // the caller's own pred holds one pin
-		PressureHigh:  m.pressureHigh(),
-		Cooldown:      fam.moved && m.k.clk.Now()-fam.lastMove < migrateCooldown,
-		TransferCost:  m.ic.PageTransferTime(span.Pages, m.k.fs.PageBytes()),
-		RecomputeCost: time.Duration(prefixTokens) * cost.PerToken,
-		GapBenefit:    time.Duration(loads[home]-loads[minID]) * cost.PerToken,
-		NoRecompute:   call.Decode,
+		HomeLoad:     loads[home],
+		MinLoad:      loads[minID],
+		MeanLoad:     float64(total) / float64(n),
+		RootsAtHome:  rootsAtHome,
+		Threshold:    DefaultMigrateThreshold,
+		Locked:       f.LockedBy() != "",
+		InFlight:     f.Pins() > 1, // the caller's own pred holds one pin
+		PressureHigh: m.pressureHigh(),
+		Cooldown:     fam.moved && m.k.clk.Now()-fam.lastMove < migrateCooldown,
+		Fresh:        !call.Decode && span.Tokens <= call.Tokens,
+		TransferCost: m.ic.PageTransferTime(span.Pages, m.k.fs.PageBytes()),
+		GapBenefit:   time.Duration(loads[home]-loads[minID]) * cost.PerToken,
 	}
 	choice := decide(in)
 	if choice != choiceStay && spanErr != nil {
@@ -452,18 +438,15 @@ func (m *migrator) route(c *Ctx, f *kvfs.File, call *sched.Call, cost model.Cost
 		if !m.transfer(c, f, root, span, home, minID) {
 			return
 		}
-	case choiceRecompute:
-		// Cold start: the destination replica rebuilds the prefix inside
-		// this call's own batch — the tokens ride along and the batch
-		// pays their prefill compute there.
-		call.Tokens += prefixTokens
+	case choiceRehome:
+		// Nothing is computed yet: the call prefills on the destination
+		// and the family lives there from now on.
 		m.k.dir.setHome(root, minID, m.k.clk.Now())
 		m.mu.Lock()
 		m.st.ColdStarts++
-		m.st.RecomputedTokens += int64(prefixTokens)
 		m.mu.Unlock()
-		c.p.publish(ProcEvent{Kind: EventKVMigrate, Phase: "recompute",
-			Text: fmt.Sprintf("%d tokens recomputed, replica %d -> %d", prefixTokens, home, minID)})
+		c.p.publish(ProcEvent{Kind: EventKVMigrate, Phase: "rehome",
+			Text: fmt.Sprintf("replica %d -> %d", home, minID)})
 	}
 	call.Target = minID
 }
@@ -521,7 +504,7 @@ func (m *migrator) transfer(c *Ctx, f *kvfs.File, root model.CtxHash, span kvfs.
 	release() // landed: the source copy is freed
 	d := k.clk.Now() - start
 	m.k.dir.setHome(root, to, k.clk.Now())
-	k.kvd.NoteMigrate(f, span.Tokens, d)
+	k.kvd.Touch(f) // a migrated file arrives hot on its new replica
 	m.mu.Lock()
 	m.st.Migrations++
 	m.st.MigratedTokens += int64(span.Tokens)

@@ -19,7 +19,7 @@ import (
 // replica becomes a hotspot while the rest idle. The sweep runs the same
 // workload under each dispatcher; cache-affinity-migrate lets the kernel
 // migration engine move stranded prefixes to cold replicas over the
-// interconnect (or recompute them there), recovering replica balance.
+// interconnect, recovering replica balance.
 //
 // One extra family is held advisory-locked by its owner for the whole
 // run: the engine must refuse to migrate it (its index home must never
@@ -93,14 +93,13 @@ type MigratePoint struct {
 	UtilMin  float64
 	UtilMax  float64
 	// Engine ledger (zero under plain cache-affinity).
-	Migrations       int64
-	MigratedTokens   int64
-	MigrateTime      time.Duration
-	ColdStarts       int64
-	RecomputedTokens int64
-	RefusedLocked    int64
-	RefusedInFlight  int64
-	RefusedPressure  int64
+	Migrations      int64
+	MigratedTokens  int64
+	MigrateTime     time.Duration
+	ColdStarts      int64
+	RefusedLocked   int64
+	RefusedInFlight int64
+	RefusedPressure int64
 	// LockedFamilyMoved reports whether the advisory-locked holdout
 	// family's home ever changed — the acceptance bar is false: locked
 	// files are never migrated.
@@ -266,21 +265,20 @@ func runMigrateCell(cfg MigrateConfig, dispatch string) MigratePoint {
 
 	st := c.k.Stats()
 	pt := MigratePoint{
-		Dispatcher:       dispatch,
-		Replicas:         cfg.Replicas,
-		Families:         cfg.Families,
-		Clients:          cfg.Families * cfg.ClientsPerFamily,
-		Completed:        c.reqs.completed,
-		Makespan:         c.reqs.last - clientsStart,
-		UtilMean:         st.Sched.Utilization,
-		Migrations:       st.Migration.Migrations,
-		MigratedTokens:   st.Migration.MigratedTokens,
-		MigrateTime:      st.Migration.MigrateTime,
-		ColdStarts:       st.Migration.ColdStarts,
-		RecomputedTokens: st.Migration.RecomputedTokens,
-		RefusedLocked:    st.Migration.RefusedLocked,
-		RefusedInFlight:  st.Migration.RefusedInFlight,
-		RefusedPressure:  st.Migration.RefusedPressure,
+		Dispatcher:      dispatch,
+		Replicas:        cfg.Replicas,
+		Families:        cfg.Families,
+		Clients:         cfg.Families * cfg.ClientsPerFamily,
+		Completed:       c.reqs.completed,
+		Makespan:        c.reqs.last - clientsStart,
+		UtilMean:        st.Sched.Utilization,
+		Migrations:      st.Migration.Migrations,
+		MigratedTokens:  st.Migration.MigratedTokens,
+		MigrateTime:     st.Migration.MigrateTime,
+		ColdStarts:      st.Migration.ColdStarts,
+		RefusedLocked:   st.Migration.RefusedLocked,
+		RefusedInFlight: st.Migration.RefusedInFlight,
+		RefusedPressure: st.Migration.RefusedPressure,
 	}
 	if home, ok := c.k.PrefixHome(familyRoot(lockedFirst)); ok && home != 0 {
 		pt.LockedFamilyMoved = true

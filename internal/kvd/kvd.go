@@ -104,23 +104,15 @@ type Stats struct {
 	Restores       int64         `stats:"restores"`
 	RestoredTokens int64         `stats:"restored_tokens"`
 	RestoredCost   time.Duration `stats:"restored_cost,str"`
-	// SwapRestores / SwapRestoredTokens / SwapRestoredCost are the same
-	// ledger for self-preemption swaps (a stalled pred giving back its
-	// own residency): that cost is paid to break allocation standoffs
-	// and is not the eviction order's doing.
-	SwapRestores       int64         `stats:"swap_restores"`
-	SwapRestoredTokens int64         `stats:"-"`
-	SwapRestoredCost   time.Duration `stats:"swap_restored_cost,str"`
+	// SwapRestores / SwapRestoredCost are the same ledger for
+	// self-preemption swaps (a stalled pred giving back its own
+	// residency): that cost is paid to break allocation standoffs and is
+	// not the eviction order's doing.
+	SwapRestores     int64         `stats:"swap_restores"`
+	SwapRestoredCost time.Duration `stats:"swap_restored_cost,str"`
 	// Preemptions counts self-preemption swaps: a stalled pred swapping
 	// out its own residency to break an allocation standoff.
 	Preemptions int64 `stats:"preemptions"`
-	// Migrations / MigratedTokens / MigratedCost are the cross-replica
-	// ledger: files the kernel's migration engine copied between replicas
-	// over the interconnect (source pages freed after the copy), the KV
-	// tokens moved, and the fabric time charged for them.
-	Migrations     int64         `stats:"-"`
-	MigratedTokens int64         `stats:"-"`
-	MigratedCost   time.Duration `stats:"-"`
 	// Spills counts files demoted host→disk; SpilledTokens the KV tokens
 	// moved, net of rollbacks. Spills are free of tensor-transfer time by
 	// design: the snapshot store writes only token metadata, and the
@@ -298,26 +290,6 @@ func (d *Daemon) ReleaseProcess(pid int) {
 	}
 }
 
-// NoteMigrate records a cross-replica migration in the daemon ledger:
-// tokens of KV copied over the interconnect in cost fabric time, with
-// the source replica's pages freed once the copy landed. The owning
-// process hears about it through the kernel's kv_migrate event, not the
-// daemon's notify channel.
-func (d *Daemon) NoteMigrate(f *kvfs.File, tokens int, cost time.Duration) {
-	if tokens <= 0 {
-		return
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.st.Migrations++
-	d.st.MigratedTokens += int64(tokens)
-	d.st.MigratedCost += cost
-	if e, ok := d.entries[f]; ok {
-		// A migrated file arrives hot on its new replica.
-		e.lastAccess = d.clk.Now()
-	}
-}
-
 // NoteRestore attributes a transparent restore performed by the kernel
 // (pred found the file off-GPU) to the daemon's ledger and notifies the
 // owning process.
@@ -332,7 +304,6 @@ func (d *Daemon) NoteRestore(f *kvfs.File, tokens int, cost time.Duration) {
 		switch e.offloadReason {
 		case "swap":
 			d.st.SwapRestores++
-			d.st.SwapRestoredTokens += int64(tokens)
 			d.st.SwapRestoredCost += cost
 		default:
 			d.st.Restores++

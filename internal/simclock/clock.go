@@ -40,10 +40,9 @@ type Clock struct {
 	mu   sync.Mutex
 	cond *sync.Cond // broadcast on quiescence and shutdown
 
-	now    time.Duration
-	busy   int  // actors currently runnable
-	actors int  // actors started and not yet finished
-	down   bool // Shutdown called
+	now  time.Duration
+	busy int  // actors currently runnable
+	down bool // Shutdown called
 
 	timers timerHeap
 	parked map[chan struct{}]bool // parked wake channels
@@ -104,7 +103,6 @@ func (c *Clock) Go(name string, fn func()) {
 		return
 	}
 	c.busy++
-	c.actors++
 	ch := make(chan struct{})
 	c.nextTimerID++
 	heap.Push(&c.timers, timerEntry{at: c.now, seq: c.nextTimerID, ch: ch})
@@ -116,7 +114,6 @@ func (c *Clock) Go(name string, fn func()) {
 		defer func() {
 			c.mu.Lock()
 			c.busy--
-			c.actors--
 			c.maybeAdvanceLocked()
 			c.mu.Unlock()
 		}()
