@@ -517,10 +517,9 @@ func (c *Ctx) pred(modelName string, f *kvfs.File, toks []token.ID, positions []
 	if k.mig != nil {
 		// Migration-aware dispatch: the engine pins the call to the
 		// family's current home in the prefix directory, moving the prefix
-		// first (interconnect copy or destination recompute, charged here)
-		// when the home is overloaded. Another call's pin on the file,
-		// beside this call's own, marks it in flight: the engine then
-		// refuses to move it.
+		// first (an interconnect page copy, charged here) when the home is
+		// overloaded. Another call's pin on the file, beside this call's
+		// own, marks it in flight: the engine then refuses to move it.
 		k.mig.route(c, f, &call, m.Config().Cost)
 	}
 	if err := k.sch.SubmitCall(call); err != nil {

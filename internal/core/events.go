@@ -37,8 +37,10 @@ const (
 	EventKVPressure EventKind = "kv_pressure"
 	// EventKVMigrate reports the kernel migration engine moving this
 	// process's prefix family between GPU replicas: Phase is "migrate"
-	// (pages copied over the interconnect) or "recompute" (prefix rebuilt
-	// on the destination inside the call's batch); Text carries detail.
+	// (pages copied over the interconnect), "abort" (the copy was
+	// interrupted; the family stays home) or "rehome" (a family with
+	// nothing computed yet moves its home without a copy); Text carries
+	// detail.
 	EventKVMigrate EventKind = "kv_migrate"
 	// EventKVShare reports the kernel's radix prefix cache attaching a
 	// cached KV prefix to this process's pred by copy-on-write share

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"regexp"
 	"time"
 
 	"repro/internal/core"
@@ -14,7 +15,7 @@ import (
 
 // ConstrainedConfig parameterizes experiment E3 (§2.3): producing output
 // that must match a format. A LIP masks the token distribution with a
-// regex DFA and succeeds in one generation; a prompt-serving client can
+// regex matcher and succeeds in one generation; a prompt-serving client can
 // only sample and retry, because the serving API exposes no hook into the
 // sampling loop (and shipping the ~200 KB distribution per token to the
 // client is impractical — §2.3).
@@ -67,8 +68,8 @@ func constrainedLexicon(v *token.Vocab) *grammar.Lexicon {
 }
 
 // runConstrainedCell gives each trial up to attempts generations, masked
-// by the pattern's DFA or free-running, and counts the trials that end
-// with a match.
+// by the pattern or free-running, and counts the trials whose output the
+// standard library matches against the whole pattern.
 func runConstrainedCell(cfg ConstrainedConfig, system string, attempts int, masked bool) ConstrainedPoint {
 	clk := simclock.New()
 	tok := token.NewTokenizer(token.NewVocab())
@@ -76,10 +77,7 @@ func runConstrainedCell(cfg ConstrainedConfig, system string, attempts int, mask
 		kc.Tokenizer = tok
 	})
 	pt := ConstrainedPoint{System: system, Trials: cfg.Trials}
-	dfa, err := grammar.CompileRegex(cfg.Pattern)
-	if err != nil {
-		panic(err)
-	}
+	match := regexp.MustCompile("^(?s:" + cfg.Pattern + ")$")
 	var totalToks int64
 	var totalTime time.Duration
 	drive(clk, func() {
@@ -121,7 +119,7 @@ func runConstrainedCell(cfg ConstrainedConfig, system string, attempts int, mask
 				err := p.Wait()
 				out := p.Output()
 				totalToks += int64(len(tok.Encode(out)))
-				success = err == nil && dfa.Match(out)
+				success = err == nil && match.MatchString(out)
 			}
 			totalTime += clk.Now() - start
 			if success {

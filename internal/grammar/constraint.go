@@ -10,7 +10,7 @@ import (
 // constrained decoders mask the model's full vocabulary; the simulated
 // model's vocabulary is synthetic, so programs declare the surface strings
 // their format is built from (digits, punctuation, keywords, field names)
-// and the constraint lifts its byte automaton to that token set.
+// and the constraint lifts its automaton to that token set.
 type Lexicon struct {
 	ids  []token.ID
 	strs map[token.ID]string
@@ -53,18 +53,18 @@ func JSONLexicon(v *token.Vocab, extra ...string) *Lexicon {
 // RegexConstraint forces generated text to match a regular expression. It
 // implements lip.Constraint.
 type RegexConstraint struct {
-	dfa   *DFA
+	re    *Regex
 	lex   *Lexicon
-	state int
+	state []uint32
 }
 
 // NewRegexConstraint compiles pattern over the lexicon.
 func NewRegexConstraint(pattern string, lex *Lexicon) (*RegexConstraint, error) {
-	dfa, err := CompileRegex(pattern)
+	re, err := CompileRegex(pattern)
 	if err != nil {
 		return nil, err
 	}
-	return &RegexConstraint{dfa: dfa, lex: lex, state: dfa.Start()}, nil
+	return &RegexConstraint{re: re, lex: lex, state: re.Start()}, nil
 }
 
 // Allowed returns the lexicon tokens whose surface string keeps a match
@@ -72,7 +72,7 @@ func NewRegexConstraint(pattern string, lex *Lexicon) (*RegexConstraint, error) 
 func (c *RegexConstraint) Allowed() []token.ID {
 	var out []token.ID
 	for _, id := range c.lex.ids {
-		if c.dfa.StepString(c.state, c.lex.strs[id]) != Dead {
+		if len(c.re.Step(c.state, c.lex.strs[id])) > 0 {
 			out = append(out, id)
 		}
 	}
@@ -85,8 +85,8 @@ func (c *RegexConstraint) Accept(tok token.ID) error {
 	if !ok {
 		return fmt.Errorf("grammar: token %d not in lexicon", tok)
 	}
-	next := c.dfa.StepString(c.state, s)
-	if next == Dead {
+	next := c.re.Step(c.state, s)
+	if len(next) == 0 {
 		return fmt.Errorf("grammar: token %q rejected by pattern", s)
 	}
 	c.state = next
@@ -94,4 +94,4 @@ func (c *RegexConstraint) Accept(tok token.ID) error {
 }
 
 // Done reports whether the text so far is a complete match.
-func (c *RegexConstraint) Done() bool { return c.dfa.Accepting(c.state) }
+func (c *RegexConstraint) Done() bool { return c.re.Accepting(c.state) }

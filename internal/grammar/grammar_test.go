@@ -4,20 +4,24 @@ import (
 	"encoding/json"
 	"math/rand"
 	"regexp"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/token"
 )
 
-func mustCompile(t *testing.T, pattern string) *DFA {
+func mustCompile(t *testing.T, pattern string) *Regex {
 	t.Helper()
-	d, err := CompileRegex(pattern)
+	r, err := CompileRegex(pattern)
 	if err != nil {
 		t.Fatalf("CompileRegex(%q): %v", pattern, err)
 	}
-	return d
+	return r
 }
+
+// matches reports whether the whole of s matches r.
+func matches(r *Regex, s string) bool { return r.Accepting(r.Step(r.Start(), s)) }
 
 func TestRegexBasicMatching(t *testing.T) {
 	cases := []struct {
@@ -43,12 +47,12 @@ func TestRegexBasicMatching(t *testing.T) {
 	for _, c := range cases {
 		d := mustCompile(t, c.pattern)
 		for _, s := range c.yes {
-			if !d.Match(s) {
+			if !matches(d, s) {
 				t.Errorf("%q should match %q", c.pattern, s)
 			}
 		}
 		for _, s := range c.no {
-			if d.Match(s) {
+			if matches(d, s) {
 				t.Errorf("%q should not match %q", c.pattern, s)
 			}
 		}
@@ -56,14 +60,14 @@ func TestRegexBasicMatching(t *testing.T) {
 }
 
 func TestRegexErrors(t *testing.T) {
-	for _, p := range []string{"(", "(ab", "[a-", "[abc", "a)", "*a", "+", "?x", "a|*", `\`, "[z-a]"} {
+	for _, p := range []string{"(", "(ab", "[a-", "[abc", "a)", "*a", "+", "?x", "a|*", `\`, "[z-a]", "^a", "a$", `\bx`} {
 		if _, err := CompileRegex(p); err == nil {
 			t.Errorf("CompileRegex(%q) succeeded", p)
 		}
 	}
 }
 
-// TestRegexAgainstStdlib cross-validates the DFA against the standard
+// TestRegexAgainstStdlib cross-validates the matcher against the standard
 // library on random strings over a small alphabet.
 func TestRegexAgainstStdlib(t *testing.T) {
 	patterns := []string{
@@ -84,34 +88,52 @@ func TestRegexAgainstStdlib(t *testing.T) {
 				buf[j] = "abcd"[rng.Intn(4)]
 			}
 			s := string(buf)
-			if got, want := d.Match(s), std.MatchString(s); got != want {
-				t.Fatalf("pattern %q input %q: dfa=%v stdlib=%v", p, s, got, want)
+			if got, want := matches(d, s), std.MatchString(s); got != want {
+				t.Fatalf("pattern %q input %q: grammar=%v stdlib=%v", p, s, got, want)
 			}
 		}
 	}
 }
 
 func TestRegexAliveStatePruning(t *testing.T) {
-	// After "b" the pattern "ab" can never match; Step must report Dead
-	// immediately, not at the end of input.
+	// After "b" the pattern "ab" can never match; Step must report the
+	// dead (empty) state immediately, not at the end of input.
 	d := mustCompile(t, "ab")
-	if st := d.Step(d.Start(), 'b'); st != Dead {
-		t.Fatalf("step into dead prefix = %d", st)
+	if st := d.Step(d.Start(), "b"); len(st) != 0 {
+		t.Fatalf("step into dead prefix = %v", st)
 	}
 	// "a" leads to a state from which accept is reachable.
-	if st := d.Step(d.Start(), 'a'); st == Dead {
+	if st := d.Step(d.Start(), "a"); len(st) == 0 {
 		t.Fatal("live prefix reported dead")
+	}
+	// An empty class consumes nothing, so a branch through it is pruned:
+	// after "a" only the b of "a(b|[^\x00-\x{10FFFF}]c)" is live, and
+	// "a[^\x00-\x{10FFFF}]" is dead after "a".
+	d = mustCompile(t, `a(b|[^\x00-\x{10FFFF}]c)`)
+	if st := d.Step(d.Start(), "a"); len(st) != 1 {
+		t.Fatalf("live state after a = %v, want the one b instruction", st)
+	}
+	d = mustCompile(t, `a[^\x00-\x{10FFFF}]`)
+	if st := d.Step(d.Start(), "a"); len(st) != 0 {
+		t.Fatalf("state after a = %v, want dead", st)
 	}
 }
 
+// TestDFAStateBudget drives the pattern whose subset construction needs
+// about 2^20 DFA states. The matcher builds no DFA, so the pattern
+// compiles and answers like any other.
 func TestDFAStateBudget(t *testing.T) {
-	// (a|b)*a(a|b)^20 needs ~2^20 DFA states; must fail, not hang.
-	p := "(a|b)*a"
-	for i := 0; i < 20; i++ {
-		p += "(a|b)"
+	d := mustCompile(t, "(a|b)*a(a|b){20}")
+	long := "a" + strings.Repeat("b", 20) // 21 symbols: a match
+	short := strings.Repeat("a", 20)      // 20 symbols: one too few
+	if !matches(d, long) {
+		t.Errorf("%q should match", long)
 	}
-	if _, err := CompileRegex(p); err == nil {
-		t.Fatal("state explosion not caught")
+	if matches(d, short) {
+		t.Errorf("%q should not match", short)
+	}
+	if st := d.Step(d.Start(), short); len(st) == 0 {
+		t.Errorf("%q is a live prefix, reported dead", short)
 	}
 }
 

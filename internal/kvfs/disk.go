@@ -90,13 +90,9 @@ func (dt *DiskTier) Put(f *File) error {
 	if f.Removed() {
 		return ErrRemoved
 	}
-	entries := f.Entries()
+	recs := f.Entries()
 	p := dt.fs.cfg.PageTokens
-	pages := (len(entries) + p - 1) / p
-	recs := make([]kvstore.Rec, len(entries))
-	for i, e := range entries {
-		recs[i] = kvstore.Rec{Tok: e.Tok, Pos: e.Pos, KV: e.KV}
-	}
+	pages := (len(recs) + p - 1) / p
 	e := kvstore.SnapshotEntry{
 		Root:   f.Root(),
 		Path:   f.Path(),
@@ -271,10 +267,7 @@ func (dt *DiskTier) Import(e kvstore.SnapshotEntry) (*File, error) {
 		if end > len(e.Recs) {
 			end = len(e.Recs)
 		}
-		pg := &page{entries: make([]Entry, 0, p), ref: 1, tier: Disk}
-		for _, r := range e.Recs[i:end] {
-			pg.entries = append(pg.entries, Entry{Tok: r.Tok, Pos: r.Pos, KV: r.KV})
-		}
+		pg := &page{entries: append(make([]Entry, 0, p), e.Recs[i:end]...), ref: 1, tier: Disk}
 		f.pages = append(f.pages, pg)
 	}
 	f.length = len(e.Recs)

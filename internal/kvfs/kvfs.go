@@ -33,8 +33,7 @@ import (
 	"strings"
 	"sync"
 
-	"repro/internal/model"
-	"repro/internal/token"
+	"repro/internal/kvstore"
 )
 
 // Errors returned by KVFS operations.
@@ -101,12 +100,10 @@ func (t Tier) String() string {
 // Tail() == model.HashContext(0, [t0..tn], pos0). Entries that survive
 // Extract or Merge keep their original KV — the tensors are reused, not
 // recomputed — and the file's tail becomes a fold over the surviving KVs,
-// deterministically modelling approximate attention reuse.
-type Entry struct {
-	Tok token.ID
-	Pos int
-	KV  model.CtxHash
-}
+// deterministically modelling approximate attention reuse. It is the
+// snapshot store's record type, so the disk tier writes and reads a
+// file's entries without conversion.
+type Entry = kvstore.Rec
 
 // Config sizes a file system.
 type Config struct {

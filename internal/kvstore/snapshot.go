@@ -59,9 +59,10 @@ const (
 	maxSnapshotEntries = 1 << 22
 )
 
-// Rec is one token's KV record. It mirrors kvfs.Entry field-for-field
-// without importing kvfs: kvfs builds its DiskTier on this package, not
-// the reverse.
+// Rec is one token's KV record. kvfs.Entry is an alias of it, so a KVFS
+// file's entries go into and come out of a snapshot without conversion;
+// the type lives here because kvfs builds its DiskTier on this package,
+// not the reverse.
 type Rec struct {
 	Tok token.ID
 	Pos int

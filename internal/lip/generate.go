@@ -10,7 +10,7 @@ import (
 )
 
 // Constraint is the interface constrained decoding plugs into Generate.
-// internal/grammar provides regex-DFA and JSON implementations; any user
+// internal/grammar provides regex and JSON implementations; any user
 // type works — the generation loop lives in the program, not the server
 // (paper §2.3).
 type Constraint interface {
