@@ -408,8 +408,10 @@ func (m *migrator) route(c *Ctx, f *kvfs.File, call *sched.Call, cost model.Cost
 	if minID == home {
 		return
 	}
-	// The span is the whole file, taken after this call's append.
-	span, spanErr := f.ExportPages()
+	// The span is what the file held before this call's append: the
+	// call's own tokens are not computed yet, so there is nothing of them
+	// to copy.
+	span, spanErr := f.ExportPages(f.Len() - call.Tokens)
 	in := migrateDecision{
 		HomeLoad:     loads[home],
 		MinLoad:      loads[minID],
@@ -420,7 +422,7 @@ func (m *migrator) route(c *Ctx, f *kvfs.File, call *sched.Call, cost model.Cost
 		InFlight:     f.Pins() > 1, // the caller's own pred holds one pin
 		PressureHigh: m.pressureHigh(),
 		Cooldown:     fam.moved && m.k.clk.Now()-fam.lastMove < migrateCooldown,
-		Fresh:        !call.Decode && span.Tokens <= call.Tokens,
+		Fresh:        !call.Decode && span.Tokens == 0,
 		TransferCost: m.ic.PageTransferTime(span.Pages, m.k.fs.PageBytes()),
 		GapBenefit:   time.Duration(loads[home]-loads[minID]) * cost.PerToken,
 	}

@@ -236,6 +236,53 @@ func TestMigrateRehomesFreshPrefill(t *testing.T) {
 	}
 }
 
+// TestMigrateCopiesOnlyComputedPages: a move copies the pages the file
+// held before the routed call, not the ones the call appends, which the
+// GPU has not computed yet. A family of 256 tokens (16 pages) is homed at
+// replica 0 ahead of overloadHome's two; its next pred, 40 tokens, moves
+// it to replica 1, and the move counts and bills those 16 pages, not the
+// 19 the file holds after the append.
+func TestMigrateCopiesOnlyComputedPages(t *testing.T) {
+	clk, k := migrateKernel(t)
+	var root model.CtxHash
+	drive(t, clk, func() {
+		p := k.Submit("u", func(ctx *Ctx) error {
+			f, err := ctx.KvAnon()
+			if err != nil {
+				return err
+			}
+			toks, pos := tokenSeq(abortFirstToken(2, 1_030_000), 0, 256)
+			if _, err := ctx.Pred(f, toks, pos); err != nil {
+				return err
+			}
+			_, sibling, err := overloadHome(ctx)
+			if err != nil {
+				return err
+			}
+			toks, pos = tokenSeq(0, f.Len(), 40)
+			if _, err := ctx.Pred(f, toks, pos); err != nil {
+				return err
+			}
+			root = f.Root()
+			return sibling.Join()
+		})
+		if err := p.Wait(); err != nil {
+			t.Errorf("program: %v", err)
+		}
+	})
+	mig := k.Stats().Migration
+	if mig.Migrations != 1 || mig.MigratedTokens != 256 || mig.MigratedPages != 16 {
+		t.Fatalf("migrations %d, tokens %d, pages %d; want 1, 256, 16",
+			mig.Migrations, mig.MigratedTokens, mig.MigratedPages)
+	}
+	if want := k.mig.ic.PageTransferTime(16, k.fs.PageBytes()); mig.MigrateTime != want {
+		t.Fatalf("fabric time %v, want 16 pages' %v", mig.MigrateTime, want)
+	}
+	if home, ok := k.PrefixHome(root); !ok || home != 1 {
+		t.Fatalf("family home = %d (known %v), want replica 1", home, ok)
+	}
+}
+
 // migrateKernel is a two-replica kernel dispatching with the migration
 // engine.
 func migrateKernel(t *testing.T) (*simclock.Clock, *Kernel) {

@@ -24,11 +24,12 @@ func (fs *FS) PageBytes() int64 {
 	return int64(fs.cfg.PageTokens) * fs.cfg.BytesPerToken
 }
 
-// ExportPages snapshots the file's pages as a migratable span. It
-// refuses files that are advisory-locked (the holder may be mutating
-// them mid-copy) and files with host-resident pages (restore first: only
-// GPU pages cross the replica fabric).
-func (f *File) ExportPages() (PageSpan, error) {
+// ExportPages snapshots the pages holding the file's first tokens entries
+// (at most all of them) as a migratable span. It refuses files that are
+// advisory-locked (the holder may be mutating them mid-copy) and files
+// with host-resident pages (restore first: only GPU pages cross the
+// replica fabric).
+func (f *File) ExportPages(tokens int) (PageSpan, error) {
 	fs := f.fs
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
@@ -41,10 +42,9 @@ func (f *File) ExportPages() (PageSpan, error) {
 	if !f.gpuResidentLocked() {
 		return PageSpan{}, ErrOffGPU
 	}
-	return PageSpan{
-		Pages:  len(f.pages),
-		Tokens: f.length,
-	}, nil
+	tokens = min(tokens, f.length)
+	p := fs.cfg.PageTokens
+	return PageSpan{Pages: (tokens + p - 1) / p, Tokens: tokens}, nil
 }
 
 // ReserveMigration accounts for the destination copy of a migrating
