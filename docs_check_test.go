@@ -3,14 +3,18 @@
 // repository, docs/FLAGS.md must agree with the binaries' actual flag
 // sets, and docs/EXPERIMENTS.md with the experiments.Sweeps registry —
 // each in both directions: a name documented but not defined is as much
-// a failure as one defined but not documented.
+// a failure as one defined but not documented. A figure the docs cite
+// from a pinned sweep must read what its baseline holds.
 package bench
 
 import (
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"regexp"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -218,6 +222,81 @@ func TestDocsExperimentsMatchRegistry(t *testing.T) {
 	for _, name := range sorted(documented) {
 		t.Errorf("docs/EXPERIMENTS.md documents -exp %s but it is not registered", name)
 	}
+}
+
+// benchMarkerRE matches a figure's binding, `<!--bench EXP PATH FORMAT-->`,
+// written just ahead of the figure it binds: the cited text must start
+// with fmt.Sprintf(FORMAT, the value at PATH in
+// bench/baselines/BENCH_EXP.json). PATH is dot-separated field names, each
+// optionally indexed, as in points[1].Speedup.
+var benchMarkerRE = regexp.MustCompile(`<!--bench ([a-z0-9]+) (\S+) (%\S+)-->`)
+
+// TestDocsFiguresMatchBaselines asserts every bound figure in README.md
+// and docs/*.md reads what its quick-run baseline holds, so a
+// regeneration that moves a cited figure fails until the prose moves in
+// the same commit.
+func TestDocsFiguresMatchBaselines(t *testing.T) {
+	baselines := map[string]any{}
+	bound := 0
+	for _, doc := range docFiles(t) {
+		data, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatalf("reading %s: %v", doc, err)
+		}
+		text := string(data)
+		for _, m := range benchMarkerRE.FindAllStringSubmatchIndex(text, -1) {
+			bound++
+			exp, path, format := text[m[2]:m[3]], text[m[4]:m[5]], text[m[6]:m[7]]
+			if baselines[exp] == nil {
+				raw, err := os.ReadFile(filepath.Join("bench", "baselines", "BENCH_"+exp+".json"))
+				if err != nil {
+					t.Fatalf("%s: %v", doc, err)
+				}
+				var v any
+				if err := json.Unmarshal(raw, &v); err != nil {
+					t.Fatalf("%s: BENCH_%s.json: %v", doc, exp, err)
+				}
+				baselines[exp] = v
+			}
+			v, err := jsonPath(baselines[exp], path)
+			if err != nil {
+				t.Errorf("%s: %s %s: %v", doc, exp, path, err)
+				continue
+			}
+			if f, ok := v.(float64); ok && strings.HasSuffix(format, "d") {
+				v = int64(f)
+			}
+			want := fmt.Sprintf(format, v)
+			if !strings.HasPrefix(text[m[1]:], want) {
+				cited, _, _ := strings.Cut(text[m[1]:], " ")
+				t.Errorf("%s: cites %q where BENCH_%s.json %s reads %s", doc, cited, exp, path, want)
+			}
+		}
+	}
+	if bound == 0 {
+		t.Fatal("no <!--bench …--> marker in README.md or docs/")
+	}
+}
+
+// jsonPath walks a decoded JSON value along a path such as
+// points[1].Speedup.
+func jsonPath(v any, path string) (any, error) {
+	for _, step := range strings.Split(path, ".") {
+		name, index, indexed := strings.Cut(strings.TrimSuffix(step, "]"), "[")
+		obj, ok := v.(map[string]any)
+		if v, ok = obj[name]; !ok {
+			return nil, fmt.Errorf("no field %q", name)
+		}
+		if indexed {
+			i, err := strconv.Atoi(index)
+			arr, _ := v.([]any)
+			if err != nil || i < 0 || i >= len(arr) {
+				return nil, fmt.Errorf("%s: no element [%s]", name, index)
+			}
+			v = arr[i]
+		}
+	}
+	return v, nil
 }
 
 func sorted(set map[string]bool) []string {
