@@ -283,10 +283,12 @@ func TestDocsFiguresMatchBaselines(t *testing.T) {
 func jsonPath(v any, path string) (any, error) {
 	for _, step := range strings.Split(path, ".") {
 		name, index, indexed := strings.Cut(strings.TrimSuffix(step, "]"), "[")
-		obj, ok := v.(map[string]any)
-		if v, ok = obj[name]; !ok {
+		obj, _ := v.(map[string]any)
+		field, ok := obj[name]
+		if !ok {
 			return nil, fmt.Errorf("no field %q", name)
 		}
+		v = field
 		if indexed {
 			i, err := strconv.Atoi(index)
 			arr, _ := v.([]any)

@@ -88,8 +88,9 @@ func requireSameCands(t *testing.T, h CtxHash, what string, got, want []TokenPro
 
 // TestDeferEqualsNext holds Next to its contract: the unbuilt distribution
 // it returns is indistinguishable from the eager one under every reader,
-// Greedy's closed form included, on both sides of the aligned draft's coin. TopK 2000 gets a tenth of the contexts: every reader
-// there rebuilds 2,000 candidates.
+// Greedy's closed form included, on both sides of the aligned draft's
+// coin. TopK 2000 gets a tenth of the contexts: every reader there rebuilds
+// 2,000 candidates.
 func TestDeferEqualsNext(t *testing.T) {
 	contexts := 8_000
 	if testing.Short() {

@@ -136,7 +136,7 @@ func (m *Model) Next(h CtxHash) Dist {
 	if t := m.cfg.AlignTarget; t != nil {
 		return m.NextAgreeing(h, t, m.cfg.AlignProb)
 	}
-	return m.dist(uint64(h) ^ m.cfg.Seed)
+	return Dist{h: uint64(h) ^ m.cfg.Seed, vocab: m.cfg.VocabSize, cfg: &m.cfg}
 }
 
 // NextAgreeing returns a distribution that equals target.Next(h) with
@@ -148,12 +148,7 @@ func (m *Model) NextAgreeing(h CtxHash, target *Model, agreement float64) Dist {
 	if m.agrees(h, agreement) {
 		return target.Next(h)
 	}
-	return m.dist(uint64(h) ^ m.cfg.Seed ^ 0xdeadbeef)
-}
-
-// dist is m's distribution for the mixed context hash x, unbuilt.
-func (m *Model) dist(x uint64) Dist {
-	return Dist{h: x, vocab: m.cfg.VocabSize, cfg: &m.cfg}
+	return Dist{h: uint64(h) ^ m.cfg.Seed ^ 0xdeadbeef, vocab: m.cfg.VocabSize, cfg: &m.cfg}
 }
 
 // Echoes reports whether m's distribution at h is target's own: m is a draft
