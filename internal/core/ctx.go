@@ -325,7 +325,9 @@ type DecodeRun struct {
 // The caller supplies the run's tokens up front — the simulated model
 // and run.Draw are deterministic, so a generation's chain is known at
 // submission (see lip.Generate); the GPU step only decides when the
-// results exist.
+// results exist. Only the final position's distribution is returned
+// built; the others are unbuilt (model.Defer), equal under every Dist
+// method.
 func (c *Ctx) PredDecode(modelName string, f *kvfs.File, toks []token.ID, positions []int, run DecodeRun) ([]model.Dist, error) {
 	return c.pred(modelName, f, toks, positions, &run)
 }
@@ -465,9 +467,9 @@ func (c *Ctx) pred(modelName string, f *kvfs.File, toks []token.ID, positions []
 		// sampled one the coupled draw stands in for speculative sampling's
 		// min(1, p/q) test. Where the draft echoes the target's own
 		// distribution its proposal is the target's draw, so the position
-		// is accepted with nothing built (see DecodeRun.Draw); elsewhere a
-		// greedy draw answers from the draft's distribution without
-		// building it. The executor consults the bitmap round by round;
+		// is accepted with nothing built (see DecodeRun.Draw); elsewhere the
+		// draft's distribution is read unbuilt, which a greedy draw answers
+		// without building. The executor consults the bitmap round by round;
 		// no randomness at execution time, so identically-seeded runs
 		// speculate identically.
 		draw := run.Draw
@@ -478,7 +480,7 @@ func (c *Ctx) pred(modelName string, f *kvfs.File, toks []token.ID, positions []
 		accept := make([]bool, len(toks)-1)
 		h := preTail
 		for i := range accept {
-			accept[i] = draft.Echoes(m, h) || draw(i, draft.Next(h)) == toks[i]
+			accept[i] = draft.Echoes(m, h) || draw(i, draft.Defer(h)) == toks[i]
 			h = tails[i]
 		}
 		call.Spec = &sched.SpecCall{Draft: k.spec.Draft, Accept: accept}
@@ -536,15 +538,22 @@ func (c *Ctx) pred(modelName string, f *kvfs.File, toks []token.ID, positions []
 
 	// The attached prefix's per-token context hashes equal what appending
 	// those tokens would have produced (AdoptPrefix shares exact KV), so
-	// the caller still receives one distribution per submitted token.
+	// the caller still receives one distribution per submitted token —
+	// built for the positions this call executed, unbuilt (model.Defer) for
+	// the attached ones, which the GPU never computed, and for a decode
+	// run's non-final positions, whose tokens its caller already drew.
 	dists := make([]model.Dist, len(toks))
 	h := model.CtxHash(0)
 	for i := 0; i < attached; i++ {
 		h = h.Extend(toks[i], i)
-		dists[i] = m.Next(h)
+		dists[i] = m.Defer(h)
 	}
 	for i, th := range tails {
-		dists[attached+i] = m.Next(th)
+		if decode && i < len(tails)-1 {
+			dists[attached+i] = m.Defer(th)
+		} else {
+			dists[attached+i] = m.Next(th)
+		}
 	}
 	return dists, nil
 }

@@ -68,9 +68,9 @@ func runProgram(tb testing.TB, clk *simclock.Clock, k *Kernel, prog Program) {
 }
 
 // TestPrefixHitDistsEqualCacheOff pins pred's contract across a
-// prefix-cache hit: one distribution per submitted token, attached or
-// executed, and each answers exactly as the one a kernel without the cache
-// computes.
+// prefix-cache hit: one distribution per submitted token, and each of them
+// — unbuilt for the attached positions, built for the executed ones —
+// answers exactly as the one a kernel without the cache computes.
 func TestPrefixHitDistsEqualCacheOff(t *testing.T) {
 	seed, probe := sharedPrompt(1, 1), sharedPrompt(1, 2)
 	dists := map[bool][]model.Dist{}

@@ -52,8 +52,8 @@ func replayRounds(accept []bool, window int) specOutcome {
 // target's own distributions with draw (nil = greedy), and submits it as
 // one PredDecode run, whose returned distributions must each equal the
 // target's after its position. It returns the run's tokens, the bitmap
-// want says the rule should produce (want sees the draft's and the
-// target's distributions ahead of each position, and the token there), the
+// want says the rule should produce (want sees the built draft and target
+// distributions ahead of each position, and the token there), the
 // executor's counters and the progress counts heard.
 func decodeOnSpecKernel(t *testing.T, target, draft *model.Model, n int, draw func(int, model.Dist) token.ID,
 	want func(i int, draftD, targetD model.Dist, tok token.ID) bool) (toks []token.ID, accept []bool, got specOutcome, progress []int) {

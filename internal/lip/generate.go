@@ -164,16 +164,16 @@ func (g *decoder) advance(room int) error {
 }
 
 // walk extends the chain until it is ahead positions ahead of the KV file
-// or ends. Each position's distribution is the session's pending one, or,
-// past a carried or walked token, the model's over the context hash
-// kvfs.Append will give the tokens ahead of it — the hash PredDecode's
-// verifier sees there too.
+// or ends. Each position's distribution is the session's pending one, or
+// past a carried or walked token the model's unbuilt one over the context
+// hash kvfs.Append will give the tokens ahead of it — the hash
+// PredDecode's verifier sees there too.
 func (g *decoder) walk(ahead int) error {
 	h, pos, d := g.s.kv.Tail(), g.s.kv.Len(), g.s.last
 	for _, tok := range g.chain[g.done:] {
 		h = h.Extend(tok, pos)
 		pos++
-		d = g.m.Next(h)
+		d = g.m.Defer(h)
 	}
 	c := g.opts.Constraint
 	for !g.ended && len(g.chain)-g.done < ahead {
@@ -206,7 +206,7 @@ func (g *decoder) walk(ahead int) error {
 		}
 		h = h.Extend(tok, pos)
 		pos++
-		d = g.m.Next(h)
+		d = g.m.Defer(h)
 	}
 	return nil
 }

@@ -8,7 +8,7 @@ import (
 	"repro/internal/token"
 )
 
-// deferConfigs are the model shapes the unbuilt-vs-eager property is held
+// deferConfigs are the model shapes the unbuilt-vs-built property is held
 // on: the evaluation's target, its aligned draft (which answers with the
 // target's distribution on the agreeing side of its coin and its own on the
 // other), the unaligned draft, a vocabulary barely larger than TopK with a
@@ -37,18 +37,6 @@ func deferConfigs() []Config {
 	wide := Llama13B()
 	wide.Name, wide.TopK = "top2000", 2_000
 	return []Config{Llama13B(), aligned, DraftLlama1B(), small, noEOS, edge, over, one, wide}
-}
-
-// eager is Next(h) built at once, the way Next and NextAgreeing built it
-// before every Dist was born unbuilt: the reference Next answers to.
-func eager(m *Model, h CtxHash) Dist {
-	if t := m.cfg.AlignTarget; t != nil {
-		if m.agrees(h, m.cfg.AlignProb) {
-			return eager(t, h)
-		}
-		return makeDist(uint64(h)^m.cfg.Seed^0xdeadbeef, m.cfg)
-	}
-	return makeDist(uint64(h)^m.cfg.Seed, m.cfg)
 }
 
 // requireSameDist fails unless every reader of got answers exactly — no
@@ -86,11 +74,10 @@ func requireSameCands(t *testing.T, h CtxHash, what string, got, want []TokenPro
 	}
 }
 
-// TestDeferEqualsNext holds Next to its contract: the unbuilt distribution
-// it returns is indistinguishable from the eager one under every reader,
-// Greedy's closed form included, on both sides of the aligned draft's
-// coin. TopK 2000 gets a tenth of the contexts: every reader there rebuilds
-// 2,000 candidates.
+// TestDeferEqualsNext holds Defer to its contract: an unbuilt distribution
+// is indistinguishable from the eager one under every reader, Greedy's
+// closed form included. TopK 2000 gets a tenth of the contexts: every reader
+// there rebuilds 2,000 candidates.
 func TestDeferEqualsNext(t *testing.T) {
 	contexts := 8_000
 	if testing.Short() {
@@ -108,8 +95,8 @@ func TestDeferEqualsNext(t *testing.T) {
 			eosFirst, agreed, fellBack, eosWon := 0, 0, 0, 0
 			for i := 0; i < n; i++ {
 				h := CtxHash(splitmix64(uint64(i)))
-				want := eager(m, h)
-				got := m.Next(h)
+				want := m.Next(h)
+				got := m.Defer(h)
 				requireSameDist(t, h, got, want)
 				if want.Greedy() == token.EOS {
 					eosFirst++
@@ -145,7 +132,7 @@ func TestDeferEqualsNext(t *testing.T) {
 	}
 }
 
-// FuzzGreedyDefer holds Greedy's closed form to the eager distribution over
+// FuzzGreedyDefer holds Greedy's closed form to the built distribution over
 // shapes nobody listed: any context, an EOS bias in [0, 1.2], a TopK in
 // [1, 4096] and a vocabulary at least TopK+8, on the model and on an aligned
 // draft of it.
@@ -165,45 +152,35 @@ func FuzzGreedyDefer(f *testing.F) {
 		draft := AlignedDraft(target, 0.85)
 		draft.EOSBias, draft.TopK, draft.VocabSize = cfg.EOSBias, cfg.TopK, cfg.VocabSize
 		for _, m := range []*Model{target, New(draft)} {
-			if got, want := m.Next(CtxHash(h)).Greedy(), eager(m, CtxHash(h)).Greedy(); got != want {
-				t.Fatalf("%s h=%#x: Next(h).Greedy() = %d, eager Greedy() = %d", m.Name(), h, got, want)
+			if got, want := m.Defer(CtxHash(h)).Greedy(), m.Next(CtxHash(h)).Greedy(); got != want {
+				t.Fatalf("%s h=%#x: Defer(h).Greedy() = %d, Next(h).Greedy() = %d", m.Name(), h, got, want)
 			}
 		}
 	})
 }
 
-// TestNextAllocatesNothing: Next hands out the context hash and a pointer
-// to the model's configuration, so a position nobody reads costs no
-// allocation, on the target and on both sides of an aligned draft's coin.
-func TestNextAllocatesNothing(t *testing.T) {
-	target := testModel()
-	for _, m := range []*Model{target, New(AlignedDraft(target, 0.85))} {
-		i := uint64(0)
-		allocs := testing.AllocsPerRun(1_000, func() {
-			i++
-			sinkDist = m.Next(CtxHash(splitmix64(i)))
-		})
-		if allocs != 0 {
-			t.Errorf("%s: Next allocates %v times per call, want 0", m.Name(), allocs)
-		}
-	}
-}
+var sinkDist Dist
 
-var (
-	sinkDist  Dist
-	sinkCands []TokenProb
-	sinkToken token.ID
-)
-
-// BenchmarkNext is the build every position whose candidates are read
-// pays: a sampled draw, a mask, a temperature.
+// BenchmarkNext is the eager build every executed position pays.
 func BenchmarkNext(b *testing.B) {
 	m := testModel()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		sinkCands = m.Next(CtxHash(splitmix64(uint64(i)))).Candidates()
+		sinkDist = m.Next(CtxHash(splitmix64(uint64(i))))
 	}
 }
+
+// BenchmarkDefer is what a position a prefix-cache hit attached pays, as
+// long as nobody reads its distribution.
+func BenchmarkDefer(b *testing.B) {
+	m := testModel()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sinkDist = m.Defer(CtxHash(splitmix64(uint64(i))))
+	}
+}
+
+var sinkToken token.ID
 
 // BenchmarkGreedyDefer is what each position of the greedy speculation
 // bitmap, of lip.Generate's greedy chain walk and of the baselines'
@@ -212,15 +189,15 @@ func BenchmarkGreedyDefer(b *testing.B) {
 	m := testModel()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		sinkToken = m.Next(CtxHash(splitmix64(uint64(i)))).Greedy()
+		sinkToken = m.Defer(CtxHash(splitmix64(uint64(i)))).Greedy()
 	}
 }
 
-// BenchmarkTemperature is what lip.Sampler.Sample adds to the build for
-// every token it draws at a temperature other than 0 and 1: a Pow per
-// candidate, and an order that one pass confirms.
+// BenchmarkTemperature is what lip.Sampler.Sample adds to Next for every
+// token it draws at a temperature other than 0 and 1: a Pow per candidate,
+// and an order that one pass confirms.
 func BenchmarkTemperature(b *testing.B) {
-	d := testModel().Next(1).built()
+	d := testModel().Next(1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		sinkDist = d.Temperature(0.7)
@@ -231,7 +208,7 @@ func BenchmarkTemperature(b *testing.B) {
 // allowed tokens, half of them candidates, listed by token id as a grammar
 // would — not in candidate order, so this one pays for the sort.
 func BenchmarkMask(b *testing.B) {
-	d := testModel().Next(1).built()
+	d := testModel().Next(1)
 	allowed := make([]token.ID, 0, 16)
 	for i, c := range d.Candidates()[:8] {
 		allowed = append(allowed, c.Token, token.ID(1000+i))
@@ -244,9 +221,9 @@ func BenchmarkMask(b *testing.B) {
 }
 
 // TestEchoesIsExact holds Echoes to what the kernel's speculation bitmap
-// takes it for: wherever an aligned draft echoes its target, its Next
-// answers as the target's does, built or not; a draft aligned to another
-// target, or to none, never echoes.
+// takes it for: wherever an aligned draft echoes its target, its Next and
+// Defer answer as the target's Next does, on both sides of the coin; a
+// draft aligned to another target, or to none, never echoes.
 func TestEchoesIsExact(t *testing.T) {
 	target, other := New(Llama13B()), New(DraftLlama1B())
 	draft := New(AlignedDraft(target, 0.85))
@@ -259,7 +236,7 @@ func TestEchoesIsExact(t *testing.T) {
 		}
 		echoed++
 		requireSameDist(t, h, draft.Next(h), target.Next(h))
-		requireSameDist(t, h, draft.Next(h), eager(target, h))
+		requireSameDist(t, h, draft.Defer(h), target.Next(h))
 		if draft.Echoes(other, h) || other.Echoes(target, h) {
 			t.Fatalf("h=%#x: echoes a model it is not aligned to", h)
 		}

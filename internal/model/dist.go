@@ -19,12 +19,19 @@ type TokenProb struct {
 // queryable tail approximation for everything else. Probabilities over the
 // candidates sum to 1-TailMass.
 //
-// A Dist from Model.Next is unbuilt: it holds only the context hash and the
-// model's configuration. Greedy answers in closed form from mass and draw,
-// building only where that form does not hold; every other reader builds
-// the candidates through makeDist first. Nothing is cached, so a caller
-// that reads one Dist's candidates more than once reads them once and
-// keeps the result.
+// A Dist from Model.Defer is unbuilt: it holds only the context hash and the
+// model's configuration, and answers exactly as Model.Next's would. Greedy
+// answers in closed form from mass and draw, building only where that form
+// does not hold; every other reader builds the candidates through makeDist
+// first. Methods have value receivers and nothing is cached, so an unbuilt
+// Dist rebuilds on every such read — right for values nobody reads (the
+// kernel's pred hands them out for positions a prefix-cache hit attached
+// and for a decode run's non-final positions), reads only through Greedy
+// (the speculation bitmap, lip.Generate's greedy chain walk) or reads once
+// (a sampled or constrained chain walk's one draw per position, the
+// bitmap's draft proposal for such a run), wrong for any other read in a
+// loop: lip.Session keeps the last position's, always executed and so
+// always from Next.
 type Dist struct {
 	h     uint64
 	vocab int

@@ -129,14 +129,25 @@ func (m *Model) Config() Config { return m.cfg }
 func (m *Model) Name() string { return m.cfg.Name }
 
 // Next returns the next-token distribution for the context identified by h.
-// It is pure: equal hashes yield equal distributions. The Dist comes back
-// unbuilt and builds on each read of its candidates (see Dist), so a
-// position nobody reads costs nothing.
+// It is pure: equal hashes yield equal distributions.
 func (m *Model) Next(h CtxHash) Dist {
-	if t := m.cfg.AlignTarget; t != nil {
-		return m.NextAgreeing(h, t, m.cfg.AlignProb)
+	if m.cfg.AlignTarget != nil {
+		return m.NextAgreeing(h, m.cfg.AlignTarget, m.cfg.AlignProb)
 	}
-	return Dist{h: uint64(h) ^ m.cfg.Seed, vocab: m.cfg.VocabSize, cfg: &m.cfg}
+	return makeDist(uint64(h)^m.cfg.Seed, m.cfg)
+}
+
+// Defer returns Next(h) unbuilt (see Dist): equal to it under every Dist
+// method, at none of its cost until something reads it.
+func (m *Model) Defer(h CtxHash) Dist {
+	x := uint64(h) ^ m.cfg.Seed
+	if t := m.cfg.AlignTarget; t != nil {
+		if m.agrees(h, m.cfg.AlignProb) {
+			return t.Defer(h)
+		}
+		x ^= 0xdeadbeef
+	}
+	return Dist{h: x, vocab: m.cfg.VocabSize, cfg: &m.cfg}
 }
 
 // NextAgreeing returns a distribution that equals target.Next(h) with
@@ -148,7 +159,7 @@ func (m *Model) NextAgreeing(h CtxHash, target *Model, agreement float64) Dist {
 	if m.agrees(h, agreement) {
 		return target.Next(h)
 	}
-	return Dist{h: uint64(h) ^ m.cfg.Seed ^ 0xdeadbeef, vocab: m.cfg.VocabSize, cfg: &m.cfg}
+	return makeDist(uint64(h)^m.cfg.Seed^0xdeadbeef, m.cfg)
 }
 
 // Echoes reports whether m's distribution at h is target's own: m is a draft

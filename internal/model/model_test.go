@@ -285,6 +285,7 @@ func TestApproxBytesMatchesPaperClaim(t *testing.T) {
 	d := m.Next(1)
 	for name, r := range map[string]Dist{
 		"next":        d,
+		"defer":       m.Defer(1),
 		"mask":        d.Mask([]token.ID{d.Greedy()}),
 		"temperature": d.Temperature(2),
 		"new":         NewDist(d.VocabSize(), d.Candidates()),
