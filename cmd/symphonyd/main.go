@@ -31,7 +31,8 @@
 // lane. Per-lane queue-delay histograms and preemption counters are
 // reported by /v1/stats under "lanes".
 //
-// -spec-decode composes with either policy: it runs greedy and
+// Speculative decoding is on by default (-spec-decode=false turns it
+// off) and composes with either policy: it runs greedy and
 // seeded-sampled decode runs as draft/verify rounds against the built-in
 // draft-1b model inside each iteration — the draft proposes a constant
 // window of 4 tokens a round, the target verifies them in one batched
@@ -88,8 +89,8 @@ func main() {
 		"replica dispatch policy ("+strings.Join(sched.DispatcherNames(), "|")+")")
 	prioPolicy := flag.String("priority-policy", "lanes",
 		"GPU iteration ordering policy ("+strings.Join(sched.PriorityPolicyNames(), "|")+")")
-	specDecode := flag.Bool("spec-decode", false,
-		"speculatively decode greedy and seeded-sampled generation runs on the draft-1b model inside each GPU iteration, any priority policy")
+	specDecode := flag.Bool("spec-decode", true,
+		"speculatively decode greedy and seeded-sampled generation runs on the draft-1b model inside each GPU iteration, any priority policy (-spec-decode=false decodes one token per iteration)")
 	prefixCache := flag.Bool("prefix-cache", false,
 		"enable the kernel radix prefix cache: cross-job KV deduplication of shared prompt prefixes by copy-on-write share")
 	prefixChunk := flag.Int("prefix-chunk", core.DefaultPrefixChunk,

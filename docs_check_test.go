@@ -1,15 +1,20 @@
 // docs_check_test.go keeps the documentation honest: every relative
 // markdown link in README.md and docs/ must resolve to a file in the
 // repository, docs/FLAGS.md must agree with the binaries' actual flag
-// sets, and docs/EXPERIMENTS.md with the experiments.Sweeps registry —
-// each in both directions: a name documented but not defined is as much
-// a failure as one defined but not documented. A figure the docs cite
-// from a pinned sweep must read what its baseline holds.
+// sets and defaults, and docs/EXPERIMENTS.md with the
+// experiments.Sweeps registry — each in both directions: a name
+// documented but not defined is as much a failure as one defined but not
+// documented. A figure the docs cite from a pinned sweep must read what
+// its baseline holds.
 package bench
 
 import (
 	"encoding/json"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"go/types"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -17,8 +22,10 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/analysis"
+	"repro/internal/core"
 	"repro/internal/experiments"
 )
 
@@ -70,62 +77,140 @@ func TestDocsLinksResolve(t *testing.T) {
 	}
 }
 
-// definedFlags extracts the flag names a binary registers by scanning
-// its sources for flag.<Type>("name", ...) calls.
-func definedFlags(t *testing.T, binary string) map[string]bool {
+// flagKinds are the flag package's definers a binary registers flags with.
+var flagKinds = map[string]bool{
+	"String": true, "Bool": true, "Int": true, "Int64": true, "Uint64": true, "Float64": true, "Duration": true,
+}
+
+// flagDef is one flag a binary registers: its definer's type and the
+// expression of its default.
+type flagDef struct {
+	kind string
+	def  ast.Expr
+}
+
+// definedFlags parses a binary's sources for its flag.<Type>("name",
+// default, …) calls.
+func definedFlags(t *testing.T, binary string) map[string]flagDef {
 	t.Helper()
-	re := regexp.MustCompile(`flag\.(?:String|Bool|Int64|Int|Uint64|Float64|Duration)\(\s*"([^"]+)"`)
-	flags := map[string]bool{}
 	srcs, err := filepath.Glob(filepath.Join("cmd", binary, "*.go"))
 	if err != nil || len(srcs) == 0 {
 		t.Fatalf("no sources for cmd/%s: %v", binary, err)
 	}
+	flags := map[string]flagDef{}
+	fset := token.NewFileSet()
 	for _, src := range srcs {
 		if strings.HasSuffix(src, "_test.go") {
 			continue
 		}
-		data, err := os.ReadFile(src)
+		f, err := parser.ParseFile(fset, src, nil, 0)
 		if err != nil {
-			t.Fatalf("reading %s: %v", src, err)
+			t.Fatalf("parsing %s: %v", src, err)
 		}
-		for _, m := range re.FindAllStringSubmatch(string(data), -1) {
-			flags[m[1]] = true
-		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok || len(call.Args) < 2 {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok || types.ExprString(sel.X) != "flag" || !flagKinds[sel.Sel.Name] {
+				return true
+			}
+			if lit, ok := call.Args[0].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+				name, _ := strconv.Unquote(lit.Value) // parsed, so well-formed
+				flags[name] = flagDef{kind: sel.Sel.Name, def: call.Args[1]}
+			}
+			return true
+		})
 	}
 	return flags
 }
 
-// documentedFlags parses docs/FLAGS.md into per-binary flag sets: a
+// documentedFlags parses docs/FLAGS.md into per-binary flag tables: a
 // "## binary" heading opens a section, and each table row whose first
-// cell is `-name` documents one flag.
-func documentedFlags(t *testing.T) map[string]map[string]bool {
+// cell is `-name` documents one flag, mapped to its Default cell with the
+// backquotes cut.
+func documentedFlags(t *testing.T) map[string]map[string]string {
 	t.Helper()
 	data, err := os.ReadFile(filepath.Join("docs", "FLAGS.md"))
 	if err != nil {
 		t.Fatalf("reading docs/FLAGS.md: %v", err)
 	}
-	rowRE := regexp.MustCompile("^\\| `-([a-z0-9-]+)` ")
-	sections := map[string]map[string]bool{}
+	rowRE := regexp.MustCompile("^\\| `-([a-z0-9-]+)` \\| ([^|]*) \\|")
+	sections := map[string]map[string]string{}
 	var current string
 	for _, line := range strings.Split(string(data), "\n") {
 		if name, ok := strings.CutPrefix(line, "## "); ok {
 			current = strings.TrimSpace(name)
-			sections[current] = map[string]bool{}
+			sections[current] = map[string]string{}
 			continue
 		}
 		if m := rowRE.FindStringSubmatch(line); m != nil {
 			if current == "" {
 				t.Fatalf("docs/FLAGS.md: flag row %q before any binary heading", line)
 			}
-			sections[current][m[1]] = true
+			sections[current][m[1]] = strings.Trim(m[2], "`")
 		}
 	}
 	return sections
 }
 
+// expressionDefaults are the flag defaults a binary writes as an
+// expression rather than a literal, keyed as go/types prints the
+// expression, with the value it evaluates to. A default that is neither a
+// literal nor listed here fails the test instead of going unchecked.
+var expressionDefaults = map[string]any{
+	"core.DefaultPrefixChunk": core.DefaultPrefixChunk,
+	"10 * time.Minute":        10 * time.Minute,
+}
+
+// defaultText is a flag default as text parseDefault reads: a literal's
+// own text, or an expressionDefaults entry's value. ok is false for any
+// other expression.
+func defaultText(e ast.Expr) (text string, ok bool) {
+	switch e := e.(type) {
+	case *ast.BasicLit:
+		if e.Kind != token.STRING {
+			return e.Value, true
+		}
+		s, err := strconv.Unquote(e.Value)
+		if s == "" {
+			s = `""`
+		}
+		return s, err == nil
+	case *ast.Ident:
+		return e.Name, e.Name == "true" || e.Name == "false"
+	}
+	v, ok := expressionDefaults[types.ExprString(e)]
+	return fmt.Sprint(v), ok
+}
+
+// parseDefault reads a default written as text into the flag's own type,
+// so `1` and `1.0`, or `10m` and `10m0s`, compare equal; docs/FLAGS.md
+// writes the empty string as "".
+func parseDefault(kind, text string) (any, error) {
+	switch kind {
+	case "Bool":
+		return strconv.ParseBool(text)
+	case "Int", "Int64":
+		return strconv.ParseInt(text, 0, 64)
+	case "Uint64":
+		return strconv.ParseUint(text, 0, 64)
+	case "Float64":
+		return strconv.ParseFloat(text, 64)
+	case "Duration":
+		return time.ParseDuration(text)
+	}
+	if text == `""` {
+		return "", nil
+	}
+	return text, nil
+}
+
 // TestDocsFlagsMatchBinaries asserts docs/FLAGS.md and the binaries
 // agree: one section per cmd/ binary, every documented flag defined,
-// every defined flag documented.
+// every defined flag documented, and each Default cell equal to the
+// default the binary compiles in.
 func TestDocsFlagsMatchBinaries(t *testing.T) {
 	documented := documentedFlags(t)
 
@@ -148,12 +233,29 @@ func TestDocsFlagsMatchBinaries(t *testing.T) {
 		}
 		defined := definedFlags(t, binary)
 		for _, name := range sorted(defined) {
-			if !docs[name] {
+			cell, ok := docs[name]
+			if !ok {
 				t.Errorf("cmd/%s defines -%s but docs/FLAGS.md does not document it", binary, name)
+				continue
+			}
+			f := defined[name]
+			text, ok := defaultText(f.def)
+			if !ok {
+				t.Errorf("cmd/%s -%s defaults to %s, neither a literal nor an expressionDefaults entry",
+					binary, name, types.ExprString(f.def))
+				continue
+			}
+			want, err := parseDefault(f.kind, text)
+			if err != nil {
+				t.Errorf("cmd/%s -%s: default %q: %v", binary, name, text, err)
+				continue
+			}
+			if got, err := parseDefault(f.kind, cell); err != nil || got != want {
+				t.Errorf("docs/FLAGS.md gives %s -%s the default %q; the binary's is %s", binary, name, cell, text)
 			}
 		}
 		for _, name := range sorted(docs) {
-			if !defined[name] {
+			if _, ok := defined[name]; !ok {
 				t.Errorf("docs/FLAGS.md documents -%s for %s but the binary does not define it", name, binary)
 			}
 		}
@@ -301,7 +403,7 @@ func jsonPath(v any, path string) (any, error) {
 	return v, nil
 }
 
-func sorted(set map[string]bool) []string {
+func sorted[V any](set map[string]V) []string {
 	names := make([]string, 0, len(set))
 	for name := range set {
 		names = append(names, name)

@@ -328,8 +328,8 @@ func execStmt(ctx *core.Ctx, st Stmt, sessions map[string]*lip.Session, named *[
 			sampler = &lip.Sampler{Temperature: st.Temperature, Seed: st.Seed}
 		}
 		// A generation is a decode run: the executor advances it one
-		// token — or one verified draft window, under -spec-decode — per
-		// GPU iteration instead of paying a scheduling round trip per
+		// token — or one verified draft window, on a speculating kernel —
+		// per GPU iteration instead of paying a scheduling round trip per
 		// token. Its last token stays pending on the session until a
 		// later statement reads past it; a remove discards it.
 		res, err := lip.Generate(sess, lip.GenOptions{

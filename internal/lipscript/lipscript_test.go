@@ -289,40 +289,65 @@ func TestInterpolation(t *testing.T) {
 	}
 }
 
-// TestSampledGenerateIsDecodeRun runs a seeded-sampled generate on a plain
-// and on a speculating kernel: one decode run after the prefill on both,
-// speculated on the second, and the same output, because the committed
-// tokens are the target's own draws.
+// TestSampledGenerateIsDecodeRun runs seeded-sampled generates on a plain
+// and on a speculating kernel: each generate is one decode run on both,
+// speculated on the second, and the output is the same, because the
+// committed tokens are the target's own draws. The second script is the
+// shape of the agent program the repository benchmark's daemon_http
+// workload sends symphonyd, which speculates by default: a sampled
+// generate whose text a tool call and a prefill follow, an emit, and a
+// second sampled generate.
 func TestSampledGenerateIsDecodeRun(t *testing.T) {
-	const js = `{"steps":[
-		{"op":"anon","s":"a"},
-		{"op":"prefill","s":"a","text":"route this sampled generation"},
-		{"op":"generate","s":"a","max_tokens":40,"temperature":0.7,"seed":7}
-	]}`
-	out := map[bool]string{}
-	for _, spec := range []bool{false, true} {
-		clk := simclock.New()
-		target := model.New(model.Llama13B())
-		cfg := core.Config{Models: map[string]*model.Model{
-			"llama-13b": target,
-			"draft":     model.New(model.AlignedDraft(target, 0.85)),
-		}, DefaultModel: "llama-13b"}
-		if spec {
-			cfg.Spec = &core.SpecConfig{Draft: "draft"}
-		}
-		k := core.New(clk, cfg)
-		p, err := runScript(t, k, clk, js)
-		clk.Shutdown()
-		if err != nil {
-			t.Fatalf("spec=%v: %v", spec, err)
-		}
-		out[spec] = p.Output()
-		if st := k.Stats(); st.PredCalls != 2 || (st.Sched.SpecRounds > 0) != spec {
-			t.Errorf("spec=%v: %d preds, %d spec rounds; want the prefill and one decode run", spec, st.PredCalls, st.Sched.SpecRounds)
-		}
-	}
-	if out[false] == "" || out[true] != out[false] {
-		t.Errorf("outputs differ: %q without speculation, %q with", out[false], out[true])
+	for _, tc := range []struct {
+		name  string
+		js    string
+		preds int64
+	}{
+		{"one generate", `{"steps":[
+			{"op":"anon","s":"a"},
+			{"op":"prefill","s":"a","text":"route this sampled generation"},
+			{"op":"generate","s":"a","max_tokens":40,"temperature":0.7,"seed":7}
+		]}`, 2},
+		{"agent", `{"steps":[
+			{"op":"anon","s":"c"},
+			{"op":"prefill","s":"c","text":"plan the answer to a question that needs one search"},
+			{"op":"generate","s":"c","max_tokens":16,"temperature":0.7,"seed":11,"out":"thought"},
+			{"op":"call","tool":"search","text":"the question","out":"obs"},
+			{"op":"prefill","s":"c","text":"${obs} and what the search left open"},
+			{"op":"emit","text":"thought: ${thought} answer: "},
+			{"op":"generate","s":"c","max_tokens":48,"temperature":0.7,"seed":12},
+			{"op":"remove","s":"c"}
+		]}`, 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			out := map[bool]string{}
+			for _, spec := range []bool{false, true} {
+				clk := simclock.New()
+				target := model.New(model.Llama13B())
+				cfg := core.Config{Models: map[string]*model.Model{
+					"llama-13b": target,
+					"draft":     model.New(model.AlignedDraft(target, 0.85)),
+				}, DefaultModel: "llama-13b"}
+				if spec {
+					cfg.Spec = &core.SpecConfig{Draft: "draft"}
+				}
+				k := core.New(clk, cfg)
+				RegisterTools(k)
+				p, err := runScript(t, k, clk, tc.js)
+				clk.Shutdown()
+				if err != nil {
+					t.Fatalf("spec=%v: %v", spec, err)
+				}
+				out[spec] = p.Output()
+				if st := k.Stats(); st.PredCalls != tc.preds || (st.Sched.SpecRounds > 0) != spec {
+					t.Errorf("spec=%v: %d preds, %d spec rounds; want %d, a prefill or one decode run each",
+						spec, st.PredCalls, st.Sched.SpecRounds, tc.preds)
+				}
+			}
+			if out[false] == "" || out[true] != out[false] {
+				t.Errorf("outputs differ: %q without speculation, %q with", out[false], out[true])
+			}
+		})
 	}
 }
 
