@@ -2,6 +2,7 @@ package baseline
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -101,8 +102,8 @@ func TestTGIMatchesGroundTruth(t *testing.T) {
 }
 
 // TestGenerationIsOneDecodeRun holds each baseline to two scheduler calls
-// per request — the prefill and one decode run of the whole answer — and
-// a whole-prompt vLLM cache hit to the decode run alone.
+// per request — the prefill and one decode run of the whole answer — a
+// whole-prompt vLLM cache hit included: it prefills only its last block.
 func TestGenerationIsOneDecodeRun(t *testing.T) {
 	v := token.NewVocab()
 	p := prompt(v, 160, 3) // 10 whole blocks
@@ -136,7 +137,7 @@ func TestGenerationIsOneDecodeRun(t *testing.T) {
 			drive(t, clk, func() {
 				check(2, 0)
 				if tc.name == "vllm" {
-					check(3, srv.Stats().Sched.ExecutedTokens)
+					check(4, srv.Stats().Sched.ExecutedTokens)
 				}
 			})
 		})
@@ -210,6 +211,51 @@ func TestVLLMPrefixCacheHit(t *testing.T) {
 		if r2.Tokens[i] != want {
 			t.Fatalf("cached request diverged at %d", i)
 		}
+	}
+}
+
+// TestVLLMFullHitPrefillsLastBlock: a block-aligned prompt whose every
+// block is cached attaches all but its last block and prefills that one,
+// as the kernel's prefix cache does — the first answer token needs the
+// last prompt token's logits — and answers what tgi-sim answers.
+func TestVLLMFullHitPrefillsLastBlock(t *testing.T) {
+	const block = 16 // smallFS's page size
+	p := prompt(token.NewVocab(), 10*block, 11)
+	m := model.New(model.Llama13B())
+	var tgi, first, hit Response
+	var hitPrefill int64
+	clk := simclock.New()
+	srv := NewVLLM(clk, Config{Model: m, FS: smallFS(100_000)})
+	drive(t, clk, func() {
+		var err error
+		if first, err = srv.Complete(Request{Prompt: p, MaxTokens: 8}); err != nil {
+			t.Error(err)
+			return
+		}
+		before := srv.Stats().Sched.ExecutedTokens
+		if hit, err = srv.Complete(Request{Prompt: p, MaxTokens: 8}); err != nil {
+			t.Error(err)
+			return
+		}
+		hitPrefill = srv.Stats().Sched.ExecutedTokens - before - int64(len(hit.Tokens))
+	})
+	tclk := simclock.New()
+	tsrv := NewTGI(tclk, Config{Model: m, FS: smallFS(100_000)})
+	drive(t, tclk, func() {
+		var err error
+		if tgi, err = tsrv.Complete(Request{Prompt: p, MaxTokens: 8}); err != nil {
+			t.Error(err)
+		}
+	})
+	if first.CachedTokens != 0 {
+		t.Fatalf("first request cached %d tokens", first.CachedTokens)
+	}
+	if hit.CachedTokens != len(p)-block || hitPrefill != block {
+		t.Fatalf("full hit attached %d tokens and prefilled %d; want %d and the last block's %d",
+			hit.CachedTokens, hitPrefill, len(p)-block, block)
+	}
+	if len(hit.Tokens) == 0 || !slices.Equal(hit.Tokens, tgi.Tokens) || !slices.Equal(first.Tokens, tgi.Tokens) {
+		t.Fatalf("answers differ: vllm %v then %v, tgi %v", first.Tokens, hit.Tokens, tgi.Tokens)
 	}
 }
 

@@ -376,13 +376,13 @@ func (c *Ctx) pred(modelName string, f *kvfs.File, toks []token.ID, positions []
 	// tail is appended and submitted. A disk-resident match is loaded
 	// back first, billed like any other disk load.
 	cacheable := k.pcache != nil && !decode && f.Len() == 0 &&
-		identityPositions(positions) && len(toks) >= k.pcache.chunk
-	var pnode *prefixNode
+		identityPositions(positions) && len(toks) >= k.pcache.tree.Chunk()
+	var pnode *kvfs.PrefixNode
 	attached := 0
 	if cacheable {
 		if n, depth := k.pcache.match(toks); n != nil {
-			k.kvd.Touch(n.file)
-			if rerr := c.ensureResident(n.file, m.Config().Cost); rerr != nil {
+			k.kvd.Touch(n.File())
+			if rerr := c.ensureResident(n.File(), m.Config().Cost); rerr != nil {
 				// Cannot bring the cached prefix back: treat as a miss.
 				k.pcache.release(n)
 			} else {
@@ -408,7 +408,7 @@ func (c *Ctx) pred(modelName string, f *kvfs.File, toks []token.ID, positions []
 			return err
 		}
 		if attached > 0 && f.Len() == 0 {
-			if aerr := f.AdoptPrefix(pnode.file, attached); aerr != nil {
+			if aerr := f.AdoptPrefix(pnode.File(), attached); aerr != nil {
 				// Share refused (the node file lost residency despite the
 				// pin, or a restart raced): fall back to a full prefill.
 				// The deferred release/unpin still run.
@@ -598,7 +598,9 @@ const (
 // pinned — nothing is evictable and everyone stalls — so a call whose
 // alloc fails with ErrNoSpace breaks the hold-and-wait by
 // self-preemption (vLLM-style swap), one call at a time in the order
-// their allocations failed: behind the space gate, it gives back the
+// their allocations failed: behind the space gate, it first evicts the
+// prefix cache's idle leaves until a GPU page is freed, retrying alloc
+// after each such gain; with none left to evict it gives back the
 // residency of own, waits for space freed elsewhere, and runs alloc
 // again. A call queued at the gate holds no pin, so the one retrying may
 // evict it.
@@ -627,6 +629,13 @@ func (c *Ctx) allocUnderPressure(own []*kvfs.File, alloc func() error) error {
 		// ErrNoSpace.
 		if err := c.p.checkLive(); err != nil {
 			return err
+		}
+		// The prefix cache is a cache: its idle leaves go before anyone
+		// waits. When they free GPU space, retry at once.
+		if k.pcache.freeGPU() {
+			idle = 0
+			err = try()
+			continue
 		}
 		for _, f := range own {
 			k.kvd.Preempt(f)

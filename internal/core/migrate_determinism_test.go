@@ -144,15 +144,9 @@ func FuzzPrefixDirectory(f *testing.F) {
 				k.pcache.insert(r.f, r.toks)
 				register(r.f.Root())
 			case op == 4: // the cap takes one more idle leaf
-				pc := k.pcache
-				pc.mu.Lock()
-				pc.maxNodes = len(pc.nodes) - 1
-				victims := pc.evictOverCapLocked()
-				pc.maxNodes = maxNodes
-				pc.mu.Unlock()
-				for _, vf := range victims {
-					vf.Remove()
-				}
+				tree := k.pcache.tree
+				n := tree.Len()
+				tree.EvictUntil(func() bool { return tree.Len() < n })
 			case op == 5: // a replica crash-restarts
 				crashed := arg % replicas
 				for _, r := range live {
@@ -169,14 +163,13 @@ func FuzzPrefixDirectory(f *testing.F) {
 			for rf := range registered {
 				holders[rf.Root()] = true
 			}
-			k.pcache.mu.Lock()
-			for _, n := range k.pcache.nodes {
-				holders[n.root] = true
-				if _, ok := got[n.root]; !ok {
-					t.Errorf("step %d: cache node at depth %d names root %x the directory dropped", step, n.depth, n.root)
+			for _, nf := range k.pcache.tree.Files() {
+				root := nf.Root()
+				holders[root] = true
+				if _, ok := got[root]; !ok {
+					t.Errorf("step %d: cache node at depth %d names root %x the directory dropped", step, nf.Len(), root)
 				}
 			}
-			k.pcache.mu.Unlock()
 			for root := range home {
 				if !holders[root] {
 					delete(home, root)

@@ -64,87 +64,6 @@ func insertPrompt(t *testing.T, k *Kernel, toks []token.ID) {
 	}
 }
 
-// naiveRadixMatch is the reference for FuzzRadixMatch: the deepest
-// chunk-aligned common prefix between query and any inserted prompt,
-// capped at len(query)-1 (a pred must prefill at least one token).
-func naiveRadixMatch(query []token.ID, prompts [][]token.ID, chunk int) int {
-	best := 0
-	for _, p := range prompts {
-		l := 0
-		for l < len(query) && l < len(p) && query[l] == p[l] {
-			l++
-		}
-		if l > len(query)-1 {
-			l = len(query) - 1
-		}
-		l -= l % chunk
-		if l > best {
-			best = l
-		}
-	}
-	return best
-}
-
-// fuzzTokens decodes one token stream from the fuzz input: a cut point
-// into a base prompt (sharing its prefix) plus fresh tokens from a small
-// alphabet, so radix structure arises naturally.
-func fuzzTokens(data []byte, i *int, base []token.ID) []token.ID {
-	next := func() byte {
-		if *i >= len(data) {
-			return 0
-		}
-		b := data[*i]
-		*i++
-		return b
-	}
-	cut := 0
-	if len(base) > 0 {
-		cut = int(next()) % (len(base) + 1)
-	}
-	toks := append([]token.ID(nil), base[:cut]...)
-	for n := 1 + int(next())%13; n > 0; n-- {
-		toks = append(toks, token.ID(1+int(next())%7))
-	}
-	return toks
-}
-
-// FuzzRadixMatch drives the cache's match walk against the naive
-// longest-common-prefix reference over randomized prompt families.
-func FuzzRadixMatch(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte{3, 9, 1, 2, 3, 4, 5, 6, 7, 8, 9, 1, 2, 3})
-	f.Add([]byte{0, 12, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 6, 4, 2, 2, 2, 2, 9, 3})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		const chunk = 4 // equals the page size in newPrefixKernel
-		clk, k := newPrefixKernel(chunk, 1<<20)
-		defer clk.Shutdown()
-
-		i := 0
-		var prompts [][]token.ID
-		var base []token.ID
-		for n := 0; n < 4; n++ {
-			p := fuzzTokens(data, &i, base)
-			insertPrompt(t, k, p)
-			prompts = append(prompts, p)
-			base = p
-		}
-		query := fuzzTokens(data, &i, base)
-
-		node, depth := k.pcache.match(query)
-		defer k.pcache.release(node)
-		want := naiveRadixMatch(query, prompts, chunk)
-		if depth != want {
-			t.Fatalf("match depth %d, want %d (query %v, prompts %v)", depth, want, query, prompts)
-		}
-		if node == nil && depth != 0 {
-			t.Fatalf("nil node with depth %d", depth)
-		}
-		if node != nil && node.depth != depth {
-			t.Fatalf("node depth %d != returned depth %d", node.depth, depth)
-		}
-	})
-}
-
 // TestPrefixCacheReaderBlocksEviction pins the mid-attach safety rule:
 // a node held by a reader is never evicted by the MaxNodes cap, no
 // matter how stale, and becomes evictable again once released.
@@ -192,22 +111,12 @@ func TestPrefixCacheReaderBlocksEviction(t *testing.T) {
 }
 
 // checkChildCounts asserts the tree's leaf bookkeeping: every node's
-// children equals the number of its children resident in the map (cap
+// children equals the number of its children resident in the tree (cap
 // eviction only ever takes nodes it counts as childless).
 func checkChildCounts(t *testing.T, pc *prefixCache, when string) {
 	t.Helper()
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	want := make(map[model.CtxHash]int)
-	for _, n := range pc.nodes {
-		if _, ok := pc.nodes[n.parent]; ok {
-			want[n.parent]++
-		}
-	}
-	for h, n := range pc.nodes {
-		if n.children != want[h] {
-			t.Errorf("%s: node at depth %d has children=%d, %d resident", when, n.depth, n.children, want[h])
-		}
+	if err := pc.tree.Verify(); err != nil {
+		t.Errorf("%s: %v", when, err)
 	}
 }
 
@@ -237,14 +146,14 @@ func TestPrefixCacheReaderBlocksInvalidation(t *testing.T) {
 		t.Fatalf("after crash with a held leaf: nodes=%d invalidations=%d, want 0/3",
 			st.Nodes, st.Invalidations)
 	}
-	if _, ok := k.PrefixHome(node.root); ok {
+	if _, ok := k.PrefixHome(node.File().Root()); ok {
 		t.Fatal("crashed family still has a home in the directory")
 	}
-	if node.file.Removed() {
+	if node.File().Removed() {
 		t.Fatal("held node's file reclaimed by invalidation while mid-attach")
 	}
 	k.pcache.release(node)
-	if !node.file.Removed() {
+	if !node.File().Removed() {
 		t.Fatal("dropped node's file outlived its last reader")
 	}
 
