@@ -326,12 +326,16 @@ func TestDocsExperimentsMatchRegistry(t *testing.T) {
 	}
 }
 
-// benchMarkerRE matches a figure's binding, `<!--bench EXP PATH FORMAT-->`,
-// written just ahead of the figure it binds: the cited text must start
-// with fmt.Sprintf(FORMAT, the value at PATH in
-// bench/baselines/BENCH_EXP.json). PATH is dot-separated field names, each
-// optionally indexed, as in points[1].Speedup.
-var benchMarkerRE = regexp.MustCompile(`<!--bench ([a-z0-9]+) (\S+) (%\S+)-->`)
+// benchMarkerRE matches a figure's binding, `<!--bench EXP PATH FORMAT-->`
+// or `<!--bench EXP PATH FORMAT UNIT-->`, written just ahead of the figure
+// it binds: the cited text must start with fmt.Sprintf(FORMAT, the value
+// at PATH in bench/baselines/BENCH_EXP.json). PATH is dot-separated field
+// names, each optionally indexed, as in points[1].Speedup. UNIT, ms or s,
+// reads a duration stored in nanoseconds in that unit.
+var benchMarkerRE = regexp.MustCompile(`<!--bench ([a-z0-9]+) (\S+) (%\S+)(?: (ms|s))?-->`)
+
+// benchUnits is each UNIT's size in nanoseconds.
+var benchUnits = map[string]float64{"ms": 1e6, "s": 1e9}
 
 // TestDocsFiguresMatchBaselines asserts every bound figure in README.md
 // and docs/*.md reads what its quick-run baseline holds, so a
@@ -349,6 +353,10 @@ func TestDocsFiguresMatchBaselines(t *testing.T) {
 		for _, m := range benchMarkerRE.FindAllStringSubmatchIndex(text, -1) {
 			bound++
 			exp, path, format := text[m[2]:m[3]], text[m[4]:m[5]], text[m[6]:m[7]]
+			unit := ""
+			if m[8] >= 0 {
+				unit = text[m[8]:m[9]]
+			}
 			if baselines[exp] == nil {
 				raw, err := os.ReadFile(filepath.Join("bench", "baselines", "BENCH_"+exp+".json"))
 				if err != nil {
@@ -364,6 +372,9 @@ func TestDocsFiguresMatchBaselines(t *testing.T) {
 			if err != nil {
 				t.Errorf("%s: %s %s: %v", doc, exp, path, err)
 				continue
+			}
+			if f, ok := v.(float64); ok && unit != "" {
+				v = f / benchUnits[unit]
 			}
 			if f, ok := v.(float64); ok && strings.HasSuffix(format, "d") {
 				v = int64(f)

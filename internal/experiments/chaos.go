@@ -318,7 +318,7 @@ func runChaosCell(cfg ChaosConfig, mode string) ChaosPoint {
 						first := skewedFirstToken(cfg.Replicas, 0, 1_000_000+fam*10_000)
 						prompt := append(familyTokens(first, cfg.PrefixTokens, base+1_000_000+fam*10_000),
 							synthTokens(cfg.SuffixTokens, seed)...)
-						err = promptRequest(ctx, prompt, cfg.DecodeTokens, seed+500)
+						_, err = promptRequest(ctx, prompt, cfg.DecodeTokens, seed+500)
 					} else {
 						err = forkRequest(ctx, parent, cfg.SuffixTokens, cfg.DecodeTokens, seed)
 					}

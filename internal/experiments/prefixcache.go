@@ -132,7 +132,7 @@ func runPrefixCacheCell(cfg PrefixCacheConfig, cell string) PrefixCachePoint {
 			Program: func(ctx *core.Ctx, t int) error {
 				return closedLoop(ctx, cfg.JobsPerTenant, 0, func(j int) error {
 					prompt := prefixPromptTokens(cfg, base, t, j)
-					if err := promptRequest(ctx, prompt, cfg.DecodeTokens, base+9_000_000+t*100_000+j*1_000); err != nil {
+					if _, err := promptRequest(ctx, prompt, cfg.DecodeTokens, base+9_000_000+t*100_000+j*1_000); err != nil {
 						return err
 					}
 					c.mark()

@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/kvfs"
 	"repro/internal/lip"
+	"repro/internal/metrics"
 	"repro/internal/model"
 	"repro/internal/sched"
 	"repro/internal/simclock"
@@ -237,9 +238,12 @@ type clientClass struct{ Clients, Requests, Prefill, Decode int }
 // share. Interactive clients spread their starts over one think window
 // and think between requests; batch clients start 5ms apart (as real
 // batch arrivals would be de-phased) and run back to back. Every request
-// is a promptRequest over a synthetic prompt of its class's shape.
-func (c *cell) mixedLoad(interactive, batch clientClass, think time.Duration, base int) {
-	request := func(ctx *core.Ctx, class clientClass, seed int) error {
+// is a promptRequest over a synthetic prompt of its class's shape. It
+// returns the interactive requests' decode time per token (each decode
+// run's time over its tokens), filled in as the requests finish.
+func (c *cell) mixedLoad(interactive, batch clientClass, think time.Duration, base int) *metrics.Histogram {
+	perToken := metrics.NewHistogram()
+	request := func(ctx *core.Ctx, class clientClass, seed int) (time.Duration, error) {
 		return promptRequest(ctx, synthTokens(class.Prefill, seed), class.Decode, seed+class.Prefill)
 	}
 	c.clients(population{
@@ -249,7 +253,11 @@ func (c *cell) mixedLoad(interactive, batch clientClass, think time.Duration, ba
 		Spread:  think,
 		Program: func(ctx *core.Ctx, i int) error {
 			return closedLoop(ctx, interactive.Requests, think, func(r int) error {
-				return request(ctx, interactive, base+i*100000+r*1000)
+				d, err := request(ctx, interactive, base+i*100000+r*1000)
+				if err == nil && interactive.Decode > 0 {
+					perToken.Add(d / time.Duration(interactive.Decode))
+				}
+				return err
 			})
 		},
 	})
@@ -260,10 +268,12 @@ func (c *cell) mixedLoad(interactive, batch clientClass, think time.Duration, ba
 		Spread:  time.Duration(batch.Clients) * 5 * time.Millisecond,
 		Program: func(ctx *core.Ctx, i int) error {
 			return closedLoop(ctx, batch.Requests, 0, func(r int) error {
-				return request(ctx, batch, base+5000000+i*200000+r*2000)
+				_, err := request(ctx, batch, base+5000000+i*200000+r*2000)
+				return err
 			})
 		},
 	})
+	return perToken
 }
 
 // laneStats returns the named lane's scheduler statistics.
@@ -335,17 +345,20 @@ func synthDecode(ctx *core.Ctx, f *kvfs.File, n, seed int, progress func(retired
 }
 
 // promptRequest runs one request on a fresh file: prompt as one prefill
-// pred, then decode tokens seeded from seed as one decode run.
-func promptRequest(ctx *core.Ctx, prompt []token.ID, decode, seed int) error {
+// pred, then decode tokens seeded from seed as one decode run. It returns
+// the decode run's virtual time, from the prefill's return to the run's.
+func promptRequest(ctx *core.Ctx, prompt []token.ID, decode, seed int) (time.Duration, error) {
 	f, err := ctx.KvAnon()
 	if err != nil {
-		return err
+		return 0, err
 	}
 	defer f.Remove()
 	if _, err := ctx.Pred(f, prompt, positions(len(prompt), 0)); err != nil {
-		return err
+		return 0, err
 	}
-	return synthDecode(ctx, f, decode, seed, nil)
+	start := ctx.Clock().Now()
+	err = synthDecode(ctx, f, decode, seed, nil)
+	return ctx.Clock().Now() - start, err
 }
 
 // lanePolicy builds the named priority policy; a lanes policy takes the

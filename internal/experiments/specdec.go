@@ -98,9 +98,15 @@ type SpecdecPoint struct {
 	ThroughputSpeedup float64
 	PredTokens        int64
 	// Interactive queue delay (as in SLOPoint): speculation must not buy
-	// throughput by parking the latency-sensitive lane.
+	// throughput by parking the latency-sensitive lane. It is one sample
+	// per advance, and a speculated advance retires several tokens.
 	InteractiveP50 time.Duration
 	InteractiveP99 time.Duration
+	// Interactive decode time per token: each interactive request's
+	// decode run, from its prefill's return to the run's, over its
+	// tokens. This is the lane's latency per token, speculated or not.
+	InteractiveTokenP50 time.Duration
+	InteractiveTokenP99 time.Duration
 	// Speculation counters from the scheduler ledger: rounds run, tokens
 	// drafted, tokens accepted, and the resulting acceptance rate.
 	SpecRounds   int64
@@ -138,8 +144,9 @@ func runSpecdecCell(cfg SpecdecConfig, cell string, spec bool) SpecdecPoint {
 		kc.Replicas = cfg.GPUs
 		kc.Dispatcher = sched.LeastLoaded{}
 	})
+	var perToken *metrics.Histogram
 	c.run(func() {
-		c.mixedLoad(
+		perToken = c.mixedLoad(
 			clientClass{cfg.InteractiveClients, cfg.InteractiveRequests, cfg.InteractivePrefill, cfg.InteractiveDecode},
 			clientClass{cfg.BatchClients, cfg.BatchRequests, cfg.BatchPrefill, cfg.BatchDecode},
 			cfg.Think, seedBase(cfg.Seed))
@@ -148,20 +155,22 @@ func runSpecdecCell(cfg SpecdecConfig, cell string, spec bool) SpecdecPoint {
 	st := c.k.Stats()
 	inter := laneStats(st.Sched, "interactive")
 	pt := SpecdecPoint{
-		Policy:         cell,
-		GPUs:           cfg.GPUs,
-		Completed:      c.procs.completed,
-		Errors:         c.procs.failed(),
-		Makespan:       c.procs.last,
-		Throughput:     perSecond(st.PredTokens, c.procs.last),
-		PredTokens:     st.PredTokens,
-		InteractiveP50: inter.DelayP50,
-		InteractiveP99: inter.DelayP99,
-		SpecRounds:     st.Sched.SpecRounds,
-		SpecDrafted:    st.Sched.SpecDrafted,
-		SpecAccepted:   st.Sched.SpecAccepted,
-		Preemptions:    st.Sched.Preemptions,
-		AvgBatch:       st.Sched.AvgBatch,
+		Policy:              cell,
+		GPUs:                cfg.GPUs,
+		Completed:           c.procs.completed,
+		Errors:              c.procs.failed(),
+		Makespan:            c.procs.last,
+		Throughput:          perSecond(st.PredTokens, c.procs.last),
+		PredTokens:          st.PredTokens,
+		InteractiveP50:      inter.DelayP50,
+		InteractiveP99:      inter.DelayP99,
+		InteractiveTokenP50: perToken.Quantile(0.50),
+		InteractiveTokenP99: perToken.Quantile(0.99),
+		SpecRounds:          st.Sched.SpecRounds,
+		SpecDrafted:         st.Sched.SpecDrafted,
+		SpecAccepted:        st.Sched.SpecAccepted,
+		Preemptions:         st.Sched.Preemptions,
+		AvgBatch:            st.Sched.AvgBatch,
 	}
 	if pt.SpecDrafted > 0 {
 		pt.AcceptRate = float64(pt.SpecAccepted) / float64(pt.SpecDrafted)
@@ -174,12 +183,13 @@ func SpecdecTable(points []SpecdecPoint) metrics.Table {
 	t := metrics.Table{
 		Title: "specdec: executor-level speculative decoding over a decode-heavy mixed load",
 		Headers: []string{"cell", "done", "tok/s", "speedup", "inter-p50", "inter-p99",
-			"rounds", "drafted", "accepted", "acc-rate", "preempt", "avg-batch"},
+			"inter-tok-p50", "inter-tok-p99", "rounds", "drafted", "accepted", "acc-rate", "preempt", "avg-batch"},
 	}
 	for _, p := range points {
 		t.AddRow(p.Policy, fmt.Sprintf("%d/%d", p.Completed, p.Completed+p.Errors),
 			fmt.Sprintf("%.0f", p.Throughput), fmt.Sprintf("%.2fx", p.ThroughputSpeedup),
 			p.InteractiveP50.Round(time.Microsecond), p.InteractiveP99.Round(time.Microsecond),
+			p.InteractiveTokenP50.Round(time.Microsecond), p.InteractiveTokenP99.Round(time.Microsecond),
 			p.SpecRounds, p.SpecDrafted, p.SpecAccepted, fmt.Sprintf("%.2f", p.AcceptRate),
 			p.Preemptions, fmt.Sprintf("%.1f", p.AvgBatch))
 	}
