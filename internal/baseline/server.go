@@ -4,12 +4,13 @@
 // and a TGI-like server with continuous batching only.
 //
 // Both baselines run on exactly the same substrates as Symphony — the
-// simulated model and cost model, the paged KV allocator, and the batch
-// scheduler — and, for an answer within lip.Generate's 64-token decode
-// chunk, make the same scheduler calls as a Symphony program: a prefill,
-// then the whole greedy answer as one decode run. So measured differences
-// isolate the serving architecture: who controls the cache policy and
-// where the application logic runs. Their unit of service is a prompt: a
+// simulated model and cost model, the paged KV allocator, the batch
+// scheduler, and, for vLLM, the kernel's radix prefix tree
+// (kvfs.PrefixTree) — and, for an answer within lip.Generate's 64-token
+// decode chunk, make the same scheduler calls as a Symphony program: a
+// prefill, then the whole greedy answer as one decode run. So measured
+// differences isolate the serving architecture: who controls the cache
+// policy and where the application logic runs. Their unit of service is a prompt: a
 // stateless request carrying the full context, answered with generated
 // tokens.
 package baseline

@@ -1,33 +1,20 @@
 // Kernel-wide radix prefix cache: automatic cross-job KV deduplication
-// (SGLang/RadixAttention-style), built on KVFS's cross-tree page sharing.
+// (SGLang/RadixAttention-style). Two independent jobs that submit the same
+// preamble pay its prefill once: every committed prefill leaves its
+// chunk-aligned prefixes in a kvfs.PrefixTree, and a later prefill whose
+// prompt extends a cached prefix attaches it by refcounted COW share
+// (kvfs.File.AdoptPrefix) and submits only the uncached tail to the GPU.
 //
-// KvFork reuses a prefix only inside one process tree, and the migration
-// engine only moves already-materialized roots between replicas; two
-// independent jobs submitting the same system prompt + few-shot preamble
-// each paid full prefill. The prefix cache closes that gap in the kernel:
-// every committed prefill leaves its chunk-aligned prefixes in a radix
-// tree (kvfs.PrefixTree, the structure vllm-sim's cache is built on too),
-// and every later prefill whose prompt extends a cached prefix attaches it
-// by refcounted COW share (kvfs.File.AdoptPrefix) and submits only the
-// uncached tail to the GPU.
-//
-// What the kernel adds to the tree is glue. Each node file is registered
-// in the prefix directory under its prompt family's root, like the
-// family's request files, and tracked by the memory daemon as ownerless:
-// interior pages are shared with descendants, so KVFS's shared-page rules
-// keep them on the GPU, while a leaf's exclusive tail pages are ordinary
-// kvd eviction candidates and may be offloaded or spilled to disk; a later
-// match then loads it back in ensureResident, like any other file. The
-// cache keeps the hit ledger and the stats.
-//
-// Eviction and invalidation. The tree's one eviction routine removes idle
-// leaves (childless, no reader pinned mid-attach) in least-recent-use
-// order; shared interior pages survive removal via refcounts. The kernel
-// runs it on two triggers: after an insert, until the tree fits MaxNodes;
+// The cache is the kernel's glue around the tree. Each node file is
+// registered in the prefix directory under its family's root and tracked
+// by the memory daemon as ownerless, so a leaf's exclusive tail pages may
+// be offloaded or spilled like any cold file (a match loads them back in
+// ensureResident); interior pages are shared and stay on the GPU. The glue
+// keeps the hit ledger and the stats, and runs the tree's one eviction
+// routine on two triggers: after an insert, until the tree fits MaxNodes,
 // and at the space gate (Ctx.allocUnderPressure), before each wait, until
-// a GPU page has been freed. When a GPU replica crash-restarts, the prefix
-// directory names the families it dropped and the tree forgets their
-// nodes.
+// a GPU page is freed. A replica crash drops the families the prefix
+// directory homed there.
 package core
 
 import (
@@ -173,9 +160,6 @@ func (pc *prefixCache) insert(f *kvfs.File, toks []token.ID) {
 	pc.mu.Unlock()
 	root := f.Root()
 	for _, nf := range created {
-		// Tracked by the memory daemon as ownerless (pid 0): the daemon
-		// may offload or spill a leaf's exclusive tail pages like any cold
-		// file.
 		pc.k.dir.observe(nf, root)
 		pc.k.kvd.Track(nf, 0, nil)
 	}

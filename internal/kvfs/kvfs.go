@@ -23,7 +23,7 @@
 //
 // The package provides mechanism only. Eviction and retention are policy
 // and live in user programs (that inversion is the paper's core claim) or
-// in the baseline servers' built-in caches.
+// in the callers of the prefix tree's eviction, which choose its stop.
 package kvfs
 
 import (

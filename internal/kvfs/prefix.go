@@ -1,58 +1,51 @@
 package kvfs
 
 import (
-	"container/heap"
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/model"
 	"repro/internal/token"
 )
 
-// PrefixTree is a radix tree of cached KV prefixes built on AdoptPrefix:
+// PrefixTree is a radix tree of cached KV prefixes built on AdoptPrefix,
 // the one structure behind the Symphony kernel's prefix cache and the
-// vLLM baseline's automatic prefix caching. Every prompt committed to it
-// leaves a node at each chunk boundary, keyed by the rolling context hash
-// of the tokens up to that boundary, so the radix structure is implicit:
-// a lookup walks boundary by boundary and stops at the first missing
-// hash. Each node owns an anonymous admin file holding its whole prefix by
-// page sharing; a node's last chunk is its own, the rest it shares with
-// its ancestors.
+// vLLM baseline's. Every prompt committed to it leaves a node at each
+// chunk boundary, keyed by the rolling context hash of the tokens up to
+// it, so a lookup walks boundary by boundary and stops at the first
+// missing hash. Each node owns an anonymous admin file holding its whole
+// prefix by page sharing: its last chunk is its own, the rest it shares
+// with its ancestors.
 //
-// The tree is a cache: a node may be dropped at any time and rebuilt by
-// the next prefill. It drops nodes two ways, both mechanism: DropRoots
-// forgets whole prompt families, and EvictUntil removes idle leaves in
-// least-recent-use order until a condition the caller chooses holds.
-// Which condition — a node cap, free GPU space for an append, a waiter's
-// allocation — is the caller's policy.
-//
-// All methods are safe for concurrent use. Node files are pinned and
-// unpinned only under the tree's lock, so a node file's Pins is the
-// tree's own count of readers.
+// The tree is a cache: any node may go and the next prefill rebuilds it.
+// DropRoots forgets whole prompt families; EvictUntil removes idle leaves
+// least recently used first until a condition the caller chooses holds,
+// which is the caller's policy. All methods are safe for concurrent use.
+// Node files are pinned and unpinned only under the tree's lock, so a
+// node file's Pins is the tree's own count of readers.
 type PrefixTree struct {
 	fs    *FS
 	chunk int
 
 	mu    sync.Mutex
 	nodes map[model.CtxHash]*PrefixNode
-	// seq orders nodes by insertion for deterministic sweeps; uses is the
-	// logical clock lastUse reads.
+	// seq numbers nodes in insertion order; uses is the logical clock
+	// lastUse reads.
 	seq, uses int64
 }
 
 // PrefixNode is one node of a PrefixTree: the cached prefix of depth
 // tokens whose rolling context hash is tail.
 type PrefixNode struct {
-	tail   model.CtxHash
-	depth  int
-	parent model.CtxHash // zero at the first boundary
-	file   *File
-	// root is the node's prompt family: the Root of every file holding
-	// the prefix.
+	tail, parent model.CtxHash // parent is zero at the first boundary
+	depth        int
+	file         *File
+	// root is the prompt family: the Root of every file holding the prefix.
 	root model.CtxHash
-	// seq breaks lastUse ties; lastUse is the tree's logical time of the
-	// node's creation or of its latest match.
+	// lastUse is the tree's logical time of the node's creation or latest
+	// match; seq breaks ties.
 	seq, lastUse int64
 	// children counts direct extensions; only childless nodes are evicted.
 	children int
@@ -81,21 +74,18 @@ func (t *PrefixTree) Len() int {
 }
 
 // Match walks the prompt's chunk boundaries and returns the deepest cached
-// node with its file pinned, a hold the caller must Release, and the
-// node's depth. A pinned node is never evicted, and one dropped from the
-// tree meanwhile keeps its file until the last pin is released. The walk
-// caps at len(toks)-1: the logits of the prompt's last token must be
-// computed, so a caller always prefills at least one token. Returns
-// (nil, 0) on a miss.
+// node, with its file pinned until the caller's Release, and its depth;
+// (nil, 0) on a miss. A pinned node is never evicted, and one dropped
+// meanwhile keeps its file until the last Release. The walk stops at
+// len(toks)-1 tokens: the first answer token needs the last prompt
+// token's logits, so a caller always prefills at least one token.
 func (t *PrefixTree) Match(toks []token.ID) (*PrefixNode, int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	var best *PrefixNode
 	h := model.CtxHash(0)
-	prev := 0
 	for b := t.chunk; b <= len(toks)-1; b += t.chunk {
-		h = model.HashContext(h, toks[prev:b], prev)
-		prev = b
+		h = model.HashContext(h, toks[b-t.chunk:b], b-t.chunk)
 		n, ok := t.nodes[h]
 		if !ok {
 			break
@@ -111,8 +101,8 @@ func (t *PrefixTree) Match(toks []token.ID) (*PrefixNode, int) {
 	return best, best.depth
 }
 
-// Release drops the pin Match took. The last holder of a node that left
-// the tree meanwhile removes the node's file.
+// Release drops the pin Match took. The last reader of a node that left
+// the tree meanwhile removes its file.
 func (t *PrefixTree) Release(n *PrefixNode) {
 	t.mu.Lock()
 	n.file.Unpin()
@@ -125,19 +115,16 @@ func (t *PrefixTree) Release(n *PrefixNode) {
 
 // Insert commits every chunk boundary of toks, the prompt src holds from
 // position zero, as a node adopting src's prefix pages, and returns the
-// files of the nodes it created. src must be GPU-resident. Best effort:
-// an adoption that fails (the GPU tier is full) stops at the boundary
-// reached.
+// files of the nodes it created. src must be GPU-resident. An adoption
+// that fails stops the walk at the boundary reached.
 func (t *PrefixTree) Insert(src *File, toks []token.ID) []*File {
 	root := src.Root()
 	var created []*File
 	var failed *File
 	t.mu.Lock()
 	h, parent := model.CtxHash(0), model.CtxHash(0)
-	prev := 0
 	for b := t.chunk; b <= len(toks); b += t.chunk {
-		h = model.HashContext(h, toks[prev:b], prev)
-		prev = b
+		h = model.HashContext(h, toks[b-t.chunk:b], b-t.chunk)
 		if _, ok := t.nodes[h]; ok {
 			parent = h
 			continue
@@ -149,7 +136,7 @@ func (t *PrefixTree) Insert(src *File, toks []token.ID) []*File {
 		}
 		t.seq++
 		t.uses++
-		t.nodes[h] = &PrefixNode{tail: h, depth: b, parent: parent, file: nf, root: root, seq: t.seq, lastUse: t.uses}
+		t.nodes[h] = &PrefixNode{tail: h, parent: parent, depth: b, file: nf, root: root, seq: t.seq, lastUse: t.uses}
 		if p, ok := t.nodes[parent]; ok {
 			p.children++
 		}
@@ -157,92 +144,75 @@ func (t *PrefixTree) Insert(src *File, toks []token.ID) []*File {
 		parent = h
 	}
 	t.mu.Unlock()
-	// Removal runs outside the tree lock: it may fire the file system's
-	// release hook.
+	// Removal may fire the release hook, so it runs without the lock.
 	if failed != nil {
 		failed.Remove()
 	}
 	return created
 }
 
-// EvictUntil removes idle leaves — childless nodes whose file no reader
-// holds pinned — least recently used first, until done reports true or
-// no idle leaf is left, and returns how many it removed. Removing a leaf
-// may expose its parent as an idle leaf, ranked with the rest. done is
-// called before each removal, without the tree's lock, so it may read the
-// tree or the file system.
+// EvictUntil removes idle leaves — childless nodes no reader holds pinned
+// — least recently used first, until done reports true or none is left,
+// and returns how many it removed. A parent whose last child goes joins
+// the candidates. done is called first and after each removal, without
+// the tree's lock, so it may read the tree or the file system.
 func (t *PrefixTree) EvictUntil(done func() bool) int {
 	if done() {
 		return 0
 	}
 	t.mu.Lock()
-	var leaves lru
+	var idle []*PrefixNode
 	for _, n := range t.nodes {
-		if t.idleLocked(n) {
-			leaves = append(leaves, n)
+		if n.idle() {
+			idle = append(idle, n)
 		}
 	}
-	heap.Init(&leaves)
+	slices.SortFunc(idle, lruOrder)
 	t.mu.Unlock()
 	evicted := 0
-	for len(leaves) > 0 {
+	for len(idle) > 0 {
+		n := idle[0]
+		idle = idle[1:]
 		t.mu.Lock()
-		n := heap.Pop(&leaves).(*PrefixNode)
-		ok := t.nodes[n.tail] == n && t.idleLocked(n)
+		ok := t.nodes[n.tail] == n && n.idle()
 		if ok {
 			delete(t.nodes, n.tail)
 			if p := t.nodes[n.parent]; p != nil {
-				if p.children--; t.idleLocked(p) {
-					heap.Push(&leaves, p)
+				if p.children--; p.idle() {
+					i, _ := slices.BinarySearchFunc(idle, p, lruOrder)
+					idle = slices.Insert(idle, i, p)
 				}
 			}
 		}
 		t.mu.Unlock()
-		if !ok {
-			continue
-		}
-		n.file.Remove()
-		evicted++
-		if done() {
-			break
+		if ok {
+			n.file.Remove()
+			evicted++
+			if done() {
+				break
+			}
 		}
 	}
 	return evicted
 }
 
-// idleLocked reports whether n is an idle leaf. Caller holds t.mu.
-func (t *PrefixTree) idleLocked(n *PrefixNode) bool {
-	return n.children == 0 && n.file.Pins() == 0
+// idle reports whether n is a leaf no reader holds. Caller holds the
+// tree's lock.
+func (n *PrefixNode) idle() bool { return n.children == 0 && n.file.Pins() == 0 }
+
+// lruOrder ranks nodes least recently used first.
+func lruOrder(a, b *PrefixNode) int {
+	return cmp.Or(cmp.Compare(a.lastUse, b.lastUse), cmp.Compare(a.seq, b.seq))
 }
 
-// lru is a min-heap of nodes, least recently used first.
-type lru []*PrefixNode
-
-func (h lru) Len() int { return len(h) }
-func (h lru) Less(i, j int) bool {
-	if h[i].lastUse != h[j].lastUse {
-		return h[i].lastUse < h[j].lastUse
-	}
-	return h[i].seq < h[j].seq
-}
-func (h lru) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *lru) Push(x any)   { *h = append(*h, x.(*PrefixNode)) }
-func (h *lru) Pop() any {
-	old := *h
-	n := old[len(old)-1]
-	*h = old[:len(old)-1]
-	return n
-}
+// bySeq ranks nodes in insertion order.
+func bySeq(a, b *PrefixNode) int { return cmp.Compare(a.seq, b.seq) }
 
 // DropRoots forgets every node of the given prompt families and returns
-// how many it dropped. A family is whole subtrees — a child extends its
-// parent's tokens, so it has the parent's root — and no node is left
-// below a missing parent. Idle nodes' files are removed here; a pinned
-// node's goes at its last Release.
+// how many it dropped. A family is whole subtrees — a child has its
+// parent's root — so no node is left below a missing parent. Idle nodes'
+// files are removed here; a pinned node's goes at its last Release.
 func (t *PrefixTree) DropRoots(roots map[model.CtxHash]bool) int {
-	if len(roots) == 0 {
-		return 0
-	}
 	t.mu.Lock()
 	var victims []*PrefixNode
 	for _, n := range t.nodes {
@@ -250,7 +220,7 @@ func (t *PrefixTree) DropRoots(roots map[model.CtxHash]bool) int {
 			victims = append(victims, n)
 		}
 	}
-	sort.Slice(victims, func(i, j int) bool { return victims[i].seq < victims[j].seq })
+	slices.SortFunc(victims, bySeq)
 	var idle []*File
 	for _, n := range victims {
 		delete(t.nodes, n.tail)
@@ -265,9 +235,9 @@ func (t *PrefixTree) DropRoots(roots map[model.CtxHash]bool) int {
 	return len(victims)
 }
 
-// Verify checks the tree's links: every node's children count equals the
-// nodes that name it as parent, and every node below the first boundary
-// has its parent in the tree. It returns the first violation found.
+// Verify checks the tree's links: every node below the first boundary has
+// its parent in the tree, and every node's children count equals the
+// nodes naming it as parent. It returns the first violation.
 //
 //lint:allow testonly the radix invariant tests check after every operation
 func (t *PrefixTree) Verify() error {
@@ -275,10 +245,8 @@ func (t *PrefixTree) Verify() error {
 	defer t.mu.Unlock()
 	want := make(map[model.CtxHash]int)
 	for _, n := range t.nodes {
-		if n.depth > t.chunk {
-			if _, ok := t.nodes[n.parent]; !ok {
-				return fmt.Errorf("kvfs: prefix node at depth %d has no parent", n.depth)
-			}
+		if _, ok := t.nodes[n.parent]; !ok && n.depth > t.chunk {
+			return fmt.Errorf("kvfs: prefix node at depth %d has no parent", n.depth)
 		}
 		want[n.parent]++
 	}
@@ -293,14 +261,14 @@ func (t *PrefixTree) Verify() error {
 // Files returns the node files in insertion order.
 func (t *PrefixTree) Files() []*File {
 	t.mu.Lock()
-	snap := make([]*PrefixNode, 0, len(t.nodes))
+	defer t.mu.Unlock()
+	nodes := make([]*PrefixNode, 0, len(t.nodes))
 	for _, n := range t.nodes {
-		snap = append(snap, n)
+		nodes = append(nodes, n)
 	}
-	t.mu.Unlock()
-	sort.Slice(snap, func(i, j int) bool { return snap[i].seq < snap[j].seq })
-	files := make([]*File, len(snap))
-	for i, n := range snap {
+	slices.SortFunc(nodes, bySeq)
+	files := make([]*File, len(nodes))
+	for i, n := range nodes {
 		files[i] = n.file
 	}
 	return files
