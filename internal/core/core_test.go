@@ -596,6 +596,88 @@ func TestKvLockSerializesProcesses(t *testing.T) {
 	}
 }
 
+// TestKvLockOfExitedHolderIsErrLocked: a holder that exits still holding a
+// lock will never unlock it, so a second process's KvLock must end in
+// kvfs.ErrLocked at the instant nothing else can run — virtual time 0
+// here — instead of waiting for ever.
+func TestKvLockOfExitedHolderIsErrLocked(t *testing.T) {
+	clk, k := newKernel()
+	var lockErr error
+	var at time.Duration
+	drive(t, clk, func() {
+		shared, err := k.FS().Create("shared.kv", "u", kvfs.ModeShared)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		holder := k.Submit("u", func(ctx *Ctx) error { return ctx.KvLock(shared) })
+		if err := holder.Wait(); err != nil {
+			t.Errorf("holder: %v", err)
+		}
+		waiter := k.Submit("u", func(ctx *Ctx) error {
+			lockErr = ctx.KvLock(shared)
+			at = clk.Now()
+			return lockErr
+		})
+		_ = waiter.Wait()
+	})
+	if !errors.Is(lockErr, kvfs.ErrLocked) {
+		t.Fatalf("KvLock returned %v, want kvfs.ErrLocked", lockErr)
+	}
+	if at != 0 {
+		t.Fatalf("KvLock returned at %v, want 0", at)
+	}
+}
+
+// TestKvLockCancelledWhileHolderSleeps: a KvLock waiter cancelled while
+// the holder sleeps returns ErrCancelled at the cancel instant.
+func TestKvLockCancelledWhileHolderSleeps(t *testing.T) {
+	clk, k := newKernel()
+	const cancelAt = 5*time.Millisecond + 300*time.Microsecond
+	var lockErr error
+	var at time.Duration
+	drive(t, clk, func() {
+		shared, err := k.FS().Create("shared.kv", "u", kvfs.ModeShared)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		locked := clk.NewEvent()
+		holder := k.Submit("u", func(ctx *Ctx) error {
+			if err := ctx.KvLock(shared); err != nil {
+				return err
+			}
+			locked.Fire()
+			if err := ctx.Sleep(time.Second); err != nil {
+				return err
+			}
+			return ctx.KvUnlock(shared)
+		})
+		if err := locked.Wait(); err != nil {
+			t.Errorf("holder never locked: %v", err)
+		}
+		waiter := k.Submit("u", func(ctx *Ctx) error {
+			lockErr = ctx.KvLock(shared)
+			at = clk.Now()
+			return lockErr
+		})
+		if err := clk.Sleep(cancelAt); err != nil {
+			t.Errorf("driver sleep: %v", err)
+		}
+		waiter.Cancel()
+		_ = waiter.Wait()
+		if err := holder.Wait(); err != nil {
+			t.Errorf("holder: %v", err)
+		}
+	})
+	if !errors.Is(lockErr, ErrCancelled) {
+		t.Fatalf("KvLock returned %v, want ErrCancelled", lockErr)
+	}
+	if at != cancelAt {
+		t.Fatalf("KvLock returned at %v, want the cancel instant %v", at, cancelAt)
+	}
+}
+
 func TestAccessControlThroughCtx(t *testing.T) {
 	clk, k := newKernel()
 	drive(t, clk, func() {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"time"
@@ -245,7 +246,9 @@ func (c *Ctx) KvList(prefix string) []string {
 }
 
 // KvLock acquires f's advisory lock, parking until it is free. The lock
-// identity is the process, so threads of one process share the lock.
+// identity is the process, so threads of one process share the lock. It
+// returns kvfs.ErrLocked when the clock finds nothing else that could run,
+// so the holder will never unlock.
 func (c *Ctx) KvLock(f *kvfs.File) error {
 	who := fmt.Sprintf("pid-%d", c.p.pid)
 	for {
@@ -256,11 +259,12 @@ func (c *Ctx) KvLock(f *kvfs.File) error {
 		if err == nil {
 			return nil
 		}
-		if holder := f.LockedBy(); holder == who {
-			return err // non-recursive: surface immediately
+		if !errors.Is(err, kvfs.ErrLocked) || f.LockedBy() == who {
+			return err // removed, or ours: locks are not recursive
 		}
-		if err := c.p.k.clk.Sleep(time.Millisecond); err != nil {
-			return err
+		// A shutdown surfaces as itself, a lock nobody can release as err.
+		if released, werr := c.p.k.kvReleased.Wait(); werr != nil || !released {
+			return cmp.Or(werr, err)
 		}
 	}
 }
@@ -577,18 +581,6 @@ func resolvedName(k *Kernel, name string) string {
 	return name
 }
 
-// selfPreemptRetries bounds how many consecutive times the call behind the
-// space gate will swap itself out and wait in vain — no GPU page freed
-// during the wait — before surfacing ErrNoSpace, and spaceWait how long
-// each wait lasts. A wait that sees pages freed restarts the count:
-// competitors hold GPU pages only for finite work, so a stalled call that
-// keeps yielding eventually wins unless memory is truly exhausted by
-// locked files for the whole span.
-const (
-	selfPreemptRetries = 1024
-	spaceWait          = 16 * time.Millisecond
-)
-
 // allocUnderPressure is the one place a full GPU tier makes a KV syscall
 // wait. alloc is the call's memory-acquisition step, run with own pinned
 // and reclaiming through withReclaim on a failed allocation; its first
@@ -601,9 +593,10 @@ const (
 // their allocations failed: behind the space gate, it first evicts the
 // prefix cache's idle leaves until a GPU page is freed, retrying alloc
 // after each such gain; with none left to evict it gives back the
-// residency of own, waits for space freed elsewhere, and runs alloc
+// residency of own, parks until KVFS releases something, and runs alloc
 // again. A call queued at the gate holds no pin, so the one retrying may
-// evict it.
+// evict it. ErrNoSpace reaches the caller only when the clock finds
+// nothing else that could run, so nothing will ever be released.
 func (c *Ctx) allocUnderPressure(own []*kvfs.File, alloc func() error) error {
 	try := func() error {
 		for _, f := range own {
@@ -624,7 +617,7 @@ func (c *Ctx) allocUnderPressure(own []*kvfs.File, alloc func() error) error {
 		return gerr
 	}
 	defer k.spaceGate.Release(1)
-	for idle := 0; errors.Is(err, kvfs.ErrNoSpace) && idle < selfPreemptRetries; {
+	for errors.Is(err, kvfs.ErrNoSpace) {
 		// A cancel or shutdown surfaces as itself, not as the standoff's
 		// ErrNoSpace.
 		if err := c.p.checkLive(); err != nil {
@@ -633,21 +626,14 @@ func (c *Ctx) allocUnderPressure(own []*kvfs.File, alloc func() error) error {
 		// The prefix cache is a cache: its idle leaves go before anyone
 		// waits. When they free GPU space, retry at once.
 		if k.pcache.freeGPU() {
-			idle = 0
 			err = try()
 			continue
 		}
 		for _, f := range own {
 			k.kvd.Preempt(f)
 		}
-		freed, werr := k.spaceEvent().WaitFor(spaceWait)
-		if werr != nil {
-			return werr
-		}
-		if freed {
-			idle = 0
-		} else {
-			idle++
+		if released, werr := k.kvReleased.Wait(); werr != nil || !released {
+			return cmp.Or(werr, err)
 		}
 		err = try()
 	}

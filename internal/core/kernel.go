@@ -199,8 +199,9 @@ type Kernel struct {
 	nextPID   int
 	userUsage map[string]int64
 
-	spaceMu sync.Mutex
-	spaceEv *simclock.Event // fired+replaced whenever KVFS frees GPU pages
+	// kvReleased is broadcast by KVFS's release hook and by Process.Cancel;
+	// the space gate's holder and KvLock's waiters park on it.
+	kvReleased *simclock.Signal
 	// spaceGate admits one pred at a time, in the order their allocations
 	// failed, to the swap-and-wait that breaks a full GPU tier's standoff.
 	spaceGate *simclock.Semaphore
@@ -300,9 +301,9 @@ func New(clk *simclock.Clock, cfg Config) *Kernel {
 	}
 	schedCfg.OnCrash = k.replicaCrashed
 	k.sch = sched.New(clk, schedCfg)
-	k.spaceEv = clk.NewEvent()
+	k.kvReleased = clk.NewSignal()
 	k.spaceGate = clk.NewSemaphore(1)
-	k.fs.SetReleaseHook(k.kvReleased)
+	k.fs.SetReleaseHook(k.kvReleased.Broadcast)
 	if cfg.Disk.Bytes > 0 {
 		vfs := cfg.Disk.FS
 		if vfs == nil {
@@ -316,24 +317,6 @@ func New(clk *simclock.Clock, cfg Config) *Kernel {
 		daemon.AttachDisk(k.disk)
 	}
 	return k
-}
-
-// kvReleased broadcasts that GPU KV pages were freed: the current space
-// event fires (waking the call waiting at the space gate) and a fresh one
-// takes its place for future waiters.
-func (k *Kernel) kvReleased() {
-	k.spaceMu.Lock()
-	ev := k.spaceEv
-	k.spaceEv = k.clk.NewEvent()
-	k.spaceMu.Unlock()
-	ev.Fire()
-}
-
-// spaceEvent returns the event the next space-gate wait should park on.
-func (k *Kernel) spaceEvent() *simclock.Event {
-	k.spaceMu.Lock()
-	defer k.spaceMu.Unlock()
-	return k.spaceEv
 }
 
 // chargeUser adds n pred tokens to the user's usage across processes.

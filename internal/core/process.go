@@ -223,7 +223,8 @@ func (p *Process) Done() bool {
 }
 
 // Cancel requests cooperative termination: every subsequent system call in
-// the process fails with ErrCancelled.
+// the process fails with ErrCancelled, and a call parked for KV space or a
+// lock wakes to return it.
 func (p *Process) Cancel() {
 	p.mu.Lock()
 	already := p.cancelled || p.finished
@@ -231,6 +232,7 @@ func (p *Process) Cancel() {
 	p.mu.Unlock()
 	if !already {
 		p.publish(ProcEvent{Kind: EventStatus, Status: StatusCancelling})
+		p.k.kvReleased.Broadcast()
 	}
 }
 

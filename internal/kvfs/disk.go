@@ -297,6 +297,7 @@ func (fs *FS) reserveDisk(n int) error {
 
 // releaseDisk returns n disk pages.
 func (fs *FS) releaseDisk(n int) {
+	defer fs.maybeNotify()
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	fs.releaseNLocked(Disk, n)

@@ -154,6 +154,7 @@ func (f *File) Append(toks []token.ID, positions []int) ([]model.CtxHash, error)
 		return nil, fmt.Errorf("kvfs: append: %d tokens, %d positions", len(toks), len(positions))
 	}
 	fs := f.fs
+	defer fs.maybeNotify()
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	if f.removed {
@@ -181,6 +182,7 @@ func (f *File) Append(toks []token.ID, positions []int) ([]model.CtxHash, error)
 		old := f.pages[len(f.pages)-1]
 		cp := &page{entries: append([]Entry(nil), old.entries[:idx]...), ref: 1, tier: GPU}
 		old.ref--
+		fs.released = true
 		f.pages[len(f.pages)-1] = cp
 		fs.st.COWCopies++
 	}
@@ -436,6 +438,7 @@ func (f *File) Remove() error {
 
 func (fs *FS) derefLocked(pg *page) {
 	pg.ref--
+	fs.released = true
 	if pg.ref == 0 && pg.tier != Disk {
 		// Disk-tier footprint is owned by the file's snapshot-store
 		// record (see DiskTier), not by the in-memory page: dropping the
@@ -465,12 +468,14 @@ func (f *File) TryLock(who string) error {
 
 // Unlock releases the advisory lock held by who.
 func (f *File) Unlock(who string) error {
+	defer f.fs.maybeNotify()
 	f.fs.mu.Lock()
 	defer f.fs.mu.Unlock()
 	if f.lockedBy != who {
 		return fmt.Errorf("kvfs: unlock by non-holder %s: %w", who, ErrPerm)
 	}
 	f.lockedBy = ""
+	f.fs.released = true
 	return nil
 }
 
@@ -493,11 +498,13 @@ func (f *File) Pin() {
 
 // Unpin releases one Pin.
 func (f *File) Unpin() {
+	defer f.fs.maybeNotify()
 	f.fs.mu.Lock()
+	defer f.fs.mu.Unlock()
 	if f.pins > 0 {
 		f.pins--
+		f.fs.released = f.fs.released || f.pins == 0
 	}
-	f.fs.mu.Unlock()
 }
 
 // Pins reports how many in-flight calls hold the file pinned.
@@ -549,7 +556,7 @@ func (f *File) ResidentTokens() (gpu, host, disk int) {
 // after freeing memory.
 func (f *File) movePages(from, to Tier, maxTokens int) (tokens int, err error) {
 	fs := f.fs
-	if from == GPU {
+	if from != Disk {
 		defer fs.maybeNotify()
 	}
 	fs.mu.Lock()

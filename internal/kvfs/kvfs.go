@@ -182,29 +182,31 @@ type FS struct {
 	st Stats
 
 	// onRelease is invoked (outside fs.mu, debounced per operation) after
-	// an operation frees GPU pages. The Symphony kernel uses it to wake
-	// the call waiting for space at its space gate.
-	onRelease    func()
-	releaseDirty bool
+	// an operation that can let a failed allocation or TryLock succeed.
+	// The Symphony kernel uses it to wake its space gate and lock waiters.
+	onRelease func()
+	released  bool
 }
 
-// SetReleaseHook registers fn to run after operations that free GPU
-// pages. Mechanism only: what a waiter does with the notification is the
-// kernel's policy.
+// SetReleaseHook registers fn to run after every operation that can let
+// an allocation or a TryLock that failed succeed: a page freed on any
+// tier, a page's sharer dropped (a page owned alone can leave the GPU), a
+// file's last pin released, or a lock released. Mechanism only: what a
+// waiter does with the notification is the kernel's policy.
 func (fs *FS) SetReleaseHook(fn func()) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	fs.onRelease = fn
 }
 
-// maybeNotify fires the release hook if the preceding operation freed GPU
-// pages. It must be called without fs.mu held (deferred before the lock).
+// maybeNotify fires the release hook if the preceding operation released
+// anything. Call it without fs.mu held (deferred before the lock).
 func (fs *FS) maybeNotify() {
 	fs.mu.Lock()
-	dirty, hook := fs.releaseDirty, fs.onRelease
-	fs.releaseDirty = false
+	released, hook := fs.released, fs.onRelease
+	fs.released = false
 	fs.mu.Unlock()
-	if dirty && hook != nil {
+	if released && hook != nil {
 		hook()
 	}
 }
@@ -267,16 +269,14 @@ func (fs *FS) reserveLocked(t Tier) error {
 
 func (fs *FS) releaseLocked(t Tier) {
 	fs.use[t].pages--
-	if t == GPU {
-		fs.releaseDirty = true
-	}
+	fs.released = true
 }
 
 // reserveNLocked accounts for n new pages in tier, all or nothing.
 func (fs *FS) reserveNLocked(t Tier, n int) error {
 	for i := 0; i < n; i++ {
 		if err := fs.reserveLocked(t); err != nil {
-			fs.releaseNLocked(t, i)
+			fs.use[t].pages -= i // undone, not released: nobody saw them
 			return err
 		}
 	}

@@ -13,10 +13,19 @@
 // Rules for actors:
 //
 //   - An actor may block only through clock primitives (Sleep, Event.Wait,
-//     Queue.Get, WaitGroup.Wait). Blocking on a raw channel hides the actor
-//     from the scheduler and stalls virtual time.
+//     Queue.Get, Signal.Wait, WaitGroup.Wait). Blocking on a raw channel
+//     hides the actor from the scheduler and stalls virtual time.
 //   - Compute performed between clock calls is modelled as instantaneous.
 //     Code that wants to charge for CPU time must Sleep explicitly.
+//
+// A Signal promises:
+//
+//   - Broadcast wakes the current waiters in wait order; it latches nothing.
+//   - Wait returns "not signalled" once every other actor is parked and no
+//     timer is due; its own park is not something to run. Such idle
+//     waiters, on any signal, are answered one per quiescence in wait order.
+//   - Shutdown answers a waiter with ErrShutdown.
+//   - WaitQuiescent returns only after every idle waiter has been answered.
 //
 // A Clock created with NewRealtime additionally paces virtual time against
 // the wall clock, which makes interactive demos watchable while reusing the
@@ -26,6 +35,7 @@ package simclock
 import (
 	"container/heap"
 	"errors"
+	"slices"
 	"sync"
 	"time"
 )
@@ -46,6 +56,7 @@ type Clock struct {
 
 	timers timerHeap
 	parked map[chan struct{}]bool // parked wake channels
+	idle   []sigWaiter            // Signal waiters, in wait order
 
 	// realtime pacing: virtual time advances no faster than wall time
 	// divided by speedup. speedup <= 0 disables pacing.
@@ -155,7 +166,7 @@ func (c *Clock) Sleep(d time.Duration) error {
 func (c *Clock) WaitQuiescent() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for !c.down && !(c.busy == 0 && c.timers.Len() == 0) {
+	for !c.down && !(c.busy == 0 && c.timers.Len() == 0 && len(c.idle) == 0) {
 		c.cond.Wait()
 	}
 }
@@ -234,8 +245,9 @@ func (c *Clock) wakeLocked(ch chan struct{}) bool {
 
 // maybeAdvanceLocked advances virtual time to the earliest timer whenever no
 // actor is runnable. Exactly one timer is woken per advance, so actors whose
-// timers share a deadline run in registration order rather than racing. It
-// also broadcasts quiescence. Caller must hold c.mu.
+// timers share a deadline run in registration order rather than racing.
+// With no timer left it answers the oldest Signal waiter, and with none of
+// those either it broadcasts quiescence. Caller must hold c.mu.
 func (c *Clock) maybeAdvanceLocked() {
 	for !c.down && c.busy == 0 && c.timers.Len() > 0 {
 		next := c.timers[0].at
@@ -263,6 +275,11 @@ func (c *Clock) maybeAdvanceLocked() {
 		// keep advancing.
 	}
 	if c.busy == 0 && c.timers.Len() == 0 {
+		if !c.down && len(c.idle) > 0 {
+			c.wakeLocked(c.idle[0].ch)
+			c.idle = slices.Delete(c.idle, 0, 1)
+			return
+		}
 		c.cond.Broadcast()
 	}
 }

@@ -511,3 +511,198 @@ func TestSpawnSerialized(t *testing.T) {
 		}
 	}
 }
+
+// signalWake is one Signal.Wait's answer: which waiter, whether it was
+// signalled, and when.
+type signalWake struct {
+	id        int
+	signalled bool
+	at        time.Duration
+}
+
+// TestSignalBroadcastWakesInWaitOrder pins Broadcast's promise: it wakes
+// the signal's current waiters in wait order, wakes no waiter of another
+// signal, and latches nothing — a Broadcast with nobody waiting is lost.
+func TestSignalBroadcastWakesInWaitOrder(t *testing.T) {
+	const n = 4
+	c := New()
+	s, other := c.NewSignal(), c.NewSignal()
+	var (
+		mu    sync.Mutex
+		wakes []signalWake
+	)
+	wait := func(id int, on *Signal) {
+		signalled, err := on.Wait()
+		if err != nil {
+			t.Errorf("waiter %d: %v", id, err)
+		}
+		mu.Lock()
+		wakes = append(wakes, signalWake{id, signalled, c.Now()})
+		mu.Unlock()
+	}
+	run(t, c, func() {
+		s.Broadcast() // nobody waits: lost
+		c.Go("other", func() { wait(-1, other) })
+		for i := 0; i < n; i++ {
+			c.Go("waiter", func() { wait(i, s) })
+		}
+		if err := c.Sleep(time.Second); err != nil {
+			t.Fatalf("Sleep: %v", err)
+		}
+		s.Broadcast()
+	})
+	want := []signalWake{{0, true, time.Second}, {1, true, time.Second}, {2, true, time.Second}, {3, true, time.Second}, {-1, false, time.Second}}
+	if len(wakes) != len(want) {
+		t.Fatalf("wakes %v, want %v", wakes, want)
+	}
+	for i := range want {
+		if wakes[i] != want[i] {
+			t.Fatalf("wakes %v, want %v", wakes, want)
+		}
+	}
+}
+
+// TestSignalIdleWaitersOnePerQuiescence pins Wait's other answer: once
+// nothing else can run, the oldest waiter on any signal is answered "not
+// signalled", and the next only once the clock is quiescent again — here
+// after the answered one's 1 s of work.
+func TestSignalIdleWaitersOnePerQuiescence(t *testing.T) {
+	const n = 3
+	c := New()
+	signals := []*Signal{c.NewSignal(), c.NewSignal()}
+	var (
+		mu    sync.Mutex
+		wakes []signalWake
+	)
+	run(t, c, func() {
+		for i := 0; i < n; i++ {
+			c.Go("waiter", func() {
+				signalled, err := signals[i%2].Wait()
+				if err != nil {
+					t.Errorf("waiter %d: %v", i, err)
+				}
+				mu.Lock()
+				wakes = append(wakes, signalWake{i, signalled, c.Now()})
+				mu.Unlock()
+				if err := c.Sleep(time.Second); err != nil {
+					t.Errorf("waiter %d: %v", i, err)
+				}
+			})
+		}
+	})
+	if len(wakes) != n {
+		t.Fatalf("wakes %v, want %d", wakes, n)
+	}
+	for i, w := range wakes {
+		if want := (signalWake{i, false, time.Duration(i) * time.Second}); w != want {
+			t.Fatalf("wakes %v, want waiter i answered unsignalled at i s", wakes)
+		}
+	}
+}
+
+// TestSignalOwnParkIsNotSomethingToRun: a lone waiter is answered at once,
+// its own park counting as nothing to wait for, while a due timer keeps a
+// waiter parked until the sleeper behind it broadcasts.
+func TestSignalOwnParkIsNotSomethingToRun(t *testing.T) {
+	c := New()
+	s := c.NewSignal()
+	var lone, woken signalWake
+	run(t, c, func() {
+		signalled, err := s.Wait()
+		if err != nil {
+			t.Errorf("lone Wait: %v", err)
+		}
+		lone = signalWake{0, signalled, c.Now()}
+		c.Go("sleeper", func() {
+			if err := c.Sleep(5 * time.Second); err != nil {
+				t.Errorf("Sleep: %v", err)
+			}
+			s.Broadcast()
+		})
+		signalled, err = s.Wait()
+		if err != nil {
+			t.Errorf("Wait behind the sleeper: %v", err)
+		}
+		woken = signalWake{1, signalled, c.Now()}
+	})
+	if want := (signalWake{0, false, 0}); lone != want {
+		t.Errorf("lone waiter answered %+v, want %+v", lone, want)
+	}
+	if want := (signalWake{1, true, 5 * time.Second}); woken != want {
+		t.Errorf("waiter behind a sleeper answered %+v, want %+v", woken, want)
+	}
+}
+
+// TestSignalShutdown: Shutdown answers a parked waiter with ErrShutdown,
+// and a Wait after it fails fast.
+func TestSignalShutdown(t *testing.T) {
+	// Realtime pacing keeps the sleeper's 1 h timer due, so the waiter is
+	// still parked when Shutdown comes.
+	c := NewRealtime(1)
+	s := c.NewSignal()
+	errs := make(chan error, 1)
+	c.Go("sleeper", func() { c.Sleep(time.Hour) })
+	c.Go("waiter", func() {
+		signalled, err := s.Wait()
+		if signalled {
+			t.Error("waiter signalled by Shutdown")
+		}
+		errs <- err
+	})
+	time.Sleep(50 * time.Millisecond)
+	c.Shutdown()
+	select {
+	case err := <-errs:
+		if err != ErrShutdown {
+			t.Fatalf("Wait = %v, want ErrShutdown", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Shutdown did not answer the waiter")
+	}
+	if _, err := s.Wait(); err != ErrShutdown {
+		t.Fatalf("Wait after Shutdown = %v, want ErrShutdown", err)
+	}
+	s.Broadcast() // a no-op after Shutdown
+}
+
+// TestWaitQuiescentAnswersIdleWaiters: the clock is not quiescent while a
+// Signal waiter is still unanswered, so WaitQuiescent, called from outside
+// every actor, returns only after each waiter has had its answer.
+func TestWaitQuiescentAnswersIdleWaiters(t *testing.T) {
+	const n = 5
+	c := New()
+	s := c.NewSignal()
+	var answered atomic.Int32
+	c.Go("root", func() {
+		for i := 0; i < n; i++ {
+			c.Go("waiter", func() {
+				if signalled, err := s.Wait(); signalled || err != nil {
+					t.Errorf("waiter %d: signalled %v, err %v", i, signalled, err)
+				}
+				answered.Add(1)
+			})
+		}
+	})
+	done := make(chan struct{})
+	go func() {
+		c.WaitQuiescent()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("WaitQuiescent stalled with %d of %d waiters answered", answered.Load(), n)
+	}
+	if got := answered.Load(); got != n {
+		t.Fatalf("WaitQuiescent returned with %d of %d waiters answered", got, n)
+	}
+}
+
+// TestSignalBroadcastAllocatesNothing: a Broadcast nobody waits for, the
+// common case of a KV release, allocates nothing.
+func TestSignalBroadcastAllocatesNothing(t *testing.T) {
+	s := New().NewSignal()
+	if n := testing.AllocsPerRun(100, s.Broadcast); n != 0 {
+		t.Fatalf("Broadcast with no waiter allocates %v times", n)
+	}
+}

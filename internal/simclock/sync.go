@@ -2,6 +2,7 @@ package simclock
 
 import (
 	"container/heap"
+	"slices"
 	"time"
 )
 
@@ -99,6 +100,61 @@ func (e *Event) Fire() {
 		c.wakeSoonLocked(ch)
 	}
 	e.waiters = nil
+}
+
+// Signal is a reusable broadcast on a Clock, for actors that wait until
+// another changes what they retry on; the package doc states its promises.
+type Signal struct {
+	c   *Clock
+	gen uint64 // Broadcasts so far
+}
+
+type sigWaiter struct {
+	s  *Signal
+	ch chan struct{}
+}
+
+// NewSignal returns a signal bound to the clock.
+func (c *Clock) NewSignal() *Signal { return &Signal{c: c} }
+
+// Wait parks the calling actor until the next Broadcast on s and reports
+// true, or reports false once nothing else can run. It returns
+// ErrShutdown if the clock shuts down first.
+func (s *Signal) Wait() (signalled bool, err error) {
+	c := s.c
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.down {
+		return false, ErrShutdown
+	}
+	gen, ch := s.gen, make(chan struct{})
+	c.idle = append(c.idle, sigWaiter{s, ch})
+	c.parkLocked(ch)
+	c.mu.Unlock()
+	<-ch
+	c.mu.Lock()
+	if s.gen == gen && c.down {
+		return false, ErrShutdown
+	}
+	return s.gen != gen, nil
+}
+
+// Broadcast wakes every actor waiting on s through zero-delay timers, as
+// Event.Fire does. It never blocks; any goroutine may call it.
+func (s *Signal) Broadcast() {
+	c := s.c
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.down {
+		return
+	}
+	s.gen++
+	for _, w := range c.idle {
+		if w.s == s {
+			c.wakeSoonLocked(w.ch)
+		}
+	}
+	c.idle = slices.DeleteFunc(c.idle, func(w sigWaiter) bool { return w.s == s })
 }
 
 // Queue is an unbounded FIFO connecting actors, the simulation-aware
