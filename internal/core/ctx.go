@@ -617,16 +617,20 @@ func (c *Ctx) allocUnderPressure(own []*kvfs.File, alloc func() error) error {
 		return gerr
 	}
 	defer k.spaceGate.Release(1)
-	for errors.Is(err, kvfs.ErrNoSpace) {
+	for {
 		// A cancel or shutdown surfaces as itself, not as the standoff's
 		// ErrNoSpace.
 		if err := c.p.checkLive(); err != nil {
 			return err
 		}
+		// Space may have been freed while the call queued at the gate, or
+		// since the release that woke it: every turn starts with a retry.
+		if err = try(); !errors.Is(err, kvfs.ErrNoSpace) {
+			return err
+		}
 		// The prefix cache is a cache: its idle leaves go before anyone
 		// waits. When they free GPU space, retry at once.
 		if k.pcache.freeGPU() {
-			err = try()
 			continue
 		}
 		for _, f := range own {
@@ -635,9 +639,7 @@ func (c *Ctx) allocUnderPressure(own []*kvfs.File, alloc func() error) error {
 		if released, werr := k.kvReleased.Wait(); werr != nil || !released {
 			return cmp.Or(werr, err)
 		}
-		err = try()
 	}
-	return err
 }
 
 // unpin releases one pin on each of files.

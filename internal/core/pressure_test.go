@@ -362,6 +362,44 @@ func TestSpaceWaitersRetryInFailureOrder(t *testing.T) {
 	}
 }
 
+// TestSpaceGateRetriesOnEntry: a pred that queued at the space gate
+// retries as soon as it holds the gate, not after the next KVFS release,
+// because the space it waits for may have been freed while it queued. A
+// locked file fills the GPU tier until 50 ms; two 16-token preds fail
+// before then, the second queued behind the first. The one release at
+// 50 ms is room for both, so the second gets its space when the first
+// does and both prefill in the same GPU step.
+func TestSpaceGateRetriesOnEntry(t *testing.T) {
+	clk, k := newTightKernel()
+	ready := clk.NewEvent()
+	ends := map[string]time.Duration{}
+	drive(t, clk, func() {
+		holder := lockedHolder(k, ready, []int{128}, []time.Duration{50 * time.Millisecond})
+		if err := ready.Wait(); err != nil {
+			t.Errorf("holder never ready: %v", err)
+		}
+		waiter := func(name string, delay time.Duration) *Process {
+			return k.Submit(name, func(ctx *Ctx) error {
+				if err := ctx.Sleep(delay); err != nil {
+					return err
+				}
+				_, err := prefillAnon(ctx, 16)
+				ends[name] = clk.Now()
+				return err
+			})
+		}
+		first, second := waiter("first", 0), waiter("second", time.Millisecond)
+		for name, p := range map[string]*Process{"holder": holder, "first": first, "second": second} {
+			if err := p.Wait(); err != nil {
+				t.Errorf("%s process: %v", name, err)
+			}
+		}
+	})
+	if ends["second"] != ends["first"] {
+		t.Fatalf("second pred returned at %v, first at %v: want the same GPU step", ends["second"], ends["first"])
+	}
+}
+
 // TestCancelQueuedAtSpaceGate: a pred and a fork cancelled while they
 // wait behind another pred at the space gate surface ErrCancelled, not the
 // ErrNoSpace they queued on, hold no pin on their files, and leave the
