@@ -706,3 +706,54 @@ func TestSignalBroadcastAllocatesNothing(t *testing.T) {
 		t.Fatalf("Broadcast with no waiter allocates %v times", n)
 	}
 }
+
+// TestSignalBroadcastFromOtherGoroutines: Broadcast may come from any
+// goroutine (an HTTP handler cancelling a process), concurrently with
+// actors waiting and with other Broadcasts.
+func TestSignalBroadcastFromOtherGoroutines(t *testing.T) {
+	// The ticker keeps a timer due until Shutdown, so the waiter is never
+	// answered by quiescence: only Broadcasts and Shutdown end its waits.
+	c := New()
+	s := c.NewSignal()
+	var woken atomic.Int32
+	exited := make(chan struct{})
+	c.Go("ticker", func() {
+		for c.Sleep(time.Millisecond) == nil {
+		}
+	})
+	c.Go("waiter", func() {
+		defer close(exited)
+		for {
+			signalled, err := s.Wait()
+			if err != nil {
+				return
+			}
+			if !signalled {
+				t.Error("waiter answered unsignalled while a timer was due")
+				return
+			}
+			woken.Add(1)
+		}
+	})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				s.Broadcast()
+			}
+		}()
+	}
+	wg.Wait()
+	for woken.Load() == 0 {
+		s.Broadcast()
+		time.Sleep(time.Millisecond)
+	}
+	c.Shutdown()
+	select {
+	case <-exited:
+	case <-time.After(5 * time.Second):
+		t.Fatal("waiter did not see Shutdown")
+	}
+}
