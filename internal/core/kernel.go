@@ -283,7 +283,7 @@ func New(clk *simclock.Clock, cfg Config) *Kernel {
 		kvd:       daemon,
 		spec:      spec,
 		tok:       tok,
-		dir:       newPrefixIndex(max(cfg.Replicas, 1)),
+		dir:       newPrefixIndex(fs, max(cfg.Replicas, 1)),
 		tracer:    cfg.Tracer,
 		tools:     make(map[string]Tool),
 		procs:     make(map[int]*Process),

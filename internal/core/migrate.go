@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -26,8 +25,8 @@ import (
 //
 //   - the kernel's prefix directory (prefixIndex, below) maps each root KV
 //     hash (the affinity key) to the replica currently holding the
-//     family's prefix pages, updated as files are appended to, forked,
-//     truncated, and removed;
+//     family's prefix pages, updated as files are appended to, forked and
+//     truncated, and told by KVFS when one is removed;
 //   - every affinity-carrying pred is routed to the directory's current
 //     home (sched.Call.Routed), so homes are dynamic rather than
 //     hash-static;
@@ -182,45 +181,39 @@ type rootInfo struct {
 	moved    bool
 }
 
-// fileRec is the directory's per-file record: the family root plus a
-// registration seq, so sweeps over the files map can process entries in
-// a deterministic order.
-type fileRec struct {
-	root model.CtxHash
-	seq  int64
-}
-
 // prefixIndex is the kernel's one prefix→home directory: which replica
 // holds each root KV hash's prefix pages. Every kernel has one; the
 // migration engine registers request files in it from the pred path
-// (append), fork (children share the parent's root), truncate (a root
-// change re-registers the file), and remove (swept), and the radix prefix
-// cache registers its node files the same way, so a family lives — and a
-// migrated home is remembered — until its last request file and its last
-// cached node are gone.
+// (append, fork — children share the parent's root — and truncate, whose
+// root change re-registers the file), and the radix prefix cache
+// registers its node files the same way. KVFS's removal notice drops a
+// file the moment it is removed, so a family lives — and a migrated home
+// is remembered — exactly until its last request file and its last cached
+// node are gone, and perHome counts live families only.
 type prefixIndex struct {
 	// views has one (zero) entry per replica: all hashHome has to show the
 	// static dispatcher.
 	views []sched.ReplicaView
 
-	mu      sync.Mutex
-	roots   map[model.CtxHash]*rootInfo
-	files   map[*kvfs.File]fileRec
-	fileSeq int64
+	mu    sync.Mutex
+	roots map[model.CtxHash]*rootInfo
+	files map[*kvfs.File]model.CtxHash // live file → family root
 	// perHome counts live families per home replica, so the hot pred
 	// path reads the home's family count in O(1) instead of scanning
 	// every root.
 	perHome []int
-	sinceGC int
 }
 
-func newPrefixIndex(replicas int) *prefixIndex {
-	return &prefixIndex{
+// newPrefixIndex returns an empty directory told of fs's removals.
+func newPrefixIndex(fs *kvfs.FS, replicas int) *prefixIndex {
+	x := &prefixIndex{
 		views:   make([]sched.ReplicaView, replicas),
 		roots:   make(map[model.CtxHash]*rootInfo),
-		files:   make(map[*kvfs.File]fileRec),
+		files:   make(map[*kvfs.File]model.CtxHash),
 		perHome: make([]int, replicas),
 	}
+	fs.OnRemove(x.forget)
+	return x
 }
 
 // hashHome is where a family lives until the engine moves it — and, under
@@ -233,20 +226,16 @@ func (x *prefixIndex) hashHome(root model.CtxHash) int {
 
 // observe registers (or re-registers, after truncate changed the root) f
 // under root, homing a new family at its hash home, and reports the
-// family's entry plus how many families share its home replica.
+// family's entry plus how many families share its home replica. f must be
+// live (just created, or pinned by the caller).
 func (x *prefixIndex) observe(f *kvfs.File, root model.CtxHash) (fam rootInfo, rootsAtHome int) {
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	if x.sinceGC++; x.sinceGC >= 64 {
-		x.sinceGC = 0
-		x.gcLocked()
-	}
-	if prev, ok := x.files[f]; ok && prev.root != root {
+	if prev, ok := x.files[f]; ok && prev != root {
 		x.dropFileLocked(f)
 	}
 	if _, ok := x.files[f]; !ok {
-		x.fileSeq++
-		x.files[f] = fileRec{root: root, seq: x.fileSeq}
+		x.files[f] = root
 		ri, ok := x.roots[root]
 		if !ok {
 			ri = &rootInfo{home: x.hashHome(root)}
@@ -283,41 +272,26 @@ func (x *prefixIndex) home(root model.CtxHash) (int, bool) {
 	return ri.home, true
 }
 
-// size reports the number of live families, sweeping removed files.
+// size reports the number of live families.
 func (x *prefixIndex) size() int {
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	x.gcLocked()
 	return len(x.roots)
 }
 
-// gcLocked drops entries for removed files; a root with no remaining
-// files leaves the directory (its pages are gone, there is nothing to
-// home).
-func (x *prefixIndex) gcLocked() {
-	x.dropFilesLocked(func(f *kvfs.File, _ fileRec) bool { return f.Removed() })
-}
-
-// dropFilesLocked drops every file record victim selects, in registration
-// order: the per-drop bookkeeping is commutative today, but sweeping a
-// sorted snapshot keeps the directory byte-for-byte reproducible even if
-// dropFileLocked ever grows order-sensitive side effects (e.g. re-homing
-// on the spot).
-func (x *prefixIndex) dropFilesLocked(victim func(*kvfs.File, fileRec) bool) {
-	var victims []*kvfs.File
-	for f, rec := range x.files {
-		if victim(f, rec) {
-			victims = append(victims, f)
-		}
-	}
-	sort.Slice(victims, func(i, j int) bool { return x.files[victims[i]].seq < x.files[victims[j]].seq })
-	for _, f := range victims {
+// forget is the directory's removal notice: a removed file leaves at
+// once, and a family with no remaining files leaves with it (its pages
+// are gone, there is nothing to home).
+func (x *prefixIndex) forget(f *kvfs.File) {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	if _, ok := x.files[f]; ok {
 		x.dropFileLocked(f)
 	}
 }
 
 func (x *prefixIndex) dropFileLocked(f *kvfs.File) {
-	root := x.files[f].root
+	root := x.files[f]
 	delete(x.files, f)
 	if ri, ok := x.roots[root]; ok {
 		if ri.files--; ri.files <= 0 {
@@ -342,7 +316,12 @@ func (x *prefixIndex) invalidateHome(home int) map[model.CtxHash]bool {
 			dropped[root] = true
 		}
 	}
-	x.dropFilesLocked(func(_ *kvfs.File, rec fileRec) bool { return dropped[rec.root] })
+	//lint:allow maporder each drop only decrements its family's file count and deletes a dropped family, which commute: the families left and perHome are the same in any order
+	for f, root := range x.files {
+		if dropped[root] {
+			x.dropFileLocked(f)
+		}
+	}
 	return dropped
 }
 

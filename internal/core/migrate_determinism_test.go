@@ -20,10 +20,9 @@ func familyPrompt(lead token.ID, variant, n int) []token.ID {
 	return toks
 }
 
-// directoryHomes sweeps the kernel's prefix directory and returns the
-// surviving per-root homes — the decision state later placement reads.
+// directoryHomes returns the per-root homes of the kernel's prefix
+// directory as they stand — the decision state later placement reads.
 func directoryHomes(k *Kernel) map[model.CtxHash]int {
-	k.dir.size()
 	k.dir.mu.Lock()
 	defer k.dir.mu.Unlock()
 	out := make(map[model.CtxHash]int)
@@ -35,8 +34,8 @@ func directoryHomes(k *Kernel) map[model.CtxHash]int {
 
 // directorySweepState registers request files and cached node files of
 // four families spread over three replicas, removes every other request
-// file and lets the cap evict node files, sweeps, and returns the
-// surviving homes.
+// file and lets the cap evict node files, and returns the surviving
+// homes.
 func directorySweepState(t *testing.T) map[model.CtxHash]int {
 	t.Helper()
 	const chunk = 4
@@ -61,10 +60,10 @@ func directorySweepState(t *testing.T) map[model.CtxHash]int {
 	return directoryHomes(k)
 }
 
-// TestPrefixIndexSweepDeterministic is the regression test for the
-// sorted files-map sweep in the directory, with request files and cache
-// node files among the victims: identically-built directories must agree
-// on the surviving families and their homes on every run.
+// TestPrefixIndexSweepDeterministic: with request files and cache node
+// files among the removed, identically-built directories agree on the
+// surviving families and their homes on every run, whatever order the
+// removal notices and a crash's drops take.
 func TestPrefixIndexSweepDeterministic(t *testing.T) {
 	first := directorySweepState(t)
 	if len(first) == 0 {
@@ -86,6 +85,7 @@ func FuzzPrefixDirectory(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 1, 3, 0, 0, 2, 3, 1, 1, 1, 2, 5, 1, 3, 0, 4, 0, 2, 0})
 	f.Add([]byte{3, 0, 3, 1, 3, 2, 4, 0, 5, 0, 0, 0, 3, 0, 5, 1, 5, 2, 2, 0})
+	f.Add([]byte{0, 0, 2, 0}) // a new request file, then its removal
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const (
 			replicas = 3
@@ -157,7 +157,7 @@ func FuzzPrefixDirectory(f *testing.F) {
 				k.replicaCrashed(crashed)
 			}
 
-			// A family outlives a sweep exactly while it has a holder.
+			// A family lives exactly while it has a holder.
 			got := directoryHomes(k)
 			holders := make(map[model.CtxHash]bool)
 			for rf := range registered {
@@ -188,4 +188,29 @@ func FuzzPrefixDirectory(f *testing.F) {
 			checkChildCounts(t, k.pcache, "fuzz step")
 		}
 	})
+}
+
+// TestRootsAtHomeCountsLiveFamiliesOnly: a family leaves the directory's
+// per-home count the moment its last file is removed, so the placement
+// policy never reads a dead family as a second one at the home.
+func TestRootsAtHomeCountsLiveFamiliesOnly(t *testing.T) {
+	clk, k := newPrefixKernelN(2, 4, 8)
+	defer clk.Shutdown()
+	a := materialize(t, k, familyPrompt(1, 0, 8))
+	var b *kvfs.File
+	for lead := token.ID(2); b == nil; lead++ {
+		if f := materialize(t, k, familyPrompt(lead, 0, 8)); k.dir.hashHome(f.Root()) == k.dir.hashHome(a.Root()) {
+			b = f
+		}
+	}
+	k.dir.observe(a, a.Root())
+	if _, n := k.dir.observe(b, b.Root()); n != 2 {
+		t.Fatalf("two live families at one home read as %d", n)
+	}
+	if err := b.Remove(); err != nil {
+		t.Fatal(err)
+	}
+	if _, n := k.dir.observe(a, a.Root()); n != 1 {
+		t.Fatalf("after the other family's only file went, the home reads %d families, want 1", n)
+	}
 }

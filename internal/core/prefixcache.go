@@ -145,24 +145,25 @@ func (pc *prefixCache) noteAttach(tokens int, saved time.Duration) {
 
 // insert commits every chunk boundary of the just-prefilled prompt into
 // the tree, adopting the prefix pages from f (which the caller still
-// holds pinned and GPU-resident), evicts idle leaves until the tree fits
-// MaxNodes, and registers each new node file with the prefix directory
-// under f's family.
+// holds pinned and GPU-resident), registers each new node file with the
+// prefix directory under f's family and with the memory daemon, and only
+// then evicts idle leaves until the tree fits MaxNodes, so a node evicted
+// at once is registered before its removal notice takes it out again.
 func (pc *prefixCache) insert(f *kvfs.File, toks []token.ID) {
 	if pc == nil {
 		return
 	}
 	created := pc.tree.Insert(f, toks)
-	evicted := pc.tree.EvictUntil(func() bool { return pc.tree.Len() <= pc.maxNodes })
-	pc.mu.Lock()
-	pc.st.Insertions += int64(len(created))
-	pc.st.Evictions += int64(evicted)
-	pc.mu.Unlock()
 	root := f.Root()
 	for _, nf := range created {
 		pc.k.dir.observe(nf, root)
 		pc.k.kvd.Track(nf, 0, nil)
 	}
+	evicted := pc.tree.EvictUntil(func() bool { return pc.tree.Len() <= pc.maxNodes })
+	pc.mu.Lock()
+	pc.st.Insertions += int64(len(created))
+	pc.st.Evictions += int64(evicted)
+	pc.mu.Unlock()
 }
 
 // freeGPU is the space gate's eviction trigger: it evicts idle leaves

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -415,5 +416,36 @@ func TestPrefixCacheSurvivesMemoryPressure(t *testing.T) {
 	if st.Sched.ExecutedTokens != st.Sched.Tokens+st.Sched.LostTokens {
 		t.Fatalf("scheduler ledger broken: executed=%d tokens=%d lost=%d",
 			st.Sched.ExecutedTokens, st.Sched.Tokens, st.Sched.LostTokens)
+	}
+}
+
+// TestPrefixInsertRegistersOnlyLiveNodes: an insert whose cap evicts nodes
+// it has just created leaves the prefix directory and the memory daemon
+// holding exactly the tree's live node files — a node the cap evicts was
+// registered before its removal notice, which took it out again.
+func TestPrefixInsertRegistersOnlyLiveNodes(t *testing.T) {
+	const chunk = 4
+	for _, maxNodes := range []int{1, 2} {
+		clk, k := newPrefixKernel(chunk, maxNodes)
+		for i := 0; i < 3; i++ {
+			insertPrompt(t, k, familyPrompt(token.ID(100+i), i, 3*chunk)) // three nodes, over the cap
+			want := make(map[*kvfs.File]bool)
+			for _, f := range k.pcache.tree.Files() {
+				want[f] = true
+			}
+			got := make(map[*kvfs.File]bool)
+			k.dir.mu.Lock()
+			for f := range k.dir.files {
+				got[f] = true
+			}
+			k.dir.mu.Unlock()
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("cap %d, insert %d: directory holds %d files, tree %d live nodes", maxNodes, i, len(got), len(want))
+			}
+			if n := k.kvd.Stats().Tracked; n != len(want) {
+				t.Errorf("cap %d, insert %d: daemon tracks %d files, tree %d live nodes", maxNodes, i, n, len(want))
+			}
+		}
+		clk.Shutdown()
 	}
 }

@@ -9,7 +9,8 @@
 // program needs a retry loop of its own to survive oversubscription:
 //
 //   - it tracks the KV files processes create and when each was last
-//     touched;
+//     touched, and drops a file the moment KVFS removes it (the file
+//     system's removal notice, kvfs.FS.OnRemove);
 //   - when GPU usage crosses a high-water mark it offloads unlocked,
 //     un-pinned files to the host tier, least recently used first, until
 //     usage falls to the low-water mark;
@@ -160,8 +161,7 @@ type Daemon struct {
 	mu      sync.Mutex
 	disk    *kvfs.DiskTier // nil until AttachDisk
 	seq     int64
-	entries map[*kvfs.File]*entry
-	sinceGC int // Tracks since the last entry sweep
+	entries map[*kvfs.File]*entry // live files only
 
 	// st holds the counters Stats reports, bumped in place under mu; the
 	// configuration echo and the Pressure and Tracked gauges are filled in
@@ -169,14 +169,23 @@ type Daemon struct {
 	st Stats
 }
 
-// New assembles a daemon over fs. The cost model is unused: the
-// eviction order reads no cost. A policy name other than "lru" is an
-// error.
+// New assembles a daemon over fs and registers it for fs's removal
+// notice. The cost model is unused: the eviction order reads no cost. A
+// policy name other than "lru" is an error.
 func New(clk *simclock.Clock, fs *kvfs.FS, _ model.CostModel, cfg Config) (*Daemon, error) {
 	if cfg.Policy != "" && cfg.Policy != "lru" {
 		return nil, fmt.Errorf("kvd: unknown eviction policy %q (only lru)", cfg.Policy)
 	}
-	return &Daemon{clk: clk, fs: fs, entries: make(map[*kvfs.File]*entry)}, nil
+	d := &Daemon{clk: clk, fs: fs, entries: make(map[*kvfs.File]*entry)}
+	fs.OnRemove(d.forget)
+	return d, nil
+}
+
+// forget is the daemon's removal notice: a removed file leaves at once.
+func (d *Daemon) forget(f *kvfs.File) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	delete(d.entries, f)
 }
 
 // AttachDisk gives the daemon a disk tier to demote into, enabling the
@@ -240,20 +249,14 @@ func (d *Daemon) NoteDiskLoad(f *kvfs.File, tokens int, cost time.Duration) {
 
 // Track places a process-private file under daemon management. Files the
 // daemon does not know about (e.g. shared files another program opened)
-// are never offloaded.
+// are never offloaded, and neither is a removed file tracked.
 func (d *Daemon) Track(f *kvfs.File, pid int, notify Notify) {
 	now := d.clk.Now()
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if _, ok := d.entries[f]; ok {
+	// Under d.mu, so a removal after this check finds the entry below.
+	if _, ok := d.entries[f]; ok || f.Removed() {
 		return
-	}
-	// Amortized sweep: the reclaim path only garbage-collects under
-	// pressure, so a server that never crosses the high-water mark must
-	// still shed entries (and their notify closures) for removed files.
-	if d.sinceGC++; d.sinceGC >= 64 {
-		d.sinceGC = 0
-		d.sweepRemovedLocked()
 	}
 	d.seq++
 	d.entries[f] = &entry{f: f, seq: d.seq, pid: pid, notify: notify, lastAccess: now}
@@ -277,16 +280,11 @@ func (d *Daemon) Touch(f *kvfs.File) {
 func (d *Daemon) ReleaseProcess(pid int) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	for f, e := range d.entries {
-		if e.pid != pid {
-			continue
+	for _, e := range d.entries {
+		if e.pid == pid {
+			e.pid = 0
+			e.notify = nil
 		}
-		if f.Removed() {
-			delete(d.entries, f)
-			continue
-		}
-		e.pid = 0
-		e.notify = nil
 	}
 }
 
@@ -442,18 +440,14 @@ func (d *Daemon) demoteFileLocked(r rung, e *entry) (n int, err error) {
 	return n, err
 }
 
-// candidatesLocked lists the entries rung r may demote — tracked, not
-// removed, not advisory-locked, not pinned, with tokens on the rung's
+// candidatesLocked lists the entries rung r may demote — tracked (so not
+// removed), not advisory-locked, not pinned, with tokens on the rung's
 // tier — in eviction order: least recently accessed first, tracking seq
-// breaking ties so the order never depends on map iteration. It also
-// garbage-collects entries for removed files. Caller holds d.mu.
+// breaking ties so the order never depends on map iteration. Caller holds
+// d.mu.
 func (d *Daemon) candidatesLocked(r rung) []*entry {
 	var cands []*entry
 	for f, e := range d.entries {
-		if f.Removed() {
-			delete(d.entries, f)
-			continue
-		}
 		if f.Pins() > 0 || f.LockedBy() != "" {
 			continue
 		}
@@ -521,22 +515,11 @@ func (d *Daemon) Preempt(f *kvfs.File) int {
 	return n
 }
 
-// sweepRemovedLocked drops the entries of removed files. Caller holds
-// d.mu.
-func (d *Daemon) sweepRemovedLocked() {
-	for f := range d.entries {
-		if f.Removed() {
-			delete(d.entries, f)
-		}
-	}
-}
-
 // Stats returns a snapshot of counters.
 func (d *Daemon) Stats() Stats {
 	pressure := d.Pressure()
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.sweepRemovedLocked() // Tracked counts live files, not removed ones
 	st := d.st
 	st.Policy, st.HighWater, st.LowWater = "lru", HighWater, LowWater
 	st.Pressure, st.Tracked = pressure, len(d.entries)

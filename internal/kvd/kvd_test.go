@@ -2,6 +2,7 @@ package kvd_test
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -321,10 +322,65 @@ func TestReleaseProcessOrphansFilesAndFreesPark(t *testing.T) {
 	}
 }
 
+// TestRemovedFileLeavesAtRemoval: KVFS's removal notice takes a tracked
+// file out of the daemon at once, with no Track, reclaim or Stats call in
+// between, and releases its owner's notify closure with it.
+func TestRemovedFileLeavesAtRemoval(t *testing.T) {
+	clk := simclock.New()
+	fs := newFS(128)
+	d := newDaemon(t, clk, fs, kvd.Config{Policy: "lru"})
+	var events int
+	count := func(kvd.Event) { events++ }
+	f := fs.CreateAnon("u")
+	fill(t, f, 16)
+	d.Track(f, 1, count)
+	d.NoteDiskLoad(f, 16, 0) // reaches the owner only while f is tracked
+	if err := f.Remove(); err != nil {
+		t.Fatal(err)
+	}
+	d.NoteDiskLoad(f, 16, 0)
+	d.Track(f, 1, count) // a removed file is not tracked again
+	d.NoteDiskLoad(f, 16, 0)
+	if events != 1 {
+		t.Fatalf("owner heard %d events, want 1 (before the removal only)", events)
+	}
+	if st := d.Stats(); st.Tracked != 0 {
+		t.Fatalf("tracked = %d after the removal, want 0", st.Tracked)
+	}
+}
+
+// TestTrackRacesRemoval: files tracked while other goroutines remove them
+// all leave the daemon, whichever of Track and the removal notice runs
+// first.
+func TestTrackRacesRemoval(t *testing.T) {
+	fs := newFS(1 << 14)
+	d := newDaemon(t, simclock.New(), fs, kvd.Config{})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				f := fs.CreateAnon("u")
+				removed := make(chan struct{})
+				go func() {
+					defer close(removed)
+					f.Remove()
+				}()
+				d.Track(f, 1, nil)
+				<-removed
+			}
+		}()
+	}
+	wg.Wait()
+	if n := d.Stats().Tracked; n != 0 {
+		t.Fatalf("tracked = %d after every file was removed, want 0", n)
+	}
+}
+
 func TestTrackedEntriesGCWithoutPressure(t *testing.T) {
 	// Files created and removed while GPU usage never crosses the
-	// high-water mark must not accumulate in the daemon: the reclaim
-	// path (which also sweeps) only runs under pressure.
+	// high-water mark must not accumulate in the daemon.
 	clk := simclock.New()
 	fs := newFS(16 << 10)
 	d := newDaemon(t, clk, fs, kvd.Config{Policy: "lru"})

@@ -3,7 +3,6 @@ package kvfs
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 
 	"repro/internal/kvstore"
@@ -18,8 +17,8 @@ import (
 //     reservation belongs to the file's store record — not to the
 //     in-memory page structs. A page demoted to the Disk tier and later
 //     promoted back to the GPU keeps its durable copy (and reservation)
-//     behind; only dropping the record, which Commit does for a removed
-//     file, releases it.
+//     behind; only dropping the record, which the first Commit after the
+//     file's removal does, releases it.
 //   - The Store holds token-level snapshot entries and publishes them as
 //     FMC1 generations on Commit.
 //
@@ -33,8 +32,10 @@ type DiskTier struct {
 	store *kvstore.Store
 
 	mu   sync.Mutex
-	next int64 // monotonic rec order, for deterministic GC sweeps
 	recs map[*File]*diskRec
+	// dead lists removed files with a record, in removal order, for the
+	// next Commit to drop.
+	dead []*File
 	// pending tracks tokens demoted host→disk since the last successful
 	// Commit: until a snapshot generation lands, those pages have no
 	// durable copy, so a failed Commit must move them back to host (see
@@ -53,17 +54,27 @@ type DiskTier struct {
 type diskRec struct {
 	key   string // store key: path for named files, synthetic for anon
 	pages int    // disk pages reserved on behalf of this file
-	order int64
 }
 
 // NewDiskTier returns a disk tier spilling into store and accounting
 // against fs's DiskBytes.
 func NewDiskTier(fs *FS, store *kvstore.Store) *DiskTier {
-	return &DiskTier{
+	dt := &DiskTier{
 		fs:      fs,
 		store:   store,
 		recs:    make(map[*File]*diskRec),
 		pending: make(map[*File]int),
+	}
+	fs.OnRemove(dt.noteRemoved)
+	return dt
+}
+
+// noteRemoved is the tier's removal notice.
+func (dt *DiskTier) noteRemoved(f *File) {
+	dt.mu.Lock()
+	defer dt.mu.Unlock()
+	if dt.recs[f] != nil {
+		dt.dead = append(dt.dead, f)
 	}
 }
 
@@ -87,9 +98,6 @@ func (dt *DiskTier) Put(f *File) error {
 	if f.fs != dt.fs {
 		return fmt.Errorf("kvfs: disk put across file systems")
 	}
-	if f.Removed() {
-		return ErrRemoved
-	}
 	recs := f.Entries()
 	p := dt.fs.cfg.PageTokens
 	pages := (len(recs) + p - 1) / p
@@ -104,6 +112,10 @@ func (dt *DiskTier) Put(f *File) error {
 
 	dt.mu.Lock()
 	defer dt.mu.Unlock()
+	// Under dt.mu, so a removal after this check finds the record below.
+	if f.Removed() {
+		return ErrRemoved
+	}
 	old := dt.recs[f]
 	oldPages := 0
 	if old != nil {
@@ -122,8 +134,7 @@ func (dt *DiskTier) Put(f *File) error {
 		// record sits under a different key and is stale now.
 		dt.store.Drop(old.key)
 	}
-	dt.next++
-	dt.recs[f] = &diskRec{key: k, pages: pages, order: dt.next}
+	dt.recs[f] = &diskRec{key: k, pages: pages}
 	return nil
 }
 
@@ -168,9 +179,10 @@ func (dt *DiskTier) forgetLocked(f *File) {
 	}
 }
 
-// Commit garbage-collects records of removed files and publishes the
-// store's entry set as a new snapshot generation. Must run in a
-// clock-actor context: the snapshot write bills virtual disk time.
+// Commit drops the records of files removed since the last Commit, in
+// removal order, and publishes the store's entry set as a new snapshot
+// generation. Must run in a clock-actor context: the snapshot write bills
+// virtual disk time.
 //
 // On a failed publish, spills since the last successful Commit are
 // rolled back: their pages have no durable copy, so leaving them on the
@@ -180,19 +192,10 @@ func (dt *DiskTier) forgetLocked(f *File) {
 // and the SetSpillRollback hook reverses the spill ledger.
 func (dt *DiskTier) Commit() error {
 	dt.mu.Lock()
-	var dead []*File
-	for f := range dt.recs {
-		if f.Removed() {
-			dead = append(dead, f)
-		}
-	}
-	// Deterministic sweep order (map iteration order is not).
-	sort.Slice(dead, func(i, j int) bool {
-		return dt.recs[dead[i]].order < dt.recs[dead[j]].order
-	})
-	for _, f := range dead {
+	for _, f := range dt.dead {
 		dt.forgetLocked(f)
 	}
+	dt.dead = nil
 	dt.mu.Unlock()
 	err := dt.store.Commit()
 	dt.mu.Lock()
@@ -283,8 +286,7 @@ func (dt *DiskTier) Import(e kvstore.SnapshotEntry) (*File, error) {
 	}
 	fs.mu.Unlock()
 
-	dt.next++
-	dt.recs[f] = &diskRec{key: e.Path, pages: pages, order: dt.next}
+	dt.recs[f] = &diskRec{key: e.Path, pages: pages}
 	return f, nil
 }
 

@@ -3,6 +3,7 @@ package kvfs
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 
 	"repro/internal/kvstore"
@@ -210,6 +211,88 @@ func TestCommitGCsRemovedFiles(t *testing.T) {
 	}
 	if entries := committed(t, dt); len(entries) != 0 {
 		t.Fatal("removed file still in store after commit")
+	}
+}
+
+// TestRemovedRecordsLeaveAtNextCommit: files removed between two commits
+// keep their durable records and disk reservations until the second
+// Commit, which drops them in removal order; a removed file never Put
+// leaves no trace, and a removed file cannot be Put.
+func TestRemovedRecordsLeaveAtNextCommit(t *testing.T) {
+	fs, dt := diskFS(4, 100, 100, 100)
+	put := func(path string) *File {
+		f, err := fs.Create(path, "u", ModePrivate)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mustAppend(t, f, 10, 0) // three pages
+		if err := dt.Put(f); err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	a, b := put("/kv/a"), put("/kv/b")
+	put("/kv/c")
+	if entries := committed(t, dt); len(entries) != 3 {
+		t.Fatalf("first commit stored %d entries, want 3", len(entries))
+	}
+	for _, f := range []*File{b, a, fs.CreateAnon("u")} {
+		if err := f.Remove(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := dt.Put(a); !errors.Is(err, ErrRemoved) {
+		t.Fatalf("Put of a removed file = %v, want ErrRemoved", err)
+	}
+	if st := fs.Stats(); st.DiskPages != 9 {
+		t.Fatalf("disk pages after the removals = %d, want 9 (released at Commit, not at removal)", st.DiskPages)
+	}
+	if len(dt.dead) != 2 || dt.dead[0] != b || dt.dead[1] != a {
+		t.Fatalf("dead = %v, want b then a", dt.dead)
+	}
+	entries := committed(t, dt)
+	if len(entries) != 1 || entries[0].Path != "/kv/c" {
+		t.Fatalf("second commit stored %d entries, want /kv/c alone", len(entries))
+	}
+	if st := fs.Stats(); st.DiskPages != 3 {
+		t.Fatalf("disk pages after the second commit = %d, want 3", st.DiskPages)
+	}
+	if len(dt.recs) != 1 || len(dt.dead) != 0 {
+		t.Fatalf("after the commit: %d records, %d dead, want 1 and 0", len(dt.recs), len(dt.dead))
+	}
+}
+
+// TestPutRacesRemoval: a file checkpointed while another goroutine removes
+// it leaves no record behind the next Commit, whichever runs first.
+func TestPutRacesRemoval(t *testing.T) {
+	fs, dt := diskFS(4, 1<<12, 1<<12, 1<<12)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				f := fs.CreateAnon("u")
+				if _, err := f.Append(seq(4, 0)); err != nil {
+					t.Error(err)
+					return
+				}
+				removed := make(chan struct{})
+				go func() {
+					defer close(removed)
+					f.Remove()
+				}()
+				dt.Put(f) // ErrRemoved when the removal came first
+				<-removed
+			}
+		}()
+	}
+	wg.Wait()
+	if err := dt.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if n, pages := len(dt.recs), fs.Stats().DiskPages; n != 0 || pages != 0 {
+		t.Fatalf("after the commit: %d records, %d disk pages, want 0 and 0", n, pages)
 	}
 }
 

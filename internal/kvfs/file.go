@@ -410,15 +410,16 @@ func (fs *FS) buildFileLocked(owner string, entries []Entry) (*File, error) {
 	return child, nil
 }
 
-// Remove frees the file's pages and unlinks it. Further operations on the
-// file fail with ErrRemoved. Pages shared with forks survive until every
-// referencing file is removed.
+// Remove frees the file's pages and unlinks it, then runs the removal
+// observers (see FS.OnRemove). Further operations on the file fail with
+// ErrRemoved. Pages shared with forks survive until every referencing
+// file is removed.
 func (f *File) Remove() error {
 	fs := f.fs
 	defer fs.maybeNotify()
 	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	if f.removed {
+		fs.mu.Unlock()
 		return ErrRemoved
 	}
 	for _, pg := range f.pages {
@@ -433,6 +434,11 @@ func (f *File) Remove() error {
 		f.path = ""
 	}
 	fs.st.Files--
+	observers := fs.onRemove
+	fs.mu.Unlock()
+	for _, fn := range observers {
+		fn(f)
+	}
 	return nil
 }
 

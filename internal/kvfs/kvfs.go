@@ -186,6 +186,8 @@ type FS struct {
 	// The Symphony kernel uses it to wake its space gate and lock waiters.
 	onRelease func()
 	released  bool
+	// onRemove holds the removal observers, in registration order.
+	onRemove []func(*File)
 }
 
 // SetReleaseHook registers fn to run after every operation that can let
@@ -197,6 +199,16 @@ func (fs *FS) SetReleaseHook(fn func()) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	fs.onRelease = fn
+}
+
+// OnRemove registers fn to run once for every file removed from now on,
+// in registration order, after Remove releases the file system's lock (fn
+// may call back into KVFS). A table keyed by *File drops the file when
+// told, so it holds only live files without sweeping for removed ones.
+func (fs *FS) OnRemove(fn func(*File)) {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	fs.onRemove = append(fs.onRemove, fn)
 }
 
 // maybeNotify fires the release hook if the preceding operation released
