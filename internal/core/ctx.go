@@ -608,25 +608,34 @@ func (c *Ctx) allocUnderPressure(own []*kvfs.File, alloc func() error) error {
 		}
 		return err
 	}
+	k := c.p.k
+	start := k.clk.Now()
 	err := try()
 	if !errors.Is(err, kvfs.ErrNoSpace) {
 		return err
 	}
-	k := c.p.k
-	if gerr := k.spaceGate.Acquire(1); gerr != nil {
-		return gerr
+	queued := !k.spaceGate.TryAcquire(1)
+	if queued {
+		if gerr := k.spaceGate.Acquire(1); gerr != nil {
+			return gerr
+		}
 	}
 	defer k.spaceGate.Release(1)
-	for {
+	// The first turn retries only if another actor may have run since the
+	// failure: the call queued at the gate, or its try slept a partial
+	// restore's bill. Otherwise the retry would repeat the failure.
+	for retry := queued || k.clk.Now() != start; ; retry = true {
 		// A cancel or shutdown surfaces as itself, not as the standoff's
 		// ErrNoSpace.
 		if err := c.p.checkLive(); err != nil {
 			return err
 		}
 		// Space may have been freed while the call queued at the gate, or
-		// since the release that woke it: every turn starts with a retry.
-		if err = try(); !errors.Is(err, kvfs.ErrNoSpace) {
-			return err
+		// since the release that woke it.
+		if retry {
+			if err = try(); !errors.Is(err, kvfs.ErrNoSpace) {
+				return err
+			}
 		}
 		// The prefix cache is a cache: its idle leaves go before anyone
 		// waits. When they free GPU space, retry at once.

@@ -400,6 +400,82 @@ func TestSpaceGateRetriesOnEntry(t *testing.T) {
 	}
 }
 
+// TestSpaceGateFreeEntryDoesNotRepeatFailure: a pred that fails on a tier
+// full of never-released locked files takes the free gate with no other
+// actor run since the failure, so it does not repeat the allocation: one
+// failed allocation, then the standoff's ErrNoSpace.
+func TestSpaceGateFreeEntryDoesNotRepeatFailure(t *testing.T) {
+	clk, k := newTightKernel()
+	ready := clk.NewEvent()
+	var failed int64
+	var predErr error
+	drive(t, clk, func() {
+		lockedHolder(k, ready, []int{128}, nil)
+		if err := ready.Wait(); err != nil {
+			t.Errorf("holder never ready: %v", err)
+		}
+		before := k.Stats().FS.OOMErrors
+		waiter := k.Submit("waiter", func(ctx *Ctx) error {
+			_, predErr = prefillAnon(ctx, 16)
+			return predErr
+		})
+		_ = waiter.Wait()
+		failed = k.Stats().FS.OOMErrors - before
+	})
+	if !errors.Is(predErr, kvfs.ErrNoSpace) {
+		t.Fatalf("pred returned %v, want kvfs.ErrNoSpace", predErr)
+	}
+	if failed != 1 {
+		t.Errorf("the pred failed %d allocations, want 1", failed)
+	}
+}
+
+// TestSpaceGateRetriesAfterPartialRestore: a pred whose first try
+// restores part of its file and sleeps that restore's bill lets other
+// actors run before it fails, so on a free gate it still retries at once.
+// Here the holder frees the tier during that sleep; a call that went
+// straight to swapping itself out and waiting would find nothing left to
+// wake it and fail with ErrNoSpace beside six free pages.
+func TestSpaceGateRetriesAfterPartialRestore(t *testing.T) {
+	clk, k := newTightKernel()
+	offloaded, ready := clk.NewEvent(), clk.NewEvent()
+	var predErr error
+	drive(t, clk, func() {
+		waiter := k.Submit("waiter", func(ctx *Ctx) error {
+			f, err := prefillAnon(ctx, 64) // four pages, then all on the host
+			if err == nil {
+				_, err = f.Offload()
+			}
+			offloaded.Fire()
+			if err != nil {
+				return err
+			}
+			if err := ready.Wait(); err != nil {
+				return err
+			}
+			toks, pos := make([]token.ID, 16), make([]int, 16)
+			for i := range toks {
+				toks[i], pos[i] = token.ID(i+200), 64+i
+			}
+			_, predErr = ctx.Pred(f, toks, pos)
+			return predErr
+		})
+		if err := offloaded.Wait(); err != nil {
+			t.Errorf("waiter never offloaded: %v", err)
+		}
+		// Six locked pages leave two for the restore; they go 1 µs later.
+		holder := lockedHolder(k, ready, []int{96}, []time.Duration{time.Microsecond})
+		for name, p := range map[string]*Process{"holder": holder, "waiter": waiter} {
+			if err := p.Wait(); err != nil {
+				t.Errorf("%s process: %v", name, err)
+			}
+		}
+	})
+	if predErr != nil {
+		t.Fatalf("pred returned %v, want success", predErr)
+	}
+}
+
 // TestCancelQueuedAtSpaceGate: a pred and a fork cancelled while they
 // wait behind another pred at the space gate surface ErrCancelled, not the
 // ErrNoSpace they queued on, hold no pin on their files, and leave the

@@ -221,6 +221,29 @@ func TestSemaphoreFIFO(t *testing.T) {
 	}
 }
 
+// TestSemaphoreTryAcquire: TryAcquire takes units exactly when Acquire
+// would take them without parking — free, with nobody waiting ahead.
+func TestSemaphoreTryAcquire(t *testing.T) {
+	c := New()
+	var got []bool
+	run(t, c, func() {
+		s := c.NewSemaphore(2)
+		got = append(got, s.TryAcquire(1)) // one unit stays free
+		c.Go("waiter", func() {
+			if err := s.Acquire(2); err != nil {
+				t.Errorf("acquire: %v", err)
+			}
+		})
+		c.Sleep(time.Millisecond)          // the waiter queues for two
+		got = append(got, s.TryAcquire(1)) // free, but the waiter is ahead
+		s.Release(1)                       // the waiter takes both
+		got = append(got, s.TryAcquire(1)) // nothing free
+	})
+	if len(got) != 3 || !got[0] || got[1] || got[2] {
+		t.Fatalf("TryAcquire answered %v, want [true false false]", got)
+	}
+}
+
 func TestEventWaitForTimeout(t *testing.T) {
 	c := New()
 	run(t, c, func() {

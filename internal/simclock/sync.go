@@ -265,8 +265,7 @@ func (c *Clock) NewSemaphore(n int) *Semaphore {
 func (s *Semaphore) Acquire(n int) error {
 	c := s.c
 	c.mu.Lock()
-	if len(s.waiters) == 0 && s.free >= n {
-		s.free -= n
+	if s.takeLocked(n) {
 		c.mu.Unlock()
 		return nil
 	}
@@ -285,6 +284,25 @@ func (s *Semaphore) Acquire(n int) error {
 		return ErrShutdown
 	}
 	return nil
+}
+
+// TryAcquire takes n units if Acquire would take them without parking,
+// and reports whether it did. It never blocks.
+func (s *Semaphore) TryAcquire(n int) bool {
+	c := s.c
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return s.takeLocked(n)
+}
+
+// takeLocked takes n units if they are free and nobody waits ahead.
+// Caller holds c.mu.
+func (s *Semaphore) takeLocked(n int) bool {
+	if len(s.waiters) == 0 && s.free >= n {
+		s.free -= n
+		return true
+	}
+	return false
 }
 
 // Release returns n units and admits the waiters they now cover, in order.
