@@ -29,7 +29,8 @@
 //
 // A Clock created with NewRealtime additionally paces virtual time against
 // the wall clock, which makes interactive demos watchable while reusing the
-// exact same machinery.
+// exact same machinery. Pacing delays advances only: an actor woken from
+// any goroutine runs without waiting out the gap to the next timer.
 package simclock
 
 import (
@@ -125,7 +126,7 @@ func (c *Clock) Go(name string, fn func()) {
 		defer func() {
 			c.mu.Lock()
 			c.busy--
-			c.maybeAdvanceLocked()
+			c.maybeAdvanceLocked(nil)
 			c.mu.Unlock()
 		}()
 		fn()
@@ -211,7 +212,7 @@ func (c *Clock) parkLocked(ch chan struct{}) {
 	if c.busy < 0 {
 		panic("simclock: park from non-actor goroutine (busy underflow)")
 	}
-	c.maybeAdvanceLocked()
+	c.maybeAdvanceLocked(ch)
 }
 
 // wakeSoonLocked schedules a zero-delay wake for the parked actor behind
@@ -226,7 +227,7 @@ func (c *Clock) wakeSoonLocked(ch chan struct{}) {
 	heap.Push(&c.timers, timerEntry{at: c.now, seq: c.nextTimerID, ch: ch})
 	// If the waker is not an actor (an HTTP goroutine, a test) every actor
 	// may already be parked, so the wake must advance the clock itself.
-	c.maybeAdvanceLocked()
+	c.maybeAdvanceLocked(nil)
 }
 
 // wakeLocked transfers a runnable slot to the parked actor behind ch and
@@ -247,19 +248,24 @@ func (c *Clock) wakeLocked(ch chan struct{}) bool {
 // actor is runnable. Exactly one timer is woken per advance, so actors whose
 // timers share a deadline run in registration order rather than racing.
 // With no timer left it answers the oldest Signal waiter, and with none of
-// those either it broadcasts quiescence. Caller must hold c.mu.
-func (c *Clock) maybeAdvanceLocked() {
+// those either it broadcasts quiescence. own is the wake channel of the
+// actor parking on the calling goroutine, nil for any other caller. Caller
+// must hold c.mu.
+func (c *Clock) maybeAdvanceLocked(own chan struct{}) {
 	for !c.down && c.busy == 0 && c.timers.Len() > 0 {
 		next := c.timers[0].at
 		if c.speedup > 0 && next > c.now {
 			// Pace against the wall clock. Nothing can become runnable
 			// while busy==0 except via an external (non-actor) wake, so
-			// re-check after sleeping. Shutdown interrupts the wait.
+			// re-check after sleeping. Shutdown interrupts the wait, and
+			// so does a wake of the parking actor: this goroutine is the
+			// one it runs on.
 			wait := time.Duration(float64(next-c.now) / c.speedup)
 			c.mu.Unlock()
 			select {
 			case <-time.After(wait):
 			case <-c.downCh:
+			case <-own:
 			}
 			c.mu.Lock()
 			if c.down || c.busy != 0 || c.timers.Len() == 0 || c.timers[0].at != next {

@@ -460,6 +460,33 @@ func TestRealtimePacing(t *testing.T) {
 	}
 }
 
+// TestRealtimeWakeOfPacingActor: on a realtime clock the actor that parks
+// last paces the wall-clock gap to the next timer in its own goroutine. A
+// wake from a non-actor goroutine (an HTTP handler's Put) that targets
+// that very actor lets it run at once, not after the gap.
+func TestRealtimeWakeOfPacingActor(t *testing.T) {
+	c := NewRealtime(1)
+	defer c.Shutdown()
+	q := NewQueue[int](c)
+	got := make(chan time.Duration, 1)
+	c.Go("sleeper", func() { c.Sleep(time.Hour) })
+	c.Go("waiter", func() {
+		if _, err := q.Get(); err == nil {
+			got <- c.Now()
+		}
+	})
+	time.Sleep(50 * time.Millisecond) // the waiter parks last and paces toward 1 h
+	q.Put(1)
+	select {
+	case at := <-got:
+		if at != 0 {
+			t.Fatalf("waiter ran at virtual %v, want 0", at)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("woken waiter still waiting out the pacing gap")
+	}
+}
+
 // TestFireWakesInWaitOrder pins the serialized-wake guarantee: waiters
 // woken by one Fire run one at a time in Wait order, never concurrently,
 // so a fan-out wake cannot make identically-seeded runs diverge.
