@@ -102,13 +102,31 @@ func BenchmarkRegexCompile(b *testing.B) {
 	}
 }
 
-// BenchmarkJSONMachine measures incremental JSON validation.
+// BenchmarkJSONMachine measures JSON-constrained decoding's check: a
+// JSONConstraint accepts a 60-byte document one byte token at a time, and
+// each Accept rescans the text so far with encoding/json's scanner.
 func BenchmarkJSONMachine(b *testing.B) {
 	doc := `{"a":[1,2,3],"b":{"c":"hello world","d":true},"e":-1.5e3}`
+	words := make([]string, len(doc))
+	for i := range doc {
+		words[i] = doc[i : i+1]
+	}
+	v := token.NewVocab()
+	lex := grammar.NewLexicon(v, words)
+	toks := make([]token.ID, len(words))
+	for i, w := range words {
+		toks[i] = v.Intern(w)
+	}
 	b.SetBytes(int64(len(doc)))
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m := grammar.NewJSONMachine()
-		if !m.StepString(doc) || !m.Complete() {
+		c := grammar.NewJSONConstraint(lex)
+		for _, t := range toks {
+			if err := c.Accept(t); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if !c.Done() {
 			b.Fatal("rejected valid doc")
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"math/rand"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -230,6 +231,23 @@ func TestChoiceConstraint(t *testing.T) {
 	}
 }
 
+// feed accepts s into a fresh JSONConstraint one byte token at a time. It
+// reports whether every byte was accepted and whether the text is done.
+func feed(s string) (accepted, done bool) {
+	v := token.NewVocab()
+	words := make([]string, len(s))
+	for i := range words {
+		words[i] = s[i : i+1]
+	}
+	c := NewJSONConstraint(NewLexicon(v, words))
+	for _, w := range words {
+		if c.Accept(v.Intern(w)) != nil {
+			return false, false
+		}
+	}
+	return true, c.Done()
+}
+
 func TestJSONMachineAcceptsValidDocuments(t *testing.T) {
 	docs := []string{
 		`{}`, `[]`, `"hi"`, `42`, `-3.5e+10`, `true`, `false`, `null`,
@@ -238,15 +256,15 @@ func TestJSONMachineAcceptsValidDocuments(t *testing.T) {
 		`"esc \" and \\ and \n"`,
 		`"\/\b\f\r\t"`,
 		`"\` + `u0041"`, `"a\` + `u00e9b"`, `{"\` + `u002Fkey":"\` + `uABCD"}`,
-		`[[[[1]]]]`,
+		`[[[[1]]]]`, `0`, `-0.5`, `10`, `[0,0]`,
 	}
 	for _, doc := range docs {
-		m := NewJSONMachine()
-		if !m.StepString(doc) {
+		accepted, done := feed(doc)
+		if !accepted {
 			t.Errorf("rejected valid %q", doc)
 			continue
 		}
-		if !m.Complete() {
+		if !done {
 			t.Errorf("valid %q not complete", doc)
 		}
 	}
@@ -255,104 +273,132 @@ func TestJSONMachineAcceptsValidDocuments(t *testing.T) {
 func TestJSONMachineRejectsInvalid(t *testing.T) {
 	bad := []string{
 		`{`, `{,`, `{"a"}`, `{"a":}`, `[1,]x`, `{"a":1,}`, "tru ", `nul!`,
-		`1 2`, `{} {}`, `[1 2]`, `{"a" 1}`, `--1`, `+1`, `.`,
+		`1 2`, `{} {}`, `[1 2]`, `{"a" 1}`, `--1`, `+1`, `.`, `01`, `-01`, `[00]`,
 	}
 	for _, doc := range bad {
-		m := NewJSONMachine()
-		if m.StepString(doc) && m.Complete() {
+		if accepted, done := feed(doc); accepted && done {
 			t.Errorf("accepted invalid %q as complete", doc)
 		}
 	}
-	// Hard rejections: the machine must die mid-string.
-	for _, doc := range []string{`}`, `]`, `:`, `,`, `x`} {
-		m := NewJSONMachine()
-		if m.StepString(doc) {
+	// Hard rejections: the constraint must refuse a byte of these.
+	for _, doc := range []string{`}`, `]`, `:`, `,`, `x`, `01`, `{"a":-00`} {
+		if accepted, _ := feed(doc); accepted {
 			t.Errorf("did not reject %q", doc)
 		}
 	}
 }
 
-func TestJSONMachineStringEscapes(t *testing.T) {
-	// Invalid escapes must kill the machine at the offending byte, not
-	// pass as ordinary string content.
-	bad := []string{
-		`"\q"`,          // not in the escape set
-		`"\x41"`,        // hex escape is not JSON
-		`"\u12"`,        // too few hex digits before the closing quote
-		`"\u12g4"`,      // non-hex digit
-		`"\u"`,          // no digits at all
-		`{"\uZZZZ"`,     // bad hex in a key
-		`"\` + `u12aBg`, // 4 valid digits, then g continues as an ordinary string byte
-	}
-	for _, doc := range bad[:6] {
-		m := NewJSONMachine()
-		if m.StepString(doc) {
-			t.Errorf("accepted invalid escape %q", doc)
+// TestJSONConstraintRefusesLeadingZero walks {"value":0 and then offers
+// 1: a JSON number has no leading zero, so the constraint must refuse it
+// and never report {"value":01} done.
+func TestJSONConstraintRefusesLeadingZero(t *testing.T) {
+	v := token.NewVocab()
+	c := NewJSONConstraint(JSONLexicon(v, "value"))
+	for _, s := range []string{"{", "\"", "value", "\"", ":", "0"} {
+		if err := c.Accept(v.Intern(s)); err != nil {
+			t.Fatalf("accept %q: %v", s, err)
 		}
 	}
-	// After exactly 4 hex digits the machine returns to ordinary string
-	// mode: trailing bytes and the closing quote behave normally.
-	m := NewJSONMachine()
-	if !m.StepString(bad[6]+`"`) || !m.Complete() {
-		t.Errorf("rejected valid post-escape continuation")
+	one := v.Intern("1")
+	for _, id := range c.Allowed() {
+		if id == one {
+			t.Fatal(`1 allowed after {"value":0`)
+		}
 	}
-	// A \uXXXX escape in an object key keeps key handling intact.
-	m = NewJSONMachine()
-	if !m.StepString(`{"\`+`u0041":1}`) || !m.Complete() {
-		t.Errorf("rejected \\u escape in object key")
+	if err := c.Accept(one); err == nil {
+		t.Fatal(`accepted 1 after {"value":0`)
 	}
-	// Clone independence extends to mid-escape state.
-	m = NewJSONMachine()
-	m.StepString(`"\u12`)
-	c := m.Clone()
-	if !c.StepString(`34"`) || !c.Complete() {
-		t.Error("clone failed to finish escape")
-	}
-	if m.StepString(`"`) {
-		t.Error("parent accepted quote mid-escape after clone")
+	if err := c.Accept(v.Intern("}")); err != nil || !c.Done() {
+		t.Fatalf(`{"value":0} not done: %v`, err)
 	}
 }
 
-func TestJSONMachineDepthBound(t *testing.T) {
-	m := NewJSONMachine()
-	for i := 0; i < maxJSONDepth; i++ {
-		if !m.Step('[') {
-			t.Fatalf("died at depth %d", i)
+func TestJSONMachineStringEscapes(t *testing.T) {
+	// Invalid escapes must be refused at the offending byte, not pass as
+	// ordinary string content.
+	bad := []string{
+		`"\q"`,      // not in the escape set
+		`"\x41"`,    // hex escape is not JSON
+		`"\u12"`,    // too few hex digits before the closing quote
+		`"\u12g4"`,  // non-hex digit
+		`"\u"`,      // no digits at all
+		`{"\uZZZZ"`, // bad hex in a key
+	}
+	for _, doc := range bad {
+		if accepted, _ := feed(doc); accepted {
+			t.Errorf("accepted invalid escape %q", doc)
 		}
 	}
-	if m.Step('[') {
+	// After exactly 4 hex digits the string goes on: trailing bytes and
+	// the closing quote behave normally.
+	if accepted, done := feed(`"\` + `u12aBg"`); !accepted || !done {
+		t.Errorf("rejected valid post-escape continuation")
+	}
+	// A \uXXXX escape in an object key keeps key handling intact.
+	if accepted, done := feed(`{"\` + `u0041":1}`); !accepted || !done {
+		t.Errorf("rejected \\u escape in object key")
+	}
+	// Mid-escape, only hex digits continue the text.
+	v := token.NewVocab()
+	c := NewJSONConstraint(NewLexicon(v, []string{`"`, `\u12`, "3", "g", "4"}))
+	for _, s := range []string{`"`, `\u12`} {
+		if err := c.Accept(v.Intern(s)); err != nil {
+			t.Fatalf("accept %q: %v", s, err)
+		}
+	}
+	if got, want := c.Allowed(), []token.ID{v.Intern("3"), v.Intern("4")}; !slices.Equal(got, want) {
+		t.Errorf("allowed mid-escape = %v, want %v", got, want)
+	}
+}
+
+// TestJSONMachineDepthBound holds nesting to encoding/json's limit of
+// 10,000 containers.
+func TestJSONMachineDepthBound(t *testing.T) {
+	deep := strings.Repeat("[", 10000)
+	if !viableJSON([]byte(deep)) {
+		t.Fatal("refused nesting 10,000 deep")
+	}
+	if !json.Valid([]byte(deep + strings.Repeat("]", 10000))) {
+		t.Fatal("a document nested 10,000 deep is not complete")
+	}
+	if viableJSON([]byte(deep + "[")) {
 		t.Fatal("exceeded depth bound")
 	}
 }
 
+// TestJSONMachineCloneIndependence checks that Allowed's probes, which
+// extend the accepted text in place, leave it as it was.
 func TestJSONMachineCloneIndependence(t *testing.T) {
-	m := NewJSONMachine()
-	m.StepString(`{"a":`)
-	c := m.Clone()
-	if !c.StepString(`1}`) || !c.Complete() {
-		t.Fatal("clone failed to finish")
+	v := token.NewVocab()
+	c := NewJSONConstraint(JSONLexicon(v, "a", "x"))
+	for _, s := range []string{"{", "\"", "a", "\"", ":"} {
+		if err := c.Accept(v.Intern(s)); err != nil {
+			t.Fatalf("accept %q: %v", s, err)
+		}
 	}
-	if m.Complete() {
-		t.Fatal("clone leaked into parent")
+	if len(c.Allowed()) == 0 || c.Done() {
+		t.Fatal("no continuation, or done, after {\"a\":")
 	}
-	if !m.StepString(`"x"}`) || !m.Complete() {
-		t.Fatal("parent corrupted by clone")
+	for _, s := range []string{"\"", "x", "\"", "}"} {
+		if err := c.Accept(v.Intern(s)); err != nil {
+			t.Fatalf("accept %q after probing: %v", s, err)
+		}
+	}
+	if string(c.text) != `{"a":"x"}` || !c.Done() {
+		t.Fatalf("text after probing = %q", c.text)
 	}
 }
 
-// Property: every prefix of a document the machine accepts keeps it
-// non-failed, and documents stdlib json accepts are accepted.
+// Property: documents stdlib json writes are accepted and complete.
 func TestJSONMachineAgainstStdlibProperty(t *testing.T) {
 	f := func(obj map[string]int, arr []string) bool {
 		blob, err := json.Marshal(map[string]any{"o": obj, "a": arr})
 		if err != nil {
 			return true
 		}
-		m := NewJSONMachine()
-		if !m.StepString(string(blob)) {
-			return false
-		}
-		return m.Complete()
+		v := token.NewVocab()
+		c := NewJSONConstraint(NewLexicon(v, []string{string(blob)}))
+		return c.Accept(v.Intern(string(blob))) == nil && c.Done()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

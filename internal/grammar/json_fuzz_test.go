@@ -2,14 +2,17 @@ package grammar
 
 import (
 	"encoding/json"
+	"errors"
+	"io"
+	"strings"
 	"testing"
 )
 
 // fuzzSeeds is the seed corpus. It leans on the \uXXXX escape edge cases
-// the incremental validator tightened (exactly four hex digits required):
-// valid escapes in every hex case, surrogate pairs, and the truncated or
-// non-hex forms that must kill the machine. Seeds are written with
-// escaped backslashes, so "\\u0041" is the six JSON bytes \u0041.
+// (exactly four hex digits required): valid escapes in every hex case,
+// surrogate pairs, and the truncated or non-hex forms that end viability.
+// Seeds are written with escaped backslashes, so "\\u0041" is the six
+// JSON bytes \u0041.
 var fuzzSeeds = []string{
 	// \uXXXX edge cases.
 	"\"\\u0041\"",             // uppercase hex
@@ -39,7 +42,7 @@ var fuzzSeeds = []string{
 	"{\"a\":[1,2.5,-3e+7,0],\"b\":{\"c\":null},\"d\":[true,false]}",
 	" { \"a\" : 1 } ",
 	"-0.5e-2",
-	"01", // leading zero: the machine intentionally relaxes this
+	"01", // leading zero: not a number
 	"1.",
 	"[1,]",
 	"{\"a\"}",
@@ -48,78 +51,51 @@ var fuzzSeeds = []string{
 	"",
 }
 
-// jsonDepth reports the maximum container nesting of s, scanned
-// byte-wise with string awareness (good enough for bounding the fuzz
-// comparison; over-counting only skips a case).
-func jsonDepth(s string) int {
-	depth, max := 0, 0
-	inStr, esc := false, false
-	for i := 0; i < len(s); i++ {
-		b := s[i]
-		switch {
-		case esc:
-			esc = false
-		case inStr:
-			if b == '\\' {
-				esc = true
-			} else if b == '"' {
-				inStr = false
-			}
-		case b == '"':
-			inStr = true
-		case b == '{' || b == '[':
-			depth++
-			if depth > max {
-				max = depth
-			}
-		case b == '}' || b == ']':
-			depth--
-		}
+// decoderVerdict walks s with a json.Decoder, a second route through the
+// standard library: s is viable unless the decoder reports a syntax error
+// or something other than whitespace follows its first value, and complete
+// when that value decoded.
+func decoderVerdict(t *testing.T, s string) (viable, complete bool) {
+	d := json.NewDecoder(strings.NewReader(s))
+	d.UseNumber()
+	var v any
+	err := d.Decode(&v)
+	var serr *json.SyntaxError
+	switch {
+	case err == io.EOF || err == io.ErrUnexpectedEOF:
+		return true, false
+	case errors.As(err, &serr):
+		return false, false
+	case err != nil:
+		t.Fatalf("decoding %q: %v", s, err)
 	}
-	return max
+	if strings.TrimLeft(s[d.InputOffset():], " \t\r\n") != "" {
+		return false, false
+	}
+	return true, true
 }
 
-// FuzzJSONMachine cross-checks the incremental byte-wise validator
-// against encoding/json: any input the standard library accepts as a
-// complete JSON document must also be accepted (and reported complete)
-// by the machine, as long as it fits the machine's nesting bound. The
-// reverse is not asserted: the machine intentionally relaxes the
-// leading-zero rule. Run bounded in CI with -fuzztime 30s.
+// FuzzJSONMachine cross-checks JSONConstraint's check against a
+// json.Decoder walk on every prefix of the input: viableJSON must agree
+// with the decoder on whether the prefix extends to a document, and
+// json.Valid, which Done reports, on whether it is one. Run bounded in CI
+// with -fuzztime 30s.
 func FuzzJSONMachine(f *testing.F) {
 	for _, s := range fuzzSeeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, s string) {
-		m := NewJSONMachine()
-		accepted := m.StepString(s)
-		complete := m.Complete()
-		if complete && !accepted {
-			t.Fatalf("machine complete but dead on %q", s)
+		if len(s) > 128 {
+			s = s[:128] // every prefix is checked, so bound the work
 		}
-		if accepted && m.mode == jmFail {
-			t.Fatalf("machine accepted all bytes of %q yet reports failure", s)
-		}
-		// Dead machines must stay dead, and completeness must not
-		// change after failure.
-		if !accepted {
-			if m.Step('1') || m.mode != jmFail || m.Complete() {
-				t.Fatalf("dead machine revived on %q", s)
+		for i := 0; i <= len(s); i++ {
+			p := s[:i]
+			viable, complete := decoderVerdict(t, p)
+			if got := viableJSON([]byte(p)); got != viable {
+				t.Fatalf("%q: viable = %v, decoder says %v", p, got, viable)
 			}
-		}
-		if json.Valid([]byte(s)) && jsonDepth(s) <= maxJSONDepth {
-			if !accepted {
-				t.Fatalf("machine rejected valid JSON %q", s)
-			}
-			if !complete {
-				t.Fatalf("machine did not recognize valid JSON %q as complete", s)
-			}
-		}
-		// A clone must agree with its original byte for byte.
-		m2 := NewJSONMachine()
-		for i := 0; i < len(s); i++ {
-			probe := m2.Clone()
-			if probe.Step(s[i]) != m2.Step(s[i]) {
-				t.Fatalf("clone diverged at byte %d of %q", i, s)
+			if got := json.Valid([]byte(p)); got != complete {
+				t.Fatalf("%q: complete = %v, decoder says %v", p, got, complete)
 			}
 		}
 	})
@@ -147,13 +123,11 @@ func TestFuzzSeedCorpus(t *testing.T) {
 		"{\"a\":[1,2.5,-3e+7,0],\"b\":{\"c\":null},\"d\":[true,false]}": true,
 		" { \"a\" : 1 } ": true,
 		"-0.5e-2":         true,
-		"01":              true, // relaxed leading-zero rule
+		"01":              false, // a number has no leading zero
 	}
 	for _, s := range fuzzSeeds {
-		m := NewJSONMachine()
-		accepted := m.StepString(s)
-		complete := accepted && m.Complete()
-		if complete != wantComplete[s] {
+		accepted, done := feed(s)
+		if complete := accepted && done; complete != wantComplete[s] {
 			t.Errorf("%q: complete = %v, want %v", s, complete, wantComplete[s])
 		}
 	}

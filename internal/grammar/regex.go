@@ -5,10 +5,11 @@
 // Serving stacks like XGrammar, Outlines, and Guidance bake a fixed set of
 // such decoders into the server; Symphony's claim is that, given full
 // access to the distribution, they are expressible as ordinary user code.
-// This package provides two: a regex matcher (parsed and compiled by the
-// standard library's regexp/syntax, run as an NFA over sets of live
-// instructions, lifted to token masks through a Lexicon) and an
-// incremental JSON validator.
+// This package provides two, each lifted to token masks through a
+// Lexicon: a regex matcher (parsed and compiled by the standard library's
+// regexp/syntax, run as an NFA over sets of live instructions) and a JSON
+// validator that asks encoding/json's scanner whether the text so far
+// still extends to a document.
 //
 // A pattern is Go (RE2) syntax with `.` matching newline, and it matches
 // the whole text: anchors and \b are rejected, since a match is always
@@ -16,6 +17,11 @@
 // parser this replaced: `.` and classes match runes, not bytes; `\s` no
 // longer includes `\v`; `{m,n}` is a repetition; and `^`, `$` and `{` are
 // no longer literals.
+//
+// JSON is what encoding/json accepts. Deliberate differences from the
+// hand-written automaton this replaced: a number with a leading zero
+// (`01`, `-01`) is refused, and nesting is bounded by encoding/json's limit
+// of 10,000 containers instead of 64.
 package grammar
 
 import (
