@@ -744,17 +744,23 @@ func TestPredEnforcesWriteAccess(t *testing.T) {
 	})
 }
 
+// exited reports whether p has exited.
+func exited(p *Process) bool {
+	_, ok := p.EndedAt()
+	return ok
+}
+
 func TestProcessRuntimeAndDone(t *testing.T) {
 	clk, k := newKernel()
 	drive(t, clk, func() {
 		p := k.Submit("u", func(ctx *Ctx) error {
 			return ctx.Sleep(2 * time.Second)
 		})
-		if p.Done() {
+		if exited(p) {
 			t.Error("process done immediately")
 		}
 		p.Wait()
-		if !p.Done() {
+		if !exited(p) {
 			t.Error("process not done after Wait")
 		}
 		if p.Runtime() != 2*time.Second {

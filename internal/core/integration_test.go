@@ -38,7 +38,7 @@ func TestKVPersistsAcrossProcesses(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		if !builder.Done() {
+		if !exited(builder) {
 			t.Error("builder not done")
 		}
 

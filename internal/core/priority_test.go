@@ -209,7 +209,7 @@ func TestPreemptedPredResumeBillsPromotion(t *testing.T) {
 				return nil
 			}, SubmitOptions{Priority: sched.Interactive})
 			watch := k.Submit("watch", func(ctx *Ctx) error {
-				for !evicted && !batch.Done() {
+				for !evicted && !exited(batch) {
 					if batchFile != nil && batchFile.Len() == n && batchFile.Pins() == 0 {
 						evicted = true
 						evict(k, batchFile)
@@ -354,7 +354,7 @@ func TestPreemptedPredResumesResidentOnFullTier(t *testing.T) {
 		// then appends cold KV to a file of its own, outside any pred, until
 		// the GPU tier refuses another page.
 		fill := k.Submit("fill", func(ctx *Ctx) error {
-			for !filled && !batch.Done() {
+			for !filled && !exited(batch) {
 				if batchFile != nil && batchFile.Len() == n && batchFile.Pins() == 0 {
 					filled = true
 					if k.kvd.Reclaim(1) != n || batchFile.GPUResident() {

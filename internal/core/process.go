@@ -215,13 +215,6 @@ func (p *Process) Wait() error {
 	return p.err
 }
 
-// Done reports whether the process has exited.
-func (p *Process) Done() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.finished
-}
-
 // Cancel requests cooperative termination: every subsequent system call in
 // the process fails with ErrCancelled, and a call parked for KV space or a
 // lock wakes to return it.

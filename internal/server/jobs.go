@@ -11,6 +11,7 @@ package server
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -34,6 +35,8 @@ type Job struct {
 	Proc *core.Process
 	// Priority is the scheduling lane the job's process runs in.
 	Priority sched.Priority
+
+	ended time.Duration // the process's end, once the registry has seen it
 }
 
 // jobRegistry indexes live and recently finished jobs.
@@ -45,8 +48,10 @@ type jobRegistry struct {
 	defPrio    sched.Priority
 	tenantPrio map[string]sched.Priority
 
-	mu   sync.Mutex
-	jobs map[string]*Job
+	mu       sync.Mutex
+	jobs     map[string]*Job // every retained job, by ID
+	live     []*Job          // unfinished jobs, in submission order
+	finished []*Job          // finished retained jobs, by end time
 }
 
 func newJobRegistry(clk *simclock.Clock, k *core.Kernel, o Options) *jobRegistry {
@@ -94,23 +99,37 @@ func (r *jobRegistry) priorityFor(user, requested string) sched.Priority {
 	return r.defPrio
 }
 
-// sweepLocked drops jobs that finished more than retention of virtual
-// time ago. Caller holds r.mu.
+// sweepLocked moves jobs that have finished from live to finished, and
+// drops those that finished more than retention of virtual time ago.
+// Caller holds r.mu.
 func (r *jobRegistry) sweepLocked() {
-	now := r.clk.Now()
-	for id, j := range r.jobs {
-		if ended, ok := j.Proc.EndedAt(); ok && now-ended > r.retention {
-			delete(r.jobs, id)
+	live := r.live[:0]
+	for _, j := range r.live {
+		ended, ok := j.Proc.EndedAt()
+		if !ok {
+			live = append(live, j)
+			continue
 		}
+		i := sort.Search(len(r.finished), func(i int) bool { return r.finished[i].ended > ended })
+		r.finished = slices.Insert(r.finished, i, j)
+		j.ended = ended
+	}
+	clear(r.live[len(live):])
+	r.live = live
+	now := r.clk.Now()
+	for len(r.finished) > 0 && now-r.finished[0].ended > r.retention {
+		delete(r.jobs, r.finished[0].ID)
+		r.finished[0] = nil
+		r.finished = r.finished[1:]
 	}
 }
 
-// liveCountLocked counts the user's not-yet-finished jobs. Caller holds
-// r.mu.
+// liveCountLocked counts the user's unfinished jobs as of the last sweep.
+// Caller holds r.mu.
 func (r *jobRegistry) liveCountLocked(user string) int {
 	n := 0
-	for _, j := range r.jobs {
-		if j.User == user && !j.Proc.Done() {
+	for _, j := range r.live {
+		if j.User == user {
 			n++
 		}
 	}
@@ -138,6 +157,7 @@ func (r *jobRegistry) Submit(user string, script *lipscript.Script) (*Job, error
 		Priority: prio,
 	}
 	r.jobs[j.ID] = j
+	r.live = append(r.live, j)
 	return j, nil
 }
 
