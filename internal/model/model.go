@@ -130,11 +130,18 @@ func (m *Model) Name() string { return m.cfg.Name }
 
 // Next returns the next-token distribution for the context identified by h.
 // It is pure: equal hashes yield equal distributions.
+//
+// An aligned draft (Config.AlignTarget) returns its target's distribution
+// on the contexts where it agrees and an unrelated one elsewhere.
 func (m *Model) Next(h CtxHash) Dist {
-	if m.cfg.AlignTarget != nil {
-		return m.NextAgreeing(h, m.cfg.AlignTarget, m.cfg.AlignProb)
+	x := uint64(h) ^ m.cfg.Seed
+	if t := m.cfg.AlignTarget; t != nil {
+		if m.agrees(h, m.cfg.AlignProb) {
+			return t.Next(h)
+		}
+		x ^= 0xdeadbeef
 	}
-	return makeDist(uint64(h)^m.cfg.Seed, m.cfg)
+	return makeDist(x, m.cfg)
 }
 
 // Defer returns Next(h) unbuilt (see Dist): equal to it under every Dist
@@ -148,18 +155,6 @@ func (m *Model) Defer(h CtxHash) Dist {
 		x ^= 0xdeadbeef
 	}
 	return Dist{h: x, vocab: m.cfg.VocabSize, cfg: &m.cfg}
-}
-
-// NextAgreeing returns a distribution that equals target.Next(h) with
-// probability agreement (deterministically per context) and an unrelated
-// distribution otherwise. It models a draft model that frequently predicts
-// the same tokens as the target — the regime in which speculative decoding
-// pays off — without simulating real logits.
-func (m *Model) NextAgreeing(h CtxHash, target *Model, agreement float64) Dist {
-	if m.agrees(h, agreement) {
-		return target.Next(h)
-	}
-	return makeDist(uint64(h)^m.cfg.Seed^0xdeadbeef, m.cfg)
 }
 
 // Echoes reports whether m's distribution at h is target's own: m is a draft

@@ -214,12 +214,12 @@ func TestTemperatureExtremes(t *testing.T) {
 
 func TestDraftAgreement(t *testing.T) {
 	target := testModel()
-	draft := New(DraftLlama1B())
+	draft := New(AlignedDraft(target, 0.8))
 	agree := 0
 	const n = 500
 	for i := 0; i < n; i++ {
 		h := CtxHash(uint64(i * 104729))
-		if draft.NextAgreeing(h, target, 0.8).Greedy() == target.Next(h).Greedy() {
+		if draft.Next(h).Greedy() == target.Next(h).Greedy() {
 			agree++
 		}
 	}
@@ -229,9 +229,10 @@ func TestDraftAgreement(t *testing.T) {
 	}
 	// Zero agreement should almost never match.
 	agree = 0
+	draft = New(AlignedDraft(target, 0))
 	for i := 0; i < n; i++ {
 		h := CtxHash(uint64(i * 104729))
-		if draft.NextAgreeing(h, target, 0).Greedy() == target.Next(h).Greedy() {
+		if draft.Next(h).Greedy() == target.Next(h).Greedy() {
 			agree++
 		}
 	}
