@@ -50,10 +50,11 @@ func (c *JSONConstraint) Accept(tok token.ID) error {
 	if !ok {
 		return fmt.Errorf("grammar: token %d not in lexicon", tok)
 	}
-	if !viableJSON(append(c.text, s...)) {
+	next := append(c.text, s...)
+	if !viableJSON(next) {
 		return fmt.Errorf("grammar: token %q breaks JSON", s)
 	}
-	c.text = append(c.text, s...)
+	c.text = next
 	return nil
 }
 
